@@ -2,16 +2,21 @@
 
 Every integrand appearing in the verification suite is a polynomial times a
 centered Gaussian on R^(2n), so inner products reduce to finitely many
-Gaussian moments.  Moments are evaluated by the Isserlis recursion on one
-variable, memoized per weight, which keeps the whole suite free of
-quadrature error.
+Gaussian moments.  They are taken directly in the complex coordinates: the
+vector u = (z, zbar) = T w of the real coordinates w = (Re z, Im z) has the
+bilinear covariance K = T Sigma T^T, and the Isserlis recursion on K gives
+E[z^a zbar^b].  A moment cache holds these values as a Hermitian matrix over
+the monomials that calls have touched, grown lazily by the monomials each
+call adds, so sparse high-degree arguments cost only their own entries.  An
+inner product is the bilinear form f^T Mom[rows, cols] conj(g) on
+coefficient vectors and the Gram matrix of a family is one product
+P Mom P^H.  No quadrature error enters anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from .errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from .gausspoly import GaussPoly, PolyC, annihilation_ops, apply_op, creation_ops, multi_indices
+from .gausspoly import GaussPoly, annihilation_ops, apply_op, creation_ops, multi_indices
 from .model import GeneratorData, WeightData
 
 #: default cap on the total real degree of a requested moment
@@ -46,17 +51,25 @@ class RealQuadraticForm:
 class MomentCache:
     """Memoized centered Gaussian moments for one combined weight.
 
-    ``covariance`` is (2 M_R)^(-1); ``memo`` maps real multi-indices over
-    the 2n coordinates to moment values.  The cache is the only mutable
-    object in this module and must stay confined to one evaluation context.
+    ``covariance`` is the real covariance Sigma = (2 M_R)^(-1) of w and
+    ``zcov`` the bilinear covariance K of (z, zbar).  ``memo`` maps a + b
+    (concatenated multi-indices) to E[z^a zbar^b] and ``real_memo`` maps beta
+    to E[w^beta]; both index 2n coordinates, so they are kept apart.
+    ``moments[index[a], index[b]]`` is E[z^a zbar^b] for the monomials touched
+    so far; entries whose total degree passes the cap are NaN and never read.
+    The cache is the only mutable object in this module and must stay
+    confined to one evaluation context.
     """
 
     form: RealQuadraticForm
     covariance: np.ndarray
+    zcov: np.ndarray
     exponent: np.ndarray
     degree_cap: int = DEFAULT_DEGREE_CAP
     memo: dict = field(default_factory=dict)
-    key_memo: dict = field(default_factory=dict)
+    real_memo: dict = field(default_factory=dict)
+    index: dict = field(default_factory=dict)
+    moments: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
 
 
 def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticForm:
@@ -88,9 +101,12 @@ def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticF
 def _cache_from_form(form: RealQuadraticForm, M, degree_cap: int) -> MomentCache:
     cov = np.linalg.inv(2.0 * form.M_R)
     cov = 0.5 * (cov + cov.T)
+    eye = np.eye(cov.shape[0] // 2)
+    t = np.block([[eye, 1j * eye], [eye, -1j * eye]])
     return MomentCache(
         form=form,
         covariance=mx.frozen(cov, dtype=float),
+        zcov=mx.frozen(t @ cov @ t.T),
         exponent=mx.frozen(M),
         degree_cap=degree_cap,
     )
@@ -104,11 +120,7 @@ def make_moment_cache(
 
 
 def wick_moment(mc: MomentCache, beta) -> float:
-    """Centered Gaussian moment E[w^beta] under the cached covariance.
-
-    Odd total degrees vanish; even ones follow the Isserlis recursion on the
-    first active variable.
-    """
+    """Centered Gaussian moment E[w^beta] under the real covariance Sigma."""
     beta = tuple(int(b) for b in beta)
     if len(beta) != mc.covariance.shape[0]:
         raise DimensionMismatch("beta must index the 2n real coordinates")
@@ -116,11 +128,16 @@ def wick_moment(mc: MomentCache, beta) -> float:
         raise DegreeCapExceeded(
             f"moment degree {sum(beta)} exceeds cap {mc.degree_cap}"
         )
-    return _moment(mc, beta)
+    return _isserlis(mc.covariance.tolist(), mc.real_memo, beta)
 
 
-def _moment(mc: MomentCache, beta: tuple[int, ...]) -> float:
-    memo = mc.memo
+def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
+    """E[u^beta] for a centered Gaussian vector u with E[u u^T] = cov.
+
+    Odd total degrees vanish; even ones follow the Isserlis recursion on the
+    first active variable.  ``cov`` may be complex (a bilinear, not a
+    Hermitian, covariance) and is passed as nested lists for speed.
+    """
     val = memo.get(beta)
     if val is not None:
         return val
@@ -133,62 +150,74 @@ def _moment(mc: MomentCache, beta: tuple[int, ...]) -> float:
         j = next(i for i, b in enumerate(beta) if b)
         rest = list(beta)
         rest[j] -= 1
-        cov = mc.covariance
-        acc = 0.0
+        row = cov[j]
+        val = 0.0
         for k, bk in enumerate(rest):
             if bk:
                 child = list(rest)
                 child[k] -= 1
-                acc += cov[j, k] * bk * _moment(mc, tuple(child))
-        val = acc
+                val += row[k] * bk * _isserlis(cov, memo, tuple(child))
     memo[beta] = val
     return val
 
 
-@lru_cache(maxsize=None)
-def _real_monomial(alpha: tuple[int, ...], conjugate: bool):
-    """Expansion of z^alpha (or zbar^alpha) into monomials in (x, y).
+def _positions(mc: MomentCache, monos) -> list[int]:
+    """Rows of ``monos`` in ``mc.moments``, appending the missing monomials.
 
-    Returns an integer exponent array of shape (m, 2n) and matching complex
-    coefficients; cached since low-degree monomials recur constantly.
+    Each new one gets its entries against every indexed monomial, mirrored by
+    E[z^b zbar^a] = conj(E[z^a zbar^b]); entries past the cap stay NaN."""
+    old = len(mc.index)
+    for a in monos:
+        mc.index.setdefault(a, len(mc.index))
+    m = len(mc.index)
+    if m > old:
+        mons = list(mc.index)
+        degs = [sum(a) for a in mons]
+        mom = np.full((m, m), np.nan, dtype=complex)
+        mom[:old, :old] = mc.moments
+        cov = mc.zcov.tolist()
+        for j in range(old, m):
+            for i in range(j + 1):
+                if degs[i] + degs[j] <= mc.degree_cap:
+                    val = _isserlis(cov, mc.memo, mons[i] + mons[j])
+                    mom[i, j] = val
+                    mom[j, i] = val.conjugate()
+        mc.moments = mom
+    return [mc.index[a] for a in monos]
+
+
+def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
+    """``mc`` (or a new cache for the first exponent) after checking that every
+    argument matches the weight dimension and the cache exponent."""
+    if any(gp.n != wd.n for gp in gps):
+        raise DimensionMismatch("arguments do not match the weight dimension")
+    if mc is None:
+        mc = make_moment_cache(wd, gps[0].M)
+    scale = max(1.0, mx.max_abs(mc.exponent))
+    if any(mx.max_abs(gp.M - mc.exponent) > 1e-9 * scale for gp in gps):
+        raise MExponentMismatch("cache was built for a different exponent")
+    return mc
+
+
+def _coeff_matrix(mc: MomentCache, gps) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of ``gps`` as rows over their monomials, and the moment
+    matrix of those monomials.
+
+    Raises DegreeCapExceeded if products of two rows would exceed the cap.
     """
-    n = len(alpha)
-    exps = np.zeros((1, 2 * n), dtype=np.int64)
-    coeffs = np.ones(1, dtype=complex)
-    unit = -1j if conjugate else 1j
-    for i, p in enumerate(alpha):
-        if p == 0:
-            continue
-        ks = np.arange(p + 1)
-        binco = np.array([math.comb(p, int(k)) for k in ks], dtype=complex)
-        binco = binco * unit**ks
-        m = exps.shape[0]
-        exps = np.repeat(exps, p + 1, axis=0)
-        coeffs = np.repeat(coeffs, p + 1)
-        exps[:, i] += np.tile(p - ks, m)
-        exps[:, n + i] += np.tile(ks, m)
-        coeffs = coeffs * np.tile(binco, m)
-    exps.setflags(write=False)
-    coeffs.setflags(write=False)
-    return exps, coeffs
-
-
-def _expand_poly(poly: PolyC, conjugate: bool):
-    """Real-coordinate expansion of P(z) or conj(P(z)) as exponent/coeff arrays."""
-    if not poly.terms:
-        return np.zeros((0, 2 * poly.n), dtype=np.int64), np.zeros(0, dtype=complex)
-    blocks_e = []
-    blocks_c = []
-    for mono, c in poly.terms.items():
-        e, base = _real_monomial(mono, conjugate)
-        blocks_e.append(e)
-        blocks_c.append((np.conj(c) if conjugate else c) * base)
-    exps = np.concatenate(blocks_e, axis=0)
-    coeffs = np.concatenate(blocks_c)
-    rows, inverse = np.unique(exps, axis=0, return_inverse=True)
-    agg = np.zeros(rows.shape[0], dtype=complex)
-    np.add.at(agg, inverse.reshape(-1), coeffs)
-    return rows, agg
+    degree = max(gp.poly.degree() for gp in gps)
+    if 2 * degree > mc.degree_cap:
+        raise DegreeCapExceeded(
+            f"product degree {2 * degree} exceeds the moment cap {mc.degree_cap}"
+        )
+    monos = list(dict.fromkeys(m for gp in gps for m in gp.poly.terms))
+    col = {m: k for k, m in enumerate(monos)}
+    out = np.zeros((len(gps), len(monos)), dtype=complex)
+    for r, gp in enumerate(gps):
+        for mono, c in gp.poly.terms.items():
+            out[r, col[mono]] = c
+    pos = _positions(mc, monos)
+    return out, mc.moments[np.ix_(pos, pos)]
 
 
 def hphi_inner(
@@ -196,56 +225,27 @@ def hphi_inner(
 ) -> complex:
     """Weighted inner product (F, G) = integral F conj(G) e^(-2 Phi).
 
-    Expands F(z) conj(G(z)) into real-coordinate monomials and sums Wick
-    moments times the Gaussian normalization, exact to floating point for
-    polynomial degrees within the cap.  Pass ``cache`` to share moments
-    across many products with the same exponent.
+    Sums f_a conj(g_b) E[z^a zbar^b] times the Gaussian normalization, exact
+    to floating point for polynomial degrees within the cap.  Pass ``cache``
+    to share moments across many products with the same exponent.
     """
-    if F.n != wd.n or G.n != wd.n:
-        raise DimensionMismatch("arguments do not match the weight dimension")
-    if cache is None:
+    if cache is None and F.n == wd.n == G.n:
         form = combined_form(wd, F.M, G.M)
         cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
-    else:
-        scale = max(1.0, mx.max_abs(cache.exponent))
-        if (
-            mx.max_abs(F.M - cache.exponent) > 1e-9 * scale
-            or mx.max_abs(G.M - cache.exponent) > 1e-9 * scale
-        ):
-            raise MExponentMismatch("cache was built for a different exponent")
-    if F.poly.degree() + G.poly.degree() > cache.degree_cap:
+    cache = _checked_cache(cache, (F, G), wd)
+    dF, dG = F.poly.degree(), G.poly.degree()
+    if dF + dG > cache.degree_cap:
         raise DegreeCapExceeded(
-            f"product degree {F.poly.degree() + G.poly.degree()} exceeds the "
-            f"moment cap {cache.degree_cap}"
+            f"product degree {dF + dG} exceeds the moment cap {cache.degree_cap}"
         )
-    ef, cf = _expand_poly(F.poly, conjugate=False)
-    eg, cg = _expand_poly(G.poly, conjugate=True)
-    if ef.shape[0] == 0 or eg.shape[0] == 0:
+    if not F.poly.terms or not G.poly.terms:
         return 0.0 + 0.0j
-    dim = ef.shape[1]
-    # radix-2^5 keys: per-coordinate degrees stay below 32 under the cap
-    radix = np.left_shift(np.int64(1), 5 * np.arange(dim, dtype=np.int64))
-    keys = (
-        (ef.astype(np.int64) @ radix)[:, None]
-        + (eg.astype(np.int64) @ radix)[None, :]
-    ).ravel()
-    cc = (cf[:, None] * cg[None, :]).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    agg = np.bincount(inverse, weights=cc.real, minlength=uniq.shape[0]) + 1j * np.bincount(
-        inverse, weights=cc.imag, minlength=uniq.shape[0]
-    )
-    key_memo = cache.key_memo
-    total = 0.0 + 0.0j
-    for key, coeff in zip(uniq.tolist(), agg):
-        if not coeff:
-            continue
-        val = key_memo.get(key)
-        if val is None:
-            beta = tuple((key >> (5 * j)) & 31 for j in range(dim))
-            val = _moment(cache, beta)
-            key_memo[key] = val
-        total += coeff * val
-    return cache.form.normalizer * total
+    nf = len(F.poly.terms)
+    pos = _positions(cache, [*F.poly.terms, *G.poly.terms])
+    block = cache.moments[np.ix_(pos[:nf], pos[nf:])]
+    f = np.fromiter(F.poly.terms.values(), dtype=complex, count=nf)
+    g = np.fromiter(G.poly.terms.values(), dtype=complex, count=len(pos) - nf)
+    return cache.form.normalizer * complex(f @ block @ g.conj())
 
 
 def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
@@ -255,25 +255,24 @@ def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) ->
 
 
 def gram_matrix(
-    family: dict[tuple[int, ...], GaussPoly], wd: WeightData
+    family: dict[tuple[int, ...], GaussPoly],
+    wd: WeightData,
+    cache: MomentCache | None = None,
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Gram matrix of a family, with its graded-lex index list.
 
-    Entry (a, b) is the inner product of members a and b; conjugate symmetry
-    is used to fill the lower triangle.
+    Entry (a, b) is the inner product of members a and b, computed for all
+    pairs at once as normalizer * P Mom P^H over the coefficient matrix P;
+    the result is made exactly Hermitian.
     """
     keys = sorted(family.keys(), key=lambda t: (sum(t), t))
     if not keys:
         return [], np.zeros((0, 0), dtype=complex)
-    cache = make_moment_cache(wd, family[keys[0]].M)
-    m = len(keys)
-    gram = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(a, m):
-            val = hphi_inner(family[keys[a]], family[keys[b]], wd, cache)
-            gram[a, b] = val
-            gram[b, a] = np.conj(val)
-    return keys, gram
+    members = [family[k] for k in keys]
+    cache = _checked_cache(cache, members, wd)
+    p, mom = _coeff_matrix(cache, members)
+    gram = cache.form.normalizer * (p @ mom @ p.conj().T)
+    return keys, 0.5 * (gram + gram.conj().T)
 
 
 def adjoint_residual(
@@ -302,6 +301,7 @@ def expand_in_family(
     F: GaussPoly,
     family: dict[tuple[int, ...], GaussPoly],
     wd: WeightData,
+    cache: MomentCache | None = None,
 ) -> tuple[dict[tuple[int, ...], complex], float]:
     """Coefficients of F against the normalized family, plus the residual norm.
 
@@ -314,14 +314,13 @@ def expand_in_family(
     missing = [a for a in needed if a not in family]
     if missing:
         raise IncompleteFamily(f"family lacks indices {missing[:4]} (degree {deg})")
-    cache = make_moment_cache(wd, F.M)
-    coeffs: dict[tuple[int, ...], complex] = {}
-    remainder = F
-    for alpha in needed:
-        member = family[alpha]
-        norm = hphi_norm(member, wd, cache)
-        c = hphi_inner(F, member, wd, cache) / norm
-        coeffs[alpha] = c
-        remainder = remainder - member.scaled(c / norm)
-    residual = hphi_norm(remainder, wd, cache)
-    return coeffs, residual
+    gps = [F] + [family[a] for a in needed]
+    cache = _checked_cache(cache, gps, wd)
+    p, mom = _coeff_matrix(cache, gps)
+    mom = cache.form.normalizer * mom
+    f, pm = p[0], p[1:]
+    norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", pm @ mom, pm.conj()).real, 0.0))
+    c = (pm.conj() @ mom.T @ f) / norms
+    remainder = f - (c / norms) @ pm
+    residual = math.sqrt(max(complex(remainder @ mom @ remainder.conj()).real, 0.0))
+    return dict(zip(needed, c.tolist())), residual

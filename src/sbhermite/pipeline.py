@@ -361,7 +361,8 @@ def _generator_stage_battery(
     family = timer.run("family", lambda: hermite_family(wd, gen, max_degree))
 
     def gram():
-        keys, g = gram_matrix(family, wd)
+        cache = make_moment_cache(wd, gen.Q)
+        keys, g = gram_matrix(family, wd, cache)
         norm0 = g[0, 0].real
         diag_rel = 0.0
         offdiag_rel = 0.0
@@ -373,8 +374,10 @@ def _generator_stage_battery(
                     offdiag_rel = max(offdiag_rel, abs(g[a, b]) / g[a, a].real)
         res["gram_diag_maxrel"] = diag_rel
         res["gram_max_offdiag"] = offdiag_rel
+        return cache
 
-    timer.run("gram", gram)
+    # one moment cache, grown over the family monomials here, serves every later stage
+    cache = timer.run("gram", gram)
 
     def eigen():
         worst = 0.0
@@ -398,7 +401,6 @@ def _generator_stage_battery(
 
     def adjoint():
         rng = np.random.default_rng(seed)
-        cache = make_moment_cache(wd, gen.Q)
         worst = 0.0
         for _ in range(10):
             f = _random_gausspoly(n, 3, gen.Q, rng)
@@ -411,11 +413,10 @@ def _generator_stage_battery(
     timer.run("adjoint", adjoint)
 
     def completeness():
-        cache = make_moment_cache(wd, gen.Q)
         worst = 0.0
         for beta in multi_indices(n, min(3, max_degree)):
             f = GaussPoly(PolyC.monomial(beta), gen.Q)
-            _, residual = expand_in_family(f, family, wd)
+            _, residual = expand_in_family(f, family, wd, cache)
             worst = max(worst, residual / hphi_norm(f, wd, cache))
         res["completeness_residual"] = worst
 

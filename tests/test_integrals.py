@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite.errors import (
     DegreeCapExceeded,
     IncompleteFamily,
+    MExponentMismatch,
     NonIntegrableWeight,
 )
 
@@ -31,6 +34,46 @@ def pairing_moment(cov: np.ndarray, idx: list) -> float:
 
 def beta_to_idx(beta):
     return [i for i, b in enumerate(beta) for _ in range(b)]
+
+
+def real_expansion(poly: sb.PolyC, conjugate: bool) -> dict:
+    """P(z), or conj(P(z)), over real monomials x^e y^f via z = x + iy.
+
+    The binomial theorem on every factor; exponents index (x, y) in R^(2n).
+    """
+    n = poly.n
+    unit = -1j if conjugate else 1j
+    out: dict = {}
+    for mono, c in poly.terms.items():
+        terms = {(0,) * (2 * n): c.conjugate() if conjugate else c}
+        for i, p in enumerate(mono):
+            grown: dict = {}
+            for e, v in terms.items():
+                for k in range(p + 1):
+                    key = list(e)
+                    key[i] += p - k
+                    key[n + i] += k
+                    key = tuple(key)
+                    grown[key] = grown.get(key, 0.0) + v * math.comb(p, k) * unit**k
+            terms = grown
+        for e, v in terms.items():
+            out[e] = out.get(e, 0.0) + v
+    return out
+
+
+def oracle_inner(F: sb.GaussPoly, G: sb.GaussPoly, wd) -> complex:
+    """(F, G) from real-coordinate monomials and brute-force pairing moments."""
+    form = sb.combined_form(wd, F.M, G.M)
+    cov = np.linalg.inv(2.0 * form.M_R)
+    moments: dict = {}
+    total = 0.0 + 0.0j
+    for ef, cf in real_expansion(F.poly, False).items():
+        for eg, cg in real_expansion(G.poly, True).items():
+            beta = tuple(a + b for a, b in zip(ef, eg))
+            if beta not in moments:
+                moments[beta] = pairing_moment(cov, beta_to_idx(beta))
+            total += cf * cg * moments[beta]
+    return form.normalizer * total
 
 
 class TestWickMoment:
@@ -67,6 +110,17 @@ class TestWickMoment:
         mc = sb.make_moment_cache(wd, gen.Q, degree_cap=6)
         with pytest.raises(DegreeCapExceeded):
             sb.wick_moment(mc, (8, 0))
+
+    def test_memoized_apart_from_complex_moments(self):
+        # real and (z, zbar) moments share tuple shapes but not values
+        _, wd, gen = ghs_data(0.5)
+        mc = sb.make_moment_cache(wd, gen.Q)
+        first = sb.wick_moment(mc, (2, 0, 0, 2))
+        assert mc.real_memo[(2, 0, 0, 2)] == first and not mc.memo
+        f = sb.GaussPoly(sb.PolyC.monomial((2, 0)), gen.Q)
+        g = sb.GaussPoly(sb.PolyC.monomial((0, 2)), gen.Q)
+        sb.hphi_inner(f, g, wd, mc)
+        assert sb.wick_moment(mc, (2, 0, 0, 2)) == first
 
 
 class TestHphiInner:
@@ -121,6 +175,55 @@ class TestHphiInner:
         with pytest.raises(NonIntegrableWeight):
             sb.hphi_inner(f, f, wd)
 
+    def test_against_real_coordinate_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            n = int(rng.integers(1, 4))
+            _, wd, gen = sb.random_generator(n, rng)
+            f = random_poly(n, int(rng.integers(0, 4)), gen.Q, rng)
+            g = random_poly(n, int(rng.integers(0, 4)), gen.Q, rng)
+            want = oracle_inner(f, g, wd)
+            scale = math.sqrt(oracle_inner(f, f, wd).real * oracle_inner(g, g, wd).real)
+            assert abs(sb.hphi_inner(f, g, wd) - want) <= 1e-12 * scale
+
+    def test_sparse_high_degree_pair(self):
+        # z1^12 at n=4 touches one moment, not the full degree-12 matrix
+        _, wd, gen = sb.random_generator(4, np.random.default_rng(7))
+        cache = sb.make_moment_cache(wd, gen.Q)
+        f = sb.GaussPoly(sb.PolyC.monomial((12, 0, 0, 0)), gen.Q)
+        # real-coordinate expansion against the real-covariance recursion
+        mc = sb.make_moment_cache(wd, gen.Q)
+        want = mc.form.normalizer * sum(
+            cf * cg * sb.wick_moment(mc, tuple(a + b for a, b in zip(ef, eg)))
+            for ef, cf in real_expansion(f.poly, False).items()
+            for eg, cg in real_expansion(f.poly, True).items()
+        )
+        assert abs(sb.hphi_inner(f, f, wd, cache) - want) <= 1e-12 * abs(want)
+        assert cache.moments.shape == (1, 1) and len(cache.memo) <= 13 * 13
+
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_bargmann_norms_above_degree_31(self, k):
+        # per-coordinate real degrees reach 2k > 31 under this cap
+        _, wd, _ = bargmann_data()
+        cache = sb.make_moment_cache(wd, np.zeros((1, 1)), degree_cap=64)
+        fk = sb.GaussPoly(sb.PolyC.monomial((k,)), np.zeros((1, 1)))
+        want = 2.0 * math.pi * 2.0**k * math.factorial(k)
+        assert sb.hphi_inner(fk, fk, wd, cache).real == pytest.approx(want, rel=1e-10)
+
+    def test_lopsided_degrees_within_cap(self):
+        # degrees 20 and 4 meet the cap 24; the degree-40 moment of z^20 with
+        # itself is never computed
+        _, wd, _ = bargmann_data()
+        cache = sb.make_moment_cache(wd, np.zeros((1, 1)))
+        f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
+        g = sb.GaussPoly(sb.PolyC.monomial((4,)), np.zeros((1, 1)))
+        want = 2.0 * math.pi * 2.0**4 * math.factorial(4)
+        assert sb.hphi_inner(f, g, wd, cache).real == pytest.approx(want, rel=1e-12)
+        assert cache.moments.shape == (2, 2)
+        assert max(sum(key) for key in cache.memo) <= cache.degree_cap
+        with pytest.raises(DegreeCapExceeded):
+            sb.hphi_inner(f, f.scaled(2.0), wd, cache)
+
 
 class TestGramMatrix:
     def test_em_half_through_degree_two(self):
@@ -162,6 +265,46 @@ class TestGramMatrix:
         keys, gram = sb.gram_matrix(fam, wd)
         a, b = keys.index((1, 0)), keys.index((0, 1))
         assert abs(gram[a, b]) <= 1e-10 * gram[a, a].real
+
+    def test_degree_cap_enforced(self):
+        # products of two degree-13 members reach 26 > 24
+        _, wd, gen = em_data(0.5)
+        fam = sb.hermite_family(wd, gen, 13)
+        with pytest.raises(DegreeCapExceeded):
+            sb.gram_matrix(fam, wd)
+        del fam[(13,)]
+        keys, gram = sb.gram_matrix(fam, wd)
+        assert len(keys) == 13 and gram[12, 12].real > 0
+
+    def test_shared_cache(self):
+        _, wd, gen = ghs_data(0.5)
+        fam = sb.hermite_family(wd, gen, 3)
+        cache = sb.make_moment_cache(wd, gen.Q)
+        _, want = sb.gram_matrix(fam, wd)
+        _, got = sb.gram_matrix(fam, wd, cache)
+        assert np.array_equal(got, want)
+        other = sb.make_moment_cache(wd, gen.Q + 1e-3 * np.eye(wd.n))
+        with pytest.raises(MExponentMismatch):
+            sb.gram_matrix(fam, wd, other)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n=st.integers(1, 2),
+    degree=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_is_pairwise_inner_products(n, degree, seed):
+    _, wd, gen = sb.random_generator(n, np.random.default_rng(seed))
+    fam = sb.hermite_family(wd, gen, degree)
+    keys, gram = sb.gram_matrix(fam, wd)
+    assert np.array_equal(gram, gram.conj().T)
+    cache = sb.make_moment_cache(wd, gen.Q)
+    diag = gram.diagonal().real
+    for a, ka in enumerate(keys):
+        for b, kb in enumerate(keys):
+            want = sb.hphi_inner(fam[ka], fam[kb], wd, cache)
+            assert abs(gram[a, b] - want) <= 1e-12 * math.sqrt(diag[a] * diag[b])
 
 
 class TestAdjointResidual:
@@ -219,6 +362,18 @@ class TestExpandInFamily:
         assert abs(coeffs[(1,)]) < 1e-12
         assert abs(coeffs[(0,)]) > 0.1 and abs(coeffs[(2,)]) > 0.1
         assert residual <= 1e-8
+
+    def test_shared_cache(self):
+        _, wd, gen = em_data(0.5)
+        fam = sb.hermite_family(wd, gen, 3)
+        f = sb.GaussPoly(sb.PolyC.monomial((3,)), gen.Q)
+        cache = sb.make_moment_cache(wd, gen.Q)
+        want, want_res = sb.expand_in_family(f, fam, wd)
+        got, got_res = sb.expand_in_family(f, fam, wd, cache)
+        assert got == want and got_res == want_res
+        other = sb.make_moment_cache(wd, gen.Q + 1e-3 * np.eye(wd.n))
+        with pytest.raises(MExponentMismatch):
+            sb.expand_in_family(f, fam, wd, other)
 
     def test_incomplete_family_rejected(self):
         _, wd, gen = em_data(0.5)
