@@ -70,6 +70,7 @@ from .pipeline import (
     VerificationReport,
     decode_gauss_poly,
     encode_gauss_poly,
+    example_config,
     example_expected,
     example_triple,
     run_example,

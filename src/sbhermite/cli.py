@@ -20,6 +20,7 @@ from .pipeline import (
     StageFailure,
     encode_gauss_poly,
     encode_matrix,
+    read_config,
     run_example,
     run_verify,
 )
@@ -57,18 +58,22 @@ def _cmd_validate(args) -> int:
     return EXIT_PASS
 
 
-def _override_rho_fraction(config: RunConfig, value) -> RunConfig:
-    if value is None:
-        return config
-    if not 0.0 < value < 1.0:
-        raise ConfigError(
-            "--rho-fraction: must lie strictly inside (0,1) so that 0<rho<lambda0"
-        )
-    return RunConfig(**{**config.__dict__, "rho_fraction": float(value)})
+def _load_config(path: str, rho_fraction=None, max_degree=None, nodes=None) -> RunConfig:
+    """Parse a config file with command-line overrides applied to the raw
+    dict first, so every override passes the same schema checks."""
+    raw = read_config(path)
+    if isinstance(raw, dict):
+        for key, value in (("rho_fraction", rho_fraction), ("max_degree", max_degree)):
+            if value is not None:
+                raw[key] = value
+        quadrature = raw.get("quadrature", {})
+        if nodes is not None and isinstance(quadrature, dict):
+            raw["quadrature"] = {**quadrature, "nodes": nodes}
+    return RunConfig.from_dict(raw)
 
 
 def _cmd_construct(args) -> int:
-    config = _override_rho_fraction(RunConfig.from_json(args.config), args.rho_fraction)
+    config = _load_config(args.config, rho_fraction=args.rho_fraction)
     pt = validate_phase_triple(config.A, config.B, config.C)
     wd = compute_weight_data(pt)
     gen = build_generator(wd, config.rho_fraction * wd.lam0, config.X)
@@ -95,9 +100,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _override_rho_fraction(RunConfig.from_json(args.config), args.rho_fraction)
-    if args.max_degree is not None:
-        config = RunConfig(**{**config.__dict__, "max_degree": args.max_degree})
+    config = _load_config(
+        args.config, rho_fraction=args.rho_fraction, max_degree=args.max_degree
+    )
     report = run_verify(config)
     _emit(report.to_dict(), args.out)
     return EXIT_PASS if report.overall_pass else EXIT_FAIL
@@ -133,7 +138,7 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
 
 
 def _cmd_transform(args) -> int:
-    config = RunConfig.from_json(args.config)
+    config = _load_config(args.config, nodes=args.nodes)
     pt = validate_phase_triple(config.A, config.B, config.C)
     try:
         alpha = tuple(int(v) for v in args.hermite.split(","))
@@ -142,7 +147,7 @@ def _cmd_transform(args) -> int:
     if len(alpha) != pt.n or any(a < 0 for a in alpha):
         raise ConfigError(f"--hermite: expected {pt.n} nonnegative integers")
     u = TestFunction.hermite_basis(alpha)
-    quad = QuadSpec(nodes=args.nodes or config.nodes)
+    quad = QuadSpec(nodes=config.nodes)
     rows = []
     for z in _parse_points(args.z, pt.n):
         value = transform(pt, u, z, quad)

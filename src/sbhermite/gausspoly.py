@@ -84,24 +84,6 @@ class PolyC:
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + other.scaled(-1.0)
 
-    def diff(self, k: int) -> "PolyC":
-        out = {}
-        for mono, c in self.terms.items():
-            if mono[k] > 0:
-                down = list(mono)
-                down[k] -= 1
-                key = tuple(down)
-                out[key] = out.get(key, 0.0) + c * mono[k]
-        return PolyC(self.n, out)
-
-    def mul_z(self, k: int) -> "PolyC":
-        out = {}
-        for mono, c in self.terms.items():
-            up = list(mono)
-            up[k] += 1
-            out[tuple(up)] = c
-        return PolyC(self.n, out)
-
     def pruned(self, rel: float = PRUNE_REL) -> "PolyC":
         top = self.max_abs()
         if top == 0.0:
@@ -116,20 +98,18 @@ class PolyC:
             default=0.0,
         )
 
-    def __call__(self, z: np.ndarray) -> complex:
+    def __call__(self, z: np.ndarray):
+        """Value at one point (n,), or values at a batch of points (q, n)."""
         z = np.asarray(z, dtype=complex)
-        maxdeg = self.degree()
-        powers = np.ones((self.n, maxdeg + 1), dtype=complex)
-        for p in range(1, maxdeg + 1):
-            powers[:, p] = powers[:, p - 1] * z
-        total = 0.0 + 0.0j
+        pts = z.reshape(-1, self.n)
+        total = np.zeros(pts.shape[0], dtype=complex)
         for mono, c in self.terms.items():
-            term = c
+            term = np.full(pts.shape[0], c)
             for i, e in enumerate(mono):
                 if e:
-                    term = term * powers[i, e]
+                    term *= pts[:, i] ** e
             total += term
-        return complex(total)
+        return complex(total[0]) if z.ndim < 2 else total
 
     def __repr__(self):  # pragma: no cover - debugging aid
         body = " + ".join(f"{v:.6g}*z^{k}" for k, v in sorted(self.terms.items()))
@@ -203,16 +183,21 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
         raise DimensionMismatch("operator and argument dimensions differ")
     # d/dz_k (P e^{-<z,Mz>}) = (dP/dz_k - 2 (M z)_k P) e^{-<z,Mz>}
     h_eff = op.H - 2.0 * op.G @ gp.M
-    acc = PolyC(gp.n)
+    out: dict[tuple[int, ...], complex] = {}
     for k in range(gp.n):
-        g = op.G[i, k]
+        g = complex(op.G[i, k])
         if g != 0:
-            acc = acc + gp.poly.diff(k).scaled(g)
+            for mono, c in gp.poly.terms.items():
+                if mono[k] > 0:
+                    key = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
+                    out[key] = out.get(key, 0.0) + g * (c * mono[k])
     for l in range(gp.n):
-        h = h_eff[i, l]
+        h = complex(h_eff[i, l])
         if h != 0:
-            acc = acc + gp.poly.mul_z(l).scaled(h)
-    return GaussPoly(acc.pruned(), gp.M)
+            for mono, c in gp.poly.terms.items():
+                key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
+                out[key] = out.get(key, 0.0) + h * c
+    return GaussPoly(PolyC(gp.n, out).pruned(), gp.M)
 
 
 def annihilation_ops(Q) -> LinearDiffOp:

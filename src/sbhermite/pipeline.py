@@ -35,9 +35,6 @@ from .integrals import (
     make_moment_cache,
 )
 from .model import (
-    GeneratorData,
-    PhaseTriple,
-    WeightData,
     build_generator,
     ccr_matrix,
     compute_weight_data,
@@ -45,7 +42,6 @@ from .model import (
     eq2202_residual,
     sq_closed_form_residual,
     validate_phase_triple,
-    with_unitary,
 )
 from .transform import QuadSpec, TestFunction, isometry_residual
 
@@ -262,12 +258,16 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"$: cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
+
+
+def read_config(path: str):
+    """The raw, not yet validated JSON content of a config file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"$: cannot read config {path}: {exc}") from exc
 
 
 @dataclass
@@ -333,116 +333,6 @@ class _StageTimer:
         return result
 
 
-def _generator_stage_battery(
-    pt: PhaseTriple,
-    wd: WeightData,
-    gen: GeneratorData,
-    max_degree: int,
-    seed: int,
-    nodes: int,
-    tols: dict,
-    report: VerificationReport,
-    timer: _StageTimer,
-):
-    """Measure every identity residual for an already built generator."""
-    res = report.residuals
-    n, rho2 = wd.n, gen.rho2
-
-    def algebra():
-        res["ccr"] = mx.max_abs(ccr_matrix(wd, gen.Q) - 2.0 * rho2 * np.eye(n))
-        res["eq2202"] = eq2202_residual(wd, gen)
-        res["symmetry_Q"] = mx.max_abs(gen.Q - gen.Q.T)
-        res["symmetry_S"] = mx.max_abs(gen.S - gen.S.T)
-        res["sq_closed_form"] = sq_closed_form_residual(wd, gen)
-        res["condition1_margin"] = condition1_margin(wd, gen.Q)
-
-    timer.run("algebra", algebra)
-
-    family = timer.run("family", lambda: hermite_family(wd, gen, max_degree))
-
-    def gram():
-        cache = make_moment_cache(wd, gen.Q)
-        keys, g = gram_matrix(family, wd, cache)
-        norm0 = g[0, 0].real
-        diag_rel = 0.0
-        offdiag_rel = 0.0
-        for a, ka in enumerate(keys):
-            predicted = (2.0 * rho2) ** sum(ka) * mi_factorial(ka) * norm0
-            diag_rel = max(diag_rel, abs(g[a, a] - predicted) / g[a, a].real)
-            for b in range(len(keys)):
-                if b != a:
-                    offdiag_rel = max(offdiag_rel, abs(g[a, b]) / g[a, a].real)
-        res["gram_diag_maxrel"] = diag_rel
-        res["gram_max_offdiag"] = offdiag_rel
-        return cache
-
-    # one moment cache, grown over the family monomials here, serves every later stage
-    cache = timer.run("gram", gram)
-
-    def eigen():
-        worst = 0.0
-        for alpha, member in family.items():
-            image = hamiltonian_apply(wd, gen, member)
-            expected = member.scaled((2.0 * sum(alpha) + 1.0) * rho2)
-            diff, scale = coeff_distance(image, expected)
-            worst = max(worst, diff / max(scale, 1e-300))
-        res["eigen_max"] = worst
-
-    timer.run("eigen", eigen)
-
-    def rodrig():
-        worst = 0.0
-        for alpha, member in family.items():
-            diff, scale = coeff_distance(rodrigues(wd, gen, alpha), member)
-            worst = max(worst, diff / max(scale, 1e-300))
-        res["rodrigues_max"] = worst
-
-    timer.run("rodrigues", rodrig)
-
-    def adjoint():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(10):
-            f = _random_gausspoly(n, 3, gen.Q, rng)
-            g = _random_gausspoly(n, 3, gen.Q, rng)
-            i = int(rng.integers(0, n))
-            scale = hphi_norm(f, wd, cache) * hphi_norm(g, wd, cache)
-            worst = max(worst, adjoint_residual(wd, gen, f, g, i, cache) / scale)
-        res["adjoint_max"] = worst
-
-    timer.run("adjoint", adjoint)
-
-    def completeness():
-        worst = 0.0
-        for beta in multi_indices(n, min(3, max_degree)):
-            f = GaussPoly(PolyC.monomial(beta), gen.Q)
-            _, residual = expand_in_family(f, family, wd, cache)
-            worst = max(worst, residual / hphi_norm(f, wd, cache))
-        res["completeness_residual"] = worst
-
-    timer.run("completeness", completeness)
-
-    if n == 1:
-        def isometry():
-            quad = QuadSpec(nodes=nodes)
-            worst = 0.0
-            for k in range(2):
-                u = TestFunction.hermite_basis((k,))
-                worst = max(worst, isometry_residual(pt, u, wd, quad, mode="fit"))
-            res["isometry"] = worst
-
-        timer.run("isometry", isometry)
-    else:
-        report.skipped.append("isometry")
-
-    mu_min = float(np.min(gen.mu))
-    if mu_min < 1e-3 * wd.lam0:
-        report.warnings.append(
-            f"ill-conditioned generator: min mu = {mu_min:.3e} "
-            f"is tiny relative to lam0 = {wd.lam0:.3e}"
-        )
-
-
 def _tolerance_for(name: str, tols: dict) -> float:
     if name in tols:
         return tols[name]
@@ -491,12 +381,107 @@ def run_verify(config: RunConfig) -> VerificationReport:
         S=gen.S,
         timings=timings,
     )
-    _generator_stage_battery(
-        pt, wd, gen, config.max_degree, config.seed, config.nodes,
-        config.tolerances, report, timer,
-    )
+    res = report.residuals
+    n, rho2 = wd.n, gen.rho2
+
+    def algebra():
+        res["ccr"] = mx.max_abs(ccr_matrix(wd, gen.Q) - 2.0 * rho2 * np.eye(n))
+        res["eq2202"] = eq2202_residual(wd, gen)
+        res["symmetry_Q"] = mx.max_abs(gen.Q - gen.Q.T)
+        res["symmetry_S"] = mx.max_abs(gen.S - gen.S.T)
+        res["sq_closed_form"] = sq_closed_form_residual(wd, gen)
+        res["condition1_margin"] = condition1_margin(wd, gen.Q)
+
+    timer.run("algebra", algebra)
+
+    family = timer.run("family", lambda: hermite_family(wd, gen, config.max_degree))
+
+    def gram():
+        cache = make_moment_cache(wd, gen.Q)
+        keys, g = gram_matrix(family, wd, cache)
+        norm0 = g[0, 0].real
+        diag_rel = 0.0
+        offdiag_rel = 0.0
+        for a, ka in enumerate(keys):
+            predicted = (2.0 * rho2) ** sum(ka) * mi_factorial(ka) * norm0
+            diag_rel = max(diag_rel, abs(g[a, a] - predicted) / g[a, a].real)
+            for b in range(len(keys)):
+                if b != a:
+                    offdiag_rel = max(offdiag_rel, abs(g[a, b]) / g[a, a].real)
+        res["gram_diag_maxrel"] = diag_rel
+        res["gram_max_offdiag"] = offdiag_rel
+        return cache
+
+    # one moment cache, grown over the family monomials here, serves every later stage
+    cache = timer.run("gram", gram)
+
+    def eigen():
+        worst = 0.0
+        for alpha, member in family.items():
+            image = hamiltonian_apply(wd, gen, member)
+            expected = member.scaled((2.0 * sum(alpha) + 1.0) * rho2)
+            diff, scale = coeff_distance(image, expected)
+            worst = max(worst, diff / max(scale, 1e-300))
+        res["eigen_max"] = worst
+
+    timer.run("eigen", eigen)
+
+    def rodrig():
+        worst = 0.0
+        for alpha, member in family.items():
+            diff, scale = coeff_distance(rodrigues(wd, gen, alpha), member)
+            worst = max(worst, diff / max(scale, 1e-300))
+        res["rodrigues_max"] = worst
+
+    timer.run("rodrigues", rodrig)
+
+    def adjoint():
+        rng = np.random.default_rng(config.seed)
+        worst = 0.0
+        for _ in range(10):
+            f = _random_gausspoly(n, 3, gen.Q, rng)
+            g = _random_gausspoly(n, 3, gen.Q, rng)
+            i = int(rng.integers(0, n))
+            scale = hphi_norm(f, wd, cache) * hphi_norm(g, wd, cache)
+            worst = max(worst, adjoint_residual(wd, gen, f, g, i, cache) / scale)
+        res["adjoint_max"] = worst
+
+    timer.run("adjoint", adjoint)
+
+    def completeness():
+        worst = 0.0
+        for beta in multi_indices(n, min(3, config.max_degree)):
+            f = GaussPoly(PolyC.monomial(beta), gen.Q)
+            _, residual = expand_in_family(f, family, wd, cache)
+            worst = max(worst, residual / hphi_norm(f, wd, cache))
+        res["completeness_residual"] = worst
+
+    timer.run("completeness", completeness)
+
+    if n == 1:
+        def isometry():
+            quad = QuadSpec(nodes=config.nodes)
+            worst = 0.0
+            for k in range(2):
+                u = TestFunction.hermite_basis((k,))
+                worst = max(worst, isometry_residual(pt, u, wd, quad, mode="fit"))
+            res["isometry"] = worst
+
+        timer.run("isometry", isometry)
+    else:
+        report.skipped.append("isometry")
+
+    mu_min = float(np.min(gen.mu))
+    if mu_min < 1e-3 * wd.lam0:
+        report.warnings.append(
+            f"ill-conditioned generator: min mu = {mu_min:.3e} "
+            f"is tiny relative to lam0 = {wd.lam0:.3e}"
+        )
     _finalize(report, config.tolerances)
     return report
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def example_triple(name: str, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,8 +498,7 @@ def example_triple(name: str, s: float) -> tuple[np.ndarray, np.ndarray, np.ndar
         c = np.array([[1j * s]])
     elif name == "ghs":
         eye = np.eye(2)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = (1j / (4.0 * s)) * ((1.0 - s * s) * eye + (1.0 + s * s) * swap)
+        a = (1j / (4.0 * s)) * ((1.0 - s * s) * eye + (1.0 + s * s) * _SWAP)
         b = 1j * math.sqrt(1.0 - s * s) * eye
         c = 2j * s * eye
     else:
@@ -531,12 +515,42 @@ def example_expected(name: str, s: float) -> dict:
             "rho2": (1.0 - s) / (1.0 + s),
             "mu2": (1.0 - s) ** 3 / (4.0 * s * (1.0 + s)),
         }
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     return {
-        "Q": swap / 4.0,
-        "S": swap / 4.0,
+        "Q": _SWAP / 4.0,
+        "S": _SWAP / 4.0,
         "rho2": (1.0 - s) / (2.0 * (1.0 + s)),
         "mu2": (1.0 - s) ** 3 / (8.0 * s * (1.0 + s)),
+    }
+
+
+def example_config(
+    name: str,
+    s: float,
+    max_degree: int = 3,
+    seed: int = 0,
+    nodes: int = 64,
+    tolerances: dict | None = None,
+) -> dict:
+    """Schema-v1 config dict of a golden example family.
+
+    X is -E for ``em`` and -swap for ``ghs``: with the solver eigenbasis E
+    of both families this is the canonical intertwiner of the closed forms.
+    ``rho_fraction`` = 2 sqrt(s) / (1 + s) is rho / lambda_0 for both.
+    """
+    a, b, c = example_triple(name, s)
+    x = -np.eye(1) if name == "em" else -_SWAP
+    return {
+        "version": SCHEMA_VERSION,
+        "n": a.shape[0],
+        "A": encode_matrix(a),
+        "B": encode_matrix(b),
+        "C": encode_matrix(c),
+        "rho_fraction": 2.0 * math.sqrt(s) / (1.0 + s),
+        "X": {"matrix": encode_matrix(x)},
+        "max_degree": max_degree,
+        "seed": seed,
+        "quadrature": {"nodes": nodes},
+        "tolerances": dict(tolerances or {}),
     }
 
 
@@ -550,53 +564,35 @@ def run_example(
 ) -> VerificationReport:
     """Reproduce a golden example family and verify the whole suite on it.
 
-    Constructs the triple for the given s, uses the canonical basis and
-    intertwiner choices (U = iE with X = E for ``em``, X = the swap matrix
-    for ``ghs``), asserts the closed-form Q, S, rho^2 and mu^2 values, then
-    runs the same verification battery as :func:`run_verify`.
+    A golden example is a config like any other (see
+    :func:`example_config`: X = -E for ``em``, X = -swap for ``ghs``, and
+    ``rho_fraction`` = 2 sqrt(s) / (1 + s)); it passes the same schema
+    checks and runs through :func:`run_verify`.  The closed-form Q, S,
+    rho^2 and mu^2 values are then checked as extra ``golden_*`` residuals.
     """
-    tols = dict(_profile_tolerances())
-    tols.update(tolerances or {})
-    a, b, c = example_triple(name, s)
+    config = RunConfig.from_dict(
+        example_config(name, s, max_degree, seed, nodes, tolerances)
+    )
+    report = run_verify(config)
     expected = example_expected(name, s)
-    timings: dict = {}
-    timer = _StageTimer(timings)
-    pt = timer.run("validate", lambda: validate_phase_triple(a, b, c))
-    wd = timer.run("weight", lambda: compute_weight_data(pt))
-    wd = with_unitary(wd, 1j * np.eye(pt.n))
-    x = np.eye(1) if name == "em" else np.array([[0.0, 1.0], [1.0, 0.0]])
-    rho = math.sqrt(expected["rho2"])
-    gen = timer.run("generator", lambda: build_generator(wd, rho, x))
-    report = VerificationReport(
-        n=pt.n,
-        rho2=gen.rho2,
-        lam=[float(v) for v in wd.lam],
-        mu2=[float(v * v) for v in gen.mu],
-        Q=gen.Q,
-        S=gen.S,
-        timings=timings,
-    )
-    report.residuals["golden_Q"] = mx.max_abs(gen.Q - expected["Q"])
-    report.residuals["golden_S"] = mx.max_abs(gen.S - expected["S"])
-    report.residuals["golden_mu2"] = float(
-        np.max(np.abs(gen.mu**2 - expected["mu2"]))
-    )
-    report.residuals["golden_rho2"] = abs(gen.rho2 - expected["rho2"])
+    mu2 = np.asarray(report.mu2)
+    report.residuals["golden_Q"] = mx.max_abs(report.Q - expected["Q"])
+    report.residuals["golden_S"] = mx.max_abs(report.S - expected["S"])
+    report.residuals["golden_mu2"] = float(np.max(np.abs(mu2 - expected["mu2"])))
+    report.residuals["golden_rho2"] = abs(report.rho2 - expected["rho2"])
     # first-order conditioning bounds: the S path amplifies rounding in mu^2
     # by lam^3 / (2 mu^3), the Q path by lam / (2 mu); near mu -> 0 the
     # closed-form gates widen accordingly (they stay at the base tolerance
     # for moderate s, in particular for all acceptance values)
+    tols = dict(config.tolerances)
     eps = float(np.finfo(float).eps)
-    lam_max = float(wd.lam[-1])
-    mu_min = float(np.min(gen.mu))
+    lam_max = report.lam[-1]
+    mu_min = math.sqrt(float(np.min(mu2)))
     tols["golden_S"] = max(
         tols["golden"], 300.0 * eps * lam_max**2 * lam_max**3 / (2.0 * mu_min**3)
     )
     tols["golden_Q"] = max(
         tols["golden"], 300.0 * eps * lam_max**2 * lam_max / (2.0 * mu_min)
-    )
-    _generator_stage_battery(
-        pt, wd, gen, max_degree, seed, nodes, tols, report, timer
     )
     _finalize(report, tols)
     return report

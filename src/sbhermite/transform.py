@@ -281,21 +281,10 @@ def inverse_transform(
         expo = -1j * np.conj(phi) - 2.0 * weight_value(wd, Z) + tsq
         if isinstance(F, GaussPoly):
             expo = expo - np.einsum("qi,ij,qj->q", Z, F.M, Z)
-            return _poly_batch(F.poly, Z) * np.exp(expo)
+            return F.poly(Z) * np.exp(expo)
         return F(Z) * np.exp(expo)
 
     return pt.c_phi * _gauss_quad_c(m_r, v, integrand, quad.nodes, quad.center)
-
-
-def _poly_batch(poly: PolyC, Z: np.ndarray) -> np.ndarray:
-    vals = np.zeros(Z.shape[0], dtype=complex)
-    for mono, c in poly.terms.items():
-        term = np.full(Z.shape[0], complex(c))
-        for i, e in enumerate(mono):
-            if e:
-                term = term * Z[:, i] ** e
-        vals += term
-    return vals
 
 
 def kernel_reproduce(
@@ -327,7 +316,7 @@ def kernel_reproduce(
             - 2.0 * weight_value(wd, Zeta)
             + tsq
         )
-        return kp.c_Phi * _poly_batch(F.poly, Zeta) * np.exp(expo)
+        return kp.c_Phi * F.poly(Zeta) * np.exp(expo)
 
     return _gauss_quad_c(m_r, v, integrand, quad.nodes, quad.center)
 

@@ -34,6 +34,30 @@ class TestApplyOp:
         out = sb.apply_op(op, 0, gp)
         assert out.poly.terms == {(2,): 1.0}
 
+    def test_matches_termwise_reference(self):
+        # d/dz_k z^a = a_k z^(a - e_k) and z_l z^a = z^(a + e_l), summed with
+        # weights G[i, k] and H[i, l] - 2 (G M)[i, l]
+        rng = np.random.default_rng(11)
+        n = 3
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = cplx(n, n)
+        op = sb.LinearDiffOp(cplx(n, n), cplx(n, n))
+        gp = sb.GaussPoly(sb.PolyC(n, {a: cplx()[()] for a in sb.multi_indices(n, 3)}), m + m.T)
+        h_eff = op.H - 2.0 * op.G @ gp.M
+        for i in range(n):
+            want = {}
+            for a, c in gp.poly.terms.items():
+                for k in range(n):
+                    if a[k]:
+                        key = tuple(e - (j == k) for j, e in enumerate(a))
+                        want[key] = want.get(key, 0.0) + op.G[i, k] * a[k] * c
+                    key = tuple(e + (j == k) for j, e in enumerate(a))
+                    want[key] = want.get(key, 0.0) + h_eff[i, k] * c
+            got = sb.apply_op(op, i, gp).poly
+            assert set(got.terms) == set(want)
+            scale = max(abs(v) for v in want.values())
+            assert got.distance(sb.PolyC(n, want)) <= 1e-14 * scale
+
     def test_degree_rises_by_at_most_one(self):
         rng = np.random.default_rng(0)
         _, wd, gen = ghs_data(0.5)
@@ -216,6 +240,22 @@ class TestEvaluate:
     def test_monomial_no_gaussian(self):
         gp = sb.GaussPoly(sb.PolyC.monomial((2,)), np.zeros((1, 1)))
         assert sb.evaluate(gp, [2.0j]) == pytest.approx(-4.0)
+
+    def test_polynomial_batch_matches_pointwise(self):
+        rng = np.random.default_rng(5)
+        terms = {a: complex(*rng.standard_normal(2)) for a in sb.multi_indices(2, 4)}
+        m = rng.standard_normal((2, 2)) * 0.1 + 1j * rng.standard_normal((2, 2)) * 0.1
+        gp = sb.GaussPoly(sb.PolyC(2, terms), m + m.T)
+        pts = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+        want = sum(c * np.prod(pts ** np.array(a), axis=1) for a, c in terms.items())
+        batch = gp.poly(pts)
+        assert batch.shape == (7,)
+        np.testing.assert_allclose(batch, want, rtol=1e-13)
+        for z, value in zip(pts, want):
+            assert gp.poly(z) == pytest.approx(value, rel=1e-13)
+            assert sb.evaluate(gp, z) == pytest.approx(
+                value * np.exp(-z @ gp.M @ z), rel=1e-13
+            )
 
 
 class TestCommutationRelations:

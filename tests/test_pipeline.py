@@ -137,6 +137,19 @@ class TestRunExample:
         assert report.warnings
         assert report.mu2[0] == pytest.approx(0.001**3 / (4 * 0.999 * 1.999), rel=1e-6)
 
+    def test_ghs_near_boundary_passes_at_degree_six(self):
+        # rho comes from the computed lambda_0 times 2 sqrt(s) / (1 + s), which
+        # keeps golden_S near 1.4e-10 and rodrigues_max near 1.9e-10 here
+        report = run_example("ghs", 0.999, max_degree=6)
+        assert report.overall_pass
+        assert report.residuals["rodrigues_max"] <= report.tolerances["rodrigues_max"]
+
+    def test_example_tolerances_pass_the_schema(self):
+        with pytest.raises(ConfigError, match="tolerances.nope"):
+            run_example("em", 0.5, tolerances={"nope": 1.0})
+        report = run_example("em", 0.5, max_degree=1, tolerances={"golden": 1e-11})
+        assert report.tolerances["golden_rho2"] == 1e-11
+
     def test_out_of_range_s(self):
         with pytest.raises(ConfigError):
             run_example("em", 1.5)
@@ -185,6 +198,61 @@ class TestCli:
         assert cli_main(["example", "--name", "em", "--s", "0.5", "--max-degree", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["Q"][0][0][0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_example_equals_verify_on_its_config(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, sb.example_config("ghs", 0.4, max_degree=2))
+        assert cli_main(["verify", "--config", path]) == 0
+        verified = json.loads(capsys.readouterr().out)
+        argv = ["example", "--name", "ghs", "--s", "0.4", "--max-degree", "2"]
+        assert cli_main(argv) == 0
+        example = json.loads(capsys.readouterr().out)
+        golden = {k for k in example["residuals"] if k.startswith("golden_")}
+        assert len(golden) == 4
+        for key in ("residuals", "checks", "tolerances"):
+            rest = {k: v for k, v in example[key].items() if k not in golden}
+            assert rest == verified[key]
+        for key in ("Q", "S", "rho2", "mu2", "lambda", "skipped", "warnings"):
+            assert example[key] == verified[key]
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "--max-degree", "-1"], "max_degree"),
+            (["verify", "--rho-fraction", "1.5"], "rho_fraction"),
+            (["construct", "--rho-fraction", "0"], "rho_fraction"),
+            (["transform", "--z", "0,0", "--nodes", "0"], "quadrature.nodes"),
+            (["transform", "--z", "0,0", "--nodes", "2"], "quadrature.nodes"),
+            (["transform", "--z", "0,0", "--nodes", "-3"], "quadrature.nodes"),
+            (["example", "--nodes", "100000"], "quadrature.nodes"),
+            (["example", "--nodes", "3"], "quadrature.nodes"),
+            (["example", "--max-degree", "-1"], "max_degree"),
+        ],
+    )
+    def test_out_of_range_override_exit_two(self, tmp_path, capsys, argv, field):
+        if argv[0] == "example":
+            argv = argv[:1] + ["--name", "em", "--s", "0.5"] + argv[1:]
+        else:
+            path = self.write_config(tmp_path, em_config_dict())
+            argv = argv[:1] + ["--config", path] + argv[1:]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {field}:")
+
+    def test_override_applies_when_in_range(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, em_config_dict(max_degree=1))
+        argv = ["verify", "--config", path, "--rho-fraction", "0.5", "--max-degree", "2"]
+        assert cli_main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rho2"] == pytest.approx(0.25 * (3.0 / 8.0), rel=1e-12)
+        # a 4-node rule cannot integrate h_5 exactly; the override must reach it
+        values = []
+        for nodes in ("4", "64"):
+            argv = ["transform", "--config", path, "--hermite", "5", "--z", "0.3,0.1",
+                    "--nodes", nodes]
+            assert cli_main(argv) == 0
+            values.append(json.loads(capsys.readouterr().out)["points"][0]["value"])
+        assert values[0] != pytest.approx(values[1], rel=1e-6)
 
     def test_validate_and_construct(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
