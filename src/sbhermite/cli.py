@@ -2,6 +2,8 @@
 
 Subcommands: validate, construct, verify, example, transform.  Exit status
 is 0 on pass, 1 on verification failure or module error, 2 on config error.
+A ``verify`` or ``example`` run whose stage raises still writes its partial
+report, naming the failed stage and the error type, and exits 1.
 """
 
 from __future__ import annotations
@@ -220,6 +222,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except StageFailure as exc:
         print(f"verification error: {exc}", file=sys.stderr)
+        _emit(exc.report.to_dict(), args.out)
         return EXIT_FAIL
     except Exception as exc:  # noqa: BLE001 - surface module errors as failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -37,6 +37,44 @@ def mi_factorial(alpha) -> float:
     return float(math.prod(math.factorial(int(a)) for a in alpha))
 
 
+def _pruned_terms(terms: dict, rel: float = PRUNE_REL) -> dict:
+    """Terms of magnitude at least ``rel`` times the largest; zeros go too."""
+    top = max((abs(v) for v in terms.values()), default=0.0)
+    if top == 0.0:
+        return {}
+    cut = rel * top
+    return {k: v for k, v in terms.items() if abs(v) >= cut}
+
+
+def _power_table(v: np.ndarray, degree: int) -> list:
+    """[1, v, v^2, .., v^degree] on a batch, by repeated multiplication."""
+    out = [1.0, v]
+    for _ in range(2, degree + 1):
+        out.append(out[-1] * v)
+    return out[: degree + 1]
+
+
+def _tabulated_sum(terms: dict, tables: list, q: int) -> np.ndarray:
+    """sum over alpha of c_alpha prod_i tables[i][alpha_i] on a batch of q.
+
+    ``tables[i][k]`` is the batch of values of the k-th factor of
+    coordinate i (a power, or a scaled Hermite polynomial for test
+    functions); factor 0 must be identically 1 and is never read.
+    """
+    total = np.zeros(q, dtype=complex)
+    term = np.empty(q, dtype=complex)
+    for alpha, c in terms.items():
+        factors = [tables[i][e] for i, e in enumerate(alpha) if e]
+        if not factors:
+            total += c
+            continue
+        np.multiply(factors[0], c, out=term)
+        for f in factors[1:]:
+            term *= f
+        total += term
+    return total
+
+
 class PolyC:
     """Sparse polynomial over C^n keyed by exponent multi-indices.
 
@@ -54,6 +92,14 @@ class PolyC:
                 v = complex(v)
                 if v != 0:
                     self.terms[tuple(int(e) for e in k)] = v
+
+    @classmethod
+    def _clean(cls, n: int, terms: dict) -> "PolyC":
+        """Wrap a dict whose keys are int tuples and values nonzero complex."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     @classmethod
     def constant(cls, n: int, value: complex = 1.0) -> "PolyC":
@@ -85,11 +131,7 @@ class PolyC:
         return self + other.scaled(-1.0)
 
     def pruned(self, rel: float = PRUNE_REL) -> "PolyC":
-        top = self.max_abs()
-        if top == 0.0:
-            return PolyC(self.n)
-        cut = rel * top
-        return PolyC(self.n, {k: v for k, v in self.terms.items() if abs(v) >= cut})
+        return PolyC._clean(self.n, _pruned_terms(self.terms, rel))
 
     def distance(self, other: "PolyC") -> float:
         keys = set(self.terms) | set(other.terms)
@@ -99,16 +141,16 @@ class PolyC:
         )
 
     def __call__(self, z: np.ndarray):
-        """Value at one point (n,), or values at a batch of points (q, n)."""
+        """Value at one point (n,), or values at a batch of points (q, n).
+
+        Powers come from one table per coordinate, z_i^0 .. z_i^d_i by
+        repeated multiplication, shared by every term.
+        """
         z = np.asarray(z, dtype=complex)
         pts = z.reshape(-1, self.n)
-        total = np.zeros(pts.shape[0], dtype=complex)
-        for mono, c in self.terms.items():
-            term = np.full(pts.shape[0], c)
-            for i, e in enumerate(mono):
-                if e:
-                    term *= pts[:, i] ** e
-            total += term
+        tops = np.max(list(self.terms), axis=0) if self.terms else [0] * self.n
+        tables = [_power_table(pts[:, i], int(d)) for i, d in enumerate(tops)]
+        total = _tabulated_sum(self.terms, tables, pts.shape[0])
         return complex(total[0]) if z.ndim < 2 else total
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -197,7 +239,7 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
             for mono, c in gp.poly.terms.items():
                 key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
                 out[key] = out.get(key, 0.0) + h * c
-    return GaussPoly(PolyC(gp.n, out).pruned(), gp.M)
+    return GaussPoly(PolyC._clean(gp.n, _pruned_terms(out)), gp.M)
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -282,10 +324,12 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
         raise MExponentMismatch("argument exponent differs from the generator Q")
     low = annihilation_ops(gen.Q)
     high = creation_ops(wd, gen)
-    acc = gp.scaled(gen.rho2)
+    # one dict for rho^2 gp + sum_i raise_i lower_i gp, added in that order
+    acc = {k: gen.rho2 * v for k, v in gp.poly.terms.items()}
     for i in range(gen.n):
-        acc = acc + apply_op(high, i, apply_op(low, i, gp))
-    return acc
+        for k, v in apply_op(high, i, apply_op(low, i, gp)).poly.terms.items():
+            acc[k] = acc.get(k, 0.0) + v
+    return GaussPoly(PolyC(gp.n, acc), gp.M)
 
 
 def evaluate(gp: GaussPoly, z) -> complex:

@@ -73,12 +73,14 @@ TOLERANCE_PROFILES = {
 
 
 class StageFailure(RuntimeError):
-    """A pipeline stage raised; carries the stage name for reporting."""
+    """A pipeline stage raised; carries the stage name and the partial
+    report of the run (residuals, verdicts and timings so far)."""
 
-    def __init__(self, stage: str, cause: Exception):
+    def __init__(self, stage: str, cause: Exception, report: "VerificationReport"):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
+        self.report = report
 
 
 def _require(cond: bool, path: str, msg: str):
@@ -272,14 +274,19 @@ def read_config(path: str):
 
 @dataclass
 class VerificationReport:
-    """Constructed generator data plus named residuals and verdicts."""
+    """Constructed generator data plus named residuals and verdicts.
+
+    A run whose stage raised leaves a partial report: ``failed_stage`` and
+    ``error_type`` name the stage and the exception class, and the fields
+    of stages that did not run keep their empty defaults.
+    """
 
     n: int
-    rho2: float
-    lam: list
-    mu2: list
-    Q: np.ndarray
-    S: np.ndarray
+    rho2: float | None = None
+    lam: list = field(default_factory=list)
+    mu2: list = field(default_factory=list)
+    Q: np.ndarray | None = None
+    S: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
@@ -287,6 +294,8 @@ class VerificationReport:
     warnings: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     overall_pass: bool = False
+    failed_stage: str | None = None
+    error_type: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -295,8 +304,8 @@ class VerificationReport:
             "rho2": self.rho2,
             "lambda": self.lam,
             "mu2": self.mu2,
-            "Q": encode_matrix(self.Q),
-            "S": encode_matrix(self.S),
+            "Q": None if self.Q is None else encode_matrix(self.Q),
+            "S": None if self.S is None else encode_matrix(self.S),
             "residuals": dict(self.residuals),
             "tolerances": dict(self.tolerances),
             "checks": dict(self.checks),
@@ -304,6 +313,8 @@ class VerificationReport:
             "warnings": list(self.warnings),
             "timings": dict(self.timings),
             "overall_pass": self.overall_pass,
+            "failed_stage": self.failed_stage,
+            "error_type": self.error_type,
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -320,17 +331,25 @@ def _random_gausspoly(
 
 
 class _StageTimer:
-    def __init__(self, timings: dict):
-        self.timings = timings
+    """Runs the stages of one report and records each stage's wall time,
+    also of a stage that raises; that stage's error finalizes the report
+    as a partial one and travels with the StageFailure."""
+
+    def __init__(self, report: "VerificationReport", tols: dict):
+        self.report = report
+        self.tols = tols
 
     def run(self, name: str, fn):
         start = time.perf_counter()
         try:
-            result = fn()
+            return fn()
         except Exception as exc:
-            raise StageFailure(name, exc) from exc
-        self.timings[name] = time.perf_counter() - start
-        return result
+            self.report.failed_stage = name
+            self.report.error_type = type(exc).__name__
+            _finalize(self.report, self.tols)
+            raise StageFailure(name, exc, self.report) from exc
+        finally:
+            self.report.timings[name] = time.perf_counter() - start
 
 
 def _tolerance_for(name: str, tols: dict) -> float:
@@ -355,8 +374,10 @@ def _finalize(report: VerificationReport, tols: dict):
             checks[name] = bool(value <= tol)
             report.tolerances[name] = tol
     report.checks = checks
-    report.overall_pass = all(checks.values()) and all(
-        math.isfinite(v) for v in report.residuals.values()
+    report.overall_pass = (
+        report.failed_stage is None
+        and all(checks.values())
+        and all(math.isfinite(v) for v in report.residuals.values())
     )
 
 
@@ -364,23 +385,19 @@ def run_verify(config: RunConfig) -> VerificationReport:
     """Full pipeline: validate, construct, then verify every identity.
 
     Module errors raised inside a stage surface as StageFailure with the
-    stage name attached.
+    stage name and the partial report attached.
     """
-    timings: dict = {}
-    timer = _StageTimer(timings)
+    report = VerificationReport(n=config.n)
+    timer = _StageTimer(report, config.tolerances)
     pt = timer.run("validate", lambda: validate_phase_triple(config.A, config.B, config.C))
     wd = timer.run("weight", lambda: compute_weight_data(pt))
     rho = config.rho_fraction * wd.lam0
     gen = timer.run("generator", lambda: build_generator(wd, rho, config.X))
-    report = VerificationReport(
-        n=pt.n,
-        rho2=gen.rho2,
-        lam=[float(v) for v in wd.lam],
-        mu2=[float(v * v) for v in gen.mu],
-        Q=gen.Q,
-        S=gen.S,
-        timings=timings,
-    )
+    report.rho2 = gen.rho2
+    report.lam = [float(v) for v in wd.lam]
+    report.mu2 = [float(v * v) for v in gen.mu]
+    report.Q = gen.Q
+    report.S = gen.S
     res = report.residuals
     n, rho2 = wd.n, gen.rho2
 

@@ -1,10 +1,18 @@
 """Quadrature evaluation of the integral transform, its inverse and kernel.
 
 The forward transform integrates an oscillatory Gaussian against a test
-function on R^n; the inverse and the reproducing identity integrate over
-C^n = R^(2n).  Both use tensor Gauss-Hermite rules after completing the
-square against the dominant Gaussian decay, with node windows shifted to
-the stationary center of the integrand.
+function on R^n; the inverse, the reproducing identity and the quadrature
+isometry integrate over C^n = R^(2n).  All four go through one tensor
+Gauss-Hermite integrator, ``_gauss_hermite``.  Each caller writes its
+Gaussian factors (the phase, the weight exp(-2 Phi), the kernel, the
+exponent of a GaussPoly or the unit envelope of a test function) as one
+complex quadratic polynomial E(w) in the real coordinates, assembled once
+per call as (matrix, vector, constant); the integrand is G(w) exp(E(w))
+with G the polynomial part, or a callable's value.  The integrator
+completes the square against the real decay of E, substitutes the shifted
+and scaled node window analytically, and so evaluates one quadratic form
+in the node coordinates plus one exp per node, with no separately
+overflowing factor.  The tensor grid is summed in slabs of a fixed size.
 """
 
 from __future__ import annotations
@@ -14,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrices as mx
 from .errors import (
     DimensionMismatch,
     FitFailure,
     NonIntegrableWeight,
     QuadratureUnderflow,
 )
-from .gausspoly import GaussPoly, PolyC, multi_indices
+from .gausspoly import GaussPoly, PolyC, _tabulated_sum, multi_indices
 from .integrals import combined_form, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, compute_weight_data
 
@@ -74,42 +81,146 @@ class TestFunction:
 
     def polynomial_part(self, x: np.ndarray) -> np.ndarray:
         """Value with the common Gaussian envelope exp(-|x|^2/2) removed,
-        so callers can fold that envelope into larger exponents safely."""
+        so callers can fold that envelope into larger exponents safely.
+
+        Each coordinate gets one table of Hermite polynomials, shared by
+        every term."""
         pts = np.asarray(x, dtype=float).reshape(-1, self.n)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for alpha, c in self.coefficients.items():
-            term = np.full(pts.shape[0], complex(c))
-            for i, k in enumerate(alpha):
-                term = term * _hermite_polynomial(k, pts[:, i])
-            out += term
-        return out
+        coeffs = self.coefficients
+        tops = np.max(list(coeffs), axis=0) if coeffs else [0] * self.n
+        tables = [_hermite_table(pts[:, i], int(k)) for i, k in enumerate(tops)]
+        return math.pi ** (-self.n / 4.0) * _tabulated_sum(coeffs, tables, pts.shape[0])
 
 
-def _hermite_polynomial(k: int, t: np.ndarray) -> np.ndarray:
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    norm = 1.0 / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))
-    return norm * np.polynomial.hermite.hermval(t, coeffs)
+def _hermite_table(t: np.ndarray, degree: int) -> list:
+    """[1, g_1(t), .., g_degree(t)] with g_k = pi^(1/4) h_k, h_k = H_k /
+    sqrt(2^k k! sqrt(pi)) the normalized Hermite polynomials, by the
+    three-term recurrence g_(k+1) = sqrt(2/(k+1)) t g_k - sqrt(k/(k+1)) g_(k-1)."""
+    out = [1.0, math.sqrt(2.0) * t]
+    for k in range(1, degree):
+        up, down = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
+        out.append(up * t * out[k] - down * out[k - 1])
+    return out[: degree + 1]
 
 
-def _tensor_gh(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Hermite nodes (m^dim, dim) and product weights."""
-    t, w = np.polynomial.hermite.hermgauss(m)
+#: grid points per slab of the fused integrator; bounds its temporaries
+_SLAB_POINTS = 1 << 15
+
+
+def _tensor_grid(t: np.ndarray, dim: int) -> np.ndarray:
+    """All dim-tuples of the 1-D values t, last axis fastest: (len(t)^dim, dim)."""
     grids = np.meshgrid(*([t] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights = weights * g.ravel()
-    return nodes, weights
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _phase(pt: PhaseTriple, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """phi(z, x) = <z,Az>/2 + <z,Bx> + <x,Cx>/2, broadcast over batches."""
-    quad_z = 0.5 * np.einsum("...i,ij,...j->...", Z, pt.A, Z)
-    cross = np.einsum("...i,ij,...j->...", Z, pt.B, X)
-    quad_x = 0.5 * np.einsum("...i,ij,...j->...", X, pt.C, X)
-    return quad_z + cross + quad_x
+def _complex_basis(n: int) -> np.ndarray:
+    """Rows mapping real coordinates w = (x, y) to z = x + iy: z = w @ basis."""
+    return np.vstack([np.eye(n), 1j * np.eye(n)])
+
+
+def _lift(zz, zzbar, zbzb) -> np.ndarray:
+    """Complex symmetric S (2n, 2n) with w^T S w = <z, zz z> + <z, zzbar zbar>
+    + <zbar, zbzb zbar> in the real coordinates w = (x, y), z = x + iy."""
+    t = _complex_basis(zz.shape[0]).T  # z = t w
+    tb = t.conj()
+    s = t.T @ zz @ t + t.T @ zzbar @ tb + tb.T @ zbzb @ tb
+    return 0.5 * (s + s.T)
+
+
+def _lift_zbar(beta: np.ndarray) -> np.ndarray:
+    """Coefficient vector b with b . w = <zbar, beta>."""
+    return np.concatenate([beta, -1j * beta])
+
+
+def _gauss_hermite(
+    P: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    integrand,
+    nodes: int,
+    center: np.ndarray | None = None,
+    window: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
+) -> np.ndarray:
+    """Integrals over R^d of integrand(w @ basis) exp(-w^T P w + b_r . w + c_r).
+
+    One value per row r of ``b`` (rows, d) and ``c`` (rows,); ``P`` is
+    complex symmetric.  ``integrand`` receives a batch of points (q, m),
+    each coordinate a contiguous column; ``basis`` (d, m) defaults to the
+    identity, and ``_complex_basis`` hands it complex points of C^n.
+    The node window is w = w_r + L^-T t with L L^T = ``window`` (default
+    Re P, the real decay of the exponent; a callable integrand passes the
+    decay of its own envelope added) and w_r = (2 window)^-1 Re b_r, the
+    maximizer of the real Gaussian part, unless ``center`` fixes it; then
+    QuadratureUnderflow is raised when some w_r lies outside the node span.
+    Substituted, the exponent plus the node compensation t.t is one
+    quadratic polynomial -t^T K t + bt_r . t + ct_r with
+    K = L^-1 (P - window) L^-T: the real decay cancels in closed form, and
+    K is purely imaginary when the window is Re P.  The tensor grid of the
+    ``nodes``-point Gauss-Hermite rule is summed in slabs of at most
+    ``_SLAB_POINTS`` points (more only when one node axis is longer): all
+    trailing node axes that fit times a run of (row, leading node) indices,
+    so the nodes^d grid is never built.
+    """
+    dim = P.shape[0]
+    window = P.real if window is None else window
+    basis = np.eye(dim) if basis is None else basis
+    try:
+        chol = np.linalg.cholesky(window)
+    except np.linalg.LinAlgError as exc:
+        raise NonIntegrableWeight("quadrature decay form not positive definite") from exc
+    w_c = np.linalg.solve(2.0 * window, b.real.T).T
+    t, wt = np.polynomial.hermite.hermgauss(nodes)
+    if center is not None:
+        fixed = np.asarray(center, dtype=float).reshape(dim)
+        if np.max(np.abs((w_c - fixed) @ chol)) > np.max(np.abs(t)):
+            raise QuadratureUnderflow(
+                "integrand center lies outside the fixed node window"
+            )
+        w_c = np.broadcast_to(fixed, w_c.shape)
+    li = np.linalg.inv(chol)  # rows of points: w = w_c + t @ li
+    k = li @ (P - window) @ li.T
+    bt = (b - 2.0 * w_c @ P) @ li.T
+    ct = c + np.einsum("ri,ri->r", b - w_c @ P, w_c)
+    p_c = w_c @ basis
+    p_dir = li @ basis
+
+    # trailing axes whose grid fits a slab; (row, leading index) runs fill it
+    tail_dim = 1
+    while tail_dim < dim and nodes ** (tail_dim + 1) <= _SLAB_POINTS:
+        tail_dim += 1
+    lead_dim = dim - tail_dim
+    t_tail = _tensor_grid(t, tail_dim)
+    wt_tail = np.prod(_tensor_grid(wt, tail_dim), axis=1).astype(complex)
+    e_tail = -np.einsum("qi,ij,qj->q", t_tail, k[lead_dim:, lead_dim:], t_tail)
+    p_tail = np.ascontiguousarray((t_tail @ p_dir[lead_dim:]).T)
+    t_tail = np.ascontiguousarray(t_tail.T, dtype=complex)
+    k_lead, k_cross = k[:lead_dim, :lead_dim], k[:lead_dim, lead_dim:]
+    place = nodes ** np.arange(lead_dim - 1, -1, -1)
+    n_lead = nodes**lead_dim
+    n_outer = b.shape[0] * n_lead
+    step = max(1, _SLAB_POINTS // t_tail.shape[1])
+    out = np.zeros(b.shape[0], dtype=complex)
+    for start in range(0, n_outer, step):
+        rows, lead = np.divmod(np.arange(start, min(start + step, n_outer)), n_lead)
+        digits = lead[:, None] // place % nodes
+        t_lead = t[digits]
+        bt_r = bt[rows]
+        e_lead = (
+            ct[rows]
+            + np.einsum("qi,qi->q", bt_r[:, :lead_dim], t_lead)
+            - np.einsum("qi,ij,qj->q", t_lead, k_lead, t_lead)
+        )
+        slope = bt_r[:, lead_dim:] - 2.0 * t_lead @ k_cross
+        expo = slope @ t_tail
+        expo += e_lead[:, None]
+        expo += e_tail
+        np.exp(expo, out=expo)
+        p_lead = p_c[rows] + t_lead @ p_dir[:lead_dim]
+        pts = p_lead.T[:, :, None] + p_tail[:, None, :]
+        expo *= integrand(pts.reshape(pts.shape[0], -1).T).reshape(expo.shape)
+        np.add.at(out, rows, (expo @ wt_tail) * np.prod(wt[digits], axis=1))
+    return out / float(np.prod(np.diag(chol)))
 
 
 def transform_batch(
@@ -117,42 +228,26 @@ def transform_batch(
 ) -> np.ndarray:
     """Transform values at a batch of points, one x-quadrature per point.
 
-    The x-window completes the square against the full Gaussian decay
-    C_I + E (the phase part plus the unit envelope of the Hermite test
-    family) and centers on the maximizer of the real exponent, the solution
-    of (C_I + E) x = Re(i B^T z).  Without the envelope term the window
-    misses the decay of u and far evaluation points degrade.  An explicit
-    ``center`` in the quadrature spec overrides the shift and raises
-    QuadratureUnderflow when the true center escapes the node window.
+    The integrand exp(i phi(z, x)) u(x) carries the unit envelope
+    exp(-|x|^2/2) of the Hermite test family in its exponent, so the
+    x-window completes the square against the full Gaussian decay
+    (C_I + E)/2 and centers on the maximizer of the real exponent, the
+    solution of (C_I + E) x = Re(i B^T z).  Without the envelope term the
+    window misses the decay of u and far evaluation points degrade.  An
+    explicit ``center`` in the quadrature spec overrides the shift and
+    raises QuadratureUnderflow when the true center escapes the node window.
     """
     quad = quad or QuadSpec()
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 2 or Z.shape[1] != pt.n:
         raise DimensionMismatch("Z must have shape (m, n)")
-    decay = pt.C_I + np.eye(pt.n)
-    chol = np.linalg.cholesky(decay)
-    nodes, weights = _tensor_gh(pt.n, quad.nodes)
-    v = np.real(1j * (Z @ pt.B))
-    centers = np.linalg.solve(decay, v.T).T
-    if quad.center is not None:
-        fixed = np.asarray(quad.center, dtype=float).reshape(pt.n)
-        t_span = float(np.max(np.abs(nodes)))
-        offset = (centers - fixed[None, :]) @ chol / math.sqrt(2.0)
-        if np.max(np.abs(offset)) > t_span:
-            raise QuadratureUnderflow(
-                "integrand center lies outside the fixed node window"
-            )
-        centers = np.broadcast_to(fixed, centers.shape)
-    spread = math.sqrt(2.0) * nodes @ np.linalg.inv(chol)
-    X = centers[:, None, :] + spread[None, :, :]
-    phi = _phase(pt, Z[:, None, :], X)
-    tsq = np.sum(nodes * nodes, axis=1)
-    upoly = u.polynomial_part(X.reshape(-1, pt.n)).reshape(X.shape[0], X.shape[1])
-    # fold the unit envelope of u into the exponent; factors can overflow alone
-    expo = 1j * phi - 0.5 * np.sum(X * X, axis=2) + tsq[None, :]
-    g = np.exp(expo) * upoly
-    det_l = float(np.prod(np.diag(chol)))
-    return pt.c_phi * (2.0 ** (pt.n / 2.0) / det_l) * (g @ weights)
+    # i phi(z, x) - |x|^2/2 = -x^T P x + (i B^T z) . x + i <z, A z>/2
+    P = 0.5 * (np.eye(pt.n) - 1j * pt.C)
+    b = 1j * (Z @ pt.B)
+    c = 0.5j * np.einsum("ri,ij,rj->r", Z, pt.A, Z)
+    return pt.c_phi * _gauss_hermite(
+        P, b, c, u.polynomial_part, quad.nodes, quad.center
+    )
 
 
 def transform(
@@ -167,8 +262,9 @@ def image_exponent(pt: PhaseTriple) -> np.ndarray:
     """Gaussian exponent matrix of transformed Hermite expansions.
 
     Transforms of p(x) exp(-|x|^2/2) equal q(z) exp(-<z, M z>) with
-    M = B (E - iC)^(-1) B^T / 2 - iA/2; used by the fit mode of the
-    isometry check.
+    M = B (E - iC)^(-1) B^T / 2 - iA/2.  The fit mode of the isometry check
+    fits on this exponent, and ``round_trip_error`` passes it as the decay
+    of the transformed function to the inverse transform.
     """
     w = np.eye(pt.n) - 1j * pt.C
     m = 0.5 * pt.B @ np.linalg.solve(w, pt.B.T) - 0.5j * pt.A
@@ -201,54 +297,6 @@ def kernel_eval(kp: KernelParams, z, zeta) -> complex:
     return complex(kp.c_Phi * np.exp(2.0 * psi))
 
 
-def weight_value(wd: WeightData, Z: np.ndarray) -> np.ndarray:
-    """Phi(z) on a batch: <z, phi_zzbar zbar> + Re <z, phi_zz z>."""
-    herm = np.einsum("...i,ij,...j->...", Z, wd.phi_zzbar, Z.conj())
-    sym = np.einsum("...i,ij,...j->...", Z, wd.phi_zz, Z)
-    return herm.real + sym.real
-
-
-def _gauss_quad_c(
-    m_r: np.ndarray,
-    v: np.ndarray,
-    integrand,
-    nodes_per_axis: int,
-    center: np.ndarray | None = None,
-):
-    """Integrate ``integrand(z)`` over C^n = R^(2n) against unit measure.
-
-    ``m_r`` is the real decay form of |integrand| and ``v`` the linear
-    coefficient of its exponent, so the window centers on the stationary
-    point w_c = (2 m_r)^(-1) v.  ``integrand`` receives a complex batch
-    (q, n) plus the node weight compensation ``tsq`` and must fold every
-    Gaussian factor and exp(tsq) into a single exponential to avoid
-    spurious overflow at far nodes.
-    """
-    dim = m_r.shape[0]
-    n = dim // 2
-    try:
-        chol = np.linalg.cholesky(m_r)
-    except np.linalg.LinAlgError as exc:
-        raise NonIntegrableWeight("quadrature decay form not positive definite") from exc
-    w_c = np.linalg.solve(2.0 * m_r, v)
-    nodes, weights = _tensor_gh(dim, nodes_per_axis)
-    if center is not None:
-        fixed = np.asarray(center, dtype=float).reshape(dim)
-        t_span = float(np.max(np.abs(nodes)))
-        offset = chol.T @ (w_c - fixed)
-        if np.max(np.abs(offset)) > t_span:
-            raise QuadratureUnderflow(
-                "integrand center lies outside the fixed node window"
-            )
-        w_c = fixed
-    w_pts = w_c[None, :] + nodes @ np.linalg.inv(chol)
-    z_pts = w_pts[:, :n] + 1j * w_pts[:, n:]
-    tsq = np.sum(nodes * nodes, axis=1)
-    vals = integrand(z_pts, tsq)
-    det_l = float(np.prod(np.diag(chol)))
-    return complex((vals @ weights) / det_l)
-
-
 def inverse_transform(
     pt: PhaseTriple,
     F,
@@ -263,28 +311,31 @@ def inverse_transform(
     ``F`` may be a GaussPoly or any callable accepting a complex batch
     (q, n); callables should supply ``decay``, the symmetric matrix of
     their Gaussian envelope, which defaults to F.M for GaussPoly input.
+    The exponent of a GaussPoly joins the integrand's exponent; the
+    envelope of a callable only sets the node window.
     """
     quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != pt.n:
         raise DimensionMismatch("x has the wrong dimension")
+    gauss = isinstance(F, GaussPoly)
+    m = F.M if gauss else np.zeros((pt.n, pt.n))
     if decay is None:
-        decay = F.M if isinstance(F, GaussPoly) else np.zeros((pt.n, pt.n))
-    b_q = decay + 2.0 * wd.phi_zz - 0.5j * pt.A
-    m_r = mx.real_quadratic_form(2.0 * wd.phi_zzbar, b_q)
-    c = 1j * (pt.B @ x)
-    v = np.concatenate([c.real, -c.imag])
-
-    def integrand(Z, tsq):
-        phi = _phase(pt, Z, x[None, :])
-        expo = -1j * np.conj(phi) - 2.0 * weight_value(wd, Z) + tsq
-        if isinstance(F, GaussPoly):
-            expo = expo - np.einsum("qi,ij,qj->q", Z, F.M, Z)
-            return F.poly(Z) * np.exp(expo)
-        return F(Z) * np.exp(expo)
-
-    return pt.c_phi * _gauss_quad_c(m_r, v, integrand, quad.nodes, quad.center)
+        decay = m
+    # -i conj(phi(z, x)) - 2 Phi(z) - <z, M z> with
+    # Phi(z) = <z, phi_zzbar zbar> + Re <z, phi_zz z>
+    herm = 2.0 * wd.phi_zzbar
+    bar = wd.phi_zz.conj() + 0.5j * pt.A.conj()
+    P = _lift(wd.phi_zz + m, herm, bar)
+    window = _lift(wd.phi_zz + decay, herm, bar).real
+    b = _lift_zbar(-1j * (pt.B.conj() @ x))
+    c = -0.5j * (x @ pt.C.conj() @ x)
+    value = _gauss_hermite(
+        P, b[None, :], np.array([c]), F.poly if gauss else F, quad.nodes,
+        quad.center, window, _complex_basis(pt.n),
+    )
+    return pt.c_phi * complex(value[0])
 
 
 def kernel_reproduce(
@@ -298,27 +349,15 @@ def kernel_reproduce(
     members of the weighted space of entire functions."""
     quad = quad or QuadSpec()
     z = np.asarray(z, dtype=complex).reshape(-1)
-    b_q = wd.phi_zz + F.M
-    m_r = mx.real_quadratic_form(2.0 * wd.phi_zzbar, b_q)
-    d = 2.0 * kp.psi_zzbar.T @ z
-    v = np.concatenate([d.real, d.imag])
-
-    def integrand(Zeta, tsq):
-        zb = Zeta.conj()
-        psi = (
-            (kp.psi_zzbar @ zb.T).T @ z
-            + 0.5 * z @ (kp.psi_zz @ z)
-            + 0.5 * np.einsum("qi,ij,qj->q", zb, kp.psi_zz.conj(), zb)
-        )
-        expo = (
-            2.0 * psi
-            - np.einsum("qi,ij,qj->q", Zeta, F.M, Zeta)
-            - 2.0 * weight_value(wd, Zeta)
-            + tsq
-        )
-        return kp.c_Phi * F.poly(Zeta) * np.exp(expo)
-
-    return _gauss_quad_c(m_r, v, integrand, quad.nodes, quad.center)
+    # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta)
+    P = _lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, (wd.phi_zz - kp.psi_zz).conj())
+    b = _lift_zbar(2.0 * (kp.psi_zzbar.T @ z))
+    c = z @ kp.psi_zz @ z
+    value = _gauss_hermite(
+        P, b[None, :], np.array([c]), F.poly, quad.nodes, quad.center,
+        basis=_complex_basis(F.n),
+    )
+    return kp.c_Phi * complex(value[0])
 
 
 def isometry_residual(
@@ -350,8 +389,8 @@ def isometry_residual(
         shift = max(0.0, -float(np.linalg.eigvalsh(scale_re)[0])) + 0.5
         d_s = scale_re + shift * np.eye(pt.n)
         chol_s = np.linalg.cholesky(d_s)
-        nodes, _ = _tensor_gh(pt.n, max(quad.fit_grid, 4))
-        x_pts = nodes @ np.linalg.inv(chol_s)
+        t, _ = np.polynomial.hermite.hermgauss(max(quad.fit_grid, 4))
+        x_pts = _tensor_grid(t, pt.n) @ np.linalg.inv(chol_s)
         z_pts = x_pts.astype(complex)
         samples = transform_batch(pt, u, z_pts, quad)
         degree = max(sum(a) for a in u.coefficients)
@@ -372,13 +411,17 @@ def isometry_residual(
         cache = make_moment_cache(wd, m_t)
         norm_tu = hphi_inner(gp, gp, wd, cache).real
     elif mode == "quad":
-        def integrand(Z, tsq):
-            tu = transform_batch(pt, u, Z, quad)
-            return np.abs(tu) ** 2 * np.exp(tsq - 2.0 * weight_value(wd, Z))
-
-        norm_tu = _gauss_quad_c(
-            form.M_R, np.zeros(2 * pt.n), integrand, quad.nodes
-        ).real
+        # |Tu|^2 exp(-2 Phi): the window is the decay of the whole integrand
+        P = _lift(wd.phi_zz, 2.0 * wd.phi_zzbar, wd.phi_zz.conj())
+        norm_tu = _gauss_hermite(
+            P,
+            np.zeros((1, 2 * pt.n)),
+            np.zeros(1),
+            lambda Z: np.abs(transform_batch(pt, u, Z, quad)) ** 2,
+            quad.nodes,
+            window=form.M_R,
+            basis=_complex_basis(pt.n),
+        )[0].real
     else:
         raise ValueError(f"unknown isometry mode {mode!r}")
     return abs(norm_tu - norm_u) / norm_u

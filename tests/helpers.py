@@ -40,6 +40,29 @@ def ghs_data(s: float):
     return pt, wd, gen
 
 
+def ground_image(pt: sb.PhaseTriple):
+    """Closed form T h_0 (z) = c0 exp(-<z, M z>) of the transformed Hermite
+    ground state h_0 = pi^(-n/4) exp(-|x|^2/2); returns (c0, M).
+
+    With W = E - iC: M = B W^-1 B^T / 2 - iA/2 and
+    c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2).  Re W = E > 0, so every
+    eigenvalue of W has positive real part; the root is their product of
+    principal roots, which for n <= 2 is the principal branch of det(W)^(1/2).
+    """
+    n = pt.n
+    w = np.eye(n) - 1j * pt.C
+    m = 0.5 * pt.B @ np.linalg.solve(w, pt.B.T) - 0.5j * pt.A
+    root_det = np.prod(np.sqrt(np.linalg.eigvals(w)))
+    c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
+    return complex(c0), 0.5 * (m + m.T)
+
+
+def ground_state(x) -> np.ndarray:
+    """h_0(x) = pi^(-n/4) exp(-|x|^2/2) on a batch (q, n)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return math.pi ** (-x.shape[1] / 4.0) * np.exp(-0.5 * np.sum(x * x, axis=1))
+
+
 def random_poly(n: int, degree: int, M, rng) -> sb.GaussPoly:
     terms = {
         alpha: complex(rng.standard_normal(), rng.standard_normal())

@@ -258,6 +258,39 @@ class TestEvaluate:
             )
 
 
+class TestPowerTableEvaluation:
+    """PolyC.__call__ against a term-wise ``**`` reference."""
+
+    @staticmethod
+    def reference(p, pts):
+        terms = [c * np.prod(pts ** np.array(a), axis=1) for a, c in p.terms.items()]
+        return sum(terms), sum(np.abs(t) for t in terms)
+
+    @pytest.mark.parametrize("n,degree", [(1, 12), (2, 12), (3, 6), (3, 12)])
+    def test_matches_termwise_powers(self, n, degree):
+        rng = np.random.default_rng(200 + 10 * n + degree)
+        terms = {
+            a: complex(*rng.standard_normal(2)) for a in sb.multi_indices(n, degree)
+        }
+        p = sb.PolyC(n, terms)
+        pts = 0.6 * (rng.standard_normal((25, n)) + 1j * rng.standard_normal((25, n)))
+        want, size = self.reference(p, pts)
+        got = p(pts)
+        assert got.shape == (25,)
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+        one = p(pts[3])
+        assert isinstance(one, complex)
+        assert abs(one - want[3]) <= 1e-12 * size[3]
+
+    def test_sparse_and_zero(self):
+        p = sb.PolyC(3, {(0, 0, 7): 1.5, (2, 0, 1): -2j, (0, 0, 0): 0.25})
+        pts = np.array([[0.3 + 1j, 2.0, -0.5j], [1.1, -0.4 + 0.2j, 0.9]])
+        want, size = self.reference(p, pts)
+        assert np.all(np.abs(p(pts) - want) <= 1e-12 * size)
+        assert np.all(sb.PolyC(3)(pts) == 0.0)
+        assert sb.PolyC(3)(pts[0]) == 0.0
+
+
 class TestCommutationRelations:
     def test_ccr_on_random_polynomials(self):
         # zero commutators are asserted by comparing the two application

@@ -8,8 +8,8 @@ import pytest
 
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
-from sbhermite.errors import ConfigError
-from sbhermite.pipeline import RunConfig, run_example, run_verify
+from sbhermite.errors import ConfigError, FitFailure
+from sbhermite.pipeline import RunConfig, StageFailure, run_example, run_verify
 
 
 def em_config_dict(s=0.5, **overrides):
@@ -321,3 +321,64 @@ class TestCli:
         monkeypatch.setenv("SBHERMITE_TOL_PROFILE", "loose")
         cfg = RunConfig.from_dict(em_config_dict())
         assert cfg.tolerances["ccr"] == 1e-8
+
+
+class TestPartialReport:
+    """A stage that raises leaves a partial report with its timings."""
+
+    @staticmethod
+    def fail_isometry(monkeypatch):
+        def boom(*args, **kwargs):
+            raise FitFailure("fit residual 4.6e-05 too large for sample norm 7.8e-01")
+
+        monkeypatch.setattr("sbhermite.pipeline.isometry_residual", boom)
+
+    def test_run_example_carries_partial_report(self, monkeypatch):
+        self.fail_isometry(monkeypatch)
+        with pytest.raises(StageFailure) as info:
+            run_example("em", 0.5, max_degree=2)
+        report = info.value.report
+        assert info.value.stage == "isometry"
+        assert report.failed_stage == "isometry"
+        assert report.error_type == "FitFailure"
+        assert report.overall_pass is False
+        stages = ("validate", "weight", "generator", "algebra", "family", "gram",
+                  "eigen", "rodrigues", "adjoint", "completeness", "isometry")
+        assert tuple(report.timings) == stages
+        assert all(t >= 0.0 for t in report.timings.values())
+        assert "isometry" not in report.residuals
+        assert set(report.checks) == set(report.residuals)
+        assert all(report.checks.values())
+        assert report.Q[0, 0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_cli_writes_partial_report(self, monkeypatch, tmp_path, capsys):
+        self.fail_isometry(monkeypatch)
+        out_path = tmp_path / "report.json"
+        argv = ["example", "--name", "em", "--s", "0.5", "--max-degree", "2",
+                "--out", str(out_path)]
+        assert cli_main(argv) == 1
+        assert "stage 'isometry'" in capsys.readouterr().err
+        report = json.loads(out_path.read_text())
+        assert report["failed_stage"] == "isometry"
+        assert report["error_type"] == "FitFailure"
+        assert report["overall_pass"] is False
+        assert "isometry" in report["timings"] and "gram" in report["timings"]
+        assert report["residuals"]["ccr"] <= report["tolerances"]["ccr"]
+
+    def test_validate_failure_report(self, tmp_path, capsys):
+        cfg = em_config_dict()
+        cfg["B"] = [[[0.0, 0.0]]]  # singular
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["verify", "--config", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failed_stage"] == "validate"
+        assert report["error_type"] == "SingularB"
+        assert list(report["timings"]) == ["validate"]
+        assert report["Q"] is None and report["residuals"] == {}
+        assert report["overall_pass"] is False
+
+    def test_passing_report_names_no_failure(self):
+        report = run_verify(RunConfig.from_dict(em_config_dict(max_degree=2)))
+        out = report.to_dict()
+        assert out["failed_stage"] is None and out["error_type"] is None
