@@ -61,9 +61,5 @@ class QuadratureUnderflow(RuntimeError):
     """The Gaussian center of an integrand lies outside the node window."""
 
 
-class FitFailure(RuntimeError):
-    """Sampled transform values are not well approximated by the fit basis."""
-
-
 class ConfigError(ValueError):
     """A run configuration violates the schema."""

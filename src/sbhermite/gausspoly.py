@@ -271,28 +271,30 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
     return GaussPoly(PolyC.constant(gen.n, 1.0), gen.Q)
 
 
-def hermite_family(
-    wd: WeightData, gen: GeneratorData, max_total_degree: int
-) -> dict[tuple[int, ...], GaussPoly]:
-    """All family members with |alpha| <= max_total_degree.
-
-    Each member is produced from an already-built one by a single raising
-    application on the first nonzero index; the raising operators commute,
-    so the path does not matter (and tests assert that it does not).
-    """
-    if max_total_degree < 0:
+def _raising_chain(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> dict:
+    """op^alpha ``ground`` for every |alpha| <= max_degree, each from a built
+    entry by one application of the component at the first nonzero index;
+    the components commute, so the path does not matter (tests assert it)."""
+    if max_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
-    cre = creation_ops(wd, gen)
-    family: dict[tuple[int, ...], GaussPoly] = {}
-    for alpha in multi_indices(wd.n, max_total_degree):
+    chain: dict[tuple[int, ...], GaussPoly] = {}
+    for alpha in multi_indices(ground.n, max_degree):
         if sum(alpha) == 0:
-            family[alpha] = ground_state(gen)
+            chain[alpha] = ground
             continue
         i = next(idx for idx, a in enumerate(alpha) if a > 0)
         parent = list(alpha)
         parent[i] -= 1
-        family[alpha] = apply_op(cre, i, family[tuple(parent)])
-    return family
+        chain[alpha] = apply_op(op, i, chain[tuple(parent)])
+    return chain
+
+
+def hermite_family(
+    wd: WeightData, gen: GeneratorData, max_total_degree: int
+) -> dict[tuple[int, ...], GaussPoly]:
+    """All family members with |alpha| <= max_total_degree: the raising
+    chain of the creation operators from the generator."""
+    return _raising_chain(creation_ops(wd, gen), ground_state(gen), max_total_degree)
 
 
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:

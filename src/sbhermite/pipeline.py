@@ -43,7 +43,7 @@ from .model import (
     sq_closed_form_residual,
     validate_phase_triple,
 )
-from .transform import QuadSpec, TestFunction, isometry_residual
+from .transform import MAX_NODES, hermite_images
 
 SCHEMA_VERSION = "v1"
 ENV_PROFILE = "SBHERMITE_TOL_PROFILE"
@@ -230,9 +230,9 @@ class RunConfig:
         _require(isinstance(quadrature, dict), "quadrature", "must be an object")
         nodes = quadrature.get("nodes", 64)
         _require(
-            isinstance(nodes, int) and 4 <= nodes <= 512,
+            isinstance(nodes, int) and 4 <= nodes <= MAX_NODES,
             "quadrature.nodes",
-            "must be an integer in [4, 512]",
+            f"must be an integer in [4, {MAX_NODES}]",
         )
         tols = _profile_tolerances()
         overrides = raw.get("tolerances", {})
@@ -475,18 +475,12 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     timer.run("completeness", completeness)
 
-    if n == 1:
-        def isometry():
-            quad = QuadSpec(nodes=config.nodes)
-            worst = 0.0
-            for k in range(2):
-                u = TestFunction.hermite_basis((k,))
-                worst = max(worst, isometry_residual(pt, u, wd, quad, mode="fit"))
-            res["isometry"] = worst
+    def isometry():
+        # the transform keeps the Hermite functions h_alpha, |alpha| <= 1, orthonormal
+        _, g = gram_matrix(hermite_images(pt, 1), wd)
+        res["isometry"] = mx.max_abs(g - np.eye(n + 1))
 
-        timer.run("isometry", isometry)
-    else:
-        report.skipped.append("isometry")
+    timer.run("isometry", isometry)
 
     mu_min = float(np.min(gen.mu))
     if mu_min < 1e-3 * wd.lam0:

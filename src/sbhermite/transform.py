@@ -1,18 +1,15 @@
-"""Quadrature evaluation of the integral transform, its inverse and kernel.
+"""The integral transform: exact images, and quadrature as the cross-check.
 
-The forward transform integrates an oscillatory Gaussian against a test
-function on R^n; the inverse, the reproducing identity and the quadrature
-isometry integrate over C^n = R^(2n).  All four go through one tensor
-Gauss-Hermite integrator, ``_gauss_hermite``.  Each caller writes its
-Gaussian factors (the phase, the weight exp(-2 Phi), the kernel, the
-exponent of a GaussPoly or the unit envelope of a test function) as one
-complex quadratic polynomial E(w) in the real coordinates, assembled once
-per call as (matrix, vector, constant); the integrand is G(w) exp(E(w))
-with G the polynomial part, or a callable's value.  The integrator
-completes the square against the real decay of E, substitutes the shifted
-and scaled node window analytically, and so evaluates one quadratic form
-in the node coordinates plus one exp per node, with no separately
-overflowing factor.  The tensor grid is summed in slabs of a fixed size.
+``hermite_images`` and ``transform_image`` map test functions to GaussPolys
+with no quadrature: T h_0 is a Gaussian in closed form, and the raising
+operators moved through the transform are first-order operators on C^n,
+so the images come from the raising chain the generator family uses.
+
+The forward transform, its inverse, the reproducing identity and the
+quadrature isometry go through one tensor Gauss-Hermite integrator,
+``_gauss_hermite``: each caller writes its Gaussian factors as one complex
+quadratic exponent in the real coordinates, so each node costs one
+quadratic form and one exp; the grid is summed in slabs of a fixed size.
 """
 
 from __future__ import annotations
@@ -22,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    FitFailure,
-    NonIntegrableWeight,
-    QuadratureUnderflow,
-)
-from .gausspoly import GaussPoly, PolyC, _tabulated_sum, multi_indices
-from .integrals import combined_form, hphi_inner, make_moment_cache
+from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
+from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial
+from .gausspoly import _raising_chain, _tabulated_sum
+from .integrals import combined_form, hphi_inner
 from .model import PhaseTriple, WeightData, compute_weight_data
 
 
@@ -42,13 +35,15 @@ class KernelParams:
     c_Phi: float
 
 
+#: largest valid rule: numpy's hermgauss gives zero weights at 371 nodes, NaN beyond
+MAX_NODES = 370
+
+
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature controls: ``nodes`` per axis for integrals, ``fit_grid``
-    per real axis for transform sampling, optional fixed ``center``."""
+    """Quadrature controls: ``nodes`` per axis and an optional fixed ``center``."""
 
     nodes: int = 64
-    fit_grid: int = 12
     center: np.ndarray | None = None
 
 
@@ -170,6 +165,8 @@ def _gauss_hermite(
     except np.linalg.LinAlgError as exc:
         raise NonIntegrableWeight("quadrature decay form not positive definite") from exc
     w_c = np.linalg.solve(2.0 * window, b.real.T).T
+    if not 1 <= nodes <= MAX_NODES:
+        raise ValueError(f"nodes must lie in [1, {MAX_NODES}], got {nodes}")
     t, wt = np.polynomial.hermite.hermgauss(nodes)
     if center is not None:
         fixed = np.asarray(center, dtype=float).reshape(dim)
@@ -262,13 +259,50 @@ def image_exponent(pt: PhaseTriple) -> np.ndarray:
     """Gaussian exponent matrix of transformed Hermite expansions.
 
     Transforms of p(x) exp(-|x|^2/2) equal q(z) exp(-<z, M z>) with
-    M = B (E - iC)^(-1) B^T / 2 - iA/2.  The fit mode of the isometry check
-    fits on this exponent, and ``round_trip_error`` passes it as the decay
-    of the transformed function to the inverse transform.
+    M = B (E - iC)^(-1) B^T / 2 - iA/2.  ``transform_image`` returns its
+    GaussPolys with this exponent, and ``round_trip_error`` passes it as the
+    decay of the transformed function to the inverse transform.
     """
     w = np.eye(pt.n) - 1j * pt.C
     m = 0.5 * pt.B @ np.linalg.solve(w, pt.B.T) - 0.5j * pt.A
     return 0.5 * (m + m.T)
+
+
+def _intertwined_raising(pt: PhaseTriple) -> LinearDiffOp:
+    """The raising operators a+ = (x - d/dx) / sqrt(2) moved through the
+    transform, T a+ u = (G d/dz + H z) Tu.  With phi(z, x) = <z, A z>/2 +
+    <z, B x> + <x, C x>/2, T(x u) = B^-1 (-i d/dz - A z) Tu and T(d/dx u) =
+    -i B^T z Tu - i C T(x u) by parts, so G = -i (E + iC) B^-1 / sqrt(2)
+    and H = (i B^T - (E + iC) B^-1 A) / sqrt(2)."""
+    eb = (np.eye(pt.n) + 1j * pt.C) @ np.linalg.inv(pt.B) / math.sqrt(2.0)
+    return LinearDiffOp(-1j * eb, 1j * pt.B.T / math.sqrt(2.0) - eb @ pt.A)
+
+
+def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
+    """Exact transforms T h_alpha, |alpha| <= max_degree, of the orthonormal
+    Hermite functions: GaussPolys with exponent M = ``image_exponent(pt)``,
+    T h_0 = c0 exp(-<z, M z>), c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2)
+    with W = E - iC, and T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!).  W has
+    Hermitian part E + Im C > 0, so det(W)^(-1/2), continued from W = E, is
+    the product of the principal roots of its eigenvalues for every n."""
+    n = pt.n
+    root_det = np.prod(np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)))
+    c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
+    ground = GaussPoly(PolyC.constant(n, c0), image_exponent(pt))
+    chain = _raising_chain(_intertwined_raising(pt), ground, max_degree)
+    return {a: gp.scaled(1.0 / math.sqrt(mi_factorial(a))) for a, gp in chain.items()}
+
+
+def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
+    """Exact transform of a test function, the sum of c_alpha T h_alpha over
+    its coefficients (see ``hermite_images``)."""
+    if u.n != pt.n:
+        raise DimensionMismatch("test function and triple dimensions differ")
+    images = hermite_images(pt, max((sum(a) for a in u.coefficients), default=0))
+    image = GaussPoly(PolyC(pt.n), images[(0,) * pt.n].M)
+    for alpha, c in u.coefficients.items():
+        image += images[tuple(alpha)].scaled(c)
+    return image
 
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:
@@ -369,48 +403,20 @@ def isometry_residual(
 ) -> float:
     """Relative defect | ||Tu||^2 - ||u||^2 | / ||u||^2.
 
-    Mode "fit" least-squares fits transform samples onto a monomial times
-    Gaussian basis with the known image exponent and evaluates the weighted
-    norm exactly through the moment engine; mode "quad" integrates
-    |Tu|^2 exp(-2 Phi) by tensor quadrature directly.
+    Mode "fit" (name kept for callers) is the exact weighted norm of
+    ``transform_image`` by the moment engine and ignores ``quad``; mode
+    "quad" integrates |Tu|^2 exp(-2 Phi) by tensor quadrature, the cross-check.
     """
-    quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
     norm_u = u.norm_sq()
     if norm_u == 0.0:
         raise ValueError("test function must be nonzero")
-    m_t = image_exponent(pt)
-    form = combined_form(wd, m_t, m_t)
     if mode == "fit":
-        # Sample on the real slice: polynomial coefficients are identifiable
-        # from real points, and the transform stays within float range there
-        # even when the weight is badly scaled in imaginary directions.
-        scale_re = m_t.real
-        shift = max(0.0, -float(np.linalg.eigvalsh(scale_re)[0])) + 0.5
-        d_s = scale_re + shift * np.eye(pt.n)
-        chol_s = np.linalg.cholesky(d_s)
-        t, _ = np.polynomial.hermite.hermgauss(max(quad.fit_grid, 4))
-        x_pts = _tensor_grid(t, pt.n) @ np.linalg.inv(chol_s)
-        z_pts = x_pts.astype(complex)
-        samples = transform_batch(pt, u, z_pts, quad)
-        degree = max(sum(a) for a in u.coefficients)
-        alphas = multi_indices(pt.n, degree)
-        envelope = np.exp(-np.einsum("qi,ij,qj->q", z_pts, m_t, z_pts))
-        design = np.stack(
-            [np.prod(z_pts**np.asarray(a), axis=1) * envelope for a in alphas],
-            axis=1,
-        )
-        coeffs, _, _, _ = np.linalg.lstsq(design, samples, rcond=None)
-        fit_err = float(np.linalg.norm(design @ coeffs - samples))
-        scale = float(np.linalg.norm(samples))
-        if fit_err > 1e-6 * max(scale, 1e-30):
-            raise FitFailure(
-                f"fit residual {fit_err:.3e} too large for sample norm {scale:.3e}"
-            )
-        gp = GaussPoly(PolyC(pt.n, dict(zip(alphas, coeffs))), m_t)
-        cache = make_moment_cache(wd, m_t)
-        norm_tu = hphi_inner(gp, gp, wd, cache).real
+        image = transform_image(pt, u)
+        norm_tu = hphi_inner(image, image, wd).real
     elif mode == "quad":
+        quad = quad or QuadSpec()
+        m_t = image_exponent(pt)
         # |Tu|^2 exp(-2 Phi): the window is the decay of the whole integrand
         P = _lift(wd.phi_zz, 2.0 * wd.phi_zzbar, wd.phi_zz.conj())
         norm_tu = _gauss_hermite(
@@ -419,7 +425,7 @@ def isometry_residual(
             np.zeros(1),
             lambda Z: np.abs(transform_batch(pt, u, Z, quad)) ** 2,
             quad.nodes,
-            window=form.M_R,
+            window=combined_form(wd, m_t, m_t).M_R,
             basis=_complex_basis(pt.n),
         )[0].real
     else:

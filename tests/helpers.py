@@ -45,9 +45,11 @@ def ground_image(pt: sb.PhaseTriple):
     ground state h_0 = pi^(-n/4) exp(-|x|^2/2); returns (c0, M).
 
     With W = E - iC: M = B W^-1 B^T / 2 - iA/2 and
-    c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2).  Re W = E > 0, so every
-    eigenvalue of W has positive real part; the root is their product of
-    principal roots, which for n <= 2 is the principal branch of det(W)^(1/2).
+    c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2).  The Hermitian part of W
+    is E + Im C > 0, so every eigenvalue of W has positive real part, and
+    det(W)^(1/2), continued from W = E where the Gaussian integral is real,
+    is the product of their principal roots for every n (for n >= 3 this
+    need not be the principal root of det(W) itself).
     """
     n = pt.n
     w = np.eye(n) - 1j * pt.C

@@ -8,7 +8,7 @@ import pytest
 
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
-from sbhermite.errors import ConfigError, FitFailure
+from sbhermite.errors import ConfigError, NonIntegrableWeight
 from sbhermite.pipeline import RunConfig, StageFailure, run_example, run_verify
 
 
@@ -106,6 +106,27 @@ class TestRunVerify:
         assert report.overall_pass
         assert all(v < 1e-8 or k == "condition1_margin" for k, v in report.residuals.items())
 
+    def test_n1_isometry_regression(self):
+        # seed-0 draw 11 of the benchmark's triple recipe: the sampled
+        # least-squares fit of the transform raised here (fit residual 5.7e14
+        # against a sample norm of 9.2e15); the exact image has unit norm
+        def encode(v):
+            return [[[v.real, v.imag]]]
+
+        cfg = RunConfig.from_dict(
+            {
+                "n": 1,
+                "A": encode(1.5834728788021222 + 1.3203609870818391j),
+                "B": encode(0.6333526228249152 - 2.2035098806466507j),
+                "C": encode(0.6836861907765345 + 0.10270701416253594j),
+                "rho_fraction": 0.5,
+                "X": {"phases": [0.3]},
+            }
+        )
+        report = run_verify(cfg)
+        assert report.failed_stage is None
+        assert report.residuals["isometry"] <= 1e-12
+
     def test_report_determinism(self):
         cfg = RunConfig.from_dict(em_config_dict())
         d1 = run_verify(cfg).to_dict()
@@ -129,7 +150,9 @@ class TestRunExample:
         assert report.overall_pass
         assert report.residuals["golden_Q"] <= 1e-12
         assert report.mu2[0] == pytest.approx(1.0 / 48.0, abs=1e-14)
-        assert "isometry" in report.skipped
+        assert report.residuals["isometry"] <= report.tolerances["isometry"]
+        assert report.checks["isometry"]
+        assert report.skipped == []
 
     def test_near_boundary_warns_but_passes(self):
         report = run_example("em", 0.999, max_degree=2)
@@ -226,6 +249,9 @@ class TestCli:
             (["example", "--nodes", "100000"], "quadrature.nodes"),
             (["example", "--nodes", "3"], "quadrature.nodes"),
             (["example", "--max-degree", "-1"], "max_degree"),
+            (["transform", "--z", "0,0", "--nodes", "371"], "quadrature.nodes"),
+            (["transform", "--z", "0,0", "--nodes", "400"], "quadrature.nodes"),
+            (["example", "--nodes", "371"], "quadrature.nodes"),
         ],
     )
     def test_out_of_range_override_exit_two(self, tmp_path, capsys, argv, field):
@@ -329,9 +355,9 @@ class TestPartialReport:
     @staticmethod
     def fail_isometry(monkeypatch):
         def boom(*args, **kwargs):
-            raise FitFailure("fit residual 4.6e-05 too large for sample norm 7.8e-01")
+            raise NonIntegrableWeight("combined exponent is not positive definite")
 
-        monkeypatch.setattr("sbhermite.pipeline.isometry_residual", boom)
+        monkeypatch.setattr("sbhermite.pipeline.hermite_images", boom)
 
     def test_run_example_carries_partial_report(self, monkeypatch):
         self.fail_isometry(monkeypatch)
@@ -340,7 +366,7 @@ class TestPartialReport:
         report = info.value.report
         assert info.value.stage == "isometry"
         assert report.failed_stage == "isometry"
-        assert report.error_type == "FitFailure"
+        assert report.error_type == "NonIntegrableWeight"
         assert report.overall_pass is False
         stages = ("validate", "weight", "generator", "algebra", "family", "gram",
                   "eigen", "rodrigues", "adjoint", "completeness", "isometry")
@@ -360,7 +386,7 @@ class TestPartialReport:
         assert "stage 'isometry'" in capsys.readouterr().err
         report = json.loads(out_path.read_text())
         assert report["failed_stage"] == "isometry"
-        assert report["error_type"] == "FitFailure"
+        assert report["error_type"] == "NonIntegrableWeight"
         assert report["overall_pass"] is False
         assert "isometry" in report["timings"] and "gram" in report["timings"]
         assert report["residuals"]["ccr"] <= report["tolerances"]["ccr"]

@@ -58,6 +58,20 @@ class TestForwardTransform:
         with pytest.raises(QuadratureUnderflow):
             sb.transform(pt, u0, [0.0], quad)
 
+    @pytest.mark.parametrize("nodes", [sb.MAX_NODES + 1, 400, 0])
+    def test_node_count_outside_valid_rule(self, nodes):
+        # numpy's rule has zero weights at 371 nodes and NaN beyond
+        pt = bargmann_triple()
+        u0 = sb.TestFunction.hermite_basis((0,))
+        with pytest.raises(ValueError, match="nodes"):
+            sb.transform(pt, u0, [0.0], sb.QuadSpec(nodes=nodes))
+
+    def test_largest_valid_rule(self):
+        pt = bargmann_triple()
+        u0 = sb.TestFunction.hermite_basis((0,))
+        got = sb.transform(pt, u0, [0.5], sb.QuadSpec(nodes=sb.MAX_NODES))
+        assert got == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-10)
+
 
 class TestKernel:
     def test_standard_constant(self):
@@ -165,6 +179,72 @@ class TestIsometry:
         pt, wd, _ = bargmann_data()
         with pytest.raises(ValueError):
             sb.isometry_residual(pt, sb.TestFunction(n=1, coefficients={}), wd, QUAD)
+
+
+def random_test_function(n, degree, rng):
+    return sb.TestFunction(
+        n, {a: complex(*rng.standard_normal(2)) for a in sb.multi_indices(n, degree)}
+    )
+
+
+class TestTransformImage:
+    """Exact images T u as GaussPolys, with no quadrature."""
+
+    def test_ground_image_closed_form(self):
+        rng = np.random.default_rng(40)
+        triples = [bargmann_triple(), em_data(0.3)[0], ghs_data(0.45)[0]]
+        triples += [sb.random_phase_triple(n, rng) for n in (1, 2, 3, 4) for _ in range(3)]
+        for pt in triples:
+            c0, m = ground_image(pt)
+            image = sb.transform_image(pt, sb.TestFunction.hermite_basis((0,) * pt.n))
+            assert list(image.poly.terms) == [(0,) * pt.n]
+            assert abs(image.poly.terms[(0,) * pt.n] - c0) <= 1e-13 * abs(c0)
+            assert np.max(np.abs(image.M - m)) <= 1e-13 * max(1.0, np.max(np.abs(m)))
+
+    @pytest.mark.parametrize("n,nodes", [(1, 64), (2, 48)])
+    def test_matches_quadrature(self, n, nodes):
+        rng = np.random.default_rng(41 + n)
+        for _ in range(3):
+            pt = sb.random_phase_triple(n, rng)
+            for degree in (1, 4):
+                u = random_test_function(n, degree, rng)
+                Z = 0.5 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+                image = sb.transform_image(pt, u)
+                got = image.poly(Z) * np.exp(-np.einsum("qi,ij,qj->q", Z, image.M, Z))
+                want = sb.transform_batch(pt, u, Z, sb.QuadSpec(nodes=nodes))
+                assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_isometry_on_random_triples(self, n):
+        # |alpha| <= 1, as in the pipeline: at higher degree the monomial
+        # expansion of the image cancels (terms up to 1e8 x its norm at n = 4,
+        # degree 3), and the residual grows by that factor times eps
+        rng = np.random.default_rng(50 + n)
+        for _ in range(10):
+            pt = sb.random_phase_triple(n, rng)
+            wd = sb.compute_weight_data(pt)
+            units = [sb.TestFunction.hermite_basis(a) for a in sb.multi_indices(n, 1)]
+            for u in units + [random_test_function(n, 1, rng)]:
+                assert sb.isometry_residual(pt, u, wd, mode="fit") <= 1e-10
+            _, gram = sb.gram_matrix(sb.hermite_images(pt, 1), wd)
+            assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(sb.DimensionMismatch):
+            sb.transform_image(bargmann_triple(2), sb.TestFunction.hermite_basis((0,)))
+
+    def test_exact_paths_use_no_quadrature(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(transform_module, "_gauss_hermite", boom)
+        pt, wd, _ = ghs_data(0.45)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j})
+        assert sb.isometry_residual(pt, u, wd, QUAD, mode="fit") <= 1e-10
+        report = sb.run_example("ghs", 0.45, max_degree=2)
+        assert report.overall_pass and report.residuals["isometry"] <= 1e-12
+        with pytest.raises(AssertionError, match="quadrature called"):
+            sb.isometry_residual(pt, u, wd, sb.QuadSpec(nodes=8), mode="quad")
 
 
 class TestWeightIdentity:
