@@ -101,8 +101,7 @@ def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticF
 def _cache_from_form(form: RealQuadraticForm, M, degree_cap: int) -> MomentCache:
     cov = np.linalg.inv(2.0 * form.M_R)
     cov = 0.5 * (cov + cov.T)
-    eye = np.eye(cov.shape[0] // 2)
-    t = np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    t = mx.complex_coords(cov.shape[0] // 2)
     return MomentCache(
         form=form,
         covariance=mx.frozen(cov, dtype=float),

@@ -45,6 +45,21 @@ def frozen(a, dtype=None) -> np.ndarray:
     return out
 
 
+def complex_coords(n: int) -> np.ndarray:
+    """The 2n x 2n matrix T with (z, zbar) = T w in the real coordinates
+    w = (x, y), z = x + iy."""
+    eye = np.eye(n)
+    return np.block([[eye, 1j * eye], [eye, -1j * eye]])
+
+
+def lift(zz, zzbar, zbzb) -> np.ndarray:
+    """Complex symmetric S (2n, 2n) with w^T S w = <z, zz z> + <z, zzbar zbar>
+    + <zbar, zbzb zbar> in the real coordinates w = (x, y), z = x + iy."""
+    t = complex_coords(zz.shape[0])
+    s = t.T @ np.block([[zz, zzbar], [np.zeros_like(zzbar), zbzb]]) @ t
+    return 0.5 * (s + s.T)
+
+
 def real_quadratic_form(herm, sym) -> np.ndarray:
     """Real symmetric 2n x 2n matrix of a mixed complex quadratic form.
 
@@ -56,12 +71,7 @@ def real_quadratic_form(herm, sym) -> np.ndarray:
     sym = as_square(sym, "sym")
     if herm.shape != sym.shape:
         raise DimensionMismatch("herm and sym must share a shape")
-    ar, ai = herm.real, herm.imag
-    br, bi = sym.real, sym.imag
-    top = np.hstack([ar + br, ai - bi])
-    bot = np.hstack([(ai - bi).T, ar - br])
-    m = np.vstack([top, bot])
-    return 0.5 * (m + m.T)
+    return lift(0.5 * sym, herm, 0.5 * sym.conj()).real
 
 
 def random_complex(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

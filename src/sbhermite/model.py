@@ -217,7 +217,9 @@ def build_generator(
     S = phi_zz - U diag(lam^2/mu) X diag(lam) U^T; both must come out
     complex symmetric, and the factorization residual
     (phi_zz+Q) conj(beta) (phi_zz+Q)^* - (phi_zzbar - rho^2 E)
-    must stay below ``residual_tol``.
+    must stay below ``residual_tol``.  The creation coefficient
+    xi = conj(phi_zz+Q) beta is built as conj(U) diag(mu) conj(X) diag(1/lam) U^H,
+    the same matrix with no inverse and no cancellation.
     """
     X = mx.as_square(X, "X")
     if not validate_intertwiner(X, wd, rho, tol):
@@ -233,15 +235,12 @@ def build_generator(
         raise SymmetryViolation("constructed Q is not complex symmetric")
     if mx.max_abs(s - s.T) > tol * scale:
         raise SymmetryViolation("constructed S is not complex symmetric")
-    gq = wd.phi_zz + q
-    residual = mx.max_abs(
-        gq @ wd.beta.conj() @ gq.conj().T - (wd.phi_zzbar - rho * rho * np.eye(wd.n))
-    )
+    residual = mx.max_abs(0.5 * ccr_matrix(wd, q) - rho * rho * np.eye(wd.n))
     if residual > residual_tol:
         raise IntertwinerInvalid(
             f"factorization residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    xi = gq.conj() @ wd.beta
+    xi = u.conj() @ np.diag(mu) @ X.conj() @ np.diag(1.0 / lam) @ u.conj().T
     return GeneratorData(
         n=wd.n,
         rho=float(rho),

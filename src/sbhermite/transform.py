@@ -10,15 +10,19 @@ quadrature isometry go through one tensor Gauss-Hermite integrator,
 ``_gauss_hermite``: each caller writes its Gaussian factors as one complex
 quadratic exponent in the real coordinates, so each node costs one
 quadratic form and one exp; the grid is summed in slabs of a fixed size.
+Every integrand is a polynomial times that exponential: the round trip and
+the quadrature isometry integrate the exact image, never a quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import matrices as mx
 from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial
 from .gausspoly import _raising_chain, _tabulated_sum
@@ -108,23 +112,11 @@ def _tensor_grid(t: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _complex_basis(n: int) -> np.ndarray:
-    """Rows mapping real coordinates w = (x, y) to z = x + iy: z = w @ basis."""
-    return np.vstack([np.eye(n), 1j * np.eye(n)])
-
-
-def _lift(zz, zzbar, zbzb) -> np.ndarray:
-    """Complex symmetric S (2n, 2n) with w^T S w = <z, zz z> + <z, zzbar zbar>
-    + <zbar, zbzb zbar> in the real coordinates w = (x, y), z = x + iy."""
-    t = _complex_basis(zz.shape[0]).T  # z = t w
-    tb = t.conj()
-    s = t.T @ zz @ t + t.T @ zzbar @ tb + tb.T @ zbzb @ tb
-    return 0.5 * (s + s.T)
-
-
-def _lift_zbar(beta: np.ndarray) -> np.ndarray:
-    """Coefficient vector b with b . w = <zbar, beta>."""
-    return np.concatenate([beta, -1j * beta])
+@functools.lru_cache(maxsize=32)
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``nodes``-point Gauss-Hermite rule."""
+    t, wt = np.polynomial.hermite.hermgauss(nodes)
+    return mx.frozen(t), mx.frozen(wt)
 
 
 def _gauss_hermite(
@@ -134,40 +126,37 @@ def _gauss_hermite(
     integrand,
     nodes: int,
     center: np.ndarray | None = None,
-    window: np.ndarray | None = None,
     basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrals over R^d of integrand(w @ basis) exp(-w^T P w + b_r . w + c_r).
 
     One value per row r of ``b`` (rows, d) and ``c`` (rows,); ``P`` is
-    complex symmetric.  ``integrand`` receives a batch of points (q, m),
-    each coordinate a contiguous column; ``basis`` (d, m) defaults to the
-    identity, and ``_complex_basis`` hands it complex points of C^n.
-    The node window is w = w_r + L^-T t with L L^T = ``window`` (default
-    Re P, the real decay of the exponent; a callable integrand passes the
-    decay of its own envelope added) and w_r = (2 window)^-1 Re b_r, the
-    maximizer of the real Gaussian part, unless ``center`` fixes it; then
+    complex symmetric with positive definite real part.  ``integrand``, a
+    polynomial, receives a batch of points (q, m), each coordinate a
+    contiguous column; ``basis`` (d, m) defaults to the identity, and
+    ``matrices.complex_coords(n)[:n].T`` hands it complex points of C^n.
+    The node window is w = w_r + L^-T t with L L^T = Re P, the real decay
+    of the exponent, and w_r = (2 Re P)^-1 Re b_r, the maximizer of the
+    real Gaussian part, unless ``center`` fixes it; then
     QuadratureUnderflow is raised when some w_r lies outside the node span.
     Substituted, the exponent plus the node compensation t.t is one
-    quadratic polynomial -t^T K t + bt_r . t + ct_r with
-    K = L^-1 (P - window) L^-T: the real decay cancels in closed form, and
-    K is purely imaginary when the window is Re P.  The tensor grid of the
-    ``nodes``-point Gauss-Hermite rule is summed in slabs of at most
-    ``_SLAB_POINTS`` points (more only when one node axis is longer): all
-    trailing node axes that fit times a run of (row, leading node) indices,
-    so the nodes^d grid is never built.
+    quadratic polynomial -t^T K t + bt_r . t + ct_r with the purely
+    imaginary K = L^-1 (i Im P) L^-T: the real decay cancels in closed
+    form.  The tensor grid of the ``nodes``-point Gauss-Hermite rule is
+    summed in slabs of at most ``_SLAB_POINTS`` points (more only when one
+    node axis is longer): all trailing node axes that fit times a run of
+    (row, leading node) indices, so the nodes^d grid is never built.
     """
     dim = P.shape[0]
-    window = P.real if window is None else window
     basis = np.eye(dim) if basis is None else basis
     try:
-        chol = np.linalg.cholesky(window)
+        chol = np.linalg.cholesky(P.real)
     except np.linalg.LinAlgError as exc:
         raise NonIntegrableWeight("quadrature decay form not positive definite") from exc
-    w_c = np.linalg.solve(2.0 * window, b.real.T).T
+    w_c = np.linalg.solve(2.0 * P.real, b.real.T).T
     if not 1 <= nodes <= MAX_NODES:
         raise ValueError(f"nodes must lie in [1, {MAX_NODES}], got {nodes}")
-    t, wt = np.polynomial.hermite.hermgauss(nodes)
+    t, wt = _hermite_rule(nodes)
     if center is not None:
         fixed = np.asarray(center, dtype=float).reshape(dim)
         if np.max(np.abs((w_c - fixed) @ chol)) > np.max(np.abs(t)):
@@ -176,7 +165,7 @@ def _gauss_hermite(
             )
         w_c = np.broadcast_to(fixed, w_c.shape)
     li = np.linalg.inv(chol)  # rows of points: w = w_c + t @ li
-    k = li @ (P - window) @ li.T
+    k = 1j * (li @ P.imag @ li.T)
     bt = (b - 2.0 * w_c @ P) @ li.T
     ct = c + np.einsum("ri,ri->r", b - w_c @ P, w_c)
     p_c = w_c @ basis
@@ -260,8 +249,7 @@ def image_exponent(pt: PhaseTriple) -> np.ndarray:
 
     Transforms of p(x) exp(-|x|^2/2) equal q(z) exp(-<z, M z>) with
     M = B (E - iC)^(-1) B^T / 2 - iA/2.  ``transform_image`` returns its
-    GaussPolys with this exponent, and ``round_trip_error`` passes it as the
-    decay of the transformed function to the inverse transform.
+    GaussPolys with this exponent.
     """
     w = np.eye(pt.n) - 1j * pt.C
     m = 0.5 * pt.B @ np.linalg.solve(w, pt.B.T) - 0.5j * pt.A
@@ -331,45 +319,44 @@ def kernel_eval(kp: KernelParams, z, zeta) -> complex:
     return complex(kp.c_Phi * np.exp(2.0 * psi))
 
 
+def _over_cn(P, beta, c, poly, nodes: int, center=None) -> complex:
+    """Integral over C^n of poly(z) exp(-w^T P w + <zbar, beta> + c) in the
+    real coordinates w = (Re z, Im z), by ``_gauss_hermite``."""
+    n = beta.shape[0]
+    t = mx.complex_coords(n)
+    b = (beta @ t[n:])[None, :]
+    return complex(_gauss_hermite(P, b, np.array([c]), poly, nodes, center, t[:n].T)[0])
+
+
 def inverse_transform(
     pt: PhaseTriple,
-    F,
+    F: GaussPoly,
     x,
     quad: QuadSpec | None = None,
     wd: WeightData | None = None,
-    decay: np.ndarray | None = None,
 ) -> complex:
     """Adjoint transform at a real point,
     C_phi * integral of exp(-i conj(phi(z, x))) F(z) exp(-2 Phi(z)).
 
-    ``F`` may be a GaussPoly or any callable accepting a complex batch
-    (q, n); callables should supply ``decay``, the symmetric matrix of
-    their Gaussian envelope, which defaults to F.M for GaussPoly input.
-    The exponent of a GaussPoly joins the integrand's exponent; the
-    envelope of a callable only sets the node window.
+    ``F`` must be a GaussPoly, such as an exact image from
+    ``transform_image``; its exponent joins the integrand's exponent, so
+    the quadrature integrates a polynomial times one Gaussian.
     """
+    if not isinstance(F, GaussPoly):
+        raise TypeError(f"inverse_transform needs a GaussPoly, got {type(F).__name__}")
     quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != pt.n:
         raise DimensionMismatch("x has the wrong dimension")
-    gauss = isinstance(F, GaussPoly)
-    m = F.M if gauss else np.zeros((pt.n, pt.n))
-    if decay is None:
-        decay = m
     # -i conj(phi(z, x)) - 2 Phi(z) - <z, M z> with
     # Phi(z) = <z, phi_zzbar zbar> + Re <z, phi_zz z>
-    herm = 2.0 * wd.phi_zzbar
-    bar = wd.phi_zz.conj() + 0.5j * pt.A.conj()
-    P = _lift(wd.phi_zz + m, herm, bar)
-    window = _lift(wd.phi_zz + decay, herm, bar).real
-    b = _lift_zbar(-1j * (pt.B.conj() @ x))
-    c = -0.5j * (x @ pt.C.conj() @ x)
-    value = _gauss_hermite(
-        P, b[None, :], np.array([c]), F.poly if gauss else F, quad.nodes,
-        quad.center, window, _complex_basis(pt.n),
+    P = mx.lift(
+        wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, wd.phi_zz.conj() + 0.5j * pt.A.conj()
     )
-    return pt.c_phi * complex(value[0])
+    beta = -1j * (pt.B.conj() @ x)
+    c = -0.5j * (x @ pt.C.conj() @ x)
+    return pt.c_phi * _over_cn(P, beta, c, F.poly, quad.nodes, quad.center)
 
 
 def kernel_reproduce(
@@ -383,15 +370,12 @@ def kernel_reproduce(
     members of the weighted space of entire functions."""
     quad = quad or QuadSpec()
     z = np.asarray(z, dtype=complex).reshape(-1)
-    # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta)
-    P = _lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, (wd.phi_zz - kp.psi_zz).conj())
-    b = _lift_zbar(2.0 * (kp.psi_zzbar.T @ z))
+    # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta); the zetabar-zetabar
+    # blocks of Psi and Phi cancel, since psi_zz = phi_zz
+    P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((F.n, F.n)))
+    beta = 2.0 * (kp.psi_zzbar.T @ z)
     c = z @ kp.psi_zz @ z
-    value = _gauss_hermite(
-        P, b[None, :], np.array([c]), F.poly, quad.nodes, quad.center,
-        basis=_complex_basis(F.n),
-    )
-    return kp.c_Phi * complex(value[0])
+    return kp.c_Phi * _over_cn(P, beta, c, F.poly, quad.nodes, quad.center)
 
 
 def isometry_residual(
@@ -401,33 +385,29 @@ def isometry_residual(
     quad: QuadSpec | None = None,
     mode: str = "fit",
 ) -> float:
-    """Relative defect | ||Tu||^2 - ||u||^2 | / ||u||^2.
+    """Relative defect | ||Tu||^2 - ||u||^2 | / ||u||^2 of the exact image Tu.
 
-    Mode "fit" (name kept for callers) is the exact weighted norm of
-    ``transform_image`` by the moment engine and ignores ``quad``; mode
-    "quad" integrates |Tu|^2 exp(-2 Phi) by tensor quadrature, the cross-check.
+    Mode "fit" (name kept for callers) takes the weighted norm by the moment
+    engine and ignores ``quad``; mode "quad", the moment engine's
+    cross-check, integrates |poly|^2 by tensor quadrature against the real
+    form of |exp(-<z, M z>)|^2 exp(-2 Phi).
     """
     wd = wd or compute_weight_data(pt)
     norm_u = u.norm_sq()
     if norm_u == 0.0:
         raise ValueError("test function must be nonzero")
+    image = transform_image(pt, u)
     if mode == "fit":
-        image = transform_image(pt, u)
         norm_tu = hphi_inner(image, image, wd).real
     elif mode == "quad":
         quad = quad or QuadSpec()
-        m_t = image_exponent(pt)
-        # |Tu|^2 exp(-2 Phi): the window is the decay of the whole integrand
-        P = _lift(wd.phi_zz, 2.0 * wd.phi_zzbar, wd.phi_zz.conj())
-        norm_tu = _gauss_hermite(
-            P,
-            np.zeros((1, 2 * pt.n)),
-            np.zeros(1),
-            lambda Z: np.abs(transform_batch(pt, u, Z, quad)) ** 2,
+        norm_tu = _over_cn(
+            combined_form(wd, image.M, image.M).M_R,
+            np.zeros(pt.n),
+            0.0,
+            lambda Z: np.abs(image.poly(Z)) ** 2,
             quad.nodes,
-            window=combined_form(wd, m_t, m_t).M_R,
-            basis=_complex_basis(pt.n),
-        )[0].real
+        ).real
     else:
         raise ValueError(f"unknown isometry mode {mode!r}")
     return abs(norm_tu - norm_u) / norm_u
@@ -440,15 +420,12 @@ def round_trip_error(
     quad: QuadSpec | None = None,
     wd: WeightData | None = None,
 ) -> float:
-    """Max pointwise defect of the inverse composed with the forward
-    transform against the original test function."""
-    quad = quad or QuadSpec()
+    """Max pointwise defect of the quadrature inverse of the exact image
+    ``transform_image(pt, u)`` against the original test function."""
     wd = wd or compute_weight_data(pt)
-    m_t = image_exponent(pt)
+    image = transform_image(pt, u)
     xs = np.asarray(xs, dtype=float).reshape(-1, pt.n)
-    tu = lambda Z: transform_batch(pt, u, Z, quad)  # noqa: E731
-    worst = 0.0
-    for x in xs:
-        back = inverse_transform(pt, tu, x, quad, wd, decay=m_t)
-        worst = max(worst, abs(back - complex(u(x))))
-    return worst
+    return max(
+        (abs(inverse_transform(pt, image, x, quad, wd) - complex(u(x))) for x in xs),
+        default=0.0,
+    )

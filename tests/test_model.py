@@ -249,3 +249,25 @@ class TestRandomizedInvariants:
             assert np.max(np.abs(gen.S - gen.S.T)) == 0.0 or np.max(
                 np.abs(gen.S - gen.S.T)
             ) < 1e-12
+
+
+class TestCreationCoefficient:
+    """xi_coeff in the closed form conj(U) diag(mu) conj(X) diag(1/lam) U^H."""
+
+    def test_equals_conj_gq_beta(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            n = int(rng.integers(1, 6))
+            _, wd, gen = sb.random_generator(n, rng)
+            old = (wd.phi_zz + gen.Q).conj() @ wd.beta
+            assert np.max(np.abs(gen.xi_coeff - old)) <= 1e-10 * np.max(np.abs(old))
+
+    def test_gram_cosine_at_n5(self):
+        # conj(phi_zz + Q) beta cancelled here: cosine 1.6e-8 before the closed form
+        pt = sb.random_phase_triple(5, np.random.default_rng(1000))
+        wd = sb.compute_weight_data(pt)
+        gen = sb.build_generator(wd, 0.5 * wd.lam0, np.diag(np.exp(0.3j * np.ones(5))))
+        _, gram = sb.gram_matrix(sb.hermite_family(wd, gen, 3), wd)
+        diag = np.sqrt(np.diag(gram).real)
+        cosine = np.abs(gram - np.diag(np.diag(gram))) / np.outer(diag, diag)
+        assert np.max(cosine) <= 1e-9

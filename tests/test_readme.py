@@ -1,0 +1,26 @@
+"""The README's library sketch runs, and the identities its comments state hold."""
+
+import math
+import pathlib
+import re
+
+import numpy as np
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_sketch():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    ns = {}
+    exec(compile(block, str(README), "exec"), ns)
+    keys, gram, rho = ns["keys"], ns["gram"], ns["gen"].rho
+    # diag = (2 rho^2)^|a| a! |psi0|^2
+    want = [(2.0 * rho * rho) ** sum(a) * math.prod(map(math.factorial, a)) for a in keys]
+    want = np.array(want) * gram[0, 0].real
+    assert np.allclose(np.diag(gram).real, want, rtol=1e-12, atol=0.0)
+    # h = 5 rho^2 psi_2
+    h, psi2 = ns["h"], ns["family"][(2,)]
+    assert np.array_equal(h.M, psi2.M)
+    assert set(h.poly.terms) == set(psi2.poly.terms)
+    for mono, c in psi2.poly.terms.items():
+        assert abs(h.poly.terms[mono] - 5.0 * rho * rho * c) <= 1e-12 * abs(c)

@@ -111,15 +111,21 @@ class TestKernel:
 class TestInverseTransform:
     def test_constant_maps_to_ground_hermite(self):
         pt, wd, _ = bargmann_data()
-        const = (2.0 * math.pi) ** -0.5
-        f = lambda Z: np.full(Z.shape[0], const, dtype=complex)  # noqa: E731
-        got = sb.inverse_transform(pt, f, [0.0], QUAD, wd, decay=np.zeros((1, 1)))
+        const = sb.PolyC.constant(1, (2.0 * math.pi) ** -0.5)
+        f = sb.GaussPoly(const, np.zeros((1, 1)))
+        got = sb.inverse_transform(pt, f, [0.0], QUAD, wd)
         assert got.real == pytest.approx(math.pi**-0.25, abs=1e-3)
 
     def test_zero(self):
         pt, wd, _ = bargmann_data()
+        f = sb.GaussPoly(sb.PolyC(1), np.zeros((1, 1)))
+        assert sb.inverse_transform(pt, f, [0.5], QUAD, wd) == 0.0
+
+    def test_callable_rejected(self):
+        pt, wd, _ = bargmann_data()
         f = lambda Z: np.zeros(Z.shape[0], dtype=complex)  # noqa: E731
-        assert sb.inverse_transform(pt, f, [0.5], QUAD, wd, decay=np.zeros((1, 1))) == 0.0
+        with pytest.raises(TypeError, match="GaussPoly"):
+            sb.inverse_transform(pt, f, [0.5], QUAD, wd)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_round_trip_standard(self, k):
@@ -152,6 +158,59 @@ class TestInverseTransform:
         ]
         for a, b in zip(errs, errs[1:]):
             assert b <= a / 10.0 or b < 1e-12
+
+
+class TestExactImageQuadrature:
+    """The round trip and the quadrature isometry integrate the exact image
+    ``transform_image(pt, u)``; no forward quadrature runs inside them."""
+
+    def test_no_forward_quadrature(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("forward quadrature called")
+
+        monkeypatch.setattr(transform_module, "transform_batch", boom)
+        pt, wd, _ = em_data(0.5)
+        u = sb.TestFunction(1, {(0,): 1.0, (1,): -0.5j})
+        xs = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)
+        assert sb.round_trip_error(pt, u, xs, QUAD, wd) <= 1e-12
+        assert sb.isometry_residual(pt, u, wd, QUAD, mode="quad") <= 1e-12
+
+    def test_round_trip_degree_two_em(self):
+        # 4.1e-7 when the inverse integrated a forward quadrature at each node
+        pt, wd, _ = em_data(0.3)
+        u = sb.TestFunction(1, {(0,): 1.0, (1,): 0.5j, (2,): -0.75})
+        xs = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
+        err = sb.round_trip_error(pt, u, xs, QUAD, wd)
+        assert err <= 1e-12 * math.sqrt(u.norm_sq())
+
+    def test_random_triples_at_n2(self):
+        rng = np.random.default_rng(60)
+        for _ in range(3):
+            pt = sb.random_phase_triple(2, rng)
+            wd = sb.compute_weight_data(pt)
+            u = random_test_function(2, 3, rng)
+            xs = rng.standard_normal((2, 2))
+            err = sb.round_trip_error(pt, u, xs, sb.QuadSpec(nodes=32), wd)
+            assert err <= 1e-5 * math.sqrt(u.norm_sq())
+            r_quad = sb.isometry_residual(pt, u, wd, sb.QuadSpec(nodes=16), mode="quad")
+            r_fit = sb.isometry_residual(pt, u, wd, mode="fit")
+            assert r_quad <= 1e-10
+            assert abs(r_quad - r_fit) <= 1e-10
+
+    def test_hermite_rule_is_cached_read_only(self):
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        f = random_poly(2, 2, gen.Q, np.random.default_rng(15))
+        z = [0.3 + 0.1j, -0.4 + 0.2j]
+        transform_module._hermite_rule.cache_clear()
+        first = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=20))
+        t, wt = transform_module._hermite_rule(20)
+        again = transform_module._hermite_rule(20)
+        assert again[0] is t and again[1] is wt
+        assert not t.flags.writeable and not wt.flags.writeable
+        ref_t, ref_wt = np.polynomial.hermite.hermgauss(20)
+        assert np.array_equal(t, ref_t) and np.array_equal(wt, ref_wt)
+        assert sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=20)) == first
 
 
 class TestIsometry:
