@@ -8,10 +8,14 @@ so the images come from the raising chain the generator family uses.
 The forward transform, its inverse, the reproducing identity and the
 quadrature isometry go through one tensor Gauss-Hermite integrator,
 ``_gauss_hermite``: each caller writes its Gaussian factors as one complex
-quadratic exponent in the real coordinates, so each node costs one
-quadratic form and one exp; the grid is summed in slabs of a fixed size.
-Every integrand is a polynomial times that exponential: the round trip and
-the quadrature isometry integrate the exact image, never a quadrature.
+quadratic exponent in the real coordinates and passes the degree of its
+polynomial integrand.  The integrator computes the tensor sum without
+visiting the grid: per outer point (row, lead node) it projects the
+integrand exactly onto Hermite polynomials of the tail axes and contracts
+those coefficients with a tail table built once per call, so neither the
+integrand nor an exp is evaluated per grid point.  The round trip (all its
+points in one call) and the quadrature isometry integrate the exact image,
+never a quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
-from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial
+from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial, multi_indices
 from .gausspoly import _raising_chain, _tabulated_sum
 from .integrals import combined_form, hphi_inner
 from .model import PhaseTriple, WeightData, compute_weight_data
@@ -70,6 +74,10 @@ class TestFunction:
     def norm_sq(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.coefficients.values()))
 
+    def degree(self) -> int:
+        """Largest total degree |alpha| among the coefficients (0 if none)."""
+        return max((sum(a) for a in self.coefficients), default=0)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -102,14 +110,26 @@ def _hermite_table(t: np.ndarray, degree: int) -> list:
     return out[: degree + 1]
 
 
-#: grid points per slab of the fused integrator; bounds its temporaries
-_SLAB_POINTS = 1 << 15
+#: work items (outer points times tail-table rows or projection points) per
+#: chunk of the integrator's outer loop; bounds its temporaries
+_SLAB_POINTS = 1 << 16
 
 
 def _tensor_grid(t: np.ndarray, dim: int) -> np.ndarray:
     """All dim-tuples of the 1-D values t, last axis fastest: (len(t)^dim, dim)."""
     grids = np.meshgrid(*([t] * dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _tensor_hermite(t: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """g_beta(s) = prod_j g_(beta_j)(s_j) (see ``_hermite_table``) for each
+    row beta of ``betas`` (nb, dim) at each s of the tensor grid of the 1-D
+    values t, last axis fastest: (nb, len(t)^dim)."""
+    g = np.array([np.broadcast_to(v, t.shape) for v in _hermite_table(t, int(betas.max()))])
+    out = g[betas[:, 0]]
+    for j in range(1, betas.shape[1]):
+        out = (out[:, :, None] * g[betas[:, j]][:, None, :]).reshape(len(betas), -1)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -124,6 +144,7 @@ def _gauss_hermite(
     b: np.ndarray,
     c: np.ndarray,
     integrand,
+    degree: int,
     nodes: int,
     center: np.ndarray | None = None,
     basis: np.ndarray | None = None,
@@ -131,21 +152,31 @@ def _gauss_hermite(
     """Integrals over R^d of integrand(w @ basis) exp(-w^T P w + b_r . w + c_r).
 
     One value per row r of ``b`` (rows, d) and ``c`` (rows,); ``P`` is
-    complex symmetric with positive definite real part.  ``integrand``, a
-    polynomial, receives a batch of points (q, m), each coordinate a
-    contiguous column; ``basis`` (d, m) defaults to the identity, and
-    ``matrices.complex_coords(n)[:n].T`` hands it complex points of C^n.
-    The node window is w = w_r + L^-T t with L L^T = Re P, the real decay
-    of the exponent, and w_r = (2 Re P)^-1 Re b_r, the maximizer of the
-    real Gaussian part, unless ``center`` fixes it; then
-    QuadratureUnderflow is raised when some w_r lies outside the node span.
-    Substituted, the exponent plus the node compensation t.t is one
-    quadratic polynomial -t^T K t + bt_r . t + ct_r with the purely
-    imaginary K = L^-1 (i Im P) L^-T: the real decay cancels in closed
-    form.  The tensor grid of the ``nodes``-point Gauss-Hermite rule is
-    summed in slabs of at most ``_SLAB_POINTS`` points (more only when one
-    node axis is longer): all trailing node axes that fit times a run of
-    (row, leading node) indices, so the nodes^d grid is never built.
+    complex symmetric with positive definite real part.  ``integrand`` is a
+    polynomial of total degree at most ``degree`` and receives a batch of
+    points (q, m), each coordinate a contiguous column; ``basis`` (d, m)
+    defaults to the identity, and ``matrices.complex_coords(n)[:n].T``
+    hands it complex points of C^n.  The node window is w = w_r + L^-T t
+    with L L^T = Re P, the real decay of the exponent, and w_r =
+    (2 Re P)^-1 Re b_r, the maximizer of the real Gaussian part, unless
+    ``center`` fixes it; then QuadratureUnderflow is raised when some w_r
+    lies outside the node span.  Substituted, the exponent plus the node
+    compensation t.t is one quadratic polynomial -t^T K t + bt_r . t + ct_r
+    with the purely imaginary K = L^-1 (i Im P) L^-T: the real decay
+    cancels in closed form.
+
+    The value is the tensor ``nodes``-point Gauss-Hermite sum, computed
+    without visiting the grid.  The node axes split into lead and tail, the
+    tail the fewest trailing axes with nodes^tail >= rows * nodes^lead.
+    For each outer point (row, lead node) the integrand is a polynomial of
+    degree <= ``degree`` in the tail coordinates, so its coefficients in the
+    orthonormal Hermite polynomials h_beta, |beta| <= degree, follow exactly
+    from its values on the (degree + 1)-point rule's grid.  Against them, a
+    table of tail weights x exp(-t K t) x h_beta(t), built once per call,
+    is contracted with the lead-tail coupling exp(slope . t), a product of
+    one-axis factors: one matrix product over the last tail axis and one
+    reduction per other tail axis.  Outer points run in chunks of about
+    ``_SLAB_POINTS`` work items.
     """
     dim = P.shape[0]
     basis = np.eye(dim) if basis is None else basis
@@ -158,7 +189,11 @@ def _gauss_hermite(
         raise ValueError(f"nodes must lie in [1, {MAX_NODES}], got {nodes}")
     t, wt = _hermite_rule(nodes)
     if center is not None:
-        fixed = np.asarray(center, dtype=float).reshape(dim)
+        fixed = np.asarray(center, dtype=float).reshape(-1)
+        if fixed.shape[0] != dim:
+            raise DimensionMismatch(
+                f"quadrature center has length {fixed.shape[0]}, the integral {dim}"
+            )
         if np.max(np.abs((w_c - fixed) @ chol)) > np.max(np.abs(t)):
             raise QuadratureUnderflow(
                 "integrand center lies outside the fixed node window"
@@ -171,42 +206,66 @@ def _gauss_hermite(
     p_c = w_c @ basis
     p_dir = li @ basis
 
-    # trailing axes whose grid fits a slab; (row, leading index) runs fill it
+    rows = b.shape[0]
     tail_dim = 1
-    while tail_dim < dim and nodes ** (tail_dim + 1) <= _SLAB_POINTS:
+    while tail_dim < dim and nodes**tail_dim < rows * nodes ** (dim - tail_dim):
         tail_dim += 1
     lead_dim = dim - tail_dim
+    betas = np.array(multi_indices(tail_dim, degree))
+    # the tail table, (betas x nodes^(tail - 1), nodes): the last tail axis
+    # is the inner dimension of the matrix product with its coupling factor
     t_tail = _tensor_grid(t, tail_dim)
-    wt_tail = np.prod(_tensor_grid(wt, tail_dim), axis=1).astype(complex)
-    e_tail = -np.einsum("qi,ij,qj->q", t_tail, k[lead_dim:, lead_dim:], t_tail)
-    p_tail = np.ascontiguousarray((t_tail @ p_dir[lead_dim:]).T)
-    t_tail = np.ascontiguousarray(t_tail.T, dtype=complex)
+    phase = np.exp(-np.einsum("qi,ij,qj->q", t_tail, k[lead_dim:, lead_dim:], t_tail))
+    table = _tensor_hermite(t, betas) * (np.prod(_tensor_grid(wt, tail_dim), axis=1) * phase)
+    table = table.reshape(-1, nodes)
+    # coefficients = values on the projection grid @ proj, exact to degree
+    s, ws = _hermite_rule(degree + 1)
+    proj = _tensor_hermite(s, betas) * np.prod(_tensor_grid(ws, tail_dim), axis=1)
+    proj = proj.T * math.pi ** (-tail_dim / 2.0)  # g_beta = pi^(tail/4) h_beta
+    s_pts = _tensor_grid(s, tail_dim) @ p_dir[lead_dim:]
+
     k_lead, k_cross = k[:lead_dim, :lead_dim], k[:lead_dim, lead_dim:]
+    # one-axis couplings exp(slope_j t), slope = bt_r,tail - 2 t_lead K_cross:
+    # a row factor times a pure phase per lead axis and lead node, both
+    # tabulated here.  Each row factor gives up the largest real part of
+    # bt_rj t over the nodes to the outer exponent, so neither overflows.
+    shift = np.abs(bt[:, lead_dim:].real) * t[-1]
+    row_axis = np.exp(bt[:, lead_dim:, None] * t - shift[:, :, None])
+    lead_axis = np.exp(-2.0 * k_cross[:, None, :, None] * t[:, None, None] * t)
+    shift = shift.sum(axis=1)
     place = nodes ** np.arange(lead_dim - 1, -1, -1)
     n_lead = nodes**lead_dim
-    n_outer = b.shape[0] * n_lead
-    step = max(1, _SLAB_POINTS // t_tail.shape[1])
-    out = np.zeros(b.shape[0], dtype=complex)
+    n_outer = rows * n_lead
+    step = max(1, _SLAB_POINTS // max(table.shape[0], s_pts.shape[0]))
+    out = np.zeros(rows, dtype=complex)
     for start in range(0, n_outer, step):
-        rows, lead = np.divmod(np.arange(start, min(start + step, n_outer)), n_lead)
+        r, lead = np.divmod(np.arange(start, min(start + step, n_outer)), n_lead)
         digits = lead[:, None] // place % nodes
         t_lead = t[digits]
-        bt_r = bt[rows]
         e_lead = (
-            ct[rows]
-            + np.einsum("qi,qi->q", bt_r[:, :lead_dim], t_lead)
+            ct[r]
+            + shift[r]
+            + np.einsum("qi,qi->q", bt[r, :lead_dim], t_lead)
             - np.einsum("qi,ij,qj->q", t_lead, k_lead, t_lead)
         )
-        slope = bt_r[:, lead_dim:] - 2.0 * t_lead @ k_cross
-        expo = slope @ t_tail
-        expo += e_lead[:, None]
-        expo += e_tail
-        np.exp(expo, out=expo)
-        p_lead = p_c[rows] + t_lead @ p_dir[:lead_dim]
-        pts = p_lead.T[:, :, None] + p_tail[:, None, :]
-        expo *= integrand(pts.reshape(pts.shape[0], -1).T).reshape(expo.shape)
-        np.add.at(out, rows, (expo @ wt_tail) * np.prod(wt[digits], axis=1))
+        p_lead = p_c[r] + t_lead @ p_dir[:lead_dim]
+        pts = p_lead.T[:, :, None] + s_pts.T[:, None, :]
+        coeff = integrand(pts.reshape(pts.shape[0], -1).T).reshape(len(r), -1) @ proj
+        axis = row_axis[r]
+        for i in range(lead_dim):
+            axis = axis * lead_axis[i, digits[:, i]]
+        acc = table @ axis[:, -1].T
+        for j in range(tail_dim - 2, -1, -1):
+            acc = np.einsum("aim,mi->am", acc.reshape(-1, nodes, len(r)), axis[:, j])
+        tail_sum = np.einsum("bm,mb->m", acc, coeff)
+        lead_w = np.prod(wt[digits], axis=1)
+        np.add.at(out, r, tail_sum * np.exp(e_lead) * lead_w)
     return out / float(np.prod(np.diag(chol)))
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
 
 
 def transform_batch(
@@ -227,12 +286,13 @@ def transform_batch(
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 2 or Z.shape[1] != pt.n:
         raise DimensionMismatch("Z must have shape (m, n)")
+    _require_finite(Z, "Z")
     # i phi(z, x) - |x|^2/2 = -x^T P x + (i B^T z) . x + i <z, A z>/2
     P = 0.5 * (np.eye(pt.n) - 1j * pt.C)
     b = 1j * (Z @ pt.B)
     c = 0.5j * np.einsum("ri,ij,rj->r", Z, pt.A, Z)
     return pt.c_phi * _gauss_hermite(
-        P, b, c, u.polynomial_part, quad.nodes, quad.center
+        P, b, c, u.polynomial_part, u.degree(), quad.nodes, quad.center
     )
 
 
@@ -241,6 +301,7 @@ def transform(
 ) -> complex:
     """Transform of a test function at one point of C^n."""
     z = np.asarray(z, dtype=complex).reshape(1, -1)
+    _require_finite(z, "z")
     return complex(transform_batch(pt, u, z, quad)[0])
 
 
@@ -286,7 +347,7 @@ def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
     its coefficients (see ``hermite_images``)."""
     if u.n != pt.n:
         raise DimensionMismatch("test function and triple dimensions differ")
-    images = hermite_images(pt, max((sum(a) for a in u.coefficients), default=0))
+    images = hermite_images(pt, u.degree())
     image = GaussPoly(PolyC(pt.n), images[(0,) * pt.n].M)
     for alpha, c in u.coefficients.items():
         image += images[tuple(alpha)].scaled(c)
@@ -319,13 +380,25 @@ def kernel_eval(kp: KernelParams, z, zeta) -> complex:
     return complex(kp.c_Phi * np.exp(2.0 * psi))
 
 
-def _over_cn(P, beta, c, poly, nodes: int, center=None) -> complex:
-    """Integral over C^n of poly(z) exp(-w^T P w + <zbar, beta> + c) in the
-    real coordinates w = (Re z, Im z), by ``_gauss_hermite``."""
-    n = beta.shape[0]
+def _over_cn(P, beta, c, poly, degree: int, nodes: int, center=None) -> np.ndarray:
+    """Integrals over C^n of poly(z) exp(-w^T P w + <zbar, beta_r> + c_r) in
+    the real coordinates w = (Re z, Im z), one per row of ``beta`` (rows, n),
+    by ``_gauss_hermite``; ``poly`` has total degree at most ``degree``."""
+    n = beta.shape[1]
     t = mx.complex_coords(n)
-    b = (beta @ t[n:])[None, :]
-    return complex(_gauss_hermite(P, b, np.array([c]), poly, nodes, center, t[:n].T)[0])
+    return _gauss_hermite(P, beta @ t[n:], c, poly, degree, nodes, center, t[:n].T)
+
+
+def _inverse_exponent(pt: PhaseTriple, F: GaussPoly, xs: np.ndarray, wd: WeightData):
+    """(P, beta, c) of the adjoint-transform integrand at the real points xs
+    (rows, n): -i conj(phi(z, x)) - 2 Phi(z) - <z, M z> with
+    Phi(z) = <z, phi_zzbar zbar> + Re <z, phi_zz z>."""
+    P = mx.lift(
+        wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, wd.phi_zz.conj() + 0.5j * pt.A.conj()
+    )
+    beta = -1j * (xs @ pt.B.conj().T)
+    c = -0.5j * np.einsum("ri,ij,rj->r", xs, pt.C.conj(), xs)
+    return P, beta, c
 
 
 def inverse_transform(
@@ -347,16 +420,12 @@ def inverse_transform(
     quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != pt.n:
-        raise DimensionMismatch("x has the wrong dimension")
-    # -i conj(phi(z, x)) - 2 Phi(z) - <z, M z> with
-    # Phi(z) = <z, phi_zzbar zbar> + Re <z, phi_zz z>
-    P = mx.lift(
-        wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, wd.phi_zz.conj() + 0.5j * pt.A.conj()
-    )
-    beta = -1j * (pt.B.conj() @ x)
-    c = -0.5j * (x @ pt.C.conj() @ x)
-    return pt.c_phi * _over_cn(P, beta, c, F.poly, quad.nodes, quad.center)
+    if x.shape[0] != pt.n or F.n != pt.n:
+        raise DimensionMismatch("x and F must share the triple's dimension")
+    _require_finite(x, "x")
+    P, beta, c = _inverse_exponent(pt, F, x[None, :], wd)
+    values = _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes, quad.center)
+    return complex(pt.c_phi * values[0])
 
 
 def kernel_reproduce(
@@ -370,12 +439,19 @@ def kernel_reproduce(
     members of the weighted space of entire functions."""
     quad = quad or QuadSpec()
     z = np.asarray(z, dtype=complex).reshape(-1)
+    n = kp.psi_zzbar.shape[0]
+    if z.shape[0] != n or F.n != n:
+        raise DimensionMismatch("z and F must share the kernel's dimension")
+    _require_finite(z, "z")
     # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta); the zetabar-zetabar
     # blocks of Psi and Phi cancel, since psi_zz = phi_zz
-    P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((F.n, F.n)))
+    P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((n, n)))
     beta = 2.0 * (kp.psi_zzbar.T @ z)
     c = z @ kp.psi_zz @ z
-    return kp.c_Phi * _over_cn(P, beta, c, F.poly, quad.nodes, quad.center)
+    values = _over_cn(
+        P, beta[None, :], np.array([c]), F.poly, F.poly.degree(), quad.nodes, quad.center
+    )
+    return complex(kp.c_Phi * values[0])
 
 
 def isometry_residual(
@@ -403,11 +479,12 @@ def isometry_residual(
         quad = quad or QuadSpec()
         norm_tu = _over_cn(
             combined_form(wd, image.M, image.M).M_R,
-            np.zeros(pt.n),
-            0.0,
+            np.zeros((1, pt.n)),
+            np.zeros(1),
             lambda Z: np.abs(image.poly(Z)) ** 2,
+            2 * image.poly.degree(),
             quad.nodes,
-        ).real
+        )[0].real
     else:
         raise ValueError(f"unknown isometry mode {mode!r}")
     return abs(norm_tu - norm_u) / norm_u
@@ -421,11 +498,17 @@ def round_trip_error(
     wd: WeightData | None = None,
 ) -> float:
     """Max pointwise defect of the quadrature inverse of the exact image
-    ``transform_image(pt, u)`` against the original test function."""
+    ``transform_image(pt, u)`` against the original test function; all
+    points of ``xs`` are inverted by one quadrature call, one row each."""
+    quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
     image = transform_image(pt, u)
     xs = np.asarray(xs, dtype=float).reshape(-1, pt.n)
-    return max(
-        (abs(inverse_transform(pt, image, x, quad, wd) - complex(u(x))) for x in xs),
-        default=0.0,
+    if xs.shape[0] == 0:
+        return 0.0
+    _require_finite(xs, "xs")
+    P, beta, c = _inverse_exponent(pt, image, xs, wd)
+    values = pt.c_phi * _over_cn(
+        P, beta, c, image.poly, image.poly.degree(), quad.nodes, quad.center
     )
+    return float(np.max(np.abs(values - u(xs))))

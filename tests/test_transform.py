@@ -292,6 +292,11 @@ class TestTransformImage:
         with pytest.raises(sb.DimensionMismatch):
             sb.transform_image(bargmann_triple(2), sb.TestFunction.hermite_basis((0,)))
 
+    def test_degree(self):
+        u = sb.TestFunction(2, {(1, 2): 1.0, (3, 1): 0.5j, (0, 1): 2.0})
+        assert u.degree() == 4
+        assert sb.TestFunction(2, {}).degree() == 0
+
     def test_exact_paths_use_no_quadrature(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("quadrature called")
@@ -370,14 +375,16 @@ class TestGhsClosedForms:
 
     @pytest.mark.parametrize("slab", [750, 7])
     def test_slab_boundaries_do_not_change_values(self, monkeypatch, slab):
-        # 750 points: runs of 5 leading indices over 12^2 trailing nodes, which
-        # divide neither the 144 leading kernel indices nor the 7 batch rows;
-        # 7 points: shorter than one node axis, one leading index per slab
+        # the outer loop takes _SLAB_POINTS // (tail-table rows) outer points
+        # per chunk; at 12 nodes the degree-2 kernel table has 6 x 12 rows
+        # and the degree-3 batch table 10 x 12.  750: chunks of 10 of the 144
+        # outer kernel points and of 6 of the 7 batch rows, dividing neither;
+        # 7: one outer point per chunk
         pt, wd, gen = ghs_data(self.S)
         kp = sb.make_kernel_params(pt, wd)
-        f = random_poly(2, 3, gen.Q, np.random.default_rng(13))
+        f = random_poly(2, 2, gen.Q, np.random.default_rng(13))
         z = [0.3 + 0.1j, -0.4 + 0.2j]
-        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 1): 0.5j, (2, 0): -0.25})
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 1): 0.5j, (2, 0): -0.25, (0, 3): 0.4})
         rng = np.random.default_rng(14)
         Z = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
         quad = sb.QuadSpec(nodes=12)
@@ -388,6 +395,179 @@ class TestGhsClosedForms:
         assert abs(got - kernel) <= 1e-14 * abs(kernel)
         got = sb.transform_batch(pt, u, Z, quad)
         assert np.max(np.abs(got - batch)) <= 1e-14 * np.max(np.abs(batch))
+
+
+def brute_force_gauss_hermite(P, b, c, integrand, nodes, center=None, basis=None):
+    """The tensor Gauss-Hermite sum of ``_gauss_hermite`` taken point by
+    point: the integrand and one exp at every point of the full nodes^d grid
+    w = w_r + t @ L^-1 of the Cholesky window L L^T = Re P.  Returns the
+    sums and the sums of the terms' absolute values, the scale of their
+    rounding error: oscillating kernels cancel by up to 1e3."""
+    dim = P.shape[0]
+    basis = np.eye(dim) if basis is None else basis
+    chol = np.linalg.cholesky(P.real)
+    li = np.linalg.inv(chol)
+    t, wt = np.polynomial.hermite.hermgauss(nodes)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*([t] * dim), indexing="ij")], axis=1)
+    weights = np.prod(
+        np.stack([g.ravel() for g in np.meshgrid(*([wt] * dim), indexing="ij")], axis=1), axis=1
+    )
+    sums, masses = [], []
+    for b_r, c_r in zip(b, c):
+        w_c = np.linalg.solve(2.0 * P.real, b_r.real) if center is None else center
+        w = w_c + grid @ li
+        expo = -np.einsum("qi,ij,qj->q", w, P, w) + w @ b_r + c_r + np.sum(grid * grid, axis=1)
+        terms = weights * np.exp(expo) * integrand(w @ basis)
+        sums.append(np.sum(terms))
+        masses.append(np.sum(np.abs(terms)))
+    scale = np.prod(np.diag(chol))
+    return np.array(sums) / scale, np.array(masses) / scale
+
+
+class TestSumFactorization:
+    """The sum-factorized integrator against the point-by-point tensor sum,
+    and the work it does."""
+
+    @staticmethod
+    def compare_each_call(monkeypatch):
+        """Run the brute-force sum beside every ``_gauss_hermite`` call and
+        return the list of (fast, brute force, term mass) it fills."""
+        fast = transform_module._gauss_hermite
+        pairs = []
+
+        def both(P, b, c, integrand, degree, nodes, center=None, basis=None):
+            got = fast(P, b, c, integrand, degree, nodes, center, basis)
+            want, mass = brute_force_gauss_hermite(P, b, c, integrand, nodes, center, basis)
+            pairs.append((got, want, mass))
+            return got
+
+        monkeypatch.setattr(transform_module, "_gauss_hermite", both)
+        return pairs
+
+    @pytest.mark.parametrize(
+        "n,degrees,nodes",
+        [(1, (0, 1, 4, 6), 12), (2, (0, 2, 3, 5), 12), (3, (1, 3), 8), (3, (6,), 6)],
+    )
+    def test_matches_brute_force(self, monkeypatch, n, degrees, nodes):
+        pairs = self.compare_each_call(monkeypatch)
+        rng = np.random.default_rng(200 + 10 * n + nodes)
+        quad = sb.QuadSpec(nodes=nodes)
+        for degree in degrees:
+            pt = sb.random_phase_triple(n, rng)
+            wd = sb.compute_weight_data(pt)
+            kp = sb.make_kernel_params(pt, wd)
+            m = sb.image_exponent(pt)
+            z = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            sb.kernel_reproduce(kp, wd, random_poly(n, degree, m, rng), z, quad)
+            f = random_poly(n, degree, m, rng)
+            sb.inverse_transform(pt, f, rng.standard_normal(n), quad, wd)
+            u = random_test_function(n, degree, rng)
+            Z = 0.5 * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+            sb.transform_batch(pt, u, Z, quad)
+            if degree <= 3:  # |poly|^2 has degree 2 deg
+                sb.isometry_residual(pt, u, wd, quad, mode="quad")
+        assert len(pairs) >= 3 * len(degrees)
+        for got, want, mass in pairs:
+            assert np.all(np.abs(got - want) <= 1e-13 * mass)
+
+    def test_matches_brute_force_at_fixed_center(self, monkeypatch):
+        pairs = self.compare_each_call(monkeypatch)
+        rng = np.random.default_rng(230)
+        for n in (1, 2):
+            pt = sb.random_phase_triple(n, rng)
+            wd = sb.compute_weight_data(pt)
+            kp = sb.make_kernel_params(pt, wd)
+            f = random_poly(n, 3, sb.image_exponent(pt), rng)
+            z = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=10, center=np.full(2 * n, 0.1)))
+            u = random_test_function(n, 4, rng)
+            Z = 0.2 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+            sb.transform_batch(pt, u, Z, sb.QuadSpec(nodes=12, center=np.full(n, -0.1)))
+        assert len(pairs) == 4
+        for got, want, mass in pairs:
+            assert np.all(np.abs(got - want) <= 1e-13 * mass)
+
+    def test_kernel_evaluates_integrand_on_projection_grid_only(self):
+        # n = 2, 32 nodes, degree 3: 2 lead and 2 tail axes, so the integrand
+        # sees 32^2 outer points x 4^2 projection points, not the 32^4 grid
+        calls = []
+
+        class CountingPoly(sb.PolyC):
+            def __call__(self, z):
+                calls.append(np.asarray(z).reshape(-1, self.n).shape[0])
+                return super().__call__(z)
+
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        terms = random_poly(2, 3, gen.Q, np.random.default_rng(11)).poly.terms
+        f = sb.GaussPoly(CountingPoly(2, terms), gen.Q)
+        z = [0.3 + 0.1j, -0.4 + 0.2j]
+        got = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=32))
+        assert 0 < sum(calls) <= 32**2 * 4**2
+        assert abs(got - sb.evaluate(f, z)) <= 1e-10 * abs(got)
+
+    def test_round_trip_inverts_all_points_in_one_call(self, monkeypatch):
+        calls = []
+        fast = transform_module._gauss_hermite
+
+        def counting(P, b, c, *args):
+            calls.append(b.shape[0])
+            return fast(P, b, c, *args)
+
+        pt, wd, _ = em_data(0.3)
+        u = sb.TestFunction(1, {(0,): 1.0, (1,): 0.5j, (2,): -0.75})
+        xs = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
+        image = sb.transform_image(pt, u)
+        each = max(abs(sb.inverse_transform(pt, image, x, QUAD, wd) - u(x)) for x in xs)
+        monkeypatch.setattr(transform_module, "_gauss_hermite", counting)
+        err = sb.round_trip_error(pt, u, xs, QUAD, wd)
+        assert calls == [7]
+        assert abs(err - each) <= 1e-13 * math.sqrt(u.norm_sq())
+
+
+class TestQuadratureInputs:
+    """Malformed inputs at the quadrature entry points raise named errors."""
+
+    def test_center_of_wrong_length(self):
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        quad = sb.QuadSpec(nodes=8, center=np.zeros(2))  # C^2 integrals live in R^4
+        with pytest.raises(sb.DimensionMismatch, match="center"):
+            sb.kernel_reproduce(kp, wd, sb.ground_state(gen), [0.0, 0.0], quad)
+        u0 = sb.TestFunction.hermite_basis((0, 0))
+        with pytest.raises(sb.DimensionMismatch, match="center"):
+            sb.transform(pt, u0, [0.0, 0.0], sb.QuadSpec(nodes=8, center=np.zeros(3)))
+
+    def test_kernel_point_of_wrong_length(self):
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        with pytest.raises(sb.DimensionMismatch):
+            sb.kernel_reproduce(kp, wd, sb.ground_state(gen), [0.0], sb.QuadSpec(nodes=8))
+
+    def test_kernel_function_of_wrong_dimension(self):
+        pt, wd, _ = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        f = sb.GaussPoly(sb.PolyC.constant(1), np.eye(1))
+        with pytest.raises(sb.DimensionMismatch):
+            sb.kernel_reproduce(kp, wd, f, [0.0, 0.0], sb.QuadSpec(nodes=8))
+        with pytest.raises(sb.DimensionMismatch):
+            sb.inverse_transform(pt, f, [0.0, 0.0], sb.QuadSpec(nodes=8), wd)
+
+    @pytest.mark.parametrize("name", ["z", "x", "Z", "xs"])
+    def test_non_finite_point(self, name):
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        quad = sb.QuadSpec(nodes=8)
+        u0 = sb.TestFunction.hermite_basis((0, 0))
+        bad = [0.1, np.nan]
+        calls = {
+            "z": lambda: sb.kernel_reproduce(kp, wd, sb.ground_state(gen), bad, quad),
+            "x": lambda: sb.inverse_transform(pt, sb.ground_state(gen), bad, quad, wd),
+            "Z": lambda: sb.transform_batch(pt, u0, [bad], quad),
+            "xs": lambda: sb.round_trip_error(pt, u0, [bad], quad, wd),
+        }
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            calls[name]()
 
 
 class TestHermiteEvaluation:
