@@ -274,7 +274,8 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
 def _raising_chain(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> dict:
     """op^alpha ``ground`` for every |alpha| <= max_degree, each from a built
     entry by one application of the component at the first nonzero index;
-    the components commute, so the path does not matter (tests assert it)."""
+    the components commute, so the path does not matter (tests assert it).
+    Unrolled, a member applies the components last coordinate first."""
     if max_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
     chain: dict[tuple[int, ...], GaussPoly] = {}
@@ -297,23 +298,59 @@ def hermite_family(
     return _raising_chain(creation_ops(wd, gen), ground_state(gen), max_total_degree)
 
 
+def _rodrigues_ground(gen: GeneratorData) -> GaussPoly:
+    """1 * exp(-<z,(S+Q)z>), the Gaussian the Rodrigues formula differentiates."""
+    return GaussPoly(PolyC.constant(gen.n, 1.0), gen.SQ)
+
+
+def _unshifted(gp: GaussPoly, gen: GeneratorData) -> GaussPoly:
+    """e^{<z,Sz>} gp: exact exponent arithmetic, never a numeric evaluation."""
+    return GaussPoly(gp.poly, gp.M - gen.S)
+
+
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     """Family member via the closed form
     e^{<z,Sz>} Xi^alpha e^{-<z,(S+Q)z>}.
 
-    Xi^alpha is applied symbolically to 1 * exp(-<z,(S+Q)z>); the final
-    multiplication by e^{<z,Sz>} is exact exponent arithmetic (subtract S
-    from the exponent matrix), never a numeric evaluation.
+    Xi^alpha is applied symbolically to 1 * exp(-<z,(S+Q)z>), last
+    coordinate first, the order in which :func:`_rodrigues_family` builds
+    it, so both agree bit for bit; the final multiplication by e^{<z,Sz>}
+    subtracts S from the exponent matrix.  Entries of ``alpha`` must be
+    nonnegative integers.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(alpha)
     if len(alpha) != gen.n:
         raise DimensionMismatch("alpha has the wrong length")
+    if any(not float(a).is_integer() or a < 0 for a in alpha):
+        raise ValueError(f"alpha must have nonnegative integer entries, got {alpha}")
     xi = xi_ops(gen)
-    gp = GaussPoly(PolyC.constant(gen.n, 1.0), gen.SQ)
-    for i, count in enumerate(alpha):
-        for _ in range(count):
+    gp = _rodrigues_ground(gen)
+    for i in reversed(range(gen.n)):
+        for _ in range(int(alpha[i])):
             gp = apply_op(xi, i, gp)
-    return GaussPoly(gp.poly, gp.M - gen.S)
+    return _unshifted(gp, gen)
+
+
+def _rodrigues_family(gen: GeneratorData, max_total_degree: int) -> dict:
+    """rodrigues(alpha) for every |alpha| <= max_total_degree from one raising
+    chain of Xi: each member is one Xi application to a built one."""
+    chain = _raising_chain(xi_ops(gen), _rodrigues_ground(gen), max_total_degree)
+    return {alpha: _unshifted(gp, gen) for alpha, gp in chain.items()}
+
+
+def _hamiltonian(gen: GeneratorData, ladder: tuple, gp: GaussPoly) -> GaussPoly:
+    """:func:`hamiltonian_apply` with the (lowering, raising) operator pair
+    built by the caller."""
+    scale = max(1.0, mx.max_abs(gen.Q))
+    if mx.max_abs(gp.M - gen.Q) > 1e-12 * scale:
+        raise MExponentMismatch("argument exponent differs from the generator Q")
+    low, high = ladder
+    # one dict for rho^2 gp + sum_i raise_i lower_i gp, added in that order
+    acc = {k: gen.rho2 * v for k, v in gp.poly.terms.items()}
+    for i in range(gen.n):
+        for k, v in apply_op(high, i, apply_op(low, i, gp)).poly.terms.items():
+            acc[k] = acc.get(k, 0.0) + v
+    return GaussPoly(PolyC(gp.n, acc), gp.M)
 
 
 def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> GaussPoly:
@@ -321,17 +358,7 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
 
     The argument must carry the generator exponent Q.
     """
-    scale = max(1.0, mx.max_abs(gen.Q))
-    if mx.max_abs(gp.M - gen.Q) > 1e-12 * scale:
-        raise MExponentMismatch("argument exponent differs from the generator Q")
-    low = annihilation_ops(gen.Q)
-    high = creation_ops(wd, gen)
-    # one dict for rho^2 gp + sum_i raise_i lower_i gp, added in that order
-    acc = {k: gen.rho2 * v for k, v in gp.poly.terms.items()}
-    for i in range(gen.n):
-        for k, v in apply_op(high, i, apply_op(low, i, gp)).poly.terms.items():
-            acc[k] = acc.get(k, 0.0) + v
-    return GaussPoly(PolyC(gp.n, acc), gp.M)
+    return _hamiltonian(gen, (annihilation_ops(gen.Q), creation_ops(wd, gen)), gp)
 
 
 def evaluate(gp: GaussPoly, z) -> complex:

@@ -11,6 +11,13 @@ call adds, so sparse high-degree arguments cost only their own entries.  An
 inner product is the bilinear form f^T Mom[rows, cols] conj(g) on
 coefficient vectors and the Gram matrix of a family is one product
 P Mom P^H.  No quadrature error enters anywhere.
+
+Callers that need many products work stage-wide: all arguments go into one
+coefficient matrix P, and any set of pairs (l, r) is one row sum of
+(P Mom)[l] * conj(P)[r] (``_pair_inners``); expanding many functions in a
+family is one matrix too (``_expansions``).  ``hphi_inner`` and
+``expand_in_family`` are the one-pair and one-row cases of these, so no
+inner product is implemented twice.
 """
 
 from __future__ import annotations
@@ -198,16 +205,24 @@ def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
     return mc
 
 
-def _coeff_matrix(mc: MomentCache, gps) -> tuple[np.ndarray, np.ndarray]:
+def _coeff_matrix(
+    mc: MomentCache, gps, product_degree: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of ``gps`` as rows over their monomials, and the moment
     matrix of those monomials.
 
-    Raises DegreeCapExceeded if products of two rows would exceed the cap.
+    ``product_degree`` is the largest degree of a product of two rows the
+    caller contracts, twice the top row degree by default.  Raises
+    DegreeCapExceeded if it passes the cap.  Below it, moment entries past
+    the cap read as zero: they pair only coefficients of rows whose product
+    the caller does not take.
     """
-    degree = max(gp.poly.degree() for gp in gps)
-    if 2 * degree > mc.degree_cap:
+    top = max(gp.poly.degree() for gp in gps)
+    if product_degree is None:
+        product_degree = 2 * top
+    if product_degree > mc.degree_cap:
         raise DegreeCapExceeded(
-            f"product degree {2 * degree} exceeds the moment cap {mc.degree_cap}"
+            f"product degree {product_degree} exceeds the moment cap {mc.degree_cap}"
         )
     monos = list(dict.fromkeys(m for gp in gps for m in gp.poly.terms))
     col = {m: k for k, m in enumerate(monos)}
@@ -216,7 +231,44 @@ def _coeff_matrix(mc: MomentCache, gps) -> tuple[np.ndarray, np.ndarray]:
         for mono, c in gp.poly.terms.items():
             out[r, col[mono]] = c
     pos = _positions(mc, monos)
-    return out, mc.moments[np.ix_(pos, pos)]
+    mom = mc.moments[np.ix_(pos, pos)]
+    if 2 * top > mc.degree_cap:
+        mom[np.isnan(mom)] = 0.0
+    return out, mom
+
+
+def _row_inners(mom: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[k] Mom conj(right[k]) for every row k: the row sums of
+    (left Mom) * conj(right)."""
+    return np.einsum("ij,ij->i", left @ mom, right.conj())
+
+
+def _pair_inners(mc: MomentCache, gps, left, right) -> np.ndarray:
+    """Inner products (gps[l], gps[r]) for the index pairs of ``left`` and
+    ``right``, from one coefficient matrix of all of ``gps``."""
+    degs = [gp.poly.degree() for gp in gps]
+    p, mom = _coeff_matrix(mc, gps, max(degs[l] + degs[r] for l, r in zip(left, right)))
+    return mc.form.normalizer * _row_inners(mom, p[left], p[right])
+
+
+def _expansions(
+    mc: MomentCache, fs, members
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of ``fs`` against the normalized ``members``, from one coefficient
+    matrix: the coefficients (one row per f), the residual norms
+    ||f - sum c_a psi_a / ||psi_a|| || and the norms ||f||.
+
+    Residuals come from the coefficient remainder, not from a Parseval
+    shortcut.
+    """
+    p, mom = _coeff_matrix(mc, [*fs, *members])
+    mom = mc.form.normalizer * mom
+    f, pm = p[: len(fs)], p[len(fs):]
+    norms = np.sqrt(np.maximum(_row_inners(mom, pm, pm).real, 0.0))
+    c = (f @ mom @ pm.conj().T) / norms
+    remainder = f - (c / norms) @ pm
+    residuals = np.sqrt(np.maximum(_row_inners(mom, remainder, remainder).real, 0.0))
+    return c, residuals, np.sqrt(np.maximum(_row_inners(mom, f, f).real, 0.0))
 
 
 def hphi_inner(
@@ -232,19 +284,7 @@ def hphi_inner(
         form = combined_form(wd, F.M, G.M)
         cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
     cache = _checked_cache(cache, (F, G), wd)
-    dF, dG = F.poly.degree(), G.poly.degree()
-    if dF + dG > cache.degree_cap:
-        raise DegreeCapExceeded(
-            f"product degree {dF + dG} exceeds the moment cap {cache.degree_cap}"
-        )
-    if not F.poly.terms or not G.poly.terms:
-        return 0.0 + 0.0j
-    nf = len(F.poly.terms)
-    pos = _positions(cache, [*F.poly.terms, *G.poly.terms])
-    block = cache.moments[np.ix_(pos[:nf], pos[nf:])]
-    f = np.fromiter(F.poly.terms.values(), dtype=complex, count=nf)
-    g = np.fromiter(G.poly.terms.values(), dtype=complex, count=len(pos) - nf)
-    return cache.form.normalizer * complex(f @ block @ g.conj())
+    return complex(_pair_inners(cache, (F, G), [0], [1])[0])
 
 
 def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
@@ -313,13 +353,7 @@ def expand_in_family(
     missing = [a for a in needed if a not in family]
     if missing:
         raise IncompleteFamily(f"family lacks indices {missing[:4]} (degree {deg})")
-    gps = [F] + [family[a] for a in needed]
-    cache = _checked_cache(cache, gps, wd)
-    p, mom = _coeff_matrix(cache, gps)
-    mom = cache.form.normalizer * mom
-    f, pm = p[0], p[1:]
-    norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", pm @ mom, pm.conj()).real, 0.0))
-    c = (pm.conj() @ mom.T @ f) / norms
-    remainder = f - (c / norms) @ pm
-    residual = math.sqrt(max(complex(remainder @ mom @ remainder.conj()).real, 0.0))
-    return dict(zip(needed, c.tolist())), residual
+    members = [family[a] for a in needed]
+    cache = _checked_cache(cache, [F, *members], wd)
+    c, residuals, _ = _expansions(cache, [F], members)
+    return dict(zip(needed, c[0].tolist())), float(residuals[0])

@@ -3,6 +3,16 @@
 A run parses a config, constructs the generator, then measures every
 verifiable identity as a named residual with a named tolerance.  Reports
 are deterministic for a fixed config and seed, timings aside.
+
+Stages work on whole families, not pair by pair.  The adjoint stage puts
+its ten random (f, g, i) triples, as f, g, lower_i f and raise_i g, into
+one coefficient matrix and takes every inner product and norm from it;
+completeness takes one matrix per degree d, holding every z^beta with
+|beta| = d and the members |alpha| <= d.  The eigen stage builds the
+ladder operators once.  The Rodrigues stage builds every closed-form
+member from one raising chain of Xi on exp(-<z,(S+Q)z>), one application
+per member; ``rodrigues`` applies Xi in the same order, last coordinate
+first, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,20 +30,17 @@ from .errors import ConfigError
 from .gausspoly import (
     GaussPoly,
     PolyC,
+    _hamiltonian,
+    _rodrigues_family,
+    annihilation_ops,
+    apply_op,
     coeff_distance,
-    hamiltonian_apply,
+    creation_ops,
     hermite_family,
     mi_factorial,
     multi_indices,
-    rodrigues,
 )
-from .integrals import (
-    adjoint_residual,
-    expand_in_family,
-    gram_matrix,
-    hphi_norm,
-    make_moment_cache,
-)
+from .integrals import _expansions, _pair_inners, gram_matrix, make_moment_cache
 from .model import (
     build_generator,
     ccr_matrix,
@@ -324,10 +331,11 @@ class VerificationReport:
 def _random_gausspoly(
     n: int, degree: int, M: np.ndarray, rng: np.random.Generator
 ) -> GaussPoly:
-    terms = {}
-    for alpha in multi_indices(n, degree):
-        terms[alpha] = complex(rng.standard_normal(), rng.standard_normal())
-    return GaussPoly(PolyC(n, terms), M)
+    """Random complex coefficients on every |alpha| <= degree, drawn as one
+    normal vector: real parts from its even entries, imaginary from its odd."""
+    alphas = multi_indices(n, degree)
+    coeffs = rng.standard_normal(2 * len(alphas)).view(complex)
+    return GaussPoly(PolyC(n, dict(zip(alphas, coeffs))), M)
 
 
 class _StageTimer:
@@ -416,61 +424,72 @@ def run_verify(config: RunConfig) -> VerificationReport:
     def gram():
         cache = make_moment_cache(wd, gen.Q)
         keys, g = gram_matrix(family, wd, cache)
-        norm0 = g[0, 0].real
-        diag_rel = 0.0
-        offdiag_rel = 0.0
-        for a, ka in enumerate(keys):
-            predicted = (2.0 * rho2) ** sum(ka) * mi_factorial(ka) * norm0
-            diag_rel = max(diag_rel, abs(g[a, a] - predicted) / g[a, a].real)
-            for b in range(len(keys)):
-                if b != a:
-                    offdiag_rel = max(offdiag_rel, abs(g[a, b]) / g[a, a].real)
-        res["gram_diag_maxrel"] = diag_rel
-        res["gram_max_offdiag"] = offdiag_rel
+        diag = g.diagonal().real  # the imaginary parts are exactly zero
+        predicted = [(2.0 * rho2) ** sum(k) * mi_factorial(k) * diag[0] for k in keys]
+        res["gram_diag_maxrel"] = float(np.max(np.abs(diag - predicted) / diag))
+        # hypot, not np.abs: it rounds |g_ab| as the scalar abs() does
+        offdiag = np.hypot(g.real, g.imag) / diag[:, None]
+        np.fill_diagonal(offdiag, 0.0)
+        res["gram_max_offdiag"] = float(np.max(offdiag))
         return cache
 
     # one moment cache, grown over the family monomials here, serves every later stage
     cache = timer.run("gram", gram)
 
     def eigen():
+        ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
         worst = 0.0
         for alpha, member in family.items():
-            image = hamiltonian_apply(wd, gen, member)
+            image = _hamiltonian(gen, ladder, member)
             expected = member.scaled((2.0 * sum(alpha) + 1.0) * rho2)
             diff, scale = coeff_distance(image, expected)
             worst = max(worst, diff / max(scale, 1e-300))
         res["eigen_max"] = worst
+        return ladder
 
-    timer.run("eigen", eigen)
+    # the (lowering, raising) pair built once here serves the adjoint stage too
+    ladder = timer.run("eigen", eigen)
 
     def rodrig():
+        # every member from one shared-prefix chain of Xi, not one Xi^alpha each
+        closed = _rodrigues_family(gen, config.max_degree)
         worst = 0.0
         for alpha, member in family.items():
-            diff, scale = coeff_distance(rodrigues(wd, gen, alpha), member)
+            diff, scale = coeff_distance(closed[alpha], member)
             worst = max(worst, diff / max(scale, 1e-300))
         res["rodrigues_max"] = worst
 
     timer.run("rodrigues", rodrig)
 
     def adjoint():
+        # rows 4t..4t+3 of one coefficient matrix: f, g, lower_i f, raise_i g
         rng = np.random.default_rng(config.seed)
-        worst = 0.0
+        low, high = ladder
+        rows = []
         for _ in range(10):
             f = _random_gausspoly(n, 3, gen.Q, rng)
             g = _random_gausspoly(n, 3, gen.Q, rng)
             i = int(rng.integers(0, n))
-            scale = hphi_norm(f, wd, cache) * hphi_norm(g, wd, cache)
-            worst = max(worst, adjoint_residual(wd, gen, f, g, i, cache) / scale)
-        res["adjoint_max"] = worst
+            rows += [f, g, apply_op(low, i, f), apply_op(high, i, g)]
+        t = 4 * np.arange(10)
+        # (lower f, g), (f, raise g), (f, f), (g, g) for every triple
+        left = np.concatenate([t + 2, t, t, t + 1])
+        right = np.concatenate([t + 1, t + 3, t, t + 1])
+        lhs, rhs, ff, gg = _pair_inners(cache, rows, left, right).reshape(4, 10)
+        scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
+        res["adjoint_max"] = float(np.max(np.abs(lhs - rhs) / scale))
 
     timer.run("adjoint", adjoint)
 
     def completeness():
+        # per degree d, every z^beta with |beta| = d against the members |alpha| <= d
         worst = 0.0
-        for beta in multi_indices(n, min(3, config.max_degree)):
-            f = GaussPoly(PolyC.monomial(beta), gen.Q)
-            _, residual = expand_in_family(f, family, wd, cache)
-            worst = max(worst, residual / hphi_norm(f, wd, cache))
+        for d in range(min(3, config.max_degree) + 1):
+            needed = multi_indices(n, d)
+            monos = [GaussPoly(PolyC.monomial(b), gen.Q) for b in needed if sum(b) == d]
+            members = [family[a] for a in needed]
+            _, residuals, norms = _expansions(cache, monos, members)
+            worst = max(worst, float(np.max(residuals / norms)))
         res["completeness_residual"] = worst
 
     timer.run("completeness", completeness)

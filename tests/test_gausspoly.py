@@ -7,6 +7,7 @@ import pytest
 
 import sbhermite as sb
 from sbhermite.errors import MExponentMismatch
+from sbhermite.gausspoly import _rodrigues_family
 
 from helpers import SWAP2, assert_gp_close, bargmann_data, em_data, ghs_data, random_poly
 
@@ -196,6 +197,44 @@ class TestRodrigues:
         gp = sb.apply_op(display, 0, gp)
         out = sb.GaussPoly(gp.poly, gp.M - gen.S)
         assert_gp_close(out, fam[(1, 0)], 1e-12, "display operator form")
+
+    @pytest.mark.parametrize("case", ["em", "ghs", 1, 2, 3, 4])
+    def test_shared_chain_equals_rodrigues_bit_for_bit(self, case):
+        # the verify stage builds every member from one chain of Xi; the
+        # one-index function applies Xi in the chain's order, last
+        # coordinate first, so the two agree exactly, also at n >= 2
+        if case == "em":
+            (_, wd, gen), degree = em_data(0.4), 6
+        elif case == "ghs":
+            (_, wd, gen), degree = ghs_data(0.6), 5
+        else:
+            _, wd, gen = sb.random_generator(case, np.random.default_rng(900 + case))
+            degree = {1: 6, 2: 5, 3: 4, 4: 3}[case]
+        chain = _rodrigues_family(gen, degree)
+        assert list(chain) == sb.multi_indices(gen.n, degree)
+        for alpha, member in chain.items():
+            single = sb.rodrigues(wd, gen, alpha)
+            assert single.poly.terms == member.poly.terms, alpha
+            assert np.array_equal(single.M, member.M), alpha
+
+    @pytest.mark.parametrize("alpha", [(-2,), (1.7,), (float("nan"),), (float("inf"),)])
+    def test_invalid_index_rejected(self, alpha):
+        _, wd, gen = em_data(0.5)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sb.rodrigues(wd, gen, alpha)
+
+    def test_invalid_entry_rejected_at_n2(self):
+        _, wd, gen = ghs_data(0.5)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sb.rodrigues(wd, gen, (1, -1))
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sb.rodrigues(wd, gen, (0.5, 1))
+
+    def test_integral_float_entries_accepted(self):
+        _, wd, gen = ghs_data(0.5)
+        want = sb.rodrigues(wd, gen, (2, 1))
+        got = sb.rodrigues(wd, gen, (2.0, np.int64(1)))
+        assert got.poly.terms == want.poly.terms
 
 
 class TestHamiltonian:

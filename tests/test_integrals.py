@@ -14,6 +14,7 @@ from sbhermite.errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
+from sbhermite.integrals import _expansions, _pair_inners
 
 from helpers import bargmann_data, em_data, ghs_data, random_poly
 
@@ -381,3 +382,59 @@ class TestExpandInFamily:
         f = sb.GaussPoly(sb.PolyC.monomial((2,)), gen.Q)
         with pytest.raises(IncompleteFamily):
             sb.expand_in_family(f, fam, wd)
+
+
+def batching_case(case):
+    """(wd, gen) of a golden family or of a random triple of dimension ``case``."""
+    if case == "em":
+        _, wd, gen = em_data(0.4)
+    elif case == "ghs":
+        _, wd, gen = ghs_data(0.6)
+    else:
+        _, wd, gen = sb.random_generator(case, np.random.default_rng(500 + case))
+    return wd, gen
+
+
+class TestBatchedCore:
+    """The stage-wide core against its one-pair and one-row public cases."""
+
+    @pytest.mark.parametrize("case", ["em", "ghs", 1, 2, 3, 4])
+    def test_pair_inners_match_hphi_inner(self, case):
+        wd, gen = batching_case(case)
+        n = wd.n
+        rng = np.random.default_rng(61)
+        low, high = sb.annihilation_ops(gen.Q), sb.creation_ops(wd, gen)
+        rows = []
+        for _ in range(3):
+            f, g = random_poly(n, 3, gen.Q, rng), random_poly(n, 3, gen.Q, rng)
+            i = int(rng.integers(0, n))
+            rows += [f, g, sb.apply_op(low, i, f), sb.apply_op(high, i, g)]
+        rows += list(sb.hermite_family(wd, gen, 2).values())
+        left, right = np.divmod(np.arange(len(rows) ** 2), len(rows))
+        cache = sb.make_moment_cache(wd, gen.Q)
+        got = _pair_inners(cache, rows, left, right)
+        norms = [sb.hphi_norm(r, wd, cache) for r in rows]
+        for k, (a, b) in enumerate(zip(left, right)):
+            want = sb.hphi_inner(rows[a], rows[b], wd, cache)
+            assert abs(got[k] - want) <= 1e-13 * norms[a] * norms[b], (a, b)
+
+    @pytest.mark.parametrize("case", ["em", "ghs", 1, 2, 3, 4])
+    def test_expansions_match_expand_in_family(self, case):
+        wd, gen = batching_case(case)
+        n = wd.n
+        fam = sb.hermite_family(wd, gen, 3)
+        cache = sb.make_moment_cache(wd, gen.Q)
+        for d in range(4):
+            betas = [b for b in sb.multi_indices(n, d) if sum(b) == d]
+            monos = [sb.GaussPoly(sb.PolyC.monomial(b), gen.Q) for b in betas]
+            needed = sb.multi_indices(n, d)
+            coeffs, residuals, norms = _expansions(cache, monos, [fam[a] for a in needed])
+            for k, f in enumerate(monos):
+                scale = sb.hphi_norm(f, wd, cache)
+                want, want_res = sb.expand_in_family(f, fam, wd, cache)
+                assert abs(norms[k] - scale) <= 1e-13 * scale
+                assert abs(residuals[k] - want_res) <= 1e-13 * scale
+                for j, a in enumerate(needed):
+                    assert abs(coeffs[k, j] - want[a]) <= 1e-13 * scale, (betas[k], a)
+                    pair = sb.hphi_inner(f, fam[a], wd, cache) / sb.hphi_norm(fam[a], wd, cache)
+                    assert abs(coeffs[k, j] - pair) <= 1e-13 * scale, (betas[k], a)

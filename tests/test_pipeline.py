@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ import pytest
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
 from sbhermite.errors import ConfigError, NonIntegrableWeight
-from sbhermite.pipeline import RunConfig, StageFailure, run_example, run_verify
+from sbhermite.pipeline import (
+    RunConfig,
+    StageFailure,
+    _random_gausspoly,
+    run_example,
+    run_verify,
+)
 
 
 def em_config_dict(s=0.5, **overrides):
@@ -408,3 +415,93 @@ class TestPartialReport:
         report = run_verify(RunConfig.from_dict(em_config_dict(max_degree=2)))
         out = report.to_dict()
         assert out["failed_stage"] is None and out["error_type"] is None
+
+
+class TestStageWork:
+    """Stage-wide batching: the draws it keeps and the work it does."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_adjoint_draws_match_scalar_recipe(self, n):
+        # one vector draw gives the coefficients of two scalar draws per
+        # term and leaves the next index draw where it was
+        M = 0.5 * np.eye(n)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            gp = _random_gausspoly(n, 3, M, rng)
+            want = {
+                alpha: complex(ref.standard_normal(), ref.standard_normal())
+                for alpha in sb.multi_indices(n, 3)
+            }
+            assert gp.poly.terms == want
+            assert int(rng.integers(0, n)) == int(ref.integers(0, n))
+
+    @staticmethod
+    def n2_deg6_config(seed=31):
+        pt = sb.random_phase_triple(2, np.random.default_rng(seed))
+        return RunConfig.from_dict(
+            {
+                "n": 2,
+                "A": sb.pipeline.encode_matrix(pt.A),
+                "B": sb.pipeline.encode_matrix(pt.B),
+                "C": sb.pipeline.encode_matrix(pt.C),
+                "rho_fraction": 0.5,
+                "X": {"phases": [0.3, 1.2]},
+                "max_degree": 6,
+                "seed": 7,
+            }
+        )
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_gram_verdicts_match_pairwise_loop(self, seed):
+        cfg = self.n2_deg6_config(seed)
+        report = run_verify(cfg)
+        wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
+        gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
+        keys, g = sb.gram_matrix(sb.hermite_family(wd, gen, cfg.max_degree), wd)
+        diag_rel = offdiag_rel = 0.0
+        for a, ka in enumerate(keys):
+            predicted = (2.0 * gen.rho2) ** sum(ka) * sb.mi_factorial(ka) * g[0, 0].real
+            diag_rel = max(diag_rel, abs(g[a, a] - predicted) / g[a, a].real)
+            for b in range(len(keys)):
+                if b != a:
+                    offdiag_rel = max(offdiag_rel, abs(g[a, b]) / g[a, a].real)
+        assert report.residuals["gram_diag_maxrel"] == diag_rel
+        assert report.residuals["gram_max_offdiag"] == offdiag_rel
+
+    def test_call_counts_per_stage(self, monkeypatch):
+        cfg = self.n2_deg6_config()
+        calls = Counter()
+        stage = [None]
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[stage[0], name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        names = ("apply_op", "creation_ops", "hphi_inner", "_coeff_matrix")
+        for mod in (sb.gausspoly, sb.integrals, sb.pipeline):
+            for name in names:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        run_stage = sb.pipeline._StageTimer.run
+
+        def staged(self, name, fn):
+            stage[0] = name
+            try:
+                return run_stage(self, name, fn)
+            finally:
+                stage[0] = None
+
+        monkeypatch.setattr(sb.pipeline._StageTimer, "run", staged)
+        report = run_verify(cfg)
+        assert report.failed_stage is None
+        members = len(sb.multi_indices(2, 6))
+        assert calls["adjoint", "hphi_inner"] == calls["completeness", "hphi_inner"] == 0
+        assert calls["adjoint", "_coeff_matrix"] <= 1
+        assert calls["completeness", "_coeff_matrix"] <= min(3, 6) + 1
+        assert calls["rodrigues", "apply_op"] == members - 1
+        assert calls["eigen", "creation_ops"] == 1
+        assert calls["eigen", "apply_op"] == 2 * 2 * members
+        assert calls["adjoint", "creation_ops"] == 0
