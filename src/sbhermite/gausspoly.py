@@ -4,11 +4,25 @@ Everything here manipulates functions of the form P(z) exp(-<z, M z>) with
 P sparse over multi-indices and M complex symmetric.  First-order operators
 G d/dz + H z keep that class closed: a derivative pulls 2 (M z)_k down into
 the polynomial factor, so application is exact apart from rounding.
+
+Operators act on coefficient blocks: a set of Gaussian polynomials sharing
+one M is a complex matrix with one row per function and one column per
+multi-index of the graded basis |alpha| <= d (``_basis``; each basis is a
+prefix of the next).  One kernel, ``_apply_block``, applies a component of
+a ``LinearDiffOp`` to every row at once: 2n gathers through index maps
+cached per (n, d), summed in a fixed order and pruned row by row.  The
+products are taken on real planes with the rounding of Python's scalar
+complex product; numpy's complex multiply uses fused multiply-adds where
+the CPU has them and rounds differently.  So a row's result does not
+depend on the rows around it, and the kernel reproduces term-by-term
+application bit for bit.  The raising chain builds each degree layer of a
+family from the previous one with one kernel call; ``apply_op``,
+``hamiltonian_apply`` and ``rodrigues`` are its one-row cases.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,14 +36,34 @@ from .model import GeneratorData, WeightData
 PRUNE_REL = 1e-14
 
 
+@functools.lru_cache(maxsize=256)
+def _degree_layer(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The multi-indices with |alpha| = d in lex order."""
+    if n == 0:
+        return ((),) if d == 0 else ()
+    if n == 1:
+        return ((d,),)
+    return tuple(
+        (a,) + rest for a in range(d + 1) for rest in _degree_layer(n - 1, d - a)
+    )
+
+
+@functools.lru_cache(maxsize=128)
+def _basis(n: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """All |alpha| <= max_degree in graded lex order, each degree generated
+    directly; the basis of degree d is a prefix of every larger one."""
+    return tuple(a for d in range(max_degree + 1) for a in _degree_layer(n, d))
+
+
+@functools.lru_cache(maxsize=128)
+def _columns(n: int, max_degree: int) -> dict[tuple[int, ...], int]:
+    """Column of each multi-index in a block over ``_basis(n, max_degree)``."""
+    return {a: k for k, a in enumerate(_basis(n, max_degree))}
+
+
 def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All multi-indices with |alpha| <= max_degree in graded lex order."""
-    out: list[tuple[int, ...]] = []
-    for d in range(max_degree + 1):
-        out.extend(
-            t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d
-        )
-    return out
+    return list(_basis(n, max_degree))
 
 
 def mi_factorial(alpha) -> float:
@@ -215,31 +249,120 @@ class LinearDiffOp:
         return self.G.shape[0]
 
 
+@functools.lru_cache(maxsize=128)
+def _ladder_maps(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps from a block over ``_basis(n, degree)`` onto the columns of
+    ``_basis(n, degree + 1)``, one row per coordinate.
+
+    Derivative map k gathers a + e_k -> a, weighted by a_k + 1; it reaches
+    only the columns |a| < degree, a prefix of the output.  Multiplication
+    map l gathers a - e_l -> a for every output column; a column with
+    a_l = 0 reads a zero pad column appended to the block.
+    """
+    col = _columns(n, degree)
+    inner = _basis(n, degree - 1)
+    out = _basis(n, degree + 1)
+    up = [[col[a[:k] + (a[k] + 1,) + a[k + 1:]] for a in inner] for k in range(n)]
+    weight = [[a[k] + 1.0 for a in inner] for k in range(n)]
+    down = [[col[a[:k] + (a[k] - 1,) + a[k + 1:]] if a[k] else len(col) for a in out]
+            for k in range(n)]
+    return mx.frozen(up, dtype=int), mx.frozen(weight, dtype=float), mx.frozen(down)
+
+
+def _add_terms(acc_re, acc_im, sr: np.ndarray, si: np.ndarray, coef: np.ndarray):
+    """acc += coef[:, t] * s[:, t] for t in order, on real planes: each
+    product rounded as Python's complex product (gr sr - gi si,
+    gr si + gi sr), never as a fused multiply-add, before it is added."""
+    re = sr * coef.real
+    re -= si * coef.imag
+    im = si * coef.real
+    im += sr * coef.imag
+    for t in range(re.shape[1]):
+        acc_re += re[:, t]
+        acc_im += im[:, t]
+
+
+def _apply_block(
+    op: LinearDiffOp, comps, block: np.ndarray, M: np.ndarray, degree: int
+) -> np.ndarray:
+    """Component comps[r] of ``op`` applied to row r of a coefficient block.
+
+    ``block`` holds Gaussian polynomials with exponent M, one row each, over
+    the columns of ``_basis(n, degree)``; ``comps`` is one component index
+    or one per row.  The result is over ``_basis(n, degree + 1)``.  The 2n
+    terms are summed in a fixed order, derivative terms g * (c * a_k) for
+    k = 0..n-1, then multiplication terms h * c for l = 0..n-1, and each row
+    keeps the entries of magnitude at least ``PRUNE_REL`` times its largest
+    one.  A term whose coefficient is zero in every row adds only zeros and
+    is skipped (the lowering operators have G = 1).
+    """
+    n, rows = op.n, block.shape[0]
+    up, weight, down = _ladder_maps(n, degree)
+    # d/dz_k (P e^{-<z,Mz>}) = (dP/dz_k - 2 (M z)_k P) e^{-<z,Mz>}
+    g = op.G[comps].reshape(-1, n, 1)
+    h = (op.H - 2.0 * op.G @ M)[comps].reshape(-1, n, 1)
+    cols = len(_basis(n, degree + 1))
+    acc_re, acc_im = np.zeros((rows, cols)), np.zeros((rows, cols))
+    live = np.flatnonzero(g.any(axis=(0, 2)))
+    if live.size and up.shape[1]:
+        shape, idx, w = (rows, live.size, up.shape[1]), up[live].ravel(), weight[live]
+        sr = block.real.take(idx, axis=1).reshape(shape) * w
+        si = block.imag.take(idx, axis=1).reshape(shape) * w
+        _add_terms(acc_re[:, : shape[2]], acc_im[:, : shape[2]], sr, si, g[:, live])
+    live = np.flatnonzero(h.any(axis=(0, 2)))
+    if live.size:
+        padded = np.zeros((rows, block.shape[1] + 1), dtype=complex)
+        padded[:, :-1] = block
+        shape, idx = (rows, live.size, cols), down[live].ravel()
+        sr = padded.real.take(idx, axis=1).reshape(shape)
+        si = padded.imag.take(idx, axis=1).reshape(shape)
+        _add_terms(acc_re, acc_im, sr, si, h[:, live])
+    size = np.hypot(acc_re, acc_im)
+    keep = size >= PRUNE_REL * size.max(axis=1, keepdims=True)
+    out = np.zeros((rows, cols), dtype=complex)
+    out.real[keep] = acc_re[keep]
+    out.imag[keep] = acc_im[keep]
+    return out
+
+
+def _block_of(polys, degree: int) -> np.ndarray:
+    """Coefficient block of ``polys`` over ``_basis(n, degree)``."""
+    out = np.zeros((len(polys), len(_basis(polys[0].n, degree))), dtype=complex)
+    col = _columns(polys[0].n, degree)
+    for r, p in enumerate(polys):
+        out[r, [col[a] for a in p.terms]] = list(p.terms.values())
+    return out
+
+
+def _padded(block: np.ndarray, n: int, degree: int) -> np.ndarray:
+    """``block`` with zero columns appended up to ``_basis(n, degree)``."""
+    out = np.zeros((block.shape[0], len(_basis(n, degree))), dtype=complex)
+    out[:, : block.shape[1]] = block
+    return out
+
+
+def _polys_of(block: np.ndarray, n: int, degree: int) -> list[PolyC]:
+    """One PolyC per row of a block over ``_basis(n, degree)``, holding the
+    nonzero entries in column order."""
+    basis = _basis(n, degree)
+    out = []
+    for row in block:
+        nz = np.flatnonzero(row)
+        out.append(PolyC._clean(n, dict(zip([basis[j] for j in nz], row[nz].tolist()))))
+    return out
+
+
 def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     """Apply component i of a first-order operator to a Gaussian polynomial.
 
     The result keeps the same exponent matrix; the polynomial degree rises
-    by at most one.
+    by at most one.  This is the one-row case of ``_apply_block``.
     """
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
-    # d/dz_k (P e^{-<z,Mz>}) = (dP/dz_k - 2 (M z)_k P) e^{-<z,Mz>}
-    h_eff = op.H - 2.0 * op.G @ gp.M
-    out: dict[tuple[int, ...], complex] = {}
-    for k in range(gp.n):
-        g = complex(op.G[i, k])
-        if g != 0:
-            for mono, c in gp.poly.terms.items():
-                if mono[k] > 0:
-                    key = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
-                    out[key] = out.get(key, 0.0) + g * (c * mono[k])
-    for l in range(gp.n):
-        h = complex(h_eff[i, l])
-        if h != 0:
-            for mono, c in gp.poly.terms.items():
-                key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
-                out[key] = out.get(key, 0.0) + h * c
-    return GaussPoly(PolyC._clean(gp.n, _pruned_terms(out)), gp.M)
+    d = gp.poly.degree()
+    out = _apply_block(op, i, _block_of([gp.poly], d), gp.M, d)
+    return GaussPoly(_polys_of(out, gp.n, d + 1)[0], gp.M)
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -271,23 +394,49 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
     return GaussPoly(PolyC.constant(gen.n, 1.0), gen.Q)
 
 
-def _raising_chain(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> dict:
-    """op^alpha ``ground`` for every |alpha| <= max_degree, each from a built
-    entry by one application of the component at the first nonzero index;
-    the components commute, so the path does not matter (tests assert it).
-    Unrolled, a member applies the components last coordinate first."""
+@functools.lru_cache(maxsize=64)
+def _chain_steps(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each alpha of ``_degree_layer(n, d)``: its first nonzero index i
+    and the row of alpha - e_i in the layer of degree d - 1."""
+    prev = {a: r for r, a in enumerate(_degree_layer(n, d - 1))}
+    comps, parents = [], []
+    for a in _degree_layer(n, d):
+        i = next(idx for idx, e in enumerate(a) if e)
+        comps.append(i)
+        parents.append(prev[a[:i] + (a[i] - 1,) + a[i + 1:]])
+    return mx.frozen(comps, dtype=int), mx.frozen(parents, dtype=int)
+
+
+def _chain_block(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> np.ndarray:
+    """op^alpha ``ground`` for every |alpha| <= max_degree, one row each in
+    ``_basis`` order over the columns of ``_basis(n, max_degree)``.
+
+    ``ground`` is a constant times a Gaussian.  Layer d comes from layer
+    d - 1 by one kernel call: each alpha applies the component at its first
+    nonzero index to its parent; the components commute, so the path does
+    not matter (tests assert it).  Unrolled, a member applies the
+    components last coordinate first.
+    """
     if max_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
-    chain: dict[tuple[int, ...], GaussPoly] = {}
-    for alpha in multi_indices(ground.n, max_degree):
-        if sum(alpha) == 0:
-            chain[alpha] = ground
-            continue
-        i = next(idx for idx, a in enumerate(alpha) if a > 0)
-        parent = list(alpha)
-        parent[i] -= 1
-        chain[alpha] = apply_op(op, i, chain[tuple(parent)])
-    return chain
+    n = ground.n
+    size = len(_basis(n, max_degree))
+    out = np.zeros((size, size), dtype=complex)
+    layer = _block_of([ground.poly], 0)
+    out[:1, :1] = layer
+    for d in range(1, max_degree + 1):
+        comps, parents = _chain_steps(n, d)
+        layer = _apply_block(op, comps, layer[parents], ground.M, d - 1)
+        start = len(_basis(n, d - 1))
+        out[start : start + len(comps), : layer.shape[1]] = layer
+    return out
+
+
+def _raising_chain(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> dict:
+    """:func:`_chain_block` as GaussPolys keyed by multi-index."""
+    block = _chain_block(op, ground, max_degree)
+    polys = _polys_of(block, ground.n, max_degree)
+    return {a: GaussPoly(p, ground.M) for a, p in zip(_basis(ground.n, max_degree), polys)}
 
 
 def hermite_family(
@@ -312,11 +461,11 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     """Family member via the closed form
     e^{<z,Sz>} Xi^alpha e^{-<z,(S+Q)z>}.
 
-    Xi^alpha is applied symbolically to 1 * exp(-<z,(S+Q)z>), last
-    coordinate first, the order in which :func:`_rodrigues_family` builds
-    it, so both agree bit for bit; the final multiplication by e^{<z,Sz>}
-    subtracts S from the exponent matrix.  Entries of ``alpha`` must be
-    nonnegative integers.
+    Xi^alpha is applied symbolically to 1 * exp(-<z,(S+Q)z>) as a one-row
+    block, last coordinate first, the order in which
+    :func:`_rodrigues_family` builds it, so both agree bit for bit; the
+    final multiplication by e^{<z,Sz>} subtracts S from the exponent
+    matrix.  Entries of ``alpha`` must be nonnegative integers.
     """
     alpha = tuple(alpha)
     if len(alpha) != gen.n:
@@ -324,11 +473,19 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     if any(not float(a).is_integer() or a < 0 for a in alpha):
         raise ValueError(f"alpha must have nonnegative integer entries, got {alpha}")
     xi = xi_ops(gen)
-    gp = _rodrigues_ground(gen)
+    ground = _rodrigues_ground(gen)
+    row, degree = _block_of([ground.poly], 0), 0
     for i in reversed(range(gen.n)):
         for _ in range(int(alpha[i])):
-            gp = apply_op(xi, i, gp)
-    return _unshifted(gp, gen)
+            row = _apply_block(xi, i, row, ground.M, degree)
+            degree += 1
+    return _unshifted(GaussPoly(_polys_of(row, gen.n, degree)[0], ground.M), gen)
+
+
+def _rodrigues_block(gen: GeneratorData, max_total_degree: int) -> np.ndarray:
+    """Coefficients of rodrigues(alpha) for every |alpha| <= max_total_degree,
+    as the rows of one raising chain of Xi (see :func:`_chain_block`)."""
+    return _chain_block(xi_ops(gen), _rodrigues_ground(gen), max_total_degree)
 
 
 def _rodrigues_family(gen: GeneratorData, max_total_degree: int) -> dict:
@@ -338,19 +495,24 @@ def _rodrigues_family(gen: GeneratorData, max_total_degree: int) -> dict:
     return {alpha: _unshifted(gp, gen) for alpha, gp in chain.items()}
 
 
-def _hamiltonian(gen: GeneratorData, ladder: tuple, gp: GaussPoly) -> GaussPoly:
-    """:func:`hamiltonian_apply` with the (lowering, raising) operator pair
-    built by the caller."""
-    scale = max(1.0, mx.max_abs(gen.Q))
-    if mx.max_abs(gp.M - gen.Q) > 1e-12 * scale:
-        raise MExponentMismatch("argument exponent differs from the generator Q")
+def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
+    """``block`` times real factors (a scalar or one per row), both parts
+    scaled separately as Python scales a complex by a float."""
+    return (block.view(float) * factor).view(complex)
+
+
+def _hamiltonian_block(
+    gen: GeneratorData, ladder: tuple, block: np.ndarray, degree: int
+) -> np.ndarray:
+    """rho^2 + sum_i raise_i lower_i applied to every row of a block over
+    ``_basis(n, degree)`` with exponent Q; the result is over
+    ``_basis(n, degree + 2)``, added in the order rho^2 term, then i = 0..n-1."""
     low, high = ladder
-    # one dict for rho^2 gp + sum_i raise_i lower_i gp, added in that order
-    acc = {k: gen.rho2 * v for k, v in gp.poly.terms.items()}
+    acc = _real_scaled(_padded(block, gen.n, degree + 2), gen.rho2)
     for i in range(gen.n):
-        for k, v in apply_op(high, i, apply_op(low, i, gp)).poly.terms.items():
-            acc[k] = acc.get(k, 0.0) + v
-    return GaussPoly(PolyC(gp.n, acc), gp.M)
+        lowered = _apply_block(low, i, block, gen.Q, degree)
+        acc += _apply_block(high, i, lowered, gen.Q, degree + 1)
+    return acc
 
 
 def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> GaussPoly:
@@ -358,7 +520,41 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
 
     The argument must carry the generator exponent Q.
     """
-    return _hamiltonian(gen, (annihilation_ops(gen.Q), creation_ops(wd, gen)), gp)
+    scale = max(1.0, mx.max_abs(gen.Q))
+    if mx.max_abs(gp.M - gen.Q) > 1e-12 * scale:
+        raise MExponentMismatch("argument exponent differs from the generator Q")
+    ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
+    d = gp.poly.degree()
+    out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], d), d)
+    return GaussPoly(_polys_of(out, gp.n, d + 2)[0], gp.M)
+
+
+def _adjoint_block(
+    ladder: tuple, comps, f: np.ndarray, g: np.ndarray, M: np.ndarray, degree: int
+) -> np.ndarray:
+    """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
+    two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
+    that order over ``_basis(n, degree + 1)``."""
+    low, high = ladder
+    n = low.n
+    return np.vstack([
+        _padded(f, n, degree + 1),
+        _padded(g, n, degree + 1),
+        _apply_block(low, comps, f, M, degree),
+        _apply_block(high, comps, g, M, degree),
+    ])
+
+
+def _row_max_abs(block: np.ndarray) -> np.ndarray:
+    """Largest |c| of each row, rounded as Python's abs() of a complex (hypot)."""
+    return np.hypot(block.real, block.imag).max(axis=1)
+
+
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`coeff_distance` row by row on two blocks over the same
+    columns: max |a - b| over the larger of the two row maxima."""
+    top = np.maximum(_row_max_abs(a), _row_max_abs(b))
+    return _row_max_abs(a - b) / np.maximum(top, 1e-300)
 
 
 def evaluate(gp: GaussPoly, z) -> complex:

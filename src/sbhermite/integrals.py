@@ -35,7 +35,15 @@ from .errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from .gausspoly import GaussPoly, annihilation_ops, apply_op, creation_ops, multi_indices
+from .gausspoly import (
+    GaussPoly,
+    _adjoint_block,
+    _basis,
+    _block_of,
+    annihilation_ops,
+    creation_ops,
+    multi_indices,
+)
 from .model import GeneratorData, WeightData
 
 #: default cap on the total real degree of a requested moment
@@ -205,36 +213,42 @@ def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
     return mc
 
 
-def _coeff_matrix(
-    mc: MomentCache, gps, product_degree: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of ``gps`` as rows over their monomials, and the moment
-    matrix of those monomials.
-
-    ``product_degree`` is the largest degree of a product of two rows the
-    caller contracts, twice the top row degree by default.  Raises
-    DegreeCapExceeded if it passes the cap.  Below it, moment entries past
-    the cap read as zero: they pair only coefficients of rows whose product
-    the caller does not take.
-    """
-    top = max(gp.poly.degree() for gp in gps)
-    if product_degree is None:
-        product_degree = 2 * top
-    if product_degree > mc.degree_cap:
-        raise DegreeCapExceeded(
-            f"product degree {product_degree} exceeds the moment cap {mc.degree_cap}"
-        )
+def _coeff_rows(gps) -> tuple[np.ndarray, list]:
+    """Coefficients of ``gps`` as rows over the union of their monomials,
+    in order of first appearance, and that monomial list."""
     monos = list(dict.fromkeys(m for gp in gps for m in gp.poly.terms))
     col = {m: k for k, m in enumerate(monos)}
     out = np.zeros((len(gps), len(monos)), dtype=complex)
     for r, gp in enumerate(gps):
-        for mono, c in gp.poly.terms.items():
-            out[r, col[mono]] = c
+        out[r, [col[m] for m in gp.poly.terms]] = list(gp.poly.terms.values())
+    return out, monos
+
+
+def _moment_matrix(mc: MomentCache, monos, product_degree: int) -> np.ndarray:
+    """Moments E[z^a zbar^b] over ``monos``, the columns of a coefficient
+    block.
+
+    ``product_degree`` is the largest degree of a product of two rows the
+    caller contracts.  Raises DegreeCapExceeded if it passes the cap.  Below
+    it, moment entries past the cap read as zero: they pair only
+    coefficients of rows whose product the caller does not take.
+    """
+    if product_degree > mc.degree_cap:
+        raise DegreeCapExceeded(
+            f"product degree {product_degree} exceeds the moment cap {mc.degree_cap}"
+        )
     pos = _positions(mc, monos)
     mom = mc.moments[np.ix_(pos, pos)]
-    if 2 * top > mc.degree_cap:
+    if 2 * max((sum(m) for m in monos), default=0) > mc.degree_cap:
         mom[np.isnan(mom)] = 0.0
-    return out, mom
+    return mom
+
+
+def _coeff_matrix(mc: MomentCache, gps) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of ``gps`` as rows over their monomials, and the moment
+    matrix of those monomials for products of any two rows."""
+    p, monos = _coeff_rows(gps)
+    return p, _moment_matrix(mc, monos, 2 * max(gp.poly.degree() for gp in gps))
 
 
 def _row_inners(mom: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -243,11 +257,12 @@ def _row_inners(mom: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndar
     return np.einsum("ij,ij->i", left @ mom, right.conj())
 
 
-def _pair_inners(mc: MomentCache, gps, left, right) -> np.ndarray:
-    """Inner products (gps[l], gps[r]) for the index pairs of ``left`` and
-    ``right``, from one coefficient matrix of all of ``gps``."""
-    degs = [gp.poly.degree() for gp in gps]
-    p, mom = _coeff_matrix(mc, gps, max(degs[l] + degs[r] for l, r in zip(left, right)))
+def _pair_inners(mc: MomentCache, p: np.ndarray, monos, left, right) -> np.ndarray:
+    """Inner products (row l, row r) of the coefficient block ``p`` over the
+    monomials ``monos`` for the index pairs of ``left`` and ``right``."""
+    mono_deg = np.array([sum(m) for m in monos])
+    row_deg = np.max(np.where(p != 0, mono_deg, 0), axis=1, initial=0)
+    mom = _moment_matrix(mc, monos, int(np.max(row_deg[left] + row_deg[right])))
     return mc.form.normalizer * _row_inners(mom, p[left], p[right])
 
 
@@ -284,7 +299,7 @@ def hphi_inner(
         form = combined_form(wd, F.M, G.M)
         cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
     cache = _checked_cache(cache, (F, G), wd)
-    return complex(_pair_inners(cache, (F, G), [0], [1])[0])
+    return complex(_pair_inners(cache, *_coeff_rows((F, G)), [0], [1])[0])
 
 
 def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
@@ -329,10 +344,12 @@ def adjoint_residual(
     """
     if cache is None:
         cache = make_moment_cache(wd, gen.Q)
-    low = annihilation_ops(gen.Q)
-    high = creation_ops(wd, gen)
-    lhs = hphi_inner(apply_op(low, i, F), G, wd, cache)
-    rhs = hphi_inner(F, apply_op(high, i, G), wd, cache)
+    cache = _checked_cache(cache, (F, G), wd)
+    ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
+    d = max(F.poly.degree(), G.poly.degree())
+    fg = _block_of([F.poly, G.poly], d)
+    rows = _adjoint_block(ladder, i, fg[:1], fg[1:], cache.exponent, d)
+    lhs, rhs = _pair_inners(cache, rows, _basis(wd.n, d + 1), [2, 0], [1, 3])
     return abs(lhs - rhs)
 
 

@@ -4,15 +4,25 @@ A run parses a config, constructs the generator, then measures every
 verifiable identity as a named residual with a named tolerance.  Reports
 are deterministic for a fixed config and seed, timings aside.
 
-Stages work on whole families, not pair by pair.  The adjoint stage puts
-its ten random (f, g, i) triples, as f, g, lower_i f and raise_i g, into
-one coefficient matrix and takes every inner product and norm from it;
-completeness takes one matrix per degree d, holding every z^beta with
-|beta| = d and the members |alpha| <= d.  The eigen stage builds the
-ladder operators once.  The Rodrigues stage builds every closed-form
-member from one raising chain of Xi on exp(-<z,(S+Q)z>), one application
-per member; ``rodrigues`` applies Xi in the same order, last coordinate
-first, so the two agree bit for bit.
+Stages work on whole families, not pair by pair or member by member.
+Operators act on coefficient blocks, one row per function over a graded
+monomial basis, through the one kernel of ``gausspoly``.  The eigen stage
+applies lower_i and then raise_i to the block of the whole family, 2n
+kernel calls, and takes ``eigen_max`` row by row.  The Rodrigues stage
+builds every closed-form member from one raising chain of Xi on
+exp(-<z,(S+Q)z>), one kernel call per degree layer, and compares that
+block with the family block row by row; ``rodrigues`` applies Xi in the
+same order, last coordinate first, so the two agree bit for bit.  The
+adjoint stage draws its ten random (f, g, i) triples straight into two
+blocks, applies the ladder operators to them, and takes every inner
+product and norm from one coefficient matrix of f, g, lower_i f and
+raise_i g; completeness takes one matrix per degree d, holding every
+z^beta with |beta| = d and the members |alpha| <= d.
+
+Besides residuals, a report carries ``metrics``: family size and terms,
+the size of the run's moment matrix, cond(M_R) of its combined real form
+and lambda_max / lambda_0.  They describe the run and never enter a
+verdict.
 """
 
 from __future__ import annotations
@@ -30,12 +40,19 @@ from .errors import ConfigError
 from .gausspoly import (
     GaussPoly,
     PolyC,
-    _hamiltonian,
-    _rodrigues_family,
+    _adjoint_block,
+    _basis,
+    _block_of,
+    _hamiltonian_block,
+    _padded,
+    _real_scaled,
+    _rodrigues_block,
+    _rodrigues_ground,
+    _row_distances,
+    _unshifted,
     annihilation_ops,
-    apply_op,
-    coeff_distance,
     creation_ops,
+    ground_state,
     hermite_family,
     mi_factorial,
     multi_indices,
@@ -300,6 +317,7 @@ class VerificationReport:
     skipped: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
     overall_pass: bool = False
     failed_stage: str | None = None
     error_type: str | None = None
@@ -319,6 +337,7 @@ class VerificationReport:
             "skipped": list(self.skipped),
             "warnings": list(self.warnings),
             "timings": dict(self.timings),
+            "metrics": dict(self.metrics),
             "overall_pass": self.overall_pass,
             "failed_stage": self.failed_stage,
             "error_type": self.error_type,
@@ -328,14 +347,22 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _random_gausspoly(
-    n: int, degree: int, M: np.ndarray, rng: np.random.Generator
-) -> GaussPoly:
-    """Random complex coefficients on every |alpha| <= degree, drawn as one
-    normal vector: real parts from its even entries, imaginary from its odd."""
-    alphas = multi_indices(n, degree)
-    coeffs = rng.standard_normal(2 * len(alphas)).view(complex)
-    return GaussPoly(PolyC(n, dict(zip(alphas, coeffs))), M)
+def _adjoint_draws(
+    n: int, rng: np.random.Generator, triples: int = 10, degree: int = 3
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random (f, g, i) triples: f and g as rows of two coefficient blocks
+    over every |alpha| <= degree, i as a component index per row.  Each of
+    f and g is one normal vector, real parts from its even entries and
+    imaginary parts from its odd ones; the draws go f, g, i per triple."""
+    m = len(_basis(n, degree))
+    f = np.empty((triples, m), dtype=complex)
+    g = np.empty((triples, m), dtype=complex)
+    comps = np.empty(triples, dtype=int)
+    for t in range(triples):
+        f[t] = rng.standard_normal(2 * m).view(complex)
+        g[t] = rng.standard_normal(2 * m).view(complex)
+        comps[t] = rng.integers(0, n)
+    return f, g, comps
 
 
 class _StageTimer:
@@ -407,6 +434,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
     report.Q = gen.Q
     report.S = gen.S
     res = report.residuals
+    metrics = report.metrics
+    metrics["lam_max_over_lam0"] = float(wd.lam[-1] / wd.lam0)
     n, rho2 = wd.n, gen.rho2
 
     def algebra():
@@ -420,6 +449,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
     timer.run("algebra", algebra)
 
     family = timer.run("family", lambda: hermite_family(wd, gen, config.max_degree))
+    metrics["family_members"] = len(family)
+    metrics["family_terms"] = sum(len(m.poly.terms) for m in family.values())
 
     def gram():
         cache = make_moment_cache(wd, gen.Q)
@@ -435,47 +466,42 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     # one moment cache, grown over the family monomials here, serves every later stage
     cache = timer.run("gram", gram)
+    metrics["cond_M_R"] = float(np.linalg.cond(cache.form.M_R))
 
     def eigen():
+        # the family as one coefficient block, one row per member in basis order
         ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-        worst = 0.0
-        for alpha, member in family.items():
-            image = _hamiltonian(gen, ladder, member)
-            expected = member.scaled((2.0 * sum(alpha) + 1.0) * rho2)
-            diff, scale = coeff_distance(image, expected)
-            worst = max(worst, diff / max(scale, 1e-300))
-        res["eigen_max"] = worst
-        return ladder
+        block = _block_of([m.poly for m in family.values()], config.max_degree)
+        image = _hamiltonian_block(gen, ladder, block, config.max_degree)
+        levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in family]
+        expected = _real_scaled(_padded(block, n, config.max_degree + 2),
+                                np.array(levels)[:, None])
+        res["eigen_max"] = float(np.max(_row_distances(image, expected)))
+        return ladder, block
 
-    # the (lowering, raising) pair built once here serves the adjoint stage too
-    ladder = timer.run("eigen", eigen)
+    # the ladder pair and the family block built here serve later stages too
+    ladder, family_block = timer.run("eigen", eigen)
 
     def rodrig():
-        # every member from one shared-prefix chain of Xi, not one Xi^alpha each
-        closed = _rodrigues_family(gen, config.max_degree)
-        worst = 0.0
-        for alpha, member in family.items():
-            diff, scale = coeff_distance(closed[alpha], member)
-            worst = max(worst, diff / max(scale, 1e-300))
-        res["rodrigues_max"] = worst
+        # every member from one shared-prefix chain of Xi, compared row by row;
+        # the closed form's exponent (S+Q) - S must be the family's Q
+        _unshifted(_rodrigues_ground(gen), gen)._check_same_exponent(ground_state(gen))
+        closed = _rodrigues_block(gen, config.max_degree)
+        res["rodrigues_max"] = float(np.max(_row_distances(closed, family_block)))
 
     timer.run("rodrigues", rodrig)
 
     def adjoint():
-        # rows 4t..4t+3 of one coefficient matrix: f, g, lower_i f, raise_i g
-        rng = np.random.default_rng(config.seed)
-        low, high = ladder
-        rows = []
-        for _ in range(10):
-            f = _random_gausspoly(n, 3, gen.Q, rng)
-            g = _random_gausspoly(n, 3, gen.Q, rng)
-            i = int(rng.integers(0, n))
-            rows += [f, g, apply_op(low, i, f), apply_op(high, i, g)]
-        t = 4 * np.arange(10)
+        # one block of f, g, lower_i f and raise_i g for ten random triples
+        f, g, comps = _adjoint_draws(n, np.random.default_rng(config.seed))
+        rows = _adjoint_block(ladder, comps, f, g, gen.Q, 3)
+        k = len(comps)
+        t = np.arange(k)
         # (lower f, g), (f, raise g), (f, f), (g, g) for every triple
-        left = np.concatenate([t + 2, t, t, t + 1])
-        right = np.concatenate([t + 1, t + 3, t, t + 1])
-        lhs, rhs, ff, gg = _pair_inners(cache, rows, left, right).reshape(4, 10)
+        left = np.concatenate([t + 2 * k, t, t, t + k])
+        right = np.concatenate([t + k, t + 3 * k, t, t + k])
+        inners = _pair_inners(cache, rows, _basis(n, 4), left, right)
+        lhs, rhs, ff, gg = inners.reshape(4, k)
         scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
         res["adjoint_max"] = float(np.max(np.abs(lhs - rhs) / scale))
 
@@ -493,6 +519,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         res["completeness_residual"] = worst
 
     timer.run("completeness", completeness)
+    metrics["moment_matrix_size"] = len(cache.index)
 
     def isometry():
         # the transform keeps the Hermite functions h_alpha, |alpha| <= 1, orthonormal

@@ -76,3 +76,30 @@ def random_poly(n: int, degree: int, M, rng) -> sb.GaussPoly:
 def assert_gp_close(a: sb.GaussPoly, b: sb.GaussPoly, rtol: float, msg: str = ""):
     diff, scale = sb.coeff_distance(a, b)
     assert diff <= rtol * max(scale, 1e-300), f"{msg}: {diff:.3e} > {rtol:.1e} * {scale:.3e}"
+
+
+def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.GaussPoly:
+    """Term-by-term oracle for component i of a first-order operator.
+
+    d/dz_k z^a = a_k z^(a - e_k) and z_l z^a = z^(a + e_l), with weights
+    G[i, k] and H[i, l] - 2 (G M)[i, l], added into one dict in the order
+    k = 0..n-1, then l = 0..n-1, and pruned at ``PRUNE_REL`` times the
+    largest magnitude.  Test-only: the library applies operators to whole
+    coefficient blocks.
+    """
+    h_eff = op.H - 2.0 * op.G @ gp.M
+    out = {}
+    for k in range(gp.n):
+        g = complex(op.G[i, k])
+        if g != 0:
+            for mono, c in gp.poly.terms.items():
+                if mono[k] > 0:
+                    key = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
+                    out[key] = out.get(key, 0.0) + g * (c * mono[k])
+    for l in range(gp.n):
+        h = complex(h_eff[i, l])
+        if h != 0:
+            for mono, c in gp.poly.terms.items():
+                key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
+                out[key] = out.get(key, 0.0) + h * c
+    return sb.GaussPoly(sb.PolyC(gp.n, out).pruned(), gp.M)

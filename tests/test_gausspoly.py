@@ -1,15 +1,27 @@
 """Operator algebra on Gaussian polynomials: family, Rodrigues, Hamiltonian."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite.errors import MExponentMismatch
-from sbhermite.gausspoly import _rodrigues_family
+from sbhermite.gausspoly import _apply_block, _basis, _rodrigues_family
+from sbhermite.transform import _intertwined_raising
 
-from helpers import SWAP2, assert_gp_close, bargmann_data, em_data, ghs_data, random_poly
+from helpers import (
+    SWAP2,
+    assert_gp_close,
+    bargmann_data,
+    em_data,
+    ghs_data,
+    random_poly,
+    reference_apply_op,
+)
 
 
 def gp_const(n, M):
@@ -66,6 +78,58 @@ class TestApplyOp:
         out = sb.apply_op(sb.creation_ops(wd, gen), 1, gp)
         assert out.poly.degree() <= 4
         assert np.array_equal(out.M, gp.M)
+
+
+class TestBlockKernel:
+    """The block kernel against the term-by-term oracle of tests/helpers.py."""
+
+    OPS = ("lowering", "raising", "xi", "intertwined")
+
+    @staticmethod
+    def random_block(rng, n, degree, rows):
+        # magnitudes over 18 decades, about a fifth of the entries exactly 0,
+        # so that pruning has work to do
+        shape = (rows, len(_basis(n, degree)))
+        mag = 10.0 ** rng.uniform(-18.0, 0.0, shape)
+        block = mag * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        block[rng.random(shape) < 0.2] = 0.0
+        return block
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        degree=st.integers(0, 6),
+        kind=st.sampled_from(OPS),
+        random_m=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dict_oracle(self, n, degree, kind, random_m, seed):
+        rng = np.random.default_rng(seed)
+        pt, wd, gen = sb.random_generator(n, rng)
+        op = {
+            "lowering": lambda: sb.annihilation_ops(gen.Q),
+            "raising": lambda: sb.creation_ops(wd, gen),
+            "xi": lambda: sb.xi_ops(gen),
+            "intertwined": lambda: _intertwined_raising(pt),
+        }[kind]()
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = 0.5 * (m + m.T) if random_m else gen.Q
+        rows = 4
+        block = self.random_block(rng, n, degree, rows)
+        comps = rng.integers(0, n, rows)  # a different component per row
+        out = _apply_block(op, comps, block, M, degree)
+        assert out.shape == (rows, len(_basis(n, degree + 1)))
+        basis, out_basis = _basis(n, degree), _basis(n, degree + 1)
+        for r in range(rows):
+            terms = {a: c for a, c in zip(basis, block[r].tolist()) if c != 0}
+            want = reference_apply_op(op, int(comps[r]), sb.GaussPoly(sb.PolyC(n, terms), M))
+            got = {a: c for a, c in zip(out_basis, out[r].tolist()) if c != 0}
+            assert set(got) == set(want.poly.terms), r
+            scale = max((abs(c) for c in got.values()), default=0.0)
+            assert all(abs(got[a] - c) <= 1e-15 * scale for a, c in want.poly.terms.items())
+            # a row's result does not depend on the rows around it
+            alone = _apply_block(op, comps[r], block[r : r + 1], M, degree)
+            assert np.array_equal(alone[0], out[r]), r
 
 
 class TestOperatorConstructors:
@@ -429,6 +493,18 @@ class TestMultiIndices:
     def test_enumeration_count_and_order(self):
         out = sb.multi_indices(2, 2)
         assert out == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+    def test_matches_filtered_product(self):
+        # each degree generated directly equals the filtered tensor product
+        for n in range(1, 6):
+            for d in range(9):
+                want = [
+                    t
+                    for k in range(d + 1)
+                    for t in itertools.product(range(k + 1), repeat=n)
+                    if sum(t) == k
+                ]
+                assert sb.multi_indices(n, d) == want, (n, d)
 
     def test_factorial(self):
         assert sb.mi_factorial((3, 2, 0)) == 12.0

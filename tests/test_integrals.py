@@ -14,7 +14,7 @@ from sbhermite.errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from sbhermite.integrals import _expansions, _pair_inners
+from sbhermite.integrals import _coeff_rows, _expansions, _pair_inners
 
 from helpers import bargmann_data, em_data, ghs_data, random_poly
 
@@ -412,7 +412,7 @@ class TestBatchedCore:
         rows += list(sb.hermite_family(wd, gen, 2).values())
         left, right = np.divmod(np.arange(len(rows) ** 2), len(rows))
         cache = sb.make_moment_cache(wd, gen.Q)
-        got = _pair_inners(cache, rows, left, right)
+        got = _pair_inners(cache, *_coeff_rows(rows), left, right)
         norms = [sb.hphi_norm(r, wd, cache) for r in rows]
         for k, (a, b) in enumerate(zip(left, right)):
             want = sb.hphi_inner(rows[a], rows[b], wd, cache)

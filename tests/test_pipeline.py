@@ -13,7 +13,7 @@ from sbhermite.errors import ConfigError, NonIntegrableWeight
 from sbhermite.pipeline import (
     RunConfig,
     StageFailure,
-    _random_gausspoly,
+    _adjoint_draws,
     run_example,
     run_verify,
 )
@@ -141,6 +141,21 @@ class TestRunVerify:
         d1.pop("timings")
         d2.pop("timings")
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+    def test_report_metrics(self):
+        cfg = TestStageWork.n2_deg6_config()
+        report = run_verify(cfg)
+        metrics = report.to_dict()["metrics"]
+        assert set(metrics) == {"family_members", "family_terms", "moment_matrix_size",
+                                "cond_M_R", "lam_max_over_lam0"}
+        assert all(math.isfinite(v) for v in metrics.values())
+        assert metrics["family_members"] == len(sb.multi_indices(2, 6))
+        assert metrics["family_terms"] >= metrics["family_members"]
+        assert metrics["moment_matrix_size"] >= len(sb.multi_indices(2, 6))
+        assert metrics["cond_M_R"] >= 1.0
+        assert metrics["lam_max_over_lam0"] >= 1.0
+        # descriptive only: no metric is a residual or carries a verdict
+        assert not set(metrics) & (set(report.residuals) | set(report.checks))
 
 
 class TestRunExample:
@@ -424,16 +439,17 @@ class TestStageWork:
     def test_adjoint_draws_match_scalar_recipe(self, n):
         # one vector draw gives the coefficients of two scalar draws per
         # term and leaves the next index draw where it was
-        M = 0.5 * np.eye(n)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(3):
-            gp = _random_gausspoly(n, 3, M, rng)
-            want = {
-                alpha: complex(ref.standard_normal(), ref.standard_normal())
-                for alpha in sb.multi_indices(n, 3)
-            }
-            assert gp.poly.terms == want
-            assert int(rng.integers(0, n)) == int(ref.integers(0, n))
+        f, g, comps = _adjoint_draws(n, rng, triples=3)
+        for t in range(3):
+            for block in (f, g):
+                want = [
+                    complex(ref.standard_normal(), ref.standard_normal())
+                    for alpha in sb.multi_indices(n, 3)
+                ]
+                assert block[t].tolist() == want
+            assert comps[t] == int(ref.integers(0, n))
+        assert rng.standard_normal() == ref.standard_normal()
 
     @staticmethod
     def n2_deg6_config(seed=31):
@@ -480,7 +496,7 @@ class TestStageWork:
 
             return wrapper
 
-        names = ("apply_op", "creation_ops", "hphi_inner", "_coeff_matrix")
+        names = ("apply_op", "_apply_block", "creation_ops", "hphi_inner", "_moment_matrix")
         for mod in (sb.gausspoly, sb.integrals, sb.pipeline):
             for name in names:
                 if hasattr(mod, name):
@@ -497,11 +513,16 @@ class TestStageWork:
         monkeypatch.setattr(sb.pipeline._StageTimer, "run", staged)
         report = run_verify(cfg)
         assert report.failed_stage is None
-        members = len(sb.multi_indices(2, 6))
+        n, degree = 2, 6
         assert calls["adjoint", "hphi_inner"] == calls["completeness", "hphi_inner"] == 0
-        assert calls["adjoint", "_coeff_matrix"] <= 1
-        assert calls["completeness", "_coeff_matrix"] <= min(3, 6) + 1
-        assert calls["rodrigues", "apply_op"] == members - 1
+        assert calls["adjoint", "_moment_matrix"] <= 1
+        assert calls["completeness", "_moment_matrix"] <= min(3, degree) + 1
         assert calls["eigen", "creation_ops"] == 1
-        assert calls["eigen", "apply_op"] == 2 * 2 * members
         assert calls["adjoint", "creation_ops"] == 0
+        # whole coefficient blocks through the one kernel, never member by member
+        assert calls["family", "_apply_block"] <= degree
+        assert calls["eigen", "_apply_block"] == 2 * n
+        assert calls["rodrigues", "_apply_block"] <= n * degree
+        assert calls["adjoint", "_apply_block"] <= 2 * n
+        for name in ("family", "eigen", "rodrigues", "adjoint"):
+            assert calls[name, "apply_op"] == 0, name
