@@ -4,13 +4,22 @@ Every integrand appearing in the verification suite is a polynomial times a
 centered Gaussian on R^(2n), so inner products reduce to finitely many
 Gaussian moments.  They are taken directly in the complex coordinates: the
 vector u = (z, zbar) = T w of the real coordinates w = (Re z, Im z) has the
-bilinear covariance K = T Sigma T^T, and the Isserlis recursion on K gives
-E[z^a zbar^b].  A moment cache holds these values as a Hermitian matrix over
-the monomials that calls have touched, grown lazily by the monomials each
-call adds, so sparse high-degree arguments cost only their own entries.  An
-inner product is the bilinear form f^T Mom[rows, cols] conj(g) on
-coefficient vectors and the Gram matrix of a family is one product
-P Mom P^H.  No quadrature error enters anywhere.
+bilinear covariance K = T Sigma T^T.  A moment cache holds E[z^a zbar^b] as
+a Hermitian matrix over the downward closure of the monomials that calls
+have asked for (every b <= a entrywise of a requested a), so a sparse
+argument such as z_1^12 costs its 13-monomial closure, not a graded basis.
+The matrix is filled from the Stein identity (Gaussian integration by
+parts) E[u_j f(u)] = sum_k K[j, k] E[d f / d u_k], which ties every moment
+of total degree t to moments of degree t - 2.  A fill therefore runs layer
+by layer of total degree: each layer is one gather and one batched
+weighted sum over index maps cached per closure, whatever its number of
+entries.  Growing the closure adds rows and columns and never recomputes
+held entries; entries past the degree cap are never computed.  An inner
+product is the bilinear form f^T Mom[rows, cols] conj(g) on coefficient
+vectors and the Gram matrix of a family is one product P Mom P^H.  No
+quadrature error enters anywhere.  The real moments E[w^beta] of
+``wick_moment`` come from the Isserlis recursion on Sigma instead, an
+independent route to the same numbers.
 
 Callers that need many products work stage-wide: all arguments go into one
 coefficient matrix P, and any set of pairs (l, r) is one row sum of
@@ -22,7 +31,10 @@ inner product is implemented twice.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,16 +76,19 @@ class RealQuadraticForm:
 
 @dataclass
 class MomentCache:
-    """Memoized centered Gaussian moments for one combined weight.
+    """Centered Gaussian moments for one combined weight.
 
     ``covariance`` is the real covariance Sigma = (2 M_R)^(-1) of w and
-    ``zcov`` the bilinear covariance K of (z, zbar).  ``memo`` maps a + b
-    (concatenated multi-indices) to E[z^a zbar^b] and ``real_memo`` maps beta
-    to E[w^beta]; both index 2n coordinates, so they are kept apart.
-    ``moments[index[a], index[b]]`` is E[z^a zbar^b] for the monomials touched
-    so far; entries whose total degree passes the cap are NaN and never read.
-    The cache is the only mutable object in this module and must stay
-    confined to one evaluation context.
+    ``zcov`` the bilinear covariance K of (z, zbar).  ``moments[index[a],
+    index[b]]`` is E[z^a zbar^b] over a downward-closed set of monomials: the
+    closure of every monomial asked for so far, in the order it was added.
+    Entries whose total degree passes the cap are NaN and never computed.
+    ``memo`` is a read-only mapping view of the entries held, keyed by a + b
+    (concatenated multi-indices); ``real_memo`` maps beta to E[w^beta].  Both
+    index 2n coordinates, so they are kept apart.  ``fills`` counts the times
+    the matrix grew and ``filled`` the entries within the cap those fills
+    added.  The cache is the only mutable object in this module and must
+    stay confined to one evaluation context.
     """
 
     form: RealQuadraticForm
@@ -81,10 +96,43 @@ class MomentCache:
     zcov: np.ndarray
     exponent: np.ndarray
     degree_cap: int = DEFAULT_DEGREE_CAP
-    memo: dict = field(default_factory=dict)
     real_memo: dict = field(default_factory=dict)
     index: dict = field(default_factory=dict)
     moments: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
+    fills: int = 0
+    filled: int = 0
+
+    @property
+    def memo(self) -> Mapping:
+        """E[z^a zbar^b] keyed by a + b, over the entries within the cap."""
+        return _MomentView(self)
+
+
+class _MomentView(Mapping):
+    """Mapping view of the finite entries of a cache's moment matrix; built
+    on access, it copies nothing."""
+
+    def __init__(self, mc: MomentCache):
+        self._mc = mc
+
+    def __getitem__(self, key):
+        half = len(key) // 2
+        index = self._mc.index
+        a, b = tuple(key[:half]), tuple(key[half:])
+        if len(key) % 2 or a not in index or b not in index:
+            raise KeyError(key)
+        val = self._mc.moments[index[a], index[b]]
+        if np.isnan(val):
+            raise KeyError(key)
+        return complex(val)
+
+    def __iter__(self):
+        monos = list(self._mc.index)
+        for r, c in zip(*np.nonzero(~np.isnan(self._mc.moments))):
+            yield monos[r] + monos[c]
+
+    def __len__(self):
+        return int(np.count_nonzero(~np.isnan(self._mc.moments)))
 
 
 def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticForm:
@@ -175,29 +223,112 @@ def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
     return val
 
 
-def _positions(mc: MomentCache, monos) -> list[int]:
-    """Rows of ``monos`` in ``mc.moments``, appending the missing monomials.
+@functools.lru_cache(maxsize=128)
+def _closure(monos: tuple) -> tuple:
+    """The downward closure of ``monos`` (every b <= some a entrywise) in
+    graded-lex order, so the zero index comes first."""
+    seen: set = set()
+    stack = list(monos)
+    while stack:
+        a = stack.pop()
+        if a not in seen:
+            seen.add(a)
+            stack.extend(a[:k] + (e - 1,) + a[k + 1:] for k, e in enumerate(a) if e)
+    return tuple(sorted(seen, key=lambda a: (sum(a), a)))
 
-    Each new one gets its entries against every indexed monomial, mirrored by
-    E[z^b zbar^a] = conj(E[z^a zbar^b]); entries past the cap stay NaN."""
-    old = len(mc.index)
-    for a in monos:
-        mc.index.setdefault(a, len(mc.index))
-    m = len(mc.index)
-    if m > old:
-        mons = list(mc.index)
-        degs = [sum(a) for a in mons]
-        mom = np.full((m, m), np.nan, dtype=complex)
-        mom[:old, :old] = mc.moments
-        cov = mc.zcov.tolist()
-        for j in range(old, m):
-            for i in range(j + 1):
-                if degs[i] + degs[j] <= mc.degree_cap:
-                    val = _isserlis(cov, mc.memo, mons[i] + mons[j])
-                    mom[i, j] = val
-                    mom[j, i] = val.conjugate()
+
+@dataclass(frozen=True)
+class _FillMaps:
+    """Index maps of one fill of a moment matrix; see ``_fill_maps``."""
+
+    past: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
+    layers: tuple
+    entries: int
+
+
+@functools.lru_cache(maxsize=64)
+def _fill_maps(monos: tuple, old: int, cap: int) -> _FillMaps:
+    """Maps of the Stein fill of the moments over ``monos``, a downward-closed
+    set in matrix order whose first ``old`` rows and columns are filled.
+
+    Targets are the entries (a, b) on or below the diagonal, a row of index
+    at least ``old``, with even total degree t, 2 <= t <= cap; their mirrors
+    (b, a) are conjugates.  Odd entries vanish, and ``past`` marks the
+    entries past the cap, which stay NaN.  With j the first nonzero index of
+    a and c = a - e_j,
+
+        Mom[a, b] = sum_k K[j, k] c_k Mom[c - e_k, b] + K[j, n+k] b_k Mom[c, b - e_k],
+
+    so layer t reads only layer t - 2.  ``counts`` holds (c, b) per target,
+    ``first`` its j; each layer holds the flat sources (2n per target), the
+    targets and their mirrors.  A source with count 0 reads the odd, hence
+    finite, entry (c, b).  ``entries`` counts the entries within the cap
+    that the fill adds.
+    """
+    m, n = len(monos), len(monos[0])
+    e = np.array(monos, dtype=np.int64).reshape(m, n)
+    deg = e.sum(axis=1)
+    pos = {a: p for p, a in enumerate(monos)}
+    # down[k, p]: position of monos[p] - e_k, or p where that index is 0
+    down = np.array([[pos[a[:k] + (a[k] - 1,) + a[k + 1:]] if a[k] else p
+                      for p, a in enumerate(monos)] for k in range(n)], dtype=np.int64)
+    # targets (r, c), c <= r, r new, ordered by layer of even total degree
+    rows, cols = np.tril_indices(m)
+    tot = deg[rows] + deg[cols]
+    keep = (rows >= old) & (tot % 2 == 0) & (tot >= 2) & (tot <= cap)
+    rows, cols, tot = rows[keep], cols[keep], tot[keep]
+    by_layer = [np.flatnonzero(tot == t) for t in range(2, int(tot.max(initial=0)) + 1, 2)]
+    order = np.concatenate([np.zeros(0, dtype=np.int64), *by_layer])
+    rows, cols = rows[order], cols[order]
+    first = np.argmax(e[rows] > 0, axis=1)
+    parent = down[first, rows]
+    # stacked for one matmul per layer: (1, 2n) weights times (2n, 1) sources
+    src = np.concatenate([down[:, parent].T * m + cols[:, None],
+                          parent[:, None] * m + down[:, cols].T], axis=1)[:, :, None]
+    counts = np.concatenate([e[parent], e[cols]], axis=1)[:, None, :]
+    tgt = (rows * m + cols)[:, None, None]
+    mirror = (cols * m + rows)[:, None, None]
+    past = deg[:, None] + deg[None, :] > cap
+    entries = int(np.count_nonzero(~past) - np.count_nonzero(~past[:old, :old]))
+    bounds = list(itertools.accumulate((len(i) for i in by_layer), initial=0))
+    src, tgt, mirror = mx.frozen(src), mx.frozen(tgt), mx.frozen(mirror)
+    layers = tuple((lo, hi, src[lo:hi], tgt[lo:hi], mirror[lo:hi])
+                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo)
+    counts = mx.frozen(counts, dtype=np.min_scalar_type(counts.max(initial=0)))
+    return _FillMaps(mx.frozen(past), mx.frozen(first[:, None]), counts, layers, entries)
+
+
+def _positions(mc: MomentCache, monos) -> list[int]:
+    """Rows of ``monos`` in ``mc.moments``, first growing the matrix to the
+    downward closure of the monomials it lacks.
+
+    The new entries come layer by layer of total degree from the Stein
+    recurrence of ``_fill_maps``: one gather and one weighted sum per
+    layer, whatever its number of entries.  Entries already held are not
+    recomputed."""
+    index = mc.index
+    missing = [a for a in monos if a not in index]
+    if missing:
+        old = len(index)
+        for a in _closure(tuple(missing)):
+            index.setdefault(a, len(index))
+        maps = _fill_maps(tuple(index), old, mc.degree_cap)
+        mom = np.where(maps.past, np.nan, 0j)
+        mom[0, 0] = 1.0
+        if old:
+            mom[:old, :old] = mc.moments
+        flat = mom.reshape(-1)
+        weights = mc.zcov.take(maps.first, axis=0) * maps.counts
+        for lo, hi, src, tgt, mirror in maps.layers:
+            vals = weights[lo:hi] @ flat[src]
+            flat[tgt] = vals
+            flat[mirror] = vals.conj()
         mc.moments = mom
-    return [mc.index[a] for a in monos]
+        mc.fills += 1
+        mc.filled += maps.entries
+    return [index[a] for a in monos]
 
 
 def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:

@@ -20,9 +20,11 @@ raise_i g; completeness takes one matrix per degree d, holding every
 z^beta with |beta| = d and the members |alpha| <= d.
 
 Besides residuals, a report carries ``metrics``: family size and terms,
-the size of the run's moment matrix, cond(M_R) of its combined real form
-and lambda_max / lambda_0.  They describe the run and never enter a
-verdict.
+the size of the run's moment matrix (the downward closure of the monomials
+its stages asked for), how often the run's moment matrices grew and how
+many entries those fills computed, cond(M_R) of the combined real form,
+lambda_max / lambda_0, min mu / lambda_0 and condition1_margin / rho^2.
+They describe the run and never enter a verdict.
 """
 
 from __future__ import annotations
@@ -436,6 +438,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
     res = report.residuals
     metrics = report.metrics
     metrics["lam_max_over_lam0"] = float(wd.lam[-1] / wd.lam0)
+    mu_min = float(np.min(gen.mu))
+    metrics["min_mu_over_lam0"] = mu_min / wd.lam0
     n, rho2 = wd.n, gen.rho2
 
     def algebra():
@@ -445,6 +449,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         res["symmetry_S"] = mx.max_abs(gen.S - gen.S.T)
         res["sq_closed_form"] = sq_closed_form_residual(wd, gen)
         res["condition1_margin"] = condition1_margin(wd, gen.Q)
+        metrics["condition1_margin_over_rho2"] = res["condition1_margin"] / rho2
 
     timer.run("algebra", algebra)
 
@@ -523,12 +528,16 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def isometry():
         # the transform keeps the Hermite functions h_alpha, |alpha| <= 1, orthonormal
-        _, g = gram_matrix(hermite_images(pt, 1), wd)
+        images = hermite_images(pt, 1)
+        image_cache = make_moment_cache(wd, images[(0,) * n].M)
+        _, g = gram_matrix(images, wd, image_cache)
         res["isometry"] = mx.max_abs(g - np.eye(n + 1))
+        return image_cache
 
-    timer.run("isometry", isometry)
+    image_cache = timer.run("isometry", isometry)
+    metrics["moment_fills"] = cache.fills + image_cache.fills
+    metrics["moments_filled"] = cache.filled + image_cache.filled
 
-    mu_min = float(np.min(gen.mu))
     if mu_min < 1e-3 * wd.lam0:
         report.warnings.append(
             f"ill-conditioned generator: min mu = {mu_min:.3e} "

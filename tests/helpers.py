@@ -1,12 +1,25 @@
 """Shared construction helpers for the test suite."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
 import sbhermite as sb
+from sbhermite.integrals import _isserlis
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """A module of the benchmark harness (``bench/<name>.py``), loaded by
+    path so that the tests use it exactly as the harness does."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bargmann_triple(n: int = 1) -> sb.PhaseTriple:
@@ -103,3 +116,26 @@ def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.Gaus
                 key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
                 out[key] = out.get(key, 0.0) + h * c
     return sb.GaussPoly(sb.PolyC(gp.n, out).pruned(), gp.M)
+
+
+def reference_moments(zcov, monos, cap: int) -> np.ndarray:
+    """Per-entry oracle for the complex moment matrix over ``monos``.
+
+    Entry (i, j) is E[z^a zbar^b], a = monos[i], b = monos[j], from the
+    memoized Isserlis recursion on the concatenated index a + b with the
+    bilinear covariance ``zcov`` of (z, zbar); entries whose total degree
+    passes ``cap`` are NaN.  ``zcov`` may hold mpmath numbers, which the
+    recursion then keeps.  Test-only: the library fills whole degree layers
+    of the matrix at once.
+    """
+    cov = zcov.tolist() if isinstance(zcov, np.ndarray) else zcov
+    memo: dict = {}
+    m = len(monos)
+    out = np.full((m, m), np.nan, dtype=object)
+    for j in range(m):
+        for i in range(j + 1):
+            if sum(monos[i]) + sum(monos[j]) <= cap:
+                val = _isserlis(cov, memo, tuple(monos[i]) + tuple(monos[j]))
+                out[i, j] = val
+                out[j, i] = val.conjugate()
+    return out

@@ -1,0 +1,43 @@
+"""What the benchmark harness reads from the program, checked on one tiny run.
+
+``bench/tracing.py`` wraps the public functions of the layer modules and
+reads program state such as ``MomentCache.memo``; a refactor that breaks
+one of its counters would otherwise only show as a silent zero in a traced
+benchmark run.
+"""
+
+import numpy as np
+
+import sbhermite as sb
+from sbhermite.pipeline import RunConfig, encode_matrix, run_verify
+
+from helpers import bench_module
+
+
+def n2_deg2_config() -> RunConfig:
+    pt = sb.random_phase_triple(2, np.random.default_rng(5))
+    return RunConfig.from_dict({
+        "n": 2,
+        "A": encode_matrix(pt.A),
+        "B": encode_matrix(pt.B),
+        "C": encode_matrix(pt.C),
+        "rho_fraction": 0.5,
+        "X": {"phases": [0.3, 1.2]},
+        "max_degree": 2,
+    })
+
+
+def test_tracer_counts_moment_and_family_work():
+    tracer = bench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        report = sb.run_verify(n2_deg2_config())
+    finally:
+        tracer.uninstall()
+    assert report.failed_stage is None
+    counts = tracer.summary()["counts"]
+    assert counts["integrals.moment_caches"] >= 1
+    assert counts["integrals.moments_memoized"] > 0
+    assert counts["gausspoly.family.terms"] > 0
+    # uninstall restores the untraced program
+    assert sb.run_verify is run_verify

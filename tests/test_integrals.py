@@ -1,5 +1,6 @@
 """Wick-moment engine and weighted inner products against closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,9 +15,16 @@ from sbhermite.errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from sbhermite.integrals import _coeff_rows, _expansions, _pair_inners
+from sbhermite.integrals import _coeff_rows, _expansions, _pair_inners, _positions
 
-from helpers import bargmann_data, em_data, ghs_data, random_poly
+from helpers import (
+    bargmann_data,
+    bench_module,
+    em_data,
+    ghs_data,
+    random_poly,
+    reference_moments,
+)
 
 
 def pairing_moment(cov: np.ndarray, idx: list) -> float:
@@ -188,7 +196,8 @@ class TestHphiInner:
             assert abs(sb.hphi_inner(f, g, wd) - want) <= 1e-12 * scale
 
     def test_sparse_high_degree_pair(self):
-        # z1^12 at n=4 touches one moment, not the full degree-12 matrix
+        # z1^12 at n=4 fills its 13-monomial downward closure, not the 1820
+        # monomials of the graded basis through degree 12
         _, wd, gen = sb.random_generator(4, np.random.default_rng(7))
         cache = sb.make_moment_cache(wd, gen.Q)
         f = sb.GaussPoly(sb.PolyC.monomial((12, 0, 0, 0)), gen.Q)
@@ -200,7 +209,8 @@ class TestHphiInner:
             for eg, cg in real_expansion(f.poly, True).items()
         )
         assert abs(sb.hphi_inner(f, f, wd, cache) - want) <= 1e-12 * abs(want)
-        assert cache.moments.shape == (1, 1) and len(cache.memo) <= 13 * 13
+        assert cache.moments.shape == (13, 13) and len(cache.memo) <= 13 * 13
+        assert set(cache.index) == {(k, 0, 0, 0) for k in range(13)}
 
     @pytest.mark.parametrize("k", [16, 20])
     def test_bargmann_norms_above_degree_31(self, k):
@@ -212,18 +222,130 @@ class TestHphiInner:
         assert sb.hphi_inner(fk, fk, wd, cache).real == pytest.approx(want, rel=1e-10)
 
     def test_lopsided_degrees_within_cap(self):
-        # degrees 20 and 4 meet the cap 24; the degree-40 moment of z^20 with
-        # itself is never computed
+        # degrees 20 and 4 meet the cap 24; the matrix spans the closure
+        # z^0 .. z^20, and no entry past the cap (such as the degree-40
+        # moment of z^20 with itself) is computed
         _, wd, _ = bargmann_data()
         cache = sb.make_moment_cache(wd, np.zeros((1, 1)))
         f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
         g = sb.GaussPoly(sb.PolyC.monomial((4,)), np.zeros((1, 1)))
         want = 2.0 * math.pi * 2.0**4 * math.factorial(4)
         assert sb.hphi_inner(f, g, wd, cache).real == pytest.approx(want, rel=1e-12)
-        assert cache.moments.shape == (2, 2)
+        assert cache.moments.shape == (21, 21)
         assert max(sum(key) for key in cache.memo) <= cache.degree_cap
+        deg = np.array([sum(a) for a in cache.index])
+        past = deg[:, None] + deg[None, :] > cache.degree_cap
+        assert np.isnan(cache.moments[past]).all()
+        assert not np.isnan(cache.moments[~past]).any()
         with pytest.raises(DegreeCapExceeded):
             sb.hphi_inner(f, f.scaled(2.0), wd, cache)
+
+
+def closure_of(monos) -> set:
+    """Every b <= a entrywise for some a of ``monos``."""
+    return {b for a in monos for b in itertools.product(*(range(e + 1) for e in a))}
+
+
+def assert_moments_match(got: np.ndarray, want: np.ndarray, rel: float = 1e-13):
+    """The same past-cap NaN pattern; entries at least 1e-12 of the largest
+    agree within ``rel`` relative, smaller ones within 1e-15 times the
+    largest."""
+    want = want.astype(complex)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    held = ~np.isnan(want)
+    top = np.max(np.abs(want[held]))
+    big = held & (np.abs(want) >= 1e-12 * top)
+    err = np.abs(got - want)
+    assert np.all(err[big] <= rel * np.abs(want[big])), np.max(err[big] / np.abs(want[big]))
+    assert np.all(err[held & ~big] <= 1e-15 * top)
+
+
+def random_monomial(n: int, degree: int, rng) -> tuple:
+    return tuple(int(e) for e in rng.multinomial(degree, np.full(n, 1.0 / n)))
+
+
+# largest degree per n of full bases and sparse monomials, so that the
+# per-entry oracle stays quick
+BASIS_DEGREE = {1: 12, 2: 8, 3: 5, 4: 4}
+SPARSE_DEGREE = {1: 14, 2: 10, 3: 7, 4: 5}
+
+
+class TestMomentFill:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        kind=st.sampled_from(["basis", "sparse", "lopsided"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_per_entry_isserlis(self, n, kind, seed, data):
+        rng = np.random.default_rng(seed)
+        _, wd, gen = sb.random_generator(n, rng)
+        top = SPARSE_DEGREE[n]
+        if kind == "basis":
+            d = data.draw(st.integers(0, BASIS_DEGREE[n]), label="degree")
+            monos = sb.multi_indices(n, d)
+        elif kind == "sparse":
+            count = data.draw(st.integers(1, 4), label="count")
+            monos = [random_monomial(n, int(rng.integers(0, top + 1)), rng)
+                     for _ in range(count)]
+        else:
+            # one high and one low degree whose pair meets the cap while the
+            # high degree with itself passes it
+            high = data.draw(st.integers(2, top), label="high")
+            low = data.draw(st.integers(0, high - 1), label="low")
+            monos = [random_monomial(n, high, rng), random_monomial(n, low, rng)]
+        d = max(sum(a) for a in monos)
+        lo = d if kind != "lopsided" else sum(map(sum, monos))
+        cap = data.draw(st.integers(lo, max(lo, 2 * d - (kind == "lopsided"))), label="cap")
+        cache = sb.make_moment_cache(wd, gen.Q, degree_cap=cap)
+        # grow in two steps; the entries held after the first stay as they are
+        _positions(cache, monos[: len(monos) // 2])
+        before = cache.moments.copy()
+        pos = _positions(cache, monos)
+        old = before.shape[0]
+        assert np.array_equal(cache.moments[:old, :old], before, equal_nan=True)
+        closure = list(cache.index)
+        assert set(closure) == closure_of(monos)
+        assert [closure[p] for p in pos] == list(monos)
+        want = reference_moments(cache.zcov, closure, cap)
+        assert_moments_match(cache.moments, want)
+        held = int(np.count_nonzero(~np.isnan(want.astype(complex))))
+        assert cache.filled == len(cache.memo) == held
+
+    @pytest.mark.parametrize("n, degree", [(2, 10), (3, 6), (4, 4)])
+    def test_against_mpmath_isserlis(self, n, degree):
+        # the per-entry recursion at 40 digits on the same float covariance;
+        # triples as in the benchmark's recipe, seed 1000
+        import mpmath
+
+        inputs = bench_module("inputs")
+        a, b, c = inputs.random_triple(n, np.random.default_rng(1000))
+        cfg = sb.RunConfig.from_dict(
+            inputs.v1_config(a, b, c, max_degree=degree, seed=0, phases=[0.3] * n))
+        wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
+        gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
+        cache = sb.make_moment_cache(wd, gen.Q)
+        monos = sb.multi_indices(n, degree)
+        pos = _positions(cache, monos)
+        with mpmath.workdps(40):
+            zcov = [[mpmath.mpc(complex(v)) for v in row] for row in cache.zcov]
+            want = reference_moments(zcov, monos, cache.degree_cap)
+            want = np.array([[complex(v) for v in row] for row in want])
+        assert_moments_match(cache.moments[np.ix_(pos, pos)], want)
+
+    def test_memo_is_a_view_of_the_matrix(self):
+        _, wd, gen = ghs_data(0.5)
+        cache = sb.make_moment_cache(wd, gen.Q, degree_cap=5)
+        _positions(cache, [(3, 0), (0, 2)])
+        memo = cache.memo
+        assert len(memo) == np.count_nonzero(~np.isnan(cache.moments)) == cache.filled
+        for key in memo:
+            a, b = key[:2], key[2:]
+            assert sum(key) <= 5
+            assert memo[key] == cache.moments[cache.index[a], cache.index[b]]
+        for missing in [(3, 0, 3, 0), (4, 0, 0, 0), (1, 0, 0)]:
+            assert missing not in memo
 
 
 class TestGramMatrix:

@@ -147,13 +147,25 @@ class TestRunVerify:
         report = run_verify(cfg)
         metrics = report.to_dict()["metrics"]
         assert set(metrics) == {"family_members", "family_terms", "moment_matrix_size",
-                                "cond_M_R", "lam_max_over_lam0"}
+                                "moment_fills", "moments_filled", "cond_M_R",
+                                "lam_max_over_lam0", "min_mu_over_lam0",
+                                "condition1_margin_over_rho2"}
         assert all(math.isfinite(v) for v in metrics.values())
         assert metrics["family_members"] == len(sb.multi_indices(2, 6))
         assert metrics["family_terms"] >= metrics["family_members"]
         assert metrics["moment_matrix_size"] >= len(sb.multi_indices(2, 6))
+        # the shared cache fills once for the family and never again (the
+        # adjoint and completeness monomials lie inside degree 6); the
+        # isometry stage fills its own cache once
+        assert metrics["moment_fills"] == 2
+        size = metrics["moment_matrix_size"]
+        # every entry of the shared matrix lies within the cap (2 * 6 <= 24)
+        assert metrics["moments_filled"] > size * size
         assert metrics["cond_M_R"] >= 1.0
         assert metrics["lam_max_over_lam0"] >= 1.0
+        assert 0.0 < metrics["min_mu_over_lam0"]
+        # constructed generators satisfy condition1_margin >= rho^2 / 2
+        assert metrics["condition1_margin_over_rho2"] >= 0.5
         # descriptive only: no metric is a residual or carries a verdict
         assert not set(metrics) & (set(report.residuals) | set(report.checks))
 
