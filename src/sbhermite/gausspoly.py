@@ -5,19 +5,21 @@ P sparse over multi-indices and M complex symmetric.  First-order operators
 G d/dz + H z keep that class closed: a derivative pulls 2 (M z)_k down into
 the polynomial factor, so application is exact apart from rounding.
 
-Operators act on coefficient blocks: a set of Gaussian polynomials sharing
-one M is a complex matrix with one row per function and one column per
-multi-index of the graded basis |alpha| <= d (``_basis``; each basis is a
-prefix of the next).  One kernel, ``_apply_block``, applies a component of
-a ``LinearDiffOp`` to every row at once: 2n gathers through index maps
+Inside the engine the one format is the coefficient block: a set of
+Gaussian polynomials sharing one M is a complex matrix with one row per
+function and one column per multi-index of the graded basis |alpha| <= d
+(``_basis``; each basis is a prefix of the next).  The dicts are the
+public API's format, converted at that edge by ``_block_of`` and
+``_polys_of``.  One kernel, ``_apply_block``, applies a component of a
+``LinearDiffOp`` to every row at once: 2n gathers through index maps
 cached per (n, d), summed in a fixed order and pruned row by row.  The
 products are taken on real planes with the rounding of Python's scalar
 complex product; numpy's complex multiply uses fused multiply-adds where
 the CPU has them and rounds differently.  So a row's result does not
 depend on the rows around it, and the kernel reproduces term-by-term
 application bit for bit.  The raising chain builds each degree layer of a
-family from the previous one with one kernel call; ``apply_op``,
-``hamiltonian_apply`` and ``rodrigues`` are its one-row cases.
+family from the previous one with one kernel call; ``apply_op`` and
+``hamiltonian_apply`` are its one-row cases, ``rodrigues`` a row of it.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
 def mi_factorial(alpha) -> float:
     """alpha! as a float (exact integer arithmetic underneath)."""
     return float(math.prod(math.factorial(int(a)) for a in alpha))
-
-
-def _pruned_terms(terms: dict, rel: float = PRUNE_REL) -> dict:
-    """Terms of magnitude at least ``rel`` times the largest; zeros go too."""
-    top = max((abs(v) for v in terms.values()), default=0.0)
-    if top == 0.0:
-        return {}
-    cut = rel * top
-    return {k: v for k, v in terms.items() if abs(v) >= cut}
 
 
 def _power_table(v: np.ndarray, degree: int) -> list:
@@ -147,9 +140,6 @@ class PolyC:
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.terms.values()), default=0.0)
-
     def scaled(self, c: complex) -> "PolyC":
         return PolyC(self.n, {k: c * v for k, v in self.terms.items()})
 
@@ -163,16 +153,6 @@ class PolyC:
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + other.scaled(-1.0)
-
-    def pruned(self, rel: float = PRUNE_REL) -> "PolyC":
-        return PolyC._clean(self.n, _pruned_terms(self.terms, rel))
-
-    def distance(self, other: "PolyC") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
 
     def __call__(self, z: np.ndarray):
         """Value at one point (n,), or values at a batch of points (q, n).
@@ -207,9 +187,6 @@ class GaussPoly:
     @property
     def n(self) -> int:
         return self.poly.n
-
-    def max_abs(self) -> float:
-        return self.poly.max_abs()
 
     def scaled(self, c: complex) -> "GaussPoly":
         return GaussPoly(self.poly.scaled(c), self.M)
@@ -360,6 +337,8 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     """
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
+    if not 0 <= i < op.n:  # a negative i would pick a component from the end
+        raise DimensionMismatch(f"component index {i} is outside 0..{op.n - 1}")
     d = gp.poly.degree()
     out = _apply_block(op, i, _block_of([gp.poly], d), gp.M, d)
     return GaussPoly(_polys_of(out, gp.n, d + 1)[0], gp.M)
@@ -461,38 +440,27 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     """Family member via the closed form
     e^{<z,Sz>} Xi^alpha e^{-<z,(S+Q)z>}.
 
-    Xi^alpha is applied symbolically to 1 * exp(-<z,(S+Q)z>) as a one-row
-    block, last coordinate first, the order in which
-    :func:`_rodrigues_family` builds it, so both agree bit for bit; the
-    final multiplication by e^{<z,Sz>} subtracts S from the exponent
-    matrix.  Entries of ``alpha`` must be nonnegative integers.
+    The member is row alpha of the raising chain of Xi on
+    1 * exp(-<z,(S+Q)z>) (:func:`_rodrigues_block`), the block the verify
+    stage compares with the family; the final multiplication by e^{<z,Sz>}
+    subtracts S from the exponent matrix.  Entries of ``alpha`` must be
+    nonnegative integers.
     """
     alpha = tuple(alpha)
     if len(alpha) != gen.n:
         raise DimensionMismatch("alpha has the wrong length")
     if any(not float(a).is_integer() or a < 0 for a in alpha):
         raise ValueError(f"alpha must have nonnegative integer entries, got {alpha}")
-    xi = xi_ops(gen)
-    ground = _rodrigues_ground(gen)
-    row, degree = _block_of([ground.poly], 0), 0
-    for i in reversed(range(gen.n)):
-        for _ in range(int(alpha[i])):
-            row = _apply_block(xi, i, row, ground.M, degree)
-            degree += 1
-    return _unshifted(GaussPoly(_polys_of(row, gen.n, degree)[0], ground.M), gen)
+    alpha = tuple(int(a) for a in alpha)
+    d = sum(alpha)
+    row = _rodrigues_block(gen, d)[_columns(gen.n, d)[alpha]]
+    return _unshifted(GaussPoly(_polys_of(row[None], gen.n, d)[0], gen.SQ), gen)
 
 
 def _rodrigues_block(gen: GeneratorData, max_total_degree: int) -> np.ndarray:
     """Coefficients of rodrigues(alpha) for every |alpha| <= max_total_degree,
     as the rows of one raising chain of Xi (see :func:`_chain_block`)."""
     return _chain_block(xi_ops(gen), _rodrigues_ground(gen), max_total_degree)
-
-
-def _rodrigues_family(gen: GeneratorData, max_total_degree: int) -> dict:
-    """rodrigues(alpha) for every |alpha| <= max_total_degree from one raising
-    chain of Xi: each member is one Xi application to a built one."""
-    chain = _raising_chain(xi_ops(gen), _rodrigues_ground(gen), max_total_degree)
-    return {alpha: _unshifted(gp, gen) for alpha, gp in chain.items()}
 
 
 def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
@@ -572,4 +540,6 @@ def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:
     claims should divide the first value by the second.
     """
     a._check_same_exponent(b)
-    return a.poly.distance(b.poly), max(a.max_abs(), b.max_abs())
+    d = max(a.poly.degree(), b.poly.degree())
+    block = _block_of([a.poly, b.poly], d)
+    return float(_row_max_abs(block[:1] - block[1:])[0]), float(_row_max_abs(block).max())

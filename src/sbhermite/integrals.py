@@ -6,8 +6,9 @@ Gaussian moments.  They are taken directly in the complex coordinates: the
 vector u = (z, zbar) = T w of the real coordinates w = (Re z, Im z) has the
 bilinear covariance K = T Sigma T^T.  A moment cache holds E[z^a zbar^b] as
 a Hermitian matrix over the downward closure of the monomials that calls
-have asked for (every b <= a entrywise of a requested a), so a sparse
-argument such as z_1^12 costs its 13-monomial closure, not a graded basis.
+have asked for (every b <= a entrywise of a requested a).  A call asks
+only for the block columns (see ``gausspoly``) that some row uses, so a
+sparse argument such as z_1^12 costs its 13-monomial closure.
 The matrix is filled from the Stein identity (Gaussian integration by
 parts) E[u_j f(u)] = sum_k K[j, k] E[d f / d u_k], which ties every moment
 of total degree t to moments of degree t - 2.  A fill therefore runs layer
@@ -22,11 +23,12 @@ quadrature error enters anywhere.  The real moments E[w^beta] of
 independent route to the same numbers.
 
 Callers that need many products work stage-wide: all arguments go into one
-coefficient matrix P, and any set of pairs (l, r) is one row sum of
-(P Mom)[l] * conj(P)[r] (``_pair_inners``); expanding many functions in a
-family is one matrix too (``_expansions``).  ``hphi_inner`` and
-``expand_in_family`` are the one-pair and one-row cases of these, so no
-inner product is implemented twice.
+coefficient block P, and any set of pairs (l, r) is one row sum of
+(P Mom)[l] * conj(P)[r] (``_pair_inners``); a Gram matrix and many
+expansions in a family are one block too (``_gram_block``,
+``_expansions``).  ``hphi_inner``, ``gram_matrix`` and ``expand_in_family``
+convert their arguments to one block and are cases of these, so no inner
+product is implemented twice.
 """
 
 from __future__ import annotations
@@ -344,15 +346,14 @@ def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
     return mc
 
 
-def _coeff_rows(gps) -> tuple[np.ndarray, list]:
-    """Coefficients of ``gps`` as rows over the union of their monomials,
-    in order of first appearance, and that monomial list."""
-    monos = list(dict.fromkeys(m for gp in gps for m in gp.poly.terms))
-    col = {m: k for k, m in enumerate(monos)}
-    out = np.zeros((len(gps), len(monos)), dtype=complex)
-    for r, gp in enumerate(gps):
-        out[r, [col[m] for m in gp.poly.terms]] = list(gp.poly.terms.values())
-    return out, monos
+def _used_columns(mc: MomentCache, p: np.ndarray, degree: int) -> tuple:
+    """A block over ``_basis(n, degree)`` cut to the columns some row uses,
+    their monomials, and the degree of each row."""
+    basis = _basis(mc.exponent.shape[0], degree)
+    cols = np.flatnonzero(p.any(axis=0))
+    p, monos = p[:, cols], [basis[j] for j in cols]
+    mono_deg = np.array([sum(m) for m in monos], dtype=int)
+    return p, monos, np.max(np.where(p != 0, mono_deg, 0), axis=1, initial=0)
 
 
 def _moment_matrix(mc: MomentCache, monos, product_degree: int) -> np.ndarray:
@@ -375,40 +376,42 @@ def _moment_matrix(mc: MomentCache, monos, product_degree: int) -> np.ndarray:
     return mom
 
 
-def _coeff_matrix(mc: MomentCache, gps) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of ``gps`` as rows over their monomials, and the moment
-    matrix of those monomials for products of any two rows."""
-    p, monos = _coeff_rows(gps)
-    return p, _moment_matrix(mc, monos, 2 * max(gp.poly.degree() for gp in gps))
-
-
 def _row_inners(mom: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left[k] Mom conj(right[k]) for every row k: the row sums of
     (left Mom) * conj(right)."""
     return np.einsum("ij,ij->i", left @ mom, right.conj())
 
 
-def _pair_inners(mc: MomentCache, p: np.ndarray, monos, left, right) -> np.ndarray:
-    """Inner products (row l, row r) of the coefficient block ``p`` over the
-    monomials ``monos`` for the index pairs of ``left`` and ``right``."""
-    mono_deg = np.array([sum(m) for m in monos])
-    row_deg = np.max(np.where(p != 0, mono_deg, 0), axis=1, initial=0)
+def _pair_inners(mc: MomentCache, p: np.ndarray, degree: int, left, right) -> np.ndarray:
+    """Inner products (row l, row r) of the coefficient block ``p`` over
+    ``_basis(n, degree)`` for the index pairs of ``left`` and ``right``."""
+    p, monos, row_deg = _used_columns(mc, p, degree)
     mom = _moment_matrix(mc, monos, int(np.max(row_deg[left] + row_deg[right])))
     return mc.form.normalizer * _row_inners(mom, p[left], p[right])
 
 
+def _gram_block(mc: MomentCache, p: np.ndarray, degree: int) -> np.ndarray:
+    """Gram matrix normalizer * P Mom P^H of the rows of a block over
+    ``_basis(n, degree)``, made exactly Hermitian."""
+    p, monos, row_deg = _used_columns(mc, p, degree)
+    mom = _moment_matrix(mc, monos, 2 * int(row_deg.max(initial=0)))
+    gram = mc.form.normalizer * (p @ mom @ p.conj().T)
+    return 0.5 * (gram + gram.conj().T)
+
+
 def _expansions(
-    mc: MomentCache, fs, members
+    mc: MomentCache, fs: np.ndarray, members: np.ndarray, degree: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each of ``fs`` against the normalized ``members``, from one coefficient
-    matrix: the coefficients (one row per f), the residual norms
+    """Each row of ``fs`` against the normalized rows of ``members``, two
+    blocks over ``_basis(n, degree)``, from one coefficient matrix: the
+    coefficients (one row per f), the residual norms
     ||f - sum c_a psi_a / ||psi_a|| || and the norms ||f||.
 
     Residuals come from the coefficient remainder, not from a Parseval
     shortcut.
     """
-    p, mom = _coeff_matrix(mc, [*fs, *members])
-    mom = mc.form.normalizer * mom
+    p, monos, row_deg = _used_columns(mc, np.vstack([fs, members]), degree)
+    mom = mc.form.normalizer * _moment_matrix(mc, monos, 2 * int(row_deg.max(initial=0)))
     f, pm = p[: len(fs)], p[len(fs):]
     norms = np.sqrt(np.maximum(_row_inners(mom, pm, pm).real, 0.0))
     c = (f @ mom @ pm.conj().T) / norms
@@ -430,7 +433,8 @@ def hphi_inner(
         form = combined_form(wd, F.M, G.M)
         cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
     cache = _checked_cache(cache, (F, G), wd)
-    return complex(_pair_inners(cache, *_coeff_rows((F, G)), [0], [1])[0])
+    d = max(F.poly.degree(), G.poly.degree())
+    return complex(_pair_inners(cache, _block_of([F.poly, G.poly], d), d, [0], [1])[0])
 
 
 def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
@@ -447,17 +451,15 @@ def gram_matrix(
     """Gram matrix of a family, with its graded-lex index list.
 
     Entry (a, b) is the inner product of members a and b, computed for all
-    pairs at once as normalizer * P Mom P^H over the coefficient matrix P;
-    the result is made exactly Hermitian.
+    pairs at once by ``_gram_block`` on the family's coefficient block.
     """
     keys = sorted(family.keys(), key=lambda t: (sum(t), t))
     if not keys:
         return [], np.zeros((0, 0), dtype=complex)
     members = [family[k] for k in keys]
     cache = _checked_cache(cache, members, wd)
-    p, mom = _coeff_matrix(cache, members)
-    gram = cache.form.normalizer * (p @ mom @ p.conj().T)
-    return keys, 0.5 * (gram + gram.conj().T)
+    d = max(m.poly.degree() for m in members)
+    return keys, _gram_block(cache, _block_of([m.poly for m in members], d), d)
 
 
 def adjoint_residual(
@@ -473,6 +475,8 @@ def adjoint_residual(
     Values near zero validate the implemented raising operator as the true
     adjoint with respect to the weighted inner product.
     """
+    if not 0 <= i < wd.n:  # a negative i would pick a component from the end
+        raise DimensionMismatch(f"component index {i} is outside 0..{wd.n - 1}")
     if cache is None:
         cache = make_moment_cache(wd, gen.Q)
     cache = _checked_cache(cache, (F, G), wd)
@@ -480,7 +484,7 @@ def adjoint_residual(
     d = max(F.poly.degree(), G.poly.degree())
     fg = _block_of([F.poly, G.poly], d)
     rows = _adjoint_block(ladder, i, fg[:1], fg[1:], cache.exponent, d)
-    lhs, rhs = _pair_inners(cache, rows, _basis(wd.n, d + 1), [2, 0], [1, 3])
+    lhs, rhs = _pair_inners(cache, rows, d + 1, [2, 0], [1, 3])
     return abs(lhs - rhs)
 
 
@@ -503,5 +507,7 @@ def expand_in_family(
         raise IncompleteFamily(f"family lacks indices {missing[:4]} (degree {deg})")
     members = [family[a] for a in needed]
     cache = _checked_cache(cache, [F, *members], wd)
-    c, residuals, _ = _expansions(cache, [F], members)
+    d = max(gp.poly.degree() for gp in (F, *members))
+    block = _block_of([F.poly, *(m.poly for m in members)], d)
+    c, residuals, _ = _expansions(cache, block[:1], block[1:], d)
     return dict(zip(needed, c[0].tolist())), float(residuals[0])

@@ -4,26 +4,27 @@ A run parses a config, constructs the generator, then measures every
 verifiable identity as a named residual with a named tolerance.  Reports
 are deterministic for a fixed config and seed, timings aside.
 
-Stages work on whole families, not pair by pair or member by member.
-Operators act on coefficient blocks, one row per function over a graded
-monomial basis, through the one kernel of ``gausspoly``.  The eigen stage
-applies lower_i and then raise_i to the block of the whole family, 2n
-kernel calls, and takes ``eigen_max`` row by row.  The Rodrigues stage
-builds every closed-form member from one raising chain of Xi on
-exp(-<z,(S+Q)z>), one kernel call per degree layer, and compares that
-block with the family block row by row; ``rodrigues`` applies Xi in the
-same order, last coordinate first, so the two agree bit for bit.  The
-adjoint stage draws its ten random (f, g, i) triples straight into two
-blocks, applies the ladder operators to them, and takes every inner
-product and norm from one coefficient matrix of f, g, lower_i f and
-raise_i g; completeness takes one matrix per degree d, holding every
-z^beta with |beta| = d and the members |alpha| <= d.
+Stages work on whole families, not pair by pair or member by member, and
+on one format: coefficient blocks, one row per function over a graded
+monomial basis (see ``gausspoly``).  The family stage turns the output of
+``hermite_family`` into one block, and the gram, eigen, Rodrigues and
+completeness stages use that block.  The eigen stage applies lower_i and
+then raise_i to it, 2n kernel calls, and takes ``eigen_max`` row by row.
+The Rodrigues stage builds every closed-form member from one raising
+chain of Xi on exp(-<z,(S+Q)z>), one kernel call per degree layer, and
+compares that block with the family block row by row; ``rodrigues`` is a
+row of the same chain.  The adjoint stage draws its ten random (f, g, i)
+triples straight into two blocks, applies the ladder operators to them,
+and takes every inner product and norm from one block of f, g, lower_i f
+and raise_i g; completeness takes one block per degree d, an identity row
+for every z^beta with |beta| = d above the members |alpha| <= d.
 
 Besides residuals, a report carries ``metrics``: family size and terms,
-the size of the run's moment matrix (the downward closure of the monomials
-its stages asked for), how often the run's moment matrices grew and how
-many entries those fills computed, cond(M_R) of the combined real form,
-lambda_max / lambda_0, min mu / lambda_0 and condition1_margin / rho^2.
+the size of the run's moment matrix (the downward closure of the
+monomials that rows of its stages' blocks use), how often the run's
+moment matrices grew and how many entries those fills computed, cond(M_R)
+of the combined real form, lambda_max / lambda_0, min mu / lambda_0 and
+condition1_margin / rho^2.
 They describe the run and never enter a verdict.
 """
 
@@ -57,9 +58,9 @@ from .gausspoly import (
     ground_state,
     hermite_family,
     mi_factorial,
-    multi_indices,
 )
-from .integrals import _expansions, _pair_inners, gram_matrix, make_moment_cache
+from .integrals import _expansions, _gram_block, _pair_inners
+from .integrals import gram_matrix, make_moment_cache
 from .model import (
     build_generator,
     ccr_matrix,
@@ -453,13 +454,20 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     timer.run("algebra", algebra)
 
-    family = timer.run("family", lambda: hermite_family(wd, gen, config.max_degree))
-    metrics["family_members"] = len(family)
-    metrics["family_terms"] = sum(len(m.poly.terms) for m in family.values())
+    def family():
+        # the family as one coefficient block, one row per member in basis
+        # order over _basis(n, max_degree); every later stage works on it
+        members = hermite_family(wd, gen, config.max_degree)
+        return _block_of([m.poly for m in members.values()], config.max_degree)
+
+    block = timer.run("family", family)
+    keys = _basis(n, config.max_degree)
+    metrics["family_members"] = block.shape[0]
+    metrics["family_terms"] = int(np.count_nonzero(block))
 
     def gram():
         cache = make_moment_cache(wd, gen.Q)
-        keys, g = gram_matrix(family, wd, cache)
+        g = _gram_block(cache, block, config.max_degree)
         diag = g.diagonal().real  # the imaginary parts are exactly zero
         predicted = [(2.0 * rho2) ** sum(k) * mi_factorial(k) * diag[0] for k in keys]
         res["gram_diag_maxrel"] = float(np.max(np.abs(diag - predicted) / diag))
@@ -474,25 +482,23 @@ def run_verify(config: RunConfig) -> VerificationReport:
     metrics["cond_M_R"] = float(np.linalg.cond(cache.form.M_R))
 
     def eigen():
-        # the family as one coefficient block, one row per member in basis order
         ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-        block = _block_of([m.poly for m in family.values()], config.max_degree)
         image = _hamiltonian_block(gen, ladder, block, config.max_degree)
-        levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in family]
+        levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in keys]
         expected = _real_scaled(_padded(block, n, config.max_degree + 2),
                                 np.array(levels)[:, None])
         res["eigen_max"] = float(np.max(_row_distances(image, expected)))
-        return ladder, block
+        return ladder
 
-    # the ladder pair and the family block built here serve later stages too
-    ladder, family_block = timer.run("eigen", eigen)
+    # the ladder pair built here serves the adjoint stage too
+    ladder = timer.run("eigen", eigen)
 
     def rodrig():
         # every member from one shared-prefix chain of Xi, compared row by row;
         # the closed form's exponent (S+Q) - S must be the family's Q
         _unshifted(_rodrigues_ground(gen), gen)._check_same_exponent(ground_state(gen))
         closed = _rodrigues_block(gen, config.max_degree)
-        res["rodrigues_max"] = float(np.max(_row_distances(closed, family_block)))
+        res["rodrigues_max"] = float(np.max(_row_distances(closed, block)))
 
     timer.run("rodrigues", rodrig)
 
@@ -505,7 +511,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         # (lower f, g), (f, raise g), (f, f), (g, g) for every triple
         left = np.concatenate([t + 2 * k, t, t, t + k])
         right = np.concatenate([t + k, t + 3 * k, t, t + k])
-        inners = _pair_inners(cache, rows, _basis(n, 4), left, right)
+        inners = _pair_inners(cache, rows, 4, left, right)
         lhs, rhs, ff, gg = inners.reshape(4, k)
         scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
         res["adjoint_max"] = float(np.max(np.abs(lhs - rhs) / scale))
@@ -513,13 +519,13 @@ def run_verify(config: RunConfig) -> VerificationReport:
     timer.run("adjoint", adjoint)
 
     def completeness():
-        # per degree d, every z^beta with |beta| = d against the members |alpha| <= d
+        # per degree d, every z^beta with |beta| = d, one identity row each,
+        # against the members |alpha| <= d, the leading rows of the block
         worst = 0.0
         for d in range(min(3, config.max_degree) + 1):
-            needed = multi_indices(n, d)
-            monos = [GaussPoly(PolyC.monomial(b), gen.Q) for b in needed if sum(b) == d]
-            members = [family[a] for a in needed]
-            _, residuals, norms = _expansions(cache, monos, members)
+            size = len(_basis(n, d))
+            monos = np.eye(size, dtype=complex)[len(_basis(n, d - 1)):]
+            _, residuals, norms = _expansions(cache, monos, block[:size, :size], d)
             worst = max(worst, float(np.max(residuals / norms)))
         res["completeness_residual"] = worst
 

@@ -60,11 +60,21 @@ class TestFunction:
     """Finite expansion in the orthonormal Gaussian-Hermite basis on R^n.
 
     ``coefficients`` maps multi-indices to complex weights; the squared L2
-    norm is the coefficient square sum, exactly.
+    norm is the coefficient square sum, exactly.  Multi-indices are stored
+    as int tuples and checked like those of ``rodrigues``.
     """
 
     n: int
     coefficients: dict
+
+    def __post_init__(self):
+        for alpha in self.coefficients:
+            if len(alpha) != self.n:
+                raise DimensionMismatch(f"multi-index {alpha} needs {self.n} entries")
+            if any(not float(a).is_integer() or a < 0 for a in alpha):
+                raise ValueError(f"alpha must have nonnegative integer entries, got {alpha}")
+        coeffs = {tuple(int(a) for a in k): c for k, c in self.coefficients.items()}
+        object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def hermite_basis(cls, alpha) -> "TestFunction":

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import sbhermite as sb
+from sbhermite.gausspoly import PRUNE_REL
 from sbhermite.integrals import _isserlis
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -91,6 +92,15 @@ def assert_gp_close(a: sb.GaussPoly, b: sb.GaussPoly, rtol: float, msg: str = ""
     assert diff <= rtol * max(scale, 1e-300), f"{msg}: {diff:.3e} > {rtol:.1e} * {scale:.3e}"
 
 
+def reference_coeff_distance(a: sb.GaussPoly, b: sb.GaussPoly) -> tuple[float, float]:
+    """Dict oracle for ``coeff_distance``: the largest |a_k - b_k| over the
+    union of the two supports, and the larger of the two largest |c|."""
+    ta, tb = a.poly.terms, b.poly.terms
+    diff = max((abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in {*ta, *tb}), default=0.0)
+    top = max((abs(c) for c in [*ta.values(), *tb.values()]), default=0.0)
+    return diff, top
+
+
 def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.GaussPoly:
     """Term-by-term oracle for component i of a first-order operator.
 
@@ -115,7 +125,8 @@ def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.Gaus
             for mono, c in gp.poly.terms.items():
                 key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
                 out[key] = out.get(key, 0.0) + h * c
-    return sb.GaussPoly(sb.PolyC(gp.n, out).pruned(), gp.M)
+    cut = PRUNE_REL * max((abs(v) for v in out.values()), default=0.0)
+    return sb.GaussPoly(sb.PolyC(gp.n, {k: v for k, v in out.items() if abs(v) >= cut}), gp.M)
 
 
 def reference_moments(zcov, monos, cap: int) -> np.ndarray:

@@ -38,6 +38,10 @@ def test_tracer_counts_moment_and_family_work():
     counts = tracer.summary()["counts"]
     assert counts["integrals.moment_caches"] >= 1
     assert counts["integrals.moments_memoized"] > 0
+    # the pipeline builds its family through hermite_family, which the
+    # tracer wraps; a bypass would zero these counters
+    assert counts["gausspoly.family.members"] == report.metrics["family_members"]
+    assert counts["gausspoly.family.terms"] == report.metrics["family_terms"]
     assert counts["gausspoly.family.terms"] > 0
     # uninstall restores the untraced program
     assert sb.run_verify is run_verify

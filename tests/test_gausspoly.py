@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbhermite as sb
-from sbhermite.errors import MExponentMismatch
-from sbhermite.gausspoly import _apply_block, _basis, _rodrigues_family
+from sbhermite.errors import DimensionMismatch, MExponentMismatch
+from sbhermite.gausspoly import _apply_block, _basis, _rodrigues_block
 from sbhermite.transform import _intertwined_raising
 
 from helpers import (
@@ -21,6 +21,7 @@ from helpers import (
     ghs_data,
     random_poly,
     reference_apply_op,
+    reference_coeff_distance,
 )
 
 
@@ -66,10 +67,10 @@ class TestApplyOp:
                         want[key] = want.get(key, 0.0) + op.G[i, k] * a[k] * c
                     key = tuple(e + (j == k) for j, e in enumerate(a))
                     want[key] = want.get(key, 0.0) + h_eff[i, k] * c
-            got = sb.apply_op(op, i, gp).poly
-            assert set(got.terms) == set(want)
-            scale = max(abs(v) for v in want.values())
-            assert got.distance(sb.PolyC(n, want)) <= 1e-14 * scale
+            got = sb.apply_op(op, i, gp)
+            assert set(got.poly.terms) == set(want)
+            diff, scale = sb.coeff_distance(got, sb.GaussPoly(sb.PolyC(n, want), gp.M))
+            assert diff <= 1e-14 * scale
 
     def test_degree_rises_by_at_most_one(self):
         rng = np.random.default_rng(0)
@@ -78,6 +79,13 @@ class TestApplyOp:
         out = sb.apply_op(sb.creation_ops(wd, gen), 1, gp)
         assert out.poly.degree() <= 4
         assert np.array_equal(out.M, gp.M)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_component_index_out_of_range_rejected(self, i):
+        # a negative i must not wrap around to component n - 1
+        _, wd, gen = ghs_data(0.5)
+        with pytest.raises(DimensionMismatch, match="component index"):
+            sb.apply_op(sb.creation_ops(wd, gen), i, sb.ground_state(gen))
 
 
 class TestBlockKernel:
@@ -264,9 +272,9 @@ class TestRodrigues:
 
     @pytest.mark.parametrize("case", ["em", "ghs", 1, 2, 3, 4])
     def test_shared_chain_equals_rodrigues_bit_for_bit(self, case):
-        # the verify stage builds every member from one chain of Xi; the
-        # one-index function applies Xi in the chain's order, last
-        # coordinate first, so the two agree exactly, also at n >= 2
+        # rodrigues(alpha) is row alpha of the chain of Xi the verify stage
+        # builds, and equals Xi applied one component at a time in the
+        # chain's order, last coordinate first, exactly, also at n >= 2
         if case == "em":
             (_, wd, gen), degree = em_data(0.4), 6
         elif case == "ghs":
@@ -274,12 +282,16 @@ class TestRodrigues:
         else:
             _, wd, gen = sb.random_generator(case, np.random.default_rng(900 + case))
             degree = {1: 6, 2: 5, 3: 4, 4: 3}[case]
-        chain = _rodrigues_family(gen, degree)
-        assert list(chain) == sb.multi_indices(gen.n, degree)
-        for alpha, member in chain.items():
+        basis, xi = sb.multi_indices(gen.n, degree), sb.xi_ops(gen)
+        for alpha, row in zip(basis, _rodrigues_block(gen, degree)):
             single = sb.rodrigues(wd, gen, alpha)
-            assert single.poly.terms == member.poly.terms, alpha
-            assert np.array_equal(single.M, member.M), alpha
+            stepped = sb.GaussPoly(sb.PolyC.constant(gen.n, 1.0), gen.SQ)
+            for i in reversed(range(gen.n)):
+                for _ in range(alpha[i]):
+                    stepped = sb.apply_op(xi, i, stepped)
+            assert single.poly.terms == stepped.poly.terms, alpha
+            assert single.poly.terms == {a: c for a, c in zip(basis, row.tolist()) if c}, alpha
+            assert np.array_equal(single.M, stepped.M - gen.S), alpha
 
     @pytest.mark.parametrize("alpha", [(-2,), (1.7,), (float("nan"),), (float("inf"),)])
     def test_invalid_index_rejected(self, alpha):
@@ -479,14 +491,40 @@ class TestPolyC:
         q = p - p
         assert q.terms == {}
 
-    def test_pruning_drops_relative_dust(self):
-        p = sb.PolyC(1, {(0,): 1.0, (3,): 1e-16})
-        assert p.pruned().terms == {(0,): 1.0}
 
-    def test_distance(self):
-        a = sb.PolyC(2, {(1, 0): 1.0})
-        b = sb.PolyC(2, {(1, 0): 1.0 + 1e-12, (0, 1): 2e-13})
-        assert a.distance(b) == pytest.approx(2e-13, rel=1e-6)
+class TestCoeffDistance:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        degrees=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        density=st.floats(0.0, 1.0),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dict_oracle(self, n, degrees, density, shared, seed):
+        # pairs with different supports and degrees, magnitudes over 30
+        # decades; with ``shared`` the second argument perturbs the first
+        rng = np.random.default_rng(seed)
+        M = np.eye(n)
+
+        def draw(degree):
+            terms = {a: complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-15, 15)
+                     for a in sb.multi_indices(n, degree) if rng.random() < density}
+            return sb.GaussPoly(sb.PolyC(n, terms), M)
+
+        a = draw(degrees[0])
+        b = draw(degrees[1])
+        if shared:
+            b = a + b.scaled(1e-12)
+        got = sb.coeff_distance(a, b)
+        want = reference_coeff_distance(a, b)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert sb.coeff_distance(a, a)[0] == 0.0
+
+    def test_exponent_mismatch_rejected(self):
+        a = sb.GaussPoly(sb.PolyC.constant(1), np.eye(1))
+        with pytest.raises(MExponentMismatch):
+            sb.coeff_distance(a, sb.GaussPoly(sb.PolyC.constant(1), 2.0 * np.eye(1)))
 
 
 class TestMultiIndices:

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 import sbhermite as sb
 from sbhermite.errors import (
     DegreeCapExceeded,
+    DimensionMismatch,
     IncompleteFamily,
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from sbhermite.integrals import _coeff_rows, _expansions, _pair_inners, _positions
+from sbhermite.gausspoly import _block_of
+from sbhermite.integrals import _expansions, _pair_inners, _positions
 
 from helpers import (
     bargmann_data,
@@ -458,6 +460,14 @@ class TestAdjointResidual:
                     sb.adjoint_residual(wd, gen, f, g, i, cache) <= 1e-8 * scale
                 )
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_component_index_out_of_range_rejected(self, i):
+        # a negative i must not wrap around to a component from the end
+        _, wd, gen = ghs_data(0.5)
+        psi0 = sb.ground_state(gen)
+        with pytest.raises(DimensionMismatch, match="component index"):
+            sb.adjoint_residual(wd, gen, psi0, psi0, i)
+
 
 class TestExpandInFamily:
     def test_ground_state_expansion(self):
@@ -534,7 +544,8 @@ class TestBatchedCore:
         rows += list(sb.hermite_family(wd, gen, 2).values())
         left, right = np.divmod(np.arange(len(rows) ** 2), len(rows))
         cache = sb.make_moment_cache(wd, gen.Q)
-        got = _pair_inners(cache, *_coeff_rows(rows), left, right)
+        d = max(r.poly.degree() for r in rows)
+        got = _pair_inners(cache, _block_of([r.poly for r in rows], d), d, left, right)
         norms = [sb.hphi_norm(r, wd, cache) for r in rows]
         for k, (a, b) in enumerate(zip(left, right)):
             want = sb.hphi_inner(rows[a], rows[b], wd, cache)
@@ -550,7 +561,9 @@ class TestBatchedCore:
             betas = [b for b in sb.multi_indices(n, d) if sum(b) == d]
             monos = [sb.GaussPoly(sb.PolyC.monomial(b), gen.Q) for b in betas]
             needed = sb.multi_indices(n, d)
-            coeffs, residuals, norms = _expansions(cache, monos, [fam[a] for a in needed])
+            block = _block_of([gp.poly for gp in monos + [fam[a] for a in needed]], d)
+            coeffs, residuals, norms = _expansions(cache, block[: len(monos)],
+                                                   block[len(monos):], d)
             for k, f in enumerate(monos):
                 scale = sb.hphi_norm(f, wd, cache)
                 want, want_res = sb.expand_in_family(f, fam, wd, cache)

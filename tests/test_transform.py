@@ -569,6 +569,25 @@ class TestQuadratureInputs:
         with pytest.raises(ValueError, match=f"^{name} has non-finite"):
             calls[name]()
 
+    @pytest.mark.parametrize("entry", ["transform_batch", "transform_image"])
+    def test_test_function_indices_checked(self, entry):
+        # a one-entry index at n = 2 must not reach transform_batch (a tiny
+        # wrong value) or transform_image (a bare KeyError)
+        pt = ghs_data(0.45)[0]
+        calls = {
+            "transform_batch": lambda u: sb.transform_batch(pt, u, np.zeros((1, 2)), QUAD),
+            "transform_image": lambda u: sb.transform_image(pt, u).poly.terms,
+        }
+        with pytest.raises(sb.DimensionMismatch, match="needs 2 entries"):
+            calls[entry](sb.TestFunction(2, {(0, 0): 1.0, (1,): 1.0}))
+        for alpha in [(1, -1), (0.5, 1), (np.nan, 0)]:
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                calls[entry](sb.TestFunction(2, {alpha: 1.0}))
+        # integral entries of any numeric type are stored as int tuples
+        u = sb.TestFunction(2, {(1.0, np.int64(0)): 1.0})
+        assert list(u.coefficients) == [(1, 0)]
+        np.testing.assert_equal(calls[entry](u), calls[entry](sb.TestFunction(2, {(1, 0): 1.0})))
+
 
 class TestHermiteEvaluation:
     """polynomial_part against a term-wise hermval reference."""
