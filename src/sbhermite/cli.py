@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
-from .gausspoly import hermite_family
+from .gausspoly import _multi_index, hermite_family
 from .model import build_generator, compute_weight_data, validate_phase_triple
 from .pipeline import (
     RunConfig,
@@ -143,11 +143,9 @@ def _cmd_transform(args) -> int:
     config = _load_config(args.config, nodes=args.nodes)
     pt = validate_phase_triple(config.A, config.B, config.C)
     try:
-        alpha = tuple(int(v) for v in args.hermite.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--hermite: {args.hermite!r} is not a multi-index") from exc
-    if len(alpha) != pt.n or any(a < 0 for a in alpha):
-        raise ConfigError(f"--hermite: expected {pt.n} nonnegative integers")
+        alpha = _multi_index([int(v) for v in args.hermite.split(",")], pt.n)
+    except ValueError as exc:  # DimensionMismatch is a ValueError too
+        raise ConfigError(f"--hermite: expected {pt.n} nonnegative integers") from exc
     u = TestFunction.hermite_basis(alpha)
     quad = QuadSpec(nodes=config.nodes)
     rows = []

@@ -10,16 +10,18 @@ Gaussian polynomials sharing one M is a complex matrix with one row per
 function and one column per multi-index of the graded basis |alpha| <= d
 (``_basis``; each basis is a prefix of the next).  The dicts are the
 public API's format, converted at that edge by ``_block_of`` and
-``_polys_of``.  One kernel, ``_apply_block``, applies a component of a
-``LinearDiffOp`` to every row at once: 2n gathers through index maps
-cached per (n, d), summed in a fixed order and pruned row by row.  The
-products are taken on real planes with the rounding of Python's scalar
-complex product; numpy's complex multiply uses fused multiply-adds where
-the CPU has them and rounds differently.  So a row's result does not
-depend on the rows around it, and the kernel reproduces term-by-term
-application bit for bit.  The raising chain builds each degree layer of a
-family from the previous one with one kernel call; ``apply_op`` and
-``hamiltonian_apply`` are its one-row cases, ``rodrigues`` a row of it.
+``_gauss_polys``; keys from outside pass one rule, ``_multi_index``, and
+exponents one test, ``matrices.agree``.  One kernel, ``_apply_block``,
+applies a component of a ``LinearDiffOp`` to every row at once: 2n
+gathers through index maps cached per (n, d), summed in a fixed order and
+pruned row by row.  The products are taken on real planes with the
+rounding of Python's scalar complex product; numpy's complex multiply
+uses fused multiply-adds where the CPU has them and rounds differently.
+So a row's result does not depend on the rows around it, and the kernel
+reproduces term-by-term application bit for bit; ``apply_op`` and
+``hamiltonian_apply`` are its one-row cases.  ``_chain_block(op, M, c0, d)``
+builds op^alpha (c0 exp(-<z, M z>)), |alpha| <= d, one kernel call per
+degree layer; the family, the Rodrigues form and the images are chains.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -68,6 +71,18 @@ def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return list(_basis(n, max_degree))
 
 
+def _multi_index(alpha, n: int) -> tuple[int, ...]:
+    """``alpha`` as an int tuple, the one rule for a multi-index from outside
+    the engine: DimensionMismatch unless it has n entries, ValueError unless
+    every entry is a nonnegative integer (of any real numeric type)."""
+    alpha = tuple(alpha)
+    if len(alpha) != n:
+        raise DimensionMismatch(f"multi-index {alpha} needs {n} entries")
+    if not all(isinstance(a, Real) and float(a).is_integer() and a >= 0 for a in alpha):
+        raise ValueError(f"multi-index entries must be nonnegative integers, got {alpha}")
+    return tuple(int(a) for a in alpha)
+
+
 def mi_factorial(alpha) -> float:
     """alpha! as a float (exact integer arithmetic underneath)."""
     return float(math.prod(math.factorial(int(a)) for a in alpha))
@@ -105,8 +120,8 @@ def _tabulated_sum(terms: dict, tables: list, q: int) -> np.ndarray:
 class PolyC:
     """Sparse polynomial over C^n keyed by exponent multi-indices.
 
-    Zero coefficients are never stored.  Instances are treated as immutable;
-    all arithmetic returns new objects.
+    Zero coefficients are never stored, and keys pass ``_multi_index``.
+    Instances are treated as immutable; all arithmetic returns new objects.
     """
 
     __slots__ = ("n", "terms")
@@ -116,13 +131,13 @@ class PolyC:
         self.terms: dict[tuple[int, ...], complex] = {}
         if terms:
             for k, v in terms.items():
-                v = complex(v)
+                k, v = _multi_index(k, self.n), complex(v)
                 if v != 0:
-                    self.terms[tuple(int(e) for e in k)] = v
+                    self.terms[k] = v
 
     @classmethod
     def _clean(cls, n: int, terms: dict) -> "PolyC":
-        """Wrap a dict whose keys are int tuples and values nonzero complex."""
+        """Wrap, unchecked, a dict of valid int-tuple keys and nonzero complex values."""
         out = cls.__new__(cls)
         out.n = n
         out.terms = terms
@@ -134,7 +149,7 @@ class PolyC:
 
     @classmethod
     def monomial(cls, alpha, coeff: complex = 1.0) -> "PolyC":
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(alpha)
         return cls(len(alpha), {alpha: coeff})
 
     def degree(self) -> int:
@@ -192,8 +207,7 @@ class GaussPoly:
         return GaussPoly(self.poly.scaled(c), self.M)
 
     def _check_same_exponent(self, other: "GaussPoly"):
-        scale = max(1.0, mx.max_abs(self.M), mx.max_abs(other.M))
-        if mx.max_abs(self.M - other.M) > 1e-12 * scale:
+        if not mx.agree(self.M, other.M, 1e-12):
             raise MExponentMismatch("Gaussian exponents differ")
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
@@ -201,8 +215,7 @@ class GaussPoly:
         return GaussPoly(self.poly + other.poly, self.M)
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        self._check_same_exponent(other)
-        return GaussPoly(self.poly - other.poly, self.M)
+        return self + other.scaled(-1.0)
 
 
 @dataclass(frozen=True)
@@ -318,14 +331,16 @@ def _padded(block: np.ndarray, n: int, degree: int) -> np.ndarray:
     return out
 
 
-def _polys_of(block: np.ndarray, n: int, degree: int) -> list[PolyC]:
-    """One PolyC per row of a block over ``_basis(n, degree)``, holding the
-    nonzero entries in column order."""
+def _gauss_polys(block: np.ndarray, M: np.ndarray, degree: int) -> list[GaussPoly]:
+    """One GaussPoly with exponent M per row of a block over
+    ``_basis(n, degree)``, holding the nonzero entries in column order."""
+    n = M.shape[0]
     basis = _basis(n, degree)
     out = []
     for row in block:
         nz = np.flatnonzero(row)
-        out.append(PolyC._clean(n, dict(zip([basis[j] for j in nz], row[nz].tolist()))))
+        poly = PolyC._clean(n, dict(zip([basis[j] for j in nz], row[nz].tolist())))
+        out.append(GaussPoly(poly, M))
     return out
 
 
@@ -341,7 +356,7 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
         raise DimensionMismatch(f"component index {i} is outside 0..{op.n - 1}")
     d = gp.poly.degree()
     out = _apply_block(op, i, _block_of([gp.poly], d), gp.M, d)
-    return GaussPoly(_polys_of(out, gp.n, d + 1)[0], gp.M)
+    return _gauss_polys(out, gp.M, d + 1)[0]
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -386,54 +401,38 @@ def _chain_steps(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return mx.frozen(comps, dtype=int), mx.frozen(parents, dtype=int)
 
 
-def _chain_block(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> np.ndarray:
-    """op^alpha ``ground`` for every |alpha| <= max_degree, one row each in
-    ``_basis`` order over the columns of ``_basis(n, max_degree)``.
+def _chain_block(op: LinearDiffOp, M: np.ndarray, c0: complex, max_degree: int) -> np.ndarray:
+    """op^alpha (c0 exp(-<z, M z>)), exponent M, for every |alpha| <=
+    max_degree, one row each in ``_basis`` order over ``_basis(n, max_degree)``.
 
-    ``ground`` is a constant times a Gaussian.  Layer d comes from layer
-    d - 1 by one kernel call: each alpha applies the component at its first
-    nonzero index to its parent; the components commute, so the path does
-    not matter (tests assert it).  Unrolled, a member applies the
-    components last coordinate first.
+    Layer d comes from layer d - 1 by one kernel call: each alpha applies
+    the component at its first nonzero index to its parent; the components
+    commute, so the path does not matter (tests assert it).  Unrolled, a
+    member applies the components last coordinate first.
     """
     if max_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
-    n = ground.n
+    n = op.n
     size = len(_basis(n, max_degree))
     out = np.zeros((size, size), dtype=complex)
-    layer = _block_of([ground.poly], 0)
+    layer = np.full((1, 1), c0, dtype=complex)
     out[:1, :1] = layer
     for d in range(1, max_degree + 1):
         comps, parents = _chain_steps(n, d)
-        layer = _apply_block(op, comps, layer[parents], ground.M, d - 1)
+        layer = _apply_block(op, comps, layer[parents], M, d - 1)
         start = len(_basis(n, d - 1))
         out[start : start + len(comps), : layer.shape[1]] = layer
     return out
-
-
-def _raising_chain(op: LinearDiffOp, ground: GaussPoly, max_degree: int) -> dict:
-    """:func:`_chain_block` as GaussPolys keyed by multi-index."""
-    block = _chain_block(op, ground, max_degree)
-    polys = _polys_of(block, ground.n, max_degree)
-    return {a: GaussPoly(p, ground.M) for a, p in zip(_basis(ground.n, max_degree), polys)}
 
 
 def hermite_family(
     wd: WeightData, gen: GeneratorData, max_total_degree: int
 ) -> dict[tuple[int, ...], GaussPoly]:
     """All family members with |alpha| <= max_total_degree: the raising
-    chain of the creation operators from the generator."""
-    return _raising_chain(creation_ops(wd, gen), ground_state(gen), max_total_degree)
-
-
-def _rodrigues_ground(gen: GeneratorData) -> GaussPoly:
-    """1 * exp(-<z,(S+Q)z>), the Gaussian the Rodrigues formula differentiates."""
-    return GaussPoly(PolyC.constant(gen.n, 1.0), gen.SQ)
-
-
-def _unshifted(gp: GaussPoly, gen: GeneratorData) -> GaussPoly:
-    """e^{<z,Sz>} gp: exact exponent arithmetic, never a numeric evaluation."""
-    return GaussPoly(gp.poly, gp.M - gen.S)
+    chain of the creation operators from the generator exp(-<z, Q z>)."""
+    d = max_total_degree
+    block = _chain_block(creation_ops(wd, gen), gen.Q, 1.0, d)
+    return dict(zip(_basis(gen.n, d), _gauss_polys(block, gen.Q, d)))
 
 
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
@@ -443,24 +442,19 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     The member is row alpha of the raising chain of Xi on
     1 * exp(-<z,(S+Q)z>) (:func:`_rodrigues_block`), the block the verify
     stage compares with the family; the final multiplication by e^{<z,Sz>}
-    subtracts S from the exponent matrix.  Entries of ``alpha`` must be
-    nonnegative integers.
+    subtracts S from the exponent matrix.  ``alpha`` must pass the
+    multi-index rule of ``_multi_index``.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != gen.n:
-        raise DimensionMismatch("alpha has the wrong length")
-    if any(not float(a).is_integer() or a < 0 for a in alpha):
-        raise ValueError(f"alpha must have nonnegative integer entries, got {alpha}")
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha, gen.n)
     d = sum(alpha)
     row = _rodrigues_block(gen, d)[_columns(gen.n, d)[alpha]]
-    return _unshifted(GaussPoly(_polys_of(row[None], gen.n, d)[0], gen.SQ), gen)
+    return _gauss_polys(row[None], gen.SQ - gen.S, d)[0]
 
 
 def _rodrigues_block(gen: GeneratorData, max_total_degree: int) -> np.ndarray:
     """Coefficients of rodrigues(alpha) for every |alpha| <= max_total_degree,
     as the rows of one raising chain of Xi (see :func:`_chain_block`)."""
-    return _chain_block(xi_ops(gen), _rodrigues_ground(gen), max_total_degree)
+    return _chain_block(xi_ops(gen), gen.SQ, 1.0, max_total_degree)
 
 
 def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
@@ -488,13 +482,12 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
 
     The argument must carry the generator exponent Q.
     """
-    scale = max(1.0, mx.max_abs(gen.Q))
-    if mx.max_abs(gp.M - gen.Q) > 1e-12 * scale:
+    if not mx.agree(gp.M, gen.Q, 1e-12):
         raise MExponentMismatch("argument exponent differs from the generator Q")
     ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
     d = gp.poly.degree()
     out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], d), d)
-    return GaussPoly(_polys_of(out, gp.n, d + 2)[0], gp.M)
+    return _gauss_polys(out, gp.M, d + 2)[0]
 
 
 def _adjoint_block(

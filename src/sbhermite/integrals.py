@@ -147,8 +147,7 @@ def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticF
     """
     M_F = mx.as_square(M_F, "M_F")
     M_G = mx.as_square(M_G, "M_G")
-    scale = max(1.0, mx.max_abs(M_F), mx.max_abs(M_G))
-    if mx.max_abs(M_F - M_G) > tol * scale:
+    if not mx.agree(M_F, M_G, tol):
         raise NonIntegrableWeight("mismatched Gaussian exponents")
     m_sym = 0.5 * (M_F + M_G)
     m_r = 2.0 * mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + m_sym)
@@ -340,8 +339,7 @@ def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
         raise DimensionMismatch("arguments do not match the weight dimension")
     if mc is None:
         mc = make_moment_cache(wd, gps[0].M)
-    scale = max(1.0, mx.max_abs(mc.exponent))
-    if any(mx.max_abs(gp.M - mc.exponent) > 1e-9 * scale for gp in gps):
+    if not all(mx.agree(gp.M, mc.exponent, 1e-9) for gp in gps):
         raise MExponentMismatch("cache was built for a different exponent")
     return mc
 

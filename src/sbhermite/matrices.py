@@ -23,14 +23,19 @@ def max_abs(a) -> float:
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
 
 
+def agree(a, b, tol: float) -> bool:
+    """max |a - b| <= tol max(1, max |a|, max |b|): the one agreement test."""
+    return max_abs(a - b) <= tol * max(1.0, max_abs(a), max_abs(b))
+
+
 def is_symmetric(a, tol: float) -> bool:
     a = as_square(a)
-    return max_abs(a - a.T) <= tol * max(1.0, max_abs(a))
+    return agree(a, a.T, tol)
 
 
 def is_hermitian(a, tol: float) -> bool:
     a = as_square(a)
-    return max_abs(a - a.conj().T) <= tol * max(1.0, max_abs(a))
+    return agree(a, a.conj().T, tol)
 
 
 def is_unitary(a, tol: float) -> bool:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrices as mx
-from .errors import ConfigError
+from .errors import ConfigError, MExponentMismatch
 from .gausspoly import (
     GaussPoly,
     PolyC,
@@ -47,20 +47,17 @@ from .gausspoly import (
     _basis,
     _block_of,
     _hamiltonian_block,
+    _multi_index,
     _padded,
     _real_scaled,
     _rodrigues_block,
-    _rodrigues_ground,
     _row_distances,
-    _unshifted,
     annihilation_ops,
     creation_ops,
-    ground_state,
     hermite_family,
     mi_factorial,
 )
-from .integrals import _expansions, _gram_block, _pair_inners
-from .integrals import gram_matrix, make_moment_cache
+from .integrals import _expansions, _gram_block, _pair_inners, make_moment_cache
 from .model import (
     build_generator,
     ccr_matrix,
@@ -70,7 +67,7 @@ from .model import (
     sq_closed_form_residual,
     validate_phase_triple,
 )
-from .transform import MAX_NODES, hermite_images
+from .transform import MAX_NODES, _image_block
 
 SCHEMA_VERSION = "v1"
 ENV_PROFILE = "SBHERMITE_TOL_PROFILE"
@@ -163,22 +160,22 @@ def decode_gauss_poly(raw: dict) -> GaussPoly:
     _require(isinstance(m_rows, list) and m_rows, "gausspoly.M", "must be a matrix")
     n = len(m_rows)
     m = _parse_matrix(m_rows, n, "gausspoly.M")
+    _require(isinstance(raw["terms"], list), "gausspoly.terms", "must be a list")
     terms = {}
     for k, entry in enumerate(raw["terms"]):
+        path = f"gausspoly.terms[{k}]"
         _require(
             isinstance(entry, list) and len(entry) == 2,
-            f"gausspoly.terms[{k}]",
+            path,
             "must be [multi-index, [re, im]]",
         )
         alpha, val = entry
-        _require(
-            isinstance(alpha, list) and len(alpha) == n,
-            f"gausspoly.terms[{k}]",
-            f"multi-index must have {n} entries",
-        )
-        terms[tuple(int(a) for a in alpha)] = _parse_complex(
-            val, f"gausspoly.terms[{k}]"
-        )
+        _require(isinstance(alpha, list), path, "multi-index must be a list")
+        try:
+            alpha = _multi_index(alpha, n)
+        except ValueError as exc:  # DimensionMismatch is a ValueError too
+            raise ConfigError(f"{path}: {exc}") from exc
+        terms[alpha] = _parse_complex(val, path)
     return GaussPoly(PolyC(n, terms), m)
 
 
@@ -496,7 +493,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
     def rodrig():
         # every member from one shared-prefix chain of Xi, compared row by row;
         # the closed form's exponent (S+Q) - S must be the family's Q
-        _unshifted(_rodrigues_ground(gen), gen)._check_same_exponent(ground_state(gen))
+        if not mx.agree(gen.SQ - gen.S, gen.Q, 1e-12):
+            raise MExponentMismatch("Gaussian exponents differ")
         closed = _rodrigues_block(gen, config.max_degree)
         res["rodrigues_max"] = float(np.max(_row_distances(closed, block)))
 
@@ -534,9 +532,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def isometry():
         # the transform keeps the Hermite functions h_alpha, |alpha| <= 1, orthonormal
-        images = hermite_images(pt, 1)
-        image_cache = make_moment_cache(wd, images[(0,) * n].M)
-        _, g = gram_matrix(images, wd, image_cache)
+        images, M = _image_block(pt, 1)
+        image_cache = make_moment_cache(wd, M)
+        g = _gram_block(image_cache, images, 1)
         res["isometry"] = mx.max_abs(g - np.eye(n + 1))
         return image_cache
 

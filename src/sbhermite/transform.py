@@ -3,7 +3,8 @@
 ``hermite_images`` and ``transform_image`` map test functions to GaussPolys
 with no quadrature: T h_0 is a Gaussian in closed form, and the raising
 operators moved through the transform are first-order operators on C^n,
-so the images come from the raising chain the generator family uses.
+so the images come from the raising chain the generator family uses, as
+one block (``_image_block``) that a coefficient vector multiplies.
 
 The forward transform, its inverse, the reproducing identity and the
 quadrature isometry go through one tensor Gauss-Hermite integrator,
@@ -29,7 +30,8 @@ import numpy as np
 from . import matrices as mx
 from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial, multi_indices
-from .gausspoly import _raising_chain, _tabulated_sum
+from .gausspoly import _basis, _block_of, _chain_block, _gauss_polys, _multi_index
+from .gausspoly import _real_scaled, _tabulated_sum
 from .integrals import combined_form, hphi_inner
 from .model import PhaseTriple, WeightData, compute_weight_data
 
@@ -60,25 +62,20 @@ class TestFunction:
     """Finite expansion in the orthonormal Gaussian-Hermite basis on R^n.
 
     ``coefficients`` maps multi-indices to complex weights; the squared L2
-    norm is the coefficient square sum, exactly.  Multi-indices are stored
-    as int tuples and checked like those of ``rodrigues``.
+    norm is the coefficient square sum, exactly.  Multi-indices pass the
+    rule of ``gausspoly._multi_index`` and are stored as int tuples.
     """
 
     n: int
     coefficients: dict
 
     def __post_init__(self):
-        for alpha in self.coefficients:
-            if len(alpha) != self.n:
-                raise DimensionMismatch(f"multi-index {alpha} needs {self.n} entries")
-            if any(not float(a).is_integer() or a < 0 for a in alpha):
-                raise ValueError(f"alpha must have nonnegative integer entries, got {alpha}")
-        coeffs = {tuple(int(a) for a in k): c for k, c in self.coefficients.items()}
+        coeffs = {_multi_index(k, self.n): c for k, c in self.coefficients.items()}
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def hermite_basis(cls, alpha) -> "TestFunction":
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(alpha)
         return cls(n=len(alpha), coefficients={alpha: 1.0 + 0.0j})
 
     def norm_sq(self) -> float:
@@ -337,9 +334,10 @@ def _intertwined_raising(pt: PhaseTriple) -> LinearDiffOp:
     return LinearDiffOp(-1j * eb, 1j * pt.B.T / math.sqrt(2.0) - eb @ pt.A)
 
 
-def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
+def _image_block(pt: PhaseTriple, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact transforms T h_alpha, |alpha| <= max_degree, of the orthonormal
-    Hermite functions: GaussPolys with exponent M = ``image_exponent(pt)``,
+    Hermite functions as one block over ``_basis(n, max_degree)``, a row
+    each, and their exponent M = ``image_exponent(pt)``.
     T h_0 = c0 exp(-<z, M z>), c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2)
     with W = E - iC, and T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!).  W has
     Hermitian part E + Im C > 0, so det(W)^(-1/2), continued from W = E, is
@@ -347,21 +345,30 @@ def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
     n = pt.n
     root_det = np.prod(np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)))
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
-    ground = GaussPoly(PolyC.constant(n, c0), image_exponent(pt))
-    chain = _raising_chain(_intertwined_raising(pt), ground, max_degree)
-    return {a: gp.scaled(1.0 / math.sqrt(mi_factorial(a))) for a, gp in chain.items()}
+    M = image_exponent(pt)
+    block = _chain_block(_intertwined_raising(pt), M, c0, max_degree)
+    norms = [1.0 / math.sqrt(mi_factorial(a)) for a in _basis(n, max_degree)]
+    return _real_scaled(block, np.array(norms)[:, None]), M
+
+
+def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
+    """Exact transforms T h_alpha, |alpha| <= max_degree, of the orthonormal
+    Hermite functions, as GaussPolys with exponent ``image_exponent(pt)``
+    keyed by alpha: the rows of ``_image_block``."""
+    block, M = _image_block(pt, max_degree)
+    return dict(zip(_basis(pt.n, max_degree), _gauss_polys(block, M, max_degree)))
 
 
 def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
-    """Exact transform of a test function, the sum of c_alpha T h_alpha over
-    its coefficients (see ``hermite_images``)."""
+    """Exact transform of a test function, sum of c_alpha T h_alpha over its
+    coefficients: its coefficient vector over ``_basis(n, deg u)`` times the
+    image block of ``_image_block``."""
     if u.n != pt.n:
         raise DimensionMismatch("test function and triple dimensions differ")
-    images = hermite_images(pt, u.degree())
-    image = GaussPoly(PolyC(pt.n), images[(0,) * pt.n].M)
-    for alpha, c in u.coefficients.items():
-        image += images[tuple(alpha)].scaled(c)
-    return image
+    d = u.degree()
+    block, M = _image_block(pt, d)
+    coeffs = _block_of([PolyC._clean(pt.n, u.coefficients)], d)  # c_alpha as one row
+    return _gauss_polys(coeffs @ block, M, d)[0]
 
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:

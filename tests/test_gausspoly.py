@@ -491,6 +491,30 @@ class TestPolyC:
         q = p - p
         assert q.terms == {}
 
+    @pytest.mark.parametrize("entry", ["PolyC", "evaluate", "apply_op"])
+    def test_keys_pass_the_multi_index_rule(self, entry):
+        # unchecked, z^-1 was read as z^2 (the first case evaluated to 18 at
+        # z = 3) and a one-entry key at n = 2 reached apply_op as a KeyError
+        def call(n, terms):
+            gp = sb.GaussPoly(sb.PolyC(n, terms), 0.5 * np.eye(n))
+            if entry == "evaluate":
+                return sb.evaluate(gp, np.full(n, 3.0))
+            if entry == "apply_op":
+                return sb.apply_op(sb.annihilation_ops(gp.M), 0, gp)
+            return gp
+
+        for n, terms in [(2, {(1,): 1.0}), (1, {(0, 1): 1.0}), (2, {(0, 0): 1.0, (): 2.0})]:
+            with pytest.raises(DimensionMismatch, match=f"needs {n} entries"):
+                call(n, terms)
+        for terms in [{(-1,): 1.0, (2,): 1.0}, {(1.5,): 1.0}, {(np.nan,): 1.0},
+                      {(np.inf,): 1.0}, {("1",): 1.0}, {(-1,): 0.0}]:
+            with pytest.raises(ValueError, match="nonnegative integer") as info:
+                call(1, terms)
+            assert not isinstance(info.value, DimensionMismatch)
+        # integral entries of any real numeric type are stored as int tuples
+        assert sb.PolyC(2, {(1.0, np.int64(2)): 1.0}).terms == {(1, 2): 1.0}
+        assert call(1, {(2.0,): 1.0}) is not None
+
 
 class TestCoeffDistance:
     @settings(max_examples=80, deadline=None)

@@ -367,6 +367,26 @@ class TestCli:
         assert back.poly.terms == gp.poly.terms
         assert np.allclose(back.M, gp.M)
 
+    @pytest.mark.parametrize("alpha", [[1.5], [-2], ["x"], [None], [0, 1], [], "1"])
+    def test_decode_gauss_poly_checks_multi_indices(self, alpha):
+        # [1.5] was stored as key (1,), [-2] was accepted and ["x"] raised a
+        # bare ValueError; each now names the offending term
+        raw = {"terms": [[[0], [1.0, 0.0]], [alpha, [2.0, 0.0]]], "M": [[[0.5, 0.0]]]}
+        with pytest.raises(ConfigError, match=r"^gausspoly\.terms\[1\]: "):
+            sb.decode_gauss_poly(raw)
+        raw["terms"][1][0] = [1.0]
+        assert sb.decode_gauss_poly(raw).poly.terms == {(0,): 1.0, (1,): 2.0}
+        raw["terms"] = 5  # was a bare TypeError
+        with pytest.raises(ConfigError, match=r"^gausspoly\.terms: must be a list"):
+            sb.decode_gauss_poly(raw)
+
+    def test_bad_hermite_index_config_error(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, em_config_dict())
+        for bad in ("x", "-1", "1,2", "1.5", ""):
+            argv = ["transform", "--config", path, "--hermite", bad, "--z", "0.3,0.1"]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error: --hermite:")
+
     def test_rho_fraction_flag(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
         assert cli_main(["construct", "--config", path, "--rho-fraction", "0.5"]) == 0
@@ -391,7 +411,8 @@ class TestPartialReport:
         def boom(*args, **kwargs):
             raise NonIntegrableWeight("combined exponent is not positive definite")
 
-        monkeypatch.setattr("sbhermite.pipeline.hermite_images", boom)
+        # the isometry stage builds its image block through _image_block
+        monkeypatch.setattr("sbhermite.pipeline._image_block", boom)
 
     def test_run_example_carries_partial_report(self, monkeypatch):
         self.fail_isometry(monkeypatch)

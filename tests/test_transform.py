@@ -310,6 +310,45 @@ class TestTransformImage:
         with pytest.raises(AssertionError, match="quadrature called"):
             sb.isometry_residual(pt, u, wd, sb.QuadSpec(nodes=8), mode="quad")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_sum_of_hermite_images(self, n):
+        # the image is one coefficient vector times the image block; the
+        # oracle sums c_alpha T h_alpha with the public GaussPoly arithmetic
+        rng = np.random.default_rng(70 + n)
+        for _ in range(4):
+            pt = sb.random_phase_triple(n, rng)
+            for degree in range(4):
+                u = sb.TestFunction(n, {a: complex(*rng.standard_normal(2))
+                                        for a in sb.multi_indices(n, degree)
+                                        if rng.random() < 0.7})
+                images = sb.hermite_images(pt, u.degree())
+                want = sb.GaussPoly(sb.PolyC(n), images[(0,) * n].M)
+                for alpha, c in u.coefficients.items():
+                    want += images[alpha].scaled(c)
+                got = sb.transform_image(pt, u)
+                assert np.array_equal(got.M, want.M)
+                keys = set(got.poly.terms) | set(want.poly.terms)
+                diff = max((abs(got.poly.terms.get(k, 0.0) - want.poly.terms.get(k, 0.0))
+                            for k in keys), default=0.0)
+                top = max((abs(c) for c in want.poly.terms.values()), default=0.0)
+                assert diff <= 1e-15 * top, (degree, diff, top)
+
+    def test_exact_paths_use_no_dict_arithmetic(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("dict arithmetic called")
+
+        for cls in (sb.PolyC, sb.GaussPoly):
+            for name in ("__add__", "__sub__", "scaled"):
+                monkeypatch.setattr(cls, name, boom)
+        pt, wd, gen = ghs_data(0.45)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.25})
+        assert sb.transform_image(pt, u).poly.degree() == 3
+        assert sb.round_trip_error(pt, u, np.zeros((2, 2)), sb.QuadSpec(nodes=32), wd) <= 1e-8
+        config = sb.RunConfig.from_dict(sb.example_config("ghs", 0.45, max_degree=3))
+        assert sb.run_verify(config).overall_pass
+        with pytest.raises(AssertionError, match="dict arithmetic called"):
+            sb.ground_state(gen).scaled(2.0)
+
 
 class TestWeightIdentity:
     def test_psi_diagonal_equals_phi(self):
