@@ -8,10 +8,11 @@ the polynomial factor, so application is exact apart from rounding.
 Inside the engine the one format is the coefficient block: a set of
 Gaussian polynomials sharing one M is a complex matrix with one row per
 function and one column per multi-index of the graded basis |alpha| <= d
-(``_basis``; each basis is a prefix of the next).  The dicts are the
-public API's format, converted at that edge by ``_block_of`` and
-``_gauss_polys``; keys from outside pass one rule, ``_multi_index``, and
-exponents one test, ``matrices.agree``.  One kernel, ``_apply_block``,
+(``_basis``; each basis is a prefix of the next; d is read from the width
+by ``_degree_of``).  The dicts are the public API's format, converted at
+that edge by ``_block_of`` and ``_gauss_polys``; keys, points and exponents
+from outside pass one rule each: ``_multi_index``, ``matrices.as_points``
+and ``matrices.agree``.  One kernel, ``_apply_block``,
 applies a component of a ``LinearDiffOp`` to every row at once: 2n
 gathers through index maps cached per (n, d), summed in a fixed order and
 pruned row by row.  The products are taken on real planes with the
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -66,6 +67,15 @@ def _columns(n: int, max_degree: int) -> dict[tuple[int, ...], int]:
     return {a: k for k, a in enumerate(_basis(n, max_degree))}
 
 
+def _degree_of(n: int, width: int) -> int:
+    """The d with len(_basis(n, d)) == width, the one map from a block's
+    width to its degree; DimensionMismatch if no graded basis has it."""
+    for d in range(width):
+        if math.comb(n + d, n) == width:
+            return d
+    raise DimensionMismatch(f"{width} columns are no graded basis at n = {n}")
+
+
 def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All multi-indices with |alpha| <= max_degree in graded lex order."""
     return list(_basis(n, max_degree))
@@ -74,11 +84,12 @@ def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
 def _multi_index(alpha, n: int) -> tuple[int, ...]:
     """``alpha`` as an int tuple, the one rule for a multi-index from outside
     the engine: DimensionMismatch unless it has n entries, ValueError unless
-    every entry is a nonnegative integer (of any real numeric type)."""
+    every entry is a nonnegative integer (of any real numeric type but bool)."""
     alpha = tuple(alpha)
     if len(alpha) != n:
         raise DimensionMismatch(f"multi-index {alpha} needs {n} entries")
-    if not all(isinstance(a, Real) and float(a).is_integer() and a >= 0 for a in alpha):
+    if not all(isinstance(a, Real) and not isinstance(a, bool) and float(a).is_integer()
+               and a >= 0 for a in alpha):
         raise ValueError(f"multi-index entries must be nonnegative integers, got {alpha}")
     return tuple(int(a) for a in alpha)
 
@@ -175,12 +186,11 @@ class PolyC:
         Powers come from one table per coordinate, z_i^0 .. z_i^d_i by
         repeated multiplication, shared by every term.
         """
-        z = np.asarray(z, dtype=complex)
-        pts = z.reshape(-1, self.n)
+        pts, one = mx.as_points(z, self.n, "z")
         tops = np.max(list(self.terms), axis=0) if self.terms else [0] * self.n
         tables = [_power_table(pts[:, i], int(d)) for i, d in enumerate(tops)]
         total = _tabulated_sum(self.terms, tables, pts.shape[0])
-        return complex(total[0]) if z.ndim < 2 else total
+        return complex(total[0]) if one else total
 
     def __repr__(self):  # pragma: no cover - debugging aid
         body = " + ".join(f"{v:.6g}*z^{k}" for k, v in sorted(self.terms.items()))
@@ -273,7 +283,7 @@ def _add_terms(acc_re, acc_im, sr: np.ndarray, si: np.ndarray, coef: np.ndarray)
 
 
 def _apply_block(
-    op: LinearDiffOp, comps, block: np.ndarray, M: np.ndarray, degree: int
+    op: LinearDiffOp, comps, block: np.ndarray, M: np.ndarray
 ) -> np.ndarray:
     """Component comps[r] of ``op`` applied to row r of a coefficient block.
 
@@ -286,7 +296,7 @@ def _apply_block(
     one.  A term whose coefficient is zero in every row adds only zeros and
     is skipped (the lowering operators have G = 1).
     """
-    n, rows = op.n, block.shape[0]
+    n, rows, degree = op.n, block.shape[0], _degree_of(op.n, block.shape[1])
     up, weight, down = _ladder_maps(n, degree)
     # d/dz_k (P e^{-<z,Mz>}) = (dP/dz_k - 2 (M z)_k P) e^{-<z,Mz>}
     g = op.G[comps].reshape(-1, n, 1)
@@ -331,11 +341,11 @@ def _padded(block: np.ndarray, n: int, degree: int) -> np.ndarray:
     return out
 
 
-def _gauss_polys(block: np.ndarray, M: np.ndarray, degree: int) -> list[GaussPoly]:
-    """One GaussPoly with exponent M per row of a block over
-    ``_basis(n, degree)``, holding the nonzero entries in column order."""
+def _gauss_polys(block: np.ndarray, M: np.ndarray) -> list[GaussPoly]:
+    """One GaussPoly with exponent M per row of a block, holding the nonzero
+    entries in column order."""
     n = M.shape[0]
-    basis = _basis(n, degree)
+    basis = _basis(n, _degree_of(n, block.shape[1]))
     out = []
     for row in block:
         nz = np.flatnonzero(row)
@@ -354,9 +364,8 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
         raise DimensionMismatch("operator and argument dimensions differ")
     if not 0 <= i < op.n:  # a negative i would pick a component from the end
         raise DimensionMismatch(f"component index {i} is outside 0..{op.n - 1}")
-    d = gp.poly.degree()
-    out = _apply_block(op, i, _block_of([gp.poly], d), gp.M, d)
-    return _gauss_polys(out, gp.M, d + 1)[0]
+    out = _apply_block(op, i, _block_of([gp.poly], gp.poly.degree()), gp.M)
+    return _gauss_polys(out, gp.M)[0]
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -408,10 +417,11 @@ def _chain_block(op: LinearDiffOp, M: np.ndarray, c0: complex, max_degree: int) 
     Layer d comes from layer d - 1 by one kernel call: each alpha applies
     the component at its first nonzero index to its parent; the components
     commute, so the path does not matter (tests assert it).  Unrolled, a
-    member applies the components last coordinate first.
+    member applies the components last coordinate first.  Every public
+    degree reaches this check: a nonnegative integer, else ValueError.
     """
-    if max_degree < 0:
-        raise ValueError("max_total_degree must be >= 0")
+    if isinstance(max_degree, bool) or not isinstance(max_degree, Integral) or max_degree < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {max_degree!r}")
     n = op.n
     size = len(_basis(n, max_degree))
     out = np.zeros((size, size), dtype=complex)
@@ -419,7 +429,7 @@ def _chain_block(op: LinearDiffOp, M: np.ndarray, c0: complex, max_degree: int) 
     out[:1, :1] = layer
     for d in range(1, max_degree + 1):
         comps, parents = _chain_steps(n, d)
-        layer = _apply_block(op, comps, layer[parents], M, d - 1)
+        layer = _apply_block(op, comps, layer[parents], M)
         start = len(_basis(n, d - 1))
         out[start : start + len(comps), : layer.shape[1]] = layer
     return out
@@ -432,7 +442,7 @@ def hermite_family(
     chain of the creation operators from the generator exp(-<z, Q z>)."""
     d = max_total_degree
     block = _chain_block(creation_ops(wd, gen), gen.Q, 1.0, d)
-    return dict(zip(_basis(gen.n, d), _gauss_polys(block, gen.Q, d)))
+    return dict(zip(_basis(gen.n, d), _gauss_polys(block, gen.Q)))
 
 
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
@@ -448,7 +458,7 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     alpha = _multi_index(alpha, gen.n)
     d = sum(alpha)
     row = _rodrigues_block(gen, d)[_columns(gen.n, d)[alpha]]
-    return _gauss_polys(row[None], gen.SQ - gen.S, d)[0]
+    return _gauss_polys(row[None], gen.SQ - gen.S)[0]
 
 
 def _rodrigues_block(gen: GeneratorData, max_total_degree: int) -> np.ndarray:
@@ -464,16 +474,16 @@ def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
 
 
 def _hamiltonian_block(
-    gen: GeneratorData, ladder: tuple, block: np.ndarray, degree: int
+    gen: GeneratorData, ladder: tuple, block: np.ndarray
 ) -> np.ndarray:
     """rho^2 + sum_i raise_i lower_i applied to every row of a block over
     ``_basis(n, degree)`` with exponent Q; the result is over
     ``_basis(n, degree + 2)``, added in the order rho^2 term, then i = 0..n-1."""
     low, high = ladder
-    acc = _real_scaled(_padded(block, gen.n, degree + 2), gen.rho2)
+    acc = _real_scaled(_padded(block, gen.n, _degree_of(gen.n, block.shape[1]) + 2), gen.rho2)
     for i in range(gen.n):
-        lowered = _apply_block(low, i, block, gen.Q, degree)
-        acc += _apply_block(high, i, lowered, gen.Q, degree + 1)
+        lowered = _apply_block(low, i, block, gen.Q)
+        acc += _apply_block(high, i, lowered, gen.Q)
     return acc
 
 
@@ -485,24 +495,21 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
     if not mx.agree(gp.M, gen.Q, 1e-12):
         raise MExponentMismatch("argument exponent differs from the generator Q")
     ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-    d = gp.poly.degree()
-    out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], d), d)
-    return _gauss_polys(out, gp.M, d + 2)[0]
+    out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], gp.poly.degree()))
+    return _gauss_polys(out, gp.M)[0]
 
 
 def _adjoint_block(
-    ladder: tuple, comps, f: np.ndarray, g: np.ndarray, M: np.ndarray, degree: int
+    ladder: tuple, comps, f: np.ndarray, g: np.ndarray, M: np.ndarray
 ) -> np.ndarray:
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
     two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
     that order over ``_basis(n, degree + 1)``."""
     low, high = ladder
-    n = low.n
     return np.vstack([
-        _padded(f, n, degree + 1),
-        _padded(g, n, degree + 1),
-        _apply_block(low, comps, f, M, degree),
-        _apply_block(high, comps, g, M, degree),
+        _padded(np.vstack([f, g]), low.n, _degree_of(low.n, f.shape[1]) + 1),
+        _apply_block(low, comps, f, M),
+        _apply_block(high, comps, g, M),
     ])
 
 
@@ -518,12 +525,11 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_max_abs(a - b) / np.maximum(top, 1e-300)
 
 
-def evaluate(gp: GaussPoly, z) -> complex:
-    """Pointwise value P(z) exp(-<z, M z>)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != gp.n:
-        raise DimensionMismatch("point has the wrong dimension")
-    return gp.poly(z) * complex(np.exp(-z @ (gp.M @ z)))
+def evaluate(gp: GaussPoly, z) -> complex | np.ndarray:
+    """Pointwise value P(z) exp(-<z, M z>), one per point of a batch."""
+    pts, one = mx.as_points(z, gp.n, "z")
+    vals = [gp.poly(p) * complex(np.exp(-p @ (gp.M @ p))) for p in pts]
+    return vals[0] if one else np.array(vals)
 
 
 def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:

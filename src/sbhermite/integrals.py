@@ -54,6 +54,7 @@ from .gausspoly import (
     _adjoint_block,
     _basis,
     _block_of,
+    _degree_of,
     annihilation_ops,
     creation_ops,
     multi_indices,
@@ -344,10 +345,10 @@ def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
     return mc
 
 
-def _used_columns(mc: MomentCache, p: np.ndarray, degree: int) -> tuple:
-    """A block over ``_basis(n, degree)`` cut to the columns some row uses,
-    their monomials, and the degree of each row."""
-    basis = _basis(mc.exponent.shape[0], degree)
+def _used_columns(mc: MomentCache, p: np.ndarray) -> tuple:
+    """A block cut to the columns some row uses, their monomials, and the
+    degree of each row."""
+    basis = _basis(mc.exponent.shape[0], _degree_of(mc.exponent.shape[0], p.shape[1]))
     cols = np.flatnonzero(p.any(axis=0))
     p, monos = p[:, cols], [basis[j] for j in cols]
     mono_deg = np.array([sum(m) for m in monos], dtype=int)
@@ -380,35 +381,35 @@ def _row_inners(mom: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndar
     return np.einsum("ij,ij->i", left @ mom, right.conj())
 
 
-def _pair_inners(mc: MomentCache, p: np.ndarray, degree: int, left, right) -> np.ndarray:
-    """Inner products (row l, row r) of the coefficient block ``p`` over
-    ``_basis(n, degree)`` for the index pairs of ``left`` and ``right``."""
-    p, monos, row_deg = _used_columns(mc, p, degree)
+def _pair_inners(mc: MomentCache, p: np.ndarray, left, right) -> np.ndarray:
+    """Inner products (row l, row r) of the coefficient block ``p`` for the
+    index pairs of ``left`` and ``right``."""
+    p, monos, row_deg = _used_columns(mc, p)
     mom = _moment_matrix(mc, monos, int(np.max(row_deg[left] + row_deg[right])))
     return mc.form.normalizer * _row_inners(mom, p[left], p[right])
 
 
-def _gram_block(mc: MomentCache, p: np.ndarray, degree: int) -> np.ndarray:
-    """Gram matrix normalizer * P Mom P^H of the rows of a block over
-    ``_basis(n, degree)``, made exactly Hermitian."""
-    p, monos, row_deg = _used_columns(mc, p, degree)
+def _gram_block(mc: MomentCache, p: np.ndarray) -> np.ndarray:
+    """Gram matrix normalizer * P Mom P^H of the rows of a block, made
+    exactly Hermitian."""
+    p, monos, row_deg = _used_columns(mc, p)
     mom = _moment_matrix(mc, monos, 2 * int(row_deg.max(initial=0)))
     gram = mc.form.normalizer * (p @ mom @ p.conj().T)
     return 0.5 * (gram + gram.conj().T)
 
 
 def _expansions(
-    mc: MomentCache, fs: np.ndarray, members: np.ndarray, degree: int
+    mc: MomentCache, fs: np.ndarray, members: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of ``fs`` against the normalized rows of ``members``, two
-    blocks over ``_basis(n, degree)``, from one coefficient matrix: the
+    blocks over one graded basis, from one coefficient matrix: the
     coefficients (one row per f), the residual norms
     ||f - sum c_a psi_a / ||psi_a|| || and the norms ||f||.
 
     Residuals come from the coefficient remainder, not from a Parseval
     shortcut.
     """
-    p, monos, row_deg = _used_columns(mc, np.vstack([fs, members]), degree)
+    p, monos, row_deg = _used_columns(mc, np.vstack([fs, members]))
     mom = mc.form.normalizer * _moment_matrix(mc, monos, 2 * int(row_deg.max(initial=0)))
     f, pm = p[: len(fs)], p[len(fs):]
     norms = np.sqrt(np.maximum(_row_inners(mom, pm, pm).real, 0.0))
@@ -432,7 +433,7 @@ def hphi_inner(
         cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
     cache = _checked_cache(cache, (F, G), wd)
     d = max(F.poly.degree(), G.poly.degree())
-    return complex(_pair_inners(cache, _block_of([F.poly, G.poly], d), d, [0], [1])[0])
+    return complex(_pair_inners(cache, _block_of([F.poly, G.poly], d), [0], [1])[0])
 
 
 def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
@@ -457,7 +458,7 @@ def gram_matrix(
     members = [family[k] for k in keys]
     cache = _checked_cache(cache, members, wd)
     d = max(m.poly.degree() for m in members)
-    return keys, _gram_block(cache, _block_of([m.poly for m in members], d), d)
+    return keys, _gram_block(cache, _block_of([m.poly for m in members], d))
 
 
 def adjoint_residual(
@@ -481,8 +482,8 @@ def adjoint_residual(
     ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
     d = max(F.poly.degree(), G.poly.degree())
     fg = _block_of([F.poly, G.poly], d)
-    rows = _adjoint_block(ladder, i, fg[:1], fg[1:], cache.exponent, d)
-    lhs, rhs = _pair_inners(cache, rows, d + 1, [2, 0], [1, 3])
+    rows = _adjoint_block(ladder, i, fg[:1], fg[1:], cache.exponent)
+    lhs, rhs = _pair_inners(cache, rows, [2, 0], [1, 3])
     return abs(lhs - rhs)
 
 
@@ -507,5 +508,5 @@ def expand_in_family(
     cache = _checked_cache(cache, [F, *members], wd)
     d = max(gp.poly.degree() for gp in (F, *members))
     block = _block_of([F.poly, *(m.poly for m in members)], d)
-    c, residuals, _ = _expansions(cache, block[:1], block[1:], d)
+    c, residuals, _ = _expansions(cache, block[:1], block[1:])
     return dict(zip(needed, c[0].tolist())), float(residuals[0])

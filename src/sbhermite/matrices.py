@@ -18,6 +18,15 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def as_points(x, n: int, name: str, dtype=complex) -> tuple[np.ndarray, bool]:
+    """The one shape rule for points: ``x`` is one point (n,) or a batch (q, n),
+    returned as a batch with whether it was one point; DimensionMismatch if not."""
+    arr = np.asarray(x, dtype=dtype)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+        raise DimensionMismatch(f"{name} must have shape ({n},) or (q, {n}), got {arr.shape}")
+    return arr.reshape(-1, n), arr.ndim == 1
+
+
 def max_abs(a) -> float:
     arr = np.asarray(a)
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))

@@ -201,7 +201,7 @@ def validate_intertwiner(X, wd: WeightData, rho: float, tol: float = DEFAULT_TOL
     if not mx.is_unitary(X, tol):
         return False
     d = np.diag(np.sqrt(wd.lam**2 - rho * rho) / wd.lam)
-    return mx.max_abs(X.T @ d - d @ X) <= tol * max(1.0, mx.max_abs(d))
+    return mx.agree(X.T @ d, d @ X, tol)
 
 
 def build_generator(

@@ -464,7 +464,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def gram():
         cache = make_moment_cache(wd, gen.Q)
-        g = _gram_block(cache, block, config.max_degree)
+        g = _gram_block(cache, block)
         diag = g.diagonal().real  # the imaginary parts are exactly zero
         predicted = [(2.0 * rho2) ** sum(k) * mi_factorial(k) * diag[0] for k in keys]
         res["gram_diag_maxrel"] = float(np.max(np.abs(diag - predicted) / diag))
@@ -480,7 +480,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def eigen():
         ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-        image = _hamiltonian_block(gen, ladder, block, config.max_degree)
+        image = _hamiltonian_block(gen, ladder, block)
         levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in keys]
         expected = _real_scaled(_padded(block, n, config.max_degree + 2),
                                 np.array(levels)[:, None])
@@ -503,13 +503,13 @@ def run_verify(config: RunConfig) -> VerificationReport:
     def adjoint():
         # one block of f, g, lower_i f and raise_i g for ten random triples
         f, g, comps = _adjoint_draws(n, np.random.default_rng(config.seed))
-        rows = _adjoint_block(ladder, comps, f, g, gen.Q, 3)
+        rows = _adjoint_block(ladder, comps, f, g, gen.Q)
         k = len(comps)
         t = np.arange(k)
         # (lower f, g), (f, raise g), (f, f), (g, g) for every triple
         left = np.concatenate([t + 2 * k, t, t, t + k])
         right = np.concatenate([t + k, t + 3 * k, t, t + k])
-        inners = _pair_inners(cache, rows, 4, left, right)
+        inners = _pair_inners(cache, rows, left, right)
         lhs, rhs, ff, gg = inners.reshape(4, k)
         scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
         res["adjoint_max"] = float(np.max(np.abs(lhs - rhs) / scale))
@@ -523,7 +523,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         for d in range(min(3, config.max_degree) + 1):
             size = len(_basis(n, d))
             monos = np.eye(size, dtype=complex)[len(_basis(n, d - 1)):]
-            _, residuals, norms = _expansions(cache, monos, block[:size, :size], d)
+            _, residuals, norms = _expansions(cache, monos, block[:size, :size])
             worst = max(worst, float(np.max(residuals / norms)))
         res["completeness_residual"] = worst
 
@@ -534,7 +534,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         # the transform keeps the Hermite functions h_alpha, |alpha| <= 1, orthonormal
         images, M = _image_block(pt, 1)
         image_cache = make_moment_cache(wd, M)
-        g = _gram_block(image_cache, images, 1)
+        g = _gram_block(image_cache, images)
         res["isometry"] = mx.max_abs(g - np.eye(n + 1))
         return image_cache
 

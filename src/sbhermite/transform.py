@@ -86,12 +86,10 @@ class TestFunction:
         return max((sum(a) for a in self.coefficients), default=0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        pts = x.reshape(-1, self.n)
+        pts, one = mx.as_points(x, self.n, "x", float)
         envelope = np.exp(-0.5 * np.sum(pts * pts, axis=1))
         out = self.polynomial_part(pts) * envelope
-        return out[0] if squeeze else out
+        return out[0] if one else out
 
     def polynomial_part(self, x: np.ndarray) -> np.ndarray:
         """Value with the common Gaussian envelope exp(-|x|^2/2) removed,
@@ -99,7 +97,7 @@ class TestFunction:
 
         Each coordinate gets one table of Hermite polynomials, shared by
         every term."""
-        pts = np.asarray(x, dtype=float).reshape(-1, self.n)
+        pts, _ = mx.as_points(x, self.n, "x", float)
         coeffs = self.coefficients
         tops = np.max(list(coeffs), axis=0) if coeffs else [0] * self.n
         tables = [_hermite_table(pts[:, i], int(k)) for i, k in enumerate(tops)]
@@ -196,11 +194,7 @@ def _gauss_hermite(
         raise ValueError(f"nodes must lie in [1, {MAX_NODES}], got {nodes}")
     t, wt = _hermite_rule(nodes)
     if center is not None:
-        fixed = np.asarray(center, dtype=float).reshape(-1)
-        if fixed.shape[0] != dim:
-            raise DimensionMismatch(
-                f"quadrature center has length {fixed.shape[0]}, the integral {dim}"
-            )
+        fixed, _ = mx.as_points(center, dim, "quadrature center", float)
         if np.max(np.abs((w_c - fixed) @ chol)) > np.max(np.abs(t)):
             raise QuadratureUnderflow(
                 "integrand center lies outside the fixed node window"
@@ -290,9 +284,7 @@ def transform_batch(
     raises QuadratureUnderflow when the true center escapes the node window.
     """
     quad = quad or QuadSpec()
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 2 or Z.shape[1] != pt.n:
-        raise DimensionMismatch("Z must have shape (m, n)")
+    Z, _ = mx.as_points(Z, pt.n, "Z")
     _require_finite(Z, "Z")
     # i phi(z, x) - |x|^2/2 = -x^T P x + (i B^T z) . x + i <z, A z>/2
     P = 0.5 * (np.eye(pt.n) - 1j * pt.C)
@@ -305,11 +297,12 @@ def transform_batch(
 
 def transform(
     pt: PhaseTriple, u: TestFunction, z, quad: QuadSpec | None = None
-) -> complex:
-    """Transform of a test function at one point of C^n."""
-    z = np.asarray(z, dtype=complex).reshape(1, -1)
+) -> complex | np.ndarray:
+    """Transform of a test function at one point of C^n, or at each of a batch."""
+    z, one = mx.as_points(z, pt.n, "z")
     _require_finite(z, "z")
-    return complex(transform_batch(pt, u, z, quad)[0])
+    values = transform_batch(pt, u, z, quad)
+    return complex(values[0]) if one else values
 
 
 def image_exponent(pt: PhaseTriple) -> np.ndarray:
@@ -356,7 +349,7 @@ def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
     Hermite functions, as GaussPolys with exponent ``image_exponent(pt)``
     keyed by alpha: the rows of ``_image_block``."""
     block, M = _image_block(pt, max_degree)
-    return dict(zip(_basis(pt.n, max_degree), _gauss_polys(block, M, max_degree)))
+    return dict(zip(_basis(pt.n, max_degree), _gauss_polys(block, M)))
 
 
 def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
@@ -368,7 +361,7 @@ def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
     d = u.degree()
     block, M = _image_block(pt, d)
     coeffs = _block_of([PolyC._clean(pt.n, u.coefficients)], d)  # c_alpha as one row
-    return _gauss_polys(coeffs @ block, M, d)[0]
+    return _gauss_polys(coeffs @ block, M)[0]
 
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:
@@ -381,20 +374,15 @@ def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelP
     )
 
 
-def kernel_eval(kp: KernelParams, z, zeta) -> complex:
+def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
     """Reproducing kernel C_Phi exp(2 Psi(z, zetabar)) with
-    Psi = <z, A zbar'> + <z, G z>/2 + <zbar', conj(G) zbar'>/2."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    if z.shape != zeta.shape:
-        raise DimensionMismatch("z and zeta must share a dimension")
-    zb = zeta.conj()
-    psi = (
-        z @ (kp.psi_zzbar @ zb)
-        + 0.5 * z @ (kp.psi_zz @ z)
-        + 0.5 * zb @ (kp.psi_zz.conj() @ zb)
-    )
-    return complex(kp.c_Phi * np.exp(2.0 * psi))
+    Psi = <z, A zbar'> + <z, G z>/2 + <zbar', conj(G) zbar'>/2, per pair of points."""
+    n = kp.psi_zzbar.shape[0]
+    (z, one), (zeta, one_zeta) = mx.as_points(z, n, "z"), mx.as_points(zeta, n, "zeta")
+    psi = [a @ (kp.psi_zzbar @ b) + 0.5 * a @ (kp.psi_zz @ a) + 0.5 * b @ (kp.psi_zz.conj() @ b)
+           for a, b in zip(*np.broadcast_arrays(z, zeta.conj()))]
+    values = kp.c_Phi * np.exp(2.0 * np.array(psi))
+    return complex(values[0]) if one and one_zeta else values
 
 
 def _over_cn(P, beta, c, poly, degree: int, nodes: int, center=None) -> np.ndarray:
@@ -424,8 +412,8 @@ def inverse_transform(
     x,
     quad: QuadSpec | None = None,
     wd: WeightData | None = None,
-) -> complex:
-    """Adjoint transform at a real point,
+) -> complex | np.ndarray:
+    """Adjoint transform at a real point, or at each of a batch,
     C_phi * integral of exp(-i conj(phi(z, x))) F(z) exp(-2 Phi(z)).
 
     ``F`` must be a GaussPoly, such as an exact image from
@@ -436,13 +424,13 @@ def inverse_transform(
         raise TypeError(f"inverse_transform needs a GaussPoly, got {type(F).__name__}")
     quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != pt.n or F.n != pt.n:
-        raise DimensionMismatch("x and F must share the triple's dimension")
+    x, one = mx.as_points(x, pt.n, "x", float)
+    if F.n != pt.n:
+        raise DimensionMismatch("F must share the triple's dimension")
     _require_finite(x, "x")
-    P, beta, c = _inverse_exponent(pt, F, x[None, :], wd)
-    values = _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes, quad.center)
-    return complex(pt.c_phi * values[0])
+    P, beta, c = _inverse_exponent(pt, F, x, wd)
+    values = pt.c_phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes, quad.center)
+    return complex(values[0]) if one else values
 
 
 def kernel_reproduce(
@@ -451,24 +439,22 @@ def kernel_reproduce(
     F: GaussPoly,
     z,
     quad: QuadSpec | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Integral of K(z, .) F(.) exp(-2 Phi) over C^n; equals F(z) for
-    members of the weighted space of entire functions."""
+    members of the weighted space of entire functions; one per point z."""
     quad = quad or QuadSpec()
-    z = np.asarray(z, dtype=complex).reshape(-1)
     n = kp.psi_zzbar.shape[0]
-    if z.shape[0] != n or F.n != n:
-        raise DimensionMismatch("z and F must share the kernel's dimension")
+    z, one = mx.as_points(z, n, "z")
+    if F.n != n:
+        raise DimensionMismatch("F must share the kernel's dimension")
     _require_finite(z, "z")
     # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta); the zetabar-zetabar
     # blocks of Psi and Phi cancel, since psi_zz = phi_zz
     P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((n, n)))
-    beta = 2.0 * (kp.psi_zzbar.T @ z)
-    c = z @ kp.psi_zz @ z
-    values = _over_cn(
-        P, beta[None, :], np.array([c]), F.poly, F.poly.degree(), quad.nodes, quad.center
-    )
-    return complex(kp.c_Phi * values[0])
+    beta = 2.0 * (z @ kp.psi_zzbar)
+    c = np.array([p @ kp.psi_zz @ p for p in z])
+    values = kp.c_Phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes, quad.center)
+    return complex(values[0]) if one else values
 
 
 def isometry_residual(
@@ -520,7 +506,7 @@ def round_trip_error(
     quad = quad or QuadSpec()
     wd = wd or compute_weight_data(pt)
     image = transform_image(pt, u)
-    xs = np.asarray(xs, dtype=float).reshape(-1, pt.n)
+    xs, _ = mx.as_points(xs, pt.n, "xs", float)
     if xs.shape[0] == 0:
         return 0.0
     _require_finite(xs, "xs")

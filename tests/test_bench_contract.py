@@ -3,8 +3,12 @@
 ``bench/tracing.py`` wraps the public functions of the layer modules and
 reads program state such as ``MomentCache.memo``; a refactor that breaks
 one of its counters would otherwise only show as a silent zero in a traced
-benchmark run.
+benchmark run.  The benchmark's own self-test runs here too.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -45,3 +49,13 @@ def test_tracer_counts_moment_and_family_work():
     assert counts["gausspoly.family.terms"] > 0
     # uninstall restores the untraced program
     assert sb.run_verify is run_verify
+
+
+def test_bench_selftest_passes():
+    # every workload at tiny sizes, traced and untraced, with zero failed
+    # operations: a broken tracer hook or metric fails here, not only in a
+    # benchmark run (bench/tracing.py reads quadrature arguments by name)
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "bench" / "selftest.py")], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite.errors import DimensionMismatch, MExponentMismatch
-from sbhermite.gausspoly import _apply_block, _basis, _rodrigues_block
+from sbhermite.gausspoly import _apply_block, _basis, _degree_of, _rodrigues_block
 from sbhermite.transform import _intertwined_raising
 
 from helpers import (
@@ -125,7 +125,7 @@ class TestBlockKernel:
         rows = 4
         block = self.random_block(rng, n, degree, rows)
         comps = rng.integers(0, n, rows)  # a different component per row
-        out = _apply_block(op, comps, block, M, degree)
+        out = _apply_block(op, comps, block, M)
         assert out.shape == (rows, len(_basis(n, degree + 1)))
         basis, out_basis = _basis(n, degree), _basis(n, degree + 1)
         for r in range(rows):
@@ -136,7 +136,7 @@ class TestBlockKernel:
             scale = max((abs(c) for c in got.values()), default=0.0)
             assert all(abs(got[a] - c) <= 1e-15 * scale for a, c in want.poly.terms.items())
             # a row's result does not depend on the rows around it
-            alone = _apply_block(op, comps[r], block[r : r + 1], M, degree)
+            alone = _apply_block(op, comps[r], block[r : r + 1], M)
             assert np.array_equal(alone[0], out[r]), r
 
 
@@ -506,14 +506,79 @@ class TestPolyC:
         for n, terms in [(2, {(1,): 1.0}), (1, {(0, 1): 1.0}), (2, {(0, 0): 1.0, (): 2.0})]:
             with pytest.raises(DimensionMismatch, match=f"needs {n} entries"):
                 call(n, terms)
+        # a bool is a numbers.Real, but True is no exponent
         for terms in [{(-1,): 1.0, (2,): 1.0}, {(1.5,): 1.0}, {(np.nan,): 1.0},
-                      {(np.inf,): 1.0}, {("1",): 1.0}, {(-1,): 0.0}]:
+                      {(np.inf,): 1.0}, {("1",): 1.0}, {(-1,): 0.0}, {(True,): 1.0}]:
             with pytest.raises(ValueError, match="nonnegative integer") as info:
                 call(1, terms)
             assert not isinstance(info.value, DimensionMismatch)
         # integral entries of any real numeric type are stored as int tuples
         assert sb.PolyC(2, {(1.0, np.int64(2)): 1.0}).terms == {(1, 2): 1.0}
         assert call(1, {(2.0,): 1.0}) is not None
+
+
+    @pytest.mark.parametrize("entry", ["PolyC", "evaluate"])
+    def test_points_pass_the_point_rule(self, entry):
+        # a 1-D argument of length 2n was read as two points: p(1, 2) = 21
+        p = sb.PolyC(2, {(1, 0): 1.0, (0, 1): 10.0})
+        gp = sb.GaussPoly(p, np.zeros((2, 2)))
+        call = p if entry == "PolyC" else lambda z: sb.evaluate(gp, z)
+        for bad in ([1, 2, 3, 4], [1], np.zeros((2, 2, 2)), 3.0):
+            with pytest.raises(DimensionMismatch, match=r"^z must have shape \(2,\)"):
+                call(bad)
+        assert call([1, 2]) == 21.0
+        pts = np.array([[1, 2], [3, 4], [0.5j, 0]])
+        np.testing.assert_array_equal(call(pts), [call(z) for z in pts])
+        assert call(np.zeros((0, 2))).shape == (0,)
+
+
+class TestInputChecks:
+    """Every shape and degree check of this layer, reached from outside."""
+
+    @pytest.mark.parametrize("case", ["add", "gausspoly", "diffop", "apply_op", "family"])
+    def test_raises(self, case):
+        _, wd, gen = ghs_data(0.45)
+        p1, p2 = sb.PolyC.constant(1), sb.PolyC.constant(2)
+        calls = {
+            "add": (DimensionMismatch, lambda: p1 + p2),
+            "gausspoly": (DimensionMismatch, lambda: sb.GaussPoly(p1, np.eye(2))),
+            "diffop": (DimensionMismatch, lambda: sb.LinearDiffOp(np.eye(2), np.eye(3))),
+            "apply_op": (DimensionMismatch, lambda: sb.apply_op(
+                sb.annihilation_ops(np.eye(1)), 0, gp_const(2, gen.Q))),
+            "family": (ValueError, lambda: sb.hermite_family(wd, gen, -1)),
+        }
+        error, call = calls[case]
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("degree", [2.0, 1.5, True, -1, "2", None])
+    def test_degree_is_a_nonnegative_integer(self, degree):
+        # 2.0 and 1.5 raised a bare TypeError from range, True built the degree-1 family
+        _, wd, gen = ghs_data(0.45)
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            sb.hermite_family(wd, gen, degree)
+
+    def test_integer_degree_of_any_integral_type(self):
+        _, wd, gen = ghs_data(0.45)
+        assert list(sb.hermite_family(wd, gen, np.int64(2))) == sb.multi_indices(2, 2)
+
+    def test_rodrigues_rejects_boolean_index(self):
+        _, wd, gen = ghs_data(0.45)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sb.rodrigues(wd, gen, (True, False))
+
+    def test_block_degree_comes_from_its_width(self):
+        for n in range(1, 6):
+            widths = [len(_basis(n, d)) for d in range(8)]
+            assert [_degree_of(n, w) for w in widths] == list(range(8))
+            for w in set(range(widths[-1] + 1)) - set(widths):
+                with pytest.raises(DimensionMismatch, match="no graded basis"):
+                    _degree_of(n, w)
+        # five columns at n = 2 lie between basis(2, 1) and basis(2, 2); with
+        # a stated degree the kernel read a real column as its zero pad
+        _, _, gen = ghs_data(0.45)
+        with pytest.raises(DimensionMismatch, match="5 columns"):
+            _apply_block(sb.annihilation_ops(gen.Q), 0, np.ones((1, 5)), gen.Q)
 
 
 class TestCoeffDistance:

@@ -545,7 +545,7 @@ class TestBatchedCore:
         left, right = np.divmod(np.arange(len(rows) ** 2), len(rows))
         cache = sb.make_moment_cache(wd, gen.Q)
         d = max(r.poly.degree() for r in rows)
-        got = _pair_inners(cache, _block_of([r.poly for r in rows], d), d, left, right)
+        got = _pair_inners(cache, _block_of([r.poly for r in rows], d), left, right)
         norms = [sb.hphi_norm(r, wd, cache) for r in rows]
         for k, (a, b) in enumerate(zip(left, right)):
             want = sb.hphi_inner(rows[a], rows[b], wd, cache)
@@ -562,8 +562,7 @@ class TestBatchedCore:
             monos = [sb.GaussPoly(sb.PolyC.monomial(b), gen.Q) for b in betas]
             needed = sb.multi_indices(n, d)
             block = _block_of([gp.poly for gp in monos + [fam[a] for a in needed]], d)
-            coeffs, residuals, norms = _expansions(cache, block[: len(monos)],
-                                                   block[len(monos):], d)
+            coeffs, residuals, norms = _expansions(cache, block[: len(monos)], block[len(monos):])
             for k, f in enumerate(monos):
                 scale = sb.hphi_norm(f, wd, cache)
                 want, want_res = sb.expand_in_family(f, fam, wd, cache)
@@ -573,3 +572,26 @@ class TestBatchedCore:
                     assert abs(coeffs[k, j] - want[a]) <= 1e-13 * scale, (betas[k], a)
                     pair = sb.hphi_inner(f, fam[a], wd, cache) / sb.hphi_norm(fam[a], wd, cache)
                     assert abs(coeffs[k, j] - pair) <= 1e-13 * scale, (betas[k], a)
+
+
+class TestInputChecks:
+    """Every shape check of this layer, reached from outside."""
+
+    @pytest.mark.parametrize("case", ["wick_beta", "hphi_dimension", "pair_inners_width"])
+    def test_raises(self, case):
+        _, wd, gen = ghs_data(0.45)
+        mc = sb.make_moment_cache(wd, gen.Q)
+        f1 = sb.GaussPoly(sb.PolyC.constant(1), np.eye(1))
+        calls = {
+            "wick_beta": lambda: sb.wick_moment(mc, (2, 0)),  # 2n = 4 real coordinates
+            "hphi_dimension": lambda: sb.hphi_inner(f1, f1, wd),
+            # a block of 5 columns at n = 2 has no degree
+            "pair_inners_width": lambda: _pair_inners(mc, np.ones((2, 5)), [0], [1]),
+        }
+        with pytest.raises(DimensionMismatch):
+            calls[case]()
+
+    def test_empty_family_has_an_empty_gram(self):
+        _, wd, _ = ghs_data(0.45)
+        keys, gram = sb.gram_matrix({}, wd)
+        assert keys == [] and gram.shape == (0, 0)

@@ -136,6 +136,12 @@ class TestValidateIntertwiner:
         wd = sb.compute_weight_data(pt)
         assert not sb.validate_intertwiner(np.diag([2.0, 1.0]), wd, 0.5 * wd.lam0, 1e-10)
 
+    def test_noncommuting_unitary_rejected(self):
+        # distinct lam: the swap is unitary but does not commute with diag(mu/lam)
+        pt = sb.random_phase_triple(2, np.random.default_rng(6))
+        wd = sb.compute_weight_data(pt)
+        assert not sb.validate_intertwiner(SWAP2, wd, 0.5 * wd.lam0, 1e-10)
+
     def test_rho_out_of_range(self):
         _, wd, _ = em_data(0.5)
         for rho in (0.0, -0.1, wd.lam0, 2 * wd.lam0):
@@ -271,3 +277,22 @@ class TestCreationCoefficient:
         diag = np.sqrt(np.diag(gram).real)
         cosine = np.abs(gram - np.diag(np.diag(gram))) / np.outer(diag, diag)
         assert np.max(cosine) <= 1e-9
+
+
+class TestSizeChecks:
+    """Every matrix-size check of this layer, reached from outside."""
+
+    @pytest.mark.parametrize(
+        "case", ["as_square", "triple", "with_unitary", "intertwiner", "ccr_matrix"]
+    )
+    def test_raises(self, case):
+        _, wd, _ = em_data(0.5)
+        calls = {
+            "as_square": lambda: sb.matrices.as_square(np.ones((2, 3)), "M"),
+            "triple": lambda: sb.validate_phase_triple(np.eye(2), np.eye(1), 1j * np.eye(1)),
+            "with_unitary": lambda: sb.with_unitary(wd, np.eye(2)),
+            "intertwiner": lambda: sb.validate_intertwiner(np.eye(2), wd, 0.5 * wd.lam0),
+            "ccr_matrix": lambda: sb.ccr_matrix(wd, np.eye(2)),
+        }
+        with pytest.raises(sb.DimensionMismatch):
+            calls[case]()

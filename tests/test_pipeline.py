@@ -77,6 +77,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="X.phases"):
             RunConfig.from_dict(em_config_dict(X={"phases": [0.0, 0.0]}))
 
+    def test_x_needs_phases_or_matrix(self):
+        with pytest.raises(ConfigError, match="^X: expected 'phases' or 'matrix'"):
+            RunConfig.from_dict(em_config_dict(X={"angles": [0.0]}))
+
+    def test_unreadable_config_path(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            RunConfig.from_json(str(tmp_path / "missing.json"))
+
+    def test_report_to_json(self):
+        report = run_verify(RunConfig.from_dict(em_config_dict(max_degree=1)))
+        assert json.loads(report.to_json()) == json.loads(json.dumps(report.to_dict()))
+
 
 class TestRunVerify:
     def test_em_config_passes(self):
@@ -348,6 +360,18 @@ class TestCli:
         path = self.write_config(tmp_path, std)
         assert cli_main(["transform", "--config", path, "--z", "zzz"]) == 2
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["construct", "--family", "-1"], 2, "config error: --family"),
+        (["transform", "--z", "0,0 1,1"], 2, "config error: --z: point"),
+        (["transform", "--z", "a,b"], 2, "config error: --z: component 'a,b' is not numeric"),
+        # a module error: the transform's own finiteness check
+        (["transform", "--z", "nan,0"], 1, "error: ValueError: z has non-finite entries"),
+    ])
+    def test_cli_input_errors(self, tmp_path, capsys, argv, code, err):
+        path = self.write_config(tmp_path, em_config_dict())
+        assert cli_main([argv[0], "--config", path, *argv[1:]]) == code
+        assert capsys.readouterr().err.startswith(err)
+
     def test_construct_family_emission(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
         assert cli_main(["construct", "--config", path, "--family", "2"]) == 0
@@ -367,7 +391,7 @@ class TestCli:
         assert back.poly.terms == gp.poly.terms
         assert np.allclose(back.M, gp.M)
 
-    @pytest.mark.parametrize("alpha", [[1.5], [-2], ["x"], [None], [0, 1], [], "1"])
+    @pytest.mark.parametrize("alpha", [[1.5], [-2], ["x"], [None], [0, 1], [], "1", [True]])
     def test_decode_gauss_poly_checks_multi_indices(self, alpha):
         # [1.5] was stored as key (1,), [-2] was accepted and ["x"] raised a
         # bare ValueError; each now names the offending term

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sbhermite as sb
-from sbhermite.errors import QuadratureUnderflow
+from sbhermite.errors import NonIntegrableWeight, QuadratureUnderflow
 
 from helpers import (
     bargmann_data,
@@ -608,6 +608,74 @@ class TestQuadratureInputs:
         with pytest.raises(ValueError, match=f"^{name} has non-finite"):
             calls[name]()
 
+    @pytest.mark.parametrize("entry", ["u", "polynomial_part", "transform", "transform_batch",
+                                       "kernel_eval", "kernel_eval_zeta", "kernel_reproduce",
+                                       "inverse_transform", "round_trip_error"])
+    def test_points_pass_the_point_rule(self, entry):
+        # one point of length 2n was read as two points (u, polynomial_part,
+        # round_trip_error) or met numpy's bare matmul error (kernel_eval)
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j})
+        bad = [0.1, 0.2, 0.3, 0.4]
+        quad = sb.QuadSpec(nodes=8)
+        calls = {
+            "u": ("x", lambda: u(bad)),
+            "polynomial_part": ("x", lambda: u.polynomial_part(bad)),
+            "transform": ("z", lambda: sb.transform(pt, u, bad, quad)),
+            "transform_batch": ("Z", lambda: sb.transform_batch(pt, u, [bad], quad)),
+            "kernel_eval": ("z", lambda: sb.kernel_eval(kp, bad, [0.0, 0.0])),
+            "kernel_eval_zeta": ("zeta", lambda: sb.kernel_eval(kp, [0.0, 0.0], [0.0])),
+            "kernel_reproduce": ("z", lambda: sb.kernel_reproduce(
+                kp, wd, sb.ground_state(gen), bad, quad)),
+            "inverse_transform": ("x", lambda: sb.inverse_transform(
+                pt, sb.ground_state(gen), bad, quad, wd)),
+            "round_trip_error": ("xs", lambda: sb.round_trip_error(pt, u, bad, quad, wd)),
+        }
+        name, call = calls[entry]
+        with pytest.raises(sb.DimensionMismatch, match=rf"^{name} must have shape \(2,\)"):
+            call()
+
+    def test_batches_give_one_value_per_point(self):
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j})
+        f = sb.GaussPoly(sb.PolyC(2, {(0, 0): 1.0, (1, 0): 0.5}), gen.Q)
+        quad = sb.QuadSpec(nodes=16)
+        rng = np.random.default_rng(3)
+        Z = 0.4 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+        xs = 0.5 * rng.standard_normal((3, 2))
+        np.testing.assert_array_equal(sb.kernel_eval(kp, Z, Z[0]),
+                                      [sb.kernel_eval(kp, z, Z[0]) for z in Z])
+        for batch, each in [
+            (sb.transform(pt, u, Z, quad), [sb.transform(pt, u, z, quad) for z in Z]),
+            (sb.kernel_reproduce(kp, wd, f, Z, quad),
+             [sb.kernel_reproduce(kp, wd, f, z, quad) for z in Z]),
+            (sb.inverse_transform(pt, f, xs, quad, wd),
+             [sb.inverse_transform(pt, f, x, quad, wd) for x in xs]),
+        ]:
+            assert batch.shape == (3,)
+            np.testing.assert_allclose(batch, each, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["mode", "no_points", "divergent_inverse", "image_degree"])
+    def test_input_checks(self, case):
+        pt, wd, _ = em_data(0.5)
+        u = sb.TestFunction.hermite_basis((1,))
+        if case == "mode":
+            with pytest.raises(ValueError, match="unknown isometry mode 'bogus'"):
+                sb.isometry_residual(pt, u, wd, mode="bogus")
+        elif case == "no_points":
+            assert sb.round_trip_error(pt, u, np.zeros((0, 1)), QUAD, wd) == 0.0
+        elif case == "divergent_inverse":
+            # the exponent -10 E makes the integrand grow: no real decay
+            f = sb.GaussPoly(sb.PolyC.constant(1), -10.0 * np.eye(1))
+            with pytest.raises(NonIntegrableWeight):
+                sb.inverse_transform(pt, f, [0.0], QUAD, wd)
+        else:
+            # 1.5 raised a bare TypeError from range
+            with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+                sb.hermite_images(pt, 1.5)
+
     @pytest.mark.parametrize("entry", ["transform_batch", "transform_image"])
     def test_test_function_indices_checked(self, entry):
         # a one-entry index at n = 2 must not reach transform_batch (a tiny
@@ -619,7 +687,7 @@ class TestQuadratureInputs:
         }
         with pytest.raises(sb.DimensionMismatch, match="needs 2 entries"):
             calls[entry](sb.TestFunction(2, {(0, 0): 1.0, (1,): 1.0}))
-        for alpha in [(1, -1), (0.5, 1), (np.nan, 0)]:
+        for alpha in [(1, -1), (0.5, 1), (np.nan, 0), (True, 0)]:
             with pytest.raises(ValueError, match="nonnegative integer"):
                 calls[entry](sb.TestFunction(2, {alpha: 1.0}))
         # integral entries of any numeric type are stored as int tuples
