@@ -9,6 +9,7 @@ report, naming the failed stage and the error type, and exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,9 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: building it costs
+    about ten times a ``parse_args``, which returns a fresh Namespace per
+    call and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

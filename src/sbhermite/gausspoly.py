@@ -15,14 +15,19 @@ from outside pass one rule each: ``_multi_index``, ``matrices.as_points``
 and ``matrices.agree``.  One kernel, ``_apply_block``,
 applies a component of a ``LinearDiffOp`` to every row at once: 2n
 gathers through index maps cached per (n, d), summed in a fixed order and
-pruned row by row.  The products are taken on real planes with the
-rounding of Python's scalar complex product; numpy's complex multiply
-uses fused multiply-adds where the CPU has them and rounds differently.
-So a row's result does not depend on the rows around it, and the kernel
-reproduces term-by-term application bit for bit; ``apply_op`` and
-``hamiltonian_apply`` are its one-row cases.  ``_chain_block(op, M, c0, d)``
-builds op^alpha (c0 exp(-<z, M z>)), |alpha| <= d, one kernel call per
-degree layer; the family, the Rodrigues form and the images are chains.
+pruned row by row, into the smallest graded basis the live terms reach,
+``_basis(n, d + 1)`` with a live multiplication term and
+``_basis(n, d - 1)`` without one.  The lowering operators at M = Q are
+pure derivatives, so ``_hamiltonian_block`` maps a block over
+``_basis(n, d)`` to one over the same basis.  The products are taken on
+real planes with the rounding of Python's scalar complex product; numpy's
+complex multiply uses fused multiply-adds where the CPU has them and
+rounds differently.  So a row's result does not depend on the rows around
+it, and the kernel reproduces term-by-term application bit for bit;
+``apply_op`` and ``hamiltonian_apply`` are its one-row cases.
+``_chain_block(op, M, c0, d)`` builds op^alpha (c0 exp(-<z, M z>)),
+|alpha| <= d, one kernel call per degree layer; the family, the Rodrigues
+form and the images are chains.
 """
 
 from __future__ import annotations
@@ -289,34 +294,37 @@ def _apply_block(
 
     ``block`` holds Gaussian polynomials with exponent M, one row each, over
     the columns of ``_basis(n, degree)``; ``comps`` is one component index
-    or one per row.  The result is over ``_basis(n, degree + 1)``.  The 2n
-    terms are summed in a fixed order, derivative terms g * (c * a_k) for
-    k = 0..n-1, then multiplication terms h * c for l = 0..n-1, and each row
-    keeps the entries of magnitude at least ``PRUNE_REL`` times its largest
-    one.  A term whose coefficient is zero in every row adds only zeros and
-    is skipped (the lowering operators have G = 1).
+    or one per row.  The result is over the smallest graded basis its live
+    terms reach: ``_basis(n, degree + 1)`` when a multiplication term is
+    live, else ``_basis(n, max(degree - 1, 0))`` (the lowering operators at
+    M = Q are pure derivatives).  The 2n terms are summed in a fixed order,
+    derivative terms g * (c * a_k) for k = 0..n-1, then multiplication
+    terms h * c for l = 0..n-1, and each row keeps the entries of magnitude
+    at least ``PRUNE_REL`` times its largest one.  A term whose coefficient
+    is zero in every row adds only zeros and is skipped (the lowering
+    operators have G = 1).
     """
     n, rows, degree = op.n, block.shape[0], _degree_of(op.n, block.shape[1])
     up, weight, down = _ladder_maps(n, degree)
     # d/dz_k (P e^{-<z,Mz>}) = (dP/dz_k - 2 (M z)_k P) e^{-<z,Mz>}
     g = op.G[comps].reshape(-1, n, 1)
     h = (op.H - 2.0 * op.G @ M)[comps].reshape(-1, n, 1)
-    cols = len(_basis(n, degree + 1))
+    live_g = np.flatnonzero(g.any(axis=(0, 2)))
+    live_h = np.flatnonzero(h.any(axis=(0, 2)))
+    cols = len(_basis(n, degree + 1 if live_h.size else max(degree - 1, 0)))
     acc_re, acc_im = np.zeros((rows, cols)), np.zeros((rows, cols))
-    live = np.flatnonzero(g.any(axis=(0, 2)))
-    if live.size and up.shape[1]:
-        shape, idx, w = (rows, live.size, up.shape[1]), up[live].ravel(), weight[live]
+    if live_g.size and up.shape[1]:
+        shape, idx, w = (rows, live_g.size, up.shape[1]), up[live_g].ravel(), weight[live_g]
         sr = block.real.take(idx, axis=1).reshape(shape) * w
         si = block.imag.take(idx, axis=1).reshape(shape) * w
-        _add_terms(acc_re[:, : shape[2]], acc_im[:, : shape[2]], sr, si, g[:, live])
-    live = np.flatnonzero(h.any(axis=(0, 2)))
-    if live.size:
+        _add_terms(acc_re[:, : shape[2]], acc_im[:, : shape[2]], sr, si, g[:, live_g])
+    if live_h.size:
         padded = np.zeros((rows, block.shape[1] + 1), dtype=complex)
         padded[:, :-1] = block
-        shape, idx = (rows, live.size, cols), down[live].ravel()
+        shape, idx = (rows, live_h.size, cols), down[live_h].ravel()
         sr = padded.real.take(idx, axis=1).reshape(shape)
         si = padded.imag.take(idx, axis=1).reshape(shape)
-        _add_terms(acc_re, acc_im, sr, si, h[:, live])
+        _add_terms(acc_re, acc_im, sr, si, h[:, live_h])
     size = np.hypot(acc_re, acc_im)
     keep = size >= PRUNE_REL * size.max(axis=1, keepdims=True)
     out = np.zeros((rows, cols), dtype=complex)
@@ -477,13 +485,16 @@ def _hamiltonian_block(
     gen: GeneratorData, ladder: tuple, block: np.ndarray
 ) -> np.ndarray:
     """rho^2 + sum_i raise_i lower_i applied to every row of a block over
-    ``_basis(n, degree)`` with exponent Q; the result is over
-    ``_basis(n, degree + 2)``, added in the order rho^2 term, then i = 0..n-1."""
+    ``_basis(n, degree)`` with exponent Q, added in the order rho^2 term,
+    then i = 0..n-1.  At Q each lower_i is a pure derivative, so lower_i
+    maps degree d to d - 1, raise_i maps it back, and the result is over
+    the block's own ``_basis(n, degree)``; at degree 0 lower_i leaves a
+    zero row, whose raised degree-1 columns are zero."""
     low, high = ladder
-    acc = _real_scaled(_padded(block, gen.n, _degree_of(gen.n, block.shape[1]) + 2), gen.rho2)
+    acc = _real_scaled(block, gen.rho2)
     for i in range(gen.n):
         lowered = _apply_block(low, i, block, gen.Q)
-        acc += _apply_block(high, i, lowered, gen.Q)
+        acc += _apply_block(high, i, lowered, gen.Q)[:, : block.shape[1]]
     return acc
 
 
@@ -504,13 +515,11 @@ def _adjoint_block(
 ) -> np.ndarray:
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
     two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
-    that order over ``_basis(n, degree + 1)``."""
+    that order over ``_basis(n, degree + 1)``, each padded to that width."""
     low, high = ladder
-    return np.vstack([
-        _padded(np.vstack([f, g]), low.n, _degree_of(low.n, f.shape[1]) + 1),
-        _apply_block(low, comps, f, M),
-        _apply_block(high, comps, g, M),
-    ])
+    n, degree = low.n, _degree_of(low.n, f.shape[1]) + 1
+    parts = [f, g, _apply_block(low, comps, f, M), _apply_block(high, comps, g, M)]
+    return np.vstack([_padded(part, n, degree) for part in parts])
 
 
 def _row_max_abs(block: np.ndarray) -> np.ndarray:

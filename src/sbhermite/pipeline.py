@@ -9,7 +9,9 @@ on one format: coefficient blocks, one row per function over a graded
 monomial basis (see ``gausspoly``).  The family stage turns the output of
 ``hermite_family`` into one block, and the gram, eigen, Rodrigues and
 completeness stages use that block.  The eigen stage applies lower_i and
-then raise_i to it, 2n kernel calls, and takes ``eigen_max`` row by row.
+then raise_i to it, 2n kernel calls; at Q lower_i lowers the degree, so
+the image stays on the block's ``_basis(n, d)``, where ``eigen_max`` is
+taken row by row.
 The Rodrigues stage builds every closed-form member from one raising
 chain of Xi on exp(-<z,(S+Q)z>), one kernel call per degree layer, and
 compares that block with the family block row by row; ``rodrigues`` is a
@@ -48,7 +50,6 @@ from .gausspoly import (
     _block_of,
     _hamiltonian_block,
     _multi_index,
-    _padded,
     _real_scaled,
     _rodrigues_block,
     _row_distances,
@@ -112,6 +113,12 @@ def _require(cond: bool, path: str, msg: str):
         raise ConfigError(f"{path}: {msg}")
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether a parsed JSON value is a number of the given types; JSON
+    true and false parse as bool, which Python counts as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse_complex(value, path: str) -> complex:
     _require(
         isinstance(value, (list, tuple)) and len(value) == 2,
@@ -120,7 +127,7 @@ def _parse_complex(value, path: str) -> complex:
     )
     re_, im_ = value
     _require(
-        isinstance(re_, (int, float)) and isinstance(im_, (int, float)),
+        _is_number(re_) and _is_number(im_),
         path,
         "re and im must be numbers",
     )
@@ -212,14 +219,14 @@ class RunConfig:
         version = raw.get("version", SCHEMA_VERSION)
         _require(version == SCHEMA_VERSION, "version", f"expected {SCHEMA_VERSION!r}")
         n = raw.get("n")
-        _require(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+        _require(_is_number(n, int) and n >= 1, "n", "must be a positive integer")
         mats = {}
         for name in ("A", "B", "C"):
             _require(name in raw, name, "missing matrix")
             mats[name] = _parse_matrix(raw[name], n, name)
         frac = raw.get("rho_fraction")
         _require(
-            isinstance(frac, (int, float)) and 0.0 < frac < 1.0,
+            _is_number(frac) and 0.0 < frac < 1.0,
             "rho_fraction",
             "must lie strictly inside (0,1) so that 0<rho<lambda0",
         )
@@ -233,7 +240,7 @@ class RunConfig:
                 f"expected {n} angles",
             )
             _require(
-                all(isinstance(p, (int, float)) for p in phases),
+                all(_is_number(p) for p in phases),
                 "X.phases",
                 "angles must be numbers",
             )
@@ -244,17 +251,17 @@ class RunConfig:
             raise ConfigError("X: expected 'phases' or 'matrix'")
         max_degree = raw.get("max_degree", 3)
         _require(
-            isinstance(max_degree, int) and max_degree >= 0,
+            _is_number(max_degree, int) and max_degree >= 0,
             "max_degree",
             "must be a nonnegative integer",
         )
         seed = raw.get("seed", 0)
-        _require(isinstance(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
+        _require(_is_number(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
         quadrature = raw.get("quadrature", {})
         _require(isinstance(quadrature, dict), "quadrature", "must be an object")
         nodes = quadrature.get("nodes", 64)
         _require(
-            isinstance(nodes, int) and 4 <= nodes <= MAX_NODES,
+            _is_number(nodes, int) and 4 <= nodes <= MAX_NODES,
             "quadrature.nodes",
             f"must be an integer in [4, {MAX_NODES}]",
         )
@@ -264,7 +271,7 @@ class RunConfig:
         for key, val in overrides.items():
             _require(key in tols, f"tolerances.{key}", "unknown tolerance name")
             _require(
-                isinstance(val, (int, float)) and val > 0,
+                _is_number(val) and val > 0,
                 f"tolerances.{key}",
                 "must be a positive number",
             )
@@ -482,8 +489,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
         image = _hamiltonian_block(gen, ladder, block)
         levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in keys]
-        expected = _real_scaled(_padded(block, n, config.max_degree + 2),
-                                np.array(levels)[:, None])
+        expected = _real_scaled(block, np.array(levels)[:, None])
         res["eigen_max"] = float(np.max(_row_distances(image, expected)))
         return ladder
 

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite.errors import DimensionMismatch, MExponentMismatch
-from sbhermite.gausspoly import _apply_block, _basis, _degree_of, _rodrigues_block
+from sbhermite.gausspoly import (
+    _apply_block,
+    _basis,
+    _chain_block,
+    _degree_of,
+    _hamiltonian_block,
+    _rodrigues_block,
+    _row_distances,
+)
 from sbhermite.transform import _intertwined_raising
 
 from helpers import (
@@ -126,8 +134,10 @@ class TestBlockKernel:
         block = self.random_block(rng, n, degree, rows)
         comps = rng.integers(0, n, rows)  # a different component per row
         out = _apply_block(op, comps, block, M)
-        assert out.shape == (rows, len(_basis(n, degree + 1)))
-        basis, out_basis = _basis(n, degree), _basis(n, degree + 1)
+        # the lowering operators at Q are pure derivatives and lower the degree
+        top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
+        assert out.shape == (rows, len(_basis(n, top)))
+        basis, out_basis = _basis(n, degree), _basis(n, top)
         for r in range(rows):
             terms = {a: c for a, c in zip(basis, block[r].tolist()) if c != 0}
             want = reference_apply_op(op, int(comps[r]), sb.GaussPoly(sb.PolyC(n, terms), M))
@@ -138,6 +148,29 @@ class TestBlockKernel:
             # a row's result does not depend on the rows around it
             alone = _apply_block(op, comps[r], block[r : r + 1], M)
             assert np.array_equal(alone[0], out[r]), r
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_result_width_follows_live_terms(self, n):
+        # over basis(n, d + 1) when a multiplication term is live, else over
+        # basis(n, d - 1); a block has one column at least
+        rng = np.random.default_rng(n)
+        _, wd, gen = sb.random_generator(n, rng)
+        zero = np.zeros((n, n))
+        cases = [
+            (sb.annihilation_ops(gen.Q), gen.Q, -1),
+            (sb.xi_ops(gen), zero, -1),
+            (sb.LinearDiffOp(zero, zero), gen.Q, -1),
+            (sb.annihilation_ops(gen.Q), gen.SQ, 1),
+            (sb.xi_ops(gen), gen.SQ, 1),
+            (sb.creation_ops(wd, gen), gen.Q, 1),
+            (sb.LinearDiffOp(zero, np.eye(n)), gen.Q, 1),
+        ]
+        for degree in range(5):
+            block = self.random_block(rng, n, degree, 3)
+            comps = rng.integers(0, n, 3)
+            for op, M, step in cases:
+                out = _apply_block(op, comps, block, M)
+                assert out.shape == (3, len(_basis(n, max(degree + step, 0)))), (degree, step)
 
 
 class TestOperatorConstructors:
@@ -343,6 +376,18 @@ class TestHamiltonian:
         _, wd, gen = em_data(0.5)
         with pytest.raises(MExponentMismatch):
             sb.hamiltonian_apply(wd, gen, gp_const(1, [[0.25]]))
+
+    @pytest.mark.parametrize("n, degree", [(1, 0), (1, 8), (2, 0), (2, 5), (3, 3), (4, 2)])
+    def test_block_image_keeps_the_input_width(self, n, degree):
+        # at Q, H maps basis(n, d) into itself: the image of the family block
+        # has the block's width and row alpha is (2|alpha| + 1) rho^2 psi_alpha
+        _, wd, gen = sb.random_generator(n, np.random.default_rng(5))
+        ladder = sb.annihilation_ops(gen.Q), sb.creation_ops(wd, gen)
+        block = _chain_block(ladder[1], gen.Q, 1.0, degree)
+        image = _hamiltonian_block(gen, ladder, block)
+        assert image.shape == block.shape
+        levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in _basis(n, degree)]
+        assert np.max(_row_distances(image, np.array(levels)[:, None] * block)) <= 1e-9
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -80,6 +81,33 @@ class TestRunConfig:
     def test_x_needs_phases_or_matrix(self):
         with pytest.raises(ConfigError, match="^X: expected 'phases' or 'matrix'"):
             RunConfig.from_dict(em_config_dict(X={"angles": [0.0]}))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n": True}, "n"),
+            ({"max_degree": True}, "max_degree"),
+            ({"max_degree": False}, "max_degree"),
+            ({"seed": False}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"quadrature": {"nodes": True}}, "quadrature.nodes"),
+            ({"X": {"phases": [False]}}, "X.phases"),
+            ({"tolerances": {"gram": True}}, "tolerances.gram"),
+            ({"rho_fraction": True}, "rho_fraction"),
+            ({"A": [[[False, True]]]}, "A[0][0]"),
+            ({"X": {"matrix": [[[1.0, False]]]}}, "X.matrix[0][0]"),
+        ],
+    )
+    def test_json_booleans_are_no_numbers(self, tmp_path, capsys, overrides, field):
+        # bool is an int to Python: "n": true raised a bare TypeError and
+        # "max_degree": true failed the family stage with exit 1
+        cfg = em_config_dict(**overrides)
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            RunConfig.from_dict(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
     def test_unreadable_config_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -325,6 +353,21 @@ class TestCli:
             assert cli_main(argv) == 0
             values.append(json.loads(capsys.readouterr().out)["points"][0]["value"])
         assert values[0] != pytest.approx(values[1], rel=1e-6)
+
+    def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
+        # main parses with one parser per process; no option may outlive its call
+        path = self.write_config(tmp_path, em_config_dict(max_degree=1))
+        runs = [["--max-degree", "2", "--rho-fraction", "0.5"], [], ["--max-degree", "0"], []]
+        members, rho2 = [], []
+        for extra in runs:
+            assert cli_main(["verify", "--config", path] + extra) == 0
+            out = json.loads(capsys.readouterr().out)
+            members.append(out["metrics"]["family_members"])
+            rho2.append(out["rho2"])
+        assert members == [3, 2, 1, 2]
+        assert rho2[0] != rho2[1] == rho2[2] == rho2[3]
+        assert cli_main(["example", "--name", "em", "--s", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["metrics"]["family_members"] == 4
 
     def test_validate_and_construct(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
