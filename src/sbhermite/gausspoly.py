@@ -14,8 +14,8 @@ that edge by ``_block_of`` and ``_gauss_polys``; keys, points and exponents
 from outside pass one rule each: ``_multi_index``, ``matrices.as_points``
 and ``matrices.agree``.  One kernel, ``_apply_block``,
 applies a component of a ``LinearDiffOp`` to every row at once: 2n
-gathers through index maps cached per (n, d), summed in a fixed order and
-pruned row by row, into the smallest graded basis the live terms reach,
+gathers through index maps cached per (n, d), summed in a fixed order,
+every entry kept, into the smallest graded basis the live terms reach,
 ``_basis(n, d + 1)`` with a live multiplication term and
 ``_basis(n, d - 1)`` without one.  The lowering operators at M = Q are
 pure derivatives, so ``_hamiltonian_block`` maps a block over
@@ -42,10 +42,6 @@ import numpy as np
 from . import matrices as mx
 from .errors import DimensionMismatch, MExponentMismatch
 from .model import GeneratorData, WeightData
-
-#: relative magnitude below which polynomial coefficients are dropped
-PRUNE_REL = 1e-14
-
 
 @functools.lru_cache(maxsize=256)
 def _degree_layer(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -299,8 +295,8 @@ def _apply_block(
     live, else ``_basis(n, max(degree - 1, 0))`` (the lowering operators at
     M = Q are pure derivatives).  The 2n terms are summed in a fixed order,
     derivative terms g * (c * a_k) for k = 0..n-1, then multiplication
-    terms h * c for l = 0..n-1, and each row keeps the entries of magnitude
-    at least ``PRUNE_REL`` times its largest one.  A term whose coefficient
+    terms h * c for l = 0..n-1, on the real and imaginary planes of the
+    result, which keeps every entry of that sum.  A term whose coefficient
     is zero in every row adds only zeros and is skipped (the lowering
     operators have G = 1).
     """
@@ -312,7 +308,8 @@ def _apply_block(
     live_g = np.flatnonzero(g.any(axis=(0, 2)))
     live_h = np.flatnonzero(h.any(axis=(0, 2)))
     cols = len(_basis(n, degree + 1 if live_h.size else max(degree - 1, 0)))
-    acc_re, acc_im = np.zeros((rows, cols)), np.zeros((rows, cols))
+    out = np.zeros((rows, cols), dtype=complex)
+    acc_re, acc_im = out.real, out.imag
     if live_g.size and up.shape[1]:
         shape, idx, w = (rows, live_g.size, up.shape[1]), up[live_g].ravel(), weight[live_g]
         sr = block.real.take(idx, axis=1).reshape(shape) * w
@@ -325,11 +322,6 @@ def _apply_block(
         sr = padded.real.take(idx, axis=1).reshape(shape)
         si = padded.imag.take(idx, axis=1).reshape(shape)
         _add_terms(acc_re, acc_im, sr, si, h[:, live_h])
-    size = np.hypot(acc_re, acc_im)
-    keep = size >= PRUNE_REL * size.max(axis=1, keepdims=True)
-    out = np.zeros((rows, cols), dtype=complex)
-    out.real[keep] = acc_re[keep]
-    out.imag[keep] = acc_im[keep]
     return out
 
 

@@ -114,9 +114,11 @@ def _require(cond: bool, path: str, msg: str):
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """Whether a parsed JSON value is a number of the given types; JSON
-    true and false parse as bool, which Python counts as an int."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """Whether a parsed JSON value is a finite number of the given types;
+    JSON true and false parse as bool, which Python counts as an int, and
+    NaN and Infinity parse as floats."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _parse_complex(value, path: str) -> complex:
@@ -129,7 +131,7 @@ def _parse_complex(value, path: str) -> complex:
     _require(
         _is_number(re_) and _is_number(im_),
         path,
-        "re and im must be numbers",
+        "re and im must be finite numbers",
     )
     return complex(re_, im_)
 
@@ -242,7 +244,7 @@ class RunConfig:
             _require(
                 all(_is_number(p) for p in phases),
                 "X.phases",
-                "angles must be numbers",
+                "angles must be finite numbers",
             )
             x = np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
         elif "matrix" in xspec:
@@ -273,7 +275,7 @@ class RunConfig:
             _require(
                 _is_number(val) and val > 0,
                 f"tolerances.{key}",
-                "must be a positive number",
+                "must be a positive finite number",
             )
             tols[key] = float(val)
         return cls(

@@ -500,18 +500,12 @@ def round_trip_error(
     quad: QuadSpec | None = None,
     wd: WeightData | None = None,
 ) -> float:
-    """Max pointwise defect of the quadrature inverse of the exact image
+    """Max pointwise defect of ``inverse_transform`` of the exact image
     ``transform_image(pt, u)`` against the original test function; all
     points of ``xs`` are inverted by one quadrature call, one row each."""
-    quad = quad or QuadSpec()
-    wd = wd or compute_weight_data(pt)
     image = transform_image(pt, u)
     xs, _ = mx.as_points(xs, pt.n, "xs", float)
     if xs.shape[0] == 0:
         return 0.0
     _require_finite(xs, "xs")
-    P, beta, c = _inverse_exponent(pt, image, xs, wd)
-    values = pt.c_phi * _over_cn(
-        P, beta, c, image.poly, image.poly.degree(), quad.nodes, quad.center
-    )
-    return float(np.max(np.abs(values - u(xs))))
+    return float(np.max(np.abs(inverse_transform(pt, image, xs, quad, wd) - u(xs))))

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 import sbhermite as sb
-from sbhermite.gausspoly import PRUNE_REL
 from sbhermite.integrals import _isserlis
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -106,9 +105,8 @@ def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.Gaus
 
     d/dz_k z^a = a_k z^(a - e_k) and z_l z^a = z^(a + e_l), with weights
     G[i, k] and H[i, l] - 2 (G M)[i, l], added into one dict in the order
-    k = 0..n-1, then l = 0..n-1, and pruned at ``PRUNE_REL`` times the
-    largest magnitude.  Test-only: the library applies operators to whole
-    coefficient blocks.
+    k = 0..n-1, then l = 0..n-1, every term kept.  Test-only: the library
+    applies operators to whole coefficient blocks.
     """
     h_eff = op.H - 2.0 * op.G @ gp.M
     out = {}
@@ -125,8 +123,7 @@ def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.Gaus
             for mono, c in gp.poly.terms.items():
                 key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
                 out[key] = out.get(key, 0.0) + h * c
-    cut = PRUNE_REL * max((abs(v) for v in out.values()), default=0.0)
-    return sb.GaussPoly(sb.PolyC(gp.n, {k: v for k, v in out.items() if abs(v) >= cut}), gp.M)
+    return sb.GaussPoly(sb.PolyC(gp.n, out), gp.M)
 
 
 def reference_moments(zcov, monos, cap: int) -> np.ndarray:

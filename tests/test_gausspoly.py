@@ -104,7 +104,7 @@ class TestBlockKernel:
     @staticmethod
     def random_block(rng, n, degree, rows):
         # magnitudes over 18 decades, about a fifth of the entries exactly 0,
-        # so that pruning has work to do
+        # so that tiny entries and exact zeros both reach the kernel
         shape = (rows, len(_basis(n, degree)))
         mag = 10.0 ** rng.uniform(-18.0, 0.0, shape)
         block = mag * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

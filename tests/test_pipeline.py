@@ -37,6 +37,19 @@ def em_config_dict(s=0.5, **overrides):
     return cfg
 
 
+#: field -> the config (or encoded GaussPoly) with a given number there
+NON_FINITE_CASES = {
+    "tolerances.gram": lambda v: em_config_dict(tolerances={"gram": v}),
+    "X.phases": lambda v: em_config_dict(X={"phases": [v]}),
+    "A[0][0]": lambda v: em_config_dict(A=[[[v, 1.0]]]),
+    "B[0][0]": lambda v: em_config_dict(B=[[[0.0, v]]]),
+    "C[0][0]": lambda v: em_config_dict(C=[[[v, 0.5]]]),
+    "X.matrix[0][0]": lambda v: em_config_dict(X={"matrix": [[[1.0, v]]]}),
+    "gausspoly.terms[0]": lambda v: {"terms": [[[0], [v, 0.0]]], "M": [[[0.5, 0.0]]]},
+    "gausspoly.M[0][0]": lambda v: {"terms": [[[0], [1.0, 0.0]]], "M": [[[v, 0.0]]]},
+}
+
+
 class TestRunConfig:
     def test_valid_roundtrip(self):
         cfg = RunConfig.from_dict(em_config_dict())
@@ -108,6 +121,15 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert cli_main(["verify", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", list(NON_FINITE_CASES))
+    def test_numbers_must_be_finite(self, field, value):
+        # an infinite gram tolerance switched the gram checks off, and NaN
+        # in X.phases or A failed a later stage with exit 1
+        parse = sb.decode_gauss_poly if field.startswith("gausspoly") else RunConfig.from_dict
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            parse(NON_FINITE_CASES[field](value))
 
     def test_unreadable_config_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -274,6 +296,12 @@ class TestCli:
         assert capsys.readouterr().out == ""
         report = json.loads(out_path.read_text())
         assert report["overall_pass"] is True
+
+    def test_verify_non_finite_tolerance_exit_two(self, tmp_path, capsys):
+        # JSON Infinity used to pass as a tolerance and switch the check off
+        path = self.write_config(tmp_path, em_config_dict(tolerances={"gram": math.inf}))
+        assert cli_main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: tolerances.gram: ")
 
     def test_verify_failure_exit_one(self, tmp_path, capsys):
         cfg = em_config_dict(max_degree=2, tolerances={"ccr": 1e-30})
