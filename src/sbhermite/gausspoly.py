@@ -17,17 +17,19 @@ applies a component of a ``LinearDiffOp`` to every row at once: 2n
 gathers through index maps cached per (n, d), summed in a fixed order,
 every entry kept, into the smallest graded basis the live terms reach,
 ``_basis(n, d + 1)`` with a live multiplication term and
-``_basis(n, d - 1)`` without one.  The lowering operators at M = Q are
-pure derivatives, so ``_hamiltonian_block`` maps a block over
+``_basis(n, d - 1)`` without one.  Blocks hold monomial or, in a Wick
+frame (``integrals._in_frame``), Wick coefficients.  The lowering
+operators at M = Q, and in a frame, are pure derivatives, so
+``_hamiltonian_block`` maps a block over
 ``_basis(n, d)`` to one over the same basis.  The products are taken on
 real planes with the rounding of Python's scalar complex product; numpy's
 complex multiply uses fused multiply-adds where the CPU has them and
 rounds differently.  So a row's result does not depend on the rows around
 it, and the kernel reproduces term-by-term application bit for bit;
 ``apply_op`` and ``hamiltonian_apply`` are its one-row cases.
-``_chain_block(op, M, c0, d)`` builds op^alpha (c0 exp(-<z, M z>)),
-|alpha| <= d, one kernel call per degree layer; the family, the Rodrigues
-form and the images are chains.
+``_chain_rows(op, M, c0, targets)`` builds op^alpha (c0 exp(-<z, M z>))
+for each target alpha over its ancestors only, one kernel call per degree
+layer; the family, the Rodrigues form and the images are chains.
 """
 
 from __future__ import annotations
@@ -397,42 +399,67 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
     return GaussPoly(PolyC.constant(gen.n, 1.0), gen.Q)
 
 
-@functools.lru_cache(maxsize=64)
-def _chain_steps(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each alpha of ``_degree_layer(n, d)``: its first nonzero index i
-    and the row of alpha - e_i in the layer of degree d - 1."""
-    prev = {a: r for r, a in enumerate(_degree_layer(n, d - 1))}
-    comps, parents = [], []
-    for a in _degree_layer(n, d):
-        i = next(idx for idx, e in enumerate(a) if e)
-        comps.append(i)
-        parents.append(prev[a[:i] + (a[i] - 1,) + a[i + 1:]])
-    return mx.frozen(comps, dtype=int), mx.frozen(parents, dtype=int)
+def _checked_basis(n: int, max_degree) -> tuple[tuple[int, ...], ...]:
+    """``_basis(n, max_degree)`` for a degree from outside the engine, the one
+    rule every public degree passes: a nonnegative integer, else ValueError."""
+    if isinstance(max_degree, bool) or not isinstance(max_degree, Integral) or max_degree < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {max_degree!r}")
+    return _basis(n, max_degree)
+
+
+@functools.lru_cache(maxsize=128)
+def _chain_plan(n: int, targets: tuple) -> tuple:
+    """The chain of ``targets`` cut to their ancestors (alpha comes from
+    alpha - e_i, i its first nonzero index): per degree layer d >= 1 in lex
+    order, each member's i and its parent's row in layer d - 1; per layer,
+    the target rows it holds and their rows within it."""
+    need = {(0,) * n}
+    for a in targets:
+        while a not in need:
+            need.add(a)
+            i = next(k for k, e in enumerate(a) if e)
+            a = a[:i] + (a[i] - 1,) + a[i + 1:]
+    top = max(map(sum, targets), default=0)
+    layers = [sorted(a for a in need if sum(a) == d) for d in range(top + 1)]
+    rows = [{a: r for r, a in enumerate(layer)} for layer in layers]
+    steps = []
+    for d in range(1, top + 1):
+        comps = [next(k for k, e in enumerate(a) if e) for a in layers[d]]
+        parents = [rows[d - 1][a[:i] + (a[i] - 1,) + a[i + 1:]]
+                   for a, i in zip(layers[d], comps)]
+        steps.append((mx.frozen(comps, dtype=int), mx.frozen(parents, dtype=int)))
+    degree = [sum(a) for a in targets]
+    place = [(mx.frozen([t for t, e in enumerate(degree) if e == d], dtype=int),
+              mx.frozen([rows[d][a] for a in targets if sum(a) == d], dtype=int))
+             for d in range(top + 1)]
+    return tuple(steps), tuple(place)
+
+
+def _chain_rows(op: LinearDiffOp, M: np.ndarray, c0: complex, targets) -> np.ndarray:
+    """op^alpha (c0 exp(-<z, M z>)), exponent M, for each alpha of
+    ``targets`` (int tuples), one row each over ``_basis(n, max |alpha|)``.
+
+    Layer d comes from layer d - 1 by one kernel call over the ancestors of
+    the targets (``_chain_plan``): each alpha applies the component at its
+    first nonzero index to its parent; the components commute, so the path
+    does not matter (tests assert it).  The kernel's rows do not depend on
+    each other, so a row equals the same row of the full chain
+    (``_chain_block``) bit for bit, and the cost follows the targets.
+    """
+    steps, place = _chain_plan(op.n, tuple(targets))
+    layers = [np.full((1, 1), c0, dtype=complex)]
+    for comps, parents in steps:
+        layers.append(_apply_block(op, comps, layers[-1][parents], M))
+    out = np.zeros((len(targets), len(_basis(op.n, len(steps)))), dtype=complex)
+    for layer, (dest, src) in zip(layers, place):
+        out[dest, : layer.shape[1]] = layer[src]
+    return out
 
 
 def _chain_block(op: LinearDiffOp, M: np.ndarray, c0: complex, max_degree: int) -> np.ndarray:
-    """op^alpha (c0 exp(-<z, M z>)), exponent M, for every |alpha| <=
-    max_degree, one row each in ``_basis`` order over ``_basis(n, max_degree)``.
-
-    Layer d comes from layer d - 1 by one kernel call: each alpha applies
-    the component at its first nonzero index to its parent; the components
-    commute, so the path does not matter (tests assert it).  Unrolled, a
-    member applies the components last coordinate first.  Every public
-    degree reaches this check: a nonnegative integer, else ValueError.
-    """
-    if isinstance(max_degree, bool) or not isinstance(max_degree, Integral) or max_degree < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {max_degree!r}")
-    n = op.n
-    size = len(_basis(n, max_degree))
-    out = np.zeros((size, size), dtype=complex)
-    layer = np.full((1, 1), c0, dtype=complex)
-    out[:1, :1] = layer
-    for d in range(1, max_degree + 1):
-        comps, parents = _chain_steps(n, d)
-        layer = _apply_block(op, comps, layer[parents], M)
-        start = len(_basis(n, d - 1))
-        out[start : start + len(comps), : layer.shape[1]] = layer
-    return out
+    """The full chain, every |alpha| <= max_degree in ``_basis`` order: a
+    square block over ``_basis(n, max_degree)``."""
+    return _chain_rows(op, M, c0, _checked_basis(op.n, max_degree))
 
 
 def hermite_family(
@@ -450,21 +477,14 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     e^{<z,Sz>} Xi^alpha e^{-<z,(S+Q)z>}.
 
     The member is row alpha of the raising chain of Xi on
-    1 * exp(-<z,(S+Q)z>) (:func:`_rodrigues_block`), the block the verify
-    stage compares with the family; the final multiplication by e^{<z,Sz>}
-    subtracts S from the exponent matrix.  ``alpha`` must pass the
-    multi-index rule of ``_multi_index``.
+    1 * exp(-<z,(S+Q)z>), built over the ancestors of alpha only
+    (:func:`_chain_rows`); the final multiplication by e^{<z,Sz>} subtracts
+    S from the exponent matrix.  ``alpha`` must pass the multi-index rule
+    of ``_multi_index``.
     """
     alpha = _multi_index(alpha, gen.n)
-    d = sum(alpha)
-    row = _rodrigues_block(gen, d)[_columns(gen.n, d)[alpha]]
-    return _gauss_polys(row[None], gen.SQ - gen.S)[0]
-
-
-def _rodrigues_block(gen: GeneratorData, max_total_degree: int) -> np.ndarray:
-    """Coefficients of rodrigues(alpha) for every |alpha| <= max_total_degree,
-    as the rows of one raising chain of Xi (see :func:`_chain_block`)."""
-    return _chain_block(xi_ops(gen), gen.SQ, 1.0, max_total_degree)
+    row = _chain_rows(xi_ops(gen), gen.SQ, 1.0, [alpha])
+    return _gauss_polys(row, gen.SQ - gen.S)[0]
 
 
 def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
@@ -474,19 +494,19 @@ def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
 
 
 def _hamiltonian_block(
-    gen: GeneratorData, ladder: tuple, block: np.ndarray
+    gen: GeneratorData, ladder: tuple, block: np.ndarray, M: np.ndarray
 ) -> np.ndarray:
     """rho^2 + sum_i raise_i lower_i applied to every row of a block over
-    ``_basis(n, degree)`` with exponent Q, added in the order rho^2 term,
-    then i = 0..n-1.  At Q each lower_i is a pure derivative, so lower_i
-    maps degree d to d - 1, raise_i maps it back, and the result is over
-    the block's own ``_basis(n, degree)``; at degree 0 lower_i leaves a
-    zero row, whose raised degree-1 columns are zero."""
+    ``_basis(n, degree)`` with exponent M, added in the order rho^2 term,
+    then i = 0..n-1.  lower_i must be a pure derivative at M (at M = Q, or
+    in a Wick frame at M = 0), so it maps degree d to d - 1, raise_i maps
+    it back, and the result is over the block's own ``_basis(n, degree)``;
+    at degree 0 lower_i leaves a zero row, whose raised columns are zero."""
     low, high = ladder
     acc = _real_scaled(block, gen.rho2)
     for i in range(gen.n):
-        lowered = _apply_block(low, i, block, gen.Q)
-        acc += _apply_block(high, i, lowered, gen.Q)[:, : block.shape[1]]
+        lowered = _apply_block(low, i, block, M)
+        acc += _apply_block(high, i, lowered, M)[:, : block.shape[1]]
     return acc
 
 
@@ -498,7 +518,7 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
     if not mx.agree(gp.M, gen.Q, 1e-12):
         raise MExponentMismatch("argument exponent differs from the generator Q")
     ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-    out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], gp.poly.degree()))
+    out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], gp.poly.degree()), gen.Q)
     return _gauss_polys(out, gp.M)[0]
 
 

@@ -1,42 +1,44 @@
-"""Exact weighted inner products of Gaussian polynomials via Wick moments.
+"""Exact weighted inner products of Gaussian polynomials in the Wick frame.
 
-Every integrand appearing in the verification suite is a polynomial times a
-centered Gaussian on R^(2n), so inner products reduce to finitely many
-Gaussian moments.  They are taken directly in the complex coordinates: the
-vector u = (z, zbar) = T w of the real coordinates w = (Re z, Im z) has the
-bilinear covariance K = T Sigma T^T.  A moment cache holds E[z^a zbar^b] as
-a Hermitian matrix over the downward closure of the monomials that calls
-have asked for (every b <= a entrywise of a requested a).  A call asks
-only for the block columns (see ``gausspoly``) that some row uses, so a
-sparse argument such as z_1^12 costs its 13-monomial closure.
-The matrix is filled from the Stein identity (Gaussian integration by
-parts) E[u_j f(u)] = sum_k K[j, k] E[d f / d u_k], which ties every moment
-of total degree t to moments of degree t - 2.  A fill therefore runs layer
-by layer of total degree: each layer is one gather and one batched
-weighted sum over index maps cached per closure, whatever its number of
-entries.  Growing the closure adds rows and columns and never recomputes
-held entries; entries past the degree cap are never computed.  An inner
-product is the bilinear form f^T Mom[rows, cols] conj(g) on coefficient
-vectors and the Gram matrix of a family is one product P Mom P^H.  No
-quadrature error enters anywhere.  The real moments E[w^beta] of
-``wick_moment`` come from the Isserlis recursion on Sigma instead, an
-independent route to the same numbers.
+Every integrand of the verification suite is a polynomial times a centered
+Gaussian on R^(2n), so an inner product is a finite sum of Gaussian
+moments.  A moment cache for a combined exponent M holds the real
+covariance Sigma = (2 M_R)^(-1) of w = (Re z, Im z), the bilinear
+covariance K of (z, zbar), and the frame of M from two blocks of K:
+L = chol(E[z zbar^T]) and C = L^(-1) E[z z^T] L^(-T).  The whitened
+coordinates u = L^(-1) z have E[u ubar^T] = 1 and E[u u^T] = C, and the
+Wick powers :u^a: with respect to C satisfy
 
-Callers that need many products work stage-wide: all arguments go into one
-coefficient block P, and any set of pairs (l, r) is one row sum of
-(P Mom)[l] * conj(P)[r] (``_pair_inners``); a Gram matrix and many
-expansions in a family are one block too (``_gram_block``,
-``_expansions``).  ``hphi_inner``, ``gram_matrix`` and ``expand_in_family``
-convert their arguments to one block and are cases of these, so no inner
-product is implemented twice.
+    u_l :u^a: = :u^(a + e_l): + sum_k C[l, k] a_k :u^(a - e_k):,
+    d/du_k :u^a: = a_k :u^(a - e_k):,
+
+and, by Wick's theorem, E[:u^a: conj(:u^b:)] = delta_ab a!.  On Wick
+coefficients (rows of a coefficient block, see ``gausspoly``) an inner
+product is the diagonal sum normalizer * sum_a f_a conj(g_a) a!, with no
+moment matrix, no cancellation between monomial moments and no degree cap.
+
+A first-order operator (G, H) acting at exponent M acts on Wick
+coefficients as (G L^(-T) + h L C, h L) at exponent 0, h = H - 2 G M
+(``_in_frame``), so the kernel and chains of ``gausspoly`` run on them
+unchanged; the verify pipeline builds every block in a frame.  Public
+functions convert monomial GaussPolys at the edge (``_wick_block``): z^a
+is the chain of the multiplication operators z_l over the ancestors of
+the monomials used, so z_1^12 costs 13 chain rows of dense Wick vectors.
+
+Stage-wide callers work on one block: any set of pairs (l, r) is one
+weighted row sum (``_pair_inners``), a Gram matrix one product
+normalizer * P diag(a!) P^H (``_gram_block``), and many expansions in a
+family one block too (``_expansions``).  ``hphi_inner``, ``gram_matrix``,
+``expand_in_family`` and ``adjoint_residual`` are cases of these, so no
+inner product is implemented twice.  The real moments E[w^beta] of
+``wick_moment`` come from the Isserlis recursion on Sigma, memoized in the
+cache's ``memo``: an independent route that the tests use as the oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,17 +53,20 @@ from .errors import (
 )
 from .gausspoly import (
     GaussPoly,
+    LinearDiffOp,
     _adjoint_block,
     _basis,
     _block_of,
+    _chain_rows,
     _degree_of,
     annihilation_ops,
     creation_ops,
+    mi_factorial,
     multi_indices,
 )
 from .model import GeneratorData, WeightData
 
-#: default cap on the total real degree of a requested moment
+#: default cap on the total real degree of a moment of ``wick_moment``
 DEFAULT_DEGREE_CAP = 24
 
 
@@ -69,73 +74,37 @@ DEFAULT_DEGREE_CAP = 24
 class RealQuadraticForm:
     """Real positive definite form -w^T M_R w of a combined Gaussian exponent.
 
-    ``normalizer`` is the plain Gaussian mass pi^n (det M_R)^(-1/2) over
-    R^(2n) coordinates w = (Re z, Im z).
+    ``factor`` is the lower Cholesky factor of M_R and ``normalizer`` the
+    plain Gaussian mass pi^n (det M_R)^(-1/2) over R^(2n) coordinates
+    w = (Re z, Im z), taken from the factor's diagonal.
     """
 
     M_R: np.ndarray
     normalizer: float
+    factor: np.ndarray
 
 
 @dataclass
 class MomentCache:
-    """Centered Gaussian moments for one combined weight.
+    """Gaussian moment data and the Wick frame of one combined weight.
 
     ``covariance`` is the real covariance Sigma = (2 M_R)^(-1) of w and
-    ``zcov`` the bilinear covariance K of (z, zbar).  ``moments[index[a],
-    index[b]]`` is E[z^a zbar^b] over a downward-closed set of monomials: the
-    closure of every monomial asked for so far, in the order it was added.
-    Entries whose total degree passes the cap are NaN and never computed.
-    ``memo`` is a read-only mapping view of the entries held, keyed by a + b
-    (concatenated multi-indices); ``real_memo`` maps beta to E[w^beta].  Both
-    index 2n coordinates, so they are kept apart.  ``fills`` counts the times
-    the matrix grew and ``filled`` the entries within the cap those fills
-    added.  The cache is the only mutable object in this module and must
-    stay confined to one evaluation context.
+    ``zcov`` the bilinear covariance K of (z, zbar).  ``L`` and ``C`` are
+    the frame of ``exponent``: L = chol(E[z zbar^T]) and
+    C = L^(-1) E[z z^T] L^(-T), the covariance of the whitened coordinates
+    u = L^(-1) z (see the module notes).  ``memo`` maps beta to E[w^beta]
+    as ``wick_moment`` computes it.  The memo is the only mutable part, so
+    a cache must stay confined to one evaluation context.
     """
 
     form: RealQuadraticForm
     covariance: np.ndarray
     zcov: np.ndarray
     exponent: np.ndarray
+    L: np.ndarray
+    C: np.ndarray
     degree_cap: int = DEFAULT_DEGREE_CAP
-    real_memo: dict = field(default_factory=dict)
-    index: dict = field(default_factory=dict)
-    moments: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
-    fills: int = 0
-    filled: int = 0
-
-    @property
-    def memo(self) -> Mapping:
-        """E[z^a zbar^b] keyed by a + b, over the entries within the cap."""
-        return _MomentView(self)
-
-
-class _MomentView(Mapping):
-    """Mapping view of the finite entries of a cache's moment matrix; built
-    on access, it copies nothing."""
-
-    def __init__(self, mc: MomentCache):
-        self._mc = mc
-
-    def __getitem__(self, key):
-        half = len(key) // 2
-        index = self._mc.index
-        a, b = tuple(key[:half]), tuple(key[half:])
-        if len(key) % 2 or a not in index or b not in index:
-            raise KeyError(key)
-        val = self._mc.moments[index[a], index[b]]
-        if np.isnan(val):
-            raise KeyError(key)
-        return complex(val)
-
-    def __iter__(self):
-        monos = list(self._mc.index)
-        for r, c in zip(*np.nonzero(~np.isnan(self._mc.moments))):
-            yield monos[r] + monos[c]
-
-    def __len__(self):
-        return int(np.count_nonzero(~np.isnan(self._mc.moments)))
+    memo: dict = field(default_factory=dict)
 
 
 def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticForm:
@@ -153,25 +122,34 @@ def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticF
     m_sym = 0.5 * (M_F + M_G)
     m_r = 2.0 * mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + m_sym)
     try:
-        np.linalg.cholesky(m_r)
+        factor = np.linalg.cholesky(m_r)
     except np.linalg.LinAlgError as exc:
         raise NonIntegrableWeight(
             "combined exponent is not positive definite"
         ) from exc
-    n = wd.n
-    normalizer = math.pi**n / math.sqrt(float(np.linalg.det(m_r)))
-    return RealQuadraticForm(M_R=mx.frozen(m_r, dtype=float), normalizer=normalizer)
+    normalizer = math.pi**wd.n / math.prod(np.diag(factor).tolist())
+    return RealQuadraticForm(M_R=mx.frozen(m_r, dtype=float), normalizer=normalizer,
+                             factor=mx.frozen(factor, dtype=float))
 
 
 def _cache_from_form(form: RealQuadraticForm, M, degree_cap: int) -> MomentCache:
-    cov = np.linalg.inv(2.0 * form.M_R)
+    inv = np.linalg.inv(form.factor)
+    cov = 0.5 * (inv.T @ inv)  # (2 M_R)^-1 from M_R = F F^T
     cov = 0.5 * (cov + cov.T)
-    t = mx.complex_coords(cov.shape[0] // 2)
+    n = cov.shape[0] // 2
+    t = mx.complex_coords(n)
+    zcov = t @ cov @ t.T
+    herm = zcov[:n, n:]
+    chol = np.linalg.cholesky(0.5 * (herm + herm.conj().T))
+    p = np.linalg.inv(chol)
+    c = p @ zcov[:n, :n] @ p.T
     return MomentCache(
         form=form,
         covariance=mx.frozen(cov, dtype=float),
-        zcov=mx.frozen(t @ cov @ t.T),
+        zcov=mx.frozen(zcov),
         exponent=mx.frozen(M),
+        L=mx.frozen(chol),
+        C=mx.frozen(0.5 * (c + c.T)),
         degree_cap=degree_cap,
     )
 
@@ -192,7 +170,7 @@ def wick_moment(mc: MomentCache, beta) -> float:
         raise DegreeCapExceeded(
             f"moment degree {sum(beta)} exceeds cap {mc.degree_cap}"
         )
-    return _isserlis(mc.covariance.tolist(), mc.real_memo, beta)
+    return _isserlis(mc.covariance.tolist(), mc.memo, beta)
 
 
 def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
@@ -225,112 +203,39 @@ def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
     return val
 
 
-@functools.lru_cache(maxsize=128)
-def _closure(monos: tuple) -> tuple:
-    """The downward closure of ``monos`` (every b <= some a entrywise) in
-    graded-lex order, so the zero index comes first."""
-    seen: set = set()
-    stack = list(monos)
-    while stack:
-        a = stack.pop()
-        if a not in seen:
-            seen.add(a)
-            stack.extend(a[:k] + (e - 1,) + a[k + 1:] for k, e in enumerate(a) if e)
-    return tuple(sorted(seen, key=lambda a: (sum(a), a)))
+def _in_frame(op: LinearDiffOp, M, mc: MomentCache) -> LinearDiffOp:
+    """``op`` acting on P exp(-<z, M z>), rewritten as the operator that
+    acts on the Wick coefficients of P in the frame of ``mc``, at exponent
+    0: (G L^(-T) + h L C, h L) with h = H - 2 G M.  With z = L u,
+    d/dz = L^(-T) d/du, and u_l acts on Wick powers as the raising term
+    plus the derivative term C d/du."""
+    h = (op.H - 2.0 * op.G @ M) @ mc.L
+    return LinearDiffOp(np.linalg.solve(mc.L, op.G.T).T + h @ mc.C, h)
 
 
-@dataclass(frozen=True)
-class _FillMaps:
-    """Index maps of one fill of a moment matrix; see ``_fill_maps``."""
-
-    past: np.ndarray
-    first: np.ndarray
-    counts: np.ndarray
-    layers: tuple
-    entries: int
+def _frame_ladder(wd: WeightData, gen: GeneratorData, mc: MomentCache) -> tuple:
+    """The lowering and raising operators in the frame of ``mc``, a cache
+    for Q; lowering becomes the pure derivative L^(-T) d/du."""
+    return tuple(_in_frame(op, mc.exponent, mc)
+                 for op in (annihilation_ops(gen.Q), creation_ops(wd, gen)))
 
 
-@functools.lru_cache(maxsize=64)
-def _fill_maps(monos: tuple, old: int, cap: int) -> _FillMaps:
-    """Maps of the Stein fill of the moments over ``monos``, a downward-closed
-    set in matrix order whose first ``old`` rows and columns are filled.
+def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
+    """Wick coefficients, in the frame of ``mc``, of a block of monomial
+    coefficients with the cache's exponent.
 
-    Targets are the entries (a, b) on or below the diagonal, a row of index
-    at least ``old``, with even total degree t, 2 <= t <= cap; their mirrors
-    (b, a) are conjugates.  Odd entries vanish, and ``past`` marks the
-    entries past the cap, which stay NaN.  With j the first nonzero index of
-    a and c = a - e_j,
-
-        Mom[a, b] = sum_k K[j, k] c_k Mom[c - e_k, b] + K[j, n+k] b_k Mom[c, b - e_k],
-
-    so layer t reads only layer t - 2.  ``counts`` holds (c, b) per target,
-    ``first`` its j; each layer holds the flat sources (2n per target), the
-    targets and their mirrors.  A source with count 0 reads the odd, hence
-    finite, entry (c, b).  ``entries`` counts the entries within the cap
-    that the fill adds.
+    Row z^a of the conversion is the chain of the multiplication operators
+    z_l, the operator (0, E) in the frame; it is built over the first-index
+    ancestors of the columns some row uses only, never as a basis x basis
+    matrix.  The result is over ``_basis(n, d)``, d the largest degree of
+    those columns.
     """
-    m, n = len(monos), len(monos[0])
-    e = np.array(monos, dtype=np.int64).reshape(m, n)
-    deg = e.sum(axis=1)
-    pos = {a: p for p, a in enumerate(monos)}
-    # down[k, p]: position of monos[p] - e_k, or p where that index is 0
-    down = np.array([[pos[a[:k] + (a[k] - 1,) + a[k + 1:]] if a[k] else p
-                      for p, a in enumerate(monos)] for k in range(n)], dtype=np.int64)
-    # targets (r, c), c <= r, r new, ordered by layer of even total degree
-    rows, cols = np.tril_indices(m)
-    tot = deg[rows] + deg[cols]
-    keep = (rows >= old) & (tot % 2 == 0) & (tot >= 2) & (tot <= cap)
-    rows, cols, tot = rows[keep], cols[keep], tot[keep]
-    by_layer = [np.flatnonzero(tot == t) for t in range(2, int(tot.max(initial=0)) + 1, 2)]
-    order = np.concatenate([np.zeros(0, dtype=np.int64), *by_layer])
-    rows, cols = rows[order], cols[order]
-    first = np.argmax(e[rows] > 0, axis=1)
-    parent = down[first, rows]
-    # stacked for one matmul per layer: (1, 2n) weights times (2n, 1) sources
-    src = np.concatenate([down[:, parent].T * m + cols[:, None],
-                          parent[:, None] * m + down[:, cols].T], axis=1)[:, :, None]
-    counts = np.concatenate([e[parent], e[cols]], axis=1)[:, None, :]
-    tgt = (rows * m + cols)[:, None, None]
-    mirror = (cols * m + rows)[:, None, None]
-    past = deg[:, None] + deg[None, :] > cap
-    entries = int(np.count_nonzero(~past) - np.count_nonzero(~past[:old, :old]))
-    bounds = list(itertools.accumulate((len(i) for i in by_layer), initial=0))
-    src, tgt, mirror = mx.frozen(src), mx.frozen(tgt), mx.frozen(mirror)
-    layers = tuple((lo, hi, src[lo:hi], tgt[lo:hi], mirror[lo:hi])
-                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo)
-    counts = mx.frozen(counts, dtype=np.min_scalar_type(counts.max(initial=0)))
-    return _FillMaps(mx.frozen(past), mx.frozen(first[:, None]), counts, layers, entries)
-
-
-def _positions(mc: MomentCache, monos) -> list[int]:
-    """Rows of ``monos`` in ``mc.moments``, first growing the matrix to the
-    downward closure of the monomials it lacks.
-
-    The new entries come layer by layer of total degree from the Stein
-    recurrence of ``_fill_maps``: one gather and one weighted sum per
-    layer, whatever its number of entries.  Entries already held are not
-    recomputed."""
-    index = mc.index
-    missing = [a for a in monos if a not in index]
-    if missing:
-        old = len(index)
-        for a in _closure(tuple(missing)):
-            index.setdefault(a, len(index))
-        maps = _fill_maps(tuple(index), old, mc.degree_cap)
-        mom = np.where(maps.past, np.nan, 0j)
-        mom[0, 0] = 1.0
-        if old:
-            mom[:old, :old] = mc.moments
-        flat = mom.reshape(-1)
-        weights = mc.zcov.take(maps.first, axis=0) * maps.counts
-        for lo, hi, src, tgt, mirror in maps.layers:
-            vals = weights[lo:hi] @ flat[src]
-            flat[tgt] = vals
-            flat[mirror] = vals.conj()
-        mc.moments = mom
-        mc.fills += 1
-        mc.filled += maps.entries
-    return [index[a] for a in monos]
+    n = mc.exponent.shape[0]
+    basis = _basis(n, _degree_of(n, block.shape[1]))
+    cols = np.flatnonzero(block.any(axis=0))
+    mult = _in_frame(LinearDiffOp(np.zeros((n, n)), np.eye(n)), mc.exponent, mc)
+    rows = _chain_rows(mult, np.zeros((n, n)), 1.0, [basis[j] for j in cols])
+    return block[:, cols] @ rows
 
 
 def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
@@ -345,56 +250,34 @@ def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
     return mc
 
 
-def _used_columns(mc: MomentCache, p: np.ndarray) -> tuple:
-    """A block cut to the columns some row uses, their monomials, and the
-    degree of each row."""
-    basis = _basis(mc.exponent.shape[0], _degree_of(mc.exponent.shape[0], p.shape[1]))
-    cols = np.flatnonzero(p.any(axis=0))
-    p, monos = p[:, cols], [basis[j] for j in cols]
-    mono_deg = np.array([sum(m) for m in monos], dtype=int)
-    return p, monos, np.max(np.where(p != 0, mono_deg, 0), axis=1, initial=0)
+@functools.lru_cache(maxsize=128)
+def _factorials(n: int, degree: int) -> np.ndarray:
+    """a! over ``_basis(n, degree)``, read-only."""
+    return mx.frozen([mi_factorial(a) for a in _basis(n, degree)], dtype=float)
 
 
-def _moment_matrix(mc: MomentCache, monos, product_degree: int) -> np.ndarray:
-    """Moments E[z^a zbar^b] over ``monos``, the columns of a coefficient
-    block.
-
-    ``product_degree`` is the largest degree of a product of two rows the
-    caller contracts.  Raises DegreeCapExceeded if it passes the cap.  Below
-    it, moment entries past the cap read as zero: they pair only
-    coefficients of rows whose product the caller does not take.
-    """
-    if product_degree > mc.degree_cap:
-        raise DegreeCapExceeded(
-            f"product degree {product_degree} exceeds the moment cap {mc.degree_cap}"
-        )
-    pos = _positions(mc, monos)
-    mom = mc.moments[np.ix_(pos, pos)]
-    if 2 * max((sum(m) for m in monos), default=0) > mc.degree_cap:
-        mom[np.isnan(mom)] = 0.0
-    return mom
+def _weights(mc: MomentCache, width: int) -> np.ndarray:
+    """normalizer * a! over the graded basis of a block of ``width``
+    columns: the diagonal of the inner product on Wick coefficients."""
+    n = mc.exponent.shape[0]
+    return mc.form.normalizer * _factorials(n, _degree_of(n, width))
 
 
-def _row_inners(mom: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left[k] Mom conj(right[k]) for every row k: the row sums of
-    (left Mom) * conj(right)."""
-    return np.einsum("ij,ij->i", left @ mom, right.conj())
+def _row_inners(w: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_a w_a left[k, a] conj(right[k, a]) for every row k."""
+    return np.einsum("ij,ij->i", left * w, right.conj())
 
 
 def _pair_inners(mc: MomentCache, p: np.ndarray, left, right) -> np.ndarray:
-    """Inner products (row l, row r) of the coefficient block ``p`` for the
-    index pairs of ``left`` and ``right``."""
-    p, monos, row_deg = _used_columns(mc, p)
-    mom = _moment_matrix(mc, monos, int(np.max(row_deg[left] + row_deg[right])))
-    return mc.form.normalizer * _row_inners(mom, p[left], p[right])
+    """Inner products (row l, row r) of the Wick coefficient block ``p``
+    for the index pairs of ``left`` and ``right``."""
+    return _row_inners(_weights(mc, p.shape[1]), p[left], p[right])
 
 
 def _gram_block(mc: MomentCache, p: np.ndarray) -> np.ndarray:
-    """Gram matrix normalizer * P Mom P^H of the rows of a block, made
-    exactly Hermitian."""
-    p, monos, row_deg = _used_columns(mc, p)
-    mom = _moment_matrix(mc, monos, 2 * int(row_deg.max(initial=0)))
-    gram = mc.form.normalizer * (p @ mom @ p.conj().T)
+    """Gram matrix normalizer * P diag(a!) P^H of the rows of a Wick
+    coefficient block, made exactly Hermitian."""
+    gram = (p * _weights(mc, p.shape[1])) @ p.conj().T
     return 0.5 * (gram + gram.conj().T)
 
 
@@ -402,21 +285,19 @@ def _expansions(
     mc: MomentCache, fs: np.ndarray, members: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of ``fs`` against the normalized rows of ``members``, two
-    blocks over one graded basis, from one coefficient matrix: the
-    coefficients (one row per f), the residual norms
-    ||f - sum c_a psi_a / ||psi_a|| || and the norms ||f||.
+    Wick coefficient blocks over one graded basis: the coefficients (one
+    row per f), the residual norms ||f - sum c_a psi_a / ||psi_a|| || and
+    the norms ||f||.
 
     Residuals come from the coefficient remainder, not from a Parseval
     shortcut.
     """
-    p, monos, row_deg = _used_columns(mc, np.vstack([fs, members]))
-    mom = mc.form.normalizer * _moment_matrix(mc, monos, 2 * int(row_deg.max(initial=0)))
-    f, pm = p[: len(fs)], p[len(fs):]
-    norms = np.sqrt(np.maximum(_row_inners(mom, pm, pm).real, 0.0))
-    c = (f @ mom @ pm.conj().T) / norms
-    remainder = f - (c / norms) @ pm
-    residuals = np.sqrt(np.maximum(_row_inners(mom, remainder, remainder).real, 0.0))
-    return c, residuals, np.sqrt(np.maximum(_row_inners(mom, f, f).real, 0.0))
+    w = _weights(mc, fs.shape[1])
+    norms = np.sqrt(np.maximum(_row_inners(w, members, members).real, 0.0))
+    c = ((fs * w) @ members.conj().T) / norms
+    remainder = fs - (c / norms) @ members
+    residuals = np.sqrt(np.maximum(_row_inners(w, remainder, remainder).real, 0.0))
+    return c, residuals, np.sqrt(np.maximum(_row_inners(w, fs, fs).real, 0.0))
 
 
 def hphi_inner(
@@ -424,16 +305,18 @@ def hphi_inner(
 ) -> complex:
     """Weighted inner product (F, G) = integral F conj(G) e^(-2 Phi).
 
-    Sums f_a conj(g_b) E[z^a zbar^b] times the Gaussian normalization, exact
-    to floating point for polynomial degrees within the cap.  Pass ``cache``
-    to share moments across many products with the same exponent.
+    Both arguments go to Wick coefficients in the frame of their common
+    exponent, and the product is the diagonal sum of the module notes,
+    exact to floating point at every degree.  Pass ``cache`` to share the
+    frame across many products with the same exponent.
     """
     if cache is None and F.n == wd.n == G.n:
         form = combined_form(wd, F.M, G.M)
         cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
     cache = _checked_cache(cache, (F, G), wd)
     d = max(F.poly.degree(), G.poly.degree())
-    return complex(_pair_inners(cache, _block_of([F.poly, G.poly], d), [0], [1])[0])
+    fg = _wick_block(cache, _block_of([F.poly, G.poly], d))
+    return complex(_pair_inners(cache, fg, [0], [1])[0])
 
 
 def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
@@ -450,7 +333,8 @@ def gram_matrix(
     """Gram matrix of a family, with its graded-lex index list.
 
     Entry (a, b) is the inner product of members a and b, computed for all
-    pairs at once by ``_gram_block`` on the family's coefficient block.
+    pairs at once by ``_gram_block`` on the Wick coefficients of the
+    family's block.
     """
     keys = sorted(family.keys(), key=lambda t: (sum(t), t))
     if not keys:
@@ -458,7 +342,7 @@ def gram_matrix(
     members = [family[k] for k in keys]
     cache = _checked_cache(cache, members, wd)
     d = max(m.poly.degree() for m in members)
-    return keys, _gram_block(cache, _block_of([m.poly for m in members], d))
+    return keys, _gram_block(cache, _wick_block(cache, _block_of([m.poly for m in members], d)))
 
 
 def adjoint_residual(
@@ -472,17 +356,18 @@ def adjoint_residual(
     """|(lower_i F, G) - (F, raise_i G)| for arguments sharing the exponent Q.
 
     Values near zero validate the implemented raising operator as the true
-    adjoint with respect to the weighted inner product.
+    adjoint with respect to the weighted inner product.  The operators act
+    on the Wick coefficients of F and G, as in the verify pipeline.
     """
     if not 0 <= i < wd.n:  # a negative i would pick a component from the end
         raise DimensionMismatch(f"component index {i} is outside 0..{wd.n - 1}")
     if cache is None:
         cache = make_moment_cache(wd, gen.Q)
     cache = _checked_cache(cache, (F, G), wd)
-    ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
     d = max(F.poly.degree(), G.poly.degree())
-    fg = _block_of([F.poly, G.poly], d)
-    rows = _adjoint_block(ladder, i, fg[:1], fg[1:], cache.exponent)
+    fg = _wick_block(cache, _block_of([F.poly, G.poly], d))
+    zero = np.zeros((wd.n, wd.n))
+    rows = _adjoint_block(_frame_ladder(wd, gen, cache), i, fg[:1], fg[1:], zero)
     lhs, rhs = _pair_inners(cache, rows, [2, 0], [1, 3])
     return abs(lhs - rhs)
 
@@ -507,6 +392,6 @@ def expand_in_family(
     members = [family[a] for a in needed]
     cache = _checked_cache(cache, [F, *members], wd)
     d = max(gp.poly.degree() for gp in (F, *members))
-    block = _block_of([F.poly, *(m.poly for m in members)], d)
+    block = _wick_block(cache, _block_of([F.poly, *(m.poly for m in members)], d))
     c, residuals, _ = _expansions(cache, block[:1], block[1:])
     return dict(zip(needed, c[0].tolist())), float(residuals[0])

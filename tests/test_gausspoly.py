@@ -14,9 +14,9 @@ from sbhermite.gausspoly import (
     _apply_block,
     _basis,
     _chain_block,
+    _chain_rows,
     _degree_of,
     _hamiltonian_block,
-    _rodrigues_block,
     _row_distances,
 )
 from sbhermite.transform import _intertwined_raising
@@ -173,6 +173,58 @@ class TestBlockKernel:
                 assert out.shape == (3, len(_basis(n, max(degree + step, 0)))), (degree, step)
 
 
+class TestAncestorChain:
+    """``_chain_rows`` builds the first-index ancestors of its targets only,
+    and each of its rows is the full chain's row bit for bit."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        degree=st.integers(0, 6),
+        kind=st.sampled_from(["raising", "xi", "intertwined"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_full_chain(self, n, degree, kind, seed):
+        rng = np.random.default_rng(seed)
+        pt, wd, gen = sb.random_generator(n, rng)
+        op, M, c0 = {
+            "raising": (sb.creation_ops(wd, gen), gen.Q, 1.0),
+            "xi": (sb.xi_ops(gen), gen.SQ, 1.0),
+            "intertwined": (_intertwined_raising(pt), gen.Q, 0.5 - 0.25j),
+        }[kind]
+        basis = _basis(n, degree)
+        picks = rng.choice(len(basis), size=int(rng.integers(1, 5)))
+        targets = [basis[k] for k in picks]  # in any order, repeats allowed
+        full = _chain_block(op, M, c0, degree)
+        rows = _chain_rows(op, M, c0, targets)
+        width = len(_basis(n, max(map(sum, targets))))
+        assert rows.shape == (len(targets), width)
+        assert np.array_equal(rows, full[picks, :width])
+        assert not full[picks, width:].any()
+
+    def test_cost_follows_the_targets(self, monkeypatch):
+        # rodrigues((6, 0, 0, 0)) at n = 4 applies one row per degree layer,
+        # not the 209 rows of the full chain through degree 6
+        _, wd, gen = sb.random_generator(4, np.random.default_rng(7))
+        rows = []
+        kernel = sb.gausspoly._apply_block
+
+        def counted(op, comps, block, M):
+            rows.append(block.shape[0])
+            return kernel(op, comps, block, M)
+
+        monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
+        sb.rodrigues(wd, gen, (6, 0, 0, 0))
+        assert rows == [1] * 6
+        rows.clear()
+        sb.rodrigues(wd, gen, (1, 0, 1, 1))
+        assert rows == [1, 1, 1]
+
+    def test_no_targets(self):
+        _, wd, gen = sb.random_generator(2, np.random.default_rng(3))
+        assert _chain_rows(sb.creation_ops(wd, gen), gen.Q, 1.0, []).shape == (0, 1)
+
+
 class TestOperatorConstructors:
     def test_annihilation_em(self):
         _, _, gen = em_data(0.5)
@@ -305,9 +357,10 @@ class TestRodrigues:
 
     @pytest.mark.parametrize("case", ["em", "ghs", 1, 2, 3, 4])
     def test_shared_chain_equals_rodrigues_bit_for_bit(self, case):
-        # rodrigues(alpha) is row alpha of the chain of Xi the verify stage
-        # builds, and equals Xi applied one component at a time in the
-        # chain's order, last coordinate first, exactly, also at n >= 2
+        # rodrigues(alpha), built over the ancestors of alpha only, is row
+        # alpha of the full chain of Xi, and equals Xi applied one component
+        # at a time in the chain's order, last coordinate first, exactly,
+        # also at n >= 2
         if case == "em":
             (_, wd, gen), degree = em_data(0.4), 6
         elif case == "ghs":
@@ -316,7 +369,7 @@ class TestRodrigues:
             _, wd, gen = sb.random_generator(case, np.random.default_rng(900 + case))
             degree = {1: 6, 2: 5, 3: 4, 4: 3}[case]
         basis, xi = sb.multi_indices(gen.n, degree), sb.xi_ops(gen)
-        for alpha, row in zip(basis, _rodrigues_block(gen, degree)):
+        for alpha, row in zip(basis, _chain_block(xi, gen.SQ, 1.0, degree)):
             single = sb.rodrigues(wd, gen, alpha)
             stepped = sb.GaussPoly(sb.PolyC.constant(gen.n, 1.0), gen.SQ)
             for i in reversed(range(gen.n)):
@@ -384,7 +437,7 @@ class TestHamiltonian:
         _, wd, gen = sb.random_generator(n, np.random.default_rng(5))
         ladder = sb.annihilation_ops(gen.Q), sb.creation_ops(wd, gen)
         block = _chain_block(ladder[1], gen.Q, 1.0, degree)
-        image = _hamiltonian_block(gen, ladder, block)
+        image = _hamiltonian_block(gen, ladder, block, gen.Q)
         assert image.shape == block.shape
         levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in _basis(n, degree)]
         assert np.max(_row_distances(image, np.array(levels)[:, None] * block)) <= 1e-9

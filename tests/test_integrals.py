@@ -1,6 +1,5 @@
 """Wick-moment engine and weighted inner products against closed forms."""
 
-import itertools
 import math
 
 import numpy as np
@@ -17,7 +16,8 @@ from sbhermite.errors import (
     NonIntegrableWeight,
 )
 from sbhermite.gausspoly import _block_of
-from sbhermite.integrals import _expansions, _pair_inners, _positions
+from sbhermite.gausspoly import _apply_block
+from sbhermite.integrals import _expansions, _gram_block, _in_frame, _pair_inners, _wick_block
 
 from helpers import (
     bargmann_data,
@@ -123,14 +123,17 @@ class TestWickMoment:
             sb.wick_moment(mc, (8, 0))
 
     def test_memoized_apart_from_complex_moments(self):
-        # real and (z, zbar) moments share tuple shapes but not values
+        # the cache's one memo holds real moments E[w^beta]; inner products
+        # take no moments and leave it as it is
         _, wd, gen = ghs_data(0.5)
         mc = sb.make_moment_cache(wd, gen.Q)
         first = sb.wick_moment(mc, (2, 0, 0, 2))
-        assert mc.real_memo[(2, 0, 0, 2)] == first and not mc.memo
+        assert mc.memo[(2, 0, 0, 2)] == first
+        held = dict(mc.memo)
         f = sb.GaussPoly(sb.PolyC.monomial((2, 0)), gen.Q)
         g = sb.GaussPoly(sb.PolyC.monomial((0, 2)), gen.Q)
         sb.hphi_inner(f, g, wd, mc)
+        assert mc.memo == held
         assert sb.wick_moment(mc, (2, 0, 0, 2)) == first
 
 
@@ -197,8 +200,9 @@ class TestHphiInner:
             scale = math.sqrt(oracle_inner(f, f, wd).real * oracle_inner(g, g, wd).real)
             assert abs(sb.hphi_inner(f, g, wd) - want) <= 1e-12 * scale
 
-    def test_sparse_high_degree_pair(self):
-        # z1^12 at n=4 fills its 13-monomial downward closure, not the 1820
+    def test_sparse_high_degree_pair(self, monkeypatch):
+        # z1^12 at n=4 converts to the Wick frame through its 13 first-index
+        # ancestors, one row per chain layer, not through the 1820
         # monomials of the graded basis through degree 12
         _, wd, gen = sb.random_generator(4, np.random.default_rng(7))
         cache = sb.make_moment_cache(wd, gen.Q)
@@ -210,13 +214,20 @@ class TestHphiInner:
             for ef, cf in real_expansion(f.poly, False).items()
             for eg, cg in real_expansion(f.poly, True).items()
         )
+        rows = []
+        kernel = sb.gausspoly._apply_block
+
+        def counted(op, comps, block, M):
+            rows.append(block.shape[0])
+            return kernel(op, comps, block, M)
+
+        monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
         assert abs(sb.hphi_inner(f, f, wd, cache) - want) <= 1e-12 * abs(want)
-        assert cache.moments.shape == (13, 13) and len(cache.memo) <= 13 * 13
-        assert set(cache.index) == {(k, 0, 0, 0) for k in range(13)}
+        assert rows == [1] * 12
 
     @pytest.mark.parametrize("k", [16, 20])
     def test_bargmann_norms_above_degree_31(self, k):
-        # per-coordinate real degrees reach 2k > 31 under this cap
+        # per-coordinate real degrees reach 2k > 31
         _, wd, _ = bargmann_data()
         cache = sb.make_moment_cache(wd, np.zeros((1, 1)), degree_cap=64)
         fk = sb.GaussPoly(sb.PolyC.monomial((k,)), np.zeros((1, 1)))
@@ -224,101 +235,89 @@ class TestHphiInner:
         assert sb.hphi_inner(fk, fk, wd, cache).real == pytest.approx(want, rel=1e-10)
 
     def test_lopsided_degrees_within_cap(self):
-        # degrees 20 and 4 meet the cap 24; the matrix spans the closure
-        # z^0 .. z^20, and no entry past the cap (such as the degree-40
-        # moment of z^20 with itself) is computed
+        # degrees 20 and 4: only z^4 pairs, so the product is that of z^4
         _, wd, _ = bargmann_data()
         cache = sb.make_moment_cache(wd, np.zeros((1, 1)))
         f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
         g = sb.GaussPoly(sb.PolyC.monomial((4,)), np.zeros((1, 1)))
         want = 2.0 * math.pi * 2.0**4 * math.factorial(4)
         assert sb.hphi_inner(f, g, wd, cache).real == pytest.approx(want, rel=1e-12)
-        assert cache.moments.shape == (21, 21)
-        assert max(sum(key) for key in cache.memo) <= cache.degree_cap
-        deg = np.array([sum(a) for a in cache.index])
-        past = deg[:, None] + deg[None, :] > cache.degree_cap
-        assert np.isnan(cache.moments[past]).all()
-        assert not np.isnan(cache.moments[~past]).any()
-        with pytest.raises(DegreeCapExceeded):
-            sb.hphi_inner(f, f.scaled(2.0), wd, cache)
 
 
-def closure_of(monos) -> set:
-    """Every b <= a entrywise for some a of ``monos``."""
-    return {b for a in monos for b in itertools.product(*(range(e + 1) for e in a))}
+def random_monomial_block(n: int, degree: int, rows: int, rng) -> np.ndarray:
+    """``rows`` random complex rows over ``_basis(n, degree)``, each on a
+    random subset of the monomials (at least one)."""
+    width = len(sb.multi_indices(n, degree))
+    block = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+    keep = rng.random((rows, width)) < 0.6
+    keep[np.arange(rows), rng.integers(0, width, rows)] = True
+    return np.where(keep, block, 0.0)
 
 
-def assert_moments_match(got: np.ndarray, want: np.ndarray, rel: float = 1e-13):
-    """The same past-cap NaN pattern; entries at least 1e-12 of the largest
-    agree within ``rel`` relative, smaller ones within 1e-15 times the
-    largest."""
-    want = want.astype(complex)
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    held = ~np.isnan(want)
-    top = np.max(np.abs(want[held]))
-    big = held & (np.abs(want) >= 1e-12 * top)
-    err = np.abs(got - want)
-    assert np.all(err[big] <= rel * np.abs(want[big])), np.max(err[big] / np.abs(want[big]))
-    assert np.all(err[held & ~big] <= 1e-15 * top)
+def isserlis_gram(cache, block: np.ndarray, monos) -> np.ndarray:
+    """normalizer * P Mom P^H with Mom the per-entry Isserlis moments
+    E[z^a zbar^b] of ``tests/helpers.reference_moments``."""
+    mom = reference_moments(cache.zcov, monos, 2 * max(map(sum, monos))).astype(complex)
+    return cache.form.normalizer * (block @ mom @ block.conj().T)
 
 
-def random_monomial(n: int, degree: int, rng) -> tuple:
-    return tuple(int(e) for e in rng.multinomial(degree, np.full(n, 1.0 / n)))
+def assert_gram_close(got: np.ndarray, want: np.ndarray, rel: float):
+    """|got - want| <= rel * sqrt(want_aa want_bb) entrywise."""
+    scale = np.sqrt(np.outer(want.diagonal().real, want.diagonal().real))
+    err = np.abs(got - want) / scale
+    assert np.max(err) <= rel, np.max(err)
 
 
-# largest degree per n of full bases and sparse monomials, so that the
-# per-entry oracle stays quick
-BASIS_DEGREE = {1: 12, 2: 8, 3: 5, 4: 4}
-SPARSE_DEGREE = {1: 14, 2: 10, 3: 7, 4: 5}
+class TestFrameGram:
+    """Wick-frame Grams of monomial blocks against Grams of the Isserlis
+    moment matrix, an independent route to the same numbers."""
 
-
-class TestMomentFill:
     @settings(max_examples=40, deadline=None, database=None)
     @given(
-        n=st.integers(1, 4),
-        kind=st.sampled_from(["basis", "sparse", "lopsided"]),
+        n=st.integers(1, 3),
+        degree=st.integers(0, 4),
+        rows=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
     )
-    def test_matches_per_entry_isserlis(self, n, kind, seed, data):
+    def test_matches_isserlis_gram(self, n, degree, rows, seed):
         rng = np.random.default_rng(seed)
+        _, wd, gen = sb.random_generator(n, rng, rho_fraction=rng.uniform(0.2, 0.9))
+        cache = sb.make_moment_cache(wd, gen.Q)
+        block = random_monomial_block(n, degree, rows, rng)
+        got = _gram_block(cache, _wick_block(cache, block))
+        want = isserlis_gram(cache, block, sb.multi_indices(n, degree))
+        assert_gram_close(got, want, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["lowering", "raising", "xi"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_operators_commute_with_the_conversion(self, kind, n):
+        # applying an operator and then converting to Wick coefficients
+        # equals converting and then applying its frame rewrite; compared in
+        # the weighted norm, with the operator's exponent
+        rng = np.random.default_rng(90 + n)
         _, wd, gen = sb.random_generator(n, rng)
-        top = SPARSE_DEGREE[n]
-        if kind == "basis":
-            d = data.draw(st.integers(0, BASIS_DEGREE[n]), label="degree")
-            monos = sb.multi_indices(n, d)
-        elif kind == "sparse":
-            count = data.draw(st.integers(1, 4), label="count")
-            monos = [random_monomial(n, int(rng.integers(0, top + 1)), rng)
-                     for _ in range(count)]
-        else:
-            # one high and one low degree whose pair meets the cap while the
-            # high degree with itself passes it
-            high = data.draw(st.integers(2, top), label="high")
-            low = data.draw(st.integers(0, high - 1), label="low")
-            monos = [random_monomial(n, high, rng), random_monomial(n, low, rng)]
-        d = max(sum(a) for a in monos)
-        lo = d if kind != "lopsided" else sum(map(sum, monos))
-        cap = data.draw(st.integers(lo, max(lo, 2 * d - (kind == "lopsided"))), label="cap")
-        cache = sb.make_moment_cache(wd, gen.Q, degree_cap=cap)
-        # grow in two steps; the entries held after the first stay as they are
-        _positions(cache, monos[: len(monos) // 2])
-        before = cache.moments.copy()
-        pos = _positions(cache, monos)
-        old = before.shape[0]
-        assert np.array_equal(cache.moments[:old, :old], before, equal_nan=True)
-        closure = list(cache.index)
-        assert set(closure) == closure_of(monos)
-        assert [closure[p] for p in pos] == list(monos)
-        want = reference_moments(cache.zcov, closure, cap)
-        assert_moments_match(cache.moments, want)
-        held = int(np.count_nonzero(~np.isnan(want.astype(complex))))
-        assert cache.filled == len(cache.memo) == held
+        op, M = {"lowering": (sb.annihilation_ops(gen.Q), gen.Q),
+                 "raising": (sb.creation_ops(wd, gen), gen.Q),
+                 "xi": (sb.xi_ops(gen), gen.SQ)}[kind]
+        cache = sb.make_moment_cache(wd, gen.Q)
+        block = random_monomial_block(n, 3, 4, rng)
+        comps = rng.integers(0, n, 4)
+        want = _wick_block(cache, _apply_block(op, comps, block, M))
+        got = _apply_block(_in_frame(op, M, cache), comps, _wick_block(cache, block),
+                           np.zeros((n, n)))
+        width = max(want.shape[1], got.shape[1])
+        want = np.pad(want, ((0, 0), (0, width - want.shape[1])))
+        got = np.pad(got, ((0, 0), (0, width - got.shape[1])))
+        rows = np.arange(4)
+        err = _pair_inners(cache, got - want, rows, rows).real
+        norm = _pair_inners(cache, want, rows, rows).real
+        assert np.all(np.sqrt(err) <= 1e-12 * np.sqrt(norm)), np.sqrt(err / norm)
 
     @pytest.mark.parametrize("n, degree", [(2, 10), (3, 6), (4, 4)])
     def test_against_mpmath_isserlis(self, n, degree):
-        # the per-entry recursion at 40 digits on the same float covariance;
-        # triples as in the benchmark's recipe, seed 1000
+        # the Gram of the monomial basis is its moment matrix; the per-entry
+        # recursion at 40 digits on the same float covariance; triples as
+        # in the benchmark's recipe, seed 1000
         import mpmath
 
         inputs = bench_module("inputs")
@@ -329,25 +328,13 @@ class TestMomentFill:
         gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
         cache = sb.make_moment_cache(wd, gen.Q)
         monos = sb.multi_indices(n, degree)
-        pos = _positions(cache, monos)
+        eye = np.eye(len(monos), dtype=complex)
+        got = _gram_block(cache, _wick_block(cache, eye))
         with mpmath.workdps(40):
             zcov = [[mpmath.mpc(complex(v)) for v in row] for row in cache.zcov]
-            want = reference_moments(zcov, monos, cache.degree_cap)
+            want = reference_moments(zcov, monos, 2 * degree)
             want = np.array([[complex(v) for v in row] for row in want])
-        assert_moments_match(cache.moments[np.ix_(pos, pos)], want)
-
-    def test_memo_is_a_view_of_the_matrix(self):
-        _, wd, gen = ghs_data(0.5)
-        cache = sb.make_moment_cache(wd, gen.Q, degree_cap=5)
-        _positions(cache, [(3, 0), (0, 2)])
-        memo = cache.memo
-        assert len(memo) == np.count_nonzero(~np.isnan(cache.moments)) == cache.filled
-        for key in memo:
-            a, b = key[:2], key[2:]
-            assert sum(key) <= 5
-            assert memo[key] == cache.moments[cache.index[a], cache.index[b]]
-        for missing in [(3, 0, 3, 0), (4, 0, 0, 0), (1, 0, 0)]:
-            assert missing not in memo
+        assert_gram_close(got, cache.form.normalizer * want, 1e-12)
 
 
 class TestGramMatrix:
@@ -391,15 +378,20 @@ class TestGramMatrix:
         a, b = keys.index((1, 0)), keys.index((0, 1))
         assert abs(gram[a, b]) <= 1e-10 * gram[a, a].real
 
-    def test_degree_cap_enforced(self):
-        # products of two degree-13 members reach 26 > 24
+    def test_no_degree_cap(self):
+        # products of two degree-13 members reach real degree 26, past the
+        # cap of the real moments; the Wick frame has no cap
         _, wd, gen = em_data(0.5)
-        fam = sb.hermite_family(wd, gen, 13)
-        with pytest.raises(DegreeCapExceeded):
-            sb.gram_matrix(fam, wd)
-        del fam[(13,)]
-        keys, gram = sb.gram_matrix(fam, wd)
-        assert len(keys) == 13 and gram[12, 12].real > 0
+        keys, gram = sb.gram_matrix(sb.hermite_family(wd, gen, 13), wd)
+        diag = gram.diagonal().real
+        want = [(2.0 * gen.rho2) ** k * math.factorial(k) * diag[0] for (k,) in keys]
+        assert np.allclose(diag, want, rtol=1e-12, atol=0.0)
+        assert_gram_close(gram, np.diag(diag), 1e-12)
+        # and a lopsided pair whose degree-40 self product passed the cap
+        _, wd, _ = bargmann_data()
+        f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
+        want = 2.0 * 2.0 * math.pi * (2.0**20 * math.factorial(20) + 2.0**4 * math.factorial(4))
+        assert sb.hphi_inner(f, f.scaled(2.0), wd).real == pytest.approx(want, rel=1e-12)
 
     def test_shared_cache(self):
         _, wd, gen = ghs_data(0.5)
@@ -545,7 +537,8 @@ class TestBatchedCore:
         left, right = np.divmod(np.arange(len(rows) ** 2), len(rows))
         cache = sb.make_moment_cache(wd, gen.Q)
         d = max(r.poly.degree() for r in rows)
-        got = _pair_inners(cache, _block_of([r.poly for r in rows], d), left, right)
+        block = _wick_block(cache, _block_of([r.poly for r in rows], d))
+        got = _pair_inners(cache, block, left, right)
         norms = [sb.hphi_norm(r, wd, cache) for r in rows]
         for k, (a, b) in enumerate(zip(left, right)):
             want = sb.hphi_inner(rows[a], rows[b], wd, cache)
@@ -562,6 +555,7 @@ class TestBatchedCore:
             monos = [sb.GaussPoly(sb.PolyC.monomial(b), gen.Q) for b in betas]
             needed = sb.multi_indices(n, d)
             block = _block_of([gp.poly for gp in monos + [fam[a] for a in needed]], d)
+            block = _wick_block(cache, block)
             coeffs, residuals, norms = _expansions(cache, block[: len(monos)], block[len(monos):])
             for k, f in enumerate(monos):
                 scale = sb.hphi_norm(f, wd, cache)

@@ -11,6 +11,8 @@ import pytest
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
 from sbhermite.errors import ConfigError, NonIntegrableWeight
+from sbhermite.gausspoly import _chain_block
+from sbhermite.integrals import _frame_ladder, _gram_block
 from sbhermite.pipeline import (
     RunConfig,
     StageFailure,
@@ -208,21 +210,14 @@ class TestRunVerify:
         cfg = TestStageWork.n2_deg6_config()
         report = run_verify(cfg)
         metrics = report.to_dict()["metrics"]
-        assert set(metrics) == {"family_members", "family_terms", "moment_matrix_size",
-                                "moment_fills", "moments_filled", "cond_M_R",
+        assert set(metrics) == {"family_members", "family_terms", "cond_M_R",
                                 "lam_max_over_lam0", "min_mu_over_lam0",
                                 "condition1_margin_over_rho2"}
         assert all(math.isfinite(v) for v in metrics.values())
         assert metrics["family_members"] == len(sb.multi_indices(2, 6))
+        # Wick coefficients of the family block: member alpha has |alpha|
+        # as its top degree, so it holds at least one nonzero
         assert metrics["family_terms"] >= metrics["family_members"]
-        assert metrics["moment_matrix_size"] >= len(sb.multi_indices(2, 6))
-        # the shared cache fills once for the family and never again (the
-        # adjoint and completeness monomials lie inside degree 6); the
-        # isometry stage fills its own cache once
-        assert metrics["moment_fills"] == 2
-        size = metrics["moment_matrix_size"]
-        # every entry of the shared matrix lies within the cap (2 * 6 <= 24)
-        assert metrics["moments_filled"] > size * size
         assert metrics["cond_M_R"] >= 1.0
         assert metrics["lam_max_over_lam0"] >= 1.0
         assert 0.0 < metrics["min_mu_over_lam0"]
@@ -262,6 +257,16 @@ class TestRunExample:
         report = run_example("ghs", 0.999, max_degree=6)
         assert report.overall_pass
         assert report.residuals["rodrigues_max"] <= report.tolerances["rodrigues_max"]
+
+    @pytest.mark.parametrize("max_degree", [13, 16, 20])
+    def test_em_past_the_real_moment_cap(self, max_degree):
+        # Gram products of real degree 26 to 40 pass the real-moment cap of
+        # 24; inner products in the Wick frame take no moments, so the whole
+        # suite runs and passes, isometry at every degree too
+        report = run_example("em", 0.5, max_degree=max_degree)
+        assert report.failed_stage is None and report.overall_pass
+        assert report.residuals["gram_max_offdiag"] <= 1e-14
+        assert report.residuals["isometry"] <= 1e-14
 
     def test_example_tolerances_pass_the_schema(self):
         with pytest.raises(ConfigError, match="tolerances.nope"):
@@ -601,7 +606,11 @@ class TestStageWork:
         report = run_verify(cfg)
         wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
         gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
-        keys, g = sb.gram_matrix(sb.hermite_family(wd, gen, cfg.max_degree), wd)
+        # the Gram the pipeline builds: the family chain in the frame of Q
+        cache = sb.make_moment_cache(wd, gen.Q)
+        ladder = _frame_ladder(wd, gen, cache)
+        block = _chain_block(ladder[1], np.zeros((2, 2)), 1.0, cfg.max_degree)
+        keys, g = sb.multi_indices(2, cfg.max_degree), _gram_block(cache, block)
         diag_rel = offdiag_rel = 0.0
         for a, ka in enumerate(keys):
             predicted = (2.0 * gen.rho2) ** sum(ka) * sb.mi_factorial(ka) * g[0, 0].real
@@ -624,7 +633,7 @@ class TestStageWork:
 
             return wrapper
 
-        names = ("apply_op", "_apply_block", "creation_ops", "hphi_inner", "_moment_matrix")
+        names = ("apply_op", "_apply_block", "creation_ops", "hphi_inner", "_wick_block")
         for mod in (sb.gausspoly, sb.integrals, sb.pipeline):
             for name in names:
                 if hasattr(mod, name):
@@ -643,10 +652,12 @@ class TestStageWork:
         assert report.failed_stage is None
         n, degree = 2, 6
         assert calls["adjoint", "hphi_inner"] == calls["completeness", "hphi_inner"] == 0
-        assert calls["adjoint", "_moment_matrix"] <= 1
-        assert calls["completeness", "_moment_matrix"] <= min(3, degree) + 1
-        assert calls["eigen", "creation_ops"] == 1
-        assert calls["adjoint", "creation_ops"] == 0
+        # every stage builds its blocks in the Wick frame: no monomial
+        # block is converted
+        assert sum(v for (_, name), v in calls.items() if name == "_wick_block") == 0
+        # the family stage builds the frame ladder that eigen and adjoint use
+        assert calls["family", "creation_ops"] == 1
+        assert calls["eigen", "creation_ops"] == calls["adjoint", "creation_ops"] == 0
         # whole coefficient blocks through the one kernel, never member by member
         assert calls["family", "_apply_block"] <= degree
         assert calls["eigen", "_apply_block"] == 2 * n

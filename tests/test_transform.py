@@ -218,14 +218,14 @@ class TestIsometry:
     def test_standard(self, k):
         pt, wd, _ = bargmann_data()
         u = sb.TestFunction.hermite_basis((k,))
-        assert sb.isometry_residual(pt, u, wd, QUAD, mode="fit") <= 1e-4
+        assert sb.isometry_residual(pt, u, wd, QUAD, mode="fit") <= 1e-14
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_em_family(self, s, k):
         pt, wd, _ = em_data(s)
         u = sb.TestFunction.hermite_basis((k,))
-        assert sb.isometry_residual(pt, u, wd, QUAD, mode="fit") <= 1e-3
+        assert sb.isometry_residual(pt, u, wd, QUAD, mode="fit") <= 1e-14
 
     def test_fit_and_quad_agree(self):
         pt, wd, _ = bargmann_data()
@@ -233,6 +233,17 @@ class TestIsometry:
         r_fit = sb.isometry_residual(pt, u, wd, QUAD, mode="fit")
         r_quad = sb.isometry_residual(pt, u, wd, sb.QuadSpec(nodes=48), mode="quad")
         assert abs(r_fit - r_quad) <= 1e-8
+
+    def test_fit_on_a_degree_three_image(self):
+        # the monomial moment sum read 2.5e-9 here where the quadrature of
+        # the same image reads 5.4e-13; the Wick-frame norm reads 3.3e-13
+        rng = np.random.default_rng(7)
+        pt = sb.random_phase_triple(2, rng)
+        wd = sb.compute_weight_data(pt)
+        u = random_test_function(2, 3, rng)
+        r_fit = sb.isometry_residual(pt, u, wd, mode="fit")
+        r_quad = sb.isometry_residual(pt, u, wd, sb.QuadSpec(nodes=16), mode="quad")
+        assert r_fit <= 1e-12 and abs(r_fit - r_quad) <= 1e-12
 
     def test_zero_function_rejected(self):
         pt, wd, _ = bargmann_data()
@@ -275,18 +286,35 @@ class TestTransformImage:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_isometry_on_random_triples(self, n):
-        # |alpha| <= 1, as in the pipeline: at higher degree the monomial
-        # expansion of the image cancels (terms up to 1e8 x its norm at n = 4,
-        # degree 3), and the residual grows by that factor times eps
+        # |alpha| <= 3: the monomial moment matrix cancelled here (terms up
+        # to 1e8 x the image norm at n = 4, degree 3); in the Wick frame the
+        # worst of these reads 5.9e-13, through the public monomial
+        # gram_matrix as well
         rng = np.random.default_rng(50 + n)
         for _ in range(10):
             pt = sb.random_phase_triple(n, rng)
             wd = sb.compute_weight_data(pt)
-            units = [sb.TestFunction.hermite_basis(a) for a in sb.multi_indices(n, 1)]
-            for u in units + [random_test_function(n, 1, rng)]:
+            units = [sb.TestFunction.hermite_basis(a) for a in sb.multi_indices(n, 3)]
+            for u in units + [random_test_function(n, 3, rng)]:
                 assert sb.isometry_residual(pt, u, wd, mode="fit") <= 1e-10
-            _, gram = sb.gram_matrix(sb.hermite_images(pt, 1), wd)
-            assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-10
+            _, gram = sb.gram_matrix(sb.hermite_images(pt, 3), wd)
+            assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_image_rows_equal_the_full_block(self, n):
+        # transform_image chains the ancestors of u's indices only; its rows
+        # are the full image block's rows bit for bit, in either frame
+        rng = np.random.default_rng(80 + n)
+        pt = sb.random_phase_triple(n, rng)
+        cache = sb.make_moment_cache(sb.compute_weight_data(pt), sb.image_exponent(pt))
+        basis = sb.multi_indices(n, 4)
+        picks = rng.choice(len(basis), size=4, replace=False)
+        alphas = [basis[k] for k in picks]
+        width = len(sb.multi_indices(n, max(map(sum, alphas))))
+        for frame in (None, cache):
+            full, _ = transform_module._image_block(pt, basis, frame)
+            rows, _ = transform_module._image_block(pt, alphas, frame)
+            assert np.array_equal(rows, full[picks, :width])
 
     def test_dimension_mismatch(self):
         with pytest.raises(sb.DimensionMismatch):
