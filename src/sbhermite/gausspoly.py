@@ -3,33 +3,36 @@
 Everything here manipulates functions of the form P(z) exp(-<z, M z>) with
 P sparse over multi-indices and M complex symmetric.  First-order operators
 G d/dz + H z keep that class closed: a derivative pulls 2 (M z)_k down into
-the polynomial factor, so application is exact apart from rounding.
+the polynomial factor, so application is exact apart from rounding.  That
+fold is made in one place, ``_in_frame(op, M, frame)``: (G, H) at exponent
+M is (G, H - 2 G M) on monomial coefficients, or its rewrite on Wick
+coefficients in the frame of a moment cache (see ``integrals``).  Each
+public function folds its exponent once, where it enters; no function
+below that takes one.
 
 Inside the engine the one format is the coefficient block: a set of
 Gaussian polynomials sharing one M is a complex matrix with one row per
 function and one column per multi-index of the graded basis |alpha| <= d
 (``_basis``; each basis is a prefix of the next; d is read from the width
 by ``_degree_of``).  The dicts are the public API's format, converted at
-that edge by ``_block_of`` and ``_gauss_polys``; keys, points and exponents
-from outside pass one rule each: ``_multi_index``, ``matrices.as_points``
-and ``matrices.agree``.  One kernel, ``_apply_block``,
-applies a component of a ``LinearDiffOp`` to every row at once: 2n
-gathers through index maps cached per (n, d), summed in a fixed order,
-every entry kept, into the smallest graded basis the live terms reach,
-``_basis(n, d + 1)`` with a live multiplication term and
-``_basis(n, d - 1)`` without one.  Blocks hold monomial or, in a Wick
-frame (``integrals._in_frame``), Wick coefficients.  The lowering
-operators at M = Q, and in a frame, are pure derivatives, so
-``_hamiltonian_block`` maps a block over
-``_basis(n, d)`` to one over the same basis.  The products are taken on
-real planes with the rounding of Python's scalar complex product; numpy's
-complex multiply uses fused multiply-adds where the CPU has them and
-rounds differently.  So a row's result does not depend on the rows around
-it, and the kernel reproduces term-by-term application bit for bit;
+that edge by ``_block_of`` and ``_gauss_polys``; keys, component indices,
+points and exponents from outside pass one rule each: ``_multi_index``,
+``_component``, ``matrices.as_points`` and ``matrices.agree``.  One kernel,
+``_apply_block``, applies a component of a folded ``LinearDiffOp`` to every
+row at once: 2n gathers through index maps cached per (n, d), summed in a
+fixed order, every entry kept, into the smallest graded basis the live
+terms reach, ``_basis(n, d + 1)`` with a live multiplication term and
+``_basis(n, d - 1)`` without one.  The folded lowering operators
+(``_frame_ladder``) are pure derivatives, so ``_hamiltonian_block`` maps a
+block over ``_basis(n, d)`` to one over the same basis.  The products are
+taken on real planes with the rounding of Python's scalar complex product;
+numpy's complex multiply uses fused multiply-adds where the CPU has them
+and rounds differently.  So a row's result does not depend on the rows
+around it, and the kernel reproduces term-by-term application bit for bit;
 ``apply_op`` and ``hamiltonian_apply`` are its one-row cases.
-``_chain_rows(op, M, c0, targets)`` builds op^alpha (c0 exp(-<z, M z>))
-for each target alpha over its ancestors only, one kernel call per degree
-layer; the family, the Rodrigues form and the images are chains.
+``_chain_rows(op, c0, targets)`` builds op^alpha c0 for each target alpha
+over its ancestors only, one kernel call per degree layer; the family, the
+Rodrigues form and the images are chains.
 """
 
 from __future__ import annotations
@@ -95,6 +98,16 @@ def _multi_index(alpha, n: int) -> tuple[int, ...]:
                and a >= 0 for a in alpha):
         raise ValueError(f"multi-index entries must be nonnegative integers, got {alpha}")
     return tuple(int(a) for a in alpha)
+
+
+def _component(i, n: int) -> int:
+    """``i`` as a component index, the one rule for it from outside the engine:
+    ValueError unless an integer but no bool, DimensionMismatch unless in 0..n-1."""
+    if isinstance(i, bool) or not isinstance(i, Integral):
+        raise ValueError(f"component index must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise DimensionMismatch(f"component index {i} is outside 0..{n - 1}")
+    return int(i)
 
 
 def mi_factorial(alpha) -> float:
@@ -252,6 +265,19 @@ class LinearDiffOp:
         return self.G.shape[0]
 
 
+def _in_frame(op: LinearDiffOp, M, frame=None) -> LinearDiffOp:
+    """``op`` acting on P exp(-<z, M z>) as an operator on the coefficients of
+    P: d/dz_k pulls -2 (M z)_k down, so on monomials it is (G, H - 2 G M).
+    In the Wick frame of ``frame``, a moment cache (see ``integrals``), it
+    is (G L^(-T) + h L C, h L), h = H - 2 G M: z = L u, d/dz = L^(-T) d/du,
+    and u_l acts on Wick powers as the raising term plus C d/du."""
+    h = op.H - 2.0 * op.G @ M
+    if frame is None:
+        return LinearDiffOp(op.G, h)
+    h = h @ frame.L
+    return LinearDiffOp(np.linalg.solve(frame.L, op.G.T).T + h @ frame.C, h)
+
+
 @functools.lru_cache(maxsize=128)
 def _ladder_maps(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps from a block over ``_basis(n, degree)`` onto the columns of
@@ -285,28 +311,25 @@ def _add_terms(acc_re, acc_im, sr: np.ndarray, si: np.ndarray, coef: np.ndarray)
         acc_im += im[:, t]
 
 
-def _apply_block(
-    op: LinearDiffOp, comps, block: np.ndarray, M: np.ndarray
-) -> np.ndarray:
+def _apply_block(op: LinearDiffOp, comps, block: np.ndarray) -> np.ndarray:
     """Component comps[r] of ``op`` applied to row r of a coefficient block.
 
-    ``block`` holds Gaussian polynomials with exponent M, one row each, over
-    the columns of ``_basis(n, degree)``; ``comps`` is one component index
-    or one per row.  The result is over the smallest graded basis its live
-    terms reach: ``_basis(n, degree + 1)`` when a multiplication term is
-    live, else ``_basis(n, max(degree - 1, 0))`` (the lowering operators at
-    M = Q are pure derivatives).  The 2n terms are summed in a fixed order,
-    derivative terms g * (c * a_k) for k = 0..n-1, then multiplication
-    terms h * c for l = 0..n-1, on the real and imaginary planes of the
-    result, which keeps every entry of that sum.  A term whose coefficient
-    is zero in every row adds only zeros and is skipped (the lowering
-    operators have G = 1).
+    ``block`` holds one function per row over ``_basis(n, degree)``, and
+    ``op`` has its exponent folded in (``_in_frame``); ``comps`` is one
+    component index or one per row.  The result is over the smallest graded
+    basis its live terms reach: ``_basis(n, degree + 1)`` when a
+    multiplication term is live, else ``_basis(n, max(degree - 1, 0))``
+    (the folded lowering operators are pure derivatives).  The 2n terms
+    are summed in a fixed order, derivative terms g * (c * a_k) for
+    k = 0..n-1, then multiplication terms h * c for l = 0..n-1, on the real
+    and imaginary planes of the result, which keeps every entry of that
+    sum.  A term whose coefficient is zero in every row adds only zeros and
+    is skipped (the lowering operators have G = 1).
     """
     n, rows, degree = op.n, block.shape[0], _degree_of(op.n, block.shape[1])
     up, weight, down = _ladder_maps(n, degree)
-    # d/dz_k (P e^{-<z,Mz>}) = (dP/dz_k - 2 (M z)_k P) e^{-<z,Mz>}
     g = op.G[comps].reshape(-1, n, 1)
-    h = (op.H - 2.0 * op.G @ M)[comps].reshape(-1, n, 1)
+    h = op.H[comps].reshape(-1, n, 1)
     live_g = np.flatnonzero(g.any(axis=(0, 2)))
     live_h = np.flatnonzero(h.any(axis=(0, 2)))
     cols = len(_basis(n, degree + 1 if live_h.size else max(degree - 1, 0)))
@@ -364,9 +387,8 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     """
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
-    if not 0 <= i < op.n:  # a negative i would pick a component from the end
-        raise DimensionMismatch(f"component index {i} is outside 0..{op.n - 1}")
-    out = _apply_block(op, i, _block_of([gp.poly], gp.poly.degree()), gp.M)
+    i = _component(i, op.n)
+    out = _apply_block(_in_frame(op, gp.M), i, _block_of([gp.poly], gp.poly.degree()))
     return _gauss_polys(out, gp.M)[0]
 
 
@@ -392,6 +414,14 @@ def creation_ops(wd: WeightData, gen: GeneratorData) -> LinearDiffOp:
 def xi_ops(gen: GeneratorData) -> LinearDiffOp:
     """Principal (pure derivative) parts of the raising operators."""
     return LinearDiffOp(gen.xi_coeff, np.zeros_like(gen.xi_coeff))
+
+
+def _frame_ladder(wd: WeightData, gen: GeneratorData, frame=None) -> tuple:
+    """The lowering and raising operators folded (``_in_frame``) at the
+    exponent of their coefficients: Q, or that of ``frame``, a moment cache."""
+    M = gen.Q if frame is None else frame.exponent
+    return tuple(_in_frame(op, M, frame)
+                 for op in (annihilation_ops(gen.Q), creation_ops(wd, gen)))
 
 
 def ground_state(gen: GeneratorData) -> GaussPoly:
@@ -435,9 +465,9 @@ def _chain_plan(n: int, targets: tuple) -> tuple:
     return tuple(steps), tuple(place)
 
 
-def _chain_rows(op: LinearDiffOp, M: np.ndarray, c0: complex, targets) -> np.ndarray:
-    """op^alpha (c0 exp(-<z, M z>)), exponent M, for each alpha of
-    ``targets`` (int tuples), one row each over ``_basis(n, max |alpha|)``.
+def _chain_rows(op: LinearDiffOp, c0: complex, targets) -> np.ndarray:
+    """op^alpha c0, ``op`` folded (``_in_frame``), for each alpha of ``targets``
+    (int tuples), one row each over ``_basis(n, max |alpha|)``.
 
     Layer d comes from layer d - 1 by one kernel call over the ancestors of
     the targets (``_chain_plan``): each alpha applies the component at its
@@ -449,17 +479,17 @@ def _chain_rows(op: LinearDiffOp, M: np.ndarray, c0: complex, targets) -> np.nda
     steps, place = _chain_plan(op.n, tuple(targets))
     layers = [np.full((1, 1), c0, dtype=complex)]
     for comps, parents in steps:
-        layers.append(_apply_block(op, comps, layers[-1][parents], M))
+        layers.append(_apply_block(op, comps, layers[-1][parents]))
     out = np.zeros((len(targets), len(_basis(op.n, len(steps)))), dtype=complex)
     for layer, (dest, src) in zip(layers, place):
         out[dest, : layer.shape[1]] = layer[src]
     return out
 
 
-def _chain_block(op: LinearDiffOp, M: np.ndarray, c0: complex, max_degree: int) -> np.ndarray:
+def _chain_block(op: LinearDiffOp, c0: complex, max_degree: int) -> np.ndarray:
     """The full chain, every |alpha| <= max_degree in ``_basis`` order: a
     square block over ``_basis(n, max_degree)``."""
-    return _chain_rows(op, M, c0, _checked_basis(op.n, max_degree))
+    return _chain_rows(op, c0, _checked_basis(op.n, max_degree))
 
 
 def hermite_family(
@@ -467,9 +497,8 @@ def hermite_family(
 ) -> dict[tuple[int, ...], GaussPoly]:
     """All family members with |alpha| <= max_total_degree: the raising
     chain of the creation operators from the generator exp(-<z, Q z>)."""
-    d = max_total_degree
-    block = _chain_block(creation_ops(wd, gen), gen.Q, 1.0, d)
-    return dict(zip(_basis(gen.n, d), _gauss_polys(block, gen.Q)))
+    block = _chain_block(_in_frame(creation_ops(wd, gen), gen.Q), 1.0, max_total_degree)
+    return dict(zip(_basis(gen.n, max_total_degree), _gauss_polys(block, gen.Q)))
 
 
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
@@ -483,7 +512,7 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     of ``_multi_index``.
     """
     alpha = _multi_index(alpha, gen.n)
-    row = _chain_rows(xi_ops(gen), gen.SQ, 1.0, [alpha])
+    row = _chain_rows(_in_frame(xi_ops(gen), gen.SQ), 1.0, [alpha])
     return _gauss_polys(row, gen.SQ - gen.S)[0]
 
 
@@ -493,20 +522,16 @@ def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
     return (block.view(float) * factor).view(complex)
 
 
-def _hamiltonian_block(
-    gen: GeneratorData, ladder: tuple, block: np.ndarray, M: np.ndarray
-) -> np.ndarray:
-    """rho^2 + sum_i raise_i lower_i applied to every row of a block over
-    ``_basis(n, degree)`` with exponent M, added in the order rho^2 term,
-    then i = 0..n-1.  lower_i must be a pure derivative at M (at M = Q, or
-    in a Wick frame at M = 0), so it maps degree d to d - 1, raise_i maps
-    it back, and the result is over the block's own ``_basis(n, degree)``;
-    at degree 0 lower_i leaves a zero row, whose raised columns are zero."""
+def _hamiltonian_block(gen: GeneratorData, ladder: tuple, block: np.ndarray) -> np.ndarray:
+    """rho^2 + sum_i raise_i lower_i on every row of a block over
+    ``_basis(n, degree)``, added rho^2 term first, then i = 0..n-1.  With the
+    ladder of ``_frame_ladder`` lower_i is a pure derivative (a zero row at
+    degree 0), so the result stays on the block's own basis."""
     low, high = ladder
     acc = _real_scaled(block, gen.rho2)
     for i in range(gen.n):
-        lowered = _apply_block(low, i, block, M)
-        acc += _apply_block(high, i, lowered, M)[:, : block.shape[1]]
+        lowered = _apply_block(low, i, block)
+        acc += _apply_block(high, i, lowered)[:, : block.shape[1]]
     return acc
 
 
@@ -517,20 +542,17 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
     """
     if not mx.agree(gp.M, gen.Q, 1e-12):
         raise MExponentMismatch("argument exponent differs from the generator Q")
-    ladder = annihilation_ops(gen.Q), creation_ops(wd, gen)
-    out = _hamiltonian_block(gen, ladder, _block_of([gp.poly], gp.poly.degree()), gen.Q)
+    out = _hamiltonian_block(gen, _frame_ladder(wd, gen), _block_of([gp.poly], gp.poly.degree()))
     return _gauss_polys(out, gp.M)[0]
 
 
-def _adjoint_block(
-    ladder: tuple, comps, f: np.ndarray, g: np.ndarray, M: np.ndarray
-) -> np.ndarray:
+def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
     two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
     that order over ``_basis(n, degree + 1)``, each padded to that width."""
     low, high = ladder
     n, degree = low.n, _degree_of(low.n, f.shape[1]) + 1
-    parts = [f, g, _apply_block(low, comps, f, M), _apply_block(high, comps, g, M)]
+    parts = [f, g, _apply_block(low, comps, f), _apply_block(high, comps, g)]
     return np.vstack([_padded(part, n, degree) for part in parts])
 
 

@@ -18,12 +18,13 @@ product is the diagonal sum normalizer * sum_a f_a conj(g_a) a!, with no
 moment matrix, no cancellation between monomial moments and no degree cap.
 
 A first-order operator (G, H) acting at exponent M acts on Wick
-coefficients as (G L^(-T) + h L C, h L) at exponent 0, h = H - 2 G M
-(``_in_frame``), so the kernel and chains of ``gausspoly`` run on them
-unchanged; the verify pipeline builds every block in a frame.  Public
-functions convert monomial GaussPolys at the edge (``_wick_block``): z^a
-is the chain of the multiplication operators z_l over the ancestors of
-the monomials used, so z_1^12 costs 13 chain rows of dense Wick vectors.
+coefficients as (G L^(-T) + h L C, h L), h = H - 2 G M
+(``gausspoly._in_frame`` with a cache as its frame), so the kernel and
+chains of ``gausspoly`` run on them unchanged; the verify pipeline builds
+every block in a frame.  Public functions convert monomial GaussPolys at
+the edge (``_wick_block``): z^a is the chain of the multiplication
+operators z_l over the ancestors of the monomials used, so z_1^12 costs
+13 chain rows of dense Wick vectors.
 
 Stage-wide callers work on one block: any set of pairs (l, r) is one
 weighted row sum (``_pair_inners``), a Gram matrix one product
@@ -58,9 +59,10 @@ from .gausspoly import (
     _basis,
     _block_of,
     _chain_rows,
+    _component,
     _degree_of,
-    annihilation_ops,
-    creation_ops,
+    _frame_ladder,
+    _in_frame,
     mi_factorial,
     multi_indices,
 )
@@ -203,23 +205,6 @@ def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
     return val
 
 
-def _in_frame(op: LinearDiffOp, M, mc: MomentCache) -> LinearDiffOp:
-    """``op`` acting on P exp(-<z, M z>), rewritten as the operator that
-    acts on the Wick coefficients of P in the frame of ``mc``, at exponent
-    0: (G L^(-T) + h L C, h L) with h = H - 2 G M.  With z = L u,
-    d/dz = L^(-T) d/du, and u_l acts on Wick powers as the raising term
-    plus the derivative term C d/du."""
-    h = (op.H - 2.0 * op.G @ M) @ mc.L
-    return LinearDiffOp(np.linalg.solve(mc.L, op.G.T).T + h @ mc.C, h)
-
-
-def _frame_ladder(wd: WeightData, gen: GeneratorData, mc: MomentCache) -> tuple:
-    """The lowering and raising operators in the frame of ``mc``, a cache
-    for Q; lowering becomes the pure derivative L^(-T) d/du."""
-    return tuple(_in_frame(op, mc.exponent, mc)
-                 for op in (annihilation_ops(gen.Q), creation_ops(wd, gen)))
-
-
 def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     """Wick coefficients, in the frame of ``mc``, of a block of monomial
     coefficients with the cache's exponent.
@@ -234,7 +219,7 @@ def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     basis = _basis(n, _degree_of(n, block.shape[1]))
     cols = np.flatnonzero(block.any(axis=0))
     mult = _in_frame(LinearDiffOp(np.zeros((n, n)), np.eye(n)), mc.exponent, mc)
-    rows = _chain_rows(mult, np.zeros((n, n)), 1.0, [basis[j] for j in cols])
+    rows = _chain_rows(mult, 1.0, [basis[j] for j in cols])
     return block[:, cols] @ rows
 
 
@@ -353,21 +338,20 @@ def adjoint_residual(
     i: int,
     cache: MomentCache | None = None,
 ) -> float:
-    """|(lower_i F, G) - (F, raise_i G)| for arguments sharing the exponent Q.
+    """|(lower_i F, G) - (F, raise_i G)| for arguments sharing one exponent.
 
     Values near zero validate the implemented raising operator as the true
     adjoint with respect to the weighted inner product.  The operators act
-    on the Wick coefficients of F and G, as in the verify pipeline.
+    on the Wick coefficients of F and G folded at the cache's exponent, which
+    need not be Q, as in the verify pipeline.
     """
-    if not 0 <= i < wd.n:  # a negative i would pick a component from the end
-        raise DimensionMismatch(f"component index {i} is outside 0..{wd.n - 1}")
+    i = _component(i, wd.n)
     if cache is None:
         cache = make_moment_cache(wd, gen.Q)
     cache = _checked_cache(cache, (F, G), wd)
     d = max(F.poly.degree(), G.poly.degree())
     fg = _wick_block(cache, _block_of([F.poly, G.poly], d))
-    zero = np.zeros((wd.n, wd.n))
-    rows = _adjoint_block(_frame_ladder(wd, gen, cache), i, fg[:1], fg[1:], zero)
+    rows = _adjoint_block(_frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])
     lhs, rhs = _pair_inners(cache, rows, [2, 0], [1, 3])
     return abs(lhs - rhs)
 

@@ -31,9 +31,9 @@ import numpy as np
 from . import matrices as mx
 from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
 from .gausspoly import GaussPoly, LinearDiffOp, mi_factorial, multi_indices
-from .gausspoly import _chain_rows, _checked_basis, _gauss_polys, _multi_index
+from .gausspoly import _chain_rows, _checked_basis, _gauss_polys, _in_frame, _multi_index
 from .gausspoly import _real_scaled, _tabulated_sum
-from .integrals import MomentCache, _in_frame, _pair_inners, combined_form, make_moment_cache
+from .integrals import MomentCache, _pair_inners, combined_form, make_moment_cache
 from .model import PhaseTriple, WeightData, compute_weight_data
 
 
@@ -340,10 +340,7 @@ def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> t
     root_det = np.prod(np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)))
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
     M = image_exponent(pt)
-    op, at = _intertwined_raising(pt), M
-    if cache is not None:
-        op, at = _in_frame(op, M, cache), np.zeros((n, n))
-    block = _chain_rows(op, at, c0, alphas)
+    block = _chain_rows(_in_frame(_intertwined_raising(pt), M, cache), c0, alphas)
     norms = [1.0 / math.sqrt(mi_factorial(a)) for a in alphas]
     return _real_scaled(block, np.array(norms).reshape(-1, 1)), M
 

@@ -16,7 +16,9 @@ from sbhermite.gausspoly import (
     _chain_block,
     _chain_rows,
     _degree_of,
+    _frame_ladder,
     _hamiltonian_block,
+    _in_frame,
     _row_distances,
 )
 from sbhermite.transform import _intertwined_raising
@@ -95,6 +97,19 @@ class TestApplyOp:
         with pytest.raises(DimensionMismatch, match="component index"):
             sb.apply_op(sb.creation_ops(wd, gen), i, sb.ground_state(gen))
 
+    @pytest.mark.parametrize("i", [False, True, 1.0, np.float64(0.0), "0", None])
+    def test_component_index_must_be_an_integer(self, i):
+        # False selected no row of G and gave the zero function
+        _, wd, gen = ghs_data(0.5)
+        with pytest.raises(ValueError, match="component index must be an integer"):
+            sb.apply_op(sb.creation_ops(wd, gen), i, sb.ground_state(gen))
+
+    def test_component_index_of_any_integral_type(self):
+        _, wd, gen = ghs_data(0.5)
+        op, psi0 = sb.creation_ops(wd, gen), sb.ground_state(gen)
+        want = sb.apply_op(op, 1, psi0)
+        assert sb.apply_op(op, np.int64(1), psi0).poly.terms == want.poly.terms
+
 
 class TestBlockKernel:
     """The block kernel against the term-by-term oracle of tests/helpers.py."""
@@ -133,7 +148,8 @@ class TestBlockKernel:
         rows = 4
         block = self.random_block(rng, n, degree, rows)
         comps = rng.integers(0, n, rows)  # a different component per row
-        out = _apply_block(op, comps, block, M)
+        folded = _in_frame(op, M)
+        out = _apply_block(folded, comps, block)
         # the lowering operators at Q are pure derivatives and lower the degree
         top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
         assert out.shape == (rows, len(_basis(n, top)))
@@ -146,7 +162,7 @@ class TestBlockKernel:
             scale = max((abs(c) for c in got.values()), default=0.0)
             assert all(abs(got[a] - c) <= 1e-15 * scale for a, c in want.poly.terms.items())
             # a row's result does not depend on the rows around it
-            alone = _apply_block(op, comps[r], block[r : r + 1], M)
+            alone = _apply_block(folded, comps[r], block[r : r + 1])
             assert np.array_equal(alone[0], out[r]), r
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -169,7 +185,7 @@ class TestBlockKernel:
             block = self.random_block(rng, n, degree, 3)
             comps = rng.integers(0, n, 3)
             for op, M, step in cases:
-                out = _apply_block(op, comps, block, M)
+                out = _apply_block(_in_frame(op, M), comps, block)
                 assert out.shape == (3, len(_basis(n, max(degree + step, 0)))), (degree, step)
 
 
@@ -192,11 +208,12 @@ class TestAncestorChain:
             "xi": (sb.xi_ops(gen), gen.SQ, 1.0),
             "intertwined": (_intertwined_raising(pt), gen.Q, 0.5 - 0.25j),
         }[kind]
+        op = _in_frame(op, M)
         basis = _basis(n, degree)
         picks = rng.choice(len(basis), size=int(rng.integers(1, 5)))
         targets = [basis[k] for k in picks]  # in any order, repeats allowed
-        full = _chain_block(op, M, c0, degree)
-        rows = _chain_rows(op, M, c0, targets)
+        full = _chain_block(op, c0, degree)
+        rows = _chain_rows(op, c0, targets)
         width = len(_basis(n, max(map(sum, targets))))
         assert rows.shape == (len(targets), width)
         assert np.array_equal(rows, full[picks, :width])
@@ -209,9 +226,9 @@ class TestAncestorChain:
         rows = []
         kernel = sb.gausspoly._apply_block
 
-        def counted(op, comps, block, M):
+        def counted(op, comps, block):
             rows.append(block.shape[0])
-            return kernel(op, comps, block, M)
+            return kernel(op, comps, block)
 
         monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
         sb.rodrigues(wd, gen, (6, 0, 0, 0))
@@ -222,7 +239,7 @@ class TestAncestorChain:
 
     def test_no_targets(self):
         _, wd, gen = sb.random_generator(2, np.random.default_rng(3))
-        assert _chain_rows(sb.creation_ops(wd, gen), gen.Q, 1.0, []).shape == (0, 1)
+        assert _chain_rows(_in_frame(sb.creation_ops(wd, gen), gen.Q), 1.0, []).shape == (0, 1)
 
 
 class TestOperatorConstructors:
@@ -369,7 +386,7 @@ class TestRodrigues:
             _, wd, gen = sb.random_generator(case, np.random.default_rng(900 + case))
             degree = {1: 6, 2: 5, 3: 4, 4: 3}[case]
         basis, xi = sb.multi_indices(gen.n, degree), sb.xi_ops(gen)
-        for alpha, row in zip(basis, _chain_block(xi, gen.SQ, 1.0, degree)):
+        for alpha, row in zip(basis, _chain_block(_in_frame(xi, gen.SQ), 1.0, degree)):
             single = sb.rodrigues(wd, gen, alpha)
             stepped = sb.GaussPoly(sb.PolyC.constant(gen.n, 1.0), gen.SQ)
             for i in reversed(range(gen.n)):
@@ -435,9 +452,9 @@ class TestHamiltonian:
         # at Q, H maps basis(n, d) into itself: the image of the family block
         # has the block's width and row alpha is (2|alpha| + 1) rho^2 psi_alpha
         _, wd, gen = sb.random_generator(n, np.random.default_rng(5))
-        ladder = sb.annihilation_ops(gen.Q), sb.creation_ops(wd, gen)
-        block = _chain_block(ladder[1], gen.Q, 1.0, degree)
-        image = _hamiltonian_block(gen, ladder, block, gen.Q)
+        ladder = _frame_ladder(wd, gen)
+        block = _chain_block(ladder[1], 1.0, degree)
+        image = _hamiltonian_block(gen, ladder, block)
         assert image.shape == block.shape
         levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in _basis(n, degree)]
         assert np.max(_row_distances(image, np.array(levels)[:, None] * block)) <= 1e-9
@@ -676,7 +693,7 @@ class TestInputChecks:
         # a stated degree the kernel read a real column as its zero pad
         _, _, gen = ghs_data(0.45)
         with pytest.raises(DimensionMismatch, match="5 columns"):
-            _apply_block(sb.annihilation_ops(gen.Q), 0, np.ones((1, 5)), gen.Q)
+            _apply_block(sb.annihilation_ops(gen.Q), 0, np.ones((1, 5)))
 
 
 class TestCoeffDistance:

@@ -15,9 +15,8 @@ from sbhermite.errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from sbhermite.gausspoly import _block_of
-from sbhermite.gausspoly import _apply_block
-from sbhermite.integrals import _expansions, _gram_block, _in_frame, _pair_inners, _wick_block
+from sbhermite.gausspoly import _apply_block, _block_of, _in_frame
+from sbhermite.integrals import _expansions, _gram_block, _pair_inners, _wick_block
 
 from helpers import (
     bargmann_data,
@@ -217,9 +216,9 @@ class TestHphiInner:
         rows = []
         kernel = sb.gausspoly._apply_block
 
-        def counted(op, comps, block, M):
+        def counted(op, comps, block):
             rows.append(block.shape[0])
-            return kernel(op, comps, block, M)
+            return kernel(op, comps, block)
 
         monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
         assert abs(sb.hphi_inner(f, f, wd, cache) - want) <= 1e-12 * abs(want)
@@ -302,9 +301,8 @@ class TestFrameGram:
         cache = sb.make_moment_cache(wd, gen.Q)
         block = random_monomial_block(n, 3, 4, rng)
         comps = rng.integers(0, n, 4)
-        want = _wick_block(cache, _apply_block(op, comps, block, M))
-        got = _apply_block(_in_frame(op, M, cache), comps, _wick_block(cache, block),
-                           np.zeros((n, n)))
+        want = _wick_block(cache, _apply_block(_in_frame(op, M), comps, block))
+        got = _apply_block(_in_frame(op, M, cache), comps, _wick_block(cache, block))
         width = max(want.shape[1], got.shape[1])
         want = np.pad(want, ((0, 0), (0, width - want.shape[1])))
         got = np.pad(got, ((0, 0), (0, width - got.shape[1])))
@@ -459,6 +457,27 @@ class TestAdjointResidual:
         psi0 = sb.ground_state(gen)
         with pytest.raises(DimensionMismatch, match="component index"):
             sb.adjoint_residual(wd, gen, psi0, psi0, i)
+
+    def test_arguments_at_the_cache_exponent(self):
+        # lowering and raising are adjoint on the whole space, so arguments
+        # sharing an exponent other than Q pass too; the ladder is folded
+        # at the cache's exponent, never at Q
+        _, wd, gen = sb.random_generator(2, np.random.default_rng(5))
+        M = gen.Q + 0.02j * np.eye(2)
+        cache = sb.make_moment_cache(wd, M)
+        f = sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0, (0, 1): 0.5j}), M)
+        g = sb.GaussPoly(sb.PolyC(2, {(2, 0): 1.0, (0, 0): 0.3}), M)
+        scale = sb.hphi_norm(f, wd, cache) * sb.hphi_norm(g, wd, cache)
+        for i in range(2):
+            assert sb.adjoint_residual(wd, gen, f, g, i, cache) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("i", [False, True, 1.0])
+    def test_component_index_must_be_an_integer(self, i):
+        # False selected no row of G and gave exactly 0.0
+        _, wd, gen = ghs_data(0.5)
+        f = sb.hermite_family(wd, gen, 1)[(1, 0)]
+        with pytest.raises(ValueError, match="component index must be an integer"):
+            sb.adjoint_residual(wd, gen, f, f, i)
 
 
 class TestExpandInFamily:

@@ -11,8 +11,8 @@ import pytest
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
 from sbhermite.errors import ConfigError, NonIntegrableWeight
-from sbhermite.gausspoly import _chain_block
-from sbhermite.integrals import _frame_ladder, _gram_block
+from sbhermite.gausspoly import _chain_block, _frame_ladder
+from sbhermite.integrals import _gram_block
 from sbhermite.pipeline import (
     RunConfig,
     StageFailure,
@@ -609,7 +609,7 @@ class TestStageWork:
         # the Gram the pipeline builds: the family chain in the frame of Q
         cache = sb.make_moment_cache(wd, gen.Q)
         ladder = _frame_ladder(wd, gen, cache)
-        block = _chain_block(ladder[1], np.zeros((2, 2)), 1.0, cfg.max_degree)
+        block = _chain_block(ladder[1], 1.0, cfg.max_degree)
         keys, g = sb.multi_indices(2, cfg.max_degree), _gram_block(cache, block)
         diag_rel = offdiag_rel = 0.0
         for a, ka in enumerate(keys):
@@ -620,6 +620,23 @@ class TestStageWork:
                     offdiag_rel = max(offdiag_rel, abs(g[a, b]) / g[a, a].real)
         assert report.residuals["gram_diag_maxrel"] == diag_rel
         assert report.residuals["gram_max_offdiag"] == offdiag_rel
+
+    @pytest.mark.parametrize("name", ["em", "ghs"])
+    def test_completeness_covers_the_top_degree(self, monkeypatch, name):
+        # the family spans every Wick power through max_degree; with its
+        # last member, of degree max_degree, a copy of member 1, it does not
+        assert run_example(name, 0.5, max_degree=4).residuals["completeness_residual"] <= 1e-14
+        chain = sb.pipeline._chain_block
+
+        def duplicated(*args):
+            block = chain(*args).copy()
+            block[-1] = block[1]
+            return block
+
+        monkeypatch.setattr(sb.pipeline, "_chain_block", duplicated)
+        report = run_example(name, 0.5, max_degree=4)
+        assert report.residuals["completeness_residual"] > 0.1
+        assert not report.checks["completeness_residual"]
 
     def test_call_counts_per_stage(self, monkeypatch):
         cfg = self.n2_deg6_config()
