@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -133,9 +134,12 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
             if len(pieces) != 2:
                 raise ConfigError(f"--z: component {part!r} must be re,im")
             try:
-                comps.append(complex(float(pieces[0]), float(pieces[1])))
+                re_, im_ = float(pieces[0]), float(pieces[1])
             except ValueError as exc:
                 raise ConfigError(f"--z: component {part!r} is not numeric") from exc
+            if not (math.isfinite(re_) and math.isfinite(im_)):
+                raise ConfigError(f"--z: component {part!r} is not finite")
+            comps.append(complex(re_, im_))
         points.append(np.array(comps))
     return points
 

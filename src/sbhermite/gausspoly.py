@@ -18,10 +18,13 @@ by ``_degree_of``).  The dicts are the public API's format, converted at
 that edge by ``_block_of`` and ``_gauss_polys``; keys, component indices,
 points and exponents from outside pass one rule each: ``_multi_index``,
 ``_component``, ``matrices.as_points`` and ``matrices.agree``.  One kernel,
-``_apply_block``, applies a component of a folded ``LinearDiffOp`` to every
-row at once: 2n gathers through index maps cached per (n, d), summed in a
-fixed order, every entry kept, into the smallest graded basis the live
-terms reach, ``_basis(n, d + 1)`` with a live multiplication term and
+``_apply_block(G, H, block)``, applies to row r of a block the folded
+operator whose coefficients are row r of G and H (callers pass
+``op.G[comps], op.H[comps]``; one row serves every row).  It adds the live
+terms one by one, derivative terms k = 0..n-1 then multiplication terms
+l = 0..n-1, each a gather through an index map cached per (n, d, live
+terms), into the smallest graded basis the live terms reach,
+``_basis(n, d + 1)`` with a live multiplication term and
 ``_basis(n, d - 1)`` without one.  The folded lowering operators
 (``_frame_ladder``) are pure derivatives, so ``_hamiltonian_block`` maps a
 block over ``_basis(n, d)`` to one over the same basis.  The products are
@@ -30,9 +33,11 @@ numpy's complex multiply uses fused multiply-adds where the CPU has them
 and rounds differently.  So a row's result does not depend on the rows
 around it, and the kernel reproduces term-by-term application bit for bit;
 ``apply_op`` and ``hamiltonian_apply`` are its one-row cases.
-``_chain_rows(op, c0, targets)`` builds op^alpha c0 for each target alpha
-over its ancestors only, one kernel call per degree layer; the family, the
-Rodrigues form and the images are chains.
+``_chain_rows(lanes, targets)`` builds op^alpha c0 for each lane (op, c0)
+and each target alpha over the targets' ancestors only, one kernel call per
+degree layer over the rows of every lane; the family, the Rodrigues form,
+the images and the Wick conversion are chains, and ``run_verify`` chains
+the first three as the lanes of one.
 """
 
 from __future__ import annotations
@@ -278,75 +283,101 @@ def _in_frame(op: LinearDiffOp, M, frame=None) -> LinearDiffOp:
     return LinearDiffOp(np.linalg.solve(frame.L, op.G.T).T + h @ frame.C, h)
 
 
-@functools.lru_cache(maxsize=128)
-def _ladder_maps(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps from a block over ``_basis(n, degree)`` onto the columns of
-    ``_basis(n, degree + 1)``, one row per coordinate.
+def _live(coef: np.ndarray) -> tuple[bool, ...]:
+    """Per term (column) of a coefficient array, whether some row has it nonzero."""
+    return tuple(np.logical_or.reduce(coef, axis=0).tolist())
 
-    Derivative map k gathers a + e_k -> a, weighted by a_k + 1; it reaches
-    only the columns |a| < degree, a prefix of the output.  Multiplication
-    map l gathers a - e_l -> a for every output column; a column with
-    a_l = 0 reads a zero pad column appended to the block.
+
+@functools.lru_cache(maxsize=256)
+def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
+    """Gathers of ``_apply_block`` from a block over ``_basis(n, degree)``
+    with the live derivative terms ``live_g`` and multiplication terms
+    ``live_h``: the output width, the width its derivative terms reach,
+    and per live term its index map and, for a derivative, its weights.
+
+    Derivative term k gathers a + e_k -> a for |a| < degree, weighted by
+    a_k + 1.  Multiplication term l gathers a - e_l -> a for every output
+    column; a column with a_l = 0 reads a zero pad column appended to the
+    block.
     """
     col = _columns(n, degree)
     inner = _basis(n, degree - 1)
-    out = _basis(n, degree + 1)
-    up = [[col[a[:k] + (a[k] + 1,) + a[k + 1:]] for a in inner] for k in range(n)]
-    weight = [[a[k] + 1.0 for a in inner] for k in range(n)]
-    down = [[col[a[:k] + (a[k] - 1,) + a[k + 1:]] if a[k] else len(col) for a in out]
-            for k in range(n)]
-    return mx.frozen(up, dtype=int), mx.frozen(weight, dtype=float), mx.frozen(down)
+    out = _basis(n, degree + 1 if any(live_h) else max(degree - 1, 0))
+    deriv = tuple(
+        (k, mx.frozen([col[a[:k] + (a[k] + 1,) + a[k + 1:]] for a in inner], dtype=int),
+         mx.frozen([a[k] + 1.0 for a in inner], dtype=float))
+        for k, live in enumerate(live_g) if live and inner)
+    mult = tuple(
+        (l, mx.frozen([col[a[:l] + (a[l] - 1,) + a[l + 1:]] if a[l] else len(col)
+                       for a in out], dtype=int), None)
+        for l, live in enumerate(live_h) if live)
+    return len(out), len(inner), deriv, mult
 
 
-def _add_terms(acc_re, acc_im, sr: np.ndarray, si: np.ndarray, coef: np.ndarray):
-    """acc += coef[:, t] * s[:, t] for t in order, on real planes: each
-    product rounded as Python's complex product (gr sr - gi si,
-    gr si + gi sr), never as a fused multiply-add, before it is added."""
-    re = sr * coef.real
-    re -= si * coef.imag
-    im = si * coef.real
-    im += sr * coef.imag
-    for t in range(re.shape[1]):
-        acc_re += re[:, t]
-        acc_im += im[:, t]
+#: result entries per pass of ``_apply_block``'s term loop: rows are taken in
+#: chunks of about this many entries, so that its buffers stay in cache
+_KERNEL_CHUNK = 1 << 14
 
 
-def _apply_block(op: LinearDiffOp, comps, block: np.ndarray) -> np.ndarray:
-    """Component comps[r] of ``op`` applied to row r of a coefficient block.
+def _add_terms(acc: np.ndarray, planes: np.ndarray, terms, coef: np.ndarray):
+    """acc += c * s for each (i, idx, w) of ``terms`` in order, on stacked
+    (re, im) planes: s the columns ``idx`` of ``planes``, scaled by the
+    weights ``w`` unless None, and c = coef[:, i].  Each product is rounded
+    as Python's complex product (cr sr - ci si, cr si + ci sr), never as a
+    fused multiply-add, before it is added; three buffers of the shape of
+    ``acc`` serve every term."""
+    s, t, u = np.empty((3, 2) + acc.shape[1:])
+    for i, idx, w in terms:
+        planes.take(idx, axis=2, out=s, mode="clip")  # in range; unbuffered
+        if w is not None:
+            s *= w
+        c = coef[:, i, :, None]
+        np.multiply(s, c, out=t)  # (sr cr, si ci)
+        np.multiply(s[::-1], c, out=u)  # (si cr, sr ci)
+        np.subtract(t[0], t[1], out=t[0])
+        np.add(u[0], u[1], out=t[1])
+        acc += t
 
-    ``block`` holds one function per row over ``_basis(n, degree)``, and
-    ``op`` has its exponent folded in (``_in_frame``); ``comps`` is one
-    component index or one per row.  The result is over the smallest graded
-    basis its live terms reach: ``_basis(n, degree + 1)`` when a
-    multiplication term is live, else ``_basis(n, max(degree - 1, 0))``
-    (the folded lowering operators are pure derivatives).  The 2n terms
-    are summed in a fixed order, derivative terms g * (c * a_k) for
-    k = 0..n-1, then multiplication terms h * c for l = 0..n-1, on the real
-    and imaginary planes of the result, which keeps every entry of that
-    sum.  A term whose coefficient is zero in every row adds only zeros and
-    is skipped (the lowering operators have G = 1).
+
+def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
+    """Row r of a coefficient block under the operator whose coefficients
+    are row r of ``G`` and ``H`` (rows, n): sum_k G[r, k] d/dz_k +
+    sum_l H[r, l] z_l, its exponent folded in (``_in_frame``).  A single
+    row each, (n,), applies to every row of the block.
+
+    ``block`` holds one function per row over ``_basis(n, degree)``.  The
+    result is over the smallest graded basis its live terms reach:
+    ``_basis(n, degree + 1)`` when a multiplication term is live in some
+    row, else ``_basis(n, max(degree - 1, 0))`` (the folded lowering
+    operators are pure derivatives).  The terms are added one by one in a
+    fixed order, derivative terms g * (c * a_k) for k = 0..n-1, then
+    multiplication terms h * c for l = 0..n-1, on the real and imaginary
+    planes of the result, through index maps cached per (n, degree, live
+    terms) (``_kernel_plan``).  A term whose coefficient is zero in every
+    row is skipped; in the other rows a live term adds exact zeros to an
+    accumulator that starts at +0.0, so a row's result does not depend on
+    the rows around it.
     """
-    n, rows, degree = op.n, block.shape[0], _degree_of(op.n, block.shape[1])
-    up, weight, down = _ladder_maps(n, degree)
-    g = op.G[comps].reshape(-1, n, 1)
-    h = op.H[comps].reshape(-1, n, 1)
-    live_g = np.flatnonzero(g.any(axis=(0, 2)))
-    live_h = np.flatnonzero(h.any(axis=(0, 2)))
-    cols = len(_basis(n, degree + 1 if live_h.size else max(degree - 1, 0)))
-    out = np.zeros((rows, cols), dtype=complex)
-    acc_re, acc_im = out.real, out.imag
-    if live_g.size and up.shape[1]:
-        shape, idx, w = (rows, live_g.size, up.shape[1]), up[live_g].ravel(), weight[live_g]
-        sr = block.real.take(idx, axis=1).reshape(shape) * w
-        si = block.imag.take(idx, axis=1).reshape(shape) * w
-        _add_terms(acc_re[:, : shape[2]], acc_im[:, : shape[2]], sr, si, g[:, live_g])
-    if live_h.size:
-        padded = np.zeros((rows, block.shape[1] + 1), dtype=complex)
-        padded[:, :-1] = block
-        shape, idx = (rows, live_h.size, cols), down[live_h].ravel()
-        sr = padded.real.take(idx, axis=1).reshape(shape)
-        si = padded.imag.take(idx, axis=1).reshape(shape)
-        _add_terms(acc_re, acc_im, sr, si, h[:, live_h])
+    rows, width = block.shape
+    n = np.shape(G)[-1]
+    g = np.ascontiguousarray(G, dtype=complex).reshape(-1, n)
+    h = np.ascontiguousarray(H, dtype=complex).reshape(-1, n)
+    cols, inner, deriv, mult = _kernel_plan(n, _degree_of(n, width), _live(g), _live(h))
+    # the coefficients as (re, im) x n x rows views
+    gt, ht = g.view(float).reshape(-1, n, 2).T, h.view(float).reshape(-1, n, 2).T
+    out = np.empty((rows, cols), dtype=complex)
+    step = max(1, _KERNEL_CHUNK // cols)
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        own = part if len(g) > 1 else slice(None)  # a single row serves every row
+        sub = block[part]
+        planes = np.zeros((2, len(sub), width + 1))
+        planes[0, :, :width] = sub.real
+        planes[1, :, :width] = sub.imag
+        acc = np.zeros((2, len(sub), cols))
+        _add_terms(acc[:, :, :inner], planes, deriv, gt[..., own])
+        _add_terms(acc, planes, mult, ht[..., own])
+        out.real[part], out.imag[part] = acc
     return out
 
 
@@ -387,8 +418,8 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     """
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
-    i = _component(i, op.n)
-    out = _apply_block(_in_frame(op, gp.M), i, _block_of([gp.poly], gp.poly.degree()))
+    i, op = _component(i, op.n), _in_frame(op, gp.M)
+    out = _apply_block(op.G[i], op.H[i], _block_of([gp.poly], gp.poly.degree()))
     return _gauss_polys(out, gp.M)[0]
 
 
@@ -465,31 +496,35 @@ def _chain_plan(n: int, targets: tuple) -> tuple:
     return tuple(steps), tuple(place)
 
 
-def _chain_rows(op: LinearDiffOp, c0: complex, targets) -> np.ndarray:
-    """op^alpha c0, ``op`` folded (``_in_frame``), for each alpha of ``targets``
-    (int tuples), one row each over ``_basis(n, max |alpha|)``.
+def _chain_rows(lanes, targets) -> np.ndarray:
+    """op^alpha c0 for each lane (op, c0) of ``lanes``, ``op`` folded
+    (``_in_frame``), and each alpha of ``targets`` (int tuples): one block
+    per lane, one row per target over ``_basis(n, max |alpha|)``, stacked
+    as (lanes, targets, columns).
 
     Layer d comes from layer d - 1 by one kernel call over the ancestors of
-    the targets (``_chain_plan``): each alpha applies the component at its
-    first nonzero index to its parent; the components commute, so the path
-    does not matter (tests assert it).  The kernel's rows do not depend on
-    each other, so a row equals the same row of the full chain
-    (``_chain_block``) bit for bit, and the cost follows the targets.
+    the targets (``_chain_plan``) in every lane at once: each alpha applies
+    the component at its first nonzero index to its parent; the components
+    commute, so the path does not matter (tests assert it).  The kernel's
+    rows do not depend on each other, so a row equals the same row of the
+    full chain, and a lane the same lane chained alone, bit for bit, and
+    the cost follows the targets.
     """
-    steps, place = _chain_plan(op.n, tuple(targets))
-    layers = [np.full((1, 1), c0, dtype=complex)]
+    n = lanes[0][0].n
+    steps, place = _chain_plan(n, tuple(targets))
+    G = np.stack([op.G for op, _ in lanes])
+    H = np.stack([op.H for op, _ in lanes])
+    layers = [np.array([c0 for _, c0 in lanes], dtype=complex).reshape(-1, 1, 1)]
     for comps, parents in steps:
-        layers.append(_apply_block(op, comps, layers[-1][parents]))
-    out = np.zeros((len(targets), len(_basis(op.n, len(steps)))), dtype=complex)
+        prev = layers[-1].take(parents, axis=1)
+        size = prev.shape[0] * prev.shape[1]
+        layer = _apply_block(G[:, comps].reshape(size, n), H[:, comps].reshape(size, n),
+                             prev.reshape(size, -1))
+        layers.append(layer.reshape(len(lanes), len(comps), -1))
+    out = np.zeros((len(lanes), len(targets), len(_basis(n, len(steps)))), dtype=complex)
     for layer, (dest, src) in zip(layers, place):
-        out[dest, : layer.shape[1]] = layer[src]
+        out[:, dest, : layer.shape[2]] = layer.take(src, axis=1)
     return out
-
-
-def _chain_block(op: LinearDiffOp, c0: complex, max_degree: int) -> np.ndarray:
-    """The full chain, every |alpha| <= max_degree in ``_basis`` order: a
-    square block over ``_basis(n, max_degree)``."""
-    return _chain_rows(op, c0, _checked_basis(op.n, max_degree))
 
 
 def hermite_family(
@@ -497,8 +532,9 @@ def hermite_family(
 ) -> dict[tuple[int, ...], GaussPoly]:
     """All family members with |alpha| <= max_total_degree: the raising
     chain of the creation operators from the generator exp(-<z, Q z>)."""
-    block = _chain_block(_in_frame(creation_ops(wd, gen), gen.Q), 1.0, max_total_degree)
-    return dict(zip(_basis(gen.n, max_total_degree), _gauss_polys(block, gen.Q)))
+    basis = _checked_basis(gen.n, max_total_degree)
+    block = _chain_rows([(_in_frame(creation_ops(wd, gen), gen.Q), 1.0)], basis)[0]
+    return dict(zip(basis, _gauss_polys(block, gen.Q)))
 
 
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
@@ -512,7 +548,7 @@ def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
     of ``_multi_index``.
     """
     alpha = _multi_index(alpha, gen.n)
-    row = _chain_rows(_in_frame(xi_ops(gen), gen.SQ), 1.0, [alpha])
+    row = _chain_rows([(_in_frame(xi_ops(gen), gen.SQ), 1.0)], [alpha])[0]
     return _gauss_polys(row, gen.SQ - gen.S)[0]
 
 
@@ -530,8 +566,8 @@ def _hamiltonian_block(gen: GeneratorData, ladder: tuple, block: np.ndarray) -> 
     low, high = ladder
     acc = _real_scaled(block, gen.rho2)
     for i in range(gen.n):
-        lowered = _apply_block(low, i, block)
-        acc += _apply_block(high, i, lowered)[:, : block.shape[1]]
+        lowered = _apply_block(low.G[i], low.H[i], block)
+        acc += _apply_block(high.G[i], high.H[i], lowered)[:, : block.shape[1]]
     return acc
 
 
@@ -549,11 +585,14 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
 def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
     two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
-    that order over ``_basis(n, degree + 1)``, each padded to that width."""
+    that order over ``_basis(n, degree + 1)``, each padded to that width.
+    lower_i f and raise_i g are one kernel call on [f; g]."""
     low, high = ladder
     n, degree = low.n, _degree_of(low.n, f.shape[1]) + 1
-    parts = [f, g, _apply_block(low, comps, f), _apply_block(high, comps, g)]
-    return np.vstack([_padded(part, n, degree) for part in parts])
+    comps = np.broadcast_to(comps, f.shape[:1])
+    moved = _apply_block(np.concatenate([low.G[comps], high.G[comps]]),
+                         np.concatenate([low.H[comps], high.H[comps]]), np.vstack([f, g]))
+    return np.vstack([_padded(part, n, degree) for part in (f, g, moved)])
 
 
 def _row_max_abs(block: np.ndarray) -> np.ndarray:

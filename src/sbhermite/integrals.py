@@ -219,7 +219,7 @@ def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     basis = _basis(n, _degree_of(n, block.shape[1]))
     cols = np.flatnonzero(block.any(axis=0))
     mult = _in_frame(LinearDiffOp(np.zeros((n, n)), np.eye(n)), mc.exponent, mc)
-    rows = _chain_rows(mult, 1.0, [basis[j] for j in cols])
+    rows = _chain_rows([(mult, 1.0)], [basis[j] for j in cols])[0]
     return block[:, cols] @ rows
 
 

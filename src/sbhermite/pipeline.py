@@ -8,21 +8,24 @@ Stages work on whole families, not pair by pair or member by member, and
 on one format: coefficient blocks (see ``gausspoly``) of Wick coefficients
 in the frame of the generator exponent Q (see ``integrals``), where every
 inner product is a diagonal sum.  The family stage builds the moment
-cache at Q, the ladder folded into its frame (``_frame_ladder``) and the
-family as one chain of the frame raising operators; the later stages use
-that block and frame, and no stage passes an exponent below that.  The
-eigen stage applies lower_i, a pure derivative in the frame, and then
-raise_i to the block, 2n kernel calls, so the image stays on the block's
-``_basis(n, d)``, where ``eigen_max`` is taken row by row.  The Rodrigues
-stage builds one chain of Xi at S+Q in the frame of Q and compares it
-with the family block row by row.  The adjoint stage draws its ten random
-(f, g, i) triples as Wick coefficients into two blocks and takes every
-inner product and norm from one block of f, g, lower_i f and raise_i g;
-completeness expands an identity row for every Wick power :u^beta:,
-|beta| <= max_degree, against the whole family in one call.  The
-isometry stage compares the Gram of the images T h_alpha,
-|alpha| <= max_degree, built in the frame of the image exponent, with
-the identity.
+caches at Q and at the image exponent, the ladder folded into the frame
+of Q (``_frame_ladder``), and three blocks as the lanes of one chain, one
+kernel call per degree layer: the family (the frame raising operators),
+its Rodrigues form (Xi at S+Q in the frame of Q) and the images T h_alpha,
+|alpha| <= max_degree (T a+ in the frame of the image exponent).  So the
+family stage's timing counts the chain work of all three, and a failure
+building either frame fails that stage.  The later stages use those blocks
+and frames, and no stage passes an exponent below that.  The eigen stage
+applies lower_i, a pure derivative in the frame, and then raise_i to the
+block, 2n kernel calls, so the image stays on the block's ``_basis(n, d)``,
+where ``eigen_max`` is taken row by row.  The Rodrigues stage checks the
+closed form's exponent and compares its block with the family block row
+by row.  The adjoint stage draws its ten random (f, g, i) triples as Wick
+coefficients into two blocks and takes every inner product and norm from
+one block of f, g, lower_i f and raise_i g, the last two from one kernel
+call; completeness expands an identity row for every Wick power
+:u^beta:, |beta| <= max_degree, against the whole family in one call.  The
+isometry stage compares the Gram of the images with the identity.
 
 Besides residuals, a report carries ``metrics``: family size and terms
 (the nonzero Wick coefficients of the family block), cond(M_R) of the
@@ -48,7 +51,7 @@ from .gausspoly import (
     PolyC,
     _adjoint_block,
     _basis,
-    _chain_block,
+    _chain_rows,
     _frame_ladder,
     _hamiltonian_block,
     _in_frame,
@@ -73,7 +76,7 @@ from .model import (
     sq_closed_form_residual,
     validate_phase_triple,
 )
-from .transform import MAX_NODES, _image_block, image_exponent
+from .transform import MAX_NODES, _image_lane, _image_scaled, image_exponent
 
 SCHEMA_VERSION = "v1"
 ENV_PROFILE = "SBHERMITE_TOL_PROFILE"
@@ -466,15 +469,21 @@ def run_verify(config: RunConfig) -> VerificationReport:
     timer.run("algebra", algebra)
 
     def family():
-        # one moment cache at Q; every later stage works in its Wick frame,
-        # on the family as one block of Wick coefficients, one row per
-        # member in basis order over _basis(n, max_degree)
+        # one moment cache at Q and one at the image exponent; every later
+        # stage works in their Wick frames.  The family, its Rodrigues form
+        # (Xi at S+Q, in the frame of Q) and the images T h_alpha are three
+        # lanes of one chain, one row per alpha in basis order over
+        # _basis(n, max_degree)
         cache = make_moment_cache(wd, gen.Q)
+        image_cache = make_moment_cache(wd, image_exponent(pt))
         ladder = _frame_ladder(wd, gen, cache)
-        return cache, ladder, _chain_block(ladder[1], 1.0, config.max_degree)
+        xi = _in_frame(xi_ops(gen), gen.SQ, cache)
+        image_lane, _ = _image_lane(pt, image_cache)
+        block, closed, images = _chain_rows([(ladder[1], 1.0), (xi, 1.0), image_lane], keys)
+        return cache, image_cache, ladder, block, closed, _image_scaled(images, keys)
 
-    cache, ladder, block = timer.run("family", family)
     keys = _basis(n, config.max_degree)
+    cache, image_cache, ladder, block, closed, images = timer.run("family", family)
     metrics["family_members"] = block.shape[0]
     metrics["family_terms"] = int(np.count_nonzero(block))
     metrics["cond_M_R"] = float(np.linalg.cond(cache.form.M_R))
@@ -501,13 +510,10 @@ def run_verify(config: RunConfig) -> VerificationReport:
     timer.run("eigen", eigen)
 
     def rodrig():
-        # every member from one shared-prefix chain of Xi at S+Q, in the
-        # frame of Q, compared row by row; the closed form's exponent
-        # (S+Q) - S must be the family's Q
+        # the closed form's lane of the family chain, compared row by row;
+        # its exponent (S+Q) - S must be the family's Q
         if not mx.agree(gen.SQ - gen.S, gen.Q, 1e-12):
             raise MExponentMismatch("Gaussian exponents differ")
-        xi = _in_frame(xi_ops(gen), gen.SQ, cache)
-        closed = _chain_block(xi, 1.0, config.max_degree)
         res["rodrigues_max"] = float(np.max(_row_distances(closed, block)))
 
     timer.run("rodrigues", rodrig)
@@ -540,10 +546,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def isometry():
         # the transform keeps the Hermite functions h_alpha, |alpha| <=
-        # max_degree, orthonormal: their exact images in the Wick frame of
-        # the image exponent
-        image_cache = make_moment_cache(wd, image_exponent(pt))
-        images, _ = _image_block(pt, keys, image_cache)
+        # max_degree, orthonormal: the Gram of their exact images, the
+        # image lane of the family chain in the Wick frame of the image
+        # exponent
         g = _gram_block(image_cache, images)
         res["isometry"] = mx.max_abs(g - np.eye(len(keys)))
 

@@ -3,9 +3,13 @@
 ``hermite_images`` and ``transform_image`` map test functions to GaussPolys
 with no quadrature: T h_0 is a Gaussian in closed form, and the raising
 operators moved through the transform are first-order operators on C^n,
-so the images come from the raising chain the generator family uses, as
-rows of one chain (``_image_block``) that a coefficient vector multiplies,
-in the Wick frame of the image exponent where a norm is taken.
+so the images come from the raising chain the generator family uses: the
+image lane (``_image_lane``: T a+ folded at the image exponent, in the Wick
+frame of that exponent where a norm is taken, and T h_0's constant),
+chained and scaled by 1 / sqrt(alpha!) (``_image_scaled``).  The public
+functions chain it alone (``_image_block``), and rows of that block are
+what a coefficient vector multiplies; ``run_verify`` chains it beside the
+family and its Rodrigues form.
 
 The forward transform, its inverse, the reproducing identity and the
 quadrature isometry go through one tensor Gauss-Hermite integrator,
@@ -328,21 +332,35 @@ def _intertwined_raising(pt: PhaseTriple) -> LinearDiffOp:
     return LinearDiffOp(-1j * eb, 1j * pt.B.T / math.sqrt(2.0) - eb @ pt.A)
 
 
-def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> tuple:
-    """Exact transforms T h_alpha of the orthonormal Hermite functions, one
-    row per alpha of ``alphas``, and their exponent M = ``image_exponent``:
-    monomial coefficients, or Wick ones in the frame of ``cache`` (for M).
-    T h_0 = c0 exp(-<z, M z>), c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2)
-    with W = E - iC, and T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!).  W has
+def _image_lane(pt: PhaseTriple, cache: MomentCache | None = None) -> tuple:
+    """The chain lane (T a+, c0) of the exact transforms of the Hermite
+    functions, and their exponent M = ``image_exponent``: T a+ folded
+    (``_in_frame``) at M onto monomial coefficients, or onto Wick ones in
+    the frame of ``cache`` (for M).  T h_0 = c0 exp(-<z, M z>),
+    c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2) with W = E - iC, and
+    T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!) (``_image_scaled``).  W has
     Hermitian part E + Im C > 0, so det(W)^(-1/2), continued from W = E, is
     the product of the principal roots of its eigenvalues for every n."""
     n = pt.n
     root_det = np.prod(np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)))
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
     M = image_exponent(pt)
-    block = _chain_rows(_in_frame(_intertwined_raising(pt), M, cache), c0, alphas)
+    return (_in_frame(_intertwined_raising(pt), M, cache), c0), M
+
+
+def _image_scaled(rows: np.ndarray, alphas) -> np.ndarray:
+    """Chain rows (T a+)^alpha T h_0 of the image lane, one per alpha of
+    ``alphas``, scaled to T h_alpha by 1 / sqrt(alpha!)."""
     norms = [1.0 / math.sqrt(mi_factorial(a)) for a in alphas]
-    return _real_scaled(block, np.array(norms).reshape(-1, 1)), M
+    return _real_scaled(rows, np.array(norms).reshape(-1, 1))
+
+
+def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> tuple:
+    """Exact transforms T h_alpha of the orthonormal Hermite functions, one
+    row per alpha of ``alphas``, and their exponent M: the image lane
+    (``_image_lane``) chained alone and scaled."""
+    lane, M = _image_lane(pt, cache)
+    return _image_scaled(_chain_rows([lane], alphas)[0], alphas), M
 
 
 def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:

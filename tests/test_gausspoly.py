@@ -13,7 +13,6 @@ from sbhermite.errors import DimensionMismatch, MExponentMismatch
 from sbhermite.gausspoly import (
     _apply_block,
     _basis,
-    _chain_block,
     _chain_rows,
     _degree_of,
     _frame_ladder,
@@ -149,7 +148,7 @@ class TestBlockKernel:
         block = self.random_block(rng, n, degree, rows)
         comps = rng.integers(0, n, rows)  # a different component per row
         folded = _in_frame(op, M)
-        out = _apply_block(folded, comps, block)
+        out = _apply_block(folded.G[comps], folded.H[comps], block)
         # the lowering operators at Q are pure derivatives and lower the degree
         top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
         assert out.shape == (rows, len(_basis(n, top)))
@@ -162,7 +161,7 @@ class TestBlockKernel:
             scale = max((abs(c) for c in got.values()), default=0.0)
             assert all(abs(got[a] - c) <= 1e-15 * scale for a, c in want.poly.terms.items())
             # a row's result does not depend on the rows around it
-            alone = _apply_block(folded, comps[r], block[r : r + 1])
+            alone = _apply_block(folded.G[comps[r]], folded.H[comps[r]], block[r : r + 1])
             assert np.array_equal(alone[0], out[r]), r
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -185,7 +184,8 @@ class TestBlockKernel:
             block = self.random_block(rng, n, degree, 3)
             comps = rng.integers(0, n, 3)
             for op, M, step in cases:
-                out = _apply_block(_in_frame(op, M), comps, block)
+                folded = _in_frame(op, M)
+                out = _apply_block(folded.G[comps], folded.H[comps], block)
                 assert out.shape == (3, len(_basis(n, max(degree + step, 0)))), (degree, step)
 
 
@@ -212,12 +212,40 @@ class TestAncestorChain:
         basis = _basis(n, degree)
         picks = rng.choice(len(basis), size=int(rng.integers(1, 5)))
         targets = [basis[k] for k in picks]  # in any order, repeats allowed
-        full = _chain_block(op, c0, degree)
-        rows = _chain_rows(op, c0, targets)
+        full = _chain_rows([(op, c0)], basis)[0]
+        rows = _chain_rows([(op, c0)], targets)[0]
         width = len(_basis(n, max(map(sum, targets))))
         assert rows.shape == (len(targets), width)
         assert np.array_equal(rows, full[picks, :width])
         assert not full[picks, width:].any()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        degree=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lanes_equal_their_one_lane_chains(self, n, degree, seed):
+        # three lanes in one chain: the frame lowering operator, a pure
+        # derivative whose multiplication terms are dead, beside two full
+        # lanes, in random order; each lane is its one-lane chain, bit for bit
+        rng = np.random.default_rng(seed)
+        pt, wd, gen = sb.random_generator(n, rng)
+        cache = sb.make_moment_cache(wd, gen.Q)
+        low, high = _frame_ladder(wd, gen, cache)
+        assert not low.H.any()
+        xi = _in_frame(sb.xi_ops(gen), gen.SQ, cache)
+        pool = [high, xi, _in_frame(_intertwined_raising(pt), gen.Q)]
+        ops = [low] + [pool[k] for k in rng.choice(3, size=2, replace=False)]
+        lanes = [(ops[k], complex(*rng.standard_normal(2))) for k in rng.permutation(3)]
+        basis = _basis(n, degree)
+        targets = [basis[k] for k in rng.choice(len(basis), size=int(rng.integers(1, 6)))]
+        together = _chain_rows(lanes, targets)
+        assert together.shape[0] == 3
+        for lane, block in zip(lanes, together):
+            alone = _chain_rows([lane], targets)[0]
+            assert block.shape == alone.shape
+            assert block.tobytes() == alone.tobytes()
 
     def test_cost_follows_the_targets(self, monkeypatch):
         # rodrigues((6, 0, 0, 0)) at n = 4 applies one row per degree layer,
@@ -226,9 +254,9 @@ class TestAncestorChain:
         rows = []
         kernel = sb.gausspoly._apply_block
 
-        def counted(op, comps, block):
+        def counted(G, H, block):
             rows.append(block.shape[0])
-            return kernel(op, comps, block)
+            return kernel(G, H, block)
 
         monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
         sb.rodrigues(wd, gen, (6, 0, 0, 0))
@@ -239,7 +267,8 @@ class TestAncestorChain:
 
     def test_no_targets(self):
         _, wd, gen = sb.random_generator(2, np.random.default_rng(3))
-        assert _chain_rows(_in_frame(sb.creation_ops(wd, gen), gen.Q), 1.0, []).shape == (0, 1)
+        lane = (_in_frame(sb.creation_ops(wd, gen), gen.Q), 1.0)
+        assert _chain_rows([lane], []).shape == (1, 0, 1)
 
 
 class TestOperatorConstructors:
@@ -386,7 +415,7 @@ class TestRodrigues:
             _, wd, gen = sb.random_generator(case, np.random.default_rng(900 + case))
             degree = {1: 6, 2: 5, 3: 4, 4: 3}[case]
         basis, xi = sb.multi_indices(gen.n, degree), sb.xi_ops(gen)
-        for alpha, row in zip(basis, _chain_block(_in_frame(xi, gen.SQ), 1.0, degree)):
+        for alpha, row in zip(basis, _chain_rows([(_in_frame(xi, gen.SQ), 1.0)], basis)[0]):
             single = sb.rodrigues(wd, gen, alpha)
             stepped = sb.GaussPoly(sb.PolyC.constant(gen.n, 1.0), gen.SQ)
             for i in reversed(range(gen.n)):
@@ -453,7 +482,7 @@ class TestHamiltonian:
         # has the block's width and row alpha is (2|alpha| + 1) rho^2 psi_alpha
         _, wd, gen = sb.random_generator(n, np.random.default_rng(5))
         ladder = _frame_ladder(wd, gen)
-        block = _chain_block(ladder[1], 1.0, degree)
+        block = _chain_rows([(ladder[1], 1.0)], _basis(n, degree))[0]
         image = _hamiltonian_block(gen, ladder, block)
         assert image.shape == block.shape
         levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in _basis(n, degree)]
@@ -693,7 +722,8 @@ class TestInputChecks:
         # a stated degree the kernel read a real column as its zero pad
         _, _, gen = ghs_data(0.45)
         with pytest.raises(DimensionMismatch, match="5 columns"):
-            _apply_block(sb.annihilation_ops(gen.Q), 0, np.ones((1, 5)))
+            low = sb.annihilation_ops(gen.Q)
+            _apply_block(low.G[0], low.H[0], np.ones((1, 5)))
 
 
 class TestCoeffDistance:

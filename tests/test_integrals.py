@@ -216,9 +216,9 @@ class TestHphiInner:
         rows = []
         kernel = sb.gausspoly._apply_block
 
-        def counted(op, comps, block):
+        def counted(G, H, block):
             rows.append(block.shape[0])
-            return kernel(op, comps, block)
+            return kernel(G, H, block)
 
         monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
         assert abs(sb.hphi_inner(f, f, wd, cache) - want) <= 1e-12 * abs(want)
@@ -301,8 +301,9 @@ class TestFrameGram:
         cache = sb.make_moment_cache(wd, gen.Q)
         block = random_monomial_block(n, 3, 4, rng)
         comps = rng.integers(0, n, 4)
-        want = _wick_block(cache, _apply_block(_in_frame(op, M), comps, block))
-        got = _apply_block(_in_frame(op, M, cache), comps, _wick_block(cache, block))
+        mono, wick = _in_frame(op, M), _in_frame(op, M, cache)
+        want = _wick_block(cache, _apply_block(mono.G[comps], mono.H[comps], block))
+        got = _apply_block(wick.G[comps], wick.H[comps], _wick_block(cache, block))
         width = max(want.shape[1], got.shape[1])
         want = np.pad(want, ((0, 0), (0, width - want.shape[1])))
         got = np.pad(got, ((0, 0), (0, width - got.shape[1])))

@@ -11,7 +11,7 @@ import pytest
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
 from sbhermite.errors import ConfigError, NonIntegrableWeight
-from sbhermite.gausspoly import _chain_block, _frame_ladder
+from sbhermite.gausspoly import _chain_rows, _frame_ladder
 from sbhermite.integrals import _gram_block
 from sbhermite.pipeline import (
     RunConfig,
@@ -440,8 +440,12 @@ class TestCli:
         (["construct", "--family", "-1"], 2, "config error: --family"),
         (["transform", "--z", "0,0 1,1"], 2, "config error: --z: point"),
         (["transform", "--z", "a,b"], 2, "config error: --z: component 'a,b' is not numeric"),
-        # a module error: the transform's own finiteness check
-        (["transform", "--z", "nan,0"], 1, "error: ValueError: z has non-finite entries"),
+        (["transform", "--z", "nan,0"], 2, "config error: --z: component 'nan,0' is not finite"),
+        (["transform", "--z", "inf,0"], 2, "config error: --z: component 'inf,0' is not finite"),
+        (["transform", "--z", "0,-inf"], 2, "config error: --z: component '0,-inf' is not finite"),
+        # parses as a float, but overflows to inf
+        (["transform", "--z", "1e400,0"], 2,
+         "config error: --z: component '1e400,0' is not finite"),
     ])
     def test_cli_input_errors(self, tmp_path, capsys, argv, code, err):
         path = self.write_config(tmp_path, em_config_dict())
@@ -508,11 +512,17 @@ class TestPartialReport:
 
     @staticmethod
     def fail_isometry(monkeypatch):
-        def boom(*args, **kwargs):
-            raise NonIntegrableWeight("combined exponent is not positive definite")
+        gram = sb.pipeline._gram_block
+        calls = []
 
-        # the isometry stage builds its image block through _image_block
-        monkeypatch.setattr("sbhermite.pipeline._image_block", boom)
+        def boom(cache, block):
+            # the gram stage takes the first Gram, the isometry stage the second
+            calls.append(cache)
+            if len(calls) == 2:
+                raise NonIntegrableWeight("combined exponent is not positive definite")
+            return gram(cache, block)
+
+        monkeypatch.setattr("sbhermite.pipeline._gram_block", boom)
 
     def test_run_example_carries_partial_report(self, monkeypatch):
         self.fail_isometry(monkeypatch)
@@ -609,8 +619,9 @@ class TestStageWork:
         # the Gram the pipeline builds: the family chain in the frame of Q
         cache = sb.make_moment_cache(wd, gen.Q)
         ladder = _frame_ladder(wd, gen, cache)
-        block = _chain_block(ladder[1], 1.0, cfg.max_degree)
-        keys, g = sb.multi_indices(2, cfg.max_degree), _gram_block(cache, block)
+        keys = sb.multi_indices(2, cfg.max_degree)
+        block = _chain_rows([(ladder[1], 1.0)], keys)[0]
+        g = _gram_block(cache, block)
         diag_rel = offdiag_rel = 0.0
         for a, ka in enumerate(keys):
             predicted = (2.0 * gen.rho2) ** sum(ka) * sb.mi_factorial(ka) * g[0, 0].real
@@ -626,20 +637,22 @@ class TestStageWork:
         # the family spans every Wick power through max_degree; with its
         # last member, of degree max_degree, a copy of member 1, it does not
         assert run_example(name, 0.5, max_degree=4).residuals["completeness_residual"] <= 1e-14
-        chain = sb.pipeline._chain_block
+        chain = sb.pipeline._chain_rows
 
-        def duplicated(*args):
-            block = chain(*args).copy()
-            block[-1] = block[1]
-            return block
+        def duplicated(lanes, targets):
+            blocks = chain(lanes, targets).copy()
+            blocks[0, -1] = blocks[0, 1]  # lane 0 is the family
+            return blocks
 
-        monkeypatch.setattr(sb.pipeline, "_chain_block", duplicated)
+        monkeypatch.setattr(sb.pipeline, "_chain_rows", duplicated)
         report = run_example(name, 0.5, max_degree=4)
         assert report.residuals["completeness_residual"] > 0.1
         assert not report.checks["completeness_residual"]
 
-    def test_call_counts_per_stage(self, monkeypatch):
-        cfg = self.n2_deg6_config()
+    @staticmethod
+    def count_stage_calls(monkeypatch, names) -> Counter:
+        """Counts, per (stage, name), the calls of the functions ``names``
+        of gausspoly, integrals and pipeline in the runs that follow."""
         calls = Counter()
         stage = [None]
 
@@ -650,7 +663,6 @@ class TestStageWork:
 
             return wrapper
 
-        names = ("apply_op", "_apply_block", "creation_ops", "hphi_inner", "_wick_block")
         for mod in (sb.gausspoly, sb.integrals, sb.pipeline):
             for name in names:
                 if hasattr(mod, name):
@@ -665,6 +677,30 @@ class TestStageWork:
                 stage[0] = None
 
         monkeypatch.setattr(sb.pipeline._StageTimer, "run", staged)
+        return calls
+
+    @pytest.mark.parametrize("name, degree", [("em", 0), ("em", 5), ("ghs", 3), ("n2", 6)])
+    def test_kernel_calls_of_the_chained_blocks(self, monkeypatch, name, degree):
+        # the family, Rodrigues and image blocks are three lanes of one
+        # chain, one kernel call per degree layer, all in the family stage;
+        # the adjoint stage applies lower_i and raise_i in one call
+        if name == "n2":
+            cfg = self.n2_deg6_config()
+        else:
+            cfg = RunConfig.from_dict(sb.example_config(name, 0.5, max_degree=degree))
+        calls = self.count_stage_calls(monkeypatch, ("_apply_block",))
+        report = run_verify(cfg)
+        assert report.failed_stage is None
+        kernel = {stage: count for (stage, _), count in calls.items()}
+        assert "rodrigues" not in kernel and "isometry" not in kernel
+        assert kernel.get("family", 0) == degree
+        assert kernel["adjoint"] == 1
+        assert kernel["eigen"] == 2 * cfg.n
+
+    def test_call_counts_per_stage(self, monkeypatch):
+        cfg = self.n2_deg6_config()
+        names = ("apply_op", "_apply_block", "creation_ops", "hphi_inner", "_wick_block")
+        calls = self.count_stage_calls(monkeypatch, names)
         report = run_verify(cfg)
         assert report.failed_stage is None
         n, degree = 2, 6
