@@ -46,7 +46,7 @@ class MExponentMismatch(ValueError):
 
 
 class DegreeCapExceeded(ValueError):
-    """Requested Gaussian moment exceeds the configured total-degree cap."""
+    """Requested Gaussian moment exceeds the total-degree cap of ``wick_moment``."""
 
 
 class NonIntegrableWeight(ValueError):
@@ -55,10 +55,6 @@ class NonIntegrableWeight(ValueError):
 
 class IncompleteFamily(ValueError):
     """The supplied family lacks members required for the expansion."""
-
-
-class QuadratureUnderflow(RuntimeError):
-    """The Gaussian center of an integrand lies outside the node window."""
 
 
 class ConfigError(ValueError):

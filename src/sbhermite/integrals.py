@@ -21,10 +21,12 @@ A first-order operator (G, H) acting at exponent M acts on Wick
 coefficients as (G L^(-T) + h L C, h L), h = H - 2 G M
 (``gausspoly._in_frame`` with a cache as its frame), so the kernel and
 chains of ``gausspoly`` run on them unchanged; the verify pipeline builds
-every block in a frame.  Public functions convert monomial GaussPolys at
-the edge (``_wick_block``): z^a is the chain of the multiplication
-operators z_l over the ancestors of the monomials used, so z_1^12 costs
-13 chain rows of dense Wick vectors.
+every block in a frame.  The public inner products reach the frame
+through one edge, ``_wick_rows``: it checks their arguments against the
+weight and one cache (``make_moment_cache``, the only constructor, at
+one exponent) and converts the monomial GaussPolys (``_wick_block``): z^a
+is the chain of the multiplication operators z_l over the ancestors of
+the monomials used, so z_1^12 costs 13 chain rows of dense Wick vectors.
 
 Stage-wide callers work on one block: any set of pairs (l, r) is one
 weighted row sum (``_pair_inners``), a Gram matrix one product
@@ -33,7 +35,8 @@ family one block too (``_expansions``).  ``hphi_inner``, ``gram_matrix``,
 ``expand_in_family`` and ``adjoint_residual`` are cases of these, so no
 inner product is implemented twice.  The real moments E[w^beta] of
 ``wick_moment`` come from the Isserlis recursion on Sigma, memoized in the
-cache's ``memo``: an independent route that the tests use as the oracle.
+cache's ``memo``: an independent route that the tests use as the oracle,
+capped at total degree ``DEGREE_CAP``.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ from .gausspoly import (
 )
 from .model import GeneratorData, WeightData
 
-#: default cap on the total real degree of a moment of ``wick_moment``
-DEFAULT_DEGREE_CAP = 24
+#: cap on the total real degree of a moment of ``wick_moment``
+DEGREE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class RealQuadraticForm:
 
 @dataclass
 class MomentCache:
-    """Gaussian moment data and the Wick frame of one combined weight.
+    """Gaussian moment data and the Wick frame of one exponent's weight.
 
     ``covariance`` is the real covariance Sigma = (2 M_R)^(-1) of w and
     ``zcov`` the bilinear covariance K of (z, zbar).  ``L`` and ``C`` are
@@ -105,36 +108,29 @@ class MomentCache:
     exponent: np.ndarray
     L: np.ndarray
     C: np.ndarray
-    degree_cap: int = DEFAULT_DEGREE_CAP
     memo: dict = field(default_factory=dict)
 
 
-def combined_form(wd: WeightData, M_F, M_G, tol: float = 1e-9) -> RealQuadraticForm:
-    """Real form of |exp factors| x weight for a pair of Gaussian exponents.
+def combined_form(wd: WeightData, M) -> RealQuadraticForm:
+    """Real form of |exp(-<z, M z>)|^2 x weight for one Gaussian exponent M.
 
-    The two exponents must agree (otherwise the combined exponent acquires a
-    non-real part and the product is not integrable against the weight in
-    this representation).  Positive definiteness is required; failures flag
-    an invalid generator or mismatched exponents.
+    Positive definiteness is required; a failure flags an invalid generator
+    or an exponent that is not integrable against the weight.
     """
-    M_F = mx.as_square(M_F, "M_F")
-    M_G = mx.as_square(M_G, "M_G")
-    if not mx.agree(M_F, M_G, tol):
-        raise NonIntegrableWeight("mismatched Gaussian exponents")
-    m_sym = 0.5 * (M_F + M_G)
-    m_r = 2.0 * mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + m_sym)
+    M = mx.as_square(M, "M")
+    m_r = 2.0 * mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + M)
     try:
         factor = np.linalg.cholesky(m_r)
     except np.linalg.LinAlgError as exc:
-        raise NonIntegrableWeight(
-            "combined exponent is not positive definite"
-        ) from exc
+        raise NonIntegrableWeight("combined exponent is not positive definite") from exc
     normalizer = math.pi**wd.n / math.prod(np.diag(factor).tolist())
     return RealQuadraticForm(M_R=mx.frozen(m_r, dtype=float), normalizer=normalizer,
                              factor=mx.frozen(factor, dtype=float))
 
 
-def _cache_from_form(form: RealQuadraticForm, M, degree_cap: int) -> MomentCache:
+def make_moment_cache(wd: WeightData, M) -> MomentCache:
+    """Moment cache for inner products of Gaussian polynomials sharing M."""
+    form = combined_form(wd, M)
     inv = np.linalg.inv(form.factor)
     cov = 0.5 * (inv.T @ inv)  # (2 M_R)^-1 from M_R = F F^T
     cov = 0.5 * (cov + cov.T)
@@ -152,15 +148,7 @@ def _cache_from_form(form: RealQuadraticForm, M, degree_cap: int) -> MomentCache
         exponent=mx.frozen(M),
         L=mx.frozen(chol),
         C=mx.frozen(0.5 * (c + c.T)),
-        degree_cap=degree_cap,
     )
-
-
-def make_moment_cache(
-    wd: WeightData, M, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> MomentCache:
-    """Moment cache for inner products of Gaussian polynomials sharing M."""
-    return _cache_from_form(combined_form(wd, M, M), M, degree_cap)
 
 
 def wick_moment(mc: MomentCache, beta) -> float:
@@ -168,10 +156,8 @@ def wick_moment(mc: MomentCache, beta) -> float:
     beta = tuple(int(b) for b in beta)
     if len(beta) != mc.covariance.shape[0]:
         raise DimensionMismatch("beta must index the 2n real coordinates")
-    if sum(beta) > mc.degree_cap:
-        raise DegreeCapExceeded(
-            f"moment degree {sum(beta)} exceeds cap {mc.degree_cap}"
-        )
+    if sum(beta) > DEGREE_CAP:
+        raise DegreeCapExceeded(f"moment degree {sum(beta)} exceeds cap {DEGREE_CAP}")
     return _isserlis(mc.covariance.tolist(), mc.memo, beta)
 
 
@@ -223,16 +209,18 @@ def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     return block[:, cols] @ rows
 
 
-def _checked_cache(mc: MomentCache | None, gps, wd: WeightData) -> MomentCache:
-    """``mc`` (or a new cache for the first exponent) after checking that every
-    argument matches the weight dimension and the cache exponent."""
+def _wick_rows(wd: WeightData, gps, cache: MomentCache | None) -> tuple:
+    """The edge of the public inner products: ``cache`` (or a new one at the
+    first argument's exponent) and the Wick coefficients of the GaussPolys
+    ``gps`` in its frame, one row each, after checking that every argument
+    matches the weight dimension and the cache exponent."""
     if any(gp.n != wd.n for gp in gps):
         raise DimensionMismatch("arguments do not match the weight dimension")
-    if mc is None:
-        mc = make_moment_cache(wd, gps[0].M)
-    if not all(mx.agree(gp.M, mc.exponent, 1e-9) for gp in gps):
+    cache = cache or make_moment_cache(wd, gps[0].M)
+    if not all(mx.agree(gp.M, cache.exponent, 1e-9) for gp in gps):
         raise MExponentMismatch("cache was built for a different exponent")
-    return mc
+    d = max(gp.poly.degree() for gp in gps)
+    return cache, _wick_block(cache, _block_of([gp.poly for gp in gps], d))
 
 
 @functools.lru_cache(maxsize=128)
@@ -291,16 +279,12 @@ def hphi_inner(
     """Weighted inner product (F, G) = integral F conj(G) e^(-2 Phi).
 
     Both arguments go to Wick coefficients in the frame of their common
-    exponent, and the product is the diagonal sum of the module notes,
-    exact to floating point at every degree.  Pass ``cache`` to share the
-    frame across many products with the same exponent.
+    exponent (``_wick_rows``: MExponentMismatch if the exponents differ),
+    and the product is the diagonal sum of the module notes, exact to
+    floating point at every degree.  Pass ``cache`` to share the frame
+    across many products with the same exponent.
     """
-    if cache is None and F.n == wd.n == G.n:
-        form = combined_form(wd, F.M, G.M)
-        cache = _cache_from_form(form, 0.5 * (F.M + G.M), DEFAULT_DEGREE_CAP)
-    cache = _checked_cache(cache, (F, G), wd)
-    d = max(F.poly.degree(), G.poly.degree())
-    fg = _wick_block(cache, _block_of([F.poly, G.poly], d))
+    cache, fg = _wick_rows(wd, (F, G), cache)
     return complex(_pair_inners(cache, fg, [0], [1])[0])
 
 
@@ -324,10 +308,8 @@ def gram_matrix(
     keys = sorted(family.keys(), key=lambda t: (sum(t), t))
     if not keys:
         return [], np.zeros((0, 0), dtype=complex)
-    members = [family[k] for k in keys]
-    cache = _checked_cache(cache, members, wd)
-    d = max(m.poly.degree() for m in members)
-    return keys, _gram_block(cache, _wick_block(cache, _block_of([m.poly for m in members], d)))
+    cache, rows = _wick_rows(wd, [family[k] for k in keys], cache)
+    return keys, _gram_block(cache, rows)
 
 
 def adjoint_residual(
@@ -346,11 +328,7 @@ def adjoint_residual(
     need not be Q, as in the verify pipeline.
     """
     i = _component(i, wd.n)
-    if cache is None:
-        cache = make_moment_cache(wd, gen.Q)
-    cache = _checked_cache(cache, (F, G), wd)
-    d = max(F.poly.degree(), G.poly.degree())
-    fg = _wick_block(cache, _block_of([F.poly, G.poly], d))
+    cache, fg = _wick_rows(wd, (F, G), cache or make_moment_cache(wd, gen.Q))
     rows = _adjoint_block(_frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])
     lhs, rhs = _pair_inners(cache, rows, [2, 0], [1, 3])
     return abs(lhs - rhs)
@@ -373,9 +351,6 @@ def expand_in_family(
     missing = [a for a in needed if a not in family]
     if missing:
         raise IncompleteFamily(f"family lacks indices {missing[:4]} (degree {deg})")
-    members = [family[a] for a in needed]
-    cache = _checked_cache(cache, [F, *members], wd)
-    d = max(gp.poly.degree() for gp in (F, *members))
-    block = _wick_block(cache, _block_of([F.poly, *(m.poly for m in members)], d))
+    cache, block = _wick_rows(wd, [F, *(family[a] for a in needed)], cache)
     c, residuals, _ = _expansions(cache, block[:1], block[1:])
     return dict(zip(needed, c[0].tolist())), float(residuals[0])

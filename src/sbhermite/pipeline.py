@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -79,7 +78,11 @@ from .model import (
 from .transform import MAX_NODES, _image_lane, _image_scaled, image_exponent
 
 SCHEMA_VERSION = "v1"
-ENV_PROFILE = "SBHERMITE_TOL_PROFILE"
+
+#: the keys a v1 config may hold; ``X`` holds one of ``phases`` and
+#: ``matrix``, ``quadrature`` only ``nodes``
+CONFIG_KEYS = ("version", "n", "A", "B", "C", "rho_fraction", "X", "max_degree",
+               "seed", "quadrature", "tolerances")
 
 DEFAULT_TOLERANCES = {
     "ccr": 1e-10,
@@ -97,13 +100,6 @@ DEFAULT_TOLERANCES = {
     "golden": 1e-12,
 }
 
-TOLERANCE_PROFILES = {
-    "default": {},
-    "strict": {"ccr": 1e-12, "eq2202": 1e-12, "gram": 1e-10, "adjoint": 1e-10},
-    "loose": {"ccr": 1e-8, "eq2202": 1e-8, "gram": 1e-6, "eigen": 1e-7,
-              "rodrigues": 1e-7, "adjoint": 1e-6, "completeness": 1e-6},
-}
-
 
 class StageFailure(RuntimeError):
     """A pipeline stage raised; carries the stage name and the partial
@@ -119,6 +115,12 @@ class StageFailure(RuntimeError):
 def _require(cond: bool, path: str, msg: str):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
+
+
+def _known_keys(obj: dict, prefix: str, keys) -> None:
+    """ConfigError naming the first key of ``obj`` outside ``keys``."""
+    for key in obj:
+        _require(key in keys, f"{prefix}{key}", "unknown key")
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -196,18 +198,6 @@ def decode_gauss_poly(raw: dict) -> GaussPoly:
     return GaussPoly(PolyC(n, terms), m)
 
 
-def _profile_tolerances() -> dict:
-    tols = dict(DEFAULT_TOLERANCES)
-    profile = os.environ.get(ENV_PROFILE, "default")
-    if profile not in TOLERANCE_PROFILES:
-        raise ConfigError(
-            f"{ENV_PROFILE}: unknown profile {profile!r}, "
-            f"expected one of {sorted(TOLERANCE_PROFILES)}"
-        )
-    tols.update(TOLERANCE_PROFILES[profile])
-    return tols
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed and validated run configuration."""
@@ -226,6 +216,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         _require(isinstance(raw, dict), "$", "config must be an object")
+        _known_keys(raw, "", CONFIG_KEYS)
         version = raw.get("version", SCHEMA_VERSION)
         _require(version == SCHEMA_VERSION, "version", f"expected {SCHEMA_VERSION!r}")
         n = raw.get("n")
@@ -242,6 +233,9 @@ class RunConfig:
         )
         xspec = raw.get("X", {"phases": [0.0] * n})
         _require(isinstance(xspec, dict), "X", "must be an object")
+        _require(("phases" in xspec) != ("matrix" in xspec), "X",
+                 "expected 'phases' or 'matrix', exactly one")
+        _known_keys(xspec, "X.", ("phases", "matrix"))
         if "phases" in xspec:
             phases = xspec["phases"]
             _require(
@@ -255,10 +249,8 @@ class RunConfig:
                 "angles must be finite numbers",
             )
             x = np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
-        elif "matrix" in xspec:
-            x = _parse_matrix(xspec["matrix"], n, "X.matrix")
         else:
-            raise ConfigError("X: expected 'phases' or 'matrix'")
+            x = _parse_matrix(xspec["matrix"], n, "X.matrix")
         max_degree = raw.get("max_degree", 3)
         _require(
             _is_number(max_degree, int) and max_degree >= 0,
@@ -269,13 +261,14 @@ class RunConfig:
         _require(_is_number(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
         quadrature = raw.get("quadrature", {})
         _require(isinstance(quadrature, dict), "quadrature", "must be an object")
+        _known_keys(quadrature, "quadrature.", ("nodes",))
         nodes = quadrature.get("nodes", 64)
         _require(
             _is_number(nodes, int) and 4 <= nodes <= MAX_NODES,
             "quadrature.nodes",
             f"must be an integer in [4, {MAX_NODES}]",
         )
-        tols = _profile_tolerances()
+        tols = dict(DEFAULT_TOLERANCES)
         overrides = raw.get("tolerances", {})
         _require(isinstance(overrides, dict), "tolerances", "must be an object")
         for key, val in overrides.items():

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices as mx
-from .errors import DimensionMismatch, NonIntegrableWeight, QuadratureUnderflow
+from .errors import DimensionMismatch, NonIntegrableWeight
 from .gausspoly import GaussPoly, LinearDiffOp, mi_factorial, multi_indices
 from .gausspoly import _chain_rows, _checked_basis, _gauss_polys, _in_frame, _multi_index
 from .gausspoly import _real_scaled, _tabulated_sum
@@ -56,10 +56,10 @@ MAX_NODES = 370
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature controls: ``nodes`` per axis and an optional fixed ``center``."""
+    """Quadrature controls: ``nodes`` per axis of a window that
+    ``_gauss_hermite`` centers where each integrand's real exponent peaks."""
 
     nodes: int = 64
-    center: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ def _gauss_hermite(
     integrand,
     degree: int,
     nodes: int,
-    center: np.ndarray | None = None,
     basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrals over R^d of integrand(w @ basis) exp(-w^T P w + b_r . w + c_r).
@@ -168,12 +167,10 @@ def _gauss_hermite(
     defaults to the identity, and ``matrices.complex_coords(n)[:n].T``
     hands it complex points of C^n.  The node window is w = w_r + L^-T t
     with L L^T = Re P, the real decay of the exponent, and w_r =
-    (2 Re P)^-1 Re b_r, the maximizer of the real Gaussian part, unless
-    ``center`` fixes it; then QuadratureUnderflow is raised when some w_r
-    lies outside the node span.  Substituted, the exponent plus the node
-    compensation t.t is one quadratic polynomial -t^T K t + bt_r . t + ct_r
-    with the purely imaginary K = L^-1 (i Im P) L^-T: the real decay
-    cancels in closed form.
+    (2 Re P)^-1 Re b_r, the maximizer of row r's real Gaussian part.
+    Substituted, the exponent plus the node compensation t.t is one
+    quadratic polynomial -t^T K t + bt_r . t + ct_r with the purely
+    imaginary K = L^-1 (i Im P) L^-T: the real decay cancels in closed form.
 
     The value is the tensor ``nodes``-point Gauss-Hermite sum, computed
     without visiting the grid.  The node axes split into lead and tail, the
@@ -198,13 +195,6 @@ def _gauss_hermite(
     if not 1 <= nodes <= MAX_NODES:
         raise ValueError(f"nodes must lie in [1, {MAX_NODES}], got {nodes}")
     t, wt = _hermite_rule(nodes)
-    if center is not None:
-        fixed, _ = mx.as_points(center, dim, "quadrature center", float)
-        if np.max(np.abs((w_c - fixed) @ chol)) > np.max(np.abs(t)):
-            raise QuadratureUnderflow(
-                "integrand center lies outside the fixed node window"
-            )
-        w_c = np.broadcast_to(fixed, w_c.shape)
     li = np.linalg.inv(chol)  # rows of points: w = w_c + t @ li
     k = 1j * (li @ P.imag @ li.T)
     bt = (b - 2.0 * w_c @ P) @ li.T
@@ -284,9 +274,7 @@ def transform_batch(
     x-window completes the square against the full Gaussian decay
     (C_I + E)/2 and centers on the maximizer of the real exponent, the
     solution of (C_I + E) x = Re(i B^T z).  Without the envelope term the
-    window misses the decay of u and far evaluation points degrade.  An
-    explicit ``center`` in the quadrature spec overrides the shift and
-    raises QuadratureUnderflow when the true center escapes the node window.
+    window misses the decay of u and far evaluation points degrade.
     """
     quad = quad or QuadSpec()
     Z, _ = mx.as_points(Z, pt.n, "Z")
@@ -295,9 +283,7 @@ def transform_batch(
     P = 0.5 * (np.eye(pt.n) - 1j * pt.C)
     b = 1j * (Z @ pt.B)
     c = 0.5j * np.einsum("ri,ij,rj->r", Z, pt.A, Z)
-    return pt.c_phi * _gauss_hermite(
-        P, b, c, u.polynomial_part, u.degree(), quad.nodes, quad.center
-    )
+    return pt.c_phi * _gauss_hermite(P, b, c, u.polynomial_part, u.degree(), quad.nodes)
 
 
 def transform(
@@ -410,13 +396,13 @@ def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
     return complex(values[0]) if one and one_zeta else values
 
 
-def _over_cn(P, beta, c, poly, degree: int, nodes: int, center=None) -> np.ndarray:
+def _over_cn(P, beta, c, poly, degree: int, nodes: int) -> np.ndarray:
     """Integrals over C^n of poly(z) exp(-w^T P w + <zbar, beta_r> + c_r) in
     the real coordinates w = (Re z, Im z), one per row of ``beta`` (rows, n),
     by ``_gauss_hermite``; ``poly`` has total degree at most ``degree``."""
     n = beta.shape[1]
     t = mx.complex_coords(n)
-    return _gauss_hermite(P, beta @ t[n:], c, poly, degree, nodes, center, t[:n].T)
+    return _gauss_hermite(P, beta @ t[n:], c, poly, degree, nodes, t[:n].T)
 
 
 def _inverse_exponent(pt: PhaseTriple, F: GaussPoly, xs: np.ndarray, wd: WeightData):
@@ -454,7 +440,7 @@ def inverse_transform(
         raise DimensionMismatch("F must share the triple's dimension")
     _require_finite(x, "x")
     P, beta, c = _inverse_exponent(pt, F, x, wd)
-    values = pt.c_phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes, quad.center)
+    values = pt.c_phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes)
     return complex(values[0]) if one else values
 
 
@@ -478,7 +464,7 @@ def kernel_reproduce(
     P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((n, n)))
     beta = 2.0 * (z @ kp.psi_zzbar)
     c = np.array([p @ kp.psi_zz @ p for p in z])
-    values = kp.c_Phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes, quad.center)
+    values = kp.c_Phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes)
     return complex(values[0]) if one else values
 
 
@@ -509,7 +495,7 @@ def isometry_residual(
         image = transform_image(pt, u)
         quad = quad or QuadSpec()
         norm_tu = _over_cn(
-            combined_form(wd, image.M, image.M).M_R,
+            combined_form(wd, image.M).M_R,
             np.zeros((1, pt.n)),
             np.zeros(1),
             lambda Z: np.abs(image.poly(Z)) ** 2,

@@ -14,6 +14,7 @@ from sbhermite.errors import ConfigError, NonIntegrableWeight
 from sbhermite.gausspoly import _chain_rows, _frame_ladder
 from sbhermite.integrals import _gram_block
 from sbhermite.pipeline import (
+    DEFAULT_TOLERANCES,
     RunConfig,
     StageFailure,
     _adjoint_draws,
@@ -96,6 +97,26 @@ class TestRunConfig:
     def test_x_needs_phases_or_matrix(self):
         with pytest.raises(ConfigError, match="^X: expected 'phases' or 'matrix'"):
             RunConfig.from_dict(em_config_dict(X={"angles": [0.0]}))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"max_degre": 9}, "max_degre"),
+            ({"quadrature": {"node": 8}}, "quadrature.node"),
+            ({"X": {"phases": [0.0], "angles": [0.0]}}, "X.angles"),
+            ({"X": {"phases": [0.0], "matrix": [[[-1.0, 0.0]]]}}, "X"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, capsys, overrides, field):
+        # "max_degre": 9 verified at the default degree 3, "node": 8 ran
+        # 64 nodes and an X with both keys dropped its matrix
+        cfg = em_config_dict(**overrides)
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            RunConfig.from_dict(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -498,13 +519,12 @@ class TestCli:
         assert out["rho2"] == pytest.approx(0.25 * (3.0 / 8.0), rel=1e-12)
         assert cli_main(["construct", "--config", path, "--rho-fraction", "1.5"]) == 2
 
-    def test_tolerance_profile_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SBHERMITE_TOL_PROFILE", "bogus")
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(em_config_dict())
-        monkeypatch.setenv("SBHERMITE_TOL_PROFILE", "loose")
-        cfg = RunConfig.from_dict(em_config_dict())
-        assert cfg.tolerances["ccr"] == 1e-8
+    def test_tolerance_profile_env(self, monkeypatch):
+        # no environment variable sets a tolerance: "loose" loosened seven
+        # of them, so a verdict depended on more than the config
+        for profile in ("loose", "strict", "bogus"):
+            monkeypatch.setenv("SBHERMITE_TOL_PROFILE", profile)
+            assert RunConfig.from_dict(em_config_dict()).tolerances == DEFAULT_TOLERANCES
 
 
 class TestPartialReport:

@@ -1,10 +1,14 @@
-"""The README's library sketch runs, and the identities its comments state hold."""
+"""The README's library sketch runs, the identities its comments state hold,
+and its config example follows the schema."""
 
+import json
 import math
 import pathlib
 import re
 
 import numpy as np
+
+from sbhermite.pipeline import CONFIG_KEYS, RunConfig, run_verify
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +28,13 @@ def test_library_sketch():
     assert set(h.poly.terms) == set(psi2.poly.terms)
     for mono, c in psi2.poly.terms.items():
         assert abs(h.poly.terms[mono] - 5.0 * rho * rho * c) <= 1e-12 * abs(c)
+
+
+def test_config_example():
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    raw = json.loads(block)
+    # every key the schema accepts; from_dict rejects any other
+    assert set(raw) == set(CONFIG_KEYS)
+    assert set(raw["quadrature"]) == {"nodes"}
+    report = run_verify(RunConfig.from_dict(raw))
+    assert report.overall_pass, report.checks

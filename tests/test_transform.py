@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sbhermite as sb
-from sbhermite.errors import NonIntegrableWeight, QuadratureUnderflow
+from sbhermite.errors import NonIntegrableWeight
 
 from helpers import (
     bargmann_data,
@@ -50,13 +50,6 @@ class TestForwardTransform:
         lhs = sb.transform(pt, mix, z, QUAD)
         rhs = 2.0 * sb.transform(pt, u0, z, QUAD) - 1.5j * sb.transform(pt, u1, z, QUAD)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_fixed_center_underflow(self):
-        pt = bargmann_triple()
-        u0 = sb.TestFunction.hermite_basis((0,))
-        quad = sb.QuadSpec(nodes=16, center=np.array([30.0]))
-        with pytest.raises(QuadratureUnderflow):
-            sb.transform(pt, u0, [0.0], quad)
 
     @pytest.mark.parametrize("nodes", [sb.MAX_NODES + 1, 400, 0])
     def test_node_count_outside_valid_rule(self, nodes):
@@ -139,13 +132,6 @@ class TestInverseTransform:
         u = sb.TestFunction.hermite_basis((0,))
         xs = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)
         assert sb.round_trip_error(pt, u, xs, QUAD, wd) <= 1e-3
-
-    def test_fixed_center_underflow(self):
-        pt, wd, gen = bargmann_data()
-        psi0 = sb.ground_state(gen)
-        quad = sb.QuadSpec(nodes=16, center=np.full(2, 40.0))
-        with pytest.raises(QuadratureUnderflow):
-            sb.inverse_transform(pt, psi0, [0.0], quad, wd)
 
     def test_node_doubling_convergence(self):
         # error should drop by 10x per doubling until the rounding floor
@@ -433,13 +419,6 @@ class TestGhsClosedForms:
         want = c0 * np.exp(-np.einsum("qi,ij,qj->q", Z, m, Z))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_kernel_fixed_center_underflow(self):
-        pt, wd, gen = ghs_data(self.S)
-        kp = sb.make_kernel_params(pt, wd)
-        quad = sb.QuadSpec(nodes=16, center=np.full(4, 40.0))
-        with pytest.raises(QuadratureUnderflow):
-            sb.kernel_reproduce(kp, wd, sb.ground_state(gen), [0.0, 0.0], quad)
-
     @pytest.mark.parametrize("slab", [750, 7])
     def test_slab_boundaries_do_not_change_values(self, monkeypatch, slab):
         # the outer loop takes _SLAB_POINTS // (tail-table rows) outer points
@@ -464,7 +443,7 @@ class TestGhsClosedForms:
         assert np.max(np.abs(got - batch)) <= 1e-14 * np.max(np.abs(batch))
 
 
-def brute_force_gauss_hermite(P, b, c, integrand, nodes, center=None, basis=None):
+def brute_force_gauss_hermite(P, b, c, integrand, nodes, basis=None):
     """The tensor Gauss-Hermite sum of ``_gauss_hermite`` taken point by
     point: the integrand and one exp at every point of the full nodes^d grid
     w = w_r + t @ L^-1 of the Cholesky window L L^T = Re P.  Returns the
@@ -481,7 +460,7 @@ def brute_force_gauss_hermite(P, b, c, integrand, nodes, center=None, basis=None
     )
     sums, masses = [], []
     for b_r, c_r in zip(b, c):
-        w_c = np.linalg.solve(2.0 * P.real, b_r.real) if center is None else center
+        w_c = np.linalg.solve(2.0 * P.real, b_r.real)
         w = w_c + grid @ li
         expo = -np.einsum("qi,ij,qj->q", w, P, w) + w @ b_r + c_r + np.sum(grid * grid, axis=1)
         terms = weights * np.exp(expo) * integrand(w @ basis)
@@ -502,9 +481,9 @@ class TestSumFactorization:
         fast = transform_module._gauss_hermite
         pairs = []
 
-        def both(P, b, c, integrand, degree, nodes, center=None, basis=None):
-            got = fast(P, b, c, integrand, degree, nodes, center, basis)
-            want, mass = brute_force_gauss_hermite(P, b, c, integrand, nodes, center, basis)
+        def both(P, b, c, integrand, degree, nodes, basis=None):
+            got = fast(P, b, c, integrand, degree, nodes, basis)
+            want, mass = brute_force_gauss_hermite(P, b, c, integrand, nodes, basis)
             pairs.append((got, want, mass))
             return got
 
@@ -534,23 +513,6 @@ class TestSumFactorization:
             if degree <= 3:  # |poly|^2 has degree 2 deg
                 sb.isometry_residual(pt, u, wd, quad, mode="quad")
         assert len(pairs) >= 3 * len(degrees)
-        for got, want, mass in pairs:
-            assert np.all(np.abs(got - want) <= 1e-13 * mass)
-
-    def test_matches_brute_force_at_fixed_center(self, monkeypatch):
-        pairs = self.compare_each_call(monkeypatch)
-        rng = np.random.default_rng(230)
-        for n in (1, 2):
-            pt = sb.random_phase_triple(n, rng)
-            wd = sb.compute_weight_data(pt)
-            kp = sb.make_kernel_params(pt, wd)
-            f = random_poly(n, 3, sb.image_exponent(pt), rng)
-            z = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=10, center=np.full(2 * n, 0.1)))
-            u = random_test_function(n, 4, rng)
-            Z = 0.2 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
-            sb.transform_batch(pt, u, Z, sb.QuadSpec(nodes=12, center=np.full(n, -0.1)))
-        assert len(pairs) == 4
         for got, want, mass in pairs:
             assert np.all(np.abs(got - want) <= 1e-13 * mass)
 
@@ -594,16 +556,6 @@ class TestSumFactorization:
 
 class TestQuadratureInputs:
     """Malformed inputs at the quadrature entry points raise named errors."""
-
-    def test_center_of_wrong_length(self):
-        pt, wd, gen = ghs_data(0.45)
-        kp = sb.make_kernel_params(pt, wd)
-        quad = sb.QuadSpec(nodes=8, center=np.zeros(2))  # C^2 integrals live in R^4
-        with pytest.raises(sb.DimensionMismatch, match="center"):
-            sb.kernel_reproduce(kp, wd, sb.ground_state(gen), [0.0, 0.0], quad)
-        u0 = sb.TestFunction.hermite_basis((0, 0))
-        with pytest.raises(sb.DimensionMismatch, match="center"):
-            sb.transform(pt, u0, [0.0, 0.0], sb.QuadSpec(nodes=8, center=np.zeros(3)))
 
     def test_kernel_point_of_wrong_length(self):
         pt, wd, gen = ghs_data(0.45)
