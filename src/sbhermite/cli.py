@@ -120,7 +120,8 @@ def _cmd_example(args) -> int:
     return EXIT_PASS if report.overall_pass else EXIT_FAIL
 
 
-def _parse_points(text: str, n: int) -> list[np.ndarray]:
+def _parse_points(text: str, n: int) -> np.ndarray:
+    """The ``--z`` points as rows of a (points, n) complex array."""
     points = []
     for chunk in text.split(";"):
         parts = chunk.strip().split()
@@ -140,8 +141,8 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
             if not (math.isfinite(re_) and math.isfinite(im_)):
                 raise ConfigError(f"--z: component {part!r} is not finite")
             comps.append(complex(re_, im_))
-        points.append(np.array(comps))
-    return points
+        points.append(comps)
+    return np.array(points, dtype=complex)
 
 
 def _cmd_transform(args) -> int:
@@ -152,16 +153,15 @@ def _cmd_transform(args) -> int:
     except ValueError as exc:  # DimensionMismatch is a ValueError too
         raise ConfigError(f"--hermite: expected {pt.n} nonnegative integers") from exc
     u = TestFunction.hermite_basis(alpha)
-    quad = QuadSpec(nodes=config.nodes)
-    rows = []
-    for z in _parse_points(args.z, pt.n):
-        value = transform(pt, u, z, quad)
-        rows.append(
-            {
-                "z": [[float(c.real), float(c.imag)] for c in z],
-                "value": [float(value.real), float(value.imag)],
-            }
-        )
+    points = _parse_points(args.z, pt.n)
+    values = transform(pt, u, points, QuadSpec(nodes=config.nodes))
+    rows = [
+        {
+            "z": [[float(c.real), float(c.imag)] for c in z],
+            "value": [float(value.real), float(value.imag)],
+        }
+        for z, value in zip(points, values)
+    ]
     _emit({"hermite": list(alpha), "points": rows}, args.out)
     return EXIT_PASS
 

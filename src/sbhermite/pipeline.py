@@ -358,13 +358,13 @@ class VerificationReport:
 
 
 def _adjoint_draws(
-    n: int, rng: np.random.Generator, triples: int = 10, degree: int = 3
+    n: int, rng: np.random.Generator, triples: int = 10
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random (f, g, i) triples: f and g as rows of two coefficient blocks
-    over every |alpha| <= degree, i as a component index per row.  Each of
-    f and g is one normal vector, real parts from its even entries and
-    imaginary parts from its odd ones; the draws go f, g, i per triple."""
-    m = len(_basis(n, degree))
+    over every |alpha| <= 3, i as a component index per row.  Each of f and
+    g is one normal vector, real parts from its even entries and imaginary
+    parts from its odd ones; the draws go f, g, i per triple."""
+    m = len(_basis(n, 3))
     f = np.empty((triples, m), dtype=complex)
     g = np.empty((triples, m), dtype=complex)
     comps = np.empty(triples, dtype=int)

@@ -1,5 +1,6 @@
 """Config parsing, verification pipeline, report contracts, and the CLI."""
 
+import importlib
 import json
 import math
 import re
@@ -18,9 +19,13 @@ from sbhermite.pipeline import (
     RunConfig,
     StageFailure,
     _adjoint_draws,
+    example_config,
     run_example,
     run_verify,
 )
+
+# the package re-exports the function ``transform`` under the module's name
+transform_module = importlib.import_module("sbhermite.transform")
 
 
 def em_config_dict(s=0.5, **overrides):
@@ -451,6 +456,34 @@ class TestCli:
         for row in out["points"]:
             assert row["value"][0] == pytest.approx(want, rel=1e-8)
             assert row["value"][1] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name, hermite", [("em", "3"), ("ghs", "1,2")])
+    def test_transform_evaluates_all_points_in_one_call(
+        self, tmp_path, capsys, monkeypatch, name, hermite
+    ):
+        path = self.write_config(tmp_path, example_config(name, 0.45))
+        config = RunConfig.from_json(path)
+        pt = sb.validate_phase_triple(config.A, config.B, config.C)
+        u = sb.TestFunction.hermite_basis([int(v) for v in hermite.split(",")])
+        rng = np.random.default_rng(41 + pt.n)
+        Z = 0.5 * (rng.standard_normal((3, pt.n)) + 1j * rng.standard_normal((3, pt.n)))
+        quad = sb.QuadSpec(nodes=config.nodes)
+        want = np.array([sb.transform(pt, u, z, quad) for z in Z])
+        rows = []
+        fast = transform_module._gauss_hermite
+
+        def counting(P, b, c, *args):
+            rows.append(b.shape[0])
+            return fast(P, b, c, *args)
+
+        monkeypatch.setattr(transform_module, "_gauss_hermite", counting)
+        text = "; ".join(" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in z) for z in Z)
+        argv = ["transform", "--config", path, "--hermite", hermite, "--z", text]
+        assert cli_main(argv) == 0
+        assert rows == [3]
+        out = json.loads(capsys.readouterr().out)["points"]
+        got = np.array([complex(*row["value"]) for row in out])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_bad_points_config_error(self, tmp_path):
         std = em_config_dict()

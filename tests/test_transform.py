@@ -51,13 +51,18 @@ class TestForwardTransform:
         rhs = 2.0 * sb.transform(pt, u0, z, QUAD) - 1.5j * sb.transform(pt, u1, z, QUAD)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("nodes", [sb.MAX_NODES + 1, 400, 0])
+    @pytest.mark.parametrize("nodes", [sb.MAX_NODES + 1, 400, 0, True, 32.0, 32.5])
     def test_node_count_outside_valid_rule(self, nodes):
-        # numpy's rule has zero weights at 371 nodes and NaN beyond
+        # numpy's rule has zero weights at 371 nodes and NaN beyond; a bool
+        # or a float is no node count, even where it equals an integer
         pt = bargmann_triple()
         u0 = sb.TestFunction.hermite_basis((0,))
         with pytest.raises(ValueError, match="nodes"):
             sb.transform(pt, u0, [0.0], sb.QuadSpec(nodes=nodes))
+
+    def test_numpy_integer_node_count(self):
+        quad = sb.QuadSpec(nodes=np.int64(32))
+        assert type(quad.nodes) is int and quad == sb.QuadSpec(nodes=32)
 
     def test_largest_valid_rule(self):
         pt = bargmann_triple()
@@ -197,6 +202,28 @@ class TestExactImageQuadrature:
         ref_t, ref_wt = np.polynomial.hermite.hermgauss(20)
         assert np.array_equal(t, ref_t) and np.array_equal(wt, ref_wt)
         assert sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=20)) == first
+
+    def test_integrator_plan_is_cached_read_only(self):
+        # the n = 2 kernel at two points at 12 nodes: 4 node axes, 1 lead and
+        # 3 tail (12^2 < 2 * 12^2 <= 12^3), degree 3
+        pt, wd, gen = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        f = random_poly(2, 3, gen.Q, np.random.default_rng(16))
+        z = [[0.3 + 0.1j, -0.4 + 0.2j], [0.1 - 0.2j, 0.2 + 0.3j]]
+        quad = sb.QuadSpec(nodes=12)
+        plans = (transform_module._axis_plan, transform_module._lead_plan)
+        for plan in plans:
+            plan.cache_clear()
+        cold = sb.kernel_reproduce(kp, wd, f, z, quad)
+        hits = [plan.cache_info().hits for plan in plans]
+        warm = sb.kernel_reproduce(kp, wd, f, z, quad)
+        assert np.array_equal(cold, warm)
+        for plan, before in zip(plans, hits):
+            assert plan.cache_info().hits > before and plan.cache_info().currsize == 1
+        arrays = transform_module._axis_plan(12, 3) + transform_module._lead_plan(12, 1)
+        for a in arrays:
+            assert not a.flags.writeable
+            assert a.size < 12**3  # no table of the tail grid stays resident
 
 
 class TestIsometry:
