@@ -50,7 +50,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import matrices as mx
-from .errors import DimensionMismatch, MExponentMismatch
+from .errors import DimensionMismatch
 from .model import GeneratorData, WeightData
 
 @functools.lru_cache(maxsize=256)
@@ -88,8 +88,9 @@ def _degree_of(n: int, width: int) -> int:
 
 
 def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |alpha| <= max_degree in graded lex order."""
-    return list(_basis(n, max_degree))
+    """All multi-indices with |alpha| <= max_degree in graded lex order;
+    the degree passes the rule of ``_checked_basis``."""
+    return list(_checked_basis(n, max_degree))
 
 
 def _multi_index(alpha, n: int) -> tuple[int, ...]:
@@ -237,12 +238,8 @@ class GaussPoly:
     def scaled(self, c: complex) -> "GaussPoly":
         return GaussPoly(self.poly.scaled(c), self.M)
 
-    def _check_same_exponent(self, other: "GaussPoly"):
-        if not mx.agree(self.M, other.M, 1e-12):
-            raise MExponentMismatch("Gaussian exponents differ")
-
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        self._check_same_exponent(other)
+        mx.require_same_exponent(self.M, other.M, "the two summands")
         return GaussPoly(self.poly + other.poly, self.M)
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
@@ -576,8 +573,7 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
 
     The argument must carry the generator exponent Q.
     """
-    if not mx.agree(gp.M, gen.Q, 1e-12):
-        raise MExponentMismatch("argument exponent differs from the generator Q")
+    mx.require_same_exponent(gp.M, gen.Q, "the argument and the generator Q")
     out = _hamiltonian_block(gen, _frame_ladder(wd, gen), _block_of([gp.poly], gp.poly.degree()))
     return _gauss_polys(out, gp.M)[0]
 
@@ -617,10 +613,10 @@ def evaluate(gp: GaussPoly, z) -> complex | np.ndarray:
 def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:
     """Max coefficient difference and the larger of the two magnitudes.
 
-    The exponent matrices must agree to machine scale; relative closeness
-    claims should divide the first value by the second.
+    The exponent matrices must agree (``matrices.require_same_exponent``);
+    relative closeness claims should divide the first value by the second.
     """
-    a._check_same_exponent(b)
+    mx.require_same_exponent(a.M, b.M, "the two arguments")
     d = max(a.poly.degree(), b.poly.degree())
     block = _block_of([a.poly, b.poly], d)
     return float(_row_max_abs(block[:1] - block[1:])[0]), float(_row_max_abs(block).max())

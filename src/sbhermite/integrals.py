@@ -52,7 +52,6 @@ from .errors import (
     DegreeCapExceeded,
     DimensionMismatch,
     IncompleteFamily,
-    MExponentMismatch,
     NonIntegrableWeight,
 )
 from .gausspoly import (
@@ -217,8 +216,8 @@ def _wick_rows(wd: WeightData, gps, cache: MomentCache | None) -> tuple:
     if any(gp.n != wd.n for gp in gps):
         raise DimensionMismatch("arguments do not match the weight dimension")
     cache = cache or make_moment_cache(wd, gps[0].M)
-    if not all(mx.agree(gp.M, cache.exponent, 1e-9) for gp in gps):
-        raise MExponentMismatch("cache was built for a different exponent")
+    for gp in gps:
+        mx.require_same_exponent(gp.M, cache.exponent, "an argument and the moment cache")
     d = max(gp.poly.degree() for gp in gps)
     return cache, _wick_block(cache, _block_of([gp.poly for gp in gps], d))
 

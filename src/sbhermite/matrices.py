@@ -1,7 +1,8 @@
 """Complex-matrix predicates and small construction helpers.
 
 Matrices are plain ``numpy.ndarray`` values of shape ``(n, n)``.  Every
-predicate takes an explicit tolerance; nothing here mutates its arguments.
+predicate takes an explicit tolerance, and every ``require_*`` rule holds one
+fixed for all callers; nothing here mutates its arguments.
 """
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MExponentMismatch
+
+#: relative tolerance within which two Gaussian exponent matrices agree
+EXPONENT_TOL = 1e-12
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
@@ -29,6 +33,13 @@ def as_points(x, n: int, name: str, dtype=complex) -> tuple[np.ndarray, bool]:
     return arr.reshape(-1, n), arr.ndim == 1
 
 
+def require_finite(a, name: str) -> None:
+    """The one finite-input rule: ValueError naming ``a`` if any entry is
+    NaN or infinite."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def max_abs(a) -> float:
     arr = np.asarray(a)
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
@@ -37,6 +48,13 @@ def max_abs(a) -> float:
 def agree(a, b, tol: float) -> bool:
     """max |a - b| <= tol max(1, max |a|, max |b|): the one agreement test."""
     return max_abs(a - b) <= tol * max(1.0, max_abs(a), max_abs(b))
+
+
+def require_same_exponent(a, b, what: str) -> None:
+    """The one rule for when two Gaussian exponents agree: ``agree`` at
+    ``EXPONENT_TOL``, else MExponentMismatch naming ``what`` was compared."""
+    if not agree(a, b, EXPONENT_TOL):
+        raise MExponentMismatch(f"Gaussian exponents of {what} differ")
 
 
 def is_symmetric(a, tol: float) -> bool:
@@ -72,8 +90,11 @@ def complex_coords(n: int) -> np.ndarray:
 def lift(zz, zzbar, zbzb) -> np.ndarray:
     """Complex symmetric S (2n, 2n) with w^T S w = <z, zz z> + <z, zzbar zbar>
     + <zbar, zbzb zbar> in the real coordinates w = (x, y), z = x + iy."""
-    t = complex_coords(zz.shape[0])
-    s = t.T @ np.block([[zz, zzbar], [np.zeros_like(zzbar), zbzb]]) @ t
+    n = zz.shape[0]
+    t = complex_coords(n)
+    blocks = np.zeros((2 * n, 2 * n), dtype=np.result_type(zz, zzbar, zbzb))
+    blocks[:n, :n], blocks[:n, n:], blocks[n:, n:] = zz, zzbar, zbzb
+    s = t.T @ blocks @ t
     return 0.5 * (s + s.T)
 
 
@@ -91,20 +112,20 @@ def real_quadratic_form(herm, sym) -> np.ndarray:
     return lift(0.5 * sym, herm, 0.5 * sym.conj()).real
 
 
-def random_complex(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_symmetric(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    m = random_complex(n, rng, scale)
+def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
+    m = random_complex(n, rng)
     return 0.5 * (m + m.T)
 
 
-def random_invertible(n: int, rng: np.random.Generator, min_det: float = 0.1) -> np.ndarray:
-    """Random complex matrix, resampled until |det| >= min_det."""
+def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random complex matrix, resampled until |det| >= 0.1."""
     while True:
         m = random_complex(n, rng)
-        if abs(np.linalg.det(m)) >= min_det:
+        if abs(np.linalg.det(m)) >= 0.1:
             return m
 
 

@@ -29,9 +29,9 @@ from .errors import (
     SymmetryViolation,
 )
 
-#: default absolute tolerance for algebraic identities
+#: tolerance of the input and construction checks on algebraic identities
 DEFAULT_TOL = 1e-10
-#: default tolerance for identities reached through chained constructions
+#: tolerance of the factorization residual, reached through chained constructions
 CHAINED_TOL = 1e-8
 
 
@@ -95,28 +95,31 @@ class GeneratorData:
         return self.rho * self.rho
 
 
-def validate_phase_triple(A, B, C, tol: float = DEFAULT_TOL) -> PhaseTriple:
+def validate_phase_triple(A, B, C) -> PhaseTriple:
     """Check the defining conditions on (A, B, C) and package the triple.
 
-    Raises NonSymmetricA, NonSymmetricC, SingularB or NonPositiveCI, each
-    naming the violated condition.
+    Raises ValueError for a non-finite entry, before any other check, then
+    NonSymmetricA, NonSymmetricC, SingularB or NonPositiveCI, each naming
+    the violated condition.
     """
     A = mx.as_square(A, "A")
     B = mx.as_square(B, "B")
     C = mx.as_square(C, "C")
+    for name, m in zip("ABC", (A, B, C)):
+        mx.require_finite(m, name)
     n = A.shape[0]
     if B.shape[0] != n or C.shape[0] != n:
         raise DimensionMismatch("A, B, C must share one dimension")
-    if not mx.is_symmetric(A, tol):
-        raise NonSymmetricA(f"A is not complex symmetric within tol={tol}")
-    if not mx.is_symmetric(C, tol):
-        raise NonSymmetricC(f"C is not complex symmetric within tol={tol}")
+    if not mx.is_symmetric(A, DEFAULT_TOL):
+        raise NonSymmetricA(f"A is not complex symmetric within tol={DEFAULT_TOL}")
+    if not mx.is_symmetric(C, DEFAULT_TOL):
+        raise NonSymmetricC(f"C is not complex symmetric within tol={DEFAULT_TOL}")
     det_b = np.linalg.det(B)
-    if abs(det_b) <= tol:
-        raise SingularB(f"|det B| = {abs(det_b):.3e} is below tol={tol}")
+    if abs(det_b) <= DEFAULT_TOL:
+        raise SingularB(f"|det B| = {abs(det_b):.3e} is below tol={DEFAULT_TOL}")
     c_imag = C.imag.copy()
     eigs = np.linalg.eigvalsh(0.5 * (c_imag + c_imag.T))
-    if eigs[0] <= tol:
+    if eigs[0] <= DEFAULT_TOL:
         raise NonPositiveCI(
             f"smallest eigenvalue of Im(C) is {eigs[0]:.3e}, not positive"
         )
@@ -132,13 +135,13 @@ def validate_phase_triple(A, B, C, tol: float = DEFAULT_TOL) -> PhaseTriple:
     )
 
 
-def compute_weight_data(pt: PhaseTriple, tol: float = DEFAULT_TOL) -> WeightData:
+def compute_weight_data(pt: PhaseTriple) -> WeightData:
     """Derive the weight blocks and the spectral data of the Hermitian one."""
     ci_inv = np.linalg.inv(pt.C_I)
     phi_zzbar = pt.B @ ci_inv @ pt.B.conj().T / 4.0
     phi_zzbar = 0.5 * (phi_zzbar + phi_zzbar.conj().T)
     phi_zz = -pt.B @ ci_inv @ pt.B.T / 4.0 + 0.5j * pt.A
-    if not mx.is_symmetric(phi_zz, max(tol, 1e-12)):
+    if not mx.is_symmetric(phi_zz, DEFAULT_TOL):
         raise SymmetryViolation("derived holomorphic block is not symmetric")
     try:
         lam2, u = np.linalg.eigh(phi_zzbar)
@@ -159,7 +162,7 @@ def compute_weight_data(pt: PhaseTriple, tol: float = DEFAULT_TOL) -> WeightData
     )
 
 
-def with_unitary(wd: WeightData, U, tol: float = DEFAULT_TOL) -> WeightData:
+def with_unitary(wd: WeightData, U) -> WeightData:
     """Replace the eigenbasis by another unitary diagonalizing the same block.
 
     Eigenbases are unique only up to per-eigenvalue unitary mixing, so a
@@ -168,10 +171,10 @@ def with_unitary(wd: WeightData, U, tol: float = DEFAULT_TOL) -> WeightData:
     U = mx.as_square(U, "U")
     if U.shape[0] != wd.n:
         raise DimensionMismatch("U has the wrong dimension")
-    if not mx.is_unitary(U, tol):
+    if not mx.is_unitary(U, DEFAULT_TOL):
         raise IntertwinerInvalid("replacement eigenbasis is not unitary")
     diag = U.conj().T @ wd.phi_zzbar @ U
-    if mx.max_abs(diag - np.diag(wd.lam**2)) > tol * max(1.0, wd.lam0**2):
+    if mx.max_abs(diag - np.diag(wd.lam**2)) > DEFAULT_TOL * max(1.0, wd.lam0**2):
         raise IntertwinerInvalid(
             "replacement U does not diagonalize the Hermitian block to diag(lam^2)"
         )
@@ -186,7 +189,7 @@ def with_unitary(wd: WeightData, U, tol: float = DEFAULT_TOL) -> WeightData:
     )
 
 
-def validate_intertwiner(X, wd: WeightData, rho: float, tol: float = DEFAULT_TOL) -> bool:
+def validate_intertwiner(X, wd: WeightData, rho: float) -> bool:
     """True iff X is unitary and commutes with diag(mu_i / lam_i) as required.
 
     The commutation condition is X^T D = D X with D = diag(mu_i / lam_i),
@@ -198,31 +201,25 @@ def validate_intertwiner(X, wd: WeightData, rho: float, tol: float = DEFAULT_TOL
         raise DimensionMismatch("X has the wrong dimension")
     if not (0.0 < rho < wd.lam0):
         raise RhoOutOfRange(f"rho={rho} outside (0, lam0={wd.lam0})")
-    if not mx.is_unitary(X, tol):
+    if not mx.is_unitary(X, DEFAULT_TOL):
         return False
     d = np.diag(np.sqrt(wd.lam**2 - rho * rho) / wd.lam)
-    return mx.agree(X.T @ d, d @ X, tol)
+    return mx.agree(X.T @ d, d @ X, DEFAULT_TOL)
 
 
-def build_generator(
-    wd: WeightData,
-    rho: float,
-    X,
-    tol: float = DEFAULT_TOL,
-    residual_tol: float = CHAINED_TOL,
-) -> GeneratorData:
+def build_generator(wd: WeightData, rho: float, X) -> GeneratorData:
     """Construct Q, S, S+Q and the creation coefficient matrix.
 
     Q = -phi_zz + U diag(mu) X diag(lam) U^T and
     S = phi_zz - U diag(lam^2/mu) X diag(lam) U^T; both must come out
     complex symmetric, and the factorization residual
     (phi_zz+Q) conj(beta) (phi_zz+Q)^* - (phi_zzbar - rho^2 E)
-    must stay below ``residual_tol``.  The creation coefficient
+    must stay below ``CHAINED_TOL``.  The creation coefficient
     xi = conj(phi_zz+Q) beta is built as conj(U) diag(mu) conj(X) diag(1/lam) U^H,
     the same matrix with no inverse and no cancellation.
     """
     X = mx.as_square(X, "X")
-    if not validate_intertwiner(X, wd, rho, tol):
+    if not validate_intertwiner(X, wd, rho):
         raise IntertwinerInvalid("X fails unitarity or the commutation condition")
     lam = wd.lam
     mu = np.sqrt(lam**2 - rho * rho)
@@ -231,14 +228,14 @@ def build_generator(
     q = -wd.phi_zz + middle
     s = wd.phi_zz - u @ np.diag(lam**2 / mu) @ X @ np.diag(lam) @ u.T
     scale = max(1.0, mx.max_abs(q), mx.max_abs(s))
-    if mx.max_abs(q - q.T) > tol * scale:
+    if mx.max_abs(q - q.T) > DEFAULT_TOL * scale:
         raise SymmetryViolation("constructed Q is not complex symmetric")
-    if mx.max_abs(s - s.T) > tol * scale:
+    if mx.max_abs(s - s.T) > DEFAULT_TOL * scale:
         raise SymmetryViolation("constructed S is not complex symmetric")
     residual = mx.max_abs(0.5 * ccr_matrix(wd, q) - rho * rho * np.eye(wd.n))
-    if residual > residual_tol:
+    if residual > CHAINED_TOL:
         raise IntertwinerInvalid(
-            f"factorization residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"factorization residual {residual:.3e} exceeds {CHAINED_TOL:.1e}"
         )
     xi = u.conj() @ np.diag(mu) @ X.conj() @ np.diag(1.0 / lam) @ u.conj().T
     return GeneratorData(
@@ -292,16 +289,14 @@ def eq2202_residual(wd: WeightData, gen: GeneratorData) -> float:
     return mx.max_abs(gq @ wd.beta.conj() @ gq.conj().T - target)
 
 
-def random_phase_triple(
-    n: int, rng: np.random.Generator, scale: float = 1.0
-) -> PhaseTriple:
+def random_phase_triple(n: int, rng: np.random.Generator) -> PhaseTriple:
     """Random valid defining triple.
 
     A is random complex symmetric, B random with |det| >= 0.1, and
     C = C_R + i (W W^T + 0.1 E) with real symmetric C_R and real W, which
     guarantees a symmetric C with positive definite imaginary part.
     """
-    a = mx.random_symmetric(n, rng, scale)
+    a = mx.random_symmetric(n, rng)
     b = mx.random_invertible(n, rng)
     w = rng.standard_normal((n, n))
     c_r = rng.standard_normal((n, n))

@@ -309,11 +309,6 @@ def _gauss_hermite(
     return out / float(np.prod(np.diag(chol)))
 
 
-def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
-
-
 def transform_batch(
     pt: PhaseTriple, u: TestFunction, Z: np.ndarray, quad: QuadSpec | None = None
 ) -> np.ndarray:
@@ -329,7 +324,7 @@ def transform_batch(
     """
     quad = quad or QuadSpec()
     Z, _ = mx.as_points(Z, pt.n, "Z")
-    _require_finite(Z, "Z")
+    mx.require_finite(Z, "Z")
     # i phi(z, x) - |x|^2/2 = -x^T P x + (i B^T z) . x + i <z, A z>/2
     P = 0.5 * (np.eye(pt.n) - 1j * pt.C)
     b = 1j * (Z @ pt.B)
@@ -342,7 +337,7 @@ def transform(
 ) -> complex | np.ndarray:
     """Transform of a test function at one point of C^n, or at each of a batch."""
     z, one = mx.as_points(z, pt.n, "z")
-    _require_finite(z, "z")
+    mx.require_finite(z, "z")
     values = transform_batch(pt, u, z, quad)
     return complex(values[0]) if one else values
 
@@ -438,9 +433,12 @@ def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelP
 
 def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
     """Reproducing kernel C_Phi exp(2 Psi(z, zetabar)) with
-    Psi = <z, A zbar'> + <z, G z>/2 + <zbar', conj(G) zbar'>/2, per pair of points."""
+    Psi = <z, A zbar'> + <z, G z>/2 + <zbar', conj(G) zbar'>/2, per pair of points;
+    one point pairs with each of a batch, two batches must have one size."""
     n = kp.psi_zzbar.shape[0]
     (z, one), (zeta, one_zeta) = mx.as_points(z, n, "z"), mx.as_points(zeta, n, "zeta")
+    if len(z) != len(zeta) and 1 not in (len(z), len(zeta)):
+        raise DimensionMismatch(f"z {z.shape} and zeta {zeta.shape} are batches of unequal size")
     psi = [a @ (kp.psi_zzbar @ b) + 0.5 * a @ (kp.psi_zz @ a) + 0.5 * b @ (kp.psi_zz.conj() @ b)
            for a, b in zip(*np.broadcast_arrays(z, zeta.conj()))]
     values = kp.c_Phi * np.exp(2.0 * np.array(psi))
@@ -489,7 +487,7 @@ def inverse_transform(
     x, one = mx.as_points(x, pt.n, "x", float)
     if F.n != pt.n:
         raise DimensionMismatch("F must share the triple's dimension")
-    _require_finite(x, "x")
+    mx.require_finite(x, "x")
     P, beta, c = _inverse_exponent(pt, F, x, wd)
     values = pt.c_phi * _over_cn(P, beta, c, F.poly, F.poly.degree(), quad.nodes)
     return complex(values[0]) if one else values
@@ -509,7 +507,7 @@ def kernel_reproduce(
     z, one = mx.as_points(z, n, "z")
     if F.n != n:
         raise DimensionMismatch("F must share the kernel's dimension")
-    _require_finite(z, "z")
+    mx.require_finite(z, "z")
     # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta); the zetabar-zetabar
     # blocks of Psi and Phi cancel, since psi_zz = phi_zz
     P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((n, n)))
@@ -572,5 +570,5 @@ def round_trip_error(
     xs, _ = mx.as_points(xs, pt.n, "xs", float)
     if xs.shape[0] == 0:
         return 0.0
-    _require_finite(xs, "xs")
+    mx.require_finite(xs, "xs")
     return float(np.max(np.abs(inverse_transform(pt, image, xs, quad, wd) - u(xs))))

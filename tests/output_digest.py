@@ -1,0 +1,140 @@
+"""One SHA-256 over the program's numerical outputs, for bit-identity checks.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/output_digest.py [--lines]
+
+The digest covers the hex (``float.hex``) of every residual and metric, and
+every verdict, of the reports (timings excluded) of
+
+- the acceptance configs: the 50 random triples of acceptance test 3
+  (``default_rng(20260301)``, n = 1-3, their X phases), verified at degree 3;
+- both golden examples, ``run_example`` for ``em`` and ``ghs`` at
+  s = 0.3, 0.5 and 0.7;
+- the verify and example operations of the benchmark's verify-deep and
+  verify-wide inputs at seed 0;
+
+and the values of ``transform_batch``, ``inverse_transform``,
+``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both
+modes) on the golden ``em`` and ``ghs`` triples.  A stage that raises is
+hashed through its partial report and the stage name.  Two checkouts that
+print the same digest computed the same bits; ``--lines`` prints the hashed
+lines too, to find where two checkouts part.
+
+This is a script, not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import sbhermite as sb
+from helpers import bench_module
+from sbhermite.pipeline import StageFailure
+
+S_VALUES = (0.3, 0.5, 0.7)
+
+
+def _hex(value) -> str:
+    if isinstance(value, (bool, np.bool_, int, np.integer, str)) or value is None:
+        return repr(value)
+    value = complex(value)
+    return f"{value.real.hex()},{value.imag.hex()}"
+
+
+def _report_lines(label: str, run) -> list[str]:
+    try:
+        report, failed = run(), None
+    except StageFailure as exc:
+        report, failed = exc.report, exc.stage
+    lines = [f"{label} stage {failed!r} pass {report.overall_pass!r}"]
+    for part in ("residuals", "metrics", "checks"):
+        for key, value in sorted(getattr(report, part).items()):
+            lines.append(f"{label} {part}.{key} {_hex(value)}")
+    return lines
+
+
+def acceptance_lines() -> list[str]:
+    inputs = bench_module("inputs")
+    rng = np.random.default_rng(20260301)
+    lines = []
+    for k in range(50):
+        n = int(rng.integers(1, 4))
+        pt = sb.random_phase_triple(n, rng)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n)
+        config = sb.RunConfig.from_dict(
+            inputs.v1_config(pt.A, pt.B, pt.C, max_degree=3, seed=0, phases=phases))
+        lines += _report_lines(f"acceptance-{k}", lambda: sb.run_verify(config))
+    return lines
+
+
+def golden_lines() -> list[str]:
+    return [line for name in ("em", "ghs") for s in S_VALUES
+            for line in _report_lines(f"golden-{name}-{s}", lambda: sb.run_example(name, s))]
+
+
+def bench_lines() -> list[str]:
+    inputs = bench_module("inputs")
+    lines = []
+    for workload in ("verify-deep", "verify-wide"):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = json.loads(inputs.make_inputs(workload, 0, Path(tmp)).read_text())
+            for j, item in enumerate(spec["sets"]):
+                for op in item["ops"]:
+                    label = f"{workload}-set{j}-{op['name']}"
+                    if op["kind"] == "verify":
+                        config = sb.RunConfig.from_json(spec["configs"][op["config"]])
+                        lines += _report_lines(label, lambda: sb.run_verify(config))
+                    else:
+                        lines += _report_lines(label, lambda: sb.run_example(
+                            op["example"], op["s"], max_degree=op["max_degree"],
+                            nodes=op["nodes"]))
+    return lines
+
+
+def quadrature_lines() -> list[str]:
+    lines = []
+    for name in ("em", "ghs"):
+        pt = sb.validate_phase_triple(*sb.example_triple(name, 0.5))
+        wd = sb.compute_weight_data(pt)
+        n = pt.n
+        rng = np.random.default_rng(11)
+        u = sb.TestFunction(n, {alpha: complex(*rng.standard_normal(2))
+                                for alpha in sb.multi_indices(n, 2)})
+        z = 0.5 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+        xs = rng.standard_normal((3, n))
+        quad = sb.QuadSpec(nodes=16)
+        image = sb.transform_image(pt, u)
+        values = {
+            "transform_batch": sb.transform_batch(pt, u, z, quad),
+            "inverse_transform": sb.inverse_transform(pt, image, xs, quad, wd),
+            "kernel_reproduce": sb.kernel_reproduce(
+                sb.make_kernel_params(pt, wd), wd, image, z, quad),
+            "round_trip_error": sb.round_trip_error(pt, u, xs, quad, wd),
+            "isometry_quad": sb.isometry_residual(pt, u, wd, quad, mode="quad"),
+            "isometry_fit": sb.isometry_residual(pt, u, wd, quad, mode="fit"),
+        }
+        for key, value in values.items():
+            for k, v in enumerate(np.ravel(value)):
+                lines.append(f"quadrature-{name} {key}[{k}] {_hex(v)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    lines = acceptance_lines() + golden_lines() + bench_lines() + quadrature_lines()
+    if "--lines" in argv:
+        print("\n".join(lines))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{digest}  ({len(lines)} lines)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -706,6 +706,12 @@ class TestInputChecks:
         _, wd, gen = ghs_data(0.45)
         assert list(sb.hermite_family(wd, gen, np.int64(2))) == sb.multi_indices(2, 2)
 
+    @pytest.mark.parametrize("degree", [-1, 1.5, True])
+    def test_multi_indices_degree_is_checked(self, degree):
+        # multi_indices(2, -1) returned [] without an error
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            sb.multi_indices(2, degree)
+
     def test_rodrigues_rejects_boolean_index(self):
         _, wd, gen = ghs_data(0.45)
         with pytest.raises(ValueError, match="nonnegative integer"):

@@ -1,13 +1,16 @@
 """Triple validation, weight data, and generator construction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import sbhermite as sb
+from sbhermite import pipeline
 from sbhermite.errors import (
     IntertwinerInvalid,
+    MExponentMismatch,
     NonPositiveCI,
     NonSymmetricA,
     NonSymmetricC,
@@ -34,6 +37,61 @@ class TestMatrixPredicates:
         nearly = np.array([[0.0, 1e-9], [0.0, 0.0]], dtype=complex)
         assert sb.matrices.is_symmetric(nearly, 1e-8)
         assert not sb.matrices.is_symmetric(nearly, 1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_lift_matches_the_block_formula(self, n):
+        # T^T [[zz, zzbar], [0, zbzb]] T, symmetrized, bit for bit
+        rng = np.random.default_rng(n)
+        zz, zzbar, zbzb = (sb.matrices.random_complex(n, rng) for _ in range(3))
+        for args in [(zz, zzbar, zbzb), (zz, zzbar, np.zeros((n, n)))]:
+            t = sb.matrices.complex_coords(n)
+            s = t.T @ np.block([[args[0], args[1]], [np.zeros_like(args[1]), args[2]]]) @ t
+            assert sb.matrices.lift(*args).tobytes() == (0.5 * (s + s.T)).tobytes()
+
+
+def _exponent_site(site: str, delta: float, monkeypatch):
+    """Reach one of the four exponent checks with exponents delta max(1, |M|)
+    apart in every entry; the MExponentMismatch it raises, or None."""
+    _, wd, gen = ghs_data(0.45)
+    q = np.asarray(gen.Q)
+    offset = delta * max(1.0, float(np.max(np.abs(q)))) * np.ones_like(q)
+    ground = sb.ground_state(gen)
+    moved = sb.GaussPoly(ground.poly, q + offset)
+    calls = {
+        "sum": lambda: ground + moved,
+        "hamiltonian_apply": lambda: sb.hamiltonian_apply(wd, gen, moved),
+        "inner_product": lambda: sb.hphi_inner(ground, moved, wd,
+                                               sb.make_moment_cache(wd, q)),
+        "rodrigues_stage": lambda: sb.run_example("ghs", 0.45, max_degree=1),
+    }
+    # the Rodrigues stage compares (S+Q) - S with Q: move S against Q
+    monkeypatch.setattr(pipeline, "build_generator", lambda *args: dataclasses.replace(
+        g := sb.build_generator(*args), S=g.S - offset))
+    try:
+        calls[site]()
+    except MExponentMismatch as exc:
+        return exc
+    except pipeline.StageFailure as exc:
+        assert exc.stage == "rodrigues"
+        return exc.cause
+    return None
+
+
+class TestExponentRule:
+    """Two exponents agree by one rule, ``matrices.require_same_exponent``."""
+
+    @pytest.mark.parametrize(
+        "site", ["sum", "hamiltonian_apply", "inner_product", "rodrigues_stage"]
+    )
+    def test_one_tolerance_at_every_site(self, site, monkeypatch):
+        assert isinstance(_exponent_site(site, 1e-10, monkeypatch), MExponentMismatch)
+        assert _exponent_site(site, 1e-14, monkeypatch) is None
+
+    def test_relative_to_the_larger_exponent(self):
+        m = 100.0 * np.eye(2)
+        sb.matrices.require_same_exponent(m, m + 1e-11, "m and m + 1e-11")
+        with pytest.raises(MExponentMismatch, match="of m and m \\+ 1e-9 differ"):
+            sb.matrices.require_same_exponent(m, m + 1e-9, "m and m + 1e-9")
 
 
 class TestValidatePhaseTriple:
@@ -67,6 +125,17 @@ class TestValidatePhaseTriple:
         b = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(SingularB):
             sb.validate_phase_triple(0.5j * np.eye(2), b, 1j * np.eye(2))
+
+    @pytest.mark.parametrize("name, bad", [("A", np.nan), ("B", np.inf), ("C", -np.inf)])
+    def test_non_finite_entry_rejected_first(self, name, bad):
+        # an inf in B gave c_phi = nan (a NaN det B passed |det B| <= tol);
+        # a NaN in A raised NonSymmetricA
+        mats = {"A": 0.5j * np.eye(2), "B": -1j * np.eye(2), "C": 1j * np.eye(2)}
+        mats[name] = mats[name].copy()
+        mats[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries") as info:
+            sb.validate_phase_triple(mats["A"], mats["B"], mats["C"])
+        assert type(info.value) is ValueError
 
 
 class TestComputeWeightData:
@@ -123,30 +192,30 @@ class TestValidateIntertwiner:
             pt = sb.random_phase_triple(n, rng)
             wd = sb.compute_weight_data(pt)
             x = np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, n)))
-            assert sb.validate_intertwiner(x, wd, 0.5 * wd.lam0, 1e-10)
+            assert sb.validate_intertwiner(x, wd, 0.5 * wd.lam0)
 
     def test_swap_on_degenerate_pair(self):
         _, wd, _ = ghs_data(0.5)
         rho = math.sqrt((1 - 0.5) / (2 * 1.5))
-        assert sb.validate_intertwiner(SWAP2, wd, rho, 1e-10)
+        assert sb.validate_intertwiner(SWAP2, wd, rho)
 
     def test_nonunitary_rejected(self):
         rng = np.random.default_rng(6)
         pt = sb.random_phase_triple(2, rng)
         wd = sb.compute_weight_data(pt)
-        assert not sb.validate_intertwiner(np.diag([2.0, 1.0]), wd, 0.5 * wd.lam0, 1e-10)
+        assert not sb.validate_intertwiner(np.diag([2.0, 1.0]), wd, 0.5 * wd.lam0)
 
     def test_noncommuting_unitary_rejected(self):
         # distinct lam: the swap is unitary but does not commute with diag(mu/lam)
         pt = sb.random_phase_triple(2, np.random.default_rng(6))
         wd = sb.compute_weight_data(pt)
-        assert not sb.validate_intertwiner(SWAP2, wd, 0.5 * wd.lam0, 1e-10)
+        assert not sb.validate_intertwiner(SWAP2, wd, 0.5 * wd.lam0)
 
     def test_rho_out_of_range(self):
         _, wd, _ = em_data(0.5)
         for rho in (0.0, -0.1, wd.lam0, 2 * wd.lam0):
             with pytest.raises(RhoOutOfRange):
-                sb.validate_intertwiner(np.eye(1), wd, rho, 1e-10)
+                sb.validate_intertwiner(np.eye(1), wd, rho)
 
 
 class TestBuildGenerator:
@@ -177,7 +246,7 @@ class TestBuildGenerator:
                 break
         rho = 0.5 * wd.lam0
         rot = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        assert not sb.validate_intertwiner(rot, wd, rho, 1e-10)
+        assert not sb.validate_intertwiner(rot, wd, rho)
         with pytest.raises(IntertwinerInvalid):
             sb.build_generator(wd, rho, rot)
 

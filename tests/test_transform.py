@@ -599,6 +599,18 @@ class TestQuadratureInputs:
         with pytest.raises(sb.DimensionMismatch):
             sb.inverse_transform(pt, f, [0.0, 0.0], sb.QuadSpec(nodes=8), wd)
 
+    def test_kernel_eval_batches_of_unequal_size(self):
+        # batches of 3 and 2 points met numpy's broadcast ValueError
+        pt, wd, _ = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
+        z, zeta = 0.1 * np.ones((3, 2)), 0.2j * np.ones((2, 2))
+        with pytest.raises(sb.DimensionMismatch, match=r"z \(3, 2\) and zeta \(2, 2\)"):
+            sb.kernel_eval(kp, z, zeta)
+        # one point still pairs with every point of a batch
+        one = sb.kernel_eval(kp, z[0], zeta)
+        assert one.shape == (2,)
+        assert one.tolist() == sb.kernel_eval(kp, z[:2], zeta).tolist()
+
     @pytest.mark.parametrize("name", ["z", "x", "Z", "xs"])
     def test_non_finite_point(self, name):
         pt, wd, gen = ghs_data(0.45)
