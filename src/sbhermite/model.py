@@ -114,14 +114,23 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
         raise NonSymmetricA(f"A is not complex symmetric within tol={DEFAULT_TOL}")
     if not mx.is_symmetric(C, DEFAULT_TOL):
         raise NonSymmetricC(f"C is not complex symmetric within tol={DEFAULT_TOL}")
+    # both tests are relative to the matrix's own scale, so they hold for
+    # every multiple c B and c Im(C), c > 0: |det B| against the product of
+    # the row norms of B (Hadamard's bound), the smallest eigenvalue of
+    # Im(C) against the largest in magnitude
     det_b = np.linalg.det(B)
-    if abs(det_b) <= DEFAULT_TOL:
-        raise SingularB(f"|det B| = {abs(det_b):.3e} is below tol={DEFAULT_TOL}")
+    hadamard = float(np.prod(np.linalg.norm(B, axis=1)))
+    if abs(det_b) <= DEFAULT_TOL * hadamard:
+        raise SingularB(
+            f"|det B| = {abs(det_b):.3e} is below tol={DEFAULT_TOL} times the product "
+            f"of its row norms, {hadamard:.3e}"
+        )
     c_imag = C.imag.copy()
     eigs = np.linalg.eigvalsh(0.5 * (c_imag + c_imag.T))
-    if eigs[0] <= DEFAULT_TOL:
+    if eigs[0] <= DEFAULT_TOL * max(abs(eigs[0]), abs(eigs[-1])):
         raise NonPositiveCI(
-            f"smallest eigenvalue of Im(C) is {eigs[0]:.3e}, not positive"
+            f"smallest eigenvalue of Im(C) is {eigs[0]:.3e}, not positive against "
+            f"the largest, {eigs[-1]:.3e}"
         )
     det_ci = float(np.prod(eigs))
     c_phi = 2.0 ** (-n / 2.0) * math.pi ** (-3.0 * n / 4.0) * abs(det_b) * det_ci ** (-0.25)

@@ -16,12 +16,14 @@ quadrature isometry go through one tensor Gauss-Hermite integrator,
 ``_gauss_hermite``: each caller writes its Gaussian factors as one complex
 quadratic exponent in the real coordinates and passes the degree of its
 polynomial integrand.  The integrator computes the tensor sum without
-visiting the grid: per outer point (row, lead node) it projects the
-integrand exactly onto Hermite polynomials of the tail axes and contracts
-those coefficients with a tail table, so neither the integrand nor an exp
-is evaluated per grid point.  Its one-axis tables and lead grid depend
-only on the rule and are planned once per process (``_axis_plan``,
-``_lead_plan``); a call builds only what depends on its input.
+visiting the grid: it projects each row's integrand once, exactly, onto
+Hermite polynomials of all axes from its values on the (degree + 1)-point
+grid, gives each lead node its tail coefficients by one-axis Hermite
+values, and contracts those with a tail table, so neither the integrand
+nor an exp is evaluated per grid point.  What depends only on the rule,
+the degree and the split is planned once per process (``_axis_plan``,
+``_index_plan``), and only one-axis and Hermite-index tables stay
+resident; a call builds only what depends on its input.
 ``transform`` and ``transform_batch`` evaluate all their points in one
 call, one row each.  The round trip (all its points in one call) and the
 quadrature isometry integrate the exact image, never a quadrature.
@@ -135,17 +137,19 @@ def _hermite_table(t: np.ndarray, degree: int) -> list:
     return out[: degree + 1]
 
 
-#: work items (outer points times tail-table rows or projection points) per
-#: chunk of the integrator's outer loop; bounds its temporaries
+#: work items per chunk of the integrator, bounding its temporaries: in the
+#: outer loop, outer points times the widest per-point array (tail-table
+#: rows, coupling or lead Hermite row); in the projection, integrand points
+#: times the degree + 1 values tabulated per point and coordinate
 _SLAB_POINTS = 1 << 16
 
 
 def _tensor_grid(t: np.ndarray, dim: int) -> np.ndarray:
     """All dim-tuples of the 1-D values t, last axis fastest: (len(t)^dim, dim)."""
-    if dim == 0:
-        return np.zeros((1, 0), dtype=t.dtype)
-    grids = np.meshgrid(*([t] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    grid = np.empty((len(t),) * dim + (dim,), dtype=t.dtype)
+    for i in range(dim):
+        grid[..., i] = t.reshape((-1,) + (1,) * (dim - 1 - i))
+    return grid.reshape(len(t) ** dim, dim)
 
 
 def _tensor_rows(g: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -181,14 +185,51 @@ def _axis_plan(nodes: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return mx.frozen(weighted(t, wt)), mx.frozen(weighted(s, ws) / math.sqrt(math.pi)), s
 
 
+def _hermite_coefficients(integrand, p_c, p_dir, g_proj, s) -> np.ndarray:
+    """Coefficients of integrand(p_c[r] + t @ p_dir) in the products
+    prod_i g_(k_i)(t_i) of the ``_hermite_table`` polynomials, k in
+    [0, D]^d with D + 1 = len(s), per row r, last axis fastest:
+    (rows, (D + 1)^d).  The integrand is evaluated once per row on the
+    tensor grid of the projection nodes s, in chunks of at most
+    ``_SLAB_POINTS`` / (D + 1) points (it tabulates up to D + 1 values per
+    point and coordinate), and ``g_proj`` (see ``_axis_plan``) is
+    contracted with one axis at a time.  The (D + 1)-point rule is exact
+    to degree 2 D + 1, so for a polynomial of degree <= D every
+    coefficient is exact, and those with |k| > D vanish."""
+    rows, width = p_c.shape
+    size, dim = len(s), p_dir.shape[0]
+    grid = (_tensor_grid(s, dim) @ p_dir).T
+    values = np.empty((rows, grid.shape[1]), dtype=complex)
+    step = max(1, _SLAB_POINTS // size)
+    g_step, r_step = min(step, grid.shape[1]), max(1, step // grid.shape[1])
+    for r0 in range(0, rows, r_step):
+        for g0 in range(0, grid.shape[1], g_step):
+            pts = p_c.T[:, r0 : r0 + r_step, None] + grid[:, None, g0 : g0 + g_step]
+            block = values[r0 : r0 + r_step, g0 : g0 + g_step]
+            block[...] = integrand(pts.reshape(width, -1).T).reshape(block.shape)
+    coef = values
+    for _ in range(dim):
+        coef = (coef.reshape(-1, size) @ g_proj.T).reshape(rows, -1, size).transpose(0, 2, 1)
+    return coef.reshape(rows, -1)
+
+
 @functools.lru_cache(maxsize=32)
-def _lead_plan(nodes: int, lead_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per point of the ``lead_dim``-axis tensor grid of the ``nodes``-point
-    rule, last axis fastest, read-only: its node digits (nodes^lead,
-    lead_dim), its nodes and the product of their weights."""
-    t, wt = _hermite_rule(nodes)
-    digits = _tensor_grid(np.arange(nodes), lead_dim)
-    return mx.frozen(digits), mx.frozen(t[digits]), mx.frozen(np.prod(wt[digits], axis=1))
+def _index_plan(lead_dim: int, tail_dim: int, degree: int) -> tuple:
+    """The Hermite indices of a lead/tail split, read-only: the lead
+    indices kl and the tail indices beta, |kl|, |beta| <= ``degree``; for
+    each pair the position of (kl, beta) in the coefficients of
+    ``_hermite_coefficients``; and whether |kl| + |beta| <= ``degree``."""
+
+    def indices(dim):
+        found = multi_indices(dim, degree)
+        return np.array(found, dtype=np.intp).reshape(len(found), dim)
+
+    size = degree + 1
+    kl, betas = indices(lead_dim), indices(tail_dim)
+    flat_l = kl @ size ** np.arange(lead_dim + tail_dim - 1, tail_dim - 1, -1)
+    flat_t = betas @ size ** np.arange(tail_dim - 1, -1, -1)
+    live = kl.sum(axis=1)[:, None] + betas.sum(axis=1) <= degree
+    return tuple(mx.frozen(a) for a in (kl, betas, flat_l[:, None] + flat_t, live))
 
 
 def _gauss_hermite(
@@ -216,26 +257,30 @@ def _gauss_hermite(
     K = L^-1 (i Im P) L^-T: the real decay cancels in closed form.
 
     The value is the tensor ``nodes``-point Gauss-Hermite sum, computed
-    without visiting the grid.  The node axes split into lead and tail, the
-    tail the fewest trailing axes with nodes^tail >= rows * nodes^lead.
-    For each outer point (row, lead node) the integrand is a polynomial of
-    degree <= ``degree`` in the tail coordinates, so its coefficients in the
-    orthonormal Hermite polynomials h_beta, |beta| <= degree, follow exactly
-    from its values on the (degree + 1)-point rule's grid.  Against them, a
-    table of tail weights x exp(-t K t) x h_beta(t) is contracted with the
-    lead-tail coupling exp(slope . t), a product of one-axis factors: one
-    matrix product over the last tail axis and one batched matrix-vector
-    product per other tail axis.  Outer points run in chunks of about
-    ``_SLAB_POINTS`` work items.
+    without visiting the grid.  Each row's integrand, a polynomial of
+    degree <= D = ``degree`` in t, is projected once onto the orthonormal
+    Hermite polynomials of all d axes from its values on the (D + 1)^d grid
+    of the (D + 1)-point rule, which is exact (``_hermite_coefficients``).
+    The node axes split into lead and tail, the tail the fewest trailing
+    axes whose table (one row per tail index |beta| <= D and tail node)
+    has at least as many entries as there are outer points (row, lead
+    node).  An outer point gets its tail coefficients by contracting the
+    lead indices with the weighted Hermite values at its lead nodes.
+    Against them, a table of tail weights x exp(-t K t) x h_beta(t) is
+    contracted with the lead-tail coupling exp(slope . t), a product of
+    one-axis factors: one matrix product over the last tail axis, then one
+    batched product with the coefficients and one per other tail axis.
+    Outer points run in chunks of about ``_SLAB_POINTS`` work items, a
+    range of the outer lead axes times the grid of the inner ones, whose
+    factors are tabulated once per call.
 
     What depends only on the rule is planned once per process, read-only:
-    the one-axis tables of ``_axis_plan`` (per nodes and degree) and the
-    lead grid of ``_lead_plan`` (per nodes and lead axes), of sizes
-    O(nodes (degree + 1)) and O(nodes^lead lead); no table of the tail
-    grid stays resident.  A call computes only what depends on its input:
-    the window, the tail phase exp(-t K t) (the tail table is the tensor
-    of the one-axis tables times it), the couplings and the integrand
-    values.
+    the one-axis tables of ``_axis_plan`` (per nodes and degree, size
+    O(nodes (D + 1))) and the Hermite indices of ``_index_plan`` (per split
+    and degree); no table of the lead or tail grid stays resident.  A call
+    computes only what depends on its input: the window, the coefficients,
+    the tail phase exp(-t K t) (the tail table is the tensor of the
+    one-axis tables times it) and the couplings.
     """
     dim = P.shape[0]
     basis = np.eye(dim) if basis is None else basis
@@ -249,25 +294,24 @@ def _gauss_hermite(
     k = 1j * (li @ P.imag @ li.T)
     bt = (b - 2.0 * w_c @ P) @ li.T
     ct = c + np.einsum("ri,ri->r", b - w_c @ P, w_c)
-    p_c = w_c @ basis
-    p_dir = li @ basis
 
     rows = b.shape[0]
     tail_dim = 1
-    while tail_dim < dim and nodes**tail_dim < rows * nodes ** (dim - tail_dim):
+    while tail_dim < dim and (math.comb(tail_dim + degree, degree) * nodes**tail_dim
+                              < rows * nodes ** (dim - tail_dim)):
         tail_dim += 1
     lead_dim = dim - tail_dim
-    betas = np.array(multi_indices(tail_dim, degree))
     g_nodes, g_proj, s = _axis_plan(nodes, degree)
-    lead_digits, lead_nodes, lead_weights = _lead_plan(nodes, lead_dim)
+    kl, betas, pick, live = _index_plan(lead_dim, tail_dim, degree)
+    coef = _hermite_coefficients(integrand, w_c @ basis, li @ basis, g_proj, s)
+    # per row, the coefficients of lead index kl and tail index beta, zero
+    # where |kl| + |beta| exceeds the degree (there they vanish exactly)
+    coef = np.where(live, coef[:, pick], 0.0)
     # the tail table, (betas x nodes^(tail - 1), nodes): the last tail axis
     # is the inner dimension of the matrix product with its coupling factor
     t_tail = _tensor_grid(t, tail_dim)
     phase = np.exp(-((t_tail @ k[lead_dim:, lead_dim:]) * t_tail).sum(axis=1))
     table = (_tensor_rows(g_nodes, betas) * phase).reshape(-1, nodes)
-    # coefficients = values on the projection grid @ proj, exact to degree
-    proj = _tensor_rows(g_proj, betas).T
-    s_pts = _tensor_grid(s, tail_dim) @ p_dir[lead_dim:]
 
     k_lead, k_cross = k[:lead_dim, :lead_dim], k[:lead_dim, lead_dim:]
     # one-axis couplings exp(slope_j t), slope = bt_r,tail - 2 t_lead K_cross:
@@ -277,35 +321,54 @@ def _gauss_hermite(
     shift = np.abs(bt[:, lead_dim:].real) * t[-1]
     row_axis = np.exp(bt[:, lead_dim:, None] * t - shift[:, :, None])
     lead_axis = np.exp(-2.0 * k_cross[:, None, :, None] * t[:, None, None] * t)
-    shift = shift.sum(axis=1)
-    n_lead = len(lead_weights)
-    n_outer = rows * n_lead
-    step = max(1, _SLAB_POINTS // max(table.shape[0], s_pts.shape[0]))
+    row_part = ct + shift.sum(axis=1)
+    n_lead = nodes**lead_dim
+    step = max(1, _SLAB_POINTS // max(table.shape[0], tail_dim * nodes, len(kl)))
+    lead_step, row_step = min(step, n_lead), max(1, step // n_lead)
+    # a chunk of the lead grid is a range of its outer axes times the whole
+    # grid of the inner axes, the most trailing lead axes that fit a chunk:
+    # inner factors are tabulated once, outer ones gathered per chunk
+    inner_dim = 0
+    while inner_dim < lead_dim and nodes ** (inner_dim + 1) <= lead_step:
+        inner_dim += 1
+    outer_dim = lead_dim - inner_dim
+    inner_cpl = np.ones((1, tail_dim, nodes), dtype=complex)
+    inner_h = np.ones((1, len(kl)))
+    for i in range(outer_dim, lead_dim):
+        inner_cpl = (inner_cpl[:, None] * lead_axis[i]).reshape(-1, tail_dim, nodes)
+        inner_h = (inner_h[:, None] * g_nodes[kl[:, i]].T).reshape(-1, len(kl))
+    inner_t = _tensor_grid(t, inner_dim)
+    n_outer = nodes**outer_dim
+    outer_step = max(1, lead_step // len(inner_t))
     out = np.zeros(rows, dtype=complex)
-    for start in range(0, n_outer, step):
-        r, lead = np.divmod(np.arange(start, min(start + step, n_outer)), n_lead)
-        digits, t_lead = lead_digits[lead], lead_nodes[lead]
-        e_lead = (
-            ct[r]
-            + shift[r]
-            + np.einsum("qi,qi->q", bt[r, :lead_dim], t_lead)
-            - np.einsum("qi,ij,qj->q", t_lead, k_lead, t_lead)
-        )
-        p_lead = p_c[r] + t_lead @ p_dir[:lead_dim]
-        pts = p_lead.T[:, :, None] + s_pts.T[:, None, :]
-        coeff = integrand(pts.reshape(pts.shape[0], -1).T).reshape(len(r), -1) @ proj
-        axis = row_axis[r]
-        for i in range(lead_dim):
-            axis = axis * lead_axis[i, digits[:, i]]
-        # acc is (table rows, outer points); each other tail axis contracts
-        # as batched matrix-vector products on a transposed view, no copy
-        # (axis @ table.T, the same product, raised peak memory by 0.3 MB)
-        acc = table @ axis[:, -1].T
-        for j in range(tail_dim - 2, -1, -1):
-            acc = acc.reshape(-1, nodes, len(r)).transpose(2, 0, 1)
-            acc = (acc @ axis[:, j, :, None])[..., 0].T
-        tail_sum = np.einsum("bm,mb->m", acc, coeff)
-        np.add.at(out, r, tail_sum * np.exp(e_lead) * lead_weights[lead])
+    for o0 in range(0, n_outer, outer_step):
+        outer = np.arange(o0, min(o0 + outer_step, n_outer))
+        digits = np.empty((len(outer), outer_dim), dtype=np.intp)
+        for i in range(outer_dim - 1, -1, -1):
+            outer, digits[:, i] = np.divmod(outer, nodes)
+        cpl, h_lead = inner_cpl[None], inner_h[None]
+        for i in range(outer_dim):
+            cpl = cpl * lead_axis[i, digits[:, i], None]
+            h_lead = h_lead * g_nodes[:, digits[:, i]].T[:, None, kl[:, i]]
+        cpl, h_lead = cpl.reshape(-1, tail_dim, nodes), h_lead.reshape(-1, len(kl))
+        t_lead = np.empty((len(digits), len(inner_t), lead_dim))
+        t_lead[:, :, :outer_dim] = t[digits][:, None]
+        t_lead[:, :, outer_dim:] = inner_t
+        t_lead = t_lead.reshape(len(digits) * len(inner_t), lead_dim)
+        e_lead = -((t_lead @ k_lead) * t_lead).sum(axis=1)
+        for r0 in range(0, rows, row_step):
+            rr = slice(r0, min(r0 + row_step, rows))
+            coeff = h_lead @ coef[rr]
+            m = coeff.shape[0] * coeff.shape[1]
+            # the coupling of each tail axis at each outer point, formed only
+            # when its axis is contracted
+            axis = (row_axis[rr, None, -1] * cpl[:, -1]).reshape(m, nodes)
+            acc = coeff.reshape(m, 1, -1) @ (axis @ table.T).reshape(m, len(betas), -1)
+            for j in range(tail_dim - 2, -1, -1):
+                axis = (row_axis[rr, None, j] * cpl[:, j]).reshape(m, nodes, 1)
+                acc = acc.reshape(m, -1, nodes) @ axis
+            expo = np.exp(row_part[rr, None] + bt[rr, :lead_dim] @ t_lead.T + e_lead)
+            out[rr] += (acc.reshape(-1, len(t_lead)) * expo).sum(axis=1)
     return out / float(np.prod(np.diag(chol)))
 
 

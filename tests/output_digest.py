@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/output_digest.py [--lines]
+    PYTHONPATH=src python tests/output_digest.py [--lines] [--against FILE]
 
 The digest covers the hex (``float.hex``) of every residual and metric, and
 every verdict, of the reports (timings excluded) of
@@ -19,7 +19,12 @@ and the values of ``transform_batch``, ``inverse_transform``,
 modes) on the golden ``em`` and ``ghs`` triples.  A stage that raises is
 hashed through its partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
-lines too, to find where two checkouts part.
+lines too, to find where two checkouts part.  ``--against FILE`` reads the
+``--lines`` output of another checkout and prints, per quantity (a line's
+label and key without its index), the lines that differ and the largest
+difference: absolute for residuals (``residuals.*``, ``round_trip_error``,
+``isometry_*``), relative to the other checkout's value for every other
+number.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -126,11 +132,67 @@ def quadrature_lines() -> list[str]:
     return lines
 
 
+#: quadrature lines whose values are residuals, compared absolutely
+QUADRATURE_RESIDUALS = ("round_trip_error", "isometry_quad", "isometry_fit")
+
+
+def _number(text: str):
+    """The complex value of a hashed number, or None for other entries."""
+    parts = text.split(",")
+    try:
+        return complex(*(float.fromhex(p) for p in parts)) if len(parts) == 2 else None
+    except ValueError:
+        return None
+
+
+def _keyed(lines) -> dict:
+    """{(label, key): value} of hashed lines; the digest line is skipped."""
+    out = {}
+    for line in lines:
+        fields = line.rstrip("\n").split(" ", 2)
+        if len(fields) == 3 and not re.fullmatch(r"[0-9a-f]{64}", fields[0]):
+            out[(fields[0], fields[1])] = fields[2]
+    return out
+
+
+def compare(lines: list[str], other: list[str]) -> list[str]:
+    """Report of the lines of this checkout that differ from ``other``."""
+    mine, theirs = _keyed(lines), _keyed(other)
+    groups = {}
+    for key in sorted(mine.keys() | theirs.keys()):
+        a, b = mine.get(key), theirs.get(key)
+        if a != b:
+            quantity = (key[0], re.sub(r"\[\d+\]$", "", key[1]))
+            groups.setdefault(quantity, []).append((key, a, b))
+    report = []
+    for (label, name), diffs in groups.items():
+        residual = name.startswith("residuals.") or name in QUADRATURE_RESIDUALS
+        largest = None
+        for key, a, b in diffs:
+            x, y = _number(a or ""), _number(b or "")
+            if x is None or y is None:
+                continue
+            gap = abs(x - y) if residual or y == 0 else abs(x - y) / abs(y)
+            largest = gap if largest is None else max(largest, gap)
+        kind = "absolute" if residual else "relative"
+        size = "not numeric" if largest is None else f"largest {kind} difference {largest:.3g}"
+        report.append(f"{label} {name}: {len(diffs)} line(s) differ, {size}")
+        for key, a, b in diffs:
+            report.append(f"    {key[1]}  this {a}  other {b}")
+    same = sum(1 for key in mine if mine[key] == theirs.get(key))
+    report.append(f"{sum(len(d) for d in groups.values())} line(s) differ in {len(groups)} "
+                  f"quantities; {same} identical")
+    return report
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     lines = acceptance_lines() + golden_lines() + bench_lines() + quadrature_lines()
     if "--lines" in argv:
         print("\n".join(lines))
+    if "--against" in argv:
+        with open(argv[argv.index("--against") + 1], encoding="utf-8") as fh:
+            print("\n".join(compare(lines, fh.readlines())))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"{digest}  ({len(lines)} lines)")
     return 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite import pipeline
@@ -103,6 +105,49 @@ class TestValidatePhaseTriple:
     def test_real_c_rejected(self):
         with pytest.raises(NonPositiveCI):
             sb.validate_phase_triple([[0.0]], [[1.0]], [[1.0]])
+
+    def test_small_well_conditioned_b_accepted(self):
+        # |det B| = 1e-12 is the determinant of a multiple of the identity
+        pt = sb.validate_phase_triple(0.5j * np.eye(4), 1e-3 * np.eye(4), 1j * np.eye(4))
+        assert pt.c_phi > 0.0
+        sb.validate_phase_triple([[0.5j]], [[1e-11]], [[1j]])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["valid", "singular B", "indefinite Im C", "singular Im C"]),
+        scaled=st.sampled_from(["B", "Im C"]),
+        exponent=st.floats(-6.0, 6.0),
+    )
+    def test_scaling_never_changes_the_error(self, n, seed, kind, scaled, exponent):
+        rng = np.random.default_rng(seed)
+        pt = sb.random_phase_triple(n, rng)
+        a, b, c_r, c_i = pt.A, pt.B.copy(), pt.C.real, pt.C_I.copy()
+        lam, u = np.linalg.eigh(c_i)
+        if kind == "singular B":
+            b[-1] = b[0] if n > 1 else 0.0
+        elif kind == "indefinite Im C":
+            lam[0] = -lam[0]
+        elif kind == "singular Im C":
+            lam[0] = 0.0
+        c_i = (u * lam) @ u.T
+        c_i = 0.5 * (c_i + c_i.T)
+
+        def raised(b, c_i):
+            try:
+                sb.validate_phase_triple(a, b, c_r + 1j * c_i)
+            except ValueError as exc:
+                return type(exc)
+            return None
+
+        expected = {"valid": None, "singular B": SingularB}.get(kind, NonPositiveCI)
+        assert raised(b, c_i) is expected
+        for c in (1e-6, 10.0**exponent, 1e6):
+            if scaled == "B":
+                assert raised(c * b, c_i) is expected
+            else:
+                assert raised(b, c * c_i) is expected
 
     def test_em_triple_half(self):
         a, b, c = sb.example_triple("em", 0.5)

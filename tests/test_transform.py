@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,14 +205,15 @@ class TestExactImageQuadrature:
         assert sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=20)) == first
 
     def test_integrator_plan_is_cached_read_only(self):
-        # the n = 2 kernel at two points at 12 nodes: 4 node axes, 1 lead and
-        # 3 tail (12^2 < 2 * 12^2 <= 12^3), degree 3
+        # the n = 2 kernel at two points at 12 nodes: 4 node axes, degree 3;
+        # 2 lead and 2 tail (a 1-axis table has 4 x 12 < 2 x 12^3 entries,
+        # a 2-axis one 10 x 12^2 >= 2 x 12^2)
         pt, wd, gen = ghs_data(0.45)
         kp = sb.make_kernel_params(pt, wd)
         f = random_poly(2, 3, gen.Q, np.random.default_rng(16))
         z = [[0.3 + 0.1j, -0.4 + 0.2j], [0.1 - 0.2j, 0.2 + 0.3j]]
         quad = sb.QuadSpec(nodes=12)
-        plans = (transform_module._axis_plan, transform_module._lead_plan)
+        plans = (transform_module._axis_plan, transform_module._index_plan)
         for plan in plans:
             plan.cache_clear()
         cold = sb.kernel_reproduce(kp, wd, f, z, quad)
@@ -220,10 +222,52 @@ class TestExactImageQuadrature:
         assert np.array_equal(cold, warm)
         for plan, before in zip(plans, hits):
             assert plan.cache_info().hits > before and plan.cache_info().currsize == 1
-        arrays = transform_module._axis_plan(12, 3) + transform_module._lead_plan(12, 1)
+        arrays = transform_module._axis_plan(12, 3) + transform_module._index_plan(2, 2, 3)
+        assert all(plan.cache_info().currsize == 1 for plan in plans)  # the keys the call used
         for a in arrays:
             assert not a.flags.writeable
-            assert a.size < 12**3  # no table of the tail grid stays resident
+            assert a.size < 12**2  # no table of the lead or tail grid stays resident
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    def test_plans_stay_small_at_n3(self, nodes):
+        # one n = 3 kernel row: 6 node axes, 3 lead and 3 tail.  A lead grid
+        # kept resident held 16^3 or 64^3 points x 7 numbers (229 KB or
+        # 14.0 MB).  The 64-node sum has 64^6 terms, so that call is stopped
+        # at its first integrand evaluation, after every plan lookup.
+        class Stop(Exception):
+            pass
+
+        class StoppingPoly(sb.PolyC):
+            def __call__(self, z):
+                if nodes == 64:
+                    raise Stop
+                return super().__call__(z)
+
+        pt = sb.random_phase_triple(3, np.random.default_rng(17))
+        wd = sb.compute_weight_data(pt)
+        kp = sb.make_kernel_params(pt, wd)
+        terms = random_poly(3, 1, sb.image_exponent(pt), np.random.default_rng(18)).poly.terms
+        f = sb.GaussPoly(StoppingPoly(3, terms), sb.image_exponent(pt))
+        z = [0.2 + 0.1j, -0.1 + 0.3j, 0.3 - 0.2j]
+        # a first call loads what any call loads (lazy imports, other caches)
+        sb.kernel_reproduce(kp, wd, sb.GaussPoly(sb.PolyC(3, terms), f.M), z, sb.QuadSpec(nodes=2))
+        plans = [v for v in vars(transform_module).values() if hasattr(v, "cache_clear")]
+        for plan in plans:
+            plan.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                value = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=nodes))
+            except Stop:
+                value = None
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
+        assert sum(plan.cache_info().currsize for plan in plans) >= 3
+        if value is not None:
+            assert abs(value - sb.evaluate(f, z)) <= 1e-8 * abs(value)
 
 
 class TestIsometry:
@@ -446,13 +490,15 @@ class TestGhsClosedForms:
         want = c0 * np.exp(-np.einsum("qi,ij,qj->q", Z, m, Z))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("slab", [750, 7])
+    @pytest.mark.parametrize("slab", [4320, 750, 7])
     def test_slab_boundaries_do_not_change_values(self, monkeypatch, slab):
         # the outer loop takes _SLAB_POINTS // (tail-table rows) outer points
-        # per chunk; at 12 nodes the degree-2 kernel table has 6 x 12 rows
-        # and the degree-3 batch table 10 x 12.  750: chunks of 10 of the 144
-        # outer kernel points and of 6 of the 7 batch rows, dividing neither;
-        # 7: one outer point per chunk
+        # per chunk; at 12 nodes the degree-2 kernel (2 lead, 2 tail axes)
+        # has 6 x 12 table rows and the degree-3 batch (no lead axis) 10 x 12.
+        # 4320: chunks of 5 x 12 kernel outer points, the last lead axis
+        # tabulated once, the last chunk 2 x 12; 750: chunks of 10 of the 144
+        # outer kernel points, gathered, and of 6 of the 7 batch rows,
+        # dividing neither; 7: one outer point per chunk
         pt, wd, gen = ghs_data(self.S)
         kp = sb.make_kernel_params(pt, wd)
         f = random_poly(2, 2, gen.Q, np.random.default_rng(13))
@@ -519,11 +565,13 @@ class TestSumFactorization:
 
     @pytest.mark.parametrize(
         "n,degrees,nodes",
-        [(1, (0, 1, 4, 6), 12), (2, (0, 2, 3, 5), 12), (3, (1, 3), 8), (3, (6,), 6)],
+        [(1, (0, 1, 4, 6), 12), (2, (0, 2, 3, 5), 12), (3, (1, 3), 8), (3, (6,), 6),
+         (2, (5,), 6)],
     )
     def test_matches_brute_force(self, monkeypatch, n, degrees, nodes):
         pairs = self.compare_each_call(monkeypatch)
         rng = np.random.default_rng(200 + 10 * n + nodes)
+        rows = np.random.default_rng(300 + 10 * n + nodes)
         quad = sb.QuadSpec(nodes=nodes)
         for degree in degrees:
             pt = sb.random_phase_triple(n, rng)
@@ -534,18 +582,24 @@ class TestSumFactorization:
             sb.kernel_reproduce(kp, wd, random_poly(n, degree, m, rng), z, quad)
             f = random_poly(n, degree, m, rng)
             sb.inverse_transform(pt, f, rng.standard_normal(n), quad, wd)
+            # three rows: lead axes beside several rows, for n >= 2; drawn
+            # apart, so the draws above stay those of the single-row calls
+            zs = 0.5 * (rows.standard_normal((3, n)) + 1j * rows.standard_normal((3, n)))
+            sb.kernel_reproduce(kp, wd, f, zs, quad)
+            sb.inverse_transform(pt, f, rows.standard_normal((3, n)), quad, wd)
             u = random_test_function(n, degree, rng)
             Z = 0.5 * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
             sb.transform_batch(pt, u, Z, quad)
             if degree <= 3:  # |poly|^2 has degree 2 deg
                 sb.isometry_residual(pt, u, wd, quad, mode="quad")
-        assert len(pairs) >= 3 * len(degrees)
+        assert len(pairs) >= 5 * len(degrees)
         for got, want, mass in pairs:
             assert np.all(np.abs(got - want) <= 1e-13 * mass)
 
     def test_kernel_evaluates_integrand_on_projection_grid_only(self):
-        # n = 2, 32 nodes, degree 3: 2 lead and 2 tail axes, so the integrand
-        # sees 32^2 outer points x 4^2 projection points, not the 32^4 grid
+        # n = 2, 32 nodes, degree 3: the integrand is projected once per row
+        # on the 4^4 grid of the 4-point rule, not once per lead node (32^2
+        # x 4^2 points) and not on the 32^4 grid
         calls = []
 
         class CountingPoly(sb.PolyC):
@@ -559,8 +613,13 @@ class TestSumFactorization:
         f = sb.GaussPoly(CountingPoly(2, terms), gen.Q)
         z = [0.3 + 0.1j, -0.4 + 0.2j]
         got = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=32))
-        assert 0 < sum(calls) <= 32**2 * 4**2
+        assert sum(calls) == 4**4
         assert abs(got - sb.evaluate(f, z)) <= 1e-10 * abs(got)
+        calls.clear()
+        zs = [z, [0.1 - 0.2j, 0.2 + 0.3j], [-0.3j, 0.5]]
+        got = sb.kernel_reproduce(kp, wd, f, zs, sb.QuadSpec(nodes=32))
+        assert sum(calls) == 3 * 4**4
+        assert np.max(np.abs(got - sb.evaluate(f, np.array(zs)))) <= 1e-10 * np.max(np.abs(got))
 
     def test_round_trip_inverts_all_points_in_one_call(self, monkeypatch):
         calls = []
