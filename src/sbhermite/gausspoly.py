@@ -53,23 +53,29 @@ from . import matrices as mx
 from .errors import DimensionMismatch
 from .model import GeneratorData, WeightData
 
-@functools.lru_cache(maxsize=256)
-def _degree_layer(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The multi-indices with |alpha| = d in lex order."""
-    if n == 0:
-        return ((),) if d == 0 else ()
-    if n == 1:
-        return ((d,),)
-    return tuple(
-        (a,) + rest for a in range(d + 1) for rest in _degree_layer(n - 1, d - a)
-    )
+def _basis_array(n: int, max_degree: int) -> np.ndarray:
+    """All |alpha| <= max_degree in graded lex order, one row each, as an
+    int array (rows, n).  Coordinates are prepended one at a time: for
+    a = 0..max_degree, a followed by the multi-indices of the later
+    coordinates with degree <= max_degree - a (a prefix of their graded
+    basis), stably sorted by degree, keeps every degree layer in lex order."""
+    basis = np.zeros((1, 0), dtype=np.intp)
+    degree = np.zeros(1, dtype=np.intp)
+    for k in range(n):
+        sizes = [math.comb(k + max_degree - a, k) for a in range(max_degree + 1)]
+        lead = np.repeat(np.arange(max_degree + 1), sizes)
+        rest = np.arange(len(lead)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        degree = lead + degree[rest]
+        order = np.argsort(degree, kind="stable")
+        basis, degree = np.column_stack((lead, basis[rest]))[order], degree[order]
+    return basis
 
 
 @functools.lru_cache(maxsize=128)
 def _basis(n: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
-    """All |alpha| <= max_degree in graded lex order, each degree generated
-    directly; the basis of degree d is a prefix of every larger one."""
-    return tuple(a for d in range(max_degree + 1) for a in _degree_layer(n, d))
+    """``_basis_array(n, max_degree)`` as int tuples; the basis of degree d
+    is a prefix of every larger one."""
+    return tuple(map(tuple, _basis_array(n, max_degree).tolist()))
 
 
 @functools.lru_cache(maxsize=128)
@@ -285,6 +291,28 @@ def _live(coef: np.ndarray) -> tuple[bool, ...]:
     return tuple(np.logical_or.reduce(coef, axis=0).tolist())
 
 
+def _raised_columns(basis: np.ndarray) -> np.ndarray:
+    """Column of a + e_k in the graded basis for each row a of ``basis`` (a
+    prefix of ``_basis_array``, in order) and each k: (rows, n).
+
+    With N(j, s) = C(s + j - 1, j - 1) multi-indices of j entries and sum
+    s, and r_i = a_i + .. + a_(n-1) (r_n = 0), a + e_k passes the N(n, |a|)
+    of degree |a|; within its layer each position i < k adds
+    N(j, r_i + 1) - N(j, r_(i+1) + 1) and position k adds N(j, r_k + 1),
+    j = n - 1 - i entries after position i.  So no multi-index is looked up.
+    """
+    m, n = basis.shape
+    r = np.cumsum(basis[:, ::-1], axis=1)[:, ::-1]
+    top = int(r[:, 0].max())
+    count = np.array([[math.comb(s + j - 1, j - 1) if j else int(s == 0) for s in range(top + 2)]
+                      for j in range(n + 1)], dtype=np.intp)
+    j = np.arange(n - 1, -1, -1)
+    own = count[j, r + 1]
+    passed = np.zeros((m, n), dtype=np.intp)
+    np.cumsum(own[:, :-1] - count[j[:-1], r[:, 1:] + 1], axis=1, out=passed[:, 1:])
+    return np.arange(m)[:, None] + count[n, r[:, :1]] + passed + own
+
+
 @functools.lru_cache(maxsize=256)
 def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
     """Gathers of ``_apply_block`` from a block over ``_basis(n, degree)``
@@ -295,20 +323,23 @@ def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
     Derivative term k gathers a + e_k -> a for |a| < degree, weighted by
     a_k + 1.  Multiplication term l gathers a - e_l -> a for every output
     column; a column with a_l = 0 reads a zero pad column appended to the
-    block.
+    block.  Both maps come from ``_raised_columns`` of the source basis.
     """
-    col = _columns(n, degree)
-    inner = _basis(n, degree - 1)
-    out = _basis(n, degree + 1 if any(live_h) else max(degree - 1, 0))
-    deriv = tuple(
-        (k, mx.frozen([col[a[:k] + (a[k] + 1,) + a[k + 1:]] for a in inner], dtype=int),
-         mx.frozen([a[k] + 1.0 for a in inner], dtype=float))
-        for k, live in enumerate(live_g) if live and inner)
-    mult = tuple(
-        (l, mx.frozen([col[a[:l] + (a[l] - 1,) + a[l + 1:]] if a[l] else len(col)
-                       for a in out], dtype=int), None)
-        for l, live in enumerate(live_h) if live)
-    return len(out), len(inner), deriv, mult
+    wide = any(live_h)
+    width = math.comb(n + degree, n)
+    inner = math.comb(n + degree - 1, n) if degree else 0
+    cols = math.comb(n + degree + 1, n) if wide else math.comb(n + max(degree - 1, 0), n)
+    basis = _basis_array(n, degree if wide else max(degree - 1, 0))
+    up = _raised_columns(basis)
+    deriv = tuple((k, mx.frozen(up[:inner, k]), mx.frozen(basis[:inner, k] + 1.0))
+                  for k, live in enumerate(live_g) if live and inner)
+    mult = []
+    for l, live in enumerate(live_h):
+        if live:
+            idx = np.full(cols, width)
+            idx[up[:, l]] = np.arange(width)
+            mult.append((l, mx.frozen(idx), None))
+    return cols, inner, deriv, tuple(mult)
 
 
 #: result entries per pass of ``_apply_block``'s term loop: rows are taken in

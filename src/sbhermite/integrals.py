@@ -59,13 +59,13 @@ from .gausspoly import (
     LinearDiffOp,
     _adjoint_block,
     _basis,
+    _basis_array,
     _block_of,
     _chain_rows,
     _component,
     _degree_of,
     _frame_ladder,
     _in_frame,
-    mi_factorial,
     multi_indices,
 )
 from .model import GeneratorData, WeightData
@@ -224,8 +224,13 @@ def _wick_rows(wd: WeightData, gps, cache: MomentCache | None) -> tuple:
 
 @functools.lru_cache(maxsize=128)
 def _factorials(n: int, degree: int) -> np.ndarray:
-    """a! over ``_basis(n, degree)``, read-only."""
-    return mx.frozen([mi_factorial(a) for a in _basis(n, degree)], dtype=float)
+    """a! over ``_basis(n, degree)``, read-only: per multi-index the exact
+    product of its entries' factorials, rounded once to float.  The product
+    is at most |a|!, so int64 holds it up to degree 20; beyond that the
+    table holds Python integers."""
+    table = np.array([math.factorial(k) for k in range(degree + 1)],
+                     dtype=np.int64 if degree <= 20 else object)
+    return mx.frozen(table[_basis_array(n, degree)].prod(axis=1).astype(float))
 
 
 def _weights(mc: MomentCache, width: int) -> np.ndarray:

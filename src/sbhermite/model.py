@@ -273,16 +273,20 @@ def ccr_matrix(wd: WeightData, Q) -> np.ndarray:
     return 2.0 * (wd.phi_zzbar - gq @ wd.beta.conj() @ gq.conj().T)
 
 
-def condition1_margin(wd: WeightData, Q) -> float:
-    """Smallest eigenvalue of the real form of the combined weight exponent.
+def _combined_spectrum(wd: WeightData, Q) -> np.ndarray:
+    """Eigenvalues, ascending, of the real form of the combined weight
+    exponent: q(z) = <z, phi_zzbar zbar> + Re <z, (phi_zz+Q) z> in the
+    coordinates (Re z, Im z), half the M_R of ``integrals.combined_form``."""
+    Q = mx.as_square(Q, "Q")
+    return np.linalg.eigvalsh(mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + Q))
 
-    The form is q(z) = <z, phi_zzbar zbar> + Re <z, (phi_zz+Q) z> in the
-    coordinates (Re z, Im z).  Nonpositive values flag a non-integrable
+
+def condition1_margin(wd: WeightData, Q) -> float:
+    """Smallest eigenvalue of the real form of the combined weight exponent
+    (``_combined_spectrum``).  Nonpositive values flag a non-integrable
     weight; constructed generators satisfy margin >= rho^2 / 2.
     """
-    Q = mx.as_square(Q, "Q")
-    m = mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + Q)
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(_combined_spectrum(wd, Q)[0])
 
 
 def sq_closed_form_residual(wd: WeightData, gen: GeneratorData) -> float:

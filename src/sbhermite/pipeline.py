@@ -21,15 +21,19 @@ block, 2n kernel calls, so the image stays on the block's ``_basis(n, d)``,
 where ``eigen_max`` is taken row by row.  The Rodrigues stage checks the
 closed form's exponent and compares its block with the family block row
 by row.  The adjoint stage draws its ten random (f, g, i) triples as Wick
-coefficients into two blocks and takes every inner product and norm from
-one block of f, g, lower_i f and raise_i g, the last two from one kernel
-call; completeness expands an identity row for every Wick power
-:u^beta:, |beta| <= max_degree, against the whole family in one call.  The
-isometry stage compares the Gram of the images with the identity.
+coefficients into two blocks (``_adjoint_draws``: a counter-based
+splitmix64 stream from the config's seed in plain numpy, Box-Muller for
+the normals, so no run imports ``numpy.random``) and takes every inner
+product and norm from one block of f, g, lower_i f and raise_i g, the
+last two from one kernel call; completeness expands an identity row for
+every Wick power :u^beta:, |beta| <= max_degree, against the whole family
+in one call.  The isometry stage compares the Gram of the images with the
+identity.
 
 Besides residuals, a report carries ``metrics``: family size and terms
 (the nonzero Wick coefficients of the family block), cond(M_R) of the
-combined real form, lambda_max / lambda_0, min mu / lambda_0 and
+combined real form (from the spectrum that gives condition1_margin),
+rho / lambda_0, lambda_max / lambda_0, min mu / lambda_0 and
 condition1_margin / rho^2.
 They describe the run and never enter a verdict.
 """
@@ -67,10 +71,10 @@ from .integrals import (
     make_moment_cache,
 )
 from .model import (
+    _combined_spectrum,
     build_generator,
     ccr_matrix,
     compute_weight_data,
-    condition1_margin,
     eq2202_residual,
     sq_closed_form_residual,
     validate_phase_triple,
@@ -357,20 +361,42 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _adjoint_draws(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: splitmix64's increment (2^64 over the golden ratio) and its two multipliers
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of splitmix64 seeded with ``seed``
+    (modulo 2^64), each as its top 53 bits over 2^53, in [0, 1).  Output k
+    is counter based: the state seed + (k + 1) gamma through the three
+    xor-shift(-multiply) rounds, all k at once in uint64 arithmetic, which
+    wraps modulo 2^64 as the generator does."""
+    gamma, m1, m2 = (np.uint64(v) for v in _SPLITMIX)
+    z = np.uint64(seed % 2**64) + np.arange(1, count + 1, dtype=np.uint64) * gamma
+    z = (z ^ (z >> 30)) * m1
+    z = (z ^ (z >> 27)) * m2
+    z ^= z >> 31
+    return (z >> 11).astype(float) * 2.0**-53
+
+
+def _adjoint_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ten random (f, g, i) triples: f and g as rows of two coefficient
-    blocks over every |alpha| <= 3, i as a component index per row.  Each of
-    f and g is one normal vector, real parts from its even entries and
-    imaginary parts from its odd ones; the draws go f, g, i per triple."""
+    blocks over every |alpha| <= 3, i as a component index per row.
+
+    Triple t reads its 4 m + 1 uniforms (m = len(_basis(n, 3))) from
+    ``_uniforms(seed, ...)`` from (4 m + 1) t on: 2 m Box-Muller pairs
+    (u, v), the m coefficients of f and then those of g, each
+    sqrt(-2 log(1 - u)) (cos 2 pi v + i sin 2 pi v), a pair of independent
+    standard normals; then u for i = floor(u n)."""
     m = len(_basis(n, 3))
-    f = np.empty((10, m), dtype=complex)
-    g = np.empty((10, m), dtype=complex)
-    comps = np.empty(10, dtype=int)
-    for t in range(10):
-        f[t] = rng.standard_normal(2 * m).view(complex)
-        g[t] = rng.standard_normal(2 * m).view(complex)
-        comps[t] = rng.integers(0, n)
-    return f, g, comps
+    u = _uniforms(seed, 10 * (4 * m + 1)).reshape(10, 4 * m + 1)
+    pairs = u[:, : 4 * m].reshape(10, 2, m, 2)
+    radius = np.sqrt(-2.0 * np.log(1.0 - pairs[..., 0]))
+    angle = 2.0 * math.pi * pairs[..., 1]
+    coeffs = np.empty((10, 2, m), dtype=complex)
+    coeffs.real = radius * np.cos(angle)
+    coeffs.imag = radius * np.sin(angle)
+    return coeffs[:, 0], coeffs[:, 1], np.floor(u[:, -1] * n).astype(int)
 
 
 class _StageTimer:
@@ -444,6 +470,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     res = report.residuals
     metrics = report.metrics
     metrics["lam_max_over_lam0"] = float(wd.lam[-1] / wd.lam0)
+    metrics["rho_over_lam0"] = float(rho / wd.lam0)
     mu_min = float(np.min(gen.mu))
     metrics["min_mu_over_lam0"] = mu_min / wd.lam0
     n, rho2 = wd.n, gen.rho2
@@ -454,10 +481,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
         res["symmetry_Q"] = mx.max_abs(gen.Q - gen.Q.T)
         res["symmetry_S"] = mx.max_abs(gen.S - gen.S.T)
         res["sq_closed_form"] = sq_closed_form_residual(wd, gen)
-        res["condition1_margin"] = condition1_margin(wd, gen.Q)
+        # one spectrum of the combined real form (M_R / 2) gives the
+        # margin and cond(M_R)
+        spectrum = _combined_spectrum(wd, gen.Q)
+        res["condition1_margin"] = float(spectrum[0])
         metrics["condition1_margin_over_rho2"] = res["condition1_margin"] / rho2
+        return spectrum
 
-    timer.run("algebra", algebra)
+    spectrum = timer.run("algebra", algebra)
 
     def family():
         # one moment cache at Q and one at the image exponent; every later
@@ -477,7 +508,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     cache, image_cache, ladder, block, closed, images = timer.run("family", family)
     metrics["family_members"] = block.shape[0]
     metrics["family_terms"] = int(np.count_nonzero(block))
-    metrics["cond_M_R"] = float(np.linalg.cond(cache.form.M_R))
+    metrics["cond_M_R"] = float(spectrum[-1] / spectrum[0])
 
     def gram():
         g = _gram_block(cache, block)
@@ -510,7 +541,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def adjoint():
         # one block of f, g, lower_i f and raise_i g for ten random triples
-        f, g, comps = _adjoint_draws(n, np.random.default_rng(config.seed))
+        f, g, comps = _adjoint_draws(n, config.seed)
         rows = _adjoint_block(ladder, comps, f, g)
         k = len(comps)
         t = np.arange(k)

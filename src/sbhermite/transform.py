@@ -40,7 +40,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import DimensionMismatch, NonIntegrableWeight
-from .gausspoly import GaussPoly, LinearDiffOp, mi_factorial, multi_indices
+from .gausspoly import GaussPoly, LinearDiffOp, _basis_array, mi_factorial
 from .gausspoly import _chain_rows, _checked_basis, _gauss_polys, _in_frame, _multi_index
 from .gausspoly import _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, combined_form, make_moment_cache
@@ -219,13 +219,8 @@ def _index_plan(lead_dim: int, tail_dim: int, degree: int) -> tuple:
     indices kl and the tail indices beta, |kl|, |beta| <= ``degree``; for
     each pair the position of (kl, beta) in the coefficients of
     ``_hermite_coefficients``; and whether |kl| + |beta| <= ``degree``."""
-
-    def indices(dim):
-        found = multi_indices(dim, degree)
-        return np.array(found, dtype=np.intp).reshape(len(found), dim)
-
     size = degree + 1
-    kl, betas = indices(lead_dim), indices(tail_dim)
+    kl, betas = _basis_array(lead_dim, degree), _basis_array(tail_dim, degree)
     flat_l = kl @ size ** np.arange(lead_dim + tail_dim - 1, tail_dim - 1, -1)
     flat_t = betas @ size ** np.arange(tail_dim - 1, -1, -1)
     live = kl.sum(axis=1)[:, None] + betas.sum(axis=1) <= degree
@@ -320,7 +315,13 @@ def _gauss_hermite(
     # bt_rj t over the nodes to the outer exponent, so neither overflows.
     shift = np.abs(bt[:, lead_dim:].real) * t[-1]
     row_axis = np.exp(bt[:, lead_dim:, None] * t - shift[:, :, None])
-    lead_axis = np.exp(-2.0 * k_cross[:, None, :, None] * t[:, None, None] * t)
+    # K is purely imaginary and the nodes are antisymmetric (t[-1 - j] =
+    # -t[j] exactly), so the lead-tail coupling at tail node -t_j is the
+    # conjugate of that at t_j: only the first half is exponentiated
+    half = (nodes + 1) // 2
+    lead_axis = np.empty((lead_dim, nodes, tail_dim, nodes), dtype=complex)
+    lead_axis[..., :half] = np.exp(-2.0 * k_cross[:, None, :, None] * t[:, None, None] * t[:half])
+    np.conjugate(lead_axis[..., nodes - half - 1 :: -1], out=lead_axis[..., half:])
     row_part = ct + shift.sum(axis=1)
     n_lead = nodes**lead_dim
     step = max(1, _SLAB_POINTS // max(table.shape[0], tail_dim * nodes, len(kl)))

@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -147,3 +148,34 @@ def reference_moments(zcov, monos, cap: int) -> np.ndarray:
                 out[i, j] = val
                 out[j, i] = val.conjugate()
     return out
+
+
+def reference_basis(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Loop oracle for the graded lex basis |alpha| <= degree: the tensor
+    product of 0..degree, filtered and sorted by (degree, alpha)."""
+    grid = itertools.product(range(degree + 1), repeat=n)
+    return sorted((a for a in grid if sum(a) <= degree), key=lambda a: (sum(a), a))
+
+
+def reference_kernel_plan(n: int, degree: int, live_g, live_h) -> tuple:
+    """Loop oracle for ``gausspoly._kernel_plan``: the same tuple, built by
+    looking every shifted multi-index up in a dict of columns."""
+    col = {a: k for k, a in enumerate(reference_basis(n, degree))}
+    inner = reference_basis(n, degree - 1) if degree else []
+    out = reference_basis(n, degree + 1 if any(live_h) else max(degree - 1, 0))
+    deriv = tuple(
+        (k, np.array([col[a[:k] + (a[k] + 1,) + a[k + 1:]] for a in inner], dtype=int),
+         np.array([a[k] + 1.0 for a in inner]))
+        for k, live in enumerate(live_g) if live and inner)
+    mult = tuple(
+        (l, np.array([col[a[:l] + (a[l] - 1,) + a[l + 1:]] if a[l] else len(col)
+                      for a in out], dtype=int), None)
+        for l, live in enumerate(live_h) if live)
+    return len(out), len(inner), deriv, mult
+
+
+def reference_factorials(n: int, degree: int) -> np.ndarray:
+    """Loop oracle for ``integrals._factorials``: alpha! per multi-index of
+    the graded basis, the exact integer product rounded once to float."""
+    return np.array([float(math.prod(math.factorial(e) for e in a))
+                     for a in reference_basis(n, degree)])

@@ -18,6 +18,7 @@ from sbhermite.gausspoly import (
     _frame_ladder,
     _hamiltonian_block,
     _in_frame,
+    _kernel_plan,
     _row_distances,
 )
 from sbhermite.transform import _intertwined_raising
@@ -31,6 +32,7 @@ from helpers import (
     random_poly,
     reference_apply_op,
     reference_coeff_distance,
+    reference_kernel_plan,
 )
 
 
@@ -187,6 +189,24 @@ class TestBlockKernel:
                 folded = _in_frame(op, M)
                 out = _apply_block(folded.G[comps], folded.H[comps], block)
                 assert out.shape == (3, len(_basis(n, max(degree + step, 0)))), (degree, step)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_plan_matches_loop_oracle(self, n):
+        # the index maps and weights built by numpy equal the dict lookups
+        # of every shifted multi-index, for every degree and live mask
+        masks = {(True,) * n, (False,) * n, tuple(i % 2 == 0 for i in range(n)),
+                 tuple(i == n - 1 for i in range(n))}
+        for degree in range(7):
+            for live_g in masks:
+                for live_h in masks:
+                    got = _kernel_plan(n, degree, live_g, live_h)
+                    want = reference_kernel_plan(n, degree, live_g, live_h)
+                    assert got[:2] == want[:2], (degree, live_g, live_h)
+                    assert len(got[2]) == len(want[2]) and len(got[3]) == len(want[3])
+                    for (k, idx, w), (k_want, idx_want, w_want) in zip(got[2] + got[3],
+                                                                       want[2] + want[3]):
+                        assert k == k_want and np.array_equal(idx, idx_want)
+                        assert (w is None and w_want is None) or np.array_equal(w, w_want)
 
 
 class TestAncestorChain:
@@ -773,8 +793,9 @@ class TestMultiIndices:
         assert out == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
     def test_matches_filtered_product(self):
-        # each degree generated directly equals the filtered tensor product
-        for n in range(1, 6):
+        # the numpy-built basis equals the filtered tensor product, also at
+        # n = 0 (the quadrature's empty lead split)
+        for n in range(6):
             for d in range(9):
                 want = [
                     t

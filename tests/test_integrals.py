@@ -16,7 +16,13 @@ from sbhermite.errors import (
     NonIntegrableWeight,
 )
 from sbhermite.gausspoly import _apply_block, _block_of, _in_frame
-from sbhermite.integrals import _expansions, _gram_block, _pair_inners, _wick_block
+from sbhermite.integrals import (
+    _expansions,
+    _factorials,
+    _gram_block,
+    _pair_inners,
+    _wick_block,
+)
 
 from helpers import (
     bargmann_data,
@@ -24,6 +30,7 @@ from helpers import (
     em_data,
     ghs_data,
     random_poly,
+    reference_factorials,
     reference_moments,
 )
 
@@ -601,6 +608,15 @@ class TestBatchedCore:
                     assert abs(coeffs[k, j] - want[a]) <= 1e-13 * scale, (betas[k], a)
                     pair = sb.hphi_inner(f, fam[a], wd, cache) / sb.hphi_norm(fam[a], wd, cache)
                     assert abs(coeffs[k, j] - pair) <= 1e-13 * scale, (betas[k], a)
+
+    def test_factorials_match_loop_oracle(self):
+        # the numpy table equals the exact product rounded once, also past
+        # degree 20, where the product leaves int64
+        for n in range(1, 6):
+            for degree in range(7):
+                assert np.array_equal(_factorials(n, degree), reference_factorials(n, degree))
+        for n, degree in ((1, 24), (2, 22), (3, 21)):
+            assert np.array_equal(_factorials(n, degree), reference_factorials(n, degree))
 
 
 class TestInputChecks:

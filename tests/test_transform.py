@@ -566,7 +566,7 @@ class TestSumFactorization:
     @pytest.mark.parametrize(
         "n,degrees,nodes",
         [(1, (0, 1, 4, 6), 12), (2, (0, 2, 3, 5), 12), (3, (1, 3), 8), (3, (6,), 6),
-         (2, (5,), 6)],
+         (2, (5,), 6), (2, (2, 3), 7)],
     )
     def test_matches_brute_force(self, monkeypatch, n, degrees, nodes):
         pairs = self.compare_each_call(monkeypatch)
@@ -595,6 +595,14 @@ class TestSumFactorization:
         assert len(pairs) >= 5 * len(degrees)
         for got, want, mass in pairs:
             assert np.all(np.abs(got - want) <= 1e-13 * mass)
+
+    @pytest.mark.parametrize("nodes", [4, 5, 7, 16, 24, 32, 64, 65, transform_module.MAX_NODES])
+    def test_rule_nodes_are_antisymmetric(self, nodes):
+        # the integrator exponentiates the lead-tail coupling at half the
+        # tail nodes and conjugates it onto the mirror half: t[-1 - j] = -t[j]
+        # must hold exactly
+        t, _ = transform_module._hermite_rule(nodes)
+        assert np.array_equal(t[::-1], -t)
 
     def test_kernel_evaluates_integrand_on_projection_grid_only(self):
         # n = 2, 32 nodes, degree 3: the integrand is projected once per row
