@@ -4,7 +4,6 @@ identities those families satisfy."""
 
 from .errors import (
     ConfigError,
-    DegreeCapExceeded,
     DimensionMismatch,
     EigFailure,
     IncompleteFamily,
@@ -45,7 +44,6 @@ from .integrals import (
     hphi_inner,
     hphi_norm,
     make_moment_cache,
-    wick_moment,
 )
 from .model import (
     GeneratorData,

@@ -97,7 +97,7 @@ def _cmd_construct(args) -> int:
         fam = hermite_family(wd, gen, args.family)
         payload["family"] = {
             ",".join(map(str, alpha)): encode_gauss_poly(member)
-            for alpha, member in sorted(fam.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+            for alpha, member in fam.items()
         }
     _emit(payload, args.out)
     return EXIT_PASS

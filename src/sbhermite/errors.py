@@ -45,10 +45,6 @@ class MExponentMismatch(ValueError):
     """A Gaussian-polynomial argument carries the wrong exponent matrix."""
 
 
-class DegreeCapExceeded(ValueError):
-    """Requested Gaussian moment exceeds the total-degree cap of ``wick_moment``."""
-
-
 class NonIntegrableWeight(ValueError):
     """The combined Gaussian exponent is not positive definite."""
 

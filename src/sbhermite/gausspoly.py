@@ -71,6 +71,12 @@ def _basis_array(n: int, max_degree: int) -> np.ndarray:
     return basis
 
 
+def _graded_lex(alpha: tuple[int, ...]) -> tuple:
+    """Sort key of graded lex order, (|alpha|, alpha): the order of
+    ``_basis_array``, for multi-indices kept in dicts."""
+    return sum(alpha), alpha
+
+
 @functools.lru_cache(maxsize=128)
 def _basis(n: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """``_basis_array(n, max_degree)`` as int tuples; the basis of degree d

@@ -22,21 +22,19 @@ coefficients as (G L^(-T) + h L C, h L), h = H - 2 G M
 (``gausspoly._in_frame`` with a cache as its frame), so the kernel and
 chains of ``gausspoly`` run on them unchanged; the verify pipeline builds
 every block in a frame.  The public inner products reach the frame
-through one edge, ``_wick_rows``: it checks their arguments against the
-weight and one cache (``make_moment_cache``, the only constructor, at
-one exponent) and converts the monomial GaussPolys (``_wick_block``): z^a
-is the chain of the multiplication operators z_l over the ancestors of
-the monomials used, so z_1^12 costs 13 chain rows of dense Wick vectors.
+through one edge, ``_wick_rows``: it builds the frame at the first
+argument's exponent (``make_moment_cache``, the only constructor), checks
+every argument against the weight and that exponent, and converts the
+monomial GaussPolys (``_wick_block``): z^a is the chain of the
+multiplication operators z_l over the ancestors of the monomials used, so
+z_1^12 costs 13 chain rows of dense Wick vectors.
 
 Stage-wide callers work on one block: any set of pairs (l, r) is one
 weighted row sum (``_pair_inners``), a Gram matrix one product
 normalizer * P diag(a!) P^H (``_gram_block``), and many expansions in a
 family one block too (``_expansions``).  ``hphi_inner``, ``gram_matrix``,
 ``expand_in_family`` and ``adjoint_residual`` are cases of these, so no
-inner product is implemented twice.  The real moments E[w^beta] of
-``wick_moment`` come from the Isserlis recursion on Sigma, memoized in the
-cache's ``memo``: an independent route that the tests use as the oracle,
-capped at total degree ``DEGREE_CAP``.
+inner product is implemented twice.
 """
 
 from __future__ import annotations
@@ -48,12 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrices as mx
-from .errors import (
-    DegreeCapExceeded,
-    DimensionMismatch,
-    IncompleteFamily,
-    NonIntegrableWeight,
-)
+from .errors import DimensionMismatch, IncompleteFamily, NonIntegrableWeight
 from .gausspoly import (
     GaussPoly,
     LinearDiffOp,
@@ -65,13 +58,11 @@ from .gausspoly import (
     _component,
     _degree_of,
     _frame_ladder,
+    _graded_lex,
     _in_frame,
     multi_indices,
 )
 from .model import GeneratorData, WeightData
-
-#: cap on the total real degree of a moment of ``wick_moment``
-DEGREE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,7 @@ class RealQuadraticForm:
     factor: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentCache:
     """Gaussian moment data and the Wick frame of one exponent's weight.
 
@@ -96,9 +87,10 @@ class MomentCache:
     ``zcov`` the bilinear covariance K of (z, zbar).  ``L`` and ``C`` are
     the frame of ``exponent``: L = chol(E[z zbar^T]) and
     C = L^(-1) E[z z^T] L^(-T), the covariance of the whitened coordinates
-    u = L^(-1) z (see the module notes).  ``memo`` maps beta to E[w^beta]
-    as ``wick_moment`` computes it.  The memo is the only mutable part, so
-    a cache must stay confined to one evaluation context.
+    u = L^(-1) z (see the module notes).  No code of the package reads or
+    writes ``memo``: it stays only because the benchmark tracer
+    (``bench/tracing.py``) counts its entries, which the tests' Isserlis
+    oracle fills with real moments E[w^beta].
     """
 
     form: RealQuadraticForm
@@ -150,46 +142,6 @@ def make_moment_cache(wd: WeightData, M) -> MomentCache:
     )
 
 
-def wick_moment(mc: MomentCache, beta) -> float:
-    """Centered Gaussian moment E[w^beta] under the real covariance Sigma."""
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != mc.covariance.shape[0]:
-        raise DimensionMismatch("beta must index the 2n real coordinates")
-    if sum(beta) > DEGREE_CAP:
-        raise DegreeCapExceeded(f"moment degree {sum(beta)} exceeds cap {DEGREE_CAP}")
-    return _isserlis(mc.covariance.tolist(), mc.memo, beta)
-
-
-def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
-    """E[u^beta] for a centered Gaussian vector u with E[u u^T] = cov.
-
-    Odd total degrees vanish; even ones follow the Isserlis recursion on the
-    first active variable.  ``cov`` may be complex (a bilinear, not a
-    Hermitian, covariance) and is passed as nested lists for speed.
-    """
-    val = memo.get(beta)
-    if val is not None:
-        return val
-    total = sum(beta)
-    if total == 0:
-        val = 1.0
-    elif total % 2 == 1:
-        val = 0.0
-    else:
-        j = next(i for i, b in enumerate(beta) if b)
-        rest = list(beta)
-        rest[j] -= 1
-        row = cov[j]
-        val = 0.0
-        for k, bk in enumerate(rest):
-            if bk:
-                child = list(rest)
-                child[k] -= 1
-                val += row[k] * bk * _isserlis(cov, memo, tuple(child))
-    memo[beta] = val
-    return val
-
-
 def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     """Wick coefficients, in the frame of ``mc``, of a block of monomial
     coefficients with the cache's exponent.
@@ -208,16 +160,16 @@ def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     return block[:, cols] @ rows
 
 
-def _wick_rows(wd: WeightData, gps, cache: MomentCache | None) -> tuple:
-    """The edge of the public inner products: ``cache`` (or a new one at the
-    first argument's exponent) and the Wick coefficients of the GaussPolys
-    ``gps`` in its frame, one row each, after checking that every argument
-    matches the weight dimension and the cache exponent."""
+def _wick_rows(wd: WeightData, gps) -> tuple:
+    """The edge of the public inner products: a moment cache at the first
+    argument's exponent and the Wick coefficients of the GaussPolys ``gps``
+    in its frame, one row each, after checking that every argument matches
+    the weight dimension and that exponent."""
     if any(gp.n != wd.n for gp in gps):
         raise DimensionMismatch("arguments do not match the weight dimension")
-    cache = cache or make_moment_cache(wd, gps[0].M)
-    for gp in gps:
-        mx.require_same_exponent(gp.M, cache.exponent, "an argument and the moment cache")
+    cache = make_moment_cache(wd, gps[0].M)
+    for gp in gps[1:]:
+        mx.require_same_exponent(gp.M, cache.exponent, "the arguments")
     d = max(gp.poly.degree() for gp in gps)
     return cache, _wick_block(cache, _block_of([gp.poly for gp in gps], d))
 
@@ -277,31 +229,27 @@ def _expansions(
     return c, residuals, np.sqrt(np.maximum(_row_inners(w, fs, fs).real, 0.0))
 
 
-def hphi_inner(
-    F: GaussPoly, G: GaussPoly, wd: WeightData, cache: MomentCache | None = None
-) -> complex:
+def hphi_inner(F: GaussPoly, G: GaussPoly, wd: WeightData) -> complex:
     """Weighted inner product (F, G) = integral F conj(G) e^(-2 Phi).
 
     Both arguments go to Wick coefficients in the frame of their common
     exponent (``_wick_rows``: MExponentMismatch if the exponents differ),
     and the product is the diagonal sum of the module notes, exact to
-    floating point at every degree.  Pass ``cache`` to share the frame
-    across many products with the same exponent.
+    floating point at every degree.  Each call builds that frame; the
+    products of a whole family share one in ``gram_matrix``.
     """
-    cache, fg = _wick_rows(wd, (F, G), cache)
+    cache, fg = _wick_rows(wd, (F, G))
     return complex(_pair_inners(cache, fg, [0], [1])[0])
 
 
-def hphi_norm(F: GaussPoly, wd: WeightData, cache: MomentCache | None = None) -> float:
+def hphi_norm(F: GaussPoly, wd: WeightData) -> float:
     """Weighted norm ||F||, the square root of (F, F)."""
-    val = hphi_inner(F, F, wd, cache)
+    val = hphi_inner(F, F, wd)
     return math.sqrt(max(val.real, 0.0))
 
 
 def gram_matrix(
-    family: dict[tuple[int, ...], GaussPoly],
-    wd: WeightData,
-    cache: MomentCache | None = None,
+    family: dict[tuple[int, ...], GaussPoly], wd: WeightData
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Gram matrix of a family, with its graded-lex index list.
 
@@ -309,40 +257,33 @@ def gram_matrix(
     pairs at once by ``_gram_block`` on the Wick coefficients of the
     family's block.
     """
-    keys = sorted(family.keys(), key=lambda t: (sum(t), t))
+    keys = sorted(family.keys(), key=_graded_lex)
     if not keys:
         return [], np.zeros((0, 0), dtype=complex)
-    cache, rows = _wick_rows(wd, [family[k] for k in keys], cache)
+    cache, rows = _wick_rows(wd, [family[k] for k in keys])
     return keys, _gram_block(cache, rows)
 
 
 def adjoint_residual(
-    wd: WeightData,
-    gen: GeneratorData,
-    F: GaussPoly,
-    G: GaussPoly,
-    i: int,
-    cache: MomentCache | None = None,
+    wd: WeightData, gen: GeneratorData, F: GaussPoly, G: GaussPoly, i: int
 ) -> float:
     """|(lower_i F, G) - (F, raise_i G)| for arguments sharing one exponent.
 
     Values near zero validate the implemented raising operator as the true
     adjoint with respect to the weighted inner product.  The operators act
-    on the Wick coefficients of F and G folded at the cache's exponent, which
-    need not be Q, as in the verify pipeline.
+    on the Wick coefficients of F and G, folded at the arguments' common
+    exponent (MExponentMismatch if they differ).  That exponent need not be
+    Q: lowering and raising are adjoint on the whole space.
     """
     i = _component(i, wd.n)
-    cache, fg = _wick_rows(wd, (F, G), cache or make_moment_cache(wd, gen.Q))
+    cache, fg = _wick_rows(wd, (F, G))
     rows = _adjoint_block(_frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])
     lhs, rhs = _pair_inners(cache, rows, [2, 0], [1, 3])
     return abs(lhs - rhs)
 
 
 def expand_in_family(
-    F: GaussPoly,
-    family: dict[tuple[int, ...], GaussPoly],
-    wd: WeightData,
-    cache: MomentCache | None = None,
+    F: GaussPoly, family: dict[tuple[int, ...], GaussPoly], wd: WeightData
 ) -> tuple[dict[tuple[int, ...], complex], float]:
     """Coefficients of F against the normalized family, plus the residual norm.
 
@@ -355,6 +296,6 @@ def expand_in_family(
     missing = [a for a in needed if a not in family]
     if missing:
         raise IncompleteFamily(f"family lacks indices {missing[:4]} (degree {deg})")
-    cache, block = _wick_rows(wd, [F, *(family[a] for a in needed)], cache)
+    cache, block = _wick_rows(wd, [F, *(family[a] for a in needed)])
     c, residuals, _ = _expansions(cache, block[:1], block[1:])
     return dict(zip(needed, c[0].tolist())), float(residuals[0])

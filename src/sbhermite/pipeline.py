@@ -56,6 +56,7 @@ from .gausspoly import (
     _basis,
     _chain_rows,
     _frame_ladder,
+    _graded_lex,
     _hamiltonian_block,
     _in_frame,
     _multi_index,
@@ -171,7 +172,7 @@ def encode_gauss_poly(gp: GaussPoly) -> dict:
     """Report encoding: graded-lex (multi-index, [re, im]) pairs plus M."""
     terms = [
         [list(alpha), [float(c.real), float(c.imag)]]
-        for alpha, c in sorted(gp.poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        for alpha, c in sorted(gp.poly.terms.items(), key=lambda kv: _graded_lex(kv[0]))
     ]
     return {"terms": terms, "M": encode_matrix(gp.M)}
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 import sbhermite as sb
-from sbhermite.integrals import _isserlis
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -125,6 +124,44 @@ def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.Gaus
                 key = mono[:l] + (mono[l] + 1,) + mono[l + 1:]
                 out[key] = out.get(key, 0.0) + h * c
     return sb.GaussPoly(sb.PolyC(gp.n, out), gp.M)
+
+
+def wick_moment(mc: sb.MomentCache, beta) -> float:
+    """Oracle: the centered Gaussian moment E[w^beta] under the real
+    covariance of a moment cache, w = (Re z, Im z), from the Isserlis
+    recursion memoized in the cache's ``memo`` (the benchmark tracer counts
+    its entries)."""
+    return _isserlis(mc.covariance.tolist(), mc.memo, tuple(int(b) for b in beta))
+
+
+def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):
+    """E[u^beta] for a centered Gaussian vector u with E[u u^T] = cov.
+
+    Odd total degrees vanish; even ones follow the Isserlis recursion on the
+    first active variable.  ``cov`` may be complex (a bilinear, not a
+    Hermitian, covariance) and is passed as nested lists for speed.
+    """
+    val = memo.get(beta)
+    if val is not None:
+        return val
+    total = sum(beta)
+    if total == 0:
+        val = 1.0
+    elif total % 2 == 1:
+        val = 0.0
+    else:
+        j = next(i for i, b in enumerate(beta) if b)
+        rest = list(beta)
+        rest[j] -= 1
+        row = cov[j]
+        val = 0.0
+        for k, bk in enumerate(rest):
+            if bk:
+                child = list(rest)
+                child[k] -= 1
+                val += row[k] * bk * _isserlis(cov, memo, tuple(child))
+    memo[beta] = val
+    return val
 
 
 def reference_moments(zcov, monos, cap: int) -> np.ndarray:

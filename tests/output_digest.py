@@ -16,14 +16,18 @@ every verdict, of the reports (timings excluded) of
 
 and the values of ``transform_batch``, ``inverse_transform``,
 ``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both
-modes) on the golden ``em`` and ``ghs`` triples.  A stage that raises is
+modes) on the golden ``em`` and ``ghs`` triples, and of ``hphi_inner``,
+``hphi_norm``, ``gram_matrix``, ``expand_in_family``, ``adjoint_residual``
+(every component) and the frame (``L``, ``C``, normalizer) of
+``make_moment_cache`` on the golden ``em`` and ``ghs`` families (s = 0.5,
+degree 3) and on one random n = 3 triple.  A stage that raises is
 hashed through its partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
 ``--lines`` output of another checkout and prints, per quantity (a line's
 label and key without its index), the lines that differ and the largest
 difference: absolute for residuals (``residuals.*``, ``round_trip_error``,
-``isometry_*``), relative to the other checkout's value for every other
+``isometry_*``, ``adjoint_residual``, ``expand_residual``), relative to the other checkout's value for every other
 number.
 
 This is a script, not a test module: pytest does not collect it.
@@ -41,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 import sbhermite as sb
-from helpers import bench_module
+from helpers import bench_module, em_data, ghs_data, random_poly
 from sbhermite.pipeline import StageFailure
 
 S_VALUES = (0.3, 0.5, 0.7)
@@ -132,8 +136,36 @@ def quadrature_lines() -> list[str]:
     return lines
 
 
-#: quadrature lines whose values are residuals, compared absolutely
-QUADRATURE_RESIDUALS = ("round_trip_error", "isometry_quad", "isometry_fit")
+def integral_lines() -> list[str]:
+    cases = {"em": em_data(0.5)[1:], "ghs": ghs_data(0.5)[1:],
+             "random3": sb.random_generator(3, np.random.default_rng(7))[1:]}
+    lines = []
+    for name, (wd, gen) in cases.items():
+        rng = np.random.default_rng(13)
+        family = sb.hermite_family(wd, gen, 3)
+        f, g = random_poly(wd.n, 3, gen.Q, rng), random_poly(wd.n, 2, gen.Q, rng)
+        frame = sb.make_moment_cache(wd, gen.Q)
+        coefficients, residual = sb.expand_in_family(f, family, wd)
+        values = {
+            "frame_L": frame.L,
+            "frame_C": frame.C,
+            "frame_normalizer": frame.form.normalizer,
+            "hphi_inner": sb.hphi_inner(f, g, wd),
+            "hphi_norm": sb.hphi_norm(f, wd),
+            "gram_matrix": sb.gram_matrix(family, wd)[1],
+            "expand_in_family": list(coefficients.values()),
+            "expand_residual": residual,
+            "adjoint_residual": [sb.adjoint_residual(wd, gen, f, g, i) for i in range(wd.n)],
+        }
+        for key, value in values.items():
+            for k, v in enumerate(np.ravel(value)):
+                lines.append(f"integrals-{name} {key}[{k}] {_hex(v)}")
+    return lines
+
+
+#: value lines that are residuals, compared absolutely
+VALUE_RESIDUALS = ("round_trip_error", "isometry_quad", "isometry_fit",
+                   "adjoint_residual", "expand_residual")
 
 
 def _number(text: str):
@@ -166,7 +198,7 @@ def compare(lines: list[str], other: list[str]) -> list[str]:
             groups.setdefault(quantity, []).append((key, a, b))
     report = []
     for (label, name), diffs in groups.items():
-        residual = name.startswith("residuals.") or name in QUADRATURE_RESIDUALS
+        residual = name.startswith("residuals.") or name in VALUE_RESIDUALS
         largest = None
         for key, a, b in diffs:
             x, y = _number(a or ""), _number(b or "")
@@ -187,7 +219,8 @@ def compare(lines: list[str], other: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    lines = acceptance_lines() + golden_lines() + bench_lines() + quadrature_lines()
+    lines = (acceptance_lines() + golden_lines() + bench_lines() + quadrature_lines()
+             + integral_lines())
     if "--lines" in argv:
         print("\n".join(lines))
     if "--against" in argv:

@@ -121,13 +121,12 @@ def test_07_adjointness():
     for trial in range(10):
         n = 1 + trial % 3
         _, wd, gen = sb.random_generator(n, rng)
-        cache = sb.make_moment_cache(wd, gen.Q)
         for _ in range(10):
             f = random_poly(n, 4, gen.Q, rng)
             g = random_poly(n, 4, gen.Q, rng)
             i = int(rng.integers(0, n))
-            scale = sb.hphi_norm(f, wd, cache) * sb.hphi_norm(g, wd, cache)
-            worst = max(worst, sb.adjoint_residual(wd, gen, f, g, i, cache) / scale)
+            scale = sb.hphi_norm(f, wd) * sb.hphi_norm(g, wd)
+            worst = max(worst, sb.adjoint_residual(wd, gen, f, g, i) / scale)
             pairs += 1
     assert pairs == 100
     assert worst <= 1e-8
@@ -204,11 +203,10 @@ def test_10_finite_degree_completeness():
     worst = 0.0
     for _, wd, gen in (em_data(0.5), ghs_data(0.5)):
         fam = sb.hermite_family(wd, gen, 3)
-        cache = sb.make_moment_cache(wd, gen.Q)
         for beta in sb.multi_indices(gen.n, 3):
             f = sb.GaussPoly(sb.PolyC.monomial(beta), gen.Q)
             _, residual = sb.expand_in_family(f, fam, wd)
-            worst = max(worst, residual / sb.hphi_norm(f, wd, cache))
+            worst = max(worst, residual / sb.hphi_norm(f, wd))
     assert worst <= 1e-8
     report(10, "finite-degree expansion completeness", worst, 1e-8)
 

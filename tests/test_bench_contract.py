@@ -15,7 +15,7 @@ import numpy as np
 import sbhermite as sb
 from sbhermite.pipeline import RunConfig, encode_matrix, run_verify
 
-from helpers import bench_module
+from helpers import bench_module, wick_moment
 
 
 def n2_deg2_config() -> RunConfig:
@@ -39,14 +39,14 @@ def test_tracer_counts_moment_and_family_work():
         verify_counts = tracer.summary()["counts"]
         # the counters the tracer reads from public calls, each driven
         # directly: run_verify builds its blocks in the Wick frame and
-        # calls neither hermite_family nor wick_moment
+        # calls neither hermite_family nor the tests' Isserlis oracle
         tracer.reset()
         cfg = n2_deg2_config()
         wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
         gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
         family = sb.hermite_family(wd, gen, 2)
         cache = sb.make_moment_cache(wd, gen.Q)
-        sb.wick_moment(cache, (2, 0, 0, 2))
+        wick_moment(cache, (2, 0, 0, 2))
         counts = tracer.summary()["counts"]
     finally:
         tracer.uninstall()

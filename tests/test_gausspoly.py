@@ -655,6 +655,19 @@ class TestPolyC:
         q = p - p
         assert q.terms == {}
 
+    def test_gauss_poly_difference(self):
+        # term by term at one exponent, f - f keeps no term, and two
+        # GaussPolys at different exponents have no difference
+        M = 0.5 * np.eye(2)
+        f = sb.GaussPoly(sb.PolyC(2, {(1, 0): 2.0, (0, 1): 1.0j}), M)
+        g = sb.GaussPoly(sb.PolyC(2, {(1, 0): 0.5, (2, 0): 3.0}), M)
+        diff = f - g
+        assert diff.poly.terms == {(1, 0): 1.5, (0, 1): 1.0j, (2, 0): -3.0}
+        assert np.array_equal(diff.M, M)
+        assert (f - f).poly.terms == {}
+        with pytest.raises(MExponentMismatch):
+            f - sb.GaussPoly(g.poly, M + 1e-3)
+
     @pytest.mark.parametrize("entry", ["PolyC", "evaluate", "apply_op"])
     def test_keys_pass_the_multi_index_rule(self, entry):
         # unchecked, z^-1 was read as z^2 (the first case evaluated to 18 at

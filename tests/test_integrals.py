@@ -1,5 +1,6 @@
 """Wick-moment engine and weighted inner products against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite.errors import (
-    DegreeCapExceeded,
     DimensionMismatch,
     IncompleteFamily,
     MExponentMismatch,
@@ -32,6 +32,7 @@ from helpers import (
     random_poly,
     reference_factorials,
     reference_moments,
+    wick_moment,
 )
 
 
@@ -104,43 +105,23 @@ class TestWickMoment:
                 beta = tuple(int(b) for b in rng.integers(0, 3, dim))
                 if sum(beta) > 8:
                     continue
-                got = sb.wick_moment(mc, beta)
+                got = wick_moment(mc, beta)
                 want = pairing_moment(mc.covariance, beta_to_idx(beta))
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_odd_degree_vanishes(self):
         _, wd, gen = em_data(0.5)
         mc = sb.make_moment_cache(wd, gen.Q)
-        assert sb.wick_moment(mc, (1, 0)) == 0.0
-        assert sb.wick_moment(mc, (2, 1)) == 0.0
+        assert wick_moment(mc, (1, 0)) == 0.0
+        assert wick_moment(mc, (2, 1)) == 0.0
 
     def test_second_and_fourth_moments(self):
         _, wd, gen = ghs_data(0.5)
         mc = sb.make_moment_cache(wd, gen.Q)
         cov = mc.covariance
-        assert sb.wick_moment(mc, (2, 0, 0, 0)) == pytest.approx(cov[0, 0])
+        assert wick_moment(mc, (2, 0, 0, 0)) == pytest.approx(cov[0, 0])
         want = cov[0, 0] * cov[1, 1] + 2.0 * cov[0, 1] ** 2
-        assert sb.wick_moment(mc, (2, 2, 0, 0)) == pytest.approx(want)
-
-    def test_degree_cap(self):
-        _, wd, gen = em_data(0.5)
-        mc = sb.make_moment_cache(wd, gen.Q)
-        with pytest.raises(DegreeCapExceeded):
-            sb.wick_moment(mc, (26, 0))
-
-    def test_memoized_apart_from_complex_moments(self):
-        # the cache's one memo holds real moments E[w^beta]; inner products
-        # take no moments and leave it as it is
-        _, wd, gen = ghs_data(0.5)
-        mc = sb.make_moment_cache(wd, gen.Q)
-        first = sb.wick_moment(mc, (2, 0, 0, 2))
-        assert mc.memo[(2, 0, 0, 2)] == first
-        held = dict(mc.memo)
-        f = sb.GaussPoly(sb.PolyC.monomial((2, 0)), gen.Q)
-        g = sb.GaussPoly(sb.PolyC.monomial((0, 2)), gen.Q)
-        sb.hphi_inner(f, g, wd, mc)
-        assert mc.memo == held
-        assert sb.wick_moment(mc, (2, 0, 0, 2)) == first
+        assert wick_moment(mc, (2, 2, 0, 0)) == pytest.approx(want)
 
 
 class TestHphiInner:
@@ -173,14 +154,13 @@ class TestHphiInner:
         rng = np.random.default_rng(17)
         for n in (1, 2):
             _, wd, gen = sb.random_generator(n, rng)
-            cache = sb.make_moment_cache(wd, gen.Q)
             f = random_poly(n, 3, gen.Q, rng)
             g = random_poly(n, 3, gen.Q, rng)
-            ab = sb.hphi_inner(f, g, wd, cache)
-            ba = sb.hphi_inner(g, f, wd, cache)
+            ab = sb.hphi_inner(f, g, wd)
+            ba = sb.hphi_inner(g, f, wd)
             scale = max(abs(ab), 1.0)
             assert abs(ab - np.conj(ba)) < 1e-12 * scale
-            assert sb.hphi_inner(f, f, wd, cache).real > 0.0
+            assert sb.hphi_inner(f, f, wd).real > 0.0
 
     def test_mismatched_exponents_rejected(self):
         _, wd, gen = em_data(0.5)
@@ -211,12 +191,11 @@ class TestHphiInner:
         # ancestors, one row per chain layer, not through the 1820
         # monomials of the graded basis through degree 12
         _, wd, gen = sb.random_generator(4, np.random.default_rng(7))
-        cache = sb.make_moment_cache(wd, gen.Q)
         f = sb.GaussPoly(sb.PolyC.monomial((12, 0, 0, 0)), gen.Q)
         # real-coordinate expansion against the real-covariance recursion
         mc = sb.make_moment_cache(wd, gen.Q)
         want = mc.form.normalizer * sum(
-            cf * cg * sb.wick_moment(mc, tuple(a + b for a, b in zip(ef, eg)))
+            cf * cg * wick_moment(mc, tuple(a + b for a, b in zip(ef, eg)))
             for ef, cf in real_expansion(f.poly, False).items()
             for eg, cg in real_expansion(f.poly, True).items()
         )
@@ -228,26 +207,24 @@ class TestHphiInner:
             return kernel(G, H, block)
 
         monkeypatch.setattr(sb.gausspoly, "_apply_block", counted)
-        assert abs(sb.hphi_inner(f, f, wd, cache) - want) <= 1e-12 * abs(want)
+        assert abs(sb.hphi_inner(f, f, wd) - want) <= 1e-12 * abs(want)
         assert rows == [1] * 12
 
     @pytest.mark.parametrize("k", [16, 20])
     def test_bargmann_norms_above_degree_31(self, k):
         # per-coordinate real degrees reach 2k > 31
         _, wd, _ = bargmann_data()
-        cache = sb.make_moment_cache(wd, np.zeros((1, 1)))
         fk = sb.GaussPoly(sb.PolyC.monomial((k,)), np.zeros((1, 1)))
         want = 2.0 * math.pi * 2.0**k * math.factorial(k)
-        assert sb.hphi_inner(fk, fk, wd, cache).real == pytest.approx(want, rel=1e-10)
+        assert sb.hphi_inner(fk, fk, wd).real == pytest.approx(want, rel=1e-10)
 
     def test_lopsided_degrees_within_cap(self):
         # degrees 20 and 4: only z^4 pairs, so the product is that of z^4
         _, wd, _ = bargmann_data()
-        cache = sb.make_moment_cache(wd, np.zeros((1, 1)))
         f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
         g = sb.GaussPoly(sb.PolyC.monomial((4,)), np.zeros((1, 1)))
         want = 2.0 * math.pi * 2.0**4 * math.factorial(4)
-        assert sb.hphi_inner(f, g, wd, cache).real == pytest.approx(want, rel=1e-12)
+        assert sb.hphi_inner(f, g, wd).real == pytest.approx(want, rel=1e-12)
 
 
 def random_monomial_block(n: int, degree: int, rows: int, rng) -> np.ndarray:
@@ -399,32 +376,6 @@ class TestGramMatrix:
         want = 2.0 * 2.0 * math.pi * (2.0**20 * math.factorial(20) + 2.0**4 * math.factorial(4))
         assert sb.hphi_inner(f, f.scaled(2.0), wd).real == pytest.approx(want, rel=1e-12)
 
-    def test_shared_cache(self):
-        # every public inner product gives the same bits with its own cache
-        # and with a shared one, and rejects a cache at another exponent
-        _, wd, gen = ghs_data(0.5)
-        fam = sb.hermite_family(wd, gen, 3)
-        rng = np.random.default_rng(17)
-        f, g = random_poly(2, 3, gen.Q, rng), random_poly(2, 2, gen.Q, rng)
-
-        def expansion(c):
-            coeffs, residual = sb.expand_in_family(f, fam, wd, c)
-            return [*coeffs.values(), residual]
-
-        calls = {
-            "gram_matrix": lambda c: sb.gram_matrix(fam, wd, c)[1],
-            "hphi_inner": lambda c: sb.hphi_inner(f, g, wd, c),
-            "adjoint_residual": lambda c: [sb.adjoint_residual(wd, gen, f, g, i, c)
-                                           for i in range(2)],
-            "expand_in_family": expansion,
-        }
-        cache = sb.make_moment_cache(wd, gen.Q)
-        other = sb.make_moment_cache(wd, gen.Q + 1e-3 * np.eye(wd.n))
-        for name, call in calls.items():
-            assert np.array_equal(call(cache), call(None)), name
-            with pytest.raises(MExponentMismatch):
-                call(other)
-
 
 @settings(max_examples=20, deadline=None, database=None)
 @given(
@@ -437,11 +388,10 @@ def test_gram_is_pairwise_inner_products(n, degree, seed):
     fam = sb.hermite_family(wd, gen, degree)
     keys, gram = sb.gram_matrix(fam, wd)
     assert np.array_equal(gram, gram.conj().T)
-    cache = sb.make_moment_cache(wd, gen.Q)
     diag = gram.diagonal().real
     for a, ka in enumerate(keys):
         for b, kb in enumerate(keys):
-            want = sb.hphi_inner(fam[ka], fam[kb], wd, cache)
+            want = sb.hphi_inner(fam[ka], fam[kb], wd)
             assert abs(gram[a, b] - want) <= 1e-12 * math.sqrt(diag[a] * diag[b])
 
 
@@ -455,8 +405,7 @@ class TestAdjointResidual:
         _, wd, gen = em_data(0.5)
         psi0 = sb.ground_state(gen)
         f = sb.GaussPoly(sb.PolyC.monomial((1,)), gen.Q)
-        cache = sb.make_moment_cache(wd, gen.Q)
-        scale = sb.hphi_norm(f, wd, cache) * sb.hphi_norm(psi0, wd, cache)
+        scale = sb.hphi_norm(f, wd) * sb.hphi_norm(psi0, wd)
         assert sb.adjoint_residual(wd, gen, f, psi0, 0) <= 1e-8 * scale
 
     def test_random_pairs(self):
@@ -464,14 +413,11 @@ class TestAdjointResidual:
         for _ in range(6):
             n = int(rng.integers(1, 4))
             _, wd, gen = sb.random_generator(n, rng)
-            cache = sb.make_moment_cache(wd, gen.Q)
             f = random_poly(n, 4, gen.Q, rng)
             g = random_poly(n, 4, gen.Q, rng)
-            scale = sb.hphi_norm(f, wd, cache) * sb.hphi_norm(g, wd, cache)
+            scale = sb.hphi_norm(f, wd) * sb.hphi_norm(g, wd)
             for i in range(n):
-                assert (
-                    sb.adjoint_residual(wd, gen, f, g, i, cache) <= 1e-8 * scale
-                )
+                assert sb.adjoint_residual(wd, gen, f, g, i) <= 1e-8 * scale
 
     @pytest.mark.parametrize("i", [-1, 2])
     def test_component_index_out_of_range_rejected(self, i):
@@ -484,15 +430,14 @@ class TestAdjointResidual:
     def test_arguments_at_the_cache_exponent(self):
         # lowering and raising are adjoint on the whole space, so arguments
         # sharing an exponent other than Q pass too; the ladder is folded
-        # at the cache's exponent, never at Q
+        # at the exponent of their frame, the arguments' own, never at Q
         _, wd, gen = sb.random_generator(2, np.random.default_rng(5))
         M = gen.Q + 0.02j * np.eye(2)
-        cache = sb.make_moment_cache(wd, M)
         f = sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0, (0, 1): 0.5j}), M)
         g = sb.GaussPoly(sb.PolyC(2, {(2, 0): 1.0, (0, 0): 0.3}), M)
-        scale = sb.hphi_norm(f, wd, cache) * sb.hphi_norm(g, wd, cache)
+        scale = sb.hphi_norm(f, wd) * sb.hphi_norm(g, wd)
         for i in range(2):
-            assert sb.adjoint_residual(wd, gen, f, g, i, cache) <= 1e-12 * scale
+            assert sb.adjoint_residual(wd, gen, f, g, i) <= 1e-12 * scale
 
     @pytest.mark.parametrize("i", [False, True, 1.0])
     def test_component_index_must_be_an_integer(self, i):
@@ -529,18 +474,6 @@ class TestExpandInFamily:
         assert abs(coeffs[(1,)]) < 1e-12
         assert abs(coeffs[(0,)]) > 0.1 and abs(coeffs[(2,)]) > 0.1
         assert residual <= 1e-8
-
-    def test_shared_cache(self):
-        _, wd, gen = em_data(0.5)
-        fam = sb.hermite_family(wd, gen, 3)
-        f = sb.GaussPoly(sb.PolyC.monomial((3,)), gen.Q)
-        cache = sb.make_moment_cache(wd, gen.Q)
-        want, want_res = sb.expand_in_family(f, fam, wd)
-        got, got_res = sb.expand_in_family(f, fam, wd, cache)
-        assert got == want and got_res == want_res
-        other = sb.make_moment_cache(wd, gen.Q + 1e-3 * np.eye(wd.n))
-        with pytest.raises(MExponentMismatch):
-            sb.expand_in_family(f, fam, wd, other)
 
     def test_incomplete_family_rejected(self):
         _, wd, gen = em_data(0.5)
@@ -581,9 +514,9 @@ class TestBatchedCore:
         d = max(r.poly.degree() for r in rows)
         block = _wick_block(cache, _block_of([r.poly for r in rows], d))
         got = _pair_inners(cache, block, left, right)
-        norms = [sb.hphi_norm(r, wd, cache) for r in rows]
+        norms = [sb.hphi_norm(r, wd) for r in rows]
         for k, (a, b) in enumerate(zip(left, right)):
-            want = sb.hphi_inner(rows[a], rows[b], wd, cache)
+            want = sb.hphi_inner(rows[a], rows[b], wd)
             assert abs(got[k] - want) <= 1e-13 * norms[a] * norms[b], (a, b)
 
     @pytest.mark.parametrize("case", ["em", "ghs", 1, 2, 3, 4])
@@ -600,13 +533,13 @@ class TestBatchedCore:
             block = _wick_block(cache, block)
             coeffs, residuals, norms = _expansions(cache, block[: len(monos)], block[len(monos):])
             for k, f in enumerate(monos):
-                scale = sb.hphi_norm(f, wd, cache)
-                want, want_res = sb.expand_in_family(f, fam, wd, cache)
+                scale = sb.hphi_norm(f, wd)
+                want, want_res = sb.expand_in_family(f, fam, wd)
                 assert abs(norms[k] - scale) <= 1e-13 * scale
                 assert abs(residuals[k] - want_res) <= 1e-13 * scale
                 for j, a in enumerate(needed):
                     assert abs(coeffs[k, j] - want[a]) <= 1e-13 * scale, (betas[k], a)
-                    pair = sb.hphi_inner(f, fam[a], wd, cache) / sb.hphi_norm(fam[a], wd, cache)
+                    pair = sb.hphi_inner(f, fam[a], wd) / sb.hphi_norm(fam[a], wd)
                     assert abs(coeffs[k, j] - pair) <= 1e-13 * scale, (betas[k], a)
 
     def test_factorials_match_loop_oracle(self):
@@ -622,19 +555,39 @@ class TestBatchedCore:
 class TestInputChecks:
     """Every shape check of this layer, reached from outside."""
 
-    @pytest.mark.parametrize("case", ["wick_beta", "hphi_dimension", "pair_inners_width"])
+    @pytest.mark.parametrize("case", ["hphi_dimension", "pair_inners_width"])
     def test_raises(self, case):
         _, wd, gen = ghs_data(0.45)
         mc = sb.make_moment_cache(wd, gen.Q)
         f1 = sb.GaussPoly(sb.PolyC.constant(1), np.eye(1))
         calls = {
-            "wick_beta": lambda: sb.wick_moment(mc, (2, 0)),  # 2n = 4 real coordinates
             "hphi_dimension": lambda: sb.hphi_inner(f1, f1, wd),
             # a block of 5 columns at n = 2 has no degree
             "pair_inners_width": lambda: _pair_inners(mc, np.ones((2, 5)), [0], [1]),
         }
         with pytest.raises(DimensionMismatch):
             calls[case]()
+
+    @pytest.mark.parametrize("name", ["gram_matrix", "adjoint_residual", "expand_in_family"])
+    def test_arguments_at_another_exponent_rejected(self, name):
+        # one frame, at the first argument's exponent, serves every argument
+        _, wd, gen = ghs_data(0.45)
+        fam = sb.hermite_family(wd, gen, 1)
+        moved = sb.GaussPoly(sb.PolyC.monomial((0, 1)), gen.Q + 1e-3 * np.eye(2))
+        calls = {
+            "gram_matrix": lambda: sb.gram_matrix({**fam, (0, 1): moved}, wd),
+            "adjoint_residual": lambda: sb.adjoint_residual(wd, gen, fam[(1, 0)], moved, 0),
+            "expand_in_family": lambda: sb.expand_in_family(
+                fam[(1, 0)], {**fam, (0, 1): moved}, wd),
+        }
+        with pytest.raises(MExponentMismatch, match="of the arguments differ"):
+            calls[name]()
+
+    def test_moment_cache_is_frozen(self):
+        _, wd, gen = ghs_data(0.45)
+        mc = sb.make_moment_cache(wd, gen.Q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mc.L = mc.C
 
     def test_empty_family_has_an_empty_gram(self):
         _, wd, _ = ghs_data(0.45)

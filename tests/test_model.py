@@ -62,8 +62,7 @@ def _exponent_site(site: str, delta: float, monkeypatch):
     calls = {
         "sum": lambda: ground + moved,
         "hamiltonian_apply": lambda: sb.hamiltonian_apply(wd, gen, moved),
-        "inner_product": lambda: sb.hphi_inner(ground, moved, wd,
-                                               sb.make_moment_cache(wd, q)),
+        "inner_product": lambda: sb.hphi_inner(ground, moved, wd),
         "rodrigues_stage": lambda: sb.run_example("ghs", 0.45, max_degree=1),
     }
     # the Rodrigues stage compares (S+Q) - S with Q: move S against Q

@@ -25,6 +25,7 @@ from sbhermite.pipeline import (
     StageFailure,
     _adjoint_draws,
     _uniforms,
+    encode_matrix,
     example_config,
     run_example,
     run_verify,
@@ -528,6 +529,19 @@ class TestCli:
         path = self.write_config(tmp_path, em_config_dict())
         assert cli_main([argv[0], "--config", path, *argv[1:]]) == code
         assert capsys.readouterr().err.startswith(err)
+
+    def test_module_error_exit_one(self, tmp_path, capsys):
+        # the swap intertwines no weight with distinct lambda (0.352, 2.436
+        # here): build_generator raises, which exits 1 and writes no output
+        pt = sb.random_phase_triple(2, np.random.default_rng(5))
+        cfg = {"version": "v1", "n": 2, "A": encode_matrix(pt.A), "B": encode_matrix(pt.B),
+               "C": encode_matrix(pt.C), "rho_fraction": 0.5,
+               "X": {"matrix": encode_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))}}
+        path = self.write_config(tmp_path, cfg)
+        out_path = tmp_path / "generator.json"
+        assert cli_main(["construct", "--config", path, "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: IntertwinerInvalid: ")
+        assert not out_path.exists()
 
     def test_construct_family_emission(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
