@@ -2,6 +2,9 @@
 
 Subcommands: validate, construct, verify, example, transform.  Exit status
 is 0 on pass, 1 on verification failure or module error, 2 on config error.
+Each subcommand imports the engine modules it runs when it runs, so
+``validate`` and ``construct`` without ``--family`` load only ``config``,
+``errors``, ``matrices`` and ``model`` of the package.
 A ``verify`` or ``example`` run whose stage raises still writes its partial
 report, naming the failed stage and the error type, and exits 1.
 """
@@ -16,19 +19,9 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
-from .gausspoly import _multi_index, hermite_family
+from .config import RunConfig, encode_matrix, read_config
+from .errors import ConfigError, StageFailure
 from .model import build_generator, compute_weight_data, validate_phase_triple
-from .pipeline import (
-    RunConfig,
-    StageFailure,
-    encode_gauss_poly,
-    encode_matrix,
-    read_config,
-    run_example,
-    run_verify,
-)
-from .transform import QuadSpec, TestFunction, transform
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -94,6 +87,9 @@ def _cmd_construct(args) -> int:
     if args.family is not None:
         if args.family < 0:
             raise ConfigError("--family: must be a nonnegative degree")
+        from .gausspoly import hermite_family
+        from .pipeline import encode_gauss_poly
+
         fam = hermite_family(wd, gen, args.family)
         payload["family"] = {
             ",".join(map(str, alpha)): encode_gauss_poly(member)
@@ -104,6 +100,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .pipeline import run_verify
+
     config = _load_config(
         args.config, rho_fraction=args.rho_fraction, max_degree=args.max_degree
     )
@@ -113,6 +111,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from .pipeline import run_example
+
     report = run_example(
         args.name, args.s, max_degree=args.max_degree, nodes=args.nodes
     )
@@ -146,6 +146,9 @@ def _parse_points(text: str, n: int) -> np.ndarray:
 
 
 def _cmd_transform(args) -> int:
+    from .gausspoly import _multi_index
+    from .transform import QuadSpec, TestFunction, transform
+
     config = _load_config(args.config, nodes=args.nodes)
     pt = validate_phase_triple(config.A, config.B, config.C)
     try:

@@ -55,3 +55,14 @@ class IncompleteFamily(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration violates the schema."""
+
+
+class StageFailure(RuntimeError):
+    """A pipeline stage raised; carries the stage name and the partial
+    report of the run (residuals, verdicts and timings so far)."""
+
+    def __init__(self, stage: str, cause: Exception, report):
+        super().__init__(f"stage '{stage}': {cause}")
+        self.stage = stage
+        self.cause = cause
+        self.report = report

@@ -39,6 +39,7 @@ from numbers import Integral
 import numpy as np
 
 from . import matrices as mx
+from .config import MAX_NODES
 from .errors import DimensionMismatch, NonIntegrableWeight
 from .gausspoly import GaussPoly, LinearDiffOp, _basis_array, mi_factorial
 from .gausspoly import _chain_rows, _checked_basis, _gauss_polys, _in_frame, _multi_index
@@ -54,10 +55,6 @@ class KernelParams:
     psi_zzbar: np.ndarray
     psi_zz: np.ndarray
     c_Phi: float
-
-
-#: largest valid rule: numpy's hermgauss gives zero weights at 371 nodes, NaN beyond
-MAX_NODES = 370
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 import importlib.util
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,17 @@ import sbhermite as sb
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(sb.__file__).resolve().parents[1]
+
+
+def fresh_python(script: str, *argv):
+    """The JSON line that ``script`` prints last, run with ``argv`` in a
+    fresh interpreter that imports the package from the same source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def bench_module(name: str):

@@ -46,7 +46,7 @@ import numpy as np
 
 import sbhermite as sb
 from helpers import bench_module, em_data, ghs_data, random_poly
-from sbhermite.pipeline import StageFailure
+from sbhermite.errors import StageFailure
 
 S_VALUES = (0.3, 0.5, 0.7)
 

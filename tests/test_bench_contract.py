@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 import sbhermite as sb
-from sbhermite.pipeline import RunConfig, encode_matrix, run_verify
+from sbhermite.config import RunConfig, encode_matrix
+from sbhermite.pipeline import run_verify
 
 from helpers import bench_module, wick_moment
 

@@ -218,7 +218,7 @@ class TestHphiInner:
         want = 2.0 * math.pi * 2.0**k * math.factorial(k)
         assert sb.hphi_inner(fk, fk, wd).real == pytest.approx(want, rel=1e-10)
 
-    def test_lopsided_degrees_within_cap(self):
+    def test_lopsided_degrees(self):
         # degrees 20 and 4: only z^4 pairs, so the product is that of z^4
         _, wd, _ = bargmann_data()
         f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
@@ -361,16 +361,16 @@ class TestGramMatrix:
         a, b = keys.index((1, 0)), keys.index((0, 1))
         assert abs(gram[a, b]) <= 1e-10 * gram[a, a].real
 
-    def test_no_degree_cap(self):
-        # products of two degree-13 members reach real degree 26, past the
-        # cap of the real moments; the Wick frame has no cap
+    def test_high_degree_family(self):
+        # products of two degree-13 members reach real degree 26; in the
+        # Wick frame the Gram is a diagonal sum at any degree
         _, wd, gen = em_data(0.5)
         keys, gram = sb.gram_matrix(sb.hermite_family(wd, gen, 13), wd)
         diag = gram.diagonal().real
         want = [(2.0 * gen.rho2) ** k * math.factorial(k) * diag[0] for (k,) in keys]
         assert np.allclose(diag, want, rtol=1e-12, atol=0.0)
         assert_gram_close(gram, np.diag(diag), 1e-12)
-        # and a lopsided pair whose degree-40 self product passed the cap
+        # and a lopsided pair whose self product has degree 40
         _, wd, _ = bargmann_data()
         f = sb.GaussPoly(sb.PolyC(1, {(20,): 1.0, (4,): 1.0}), np.zeros((1, 1)))
         want = 2.0 * 2.0 * math.pi * (2.0**20 * math.factorial(20) + 2.0**4 * math.factorial(4))

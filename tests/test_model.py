@@ -18,6 +18,7 @@ from sbhermite.errors import (
     NonSymmetricC,
     RhoOutOfRange,
     SingularB,
+    StageFailure,
 )
 
 from helpers import SWAP2, bargmann_data, bargmann_triple, em_data, ghs_data
@@ -72,7 +73,7 @@ def _exponent_site(site: str, delta: float, monkeypatch):
         calls[site]()
     except MExponentMismatch as exc:
         return exc
-    except pipeline.StageFailure as exc:
+    except StageFailure as exc:
         assert exc.stage == "rodrigues"
         return exc.cause
     return None

@@ -4,32 +4,27 @@ import dataclasses
 import importlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sbhermite as sb
 from sbhermite.cli import main as cli_main
-from sbhermite.errors import ConfigError, NonIntegrableWeight
+from sbhermite.config import DEFAULT_TOLERANCES, RunConfig, encode_matrix
+from sbhermite.errors import ConfigError, NonIntegrableWeight, StageFailure
 from sbhermite.gausspoly import _chain_rows, _frame_ladder
 from sbhermite.integrals import _gram_block
 from sbhermite.pipeline import (
-    DEFAULT_TOLERANCES,
-    RunConfig,
-    StageFailure,
     _adjoint_draws,
     _uniforms,
-    encode_matrix,
     example_config,
     run_example,
     run_verify,
 )
+
+from helpers import fresh_python
 
 # the package re-exports the function ``transform`` under the module's name
 transform_module = importlib.import_module("sbhermite.transform")
@@ -197,9 +192,9 @@ class TestRunVerify:
             {
                 "version": "v1",
                 "n": 2,
-                "A": sb.pipeline.encode_matrix(pt.A),
-                "B": sb.pipeline.encode_matrix(pt.B),
-                "C": sb.pipeline.encode_matrix(pt.C),
+                "A": encode_matrix(pt.A),
+                "B": encode_matrix(pt.B),
+                "C": encode_matrix(pt.C),
                 "rho_fraction": 0.5,
                 "X": {"phases": [0.3, 1.2]},
                 "max_degree": 2,
@@ -297,10 +292,10 @@ class TestRunExample:
         assert report.residuals["rodrigues_max"] <= report.tolerances["rodrigues_max"]
 
     @pytest.mark.parametrize("max_degree", [13, 16, 20])
-    def test_em_past_the_real_moment_cap(self, max_degree):
-        # Gram products of real degree 26 to 40 pass the real-moment cap of
-        # 24; inner products in the Wick frame take no moments, so the whole
-        # suite runs and passes, isometry at every degree too
+    def test_em_at_high_degree(self, max_degree):
+        # Gram products of real degree 26 to 40: inner products in the Wick
+        # frame are diagonal sums at any degree, so the whole suite runs and
+        # passes, isometry at every degree too
         report = run_example("em", 0.5, max_degree=max_degree)
         assert report.failed_stage is None and report.overall_pass
         assert report.residuals["gram_max_offdiag"] <= 1e-14
@@ -434,23 +429,46 @@ class TestCli:
         assert cli_main(["example", "--name", "em", "--s", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["metrics"]["family_members"] == 4
 
+    #: run in a fresh interpreter: the CLI on argv, then its exit code and
+    #: every module loaded
+    FRESH_CLI = (
+        "import contextlib, io, json, sys\n"
+        "from sbhermite.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+
+    @classmethod
+    def fresh_cli(cls, *argv) -> tuple[int, set]:
+        """Exit code and ``sys.modules`` of the CLI run on ``argv`` in a
+        fresh interpreter."""
+        code, modules = fresh_python(cls.FRESH_CLI, *argv)
+        return code, set(modules)
+
     def test_verify_and_example_leave_numpy_random_unloaded(self, tmp_path):
         # numpy imports numpy.random lazily, and loading it costs several MB
         # of resident memory; no verify or example run may reach it
         path = self.write_config(tmp_path, example_config("ghs", 0.5))
-        script = (
-            "import contextlib, io, sys\n"
-            "from sbhermite.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(sys.argv[1:])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-        )
-        src = Path(sb.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
         for argv in (["verify", "--config", path], ["example", "--name", "em", "--s", "0.5"]):
-            proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.stdout.split() == ["0", "False"], proc.stdout + proc.stderr
+            code, modules = self.fresh_cli(*argv)
+            assert code == 0 and "numpy.random" not in modules, argv
+
+    @pytest.mark.parametrize("argv, engine", [
+        (["validate"], ()),
+        (["construct"], ()),
+        (["construct", "--family", "1"], ("gausspoly", "integrals", "pipeline", "transform")),
+        (["transform", "--z", "0.3,0.1"], ("gausspoly", "integrals", "transform")),
+    ])
+    def test_subcommand_loads_only_the_modules_it_runs(self, tmp_path, argv, engine):
+        # a fresh interpreter compiles every module it imports; validate and
+        # plain construct need no engine module, transform no pipeline
+        path = self.write_config(tmp_path, em_config_dict())
+        code, modules = self.fresh_cli(argv[0], "--config", path, *argv[1:])
+        base = ("", ".cli", ".config", ".errors", ".matrices", ".model")
+        want = {f"sbhermite{name}" for name in base} | {f"sbhermite.{m}" for m in engine}
+        assert code == 0
+        assert {m for m in modules if m.split(".")[0] == "sbhermite"} == want
 
     def test_validate_and_construct(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
@@ -746,9 +764,9 @@ class TestStageWork:
         return RunConfig.from_dict(
             {
                 "n": 2,
-                "A": sb.pipeline.encode_matrix(pt.A),
-                "B": sb.pipeline.encode_matrix(pt.B),
-                "C": sb.pipeline.encode_matrix(pt.C),
+                "A": encode_matrix(pt.A),
+                "B": encode_matrix(pt.B),
+                "C": encode_matrix(pt.C),
                 "rho_fraction": 0.5,
                 "X": {"phases": [0.3, 1.2]},
                 "max_degree": 6,

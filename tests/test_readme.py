@@ -8,7 +8,8 @@ import re
 
 import numpy as np
 
-from sbhermite.pipeline import CONFIG_KEYS, RunConfig, run_verify
+from sbhermite.config import CONFIG_KEYS, RunConfig
+from sbhermite.pipeline import run_verify
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 

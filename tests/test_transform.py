@@ -596,7 +596,7 @@ class TestSumFactorization:
         for got, want, mass in pairs:
             assert np.all(np.abs(got - want) <= 1e-13 * mass)
 
-    @pytest.mark.parametrize("nodes", [4, 5, 7, 16, 24, 32, 64, 65, transform_module.MAX_NODES])
+    @pytest.mark.parametrize("nodes", [4, 5, 7, 16, 24, 32, 64, 65, sb.MAX_NODES])
     def test_rule_nodes_are_antisymmetric(self, nodes):
         # the integrator exponentiates the lead-tail coupling at half the
         # tail nodes and conjugates it onto the mirror half: t[-1 - j] = -t[j]
