@@ -27,6 +27,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
+#: ``--nodes`` stays for the scripts that pass it
+NODES_HELP = "sets quadrature.nodes, validated; changes no value, every transform is exact"
+
 
 def _emit(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=("em", "ghs"))
     p.add_argument("--s", required=True, type=float)
     p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--nodes", type=int, default=64, help=NODES_HELP)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_example)
 
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--hermite", default="0", help="comma-separated multi-index")
     p.add_argument("--z", required=True, help="points 're,im re,im; re,im ...'")
-    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_transform)
     return parser

@@ -2,7 +2,8 @@
 
 A config file names the defining triple (A, B, C), rho as a fraction of
 lambda_0, the intertwiner X, the family degree, the adjoint stage's seed,
-the quadrature nodes and tolerance overrides.  ``RunConfig.from_dict``
+the quadrature nodes and tolerance overrides.  The nodes are validated
+but change no value: every transform is exact.  ``RunConfig.from_dict``
 checks every field and raises a ``ConfigError`` naming the first one that
 violates the schema.  This module needs only numpy and ``errors``, so a
 command that only reads a config (``sbhermite validate``) loads none of the
@@ -42,7 +43,8 @@ DEFAULT_TOLERANCES = {
     "golden": 1e-12,
 }
 
-#: largest valid rule: numpy's hermgauss gives zero weights at 371 nodes, NaN beyond
+#: largest node count accepted: the Gauss-Hermite rule the transforms once
+#: used has zero weights at 371 nodes, NaN beyond
 MAX_NODES = 370
 
 

@@ -561,6 +561,19 @@ def _chain_rows(lanes, targets) -> np.ndarray:
     return out
 
 
+def _monomial_chain(op: LinearDiffOp, block: np.ndarray) -> np.ndarray:
+    """A block of monomial coefficients with each monomial z^a replaced by
+    op^a 1, ``op`` folded (``_in_frame``): the chain of ``op`` built over
+    the first-index ancestors of the columns some row uses only, never as a
+    basis x basis matrix.  The result is over ``_basis(n, d)``, d the
+    largest degree of those columns."""
+    n = op.n
+    basis = _basis(n, _degree_of(n, block.shape[1]))
+    cols = np.flatnonzero(block.any(axis=0))
+    rows = _chain_rows([(op, 1.0)], [basis[j] for j in cols])[0]
+    return block[:, cols] @ rows
+
+
 def hermite_family(
     wd: WeightData, gen: GeneratorData, max_total_degree: int
 ) -> dict[tuple[int, ...], GaussPoly]:
@@ -641,10 +654,11 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def evaluate(gp: GaussPoly, z) -> complex | np.ndarray:
-    """Pointwise value P(z) exp(-<z, M z>), one per point of a batch."""
+    """Pointwise value P(z) exp(-<z, M z>), one per point of a batch, all
+    points at once."""
     pts, one = mx.as_points(z, gp.n, "z")
-    vals = [gp.poly(p) * complex(np.exp(-p @ (gp.M @ p))) for p in pts]
-    return vals[0] if one else np.array(vals)
+    vals = gp.poly(pts) * np.exp(-np.einsum("ri,ij,rj->r", pts, gp.M, pts))
+    return complex(vals[0]) if one else vals
 
 
 def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:

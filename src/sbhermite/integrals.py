@@ -51,15 +51,14 @@ from .gausspoly import (
     GaussPoly,
     LinearDiffOp,
     _adjoint_block,
-    _basis,
     _basis_array,
     _block_of,
-    _chain_rows,
     _component,
     _degree_of,
     _frame_ladder,
     _graded_lex,
     _in_frame,
+    _monomial_chain,
     multi_indices,
 )
 from .model import GeneratorData, WeightData
@@ -147,17 +146,11 @@ def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
     coefficients with the cache's exponent.
 
     Row z^a of the conversion is the chain of the multiplication operators
-    z_l, the operator (0, E) in the frame; it is built over the first-index
-    ancestors of the columns some row uses only, never as a basis x basis
-    matrix.  The result is over ``_basis(n, d)``, d the largest degree of
-    those columns.
+    z_l, the operator (0, E) in the frame (``_monomial_chain``).
     """
     n = mc.exponent.shape[0]
-    basis = _basis(n, _degree_of(n, block.shape[1]))
-    cols = np.flatnonzero(block.any(axis=0))
     mult = _in_frame(LinearDiffOp(np.zeros((n, n)), np.eye(n)), mc.exponent, mc)
-    rows = _chain_rows([(mult, 1.0)], [basis[j] for j in cols])[0]
-    return block[:, cols] @ rows
+    return _monomial_chain(mult, block)
 
 
 def _wick_rows(wd: WeightData, gps) -> tuple:

@@ -449,7 +449,8 @@ def example_config(name: str, s: float, max_degree: int = 3, nodes: int = 64) ->
     X is -E for ``em`` and -swap for ``ghs``: with the solver eigenbasis E
     of both families this is the canonical intertwiner of the closed forms.
     ``rho_fraction`` = 2 sqrt(s) / (1 + s) is rho / lambda_0 for both.
-    ``seed`` and ``tolerances`` keep their schema defaults.
+    ``seed`` and ``tolerances`` keep their schema defaults; ``nodes`` is
+    validated with the config and changes no value.
     """
     a, b, c = example_triple(name, s)
     x = -np.eye(1) if name == "em" else -_SWAP

@@ -101,6 +101,37 @@ def random_poly(n: int, degree: int, M, rng) -> sb.GaussPoly:
     return sb.GaussPoly(sb.PolyC(n, terms), M)
 
 
+def brute_force_gauss_hermite(P, b, c, integrand, nodes, basis=None):
+    """Integrals over R^d of integrand(w @ basis) exp(-w^T P w + b_r . w + c_r)
+    by the tensor ``nodes``-point Gauss-Hermite sum taken point by point:
+    the integrand and one exp at every point of the full nodes^d grid
+    w = w_r + t @ L^-1 of the Cholesky window L L^T = Re P, centered at
+    w_r = (2 Re P)^-1 Re b_r.  One row per row of ``b`` (rows, d) and ``c``;
+    ``basis`` (d, m) defaults to the identity, and
+    ``complex_coords(n)[:n].T`` hands the integrand points of C^n.
+    Returns the sums and the sums of the terms' absolute values, the scale
+    of their rounding error: oscillating kernels cancel by up to 1e3."""
+    dim = P.shape[0]
+    basis = np.eye(dim) if basis is None else basis
+    chol = np.linalg.cholesky(P.real)
+    li = np.linalg.inv(chol)
+    t, wt = np.polynomial.hermite.hermgauss(nodes)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*([t] * dim), indexing="ij")], axis=1)
+    weights = np.prod(
+        np.stack([g.ravel() for g in np.meshgrid(*([wt] * dim), indexing="ij")], axis=1), axis=1
+    )
+    sums, masses = [], []
+    for b_r, c_r in zip(b, c):
+        w_c = np.linalg.solve(2.0 * P.real, b_r.real)
+        w = w_c + grid @ li
+        expo = -np.einsum("qi,ij,qj->q", w, P, w) + w @ b_r + c_r + np.sum(grid * grid, axis=1)
+        terms = weights * np.exp(expo) * integrand(w @ basis)
+        sums.append(np.sum(terms))
+        masses.append(np.sum(np.abs(terms)))
+    scale = np.prod(np.diag(chol))
+    return np.array(sums) / scale, np.array(masses) / scale
+
+
 def assert_gp_close(a: sb.GaussPoly, b: sb.GaussPoly, rtol: float, msg: str = ""):
     diff, scale = sb.coeff_distance(a, b)
     assert diff <= rtol * max(scale, 1e-300), f"{msg}: {diff:.3e} > {rtol:.1e} * {scale:.3e}"

@@ -530,6 +530,8 @@ class TestEvaluate:
         batch = gp.poly(pts)
         assert batch.shape == (7,)
         np.testing.assert_allclose(batch, want, rtol=1e-13)
+        gauss = np.array([np.exp(-z @ gp.M @ z) for z in pts])
+        np.testing.assert_allclose(sb.evaluate(gp, pts), want * gauss, rtol=1e-13)
         for z, value in zip(pts, want):
             assert gp.poly(z) == pytest.approx(value, rel=1e-13)
             assert sb.evaluate(gp, z) == pytest.approx(

@@ -405,14 +405,15 @@ class TestCli:
         assert cli_main(argv) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rho2"] == pytest.approx(0.25 * (3.0 / 8.0), rel=1e-12)
-        # a 4-node rule cannot integrate h_5 exactly; the override must reach it
+        # the override is accepted, but the transform is exact: a 4-node
+        # rule, which cannot integrate h_5, gives the 64-node value
         values = []
         for nodes in ("4", "64"):
             argv = ["transform", "--config", path, "--hermite", "5", "--z", "0.3,0.1",
                     "--nodes", nodes]
             assert cli_main(argv) == 0
             values.append(json.loads(capsys.readouterr().out)["points"][0]["value"])
-        assert values[0] != pytest.approx(values[1], rel=1e-6)
+        assert values[0] == values[1]
 
     def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
         # main parses with one parser per process; no option may outlive its call
@@ -512,13 +513,13 @@ class TestCli:
         quad = sb.QuadSpec(nodes=config.nodes)
         want = np.array([sb.transform(pt, u, z, quad) for z in Z])
         rows = []
-        fast = transform_module._gauss_hermite
+        exact = transform_module.evaluate
 
-        def counting(P, b, c, *args):
-            rows.append(b.shape[0])
-            return fast(P, b, c, *args)
+        def counting(gp, z):
+            rows.append(len(z))
+            return exact(gp, z)
 
-        monkeypatch.setattr(transform_module, "_gauss_hermite", counting)
+        monkeypatch.setattr(transform_module, "evaluate", counting)
         text = "; ".join(" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in z) for z in Z)
         argv = ["transform", "--config", path, "--hermite", hermite, "--z", text]
         assert cli_main(argv) == 0

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import sbhermite as sb
+from sbhermite import gausspoly as gausspoly_module
 from sbhermite.errors import NonIntegrableWeight
+from sbhermite.matrices import complex_coords
 
 from helpers import (
     bargmann_data,
     bargmann_triple,
+    brute_force_gauss_hermite,
     em_data,
     ghs_data,
     ground_image,
@@ -140,7 +143,8 @@ class TestInverseTransform:
         assert sb.round_trip_error(pt, u, xs, QUAD, wd) <= 1e-3
 
     def test_node_doubling_convergence(self):
-        # error should drop by 10x per doubling until the rounding floor
+        # the integrals are exact: every node count gives the same value, at
+        # the rounding floor (the quadrature dropped 10x per doubling)
         pt, wd, _ = bargmann_data()
         u = sb.TestFunction.hermite_basis((0,))
         xs = np.array([[0.7]])
@@ -148,8 +152,7 @@ class TestInverseTransform:
             sb.round_trip_error(pt, u, xs, sb.QuadSpec(nodes=m), wd)
             for m in (8, 16, 32)
         ]
-        for a, b in zip(errs, errs[1:]):
-            assert b <= a / 10.0 or b < 1e-12
+        assert errs[0] == errs[1] == errs[2] < 1e-15
 
 
 class TestExactImageQuadrature:
@@ -189,85 +192,93 @@ class TestExactImageQuadrature:
             assert r_quad <= 1e-10
             assert abs(r_quad - r_fit) <= 1e-10
 
-    def test_hermite_rule_is_cached_read_only(self):
-        pt, wd, gen = ghs_data(0.45)
-        kp = sb.make_kernel_params(pt, wd)
-        f = random_poly(2, 2, gen.Q, np.random.default_rng(15))
-        z = [0.3 + 0.1j, -0.4 + 0.2j]
-        transform_module._hermite_rule.cache_clear()
-        first = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=20))
-        t, wt = transform_module._hermite_rule(20)
-        again = transform_module._hermite_rule(20)
-        assert again[0] is t and again[1] is wt
-        assert not t.flags.writeable and not wt.flags.writeable
-        ref_t, ref_wt = np.polynomial.hermite.hermgauss(20)
-        assert np.array_equal(t, ref_t) and np.array_equal(wt, ref_wt)
-        assert sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=20)) == first
-
     def test_integrator_plan_is_cached_read_only(self):
-        # the n = 2 kernel at two points at 12 nodes: 4 node axes, degree 3;
-        # 2 lead and 2 tail (a 1-axis table has 4 x 12 < 2 x 12^3 entries,
-        # a 2-axis one 10 x 12^2 >= 2 x 12^2)
+        # the exact integral keeps no plan of its own: its heat polynomial is
+        # a chain, planned by gausspoly per shape, read-only, and a warm call
+        # equals a cold one bit for bit
         pt, wd, gen = ghs_data(0.45)
         kp = sb.make_kernel_params(pt, wd)
         f = random_poly(2, 3, gen.Q, np.random.default_rng(16))
         z = [[0.3 + 0.1j, -0.4 + 0.2j], [0.1 - 0.2j, 0.2 + 0.3j]]
-        quad = sb.QuadSpec(nodes=12)
-        plans = (transform_module._axis_plan, transform_module._index_plan)
+        plans = (gausspoly_module._chain_plan, gausspoly_module._kernel_plan)
         for plan in plans:
             plan.cache_clear()
-        cold = sb.kernel_reproduce(kp, wd, f, z, quad)
+        cold = sb.kernel_reproduce(kp, wd, f, z)
         hits = [plan.cache_info().hits for plan in plans]
-        warm = sb.kernel_reproduce(kp, wd, f, z, quad)
+        warm = sb.kernel_reproduce(kp, wd, f, z)
         assert np.array_equal(cold, warm)
         for plan, before in zip(plans, hits):
-            assert plan.cache_info().hits > before and plan.cache_info().currsize == 1
-        arrays = transform_module._axis_plan(12, 3) + transform_module._index_plan(2, 2, 3)
-        assert all(plan.cache_info().currsize == 1 for plan in plans)  # the keys the call used
-        for a in arrays:
+            assert plan.cache_info().hits > before
+        assert not [v for v in vars(transform_module).values() if hasattr(v, "cache_clear")]
+        steps, place = gausspoly_module._chain_plan(2, tuple(sb.multi_indices(2, 3)))
+        for a in [a for part in steps + place for a in part]:
             assert not a.flags.writeable
-            assert a.size < 12**2  # no table of the lead or tail grid stays resident
 
     @pytest.mark.parametrize("nodes", [16, 64])
     def test_plans_stay_small_at_n3(self, nodes):
-        # one n = 3 kernel row: 6 node axes, 3 lead and 3 tail.  A lead grid
-        # kept resident held 16^3 or 64^3 points x 7 numbers (229 KB or
-        # 14.0 MB).  The 64-node sum has 64^6 terms, so that call is stopped
-        # at its first integrand evaluation, after every plan lookup.
-        class Stop(Exception):
-            pass
-
-        class StoppingPoly(sb.PolyC):
-            def __call__(self, z):
-                if nodes == 64:
-                    raise Stop
-                return super().__call__(z)
-
-        pt = sb.random_phase_triple(3, np.random.default_rng(17))
+        # one n = 3 kernel row.  The quadrature kept a lead grid of 16^3 or
+        # 64^3 points x 7 numbers resident (229 KB or 14.0 MB); the exact
+        # integral keeps only chain plans, whatever the node count
+        rng = np.random.default_rng(17)
+        pt = sb.random_phase_triple(3, rng)
         wd = sb.compute_weight_data(pt)
         kp = sb.make_kernel_params(pt, wd)
-        terms = random_poly(3, 1, sb.image_exponent(pt), np.random.default_rng(18)).poly.terms
-        f = sb.GaussPoly(StoppingPoly(3, terms), sb.image_exponent(pt))
+        f = sb.transform_image(pt, random_test_function(3, 3, rng))
         z = [0.2 + 0.1j, -0.1 + 0.3j, 0.3 - 0.2j]
         # a first call loads what any call loads (lazy imports, other caches)
-        sb.kernel_reproduce(kp, wd, sb.GaussPoly(sb.PolyC(3, terms), f.M), z, sb.QuadSpec(nodes=2))
-        plans = [v for v in vars(transform_module).values() if hasattr(v, "cache_clear")]
+        sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=nodes))
+        plans = [v for module in (transform_module, gausspoly_module)
+                 for v in vars(module).values() if hasattr(v, "cache_clear")]
         for plan in plans:
             plan.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            try:
-                value = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=nodes))
-            except Stop:
-                value = None
+            value = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=nodes))
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert kept < 64 * 1024
-        assert sum(plan.cache_info().currsize for plan in plans) >= 3
-        if value is not None:
-            assert abs(value - sb.evaluate(f, z)) <= 1e-8 * abs(value)
+        assert sum(plan.cache_info().currsize for plan in plans) >= 2
+        assert abs(value - sb.evaluate(f, z)) <= 1e-10 * abs(value)
+
+    def test_round_trip_inverts_all_points_in_one_call(self, monkeypatch):
+        calls = []
+        exact = transform_module._over_cn
+
+        def counting(P, beta, c, poly):
+            calls.append(beta.shape[0])
+            return exact(P, beta, c, poly)
+
+        pt, wd, _ = em_data(0.3)
+        u = sb.TestFunction(1, {(0,): 1.0, (1,): 0.5j, (2,): -0.75})
+        xs = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
+        image = sb.transform_image(pt, u)
+        each = max(abs(sb.inverse_transform(pt, image, x, QUAD, wd) - u(x)) for x in xs)
+        monkeypatch.setattr(transform_module, "_over_cn", counting)
+        err = sb.round_trip_error(pt, u, xs, QUAD, wd)
+        assert calls == [7]
+        assert abs(err - each) <= 1e-13 * math.sqrt(u.norm_sq())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identities_on_random_triples(self, n):
+        # the worst of these 20 draws: the kernel misses F(z) by 1.0e-15,
+        # 7.0e-14 and 1.4e-11 of max |F|, the round trip u by 2.7e-15,
+        # 8.5e-14 and 1.3e-11 ||u|| (n = 1, 2, 3)
+        kernel_bound = {1: 1e-13, 2: 1e-10, 3: 1e-10}[n]
+        rng = np.random.default_rng(90 + n)
+        for _ in range(20):
+            pt = sb.random_phase_triple(n, rng)
+            wd = sb.compute_weight_data(pt)
+            kp = sb.make_kernel_params(pt, wd)
+            u = random_test_function(n, 3, rng)
+            f = sb.transform_image(pt, u)
+            z = 0.5 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+            want = sb.evaluate(f, z)
+            got = sb.kernel_reproduce(kp, wd, f, z)
+            assert np.max(np.abs(got - want)) <= kernel_bound * np.max(np.abs(want))
+            xs = rng.standard_normal((4, n))
+            assert sb.round_trip_error(pt, u, xs, wd=wd) <= 1e-10 * math.sqrt(u.norm_sq())
 
 
 class TestIsometry:
@@ -338,7 +349,7 @@ class TestTransformImage:
                 Z = 0.5 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
                 image = sb.transform_image(pt, u)
                 got = image.poly(Z) * np.exp(-np.einsum("qi,ij,qj->q", Z, image.M, Z))
-                want = sb.transform_batch(pt, u, Z, sb.QuadSpec(nodes=nodes))
+                want, _ = brute_force_transform(pt, u, Z, nodes)
                 assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -383,17 +394,26 @@ class TestTransformImage:
         assert sb.TestFunction(2, {}).degree() == 0
 
     def test_exact_paths_use_no_quadrature(self, monkeypatch):
+        # no public transform draws a Gauss-Hermite rule, in either
+        # isometry mode
         def boom(*args, **kwargs):
             raise AssertionError("quadrature called")
 
-        monkeypatch.setattr(transform_module, "_gauss_hermite", boom)
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
         pt, wd, _ = ghs_data(0.45)
+        kp = sb.make_kernel_params(pt, wd)
         u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j})
-        assert sb.isometry_residual(pt, u, wd, QUAD, mode="fit") <= 1e-10
+        image = sb.transform_image(pt, u)
+        z = np.array([[0.3 + 0.1j, -0.4 + 0.2j]])
+        want = sb.evaluate(image, z)
+        for mode in ("fit", "quad"):
+            assert sb.isometry_residual(pt, u, wd, QUAD, mode=mode) <= 1e-10
+        assert np.array_equal(sb.transform(pt, u, z, QUAD), want)
+        assert np.max(np.abs(sb.kernel_reproduce(kp, wd, image, z, QUAD) - want)) <= 1e-10 * abs(
+            want[0])
+        assert sb.round_trip_error(pt, u, np.zeros((2, 2)), QUAD, wd) <= 1e-10
         report = sb.run_example("ghs", 0.45, max_degree=2)
         assert report.overall_pass and report.residuals["isometry"] <= 1e-12
-        with pytest.raises(AssertionError, match="quadrature called"):
-            sb.isometry_residual(pt, u, wd, sb.QuadSpec(nodes=8), mode="quad")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_sum_of_hermite_images(self, n):
@@ -490,162 +510,65 @@ class TestGhsClosedForms:
         want = c0 * np.exp(-np.einsum("qi,ij,qj->q", Z, m, Z))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("slab", [4320, 750, 7])
-    def test_slab_boundaries_do_not_change_values(self, monkeypatch, slab):
-        # the outer loop takes _SLAB_POINTS // (tail-table rows) outer points
-        # per chunk; at 12 nodes the degree-2 kernel (2 lead, 2 tail axes)
-        # has 6 x 12 table rows and the degree-3 batch (no lead axis) 10 x 12.
-        # 4320: chunks of 5 x 12 kernel outer points, the last lead axis
-        # tabulated once, the last chunk 2 x 12; 750: chunks of 10 of the 144
-        # outer kernel points, gathered, and of 6 of the 7 batch rows,
-        # dividing neither; 7: one outer point per chunk
-        pt, wd, gen = ghs_data(self.S)
-        kp = sb.make_kernel_params(pt, wd)
-        f = random_poly(2, 2, gen.Q, np.random.default_rng(13))
-        z = [0.3 + 0.1j, -0.4 + 0.2j]
-        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 1): 0.5j, (2, 0): -0.25, (0, 3): 0.4})
-        rng = np.random.default_rng(14)
-        Z = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
-        quad = sb.QuadSpec(nodes=12)
-        kernel = sb.kernel_reproduce(kp, wd, f, z, quad)
-        batch = sb.transform_batch(pt, u, Z, quad)
-        monkeypatch.setattr(transform_module, "_SLAB_POINTS", slab)
-        got = sb.kernel_reproduce(kp, wd, f, z, quad)
-        assert abs(got - kernel) <= 1e-14 * abs(kernel)
-        got = sb.transform_batch(pt, u, Z, quad)
-        assert np.max(np.abs(got - batch)) <= 1e-14 * np.max(np.abs(batch))
+
+def brute_force_transform(pt, u, Z, nodes):
+    """T u at the points Z by the brute-force sum of its definition,
+    c_phi times the integral of exp(i phi(z, x)) u(x) over R^n, the unit
+    envelope of u in the exponent: i phi(z, x) - |x|^2/2 =
+    -x^T P x + (i B^T z) . x + i <z, A z>/2.  The sums and term masses."""
+    P = 0.5 * (np.eye(pt.n) - 1j * pt.C)
+    c = 0.5j * np.einsum("ri,ij,rj->r", Z, pt.A, Z)
+    sums, masses = brute_force_gauss_hermite(P, 1j * (Z @ pt.B), c, u.polynomial_part, nodes)
+    return pt.c_phi * sums, abs(pt.c_phi) * masses
 
 
-def brute_force_gauss_hermite(P, b, c, integrand, nodes, basis=None):
-    """The tensor Gauss-Hermite sum of ``_gauss_hermite`` taken point by
-    point: the integrand and one exp at every point of the full nodes^d grid
-    w = w_r + t @ L^-1 of the Cholesky window L L^T = Re P.  Returns the
-    sums and the sums of the terms' absolute values, the scale of their
-    rounding error: oscillating kernels cancel by up to 1e3."""
-    dim = P.shape[0]
-    basis = np.eye(dim) if basis is None else basis
-    chol = np.linalg.cholesky(P.real)
-    li = np.linalg.inv(chol)
-    t, wt = np.polynomial.hermite.hermgauss(nodes)
-    grid = np.stack([g.ravel() for g in np.meshgrid(*([t] * dim), indexing="ij")], axis=1)
-    weights = np.prod(
-        np.stack([g.ravel() for g in np.meshgrid(*([wt] * dim), indexing="ij")], axis=1), axis=1
-    )
-    sums, masses = [], []
-    for b_r, c_r in zip(b, c):
-        w_c = np.linalg.solve(2.0 * P.real, b_r.real)
-        w = w_c + grid @ li
-        expo = -np.einsum("qi,ij,qj->q", w, P, w) + w @ b_r + c_r + np.sum(grid * grid, axis=1)
-        terms = weights * np.exp(expo) * integrand(w @ basis)
-        sums.append(np.sum(terms))
-        masses.append(np.sum(np.abs(terms)))
-    scale = np.prod(np.diag(chol))
-    return np.array(sums) / scale, np.array(masses) / scale
+class TestAgainstBruteForce:
+    """The exact integrals against the point-by-point tensor Gauss-Hermite
+    sum (``helpers.brute_force_gauss_hermite``) at node counts where it has
+    converged, on the golden triples: within 1e-13 of the sum of the terms'
+    magnitudes."""
 
-
-class TestSumFactorization:
-    """The sum-factorized integrator against the point-by-point tensor sum,
-    and the work it does."""
+    GOLDEN = [("em", 64), ("ghs", 32)]
 
     @staticmethod
-    def compare_each_call(monkeypatch):
-        """Run the brute-force sum beside every ``_gauss_hermite`` call and
-        return the list of (fast, brute force, term mass) it fills."""
-        fast = transform_module._gauss_hermite
-        pairs = []
+    def golden(name):
+        return em_data(0.5) if name == "em" else ghs_data(0.5)
 
-        def both(P, b, c, integrand, degree, nodes, basis=None):
-            got = fast(P, b, c, integrand, degree, nodes, basis)
-            want, mass = brute_force_gauss_hermite(P, b, c, integrand, nodes, basis)
+    @pytest.mark.parametrize("name,nodes", GOLDEN)
+    def test_kernel_and_inverse(self, monkeypatch, name, nodes):
+        # the brute-force sum runs beside each exact integral, on its
+        # (P, beta, c) and polynomial
+        exact, pairs = transform_module._over_cn, []
+
+        def both(P, beta, c, poly):
+            got = exact(P, beta, c, poly)
+            n = beta.shape[1]
+            t = complex_coords(n)
+            want, mass = brute_force_gauss_hermite(P, beta @ t[n:], c, poly, nodes, t[:n].T)
             pairs.append((got, want, mass))
             return got
 
-        monkeypatch.setattr(transform_module, "_gauss_hermite", both)
-        return pairs
-
-    @pytest.mark.parametrize(
-        "n,degrees,nodes",
-        [(1, (0, 1, 4, 6), 12), (2, (0, 2, 3, 5), 12), (3, (1, 3), 8), (3, (6,), 6),
-         (2, (5,), 6), (2, (2, 3), 7)],
-    )
-    def test_matches_brute_force(self, monkeypatch, n, degrees, nodes):
-        pairs = self.compare_each_call(monkeypatch)
-        rng = np.random.default_rng(200 + 10 * n + nodes)
-        rows = np.random.default_rng(300 + 10 * n + nodes)
-        quad = sb.QuadSpec(nodes=nodes)
-        for degree in degrees:
-            pt = sb.random_phase_triple(n, rng)
-            wd = sb.compute_weight_data(pt)
-            kp = sb.make_kernel_params(pt, wd)
-            m = sb.image_exponent(pt)
-            z = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            sb.kernel_reproduce(kp, wd, random_poly(n, degree, m, rng), z, quad)
-            f = random_poly(n, degree, m, rng)
-            sb.inverse_transform(pt, f, rng.standard_normal(n), quad, wd)
-            # three rows: lead axes beside several rows, for n >= 2; drawn
-            # apart, so the draws above stay those of the single-row calls
-            zs = 0.5 * (rows.standard_normal((3, n)) + 1j * rows.standard_normal((3, n)))
-            sb.kernel_reproduce(kp, wd, f, zs, quad)
-            sb.inverse_transform(pt, f, rows.standard_normal((3, n)), quad, wd)
-            u = random_test_function(n, degree, rng)
-            Z = 0.5 * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
-            sb.transform_batch(pt, u, Z, quad)
-            if degree <= 3:  # |poly|^2 has degree 2 deg
-                sb.isometry_residual(pt, u, wd, quad, mode="quad")
-        assert len(pairs) >= 5 * len(degrees)
+        monkeypatch.setattr(transform_module, "_over_cn", both)
+        pt, wd, gen = self.golden(name)
+        n = pt.n
+        rng = np.random.default_rng(400 + n)
+        kp = sb.make_kernel_params(pt, wd)
+        z = 0.5 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        sb.kernel_reproduce(kp, wd, random_poly(n, 3, gen.Q, rng), z)
+        image = sb.transform_image(pt, random_test_function(n, 3, rng))
+        sb.inverse_transform(pt, image, rng.standard_normal((2, n)), wd=wd)
+        assert len(pairs) == 2
         for got, want, mass in pairs:
             assert np.all(np.abs(got - want) <= 1e-13 * mass)
 
-    @pytest.mark.parametrize("nodes", [4, 5, 7, 16, 24, 32, 64, 65, sb.MAX_NODES])
-    def test_rule_nodes_are_antisymmetric(self, nodes):
-        # the integrator exponentiates the lead-tail coupling at half the
-        # tail nodes and conjugates it onto the mirror half: t[-1 - j] = -t[j]
-        # must hold exactly
-        t, _ = transform_module._hermite_rule(nodes)
-        assert np.array_equal(t[::-1], -t)
-
-    def test_kernel_evaluates_integrand_on_projection_grid_only(self):
-        # n = 2, 32 nodes, degree 3: the integrand is projected once per row
-        # on the 4^4 grid of the 4-point rule, not once per lead node (32^2
-        # x 4^2 points) and not on the 32^4 grid
-        calls = []
-
-        class CountingPoly(sb.PolyC):
-            def __call__(self, z):
-                calls.append(np.asarray(z).reshape(-1, self.n).shape[0])
-                return super().__call__(z)
-
-        pt, wd, gen = ghs_data(0.45)
-        kp = sb.make_kernel_params(pt, wd)
-        terms = random_poly(2, 3, gen.Q, np.random.default_rng(11)).poly.terms
-        f = sb.GaussPoly(CountingPoly(2, terms), gen.Q)
-        z = [0.3 + 0.1j, -0.4 + 0.2j]
-        got = sb.kernel_reproduce(kp, wd, f, z, sb.QuadSpec(nodes=32))
-        assert sum(calls) == 4**4
-        assert abs(got - sb.evaluate(f, z)) <= 1e-10 * abs(got)
-        calls.clear()
-        zs = [z, [0.1 - 0.2j, 0.2 + 0.3j], [-0.3j, 0.5]]
-        got = sb.kernel_reproduce(kp, wd, f, zs, sb.QuadSpec(nodes=32))
-        assert sum(calls) == 3 * 4**4
-        assert np.max(np.abs(got - sb.evaluate(f, np.array(zs)))) <= 1e-10 * np.max(np.abs(got))
-
-    def test_round_trip_inverts_all_points_in_one_call(self, monkeypatch):
-        calls = []
-        fast = transform_module._gauss_hermite
-
-        def counting(P, b, c, *args):
-            calls.append(b.shape[0])
-            return fast(P, b, c, *args)
-
-        pt, wd, _ = em_data(0.3)
-        u = sb.TestFunction(1, {(0,): 1.0, (1,): 0.5j, (2,): -0.75})
-        xs = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
-        image = sb.transform_image(pt, u)
-        each = max(abs(sb.inverse_transform(pt, image, x, QUAD, wd) - u(x)) for x in xs)
-        monkeypatch.setattr(transform_module, "_gauss_hermite", counting)
-        err = sb.round_trip_error(pt, u, xs, QUAD, wd)
-        assert calls == [7]
-        assert abs(err - each) <= 1e-13 * math.sqrt(u.norm_sq())
+    @pytest.mark.parametrize("name,nodes", GOLDEN)
+    def test_transform_batch(self, name, nodes):
+        pt = self.golden(name)[0]
+        rng = np.random.default_rng(410 + pt.n)
+        u = random_test_function(pt.n, 3, rng)
+        Z = 0.5 * (rng.standard_normal((4, pt.n)) + 1j * rng.standard_normal((4, pt.n)))
+        want, mass = brute_force_transform(pt, u, Z, nodes)
+        assert np.all(np.abs(sb.transform_batch(pt, u, Z) - want) <= 1e-13 * mass)
 
 
 class TestQuadratureInputs:
