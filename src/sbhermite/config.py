@@ -83,15 +83,17 @@ def _parse_complex(value, path: str) -> complex:
 
 
 def _parse_matrix(value, n: int, path: str) -> np.ndarray:
+    """An n x n complex matrix of [re, im] pairs, each entry checked by
+    ``_parse_complex``'s rule (the first bad entry is named), then converted
+    in one call."""
     _require(isinstance(value, list) and len(value) == n, path, f"expected {n} rows")
-    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(value):
         _require(
             isinstance(row, list) and len(row) == n, f"{path}[{i}]", f"expected {n} entries"
         )
         for j, entry in enumerate(row):
-            out[i, j] = _parse_complex(entry, f"{path}[{i}][{j}]")
-    return out
+            _parse_complex(entry, f"{path}[{i}][{j}]")
+    return np.array(value, dtype=float).view(complex).reshape(n, n)
 
 
 def encode_matrix(m: np.ndarray) -> list:

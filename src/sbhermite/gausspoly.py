@@ -18,21 +18,27 @@ by ``_degree_of``).  The dicts are the public API's format, converted at
 that edge by ``_block_of`` and ``_gauss_polys``; keys, component indices,
 points and exponents from outside pass one rule each: ``_multi_index``,
 ``_component``, ``matrices.as_points`` and ``matrices.agree``.  One kernel,
-``_apply_block(G, H, block)``, applies to row r of a block the folded
-operator whose coefficients are row r of G and H (callers pass
-``op.G[comps], op.H[comps]``; one row serves every row).  It adds the live
-terms one by one, derivative terms k = 0..n-1 then multiplication terms
-l = 0..n-1, each a gather through an index map cached per (n, d, live
-terms), into the smallest graded basis the live terms reach,
-``_basis(n, d + 1)`` with a live multiplication term and
-``_basis(n, d - 1)`` without one.  The folded lowering operators
-(``_frame_ladder``) are pure derivatives, so ``_hamiltonian_block`` maps a
-block over ``_basis(n, d)`` to one over the same basis.  The products are
-taken on real planes with the rounding of Python's scalar complex product;
-numpy's complex multiply uses fused multiply-adds where the CPU has them
-and rounds differently.  So a row's result does not depend on the rows
-around it, and the kernel reproduces term-by-term application bit for bit;
-``apply_op`` and ``hamiltonian_apply`` are its one-row cases.
+``_apply_block(G, H, block)``, has one shape rule: the block carries a
+leading operator axis, (m, rows, width), and row i of the folded
+coefficients G and H (m, n) applies to slice i; a leading size of 1
+serves all m operators, its gathers shared by them.  One operator on a
+whole block is m = 1; one operator per function (the chains, the adjoint
+stage, callers passing ``op.G[comps], op.H[comps]``) is rows = 1; the
+eigen stage lowers a block by every component in one call and raises
+slice i by component i in another, per row slice of a large block.  The
+kernel adds the live terms one by one, derivative terms k = 0..n-1 then
+multiplication terms l = 0..n-1, each a gather through an index map
+cached per (n, d, live terms), into the smallest graded basis the live
+terms reach, ``_basis(n, d + 1)`` with a live multiplication term and
+``_basis(n, d - 1)`` without one.
+The folded lowering operators (``_frame_ladder``) are pure derivatives, so
+``_hamiltonian_block`` maps a block over ``_basis(n, d)`` to one over the
+same basis.  The products are taken on real planes with the rounding of
+Python's scalar complex product; numpy's complex multiply uses fused
+multiply-adds where the CPU has them and rounds differently.  So a row's
+result depends neither on the rows nor on the operators around it, and
+the kernel reproduces term-by-term application bit for bit; ``apply_op``
+and ``hamiltonian_apply`` are its one-row cases.
 ``_chain_rows(lanes, targets)`` builds op^alpha c0 for each lane (op, c0)
 and each target alpha over the targets' ancestors only, one kernel call per
 degree layer over the rows of every lane; the family, the Rodrigues form,
@@ -90,6 +96,7 @@ def _columns(n: int, max_degree: int) -> dict[tuple[int, ...], int]:
     return {a: k for k, a in enumerate(_basis(n, max_degree))}
 
 
+@functools.lru_cache(maxsize=256)
 def _degree_of(n: int, width: int) -> int:
     """The d with len(_basis(n, d)) == width, the one map from a block's
     width to its degree; DimensionMismatch if no graded basis has it."""
@@ -348,24 +355,31 @@ def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
     return cols, inner, deriv, tuple(mult)
 
 
-#: result entries per pass of ``_apply_block``'s term loop: rows are taken in
-#: chunks of about this many entries, so that its buffers stay in cache
+#: result entries (operators x rows x columns) per pass of ``_apply_block``'s
+#: term loop.  Operators are grouped into a pass only up to half of it: a
+#: grouped pass above 2^13 entries (128 KiB per buffer) made the C allocator
+#: fault fresh pages on every call at n=2/degree 10, while on large blocks
+#: the longer passes of one operator halve the Python work per entry
 _KERNEL_CHUNK = 1 << 14
 
 
 def _add_terms(acc: np.ndarray, planes: np.ndarray, terms, coef: np.ndarray):
     """acc += c * s for each (i, idx, w) of ``terms`` in order, on stacked
-    (re, im) planes: s the columns ``idx`` of ``planes``, scaled by the
-    weights ``w`` unless None, and c = coef[:, i].  Each product is rounded
-    as Python's complex product (cr sr - ci si, cr si + ci sr), never as a
-    fused multiply-add, before it is added; three buffers of the shape of
-    ``acc`` serve every term."""
-    s, t, u = np.empty((3, 2) + acc.shape[1:])
+    (re, im) planes (2, operators, rows, columns): s the columns ``idx`` of
+    ``planes``, scaled by the weights ``w`` unless None, and c = coef[:, i],
+    one (re, im) pair per operator.  ``planes`` may hold one slice for
+    every operator; then each s is gathered and weighted once for all of
+    them.  Each product is rounded as Python's complex product
+    (cr sr - ci si, cr si + ci sr), never as a fused multiply-add, before
+    it is added; three buffers serve every term."""
+    t, u, s = np.empty((3,) + acc.shape)
+    if planes.shape[1] != acc.shape[1]:  # one slice serves every operator
+        s = np.empty(planes.shape[:3] + acc.shape[3:])
     for i, idx, w in terms:
-        planes.take(idx, axis=2, out=s, mode="clip")  # in range; unbuffered
+        planes.take(idx, axis=3, out=s, mode="clip")  # in range; unbuffered
         if w is not None:
             s *= w
-        c = coef[:, i, :, None]
+        c = coef[:, i, :, None, None]
         np.multiply(s, c, out=t)  # (sr cr, si ci)
         np.multiply(s[::-1], c, out=u)  # (si cr, sr ci)
         np.subtract(t[0], t[1], out=t[0])
@@ -374,44 +388,51 @@ def _add_terms(acc: np.ndarray, planes: np.ndarray, terms, coef: np.ndarray):
 
 
 def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
-    """Row r of a coefficient block under the operator whose coefficients
-    are row r of ``G`` and ``H`` (rows, n): sum_k G[r, k] d/dz_k +
-    sum_l H[r, l] z_l, its exponent folded in (``_in_frame``).  A single
-    row each, (n,), applies to every row of the block.
+    """Slice i of a coefficient block under the operator whose coefficients
+    are row i of ``G`` and ``H`` (m, n): sum_k G[i, k] d/dz_k +
+    sum_l H[i, l] z_l, its exponent folded in (``_in_frame``).
 
-    ``block`` holds one function per row over ``_basis(n, degree)``.  The
-    result is over the smallest graded basis its live terms reach:
-    ``_basis(n, degree + 1)`` when a multiplication term is live in some
-    row, else ``_basis(n, max(degree - 1, 0))`` (the folded lowering
-    operators are pure derivatives).  The terms are added one by one in a
-    fixed order, derivative terms g * (c * a_k) for k = 0..n-1, then
-    multiplication terms h * c for l = 0..n-1, on the real and imaginary
-    planes of the result, through index maps cached per (n, degree, live
-    terms) (``_kernel_plan``).  A term whose coefficient is zero in every
-    row is skipped; in the other rows a live term adds exact zeros to an
-    accumulator that starts at +0.0, so a row's result does not depend on
-    the rows around it.
+    ``block`` is (m, rows, width), or (1, rows, width) to serve all m
+    operators, with one function per row over ``_basis(n, degree)``; the
+    result is (m, rows, cols).  So one operator on a whole block is m = 1,
+    and one operator per function (the chains, the adjoint stage) is
+    rows = 1.  The result is over the smallest graded basis its live terms
+    reach: ``_basis(n, degree + 1)`` when a multiplication term is live in
+    some operator, else ``_basis(n, max(degree - 1, 0))`` (the folded
+    lowering operators are pure derivatives).  The terms are added one by
+    one in a fixed order, derivative terms g * (c * a_k) for k = 0..n-1,
+    then multiplication terms h * c for l = 0..n-1, on the real and
+    imaginary planes of the result, through index maps cached per (n,
+    degree, live terms) (``_kernel_plan``).  A term whose coefficient is
+    zero in every operator is skipped; in the other operators a live term
+    adds exact zeros to an accumulator that starts at +0.0, so a row's
+    result depends neither on the rows nor on the operators around it.
+    Operators and rows are taken in chunks of at most about
+    ``_KERNEL_CHUNK`` result entries, operators grouped up to half of it.
     """
-    rows, width = block.shape
-    n = np.shape(G)[-1]
-    g = np.ascontiguousarray(G, dtype=complex).reshape(-1, n)
-    h = np.ascontiguousarray(H, dtype=complex).reshape(-1, n)
+    g = np.ascontiguousarray(G, dtype=complex)
+    h = np.ascontiguousarray(H, dtype=complex)
+    m, n = g.shape
+    shared, rows, width = block.shape
     cols, inner, deriv, mult = _kernel_plan(n, _degree_of(n, width), _live(g), _live(h))
-    # the coefficients as (re, im) x n x rows views
-    gt, ht = g.view(float).reshape(-1, n, 2).T, h.view(float).reshape(-1, n, 2).T
-    out = np.empty((rows, cols), dtype=complex)
-    step = max(1, _KERNEL_CHUNK // cols)
-    for lo in range(0, rows, step):
-        part = slice(lo, lo + step)
-        own = part if len(g) > 1 else slice(None)  # a single row serves every row
-        sub = block[part]
-        planes = np.zeros((2, len(sub), width + 1))
-        planes[0, :, :width] = sub.real
-        planes[1, :, :width] = sub.imag
-        acc = np.zeros((2, len(sub), cols))
-        _add_terms(acc[:, :, :inner], planes, deriv, gt[..., own])
-        _add_terms(acc, planes, mult, ht[..., own])
-        out.real[part], out.imag[part] = acc
+    # the coefficients as (re, im) x n x m views
+    gt, ht = g.view(float).reshape(m, n, 2).T, h.view(float).reshape(m, n, 2).T
+    out = np.empty((m, rows, cols), dtype=complex)
+    span = min(m, max(1, _KERNEL_CHUNK // 2 // (cols if shared == 1 else rows * cols)))
+    step = max(1, _KERNEL_CHUNK // (span * cols))
+    for first in range(0, m, span):
+        ops = slice(first, first + span)
+        src = block[ops] if shared > 1 else block
+        for lo in range(0, rows, step):
+            part = slice(lo, lo + step)
+            sub = src[:, part]
+            planes = np.zeros((2,) + sub.shape[:2] + (width + 1,))
+            planes[0, :, :, :width] = sub.real
+            planes[1, :, :, :width] = sub.imag
+            acc = np.zeros((2, min(span, m - first), sub.shape[1], cols))
+            _add_terms(acc[..., :inner], planes, deriv, gt[..., ops])
+            _add_terms(acc, planes, mult, ht[..., ops])
+            out.real[ops, part], out.imag[ops, part] = acc
     return out
 
 
@@ -421,13 +442,6 @@ def _block_of(polys, degree: int) -> np.ndarray:
     col = _columns(polys[0].n, degree)
     for r, p in enumerate(polys):
         out[r, [col[a] for a in p.terms]] = list(p.terms.values())
-    return out
-
-
-def _padded(block: np.ndarray, n: int, degree: int) -> np.ndarray:
-    """``block`` with zero columns appended up to ``_basis(n, degree)``."""
-    out = np.zeros((block.shape[0], len(_basis(n, degree))), dtype=complex)
-    out[:, : block.shape[1]] = block
     return out
 
 
@@ -453,8 +467,9 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
     i, op = _component(i, op.n), _in_frame(op, gp.M)
-    out = _apply_block(op.G[i], op.H[i], _block_of([gp.poly], gp.poly.degree()))
-    return _gauss_polys(out, gp.M)[0]
+    block = _block_of([gp.poly], gp.poly.degree())
+    out = _apply_block(op.G[i : i + 1], op.H[i : i + 1], block[None])
+    return _gauss_polys(out[0], gp.M)[0]
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -553,7 +568,7 @@ def _chain_rows(lanes, targets) -> np.ndarray:
         prev = layers[-1].take(parents, axis=1)
         size = prev.shape[0] * prev.shape[1]
         layer = _apply_block(G[:, comps].reshape(size, n), H[:, comps].reshape(size, n),
-                             prev.reshape(size, -1))
+                             prev.reshape(size, 1, -1))
         layers.append(layer.reshape(len(lanes), len(comps), -1))
     out = np.zeros((len(lanes), len(targets), len(_basis(n, len(steps)))), dtype=complex)
     for layer, (dest, src) in zip(layers, place):
@@ -605,16 +620,28 @@ def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
     return (block.view(float) * factor).view(complex)
 
 
+#: raised entries (components x rows x columns) that ``_hamiltonian_block``
+#: holds at once: a block of more rows is taken in row slices of this size
+_HAMILTONIAN_SLICE = 1 << 18
+
+
 def _hamiltonian_block(gen: GeneratorData, ladder: tuple, block: np.ndarray) -> np.ndarray:
     """rho^2 + sum_i raise_i lower_i on every row of a block over
     ``_basis(n, degree)``, added rho^2 term first, then i = 0..n-1.  With the
     ladder of ``_frame_ladder`` lower_i is a pure derivative (a zero row at
-    degree 0), so the result stays on the block's own basis."""
+    degree 0), so the result stays on the block's own basis.  Two kernel
+    calls per slice of rows: every lower_i on the slice (its gathers shared
+    by all i), then raise_i on part i of the result; a slice holds at most
+    about ``_HAMILTONIAN_SLICE`` raised entries."""
     low, high = ladder
     acc = _real_scaled(block, gen.rho2)
-    for i in range(gen.n):
-        lowered = _apply_block(low.G[i], low.H[i], block)
-        acc += _apply_block(high.G[i], high.H[i], lowered)[:, : block.shape[1]]
+    rows, width = block.shape
+    step = max(1, _HAMILTONIAN_SLICE // (gen.n * width))
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        raised = _apply_block(high.G, high.H, _apply_block(low.G, low.H, block[None, part]))
+        for one in raised[:, :, :width]:
+            acc[part] += one
     return acc
 
 
@@ -631,14 +658,20 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
 def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
     two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
-    that order over ``_basis(n, degree + 1)``, each padded to that width.
-    lower_i f and raise_i g are one kernel call on [f; g]."""
+    that order over ``_basis(n, degree + 1)``, zero beyond their width.
+    lower_i f and raise_i g are one kernel call, one operator per row of
+    [f; g]."""
     low, high = ladder
     n, degree = low.n, _degree_of(low.n, f.shape[1]) + 1
     comps = np.broadcast_to(comps, f.shape[:1])
+    k, width = f.shape
+    out = np.zeros((4 * k, len(_basis(n, degree))), dtype=complex)
+    out[:k, :width], out[k : 2 * k, :width] = f, g
     moved = _apply_block(np.concatenate([low.G[comps], high.G[comps]]),
-                         np.concatenate([low.H[comps], high.H[comps]]), np.vstack([f, g]))
-    return np.vstack([_padded(part, n, degree) for part in (f, g, moved)])
+                         np.concatenate([low.H[comps], high.H[comps]]),
+                         out[: 2 * k, None, :width])
+    out[2 * k :, : moved.shape[2]] = moved[:, 0]
+    return out
 
 
 def _row_max_abs(block: np.ndarray) -> np.ndarray:

@@ -204,22 +204,34 @@ def _gram_block(mc: MomentCache, p: np.ndarray) -> np.ndarray:
 
 
 def _expansions(
-    mc: MomentCache, fs: np.ndarray, members: np.ndarray
+    mc: MomentCache, fs: np.ndarray | None, members: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of ``fs`` against the normalized rows of ``members``, two
     Wick coefficient blocks over one graded basis: the coefficients (one
     row per f), the residual norms ||f - sum c_a psi_a / ||psi_a|| || and
     the norms ||f||.
 
-    Residuals come from the coefficient remainder, not from a Parseval
-    shortcut.
+    ``fs`` None stands for the identity block, every Wick power :u^beta:
+    of the basis as a unit row, which is never formed: its product with
+    diag(w) is diag(w), so the coefficients scale the rows of members^H by
+    w, the remainder is the identity less the projection, added on its
+    diagonal, and the norms are sqrt(w).  These are the identity block's
+    values bit for bit.  Residuals come from the coefficient remainder,
+    not from a Parseval shortcut.
     """
-    w = _weights(mc, fs.shape[1])
+    w = _weights(mc, members.shape[1])
     norms = np.sqrt(np.maximum(_row_inners(w, members, members).real, 0.0))
-    c = ((fs * w) @ members.conj().T) / norms
-    remainder = fs - (c / norms) @ members
+    if fs is None:
+        c = (w[:, None] * members.conj().T) / norms
+        remainder = np.negative((c / norms) @ members)
+        remainder.flat[:: len(w) + 1] += 1.0
+        f_norms = np.sqrt(w)
+    else:
+        c = ((fs * w) @ members.conj().T) / norms
+        remainder = fs - (c / norms) @ members
+        f_norms = np.sqrt(np.maximum(_row_inners(w, fs, fs).real, 0.0))
     residuals = np.sqrt(np.maximum(_row_inners(w, remainder, remainder).real, 0.0))
-    return c, residuals, np.sqrt(np.maximum(_row_inners(w, fs, fs).real, 0.0))
+    return c, residuals, f_norms
 
 
 def hphi_inner(F: GaussPoly, G: GaussPoly, wd: WeightData) -> complex:

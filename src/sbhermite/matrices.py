@@ -36,13 +36,14 @@ def as_points(x, n: int, name: str, dtype=complex) -> tuple[np.ndarray, bool]:
 def require_finite(a, name: str) -> None:
     """The one finite-input rule: ValueError naming ``a`` if any entry is
     NaN or infinite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
 
 
 def max_abs(a) -> float:
+    """Largest |entry| of ``a`` as a float, 0.0 for an empty array."""
     arr = np.asarray(a)
-    return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def agree(a, b, tol: float) -> bool:

@@ -119,7 +119,7 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
     # the row norms of B (Hadamard's bound), the smallest eigenvalue of
     # Im(C) against the largest in magnitude
     det_b = np.linalg.det(B)
-    hadamard = float(np.prod(np.linalg.norm(B, axis=1)))
+    hadamard = float(np.linalg.norm(B, axis=1).prod())
     if abs(det_b) <= DEFAULT_TOL * hadamard:
         raise SingularB(
             f"|det B| = {abs(det_b):.3e} is below tol={DEFAULT_TOL} times the product "
@@ -132,7 +132,7 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
             f"smallest eigenvalue of Im(C) is {eigs[0]:.3e}, not positive against "
             f"the largest, {eigs[-1]:.3e}"
         )
-    det_ci = float(np.prod(eigs))
+    det_ci = float(eigs.prod())
     c_phi = 2.0 ** (-n / 2.0) * math.pi ** (-3.0 * n / 4.0) * abs(det_b) * det_ci ** (-0.25)
     return PhaseTriple(
         n=n,
@@ -212,8 +212,8 @@ def validate_intertwiner(X, wd: WeightData, rho: float) -> bool:
         raise RhoOutOfRange(f"rho={rho} outside (0, lam0={wd.lam0})")
     if not mx.is_unitary(X, DEFAULT_TOL):
         return False
-    d = np.diag(np.sqrt(wd.lam**2 - rho * rho) / wd.lam)
-    return mx.agree(X.T @ d, d @ X, DEFAULT_TOL)
+    d = np.sqrt(wd.lam**2 - rho * rho) / wd.lam
+    return mx.agree(X.T * d, d[:, None] * X, DEFAULT_TOL)
 
 
 def build_generator(wd: WeightData, rho: float, X) -> GeneratorData:
@@ -233,9 +233,9 @@ def build_generator(wd: WeightData, rho: float, X) -> GeneratorData:
     lam = wd.lam
     mu = np.sqrt(lam**2 - rho * rho)
     u = wd.U
-    middle = u @ np.diag(mu) @ X @ np.diag(lam) @ u.T
-    q = -wd.phi_zz + middle
-    s = wd.phi_zz - u @ np.diag(lam**2 / mu) @ X @ np.diag(lam) @ u.T
+    # a diagonal factor scales columns (on the right) or rows (on the left)
+    q = -wd.phi_zz + (u * mu @ X * lam) @ u.T
+    s = wd.phi_zz - (u * (lam**2 / mu) @ X * lam) @ u.T
     scale = max(1.0, mx.max_abs(q), mx.max_abs(s))
     if mx.max_abs(q - q.T) > DEFAULT_TOL * scale:
         raise SymmetryViolation("constructed Q is not complex symmetric")
@@ -246,7 +246,7 @@ def build_generator(wd: WeightData, rho: float, X) -> GeneratorData:
         raise IntertwinerInvalid(
             f"factorization residual {residual:.3e} exceeds {CHAINED_TOL:.1e}"
         )
-    xi = u.conj() @ np.diag(mu) @ X.conj() @ np.diag(1.0 / lam) @ u.conj().T
+    xi = (u.conj() * mu @ X.conj() * (1.0 / lam)) @ u.conj().T
     return GeneratorData(
         n=wd.n,
         rho=float(rho),
@@ -269,8 +269,17 @@ def ccr_matrix(wd: WeightData, Q) -> np.ndarray:
     Q = mx.as_square(Q, "Q")
     if Q.shape[0] != wd.n:
         raise DimensionMismatch("Q has the wrong dimension")
+    return _factorization(wd, Q)[0]
+
+
+def _factorization(wd: WeightData, Q) -> tuple[np.ndarray, np.ndarray]:
+    """The commutator matrix of ``ccr_matrix`` and the product
+    (phi_zz+Q) conj(beta) (phi_zz+Q)^* it is formed from, the left side of
+    the factorization identity (``eq2202_residual``), for callers that
+    need both."""
     gq = wd.phi_zz + Q
-    return 2.0 * (wd.phi_zzbar - gq @ wd.beta.conj() @ gq.conj().T)
+    product = gq @ wd.beta.conj() @ gq.conj().T
+    return 2.0 * (wd.phi_zzbar - product), product
 
 
 def _combined_spectrum(wd: WeightData, Q) -> np.ndarray:
@@ -291,15 +300,19 @@ def condition1_margin(wd: WeightData, Q) -> float:
 
 def sq_closed_form_residual(wd: WeightData, gen: GeneratorData) -> float:
     """Distance of S+Q from its closed form -rho^2 U diag(1/mu) X diag(lam) U^T."""
-    closed = -gen.rho2 * wd.U @ np.diag(1.0 / gen.mu) @ gen.X @ np.diag(wd.lam) @ wd.U.T
+    closed = (-gen.rho2 * wd.U * (1.0 / gen.mu) @ gen.X * wd.lam) @ wd.U.T
     return mx.max_abs(gen.SQ - closed)
 
 
 def eq2202_residual(wd: WeightData, gen: GeneratorData) -> float:
     """Residual of the factorization identity satisfied by phi_zz + Q."""
-    gq = wd.phi_zz + gen.Q
-    target = wd.U @ np.diag(gen.mu**2) @ wd.U.conj().T
-    return mx.max_abs(gq @ wd.beta.conj() @ gq.conj().T - target)
+    return _eq2202(wd, gen, _factorization(wd, gen.Q)[1])
+
+
+def _eq2202(wd: WeightData, gen: GeneratorData, product: np.ndarray) -> float:
+    """``eq2202_residual`` from the product of ``_factorization``: its
+    distance from U diag(mu^2) U^*."""
+    return mx.max_abs(product - (wd.U * gen.mu**2) @ wd.U.conj().T)
 
 
 def random_phase_triple(n: int, rng: np.random.Generator) -> PhaseTriple:

@@ -17,19 +17,19 @@ its Rodrigues form (Xi at S+Q in the frame of Q) and the images T h_alpha,
 family stage's timing counts the chain work of all three, and a failure
 building either frame fails that stage.  The later stages use those blocks
 and frames, and no stage passes an exponent below that.  The eigen stage
-applies lower_i, a pure derivative in the frame, and then raise_i to the
-block, 2n kernel calls, so the image stays on the block's ``_basis(n, d)``,
-where ``eigen_max`` is taken row by row.  The Rodrigues stage checks the
-closed form's exponent and compares its block with the family block row
-by row.  The adjoint stage draws its ten random (f, g, i) triples as Wick
-coefficients into two blocks (``_adjoint_draws``: a counter-based
-splitmix64 stream from the config's seed in plain numpy, Box-Muller for
-the normals, so no run imports ``numpy.random``) and takes every inner
-product and norm from one block of f, g, lower_i f and raise_i g, the
-last two from one kernel call; completeness expands an identity row for
-every Wick power :u^beta:, |beta| <= max_degree, against the whole family
-in one call.  The isometry stage compares the Gram of the images with the
-identity.
+applies every lower_i, a pure derivative in the frame, to the block in one
+kernel call and raise_i to the i-th result in another, so the image stays
+on the block's ``_basis(n, d)``, where ``eigen_max`` is taken row by row.
+The Rodrigues stage checks the closed form's exponent and compares its
+block with the family block row by row.  The adjoint stage draws its ten
+random (f, g, i) triples as Wick coefficients into two blocks
+(``_adjoint_draws``: a counter-based splitmix64 stream from the config's
+seed in plain numpy, Box-Muller for the normals, so no run imports
+``numpy.random``) and takes every inner product and norm from one block of
+f, g, lower_i f and raise_i g, the last two from one kernel call;
+completeness expands every Wick power :u^beta:, |beta| <= max_degree, a
+unit row that is never formed, against the whole family in one call.  The
+isometry stage compares the Gram of the images with the identity.
 
 Besides residuals, a report carries ``metrics``: family size and terms
 (the nonzero Wick coefficients of the family block), cond(M_R) of the
@@ -82,10 +82,10 @@ from .integrals import (
 )
 from .model import (
     _combined_spectrum,
+    _eq2202,
+    _factorization,
     build_generator,
-    ccr_matrix,
     compute_weight_data,
-    eq2202_residual,
     sq_closed_form_residual,
     validate_phase_triple,
 )
@@ -288,13 +288,15 @@ def run_verify(config: RunConfig) -> VerificationReport:
     metrics = report.metrics
     metrics["lam_max_over_lam0"] = float(wd.lam[-1] / wd.lam0)
     metrics["rho_over_lam0"] = float(rho / wd.lam0)
-    mu_min = float(np.min(gen.mu))
+    mu_min = float(gen.mu.min())
     metrics["min_mu_over_lam0"] = mu_min / wd.lam0
     n, rho2 = wd.n, gen.rho2
 
     def algebra():
-        res["ccr"] = mx.max_abs(ccr_matrix(wd, gen.Q) - 2.0 * rho2 * np.eye(n))
-        res["eq2202"] = eq2202_residual(wd, gen)
+        # one product (phi_zz+Q) conj(beta) (phi_zz+Q)^* gives both
+        ccr, product = _factorization(wd, gen.Q)
+        res["ccr"] = mx.max_abs(ccr - 2.0 * rho2 * np.eye(n))
+        res["eq2202"] = _eq2202(wd, gen, product)
         res["symmetry_Q"] = mx.max_abs(gen.Q - gen.Q.T)
         res["symmetry_S"] = mx.max_abs(gen.S - gen.S.T)
         res["sq_closed_form"] = sq_closed_form_residual(wd, gen)
@@ -319,7 +321,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
         xi = _in_frame(xi_ops(gen), gen.SQ, cache)
         image_lane, _ = _image_lane(pt, image_cache)
         block, closed, images = _chain_rows([(ladder[1], 1.0), (xi, 1.0), image_lane], keys)
-        return cache, image_cache, ladder, block, closed, _image_scaled(images, keys)
+        scaled = _image_scaled(images, _factorials(n, config.max_degree))
+        return cache, image_cache, ladder, block, closed, scaled
 
     keys = _basis(n, config.max_degree)
     cache, image_cache, ladder, block, closed, images = timer.run("family", family)
@@ -330,21 +333,23 @@ def run_verify(config: RunConfig) -> VerificationReport:
     def gram():
         g = _gram_block(cache, block)
         diag = g.diagonal().real  # the imaginary parts are exactly zero
+        # Python's float power: numpy's rounds some of these differently
         powers = np.array([(2.0 * rho2) ** sum(k) for k in keys])
         predicted = powers * _factorials(n, config.max_degree) * diag[0]
-        res["gram_diag_maxrel"] = float(np.max(np.abs(diag - predicted) / diag))
+        res["gram_diag_maxrel"] = float((np.abs(diag - predicted) / diag).max())
         # hypot, not np.abs: it rounds |g_ab| as the scalar abs() does
         offdiag = np.hypot(g.real, g.imag) / diag[:, None]
         np.fill_diagonal(offdiag, 0.0)
-        res["gram_max_offdiag"] = float(np.max(offdiag))
+        res["gram_max_offdiag"] = float(offdiag.max())
 
     timer.run("gram", gram)
 
     def eigen():
         image = _hamiltonian_block(gen, ladder, block)
-        levels = [(2.0 * sum(alpha) + 1.0) * rho2 for alpha in keys]
-        expected = _real_scaled(block, np.array(levels)[:, None])
-        res["eigen_max"] = float(np.max(_row_distances(image, expected)))
+        degrees = np.fromiter(map(sum, keys), dtype=float, count=len(keys))
+        levels = (2.0 * degrees + 1.0) * rho2
+        expected = _real_scaled(block, levels[:, None])
+        res["eigen_max"] = float(_row_distances(image, expected).max())
 
     timer.run("eigen", eigen)
 
@@ -352,7 +357,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         # the closed form's lane of the family chain, compared row by row;
         # its exponent (S+Q) - S must be the family's Q
         mx.require_same_exponent(gen.SQ - gen.S, gen.Q, "(S+Q) - S and Q")
-        res["rodrigues_max"] = float(np.max(_row_distances(closed, block)))
+        res["rodrigues_max"] = float(_row_distances(closed, block).max())
 
     timer.run("rodrigues", rodrig)
 
@@ -368,17 +373,16 @@ def run_verify(config: RunConfig) -> VerificationReport:
         inners = _pair_inners(cache, rows, left, right)
         lhs, rhs, ff, gg = inners.reshape(4, k)
         scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
-        res["adjoint_max"] = float(np.max(np.abs(lhs - rhs) / scale))
+        res["adjoint_max"] = float((np.abs(lhs - rhs) / scale).max())
 
     timer.run("adjoint", adjoint)
 
     def completeness():
-        # every Wick power :u^beta: with |beta| <= max_degree, one identity
-        # row each, against the whole family; they span the same spaces as
-        # the monomials, degree by degree
-        powers = np.eye(len(keys), dtype=complex)
-        _, residuals, norms = _expansions(cache, powers, block)
-        res["completeness_residual"] = float(np.max(residuals / norms))
+        # every Wick power :u^beta: with |beta| <= max_degree, one unit row
+        # each (never formed), against the whole family; they span the same
+        # spaces as the monomials, degree by degree
+        _, residuals, norms = _expansions(cache, None, block)
+        res["completeness_residual"] = float((residuals / norms).max())
 
     timer.run("completeness", completeness)
 
@@ -482,7 +486,7 @@ def run_example(name: str, s: float, max_degree: int = 3, nodes: int = 64) -> Ve
     mu2 = np.asarray(report.mu2)
     report.residuals["golden_Q"] = mx.max_abs(report.Q - expected["Q"])
     report.residuals["golden_S"] = mx.max_abs(report.S - expected["S"])
-    report.residuals["golden_mu2"] = float(np.max(np.abs(mu2 - expected["mu2"])))
+    report.residuals["golden_mu2"] = float(np.abs(mu2 - expected["mu2"]).max())
     report.residuals["golden_rho2"] = abs(report.rho2 - expected["rho2"])
     # first-order conditioning bounds: the S path amplifies rounding in mu^2
     # by lam^3 / (2 mu^3), the Q path by lam / (2 mu); near mu -> 0 the
@@ -491,7 +495,7 @@ def run_example(name: str, s: float, max_degree: int = 3, nodes: int = 64) -> Ve
     tols = dict(config.tolerances)
     eps = float(np.finfo(float).eps)
     lam_max = report.lam[-1]
-    mu_min = math.sqrt(float(np.min(mu2)))
+    mu_min = math.sqrt(float(mu2.min()))
     tols["golden_S"] = max(
         tols["golden"], 300.0 * eps * lam_max**2 * lam_max**3 / (2.0 * mu_min**3)
     )

@@ -174,23 +174,23 @@ def _image_lane(pt: PhaseTriple, cache: MomentCache | None = None) -> tuple:
     """The chain lane (T a+, c0) of the exact transforms of the Hermite
     functions, and their exponent M = ``image_exponent``: T a+ folded
     (``_in_frame``) at M onto monomial coefficients, or onto Wick ones in
-    the frame of ``cache`` (for M).  T h_0 = c0 exp(-<z, M z>),
+    the frame of ``cache`` (a cache for M, whose exponent is read).
+    T h_0 = c0 exp(-<z, M z>),
     c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2) with W = E - iC, and
     T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!) (``_image_scaled``).  W has
     Hermitian part E + Im C > 0, so det(W)^(-1/2), continued from W = E, is
     the product of the principal roots of its eigenvalues for every n."""
     n = pt.n
-    root_det = np.prod(np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)))
+    root_det = np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)).prod()
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
-    M = image_exponent(pt)
+    M = image_exponent(pt) if cache is None else cache.exponent
     return (_in_frame(_intertwined_raising(pt), M, cache), c0), M
 
 
-def _image_scaled(rows: np.ndarray, alphas) -> np.ndarray:
-    """Chain rows (T a+)^alpha T h_0 of the image lane, one per alpha of
-    ``alphas``, scaled to T h_alpha by 1 / sqrt(alpha!)."""
-    norms = [1.0 / math.sqrt(mi_factorial(a)) for a in alphas]
-    return _real_scaled(rows, np.array(norms).reshape(-1, 1))
+def _image_scaled(rows: np.ndarray, factorials) -> np.ndarray:
+    """Chain rows (T a+)^alpha T h_0 of the image lane, one per alpha, scaled
+    to T h_alpha by 1 / sqrt(alpha!), given alpha! per row in ``factorials``."""
+    return _real_scaled(rows, (1.0 / np.sqrt(np.asarray(factorials, dtype=float)))[:, None])
 
 
 def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> tuple:
@@ -198,7 +198,8 @@ def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> t
     row per alpha of ``alphas``, and their exponent M: the image lane
     (``_image_lane``) chained alone and scaled."""
     lane, M = _image_lane(pt, cache)
-    return _image_scaled(_chain_rows([lane], alphas)[0], alphas), M
+    rows = _chain_rows([lane], alphas)[0]
+    return _image_scaled(rows, [mi_factorial(a) for a in alphas]), M
 
 
 def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
@@ -240,14 +241,16 @@ def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelP
 def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
     """Reproducing kernel C_Phi exp(2 Psi(z, zetabar)) with
     Psi = <z, A zbar'> + <z, G z>/2 + <zbar', conj(G) zbar'>/2, per pair of points;
-    one point pairs with each of a batch, two batches must have one size."""
+    one point pairs with each of a batch, two batches must have one size.
+    Psi is one quadratic form in w = (z, zbar'), w^T P w with
+    P = [[G/2, A], [0, conj(G)/2]], taken for every pair by one einsum."""
     n = kp.psi_zzbar.shape[0]
     (z, one), (zeta, one_zeta) = mx.as_points(z, n, "z"), mx.as_points(zeta, n, "zeta")
     if len(z) != len(zeta) and 1 not in (len(z), len(zeta)):
         raise DimensionMismatch(f"z {z.shape} and zeta {zeta.shape} are batches of unequal size")
-    psi = [a @ (kp.psi_zzbar @ b) + 0.5 * a @ (kp.psi_zz @ a) + 0.5 * b @ (kp.psi_zz.conj() @ b)
-           for a, b in zip(*np.broadcast_arrays(z, zeta.conj()))]
-    values = kp.c_Phi * np.exp(2.0 * np.array(psi))
+    w = np.concatenate(np.broadcast_arrays(z, zeta.conj()), axis=1)
+    form = np.block([[0.5 * kp.psi_zz, kp.psi_zzbar], [np.zeros((n, n)), 0.5 * kp.psi_zz.conj()]])
+    values = kp.c_Phi * np.exp(2.0 * np.einsum("ri,ij,rj->r", w, form, w))
     return complex(values[0]) if one and one_zeta else values
 
 

@@ -12,7 +12,10 @@ every verdict, of the reports (timings excluded) of
 - both golden examples, ``run_example`` for ``em`` and ``ghs`` at
   s = 0.3, 0.5 and 0.7;
 - the verify and example operations of the benchmark's verify-deep and
-  verify-wide inputs at seed 0;
+  verify-wide inputs at seed 0, each run twice: in process, and through the
+  command line (``sbhermite.cli.main`` with ``--out``), whose report file is
+  parsed and hashed entry by entry (timings excluded), so the report writer
+  is inside the recipe;
 
 and the values of ``transform_batch``, ``inverse_transform``,
 ``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both
@@ -46,6 +49,7 @@ import numpy as np
 
 import sbhermite as sb
 from helpers import bench_module, em_data, ghs_data, random_poly
+from sbhermite.cli import main as cli_main
 from sbhermite.errors import StageFailure
 
 S_VALUES = (0.3, 0.5, 0.7)
@@ -68,6 +72,31 @@ def _report_lines(label: str, run) -> list[str]:
         for key, value in sorted(getattr(report, part).items()):
             lines.append(f"{label} {part}.{key} {_hex(value)}")
     return lines
+
+
+def _entries(value, key: str):
+    """(key, leaf) pairs of a parsed JSON value, nested keys as
+    ``a.b[i][j]``, object keys in sorted order."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _entries(value[k], f"{key}.{k}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _entries(item, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def _cli_lines(label: str, argv: list, directory: Path) -> list[str]:
+    """The exit status and every entry but the timings of the report file
+    that ``sbhermite`` writes for ``argv``."""
+    path = directory / "report.json"
+    code = cli_main([*argv, "--out", str(path)])
+    report = json.loads(path.read_text(encoding="utf-8"))
+    path.unlink()
+    report.pop("timings")
+    return [f"{label} cli.exit {code!r}"] + [
+        f"{label} {key} {_hex(value)}" for key, value in _entries(report, "cli")]
 
 
 def acceptance_lines() -> list[str]:
@@ -99,12 +128,18 @@ def bench_lines() -> list[str]:
                 for op in item["ops"]:
                     label = f"{workload}-set{j}-{op['name']}"
                     if op["kind"] == "verify":
-                        config = sb.RunConfig.from_json(spec["configs"][op["config"]])
+                        path = spec["configs"][op["config"]]
+                        config = sb.RunConfig.from_json(path)
                         lines += _report_lines(label, lambda: sb.run_verify(config))
+                        argv = ["verify", "--config", path]
                     else:
                         lines += _report_lines(label, lambda: sb.run_example(
                             op["example"], op["s"], max_degree=op["max_degree"],
                             nodes=op["nodes"]))
+                        argv = ["example", "--name", op["example"], "--s", repr(op["s"]),
+                                "--max-degree", str(op["max_degree"]),
+                                "--nodes", str(op["nodes"])]
+                    lines += _cli_lines(label, argv, Path(tmp))
     return lines
 
 

@@ -19,6 +19,7 @@ from sbhermite.gausspoly import (
     _hamiltonian_block,
     _in_frame,
     _kernel_plan,
+    _real_scaled,
     _row_distances,
 )
 from sbhermite.transform import _intertwined_raising
@@ -150,7 +151,8 @@ class TestBlockKernel:
         block = self.random_block(rng, n, degree, rows)
         comps = rng.integers(0, n, rows)  # a different component per row
         folded = _in_frame(op, M)
-        out = _apply_block(folded.G[comps], folded.H[comps], block)
+        # one operator per row: each row is a block slice of one row
+        out = _apply_block(folded.G[comps], folded.H[comps], block[:, None])[:, 0]
         # the lowering operators at Q are pure derivatives and lower the degree
         top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
         assert out.shape == (rows, len(_basis(n, top)))
@@ -163,8 +165,62 @@ class TestBlockKernel:
             scale = max((abs(c) for c in got.values()), default=0.0)
             assert all(abs(got[a] - c) <= 1e-15 * scale for a, c in want.poly.terms.items())
             # a row's result does not depend on the rows around it
-            alone = _apply_block(folded.G[comps[r]], folded.H[comps[r]], block[r : r + 1])
-            assert np.array_equal(alone[0], out[r]), r
+            one = comps[r : r + 1]
+            alone = _apply_block(folded.G[one], folded.H[one], block[None, r : r + 1])
+            assert np.array_equal(alone[0, 0], out[r]), r
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        # equal floats, and equal signs where they are zeros
+        x, y = got.view(float), want.view(float)
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_operator_axis_equals_the_per_component_loop(self, n, chunk, monkeypatch):
+        # every call form of the one kernel against the kernel applied to
+        # one row with one operator at a time: one operator on a whole block
+        # (m = 1), every operator on one shared block and one block slice
+        # per operator (the eigen stage's two calls), one operator per row
+        # (rows = 1: the chains and the adjoint stage).  The frame lowering
+        # operators L^-T are triangular, so a term dead in one operator is
+        # live in another.  With ``chunk`` the kernel splits operators and
+        # rows into many passes, and the eigen stage takes one row at a time.
+        if chunk is not None:
+            monkeypatch.setattr(sb.gausspoly, "_KERNEL_CHUNK", chunk)
+            monkeypatch.setattr(sb.gausspoly, "_HAMILTONIAN_SLICE", chunk)
+        rng = np.random.default_rng(40 + n)
+        _, wd, gen = sb.random_generator(n, rng)
+        ladder = _frame_ladder(wd, gen, sb.make_moment_cache(wd, gen.Q))
+        rows = 5
+        for degree in range(7):
+            block = self.random_block(rng, n, degree, rows)
+            slices = np.stack([self.random_block(rng, n, degree, rows) for _ in range(n)])
+            comps = rng.integers(0, n, rows)
+            for op in ladder:
+                def alone(i, row):
+                    return _apply_block(op.G[i : i + 1], op.H[i : i + 1], row[None, None])[0, 0]
+
+                whole = _apply_block(op.G[:1], op.H[:1], block[None])
+                shared = _apply_block(op.G, op.H, block[None])
+                sliced = _apply_block(op.G, op.H, slices)
+                per_row = _apply_block(op.G[comps], op.H[comps], block[:, None])
+                assert per_row.shape[1] == 1
+                for r in range(rows):
+                    self.assert_same_bits(whole[0, r], alone(0, block[r]))
+                    self.assert_same_bits(per_row[r, 0], alone(comps[r], block[r]))
+                    for i in range(n):
+                        self.assert_same_bits(shared[i, r], alone(i, block[r]))
+                        self.assert_same_bits(sliced[i, r], alone(i, slices[i, r]))
+            # the eigen stage's two calls against its former loop, one
+            # lower_i and one raise_i call per component
+            low, high = ladder
+            loop = _real_scaled(block, gen.rho2)
+            for i in range(n):
+                lowered = _apply_block(low.G[i : i + 1], low.H[i : i + 1], block[None])
+                raised = _apply_block(high.G[i : i + 1], high.H[i : i + 1], lowered)
+                loop += raised[0, :, : block.shape[1]]
+            self.assert_same_bits(_hamiltonian_block(gen, ladder, block), loop)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_result_width_follows_live_terms(self, n):
@@ -187,8 +243,8 @@ class TestBlockKernel:
             comps = rng.integers(0, n, 3)
             for op, M, step in cases:
                 folded = _in_frame(op, M)
-                out = _apply_block(folded.G[comps], folded.H[comps], block)
-                assert out.shape == (3, len(_basis(n, max(degree + step, 0)))), (degree, step)
+                out = _apply_block(folded.G[comps], folded.H[comps], block[:, None])
+                assert out.shape == (3, 1, len(_basis(n, max(degree + step, 0)))), (degree, step)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_plan_matches_loop_oracle(self, n):
@@ -764,7 +820,7 @@ class TestInputChecks:
         _, _, gen = ghs_data(0.45)
         with pytest.raises(DimensionMismatch, match="5 columns"):
             low = sb.annihilation_ops(gen.Q)
-            _apply_block(low.G[0], low.H[0], np.ones((1, 5)))
+            _apply_block(low.G[:1], low.H[:1], np.ones((1, 1, 5)))
 
 
 class TestCoeffDistance:

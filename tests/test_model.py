@@ -36,6 +36,11 @@ class TestMatrixPredicates:
         assert sb.matrices.is_unitary(phase, 1e-12)
         assert not sb.matrices.is_unitary(np.diag([2.0, 1.0]), 1e-12)
 
+    def test_max_abs_of_an_empty_array_is_zero(self):
+        for empty in ([], np.zeros(0), np.zeros((0, 3), dtype=complex)):
+            value = sb.matrices.max_abs(empty)
+            assert value == 0.0 and type(value) is float
+
     def test_tolerance_is_explicit(self):
         nearly = np.array([[0.0, 1e-9], [0.0, 0.0]], dtype=complex)
         assert sb.matrices.is_symmetric(nearly, 1e-8)

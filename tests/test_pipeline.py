@@ -329,6 +329,27 @@ class TestCli:
         report = json.loads(out_path.read_text())
         assert report["overall_pass"] is True
 
+    @pytest.mark.parametrize("kind", ["verify", "example"])
+    def test_report_file_is_the_report_on_one_sorted_line(self, kind, tmp_path, monkeypatch):
+        # the file parses to exactly the report's to_dict(), and it is the
+        # compact encoding of that dict with sorted keys, one line
+        name = "run_verify" if kind == "verify" else "run_example"
+        run, reports = getattr(sb.pipeline, name), []
+        def kept(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(sb.pipeline, name, kept)
+        if kind == "verify":
+            argv = ["verify", "--config", self.write_config(tmp_path, em_config_dict(max_degree=2))]
+        else:
+            argv = ["example", "--name", "ghs", "--s", "0.5", "--max-degree", "2"]
+        out_path = tmp_path / "report.json"
+        assert cli_main([*argv, "--out", str(out_path)]) == 0
+        text = out_path.read_text(encoding="utf-8")
+        assert json.loads(text) == reports[0].to_dict()
+        assert text == json.dumps(reports[0].to_dict(), sort_keys=True) + "\n"
+
     def test_verify_non_finite_tolerance_exit_two(self, tmp_path, capsys):
         # JSON Infinity used to pass as a tolerance and switch the check off
         path = self.write_config(tmp_path, em_config_dict(tolerances={"gram": math.inf}))
@@ -658,6 +679,7 @@ class TestPartialReport:
                 "--out", str(out_path)]
         assert cli_main(argv) == 1
         assert "stage 'isometry'" in capsys.readouterr().err
+        assert out_path.read_text().count("\n") == 1  # one compact line
         report = json.loads(out_path.read_text())
         assert report["failed_stage"] == "isometry"
         assert report["error_type"] == "NonIntegrableWeight"
@@ -848,7 +870,8 @@ class TestStageWork:
     def test_kernel_calls_of_the_chained_blocks(self, monkeypatch, name, degree):
         # the family, Rodrigues and image blocks are three lanes of one
         # chain, one kernel call per degree layer, all in the family stage;
-        # the adjoint stage applies lower_i and raise_i in one call
+        # the adjoint stage applies lower_i and raise_i in one call, and the
+        # eigen stage every lower_i in one call and every raise_i in another
         if name == "n2":
             cfg = self.n2_deg6_config()
         else:
@@ -860,7 +883,7 @@ class TestStageWork:
         assert "rodrigues" not in kernel and "isometry" not in kernel
         assert kernel.get("family", 0) == degree
         assert kernel["adjoint"] == 1
-        assert kernel["eigen"] == 2 * cfg.n
+        assert kernel["eigen"] == 2
 
     def test_call_counts_per_stage(self, monkeypatch):
         cfg = self.n2_deg6_config()
@@ -878,7 +901,7 @@ class TestStageWork:
         assert calls["eigen", "creation_ops"] == calls["adjoint", "creation_ops"] == 0
         # whole coefficient blocks through the one kernel, never member by member
         assert calls["family", "_apply_block"] <= degree
-        assert calls["eigen", "_apply_block"] == 2 * n
+        assert calls["eigen", "_apply_block"] == 2
         assert calls["rodrigues", "_apply_block"] <= n * degree
         assert calls["adjoint", "_apply_block"] <= 2 * n
         for name in ("family", "eigen", "rodrigues", "adjoint"):
