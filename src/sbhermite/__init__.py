@@ -92,7 +92,6 @@ _EXPORTS = {
         "KernelParams",
         "QuadSpec",
         "TestFunction",
-        "hermite_images",
         "image_exponent",
         "inverse_transform",
         "isometry_residual",

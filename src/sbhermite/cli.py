@@ -55,8 +55,8 @@ def _cmd_validate(args) -> int:
         {
             "n": pt.n,
             "c_phi": pt.c_phi,
-            "det_B_abs": float(abs(np.linalg.det(pt.B))),
-            "C_I_eigenvalues": [float(v) for v in np.linalg.eigvalsh(pt.C_I)],
+            "det_B_abs": pt.det_B_abs,
+            "C_I_eigenvalues": pt.C_I_eigenvalues.tolist(),
             "lambda": [float(v) for v in wd.lam],
             "valid": True,
         },

@@ -63,11 +63,6 @@ def is_symmetric(a, tol: float) -> bool:
     return agree(a, a.T, tol)
 
 
-def is_hermitian(a, tol: float) -> bool:
-    a = as_square(a)
-    return agree(a, a.conj().T, tol)
-
-
 def is_unitary(a, tol: float) -> bool:
     a = as_square(a)
     return max_abs(a @ a.conj().T - np.eye(a.shape[0])) <= tol

@@ -40,8 +40,9 @@ class PhaseTriple:
     """Validated defining matrices plus derived constants.
 
     ``C_I`` is the elementwise imaginary part of C (real symmetric positive
-    definite) and ``c_phi`` the transform prefactor
-    2^(-n/2) pi^(-3n/4) |det B| (det C_I)^(-1/4).
+    definite), ``C_I_eigenvalues`` its ascending spectrum, whose product is
+    det C_I, and ``c_phi`` the transform prefactor
+    2^(-n/2) pi^(-3n/4) |det B| (det C_I)^(-1/4), |det B| = ``det_B_abs``.
     """
 
     n: int
@@ -49,6 +50,8 @@ class PhaseTriple:
     B: np.ndarray
     C: np.ndarray
     C_I: np.ndarray
+    C_I_eigenvalues: np.ndarray
+    det_B_abs: float
     c_phi: float
 
 
@@ -118,11 +121,11 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
     # every multiple c B and c Im(C), c > 0: |det B| against the product of
     # the row norms of B (Hadamard's bound), the smallest eigenvalue of
     # Im(C) against the largest in magnitude
-    det_b = np.linalg.det(B)
+    det_b = float(abs(np.linalg.det(B)))
     hadamard = float(np.linalg.norm(B, axis=1).prod())
-    if abs(det_b) <= DEFAULT_TOL * hadamard:
+    if det_b <= DEFAULT_TOL * hadamard:
         raise SingularB(
-            f"|det B| = {abs(det_b):.3e} is below tol={DEFAULT_TOL} times the product "
+            f"|det B| = {det_b:.3e} is below tol={DEFAULT_TOL} times the product "
             f"of its row norms, {hadamard:.3e}"
         )
     c_imag = C.imag.copy()
@@ -133,13 +136,15 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
             f"the largest, {eigs[-1]:.3e}"
         )
     det_ci = float(eigs.prod())
-    c_phi = 2.0 ** (-n / 2.0) * math.pi ** (-3.0 * n / 4.0) * abs(det_b) * det_ci ** (-0.25)
+    c_phi = 2.0 ** (-n / 2.0) * math.pi ** (-3.0 * n / 4.0) * det_b * det_ci ** (-0.25)
     return PhaseTriple(
         n=n,
         A=mx.frozen(A),
         B=mx.frozen(B),
         C=mx.frozen(C),
         C_I=mx.frozen(c_imag, dtype=float),
+        C_I_eigenvalues=mx.frozen(eigs, dtype=float),
+        det_B_abs=det_b,
         c_phi=float(c_phi),
     )
 

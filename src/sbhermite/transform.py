@@ -1,9 +1,9 @@
 """The integral transform, its adjoint and the reproducing kernel, exactly.
 
-``hermite_images`` and ``transform_image`` map test functions to GaussPolys
-with no quadrature: T h_0 is a Gaussian in closed form, and the raising
-operators moved through the transform are first-order operators on C^n,
-so the images come from the raising chain the generator family uses: the
+``transform_image`` maps test functions to GaussPolys with no quadrature:
+T h_0 is a Gaussian in closed form, and the raising operators moved
+through the transform are first-order operators on C^n, so the images
+come from the raising chain the generator family uses: the
 image lane (``_image_lane``: T a+ folded at the image exponent, in the Wick
 frame of that exponent where a norm is taken, and T h_0's constant),
 chained and scaled by 1 / sqrt(alpha!) (``_image_scaled``).  The public
@@ -17,9 +17,10 @@ holomorphic polynomial times one complex Gaussian over C^n, so each has a
 closed form, ``_over_cn``: completing the square gives the Gaussian's mass
 and a mean affine in the evaluation point, and the polynomial's mean is
 its heat polynomial at that mean, built by the chain kernel of
-``gausspoly`` (``_monomial_chain``) once per call for all points.  The
-quadrature isometry takes the norm of the monomial image through the public
-inner product.  No function here integrates numerically: ``QuadSpec`` and
+``gausspoly`` (``_monomial_chain``) once per call for all points; its
+determinant's root and T h_0's are ``_root_det``'s.  The quadrature
+isometry takes the norm of the monomial image through the public inner
+product.  No function here integrates numerically: ``QuadSpec`` and
 the ``quad`` parameters are accepted and validated, and change no value.
 """
 
@@ -35,7 +36,7 @@ from . import matrices as mx
 from .config import MAX_NODES
 from .errors import DimensionMismatch, NonIntegrableWeight
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, evaluate, mi_factorial
-from .gausspoly import _block_of, _chain_rows, _checked_basis, _gauss_polys, _in_frame
+from .gausspoly import _block_of, _chain_rows, _gauss_polys, _in_frame
 from .gausspoly import _monomial_chain, _multi_index, _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, compute_weight_data
@@ -177,11 +178,10 @@ def _image_lane(pt: PhaseTriple, cache: MomentCache | None = None) -> tuple:
     the frame of ``cache`` (a cache for M, whose exponent is read).
     T h_0 = c0 exp(-<z, M z>),
     c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2) with W = E - iC, and
-    T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!) (``_image_scaled``).  W has
-    Hermitian part E + Im C > 0, so det(W)^(-1/2), continued from W = E, is
-    the product of the principal roots of its eigenvalues for every n."""
+    T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!) (``_image_scaled``).  The
+    root of det(W) is ``_root_det``'s: W's real part E + Im C is > 0."""
     n = pt.n
-    root_det = np.sqrt(np.linalg.eigvals(np.eye(n) - 1j * pt.C)).prod()
+    root_det = _root_det(np.eye(n) - 1j * pt.C)
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
     M = image_exponent(pt) if cache is None else cache.exponent
     return (_in_frame(_intertwined_raising(pt), M, cache), c0), M
@@ -202,15 +202,6 @@ def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> t
     return _image_scaled(rows, [mi_factorial(a) for a in alphas]), M
 
 
-def hermite_images(pt: PhaseTriple, max_degree: int) -> dict:
-    """Exact transforms T h_alpha, |alpha| <= max_degree, of the orthonormal
-    Hermite functions, as GaussPolys with exponent ``image_exponent(pt)``
-    keyed by alpha: the rows of ``_image_block``."""
-    basis = _checked_basis(pt.n, max_degree)
-    block, M = _image_block(pt, basis)
-    return dict(zip(basis, _gauss_polys(block, M)))
-
-
 def _image_coefficients(pt: PhaseTriple, u: TestFunction, cache=None) -> tuple:
     """Tu = sum of c_alpha T h_alpha as one row, the coefficient vector of u
     times the rows of ``_image_block(pt, alphas, cache)``, and M."""
@@ -229,13 +220,10 @@ def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
 
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:
+    """C_Phi = (2 pi)^(-n) |det B|^2 / det C_I from the triple's own data."""
     wd = wd or compute_weight_data(pt)
-    c_phi_norm = (2.0 * math.pi) ** (-pt.n) * abs(np.linalg.det(pt.B)) ** 2 / float(
-        np.linalg.det(pt.C_I)
-    )
-    return KernelParams(
-        psi_zzbar=wd.phi_zzbar, psi_zz=wd.phi_zz, c_Phi=float(c_phi_norm)
-    )
+    c_phi_norm = (2.0 * math.pi) ** (-pt.n) * pt.det_B_abs**2 / float(pt.C_I_eigenvalues.prod())
+    return KernelParams(psi_zzbar=wd.phi_zzbar, psi_zz=wd.phi_zz, c_Phi=float(c_phi_norm))
 
 
 def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
@@ -254,6 +242,20 @@ def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
     return complex(values[0]) if one and one_zeta else values
 
 
+def _root_det(P) -> complex:
+    """det(P)^(1/2) of a complex symmetric P, continued from Im P = 0 along
+    Re P + i t Im P: det(L) prod sqrt(1 + i s_k), L L^T = Re P and s_k the
+    eigenvalues of L^-1 Im P L^-T (no 1 + i t s_k meets the principal
+    root's cut).  NonIntegrableWeight unless Re P is positive definite."""
+    try:
+        chol = np.linalg.cholesky(P.real)
+    except np.linalg.LinAlgError as exc:
+        raise NonIntegrableWeight("decay form of the integrand not positive definite") from exc
+    li = np.linalg.inv(chol)
+    s = np.linalg.eigvalsh(li @ P.imag @ li.T)
+    return math.prod(np.diag(chol).tolist()) * np.prod(np.sqrt(1.0 + 1j * s))
+
+
 def _over_cn(P, beta, c, poly: PolyC) -> np.ndarray:
     """Integrals over C^n of poly(z) exp(-w^T P w + <zbar, beta_r> + c_r) in
     the real coordinates w = (Re z, Im z), one per row of ``beta`` (rows, n),
@@ -267,18 +269,11 @@ def _over_cn(P, beta, c, poly: PolyC) -> np.ndarray:
     bilinear covariance K = T P^-1 T^T / 2.  The mean of a holomorphic
     polynomial is its heat polynomial exp(d^T K d / 2) poly at m_r; on
     z^a that is (z + K d/dz)^a 1, the chain of the commuting operators
-    (K, E) (``_monomial_chain``), built once for all rows.  With
-    L L^T = Re P, det(P)^(1/2) continued from Im P = 0 is det(L) times the
-    principal roots of 1 + i s_k, s_k the eigenvalues of L^-1 Im P L^-T."""
+    (K, E) (``_monomial_chain``), built once for all rows.  det(P)^(1/2),
+    continued from Im P = 0, is ``_root_det``'s."""
     n = beta.shape[1]
     t = mx.complex_coords(n)
-    try:
-        chol = np.linalg.cholesky(P.real)
-    except np.linalg.LinAlgError as exc:
-        raise NonIntegrableWeight("decay form of the integrand not positive definite") from exc
-    li = np.linalg.inv(chol)
-    s = np.linalg.eigvalsh(li @ P.imag @ li.T)
-    root_det = math.prod(np.diag(chol).tolist()) * np.prod(np.sqrt(1.0 + 1j * s))
+    root_det = _root_det(P)
     cov = np.linalg.inv(2.0 * P)
     cov = 0.5 * (cov + cov.T)
     b = beta @ t[n:]

@@ -82,9 +82,81 @@ def ground_image(pt: sb.PhaseTriple):
     n = pt.n
     w = np.eye(n) - 1j * pt.C
     m = 0.5 * pt.B @ np.linalg.solve(w, pt.B.T) - 0.5j * pt.A
-    root_det = np.prod(np.sqrt(np.linalg.eigvals(w)))
-    c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
+    c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / eigenvalue_root_det(w)
     return complex(c0), 0.5 * (m + m.T)
+
+
+def eigenvalue_root_det(w) -> complex:
+    """det(W)^(1/2) as the product of the principal roots of the
+    eigenvalues of W, continued from W = E when the Hermitian part of W is
+    positive definite (then every eigenvalue has positive real part)."""
+    return complex(np.prod(np.sqrt(np.linalg.eigvals(w))))
+
+
+def continued_root_det(P, dps: int = 40) -> complex:
+    """Oracle for ``transform._root_det``: det(Re P + i t Im P)^(1/2) at
+    t = 1, continued from the positive root at t = 0 through mpmath
+    determinants at ``dps`` digits.  Of the two roots at each step the one
+    nearer the last is kept, and a step is halved until the root moves by
+    less than a quarter of its size, so the nearer root is the continuation."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        re_p, im_p = mpmath.matrix(P.real.tolist()), mpmath.matrix(P.imag.tolist())
+        t, step = mpmath.mpf(0), mpmath.mpf(1) / 16
+        root = mpmath.sqrt(mpmath.det(re_p))
+        while t < 1:
+            step = min(step, 1 - t)
+            new = mpmath.sqrt(mpmath.det(re_p + mpmath.mpc(0, t + step) * im_p))
+            new = new if abs(new - root) <= abs(new + root) else -new
+            if abs(new - root) > abs(root) / 4:
+                step /= 2
+                continue
+            t, root, step = t + step, new, 2 * step
+        return complex(root)
+
+
+def mp_generator(wd: sb.WeightData, rho: float, X, dps: int = 50) -> dict:
+    """Oracle for ``build_generator``: Q, S, xi_coeff and mu at ``dps``
+    digits from the float weight data, rounded to float.  U and lambda come
+    from ``mpmath.eigh`` of the float phi_zzbar, ascending, each column of
+    U turned by the phase that aligns it to the same column of ``wd.U`` (an
+    eigenbasis is unique only up to those phases, and X acts in ``wd.U``'s);
+    then mu = sqrt(lambda^2 - rho^2),
+    Q = -phi_zz + U diag(mu) X diag(lambda) U^T,
+    S = phi_zz - U diag(lambda^2 / mu) X diag(lambda) U^T and
+    xi = conj(U) diag(mu) conj(X) diag(1/lambda) U^H."""
+    import mpmath
+
+    n = wd.n
+    with mpmath.workdps(dps):
+        lam2, u = mpmath.eigh(mpmath.matrix(wd.phi_zzbar.tolist()))
+        order = sorted(range(n), key=lambda k: lam2[k])
+        u = mpmath.matrix([[u[i, k] for k in order] for i in range(n)])
+        for j in range(n):
+            inner = mpmath.fsum(mpmath.conj(u[i, j]) * complex(wd.U[i, j]) for i in range(n))
+            for i in range(n):
+                u[i, j] *= inner / abs(inner)
+        lam = [mpmath.sqrt(lam2[k]) for k in order]
+        mu = [mpmath.sqrt(v * v - mpmath.mpf(rho) ** 2) for v in lam]
+        x = mpmath.matrix(np.asarray(X, dtype=complex).tolist())
+        phi_zz = mpmath.matrix(wd.phi_zz.tolist())
+        lam_x = x * mpmath.diag(lam)
+        q = -phi_zz + u * mpmath.diag(mu) * lam_x * u.T
+        s = phi_zz - u * mpmath.diag([v * v / m for v, m in zip(lam, mu)]) * lam_x * u.T
+        xi = (u.apply(mpmath.conj) * mpmath.diag(mu) * x.apply(mpmath.conj)
+              * mpmath.diag([1 / v for v in lam]) * u.H)
+        out = {name: np.array(m.tolist(), dtype=complex)
+               for name, m in (("Q", q), ("S", s), ("xi_coeff", xi))}
+        out["mu"] = np.array([float(v) for v in mu])
+    return out
+
+
+def hermite_images(pt: sb.PhaseTriple, max_degree: int) -> dict:
+    """The exact transforms T h_alpha, |alpha| <= max_degree, keyed by
+    alpha, each the ``transform_image`` of its Hermite function."""
+    return {alpha: sb.transform_image(pt, sb.TestFunction.hermite_basis(alpha))
+            for alpha in sb.multi_indices(pt.n, max_degree)}
 
 
 def ground_state(x) -> np.ndarray:

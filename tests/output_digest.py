@@ -15,7 +15,9 @@ every verdict, of the reports (timings excluded) of
   verify-wide inputs at seed 0, each run twice: in process, and through the
   command line (``sbhermite.cli.main`` with ``--out``), whose report file is
   parsed and hashed entry by entry (timings excluded), so the report writer
-  is inside the recipe;
+  is inside the recipe; each verify operation's config also goes through
+  ``validate`` and ``construct`` on the command line, their report files
+  hashed the same way;
 
 and the values of ``transform_batch``, ``inverse_transform``,
 ``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both
@@ -29,9 +31,10 @@ print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
 ``--lines`` output of another checkout and prints, per quantity (a line's
 label and key without its index), the lines that differ and the largest
-difference: absolute for residuals (``residuals.*``, ``round_trip_error``,
-``isometry_*``, ``adjoint_residual``, ``expand_residual``), relative to the other checkout's value for every other
-number.
+difference: absolute for residuals (``residuals.*`` and their
+``cli.residuals.*`` copies, ``round_trip_error``, ``isometry_*``,
+``adjoint_residual``, ``expand_residual``), relative to the other
+checkout's value for every other number.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -88,13 +91,13 @@ def _entries(value, key: str):
 
 
 def _cli_lines(label: str, argv: list, directory: Path) -> list[str]:
-    """The exit status and every entry but the timings of the report file
-    that ``sbhermite`` writes for ``argv``."""
+    """The exit status and every entry but the timings (of a report that
+    has them) of the file that ``sbhermite`` writes for ``argv``."""
     path = directory / "report.json"
     code = cli_main([*argv, "--out", str(path)])
     report = json.loads(path.read_text(encoding="utf-8"))
     path.unlink()
-    report.pop("timings")
+    report.pop("timings", None)
     return [f"{label} cli.exit {code!r}"] + [
         f"{label} {key} {_hex(value)}" for key, value in _entries(report, "cli")]
 
@@ -131,6 +134,9 @@ def bench_lines() -> list[str]:
                         path = spec["configs"][op["config"]]
                         config = sb.RunConfig.from_json(path)
                         lines += _report_lines(label, lambda: sb.run_verify(config))
+                        for command in ("validate", "construct"):
+                            lines += _cli_lines(f"{label}-{command}",
+                                                [command, "--config", path], Path(tmp))
                         argv = ["verify", "--config", path]
                     else:
                         lines += _report_lines(label, lambda: sb.run_example(
@@ -233,7 +239,7 @@ def compare(lines: list[str], other: list[str]) -> list[str]:
             groups.setdefault(quantity, []).append((key, a, b))
     report = []
     for (label, name), diffs in groups.items():
-        residual = name.startswith("residuals.") or name in VALUE_RESIDUALS
+        residual = name.startswith(("residuals.", "cli.residuals.")) or name in VALUE_RESIDUALS
         largest = None
         for key, a, b in diffs:
             x, y = _number(a or ""), _number(b or "")

@@ -21,16 +21,24 @@ from sbhermite.errors import (
     StageFailure,
 )
 
-from helpers import SWAP2, bargmann_data, bargmann_triple, em_data, ghs_data
+from helpers import (
+    SWAP2,
+    bargmann_data,
+    bargmann_triple,
+    bench_module,
+    em_data,
+    ghs_data,
+    mp_generator,
+)
 
 
 class TestMatrixPredicates:
     def test_symmetric_hermitian_unitary(self):
         sym = np.array([[1.0, 2.0j], [2.0j, 3.0]])
         assert sb.matrices.is_symmetric(sym, 1e-12)
-        assert not sb.matrices.is_hermitian(sym, 1e-12)
+        assert not sb.matrices.agree(sym, sym.conj().T, 1e-12)
         herm = np.array([[1.0, 2.0j], [-2.0j, 3.0]])
-        assert sb.matrices.is_hermitian(herm, 1e-12)
+        assert sb.matrices.agree(herm, herm.conj().T, 1e-12)
         assert not sb.matrices.is_symmetric(herm, 1e-12)
         phase = np.diag(np.exp(1j * np.array([0.4, -1.1])))
         assert sb.matrices.is_unitary(phase, 1e-12)
@@ -105,6 +113,7 @@ class TestValidatePhaseTriple:
     def test_standard_triple(self):
         pt = bargmann_triple()
         assert pt.C_I[0, 0] == pytest.approx(1.0)
+        assert pt.det_B_abs == 1.0 and pt.C_I_eigenvalues.tolist() == [1.0]
         assert pt.c_phi == pytest.approx(2.0**-0.5 * math.pi**-0.75, rel=1e-14)
 
     def test_real_c_rejected(self):
@@ -304,6 +313,25 @@ class TestBuildGenerator:
         for data in (em_data(0.4), ghs_data(0.6)):
             _, wd, gen = data
             assert sb.sq_closed_form_residual(wd, gen) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_50_digits(self, n):
+        # the grid triples (seeds 1000-1011, X phases 0.3, rho = lam0 / 2)
+        # against the 50-digit generator of the same float weight data.  The
+        # worst read Q, S 1.5e-15, mu 3.1e-15 and xi 2.1e-14 (n=2 seed 1004,
+        # n=3 seed 1008, lam_max / lam0 = 50 and 72): xi's error sits in
+        # the eigenvectors of the small lam_i (ROADMAP item 2)
+        inputs = bench_module("inputs")
+        bounds = {"Q": 4e-15, "S": 4e-15, "mu": 8e-15, "xi_coeff": 5e-14}
+        for seed in range(1000, 1012):
+            a, b, c = inputs.random_triple(n, np.random.default_rng(seed))
+            cfg = sb.RunConfig.from_dict(
+                inputs.v1_config(a, b, c, max_degree=1, seed=0, phases=[0.3] * n))
+            wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
+            gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
+            for name, want in mp_generator(wd, gen.rho, gen.X).items():
+                err = np.max(np.abs(getattr(gen, name) - want)) / np.max(np.abs(want))
+                assert err <= bounds[name], (seed, name, err)
 
 
 class TestCcrMatrix:

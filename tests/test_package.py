@@ -32,10 +32,10 @@ EXPORTS = {
     "pipeline": ["VerificationReport", "decode_gauss_poly", "encode_gauss_poly",
                  "example_config", "example_expected", "example_triple", "run_example",
                  "run_verify"],
-    "transform": ["KernelParams", "QuadSpec", "TestFunction", "hermite_images",
-                  "image_exponent", "inverse_transform", "isometry_residual", "kernel_eval",
-                  "kernel_reproduce", "make_kernel_params", "round_trip_error", "transform",
-                  "transform_batch", "transform_image"],
+    "transform": ["KernelParams", "QuadSpec", "TestFunction", "image_exponent",
+                  "inverse_transform", "isometry_residual", "kernel_eval", "kernel_reproduce",
+                  "make_kernel_params", "round_trip_error", "transform", "transform_batch",
+                  "transform_image"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 

@@ -1,5 +1,6 @@
 """The README's library sketch runs, the identities its comments state hold,
-and its config example follows the schema."""
+its config example follows the schema, and the private names it cites
+exist."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from sbhermite.config import CONFIG_KEYS, RunConfig
 from sbhermite.pipeline import run_verify
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sbhermite"
 
 
 def test_library_sketch():
@@ -39,3 +41,14 @@ def test_config_example():
     assert set(raw["quadrature"]) == {"nodes"}
     report = run_verify(RunConfig.from_dict(raw))
     assert report.overall_pass, report.checks
+
+
+def test_private_names_are_defined():
+    # every backticked private name (``_name``, ``module._name``) is a
+    # function, class or module-level constant that src defines
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    names = {name for span in spans for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)}
+    src = "\n".join(path.read_text() for path in SRC.glob("*.py"))
+    missing = [name for name in sorted(names) if not re.search(
+        rf"^\s*(?:(?:def|class)\s+{name}\b|{name}\s*(?::[^=\n]*)?=)", src, re.M)]
+    assert names and not missing, missing
