@@ -60,7 +60,7 @@ def require_same_exponent(a, b, what: str) -> None:
 
 def is_symmetric(a, tol: float) -> bool:
     a = as_square(a)
-    return agree(a, a.T, tol)
+    return max_abs(a - a.T) <= tol * max(1.0, max_abs(a))
 
 
 def is_unitary(a, tol: float) -> bool:

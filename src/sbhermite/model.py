@@ -80,8 +80,9 @@ class GeneratorData:
     """Coefficient matrices of a generator at level rho.
 
     ``Q`` and ``S`` are complex symmetric, ``SQ = S + Q``, ``mu`` holds
-    sqrt(lam_i^2 - rho^2), and ``xi_coeff`` is the derivative-coefficient
-    matrix shared by the creation operators and their principal parts.
+    sqrt(lam_i^2 - rho^2), ``xi_coeff`` is the derivative-coefficient
+    matrix shared by the creation operators and their principal parts, and
+    ``factorization`` the product (phi_zz+Q) conj(beta) (phi_zz+Q)^*.
     """
 
     n: int
@@ -92,6 +93,7 @@ class GeneratorData:
     S: np.ndarray
     SQ: np.ndarray
     xi_coeff: np.ndarray
+    factorization: np.ndarray
 
     @property
     def rho2(self) -> float:
@@ -128,8 +130,7 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
             f"|det B| = {det_b:.3e} is below tol={DEFAULT_TOL} times the product "
             f"of its row norms, {hadamard:.3e}"
         )
-    c_imag = C.imag.copy()
-    eigs = np.linalg.eigvalsh(0.5 * (c_imag + c_imag.T))
+    eigs = np.linalg.eigvalsh(0.5 * (C.imag + C.imag.T))
     if eigs[0] <= DEFAULT_TOL * max(abs(eigs[0]), abs(eigs[-1])):
         raise NonPositiveCI(
             f"smallest eigenvalue of Im(C) is {eigs[0]:.3e}, not positive against "
@@ -142,7 +143,7 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
         A=mx.frozen(A),
         B=mx.frozen(B),
         C=mx.frozen(C),
-        C_I=mx.frozen(c_imag, dtype=float),
+        C_I=mx.frozen(C.imag, dtype=float),
         C_I_eigenvalues=mx.frozen(eigs, dtype=float),
         det_B_abs=det_b,
         c_phi=float(c_phi),
@@ -151,10 +152,10 @@ def validate_phase_triple(A, B, C) -> PhaseTriple:
 
 def compute_weight_data(pt: PhaseTriple) -> WeightData:
     """Derive the weight blocks and the spectral data of the Hermitian one."""
-    ci_inv = np.linalg.inv(pt.C_I)
-    phi_zzbar = pt.B @ ci_inv @ pt.B.conj().T / 4.0
+    b_ci = pt.B @ np.linalg.inv(pt.C_I)
+    phi_zzbar = b_ci @ pt.B.conj().T / 4.0
     phi_zzbar = 0.5 * (phi_zzbar + phi_zzbar.conj().T)
-    phi_zz = -pt.B @ ci_inv @ pt.B.T / 4.0 + 0.5j * pt.A
+    phi_zz = -b_ci @ pt.B.T / 4.0 + 0.5j * pt.A
     if not mx.is_symmetric(phi_zz, DEFAULT_TOL):
         raise SymmetryViolation("derived holomorphic block is not symmetric")
     try:
@@ -246,7 +247,8 @@ def build_generator(wd: WeightData, rho: float, X) -> GeneratorData:
         raise SymmetryViolation("constructed Q is not complex symmetric")
     if mx.max_abs(s - s.T) > DEFAULT_TOL * scale:
         raise SymmetryViolation("constructed S is not complex symmetric")
-    residual = mx.max_abs(0.5 * ccr_matrix(wd, q) - rho * rho * np.eye(wd.n))
+    product = _factorization(wd, q)
+    residual = mx.max_abs(0.5 * _ccr(wd, product) - rho * rho * np.eye(wd.n))
     if residual > CHAINED_TOL:
         raise IntertwinerInvalid(
             f"factorization residual {residual:.3e} exceeds {CHAINED_TOL:.1e}"
@@ -261,6 +263,7 @@ def build_generator(wd: WeightData, rho: float, X) -> GeneratorData:
         S=mx.frozen(s),
         SQ=mx.frozen(s + q),
         xi_coeff=mx.frozen(xi),
+        factorization=mx.frozen(product),
     )
 
 
@@ -274,17 +277,19 @@ def ccr_matrix(wd: WeightData, Q) -> np.ndarray:
     Q = mx.as_square(Q, "Q")
     if Q.shape[0] != wd.n:
         raise DimensionMismatch("Q has the wrong dimension")
-    return _factorization(wd, Q)[0]
+    return _ccr(wd, _factorization(wd, Q))
 
 
-def _factorization(wd: WeightData, Q) -> tuple[np.ndarray, np.ndarray]:
-    """The commutator matrix of ``ccr_matrix`` and the product
-    (phi_zz+Q) conj(beta) (phi_zz+Q)^* it is formed from, the left side of
-    the factorization identity (``eq2202_residual``), for callers that
-    need both."""
+def _factorization(wd: WeightData, Q) -> np.ndarray:
+    """(phi_zz+Q) conj(beta) (phi_zz+Q)^*, the left side of the factorization
+    identity, formed once per generator (``GeneratorData.factorization``)."""
     gq = wd.phi_zz + Q
-    product = gq @ wd.beta.conj() @ gq.conj().T
-    return 2.0 * (wd.phi_zzbar - product), product
+    return gq @ wd.beta.conj() @ gq.conj().T
+
+
+def _ccr(wd: WeightData, product: np.ndarray) -> np.ndarray:
+    """``ccr_matrix`` from the product of ``_factorization``."""
+    return 2.0 * (wd.phi_zzbar - product)
 
 
 def _combined_spectrum(wd: WeightData, Q) -> np.ndarray:
@@ -310,14 +315,23 @@ def sq_closed_form_residual(wd: WeightData, gen: GeneratorData) -> float:
 
 
 def eq2202_residual(wd: WeightData, gen: GeneratorData) -> float:
-    """Residual of the factorization identity satisfied by phi_zz + Q."""
-    return _eq2202(wd, gen, _factorization(wd, gen.Q)[1])
+    """Residual of the factorization identity: max |factorization - U diag(mu^2) U^*|."""
+    return mx.max_abs(gen.factorization - (wd.U * gen.mu**2) @ wd.U.conj().T)
 
 
-def _eq2202(wd: WeightData, gen: GeneratorData, product: np.ndarray) -> float:
-    """``eq2202_residual`` from the product of ``_factorization``: its
-    distance from U diag(mu^2) U^*."""
-    return mx.max_abs(product - (wd.U * gen.mu**2) @ wd.U.conj().T)
+def _identity_residuals(wd: WeightData, gen: GeneratorData) -> tuple[dict, np.ndarray]:
+    """The algebra stage's residuals, ``ccr`` and ``eq2202`` from the stored
+    product, and ``_combined_spectrum``, whose first entry is the margin."""
+    spectrum = _combined_spectrum(wd, gen.Q)
+    residuals = {
+        "ccr": mx.max_abs(_ccr(wd, gen.factorization) - 2.0 * gen.rho2 * np.eye(wd.n)),
+        "eq2202": eq2202_residual(wd, gen),
+        "symmetry_Q": mx.max_abs(gen.Q - gen.Q.T),
+        "symmetry_S": mx.max_abs(gen.S - gen.S.T),
+        "sq_closed_form": sq_closed_form_residual(wd, gen),
+        "condition1_margin": float(spectrum[0]),
+    }
+    return residuals, spectrum
 
 
 def random_phase_triple(n: int, rng: np.random.Generator) -> PhaseTriple:

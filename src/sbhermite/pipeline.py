@@ -80,15 +80,7 @@ from .integrals import (
     _pair_inners,
     make_moment_cache,
 )
-from .model import (
-    _combined_spectrum,
-    _eq2202,
-    _factorization,
-    build_generator,
-    compute_weight_data,
-    sq_closed_form_residual,
-    validate_phase_triple,
-)
+from .model import _identity_residuals, build_generator, compute_weight_data, validate_phase_triple
 from .transform import _image_lane, _image_scaled, image_exponent
 
 
@@ -293,17 +285,10 @@ def run_verify(config: RunConfig) -> VerificationReport:
     n, rho2 = wd.n, gen.rho2
 
     def algebra():
-        # one product (phi_zz+Q) conj(beta) (phi_zz+Q)^* gives both
-        ccr, product = _factorization(wd, gen.Q)
-        res["ccr"] = mx.max_abs(ccr - 2.0 * rho2 * np.eye(n))
-        res["eq2202"] = _eq2202(wd, gen, product)
-        res["symmetry_Q"] = mx.max_abs(gen.Q - gen.Q.T)
-        res["symmetry_S"] = mx.max_abs(gen.S - gen.S.T)
-        res["sq_closed_form"] = sq_closed_form_residual(wd, gen)
-        # one spectrum of the combined real form (M_R / 2) gives the
-        # margin and cond(M_R)
-        spectrum = _combined_spectrum(wd, gen.Q)
-        res["condition1_margin"] = float(spectrum[0])
+        # ccr and eq2202 from build_generator's product; one spectrum of the
+        # combined real form (M_R / 2) gives the margin and cond(M_R)
+        residuals, spectrum = _identity_residuals(wd, gen)
+        res.update(residuals)
         metrics["condition1_margin_over_rho2"] = res["condition1_margin"] / rho2
         return spectrum
 
@@ -315,6 +300,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         # (Xi at S+Q, in the frame of Q) and the images T h_alpha are three
         # lanes of one chain, one row per alpha in basis order over
         # _basis(n, max_degree)
+        keys = _basis(n, config.max_degree)
         cache = make_moment_cache(wd, gen.Q)
         image_cache = make_moment_cache(wd, image_exponent(pt))
         ladder = _frame_ladder(wd, gen, cache)
@@ -322,10 +308,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
         image_lane, _ = _image_lane(pt, image_cache)
         block, closed, images = _chain_rows([(ladder[1], 1.0), (xi, 1.0), image_lane], keys)
         scaled = _image_scaled(images, _factorials(n, config.max_degree))
-        return cache, image_cache, ladder, block, closed, scaled
+        return keys, cache, image_cache, ladder, block, closed, scaled
 
-    keys = _basis(n, config.max_degree)
-    cache, image_cache, ladder, block, closed, images = timer.run("family", family)
+    keys, cache, image_cache, ladder, block, closed, images = timer.run("family", family)
     metrics["family_members"] = block.shape[0]
     metrics["family_terms"] = int(np.count_nonzero(block))
     metrics["cond_M_R"] = float(spectrum[-1] / spectrum[0])

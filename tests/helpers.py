@@ -152,6 +152,45 @@ def mp_generator(wd: sb.WeightData, rho: float, X, dps: int = 50) -> dict:
     return out
 
 
+def mp_frame(wd: sb.WeightData, M, dps: int = 50) -> dict:
+    """Oracle for the frame of ``make_moment_cache(wd, M)``: L, C and the
+    normalizer at ``dps`` digits from the float phi blocks and exponent,
+    rounded to float.  With K = phi_zz + M and T the map (x, y) -> (z, zbar),
+    M_R = 2 Re T^T [[K/2, phi_zzbar], [0, conj(K)/2]] T, symmetrized, so
+    that -w^T M_R w is the combined exponent; the normalizer is
+    pi^n / prod diag chol(M_R); the covariance (2 M_R)^-1 of w gives
+    E[z zbar^T] and E[z z^T] as blocks of T (2 M_R)^-1 T^T, and then
+    L = chol(E[z zbar^T]), C = L^-1 E[z z^T] L^-T."""
+    import mpmath
+
+    n = wd.n
+    with mpmath.workdps(dps):
+        def mp(a):
+            return mpmath.matrix(np.asarray(a, dtype=complex).tolist())
+
+        k = mp(wd.phi_zz) + mp(M)
+        t = mpmath.zeros(2 * n)
+        blocks = mpmath.zeros(2 * n)
+        for i in range(n):
+            t[i, i], t[i, n + i], t[n + i, i], t[n + i, n + i] = 1, 1j, 1, -1j
+            for j in range(n):
+                blocks[i, j] = k[i, j] / 2
+                blocks[i, n + j] = wd.phi_zzbar[i, j]
+                blocks[n + i, n + j] = mpmath.conj(k[i, j]) / 2
+        s = t.T * blocks * t
+        m_r = (s + s.T).apply(mpmath.re)
+        factor = mpmath.cholesky(m_r)
+        normalizer = mpmath.pi**n / mpmath.fprod(factor[i, i] for i in range(2 * n))
+        zcov = t * mpmath.inverse(2 * m_r) * t.T
+        herm = mpmath.matrix([[zcov[i, n + j] for j in range(n)] for i in range(n)])
+        chol = mpmath.cholesky((herm + herm.H) / 2)
+        p = mpmath.inverse(chol)
+        c = p * mpmath.matrix([[zcov[i, j] for j in range(n)] for i in range(n)]) * p.T
+        return {"L": np.array(chol.tolist(), dtype=complex),
+                "C": np.array(((c + c.T) / 2).tolist(), dtype=complex),
+                "normalizer": float(normalizer)}
+
+
 def hermite_images(pt: sb.PhaseTriple, max_degree: int) -> dict:
     """The exact transforms T h_alpha, |alpha| <= max_degree, keyed by
     alpha, each the ``transform_image`` of its Hermite function."""

@@ -71,3 +71,50 @@ class TestVerdictGrid:
         for s in SEEDS:
             checks = _report(n, max_degree, s).checks
             assert checks["gram_diag_maxrel"] and checks["eigen_max"], s
+
+
+#: the rho scan of ROADMAP item 11 at degree 6: rho / lambda0 -> most grid
+#: seeds (n=3) allowed to fail any check.  Read at the commit that added it:
+#: 12, 12, 12, 11, 5, 0, 0, 0; below about 0.1 the folded raising
+#: coefficients lose digits as (lambda0 / rho)^2, so these are bounds for
+#: item 11 to lower, not claims
+SCAN_GRID_FAILING = {1e-4: 12, 1e-3: 12, 1e-2: 12, 0.03: 11, 0.1: 5, 0.5: 0, 0.9: 0, 0.999: 0}
+#: X phases -> rho / lambda0 -> most checks the textbook triple (A = 0,
+#: B = E, C = iE, every lambda_i equal) may fail at each n = 1-3.  When
+#: committed, both X failed gram_max_offdiag, rodrigues_max, eigen_max,
+#: completeness_residual and gram_diag_maxrel at 1e-4 and the first two at
+#: 1e-3; X = E also failed gram_max_offdiag at 1e-2 (2.1e-8)
+SCAN_TEXTBOOK_FAILING = {
+    0.3: {1e-4: 5, 1e-3: 2, 1e-2: 0, 0.03: 0, 0.1: 0, 0.5: 0, 0.9: 0, 0.999: 0},
+    0.0: {1e-4: 5, 1e-3: 2, 1e-2: 1, 0.03: 0, 0.1: 0, 0.5: 0, 0.9: 0, 0.999: 0},
+}
+
+
+def _scan_report(a, b, c, rho_fraction: float, phase: float) -> sb.VerificationReport:
+    inputs = bench_module("inputs")
+    n = a.shape[0]
+    return sb.run_verify(sb.RunConfig.from_dict(inputs.v1_config(
+        a, b, c, max_degree=6, seed=0, phases=[phase] * n, rho_fraction=rho_fraction)))
+
+
+class TestRhoScan:
+    """Verdicts across 0 < rho < lambda0 (ROADMAP item 11), pinned as upper
+    bounds on the failing counts."""
+
+    @pytest.mark.parametrize("rho_fraction", list(SCAN_GRID_FAILING))
+    def test_grid_seeds(self, rho_fraction):
+        inputs = bench_module("inputs")
+        failing = [
+            s for s in SEEDS
+            if not _scan_report(*inputs.random_triple(3, np.random.default_rng(s)),
+                                rho_fraction, 0.3).overall_pass
+        ]
+        assert len(failing) <= SCAN_GRID_FAILING[rho_fraction], failing
+
+    @pytest.mark.parametrize("phase", list(SCAN_TEXTBOOK_FAILING))
+    @pytest.mark.parametrize("rho_fraction", list(SCAN_GRID_FAILING))
+    def test_textbook_triple(self, rho_fraction, phase):
+        for n in (1, 2, 3):
+            report = _scan_report(np.zeros((n, n)), np.eye(n), 1j * np.eye(n), rho_fraction, phase)
+            failed = [k for k, ok in report.checks.items() if not ok]
+            assert len(failed) <= SCAN_TEXTBOOK_FAILING[phase][rho_fraction], (n, failed)

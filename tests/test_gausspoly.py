@@ -388,6 +388,7 @@ class TestOperatorConstructors:
             S=np.zeros((1, 1)),
             SQ=-wd.phi_zz,
             xi_coeff=(wd.phi_zz + -wd.phi_zz).conj() @ wd.beta,
+            factorization=np.zeros((1, 1)),
         )
         high = sb.creation_ops(wd, gen)
         assert np.allclose(high.G, 0.0)

@@ -29,6 +29,7 @@ from helpers import (
     bench_module,
     em_data,
     ghs_data,
+    mp_frame,
     random_poly,
     reference_factorials,
     reference_moments,
@@ -318,6 +319,42 @@ class TestFrameGram:
             want = reference_moments(zcov, monos, 2 * degree)
             want = np.array([[complex(v) for v in row] for row in want])
         assert_gram_close(got, cache.form.normalizer * want, 1e-12)
+
+
+class TestFrameAgainst50Digits:
+    """The frame of ``make_moment_cache`` (L, C and the normalizer) against
+    ``mp_frame``, the same definitions at 50 digits from the same float
+    weight data and exponent."""
+
+    #: (n, frame) -> bounds on the relative errors max |float - 50-digit| /
+    #: max |50-digit|, about twice the worst of grid seeds 1000-1011 (X
+    #: phases 0.3, rho = lam0 / 2).  The worst were n=2 seed 1004 and n=3
+    #: seed 1008 (Q frame, L 3.0e-13 and 1.1e-12), and they follow cond(M_R),
+    #: 8.3e4 at n=3 seed 1008: the frame's own error, ROADMAP item 11
+    BOUNDS = {
+        (2, "Q"): {"L": 6e-13, "C": 6e-14, "normalizer": 7e-13},
+        (2, "image"): {"L": 3e-14, "C": 7e-14, "normalizer": 5e-14},
+        (3, "Q"): {"L": 2.5e-12, "C": 6e-13, "normalizer": 8e-13},
+        (3, "image"): {"L": 6e-13, "C": 1e-12, "normalizer": 7e-13},
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grid_frames(self, n):
+        inputs = bench_module("inputs")
+        for seed in range(1000, 1012):
+            a, b, c = inputs.random_triple(n, np.random.default_rng(seed))
+            cfg = sb.RunConfig.from_dict(
+                inputs.v1_config(a, b, c, max_degree=1, seed=0, phases=[0.3] * n))
+            pt = sb.validate_phase_triple(cfg.A, cfg.B, cfg.C)
+            wd = sb.compute_weight_data(pt)
+            gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
+            for frame, M in (("Q", gen.Q), ("image", sb.image_exponent(pt))):
+                cache = sb.make_moment_cache(wd, M)
+                want = mp_frame(wd, M)
+                got = {"L": cache.L, "C": cache.C, "normalizer": cache.form.normalizer}
+                for name, bound in self.BOUNDS[n, frame].items():
+                    err = np.max(np.abs(got[name] - want[name])) / np.max(np.abs(want[name]))
+                    assert err <= bound, (seed, frame, name, err)
 
 
 class TestGramMatrix:

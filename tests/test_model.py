@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbhermite as sb
-from sbhermite import pipeline
+from sbhermite import model, pipeline
 from sbhermite.errors import (
     IntertwinerInvalid,
     MExponentMismatch,
@@ -402,6 +402,50 @@ class TestRandomizedInvariants:
             assert np.max(np.abs(gen.S - gen.S.T)) == 0.0 or np.max(
                 np.abs(gen.S - gen.S.T)
             ) < 1e-12
+
+
+def _identity_runs():
+    # random triples at n = 1-4 (the grid's recipe) and the golden examples
+    inputs = bench_module("inputs")
+    for n in (1, 2, 3, 4):
+        for seed in (1000, 1001):
+            a, b, c = inputs.random_triple(n, np.random.default_rng(seed))
+            cfg = sb.RunConfig.from_dict(
+                inputs.v1_config(a, b, c, max_degree=1, seed=0, phases=[0.3] * n))
+            yield pytest.param(lambda cfg=cfg: pipeline.run_verify(cfg), id=f"n{n}-{seed}")
+    yield pytest.param(lambda: pipeline.run_example("em", 0.5, max_degree=1), id="em")
+    yield pytest.param(lambda: pipeline.run_example("ghs", 0.45, max_degree=1), id="ghs")
+
+
+class TestOneImplementationPerIdentity:
+    """The algebra stage reads each identity from the one formula the public
+    residual functions use, and a run forms the factorization product
+    (phi_zz+Q) conj(beta) (phi_zz+Q)^* once, in ``build_generator``."""
+
+    @pytest.mark.parametrize("run", list(_identity_runs()))
+    def test_report_equals_the_public_residuals(self, run, monkeypatch):
+        # record the run's weight data and generator, and count the products
+        seen, products = {}, []
+        for name in ("compute_weight_data", "build_generator"):
+            def wrapped(*args, _name=name, _fn=getattr(pipeline, name)):
+                seen[_name] = _fn(*args)
+                return seen[_name]
+            monkeypatch.setattr(pipeline, name, wrapped)
+        factorization = model._factorization
+        monkeypatch.setattr(model, "_factorization",
+                            lambda *args: products.append(1) or factorization(*args))
+        res = run().residuals
+        assert len(products) == 1
+        wd, gen = seen["compute_weight_data"], seen["build_generator"]
+        eye = np.eye(wd.n)
+        assert res["ccr"] == np.max(np.abs(sb.ccr_matrix(wd, gen.Q) - 2 * gen.rho2 * eye))
+        assert res["eq2202"] == sb.eq2202_residual(wd, gen)
+        assert res["condition1_margin"] == sb.condition1_margin(wd, gen.Q)
+        assert res["sq_closed_form"] == sb.sq_closed_form_residual(wd, gen)
+        assert res["symmetry_Q"] == np.max(np.abs(gen.Q - gen.Q.T))
+        assert res["symmetry_S"] == np.max(np.abs(gen.S - gen.S.T))
+        gq = wd.phi_zz + gen.Q
+        assert gen.factorization.tobytes() == (gq @ wd.beta.conj() @ gq.conj().T).tobytes()
 
 
 class TestCreationCoefficient:

@@ -687,6 +687,25 @@ class TestPartialReport:
         assert "isometry" in report["timings"] and "gram" in report["timings"]
         assert report["residuals"]["ccr"] <= report["tolerances"]["ccr"]
 
+    def test_basis_failure_writes_family_report(self, monkeypatch, tmp_path, capsys):
+        # the basis is formed inside the family stage, so a run whose basis
+        # cannot be allocated still writes its partial report
+        def no_memory(n, degree):
+            raise MemoryError("Unable to allocate the basis")
+
+        monkeypatch.setattr("sbhermite.pipeline._basis", no_memory)
+        out_path = tmp_path / "report.json"
+        argv = ["example", "--name", "em", "--s", "0.5", "--max-degree", "2",
+                "--out", str(out_path)]
+        assert cli_main(argv) == 1
+        assert "stage 'family'" in capsys.readouterr().err
+        report = json.loads(out_path.read_text())
+        assert report["failed_stage"] == "family"
+        assert report["error_type"] == "MemoryError"
+        assert report["overall_pass"] is False
+        assert "family" in report["timings"] and "gram" not in report["timings"]
+        assert "ccr" in report["residuals"]
+
     def test_validate_failure_report(self, tmp_path, capsys):
         cfg = em_config_dict()
         cfg["B"] = [[[0.0, 0.0]]]  # singular
