@@ -13,11 +13,13 @@ below that takes one.
 Inside the engine the one format is the coefficient block: a set of
 Gaussian polynomials sharing one M is a complex matrix with one row per
 function and one column per multi-index of the graded basis |alpha| <= d
-(``_basis``; each basis is a prefix of the next; d is read from the width
-by ``_degree_of``).  The dicts are the public API's format, converted at
-that edge by ``_block_of`` and ``_gauss_polys``; keys, component indices,
-points and exponents from outside pass one rule each: ``_multi_index``,
-``_component``, ``matrices.as_points`` and ``matrices.agree``.  One kernel,
+(``_basis_array``, read-only int rows, the engine's one multi-index
+format; each basis is a prefix of the next; ``_rank`` maps a row to its
+column and ``_degree_of`` the width to d).  The dicts are the public
+API's format, converted at that edge by ``_block_of`` and
+``_gauss_polys``; keys, component indices, points and exponents from
+outside pass one rule each: ``_multi_index``, ``_component``,
+``matrices.as_points`` and ``matrices.require_same_exponent``.  One kernel,
 ``_apply_block(G, H, block)``, has one shape rule: the block carries a
 leading operator axis, (m, rows, width), and row i of the folded
 coefficients G and H (m, n) applies to slice i; a leading size of 1
@@ -29,11 +31,11 @@ slice i by component i in another, per row slice of a large block.  The
 kernel adds the live terms one by one, derivative terms k = 0..n-1 then
 multiplication terms l = 0..n-1, each a gather through an index map
 cached per (n, d, live terms), into the smallest graded basis the live
-terms reach, ``_basis(n, d + 1)`` with a live multiplication term and
-``_basis(n, d - 1)`` without one.
+terms reach, that of degree d + 1 with a live multiplication term and of
+d - 1 without one.
 The folded lowering operators (``_frame_ladder``) are pure derivatives, so
-``_hamiltonian_block`` maps a block over ``_basis(n, d)`` to one over the
-same basis.  The products are taken on real planes with the rounding of
+``_hamiltonian_block`` maps a block over the basis of degree d to one over
+the same basis.  The products are taken on real planes with the rounding of
 Python's scalar complex product; numpy's complex multiply uses fused
 multiply-adds where the CPU has them and rounds differently.  So a row's
 result depends neither on the rows nor on the operators around it, and
@@ -49,6 +51,7 @@ the first three as the lanes of one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -59,10 +62,12 @@ from . import matrices as mx
 from .errors import DimensionMismatch
 from .model import GeneratorData, WeightData
 
+
+@functools.lru_cache(maxsize=128)
 def _basis_array(n: int, max_degree: int) -> np.ndarray:
-    """All |alpha| <= max_degree in graded lex order, one row each, as an
-    int array (rows, n).  Coordinates are prepended one at a time: for
-    a = 0..max_degree, a followed by the multi-indices of the later
+    """All |alpha| <= max_degree in graded lex order, one row each, as a
+    read-only int array (rows, n).  Coordinates are prepended one at a
+    time: for a = 0..max_degree, a followed by the multi-indices of the later
     coordinates with degree <= max_degree - a (a prefix of their graded
     basis), stably sorted by degree, keeps every degree layer in lex order."""
     basis = np.zeros((1, 0), dtype=np.intp)
@@ -74,32 +79,35 @@ def _basis_array(n: int, max_degree: int) -> np.ndarray:
         degree = lead + degree[rest]
         order = np.argsort(degree, kind="stable")
         basis, degree = np.column_stack((lead, basis[rest]))[order], degree[order]
-    return basis
+    return mx.frozen(basis)
 
 
-def _graded_lex(alpha: tuple[int, ...]) -> tuple:
-    """Sort key of graded lex order, (|alpha|, alpha): the order of
-    ``_basis_array``, for multi-indices kept in dicts."""
-    return sum(alpha), alpha
+def _rank(alphas) -> np.ndarray:
+    """Column of each multi-index, a row of the int array ``alphas`` (...,
+    n), in the graded basis: the one map from a multi-index to its column.
 
-
-@functools.lru_cache(maxsize=128)
-def _basis(n: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
-    """``_basis_array(n, max_degree)`` as int tuples; the basis of degree d
-    is a prefix of every larger one."""
-    return tuple(map(tuple, _basis_array(n, max_degree).tolist()))
-
-
-@functools.lru_cache(maxsize=128)
-def _columns(n: int, max_degree: int) -> dict[tuple[int, ...], int]:
-    """Column of each multi-index in a block over ``_basis(n, max_degree)``."""
-    return {a: k for k, a in enumerate(_basis(n, max_degree))}
+    alpha is preceded by the C(|alpha| + n, n) - 1 other multi-indices of
+    degree <= |alpha| but those after it in its layer.  These agree with
+    alpha before some position k - 1 (k = 1..n-1) and are larger there, so
+    their entries from k on sum to less than r_k = alpha_k + .. +
+    alpha_(n-1): C(r_k - 1 + n - k, n - k) of them for each k."""
+    alphas = np.asarray(alphas, dtype=np.intp)
+    n = alphas.shape[-1]
+    r = [np.zeros(alphas.shape[:-1], dtype=np.intp)]  # r_n, then r_k prepended
+    for k in range(n - 1, -1, -1):
+        r.insert(0, r[0] + alphas[..., k])
+    # table[m, s + 1] = C(s + m, m), and table[m, 0] = C(m - 1, m) = 0 for m > 0
+    table = np.zeros((n + 1, int(r[0].max(initial=0)) + 2), dtype=np.intp)
+    table[0, 1:] = 1
+    for m in range(1, n + 1):
+        np.cumsum(table[m - 1], out=table[m])
+    return table[n, r[0] + 1] - 1 - sum(table[n - k, r[k]] for k in range(1, n))
 
 
 @functools.lru_cache(maxsize=256)
 def _degree_of(n: int, width: int) -> int:
-    """The d with len(_basis(n, d)) == width, the one map from a block's
-    width to its degree; DimensionMismatch if no graded basis has it."""
+    """The d with len(_basis_array(n, d)) == width, the one map from a
+    block's width to its degree; DimensionMismatch if no graded basis has it."""
     for d in range(width):
         if math.comb(n + d, n) == width:
             return d
@@ -107,9 +115,9 @@ def _degree_of(n: int, width: int) -> int:
 
 
 def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |alpha| <= max_degree in graded lex order;
-    the degree passes the rule of ``_checked_basis``."""
-    return list(_checked_basis(n, max_degree))
+    """All multi-indices with |alpha| <= max_degree in graded lex order, as
+    int tuples; the degree passes the rule of ``_checked_basis``."""
+    return list(map(tuple, _checked_basis(n, max_degree).tolist()))
 
 
 def _multi_index(alpha, n: int) -> tuple[int, ...]:
@@ -304,31 +312,9 @@ def _live(coef: np.ndarray) -> tuple[bool, ...]:
     return tuple(np.logical_or.reduce(coef, axis=0).tolist())
 
 
-def _raised_columns(basis: np.ndarray) -> np.ndarray:
-    """Column of a + e_k in the graded basis for each row a of ``basis`` (a
-    prefix of ``_basis_array``, in order) and each k: (rows, n).
-
-    With N(j, s) = C(s + j - 1, j - 1) multi-indices of j entries and sum
-    s, and r_i = a_i + .. + a_(n-1) (r_n = 0), a + e_k passes the N(n, |a|)
-    of degree |a|; within its layer each position i < k adds
-    N(j, r_i + 1) - N(j, r_(i+1) + 1) and position k adds N(j, r_k + 1),
-    j = n - 1 - i entries after position i.  So no multi-index is looked up.
-    """
-    m, n = basis.shape
-    r = np.cumsum(basis[:, ::-1], axis=1)[:, ::-1]
-    top = int(r[:, 0].max())
-    count = np.array([[math.comb(s + j - 1, j - 1) if j else int(s == 0) for s in range(top + 2)]
-                      for j in range(n + 1)], dtype=np.intp)
-    j = np.arange(n - 1, -1, -1)
-    own = count[j, r + 1]
-    passed = np.zeros((m, n), dtype=np.intp)
-    np.cumsum(own[:, :-1] - count[j[:-1], r[:, 1:] + 1], axis=1, out=passed[:, 1:])
-    return np.arange(m)[:, None] + count[n, r[:, :1]] + passed + own
-
-
 @functools.lru_cache(maxsize=256)
 def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
-    """Gathers of ``_apply_block`` from a block over ``_basis(n, degree)``
+    """Gathers of ``_apply_block`` from a block over ``_basis_array(n, degree)``
     with the live derivative terms ``live_g`` and multiplication terms
     ``live_h``: the output width, the width its derivative terms reach,
     and per live term its index map and, for a derivative, its weights.
@@ -336,23 +322,18 @@ def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
     Derivative term k gathers a + e_k -> a for |a| < degree, weighted by
     a_k + 1.  Multiplication term l gathers a - e_l -> a for every output
     column; a column with a_l = 0 reads a zero pad column appended to the
-    block.  Both maps come from ``_raised_columns`` of the source basis.
+    block.  Both maps are ``_rank`` of shifted basis rows.
     """
-    wide = any(live_h)
     width = math.comb(n + degree, n)
     inner = math.comb(n + degree - 1, n) if degree else 0
-    cols = math.comb(n + degree + 1, n) if wide else math.comb(n + max(degree - 1, 0), n)
-    basis = _basis_array(n, degree if wide else max(degree - 1, 0))
-    up = _raised_columns(basis)
-    deriv = tuple((k, mx.frozen(up[:inner, k]), mx.frozen(basis[:inner, k] + 1.0))
+    cols = math.comb(n + degree + 1, n) if any(live_h) else math.comb(n + max(degree - 1, 0), n)
+    basis, e = _basis_array(n, degree + 1), np.eye(n, dtype=np.intp)
+    deriv = tuple((k, mx.frozen(_rank(basis[:inner] + e[k])), mx.frozen(basis[:inner, k] + 1.0))
                   for k, live in enumerate(live_g) if live and inner)
-    mult = []
-    for l, live in enumerate(live_h):
-        if live:
-            idx = np.full(cols, width)
-            idx[up[:, l]] = np.arange(width)
-            mult.append((l, mx.frozen(idx), None))
-    return cols, inner, deriv, tuple(mult)
+    # a column with a_l = 0 is clipped to a multi-index, then sent to the pad
+    mult = tuple((l, mx.frozen(np.where(basis[:, l], _rank(np.maximum(basis - e[l], 0)), width)),
+                  None) for l, live in enumerate(live_h) if live)
+    return cols, inner, deriv, mult
 
 
 #: result entries (operators x rows x columns) per pass of ``_apply_block``'s
@@ -393,12 +374,12 @@ def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
     sum_l H[i, l] z_l, its exponent folded in (``_in_frame``).
 
     ``block`` is (m, rows, width), or (1, rows, width) to serve all m
-    operators, with one function per row over ``_basis(n, degree)``; the
-    result is (m, rows, cols).  So one operator on a whole block is m = 1,
-    and one operator per function (the chains, the adjoint stage) is
+    operators, with one function per row over ``_basis_array(n, degree)``;
+    the result is (m, rows, cols).  So one operator on a whole block is
+    m = 1, and one operator per function (the chains, the adjoint stage) is
     rows = 1.  The result is over the smallest graded basis its live terms
-    reach: ``_basis(n, degree + 1)`` when a multiplication term is live in
-    some operator, else ``_basis(n, max(degree - 1, 0))`` (the folded
+    reach: that of degree + 1 when a multiplication term is live in some
+    operator, else that of max(degree - 1, 0) (the folded
     lowering operators are pure derivatives).  The terms are added one by
     one in a fixed order, derivative terms g * (c * a_k) for k = 0..n-1,
     then multiplication terms h * c for l = 0..n-1, on the real and
@@ -436,12 +417,26 @@ def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_of(polys, degree: int) -> np.ndarray:
-    """Coefficient block of ``polys`` over ``_basis(n, degree)``."""
-    out = np.zeros((len(polys), len(_basis(polys[0].n, degree))), dtype=complex)
-    col = _columns(polys[0].n, degree)
-    for r, p in enumerate(polys):
-        out[r, [col[a] for a in p.terms]] = list(p.terms.values())
+def _used_block(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The monomials some polynomial of ``polys`` uses, in graded lex order:
+    their columns (``_rank``), their int rows, and the coefficients of
+    ``polys`` over them, one row per polynomial."""
+    count = [len(p.terms) for p in polys]
+    keys = np.fromiter(itertools.chain.from_iterable(a for p in polys for a in p.terms),
+                       dtype=np.intp).reshape(sum(count), polys[0].n)
+    owner = np.repeat(np.arange(len(polys)), count)
+    cols, first, column = np.unique(_rank(keys), return_index=True, return_inverse=True)
+    out = np.zeros((len(polys), len(cols)), dtype=complex)
+    out[owner, column] = [c for p in polys for c in p.terms.values()]
+    return cols, keys[first], out
+
+
+def _block_of(polys) -> np.ndarray:
+    """Coefficient block of ``polys`` over the basis of their largest degree."""
+    cols, monomials, used = _used_block(polys)
+    degree = int(monomials.sum(axis=1).max(initial=0))
+    out = np.zeros((len(polys), math.comb(polys[0].n + degree, degree)), dtype=complex)
+    out[:, cols] = used
     return out
 
 
@@ -449,11 +444,11 @@ def _gauss_polys(block: np.ndarray, M: np.ndarray) -> list[GaussPoly]:
     """One GaussPoly with exponent M per row of a block, holding the nonzero
     entries in column order."""
     n = M.shape[0]
-    basis = _basis(n, _degree_of(n, block.shape[1]))
+    basis = _basis_array(n, _degree_of(n, block.shape[1]))
     out = []
     for row in block:
         nz = np.flatnonzero(row)
-        poly = PolyC._clean(n, dict(zip([basis[j] for j in nz], row[nz].tolist())))
+        poly = PolyC._clean(n, dict(zip(map(tuple, basis[nz].tolist()), row[nz].tolist())))
         out.append(GaussPoly(poly, M))
     return out
 
@@ -467,8 +462,7 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
     i, op = _component(i, op.n), _in_frame(op, gp.M)
-    block = _block_of([gp.poly], gp.poly.degree())
-    out = _apply_block(op.G[i : i + 1], op.H[i : i + 1], block[None])
+    out = _apply_block(op.G[i : i + 1], op.H[i : i + 1], _block_of([gp.poly])[None])
     return _gauss_polys(out[0], gp.M)[0]
 
 
@@ -509,47 +503,53 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
     return GaussPoly(PolyC.constant(gen.n, 1.0), gen.Q)
 
 
-def _checked_basis(n: int, max_degree) -> tuple[tuple[int, ...], ...]:
-    """``_basis(n, max_degree)`` for a degree from outside the engine, the one
-    rule every public degree passes: a nonnegative integer, else ValueError."""
+def _checked_basis(n: int, max_degree) -> np.ndarray:
+    """``_basis_array(n, max_degree)`` for a degree from outside the engine, the
+    one rule every public degree passes: a nonnegative integer, else ValueError."""
     if isinstance(max_degree, bool) or not isinstance(max_degree, Integral) or max_degree < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {max_degree!r}")
-    return _basis(n, max_degree)
+    return _basis_array(n, max_degree)
 
 
 @functools.lru_cache(maxsize=128)
-def _chain_plan(n: int, targets: tuple) -> tuple:
-    """The chain of ``targets`` cut to their ancestors (alpha comes from
-    alpha - e_i, i its first nonzero index): per degree layer d >= 1 in lex
-    order, each member's i and its parent's row in layer d - 1; per layer,
-    the target rows it holds and their rows within it."""
-    need = {(0,) * n}
-    for a in targets:
-        while a not in need:
-            need.add(a)
-            i = next(k for k, e in enumerate(a) if e)
-            a = a[:i] + (a[i] - 1,) + a[i + 1:]
-    top = max(map(sum, targets), default=0)
-    layers = [sorted(a for a in need if sum(a) == d) for d in range(top + 1)]
-    rows = [{a: r for r, a in enumerate(layer)} for layer in layers]
-    steps = []
-    for d in range(1, top + 1):
-        comps = [next(k for k, e in enumerate(a) if e) for a in layers[d]]
-        parents = [rows[d - 1][a[:i] + (a[i] - 1,) + a[i + 1:]]
-                   for a, i in zip(layers[d], comps)]
-        steps.append((mx.frozen(comps, dtype=int), mx.frozen(parents, dtype=int)))
-    degree = [sum(a) for a in targets]
-    place = [(mx.frozen([t for t, e in enumerate(degree) if e == d], dtype=int),
-              mx.frozen([rows[d][a] for a in targets if sum(a) == d], dtype=int))
-             for d in range(top + 1)]
-    return tuple(steps), tuple(place)
+def _chain_plan(n: int, targets: bytes) -> tuple:
+    """The chain of the targets, int rows of n entries given by their bytes,
+    cut to their ancestors (alpha comes from alpha - e_i, i its first
+    nonzero index): per degree layer d >= 1 in lex order, each member's i
+    and its parent's row in layer d - 1; per layer, the target rows it
+    holds and their rows within it.  All paths are walked at once, a step
+    per pass; sorted by ``_rank``, their rows and 0 are the layers, where
+    each parent and target is found by its rank."""
+    targets = np.frombuffer(targets, dtype=np.intp).reshape(-1, n)
+    paths, step = [np.zeros((1, n), dtype=np.intp), targets], targets
+    while step.any():
+        step = step[step.any(axis=1)]
+        step[np.arange(len(step)), (step != 0).argmax(axis=1)] -= 1
+        paths.append(step)
+    paths = np.vstack(paths)
+    ranks, first = np.unique(_rank(paths), return_index=True)
+    need = paths[first]
+    degree = need.sum(axis=1)
+    top = int(degree[-1])
+    start = np.searchsorted(degree, np.arange(top + 2))
+    raised = need[start[1]:]
+    comps = (raised != 0).argmax(axis=1)
+    lowered = raised - np.eye(n, dtype=np.intp)[comps]
+    parents = np.searchsorted(ranks, _rank(lowered)) - start[degree[start[1]:] - 1]
+    steps = tuple((mx.frozen(comps[lo:hi], dtype=int), mx.frozen(parents[lo:hi], dtype=int))
+                  for lo, hi in zip(start[1:-1] - start[1], start[2:] - start[1]))
+    degree = targets.sum(axis=1)
+    rows = np.searchsorted(ranks, _rank(targets)) - start[degree]
+    place = tuple((mx.frozen(np.flatnonzero(degree == d), dtype=int),
+                   mx.frozen(rows[degree == d], dtype=int)) for d in range(top + 1))
+    return steps, place
 
 
 def _chain_rows(lanes, targets) -> np.ndarray:
     """op^alpha c0 for each lane (op, c0) of ``lanes``, ``op`` folded
-    (``_in_frame``), and each alpha of ``targets`` (int tuples): one block
-    per lane, one row per target over ``_basis(n, max |alpha|)``, stacked
-    as (lanes, targets, columns).
+    (``_in_frame``), and each alpha of ``targets`` (int rows): one block
+    per lane, one row per target over ``_basis_array(n, max |alpha|)``,
+    stacked as (lanes, targets, columns).
 
     Layer d comes from layer d - 1 by one kernel call over the ancestors of
     the targets (``_chain_plan``) in every lane at once: each alpha applies
@@ -560,7 +560,8 @@ def _chain_rows(lanes, targets) -> np.ndarray:
     the cost follows the targets.
     """
     n = lanes[0][0].n
-    steps, place = _chain_plan(n, tuple(targets))
+    targets = np.asarray(targets, dtype=np.intp).reshape(-1, n)
+    steps, place = _chain_plan(n, targets.tobytes())
     G = np.stack([op.G for op, _ in lanes])
     H = np.stack([op.H for op, _ in lanes])
     layers = [np.array([c0 for _, c0 in lanes], dtype=complex).reshape(-1, 1, 1)]
@@ -570,23 +571,21 @@ def _chain_rows(lanes, targets) -> np.ndarray:
         layer = _apply_block(G[:, comps].reshape(size, n), H[:, comps].reshape(size, n),
                              prev.reshape(size, 1, -1))
         layers.append(layer.reshape(len(lanes), len(comps), -1))
-    out = np.zeros((len(lanes), len(targets), len(_basis(n, len(steps)))), dtype=complex)
+    out = np.zeros((len(lanes), len(targets), math.comb(n + len(steps), n)), dtype=complex)
     for layer, (dest, src) in zip(layers, place):
         out[:, dest, : layer.shape[2]] = layer.take(src, axis=1)
     return out
 
 
-def _monomial_chain(op: LinearDiffOp, block: np.ndarray) -> np.ndarray:
-    """A block of monomial coefficients with each monomial z^a replaced by
-    op^a 1, ``op`` folded (``_in_frame``): the chain of ``op`` built over
-    the first-index ancestors of the columns some row uses only, never as a
-    basis x basis matrix.  The result is over ``_basis(n, d)``, d the
-    largest degree of those columns."""
-    n = op.n
-    basis = _basis(n, _degree_of(n, block.shape[1]))
-    cols = np.flatnonzero(block.any(axis=0))
-    rows = _chain_rows([(op, 1.0)], [basis[j] for j in cols])[0]
-    return block[:, cols] @ rows
+def _monomial_chain(op: LinearDiffOp, polys) -> np.ndarray:
+    """The coefficient block of the sparse polynomials ``polys`` with each
+    monomial z^a replaced by op^a 1, ``op`` folded (``_in_frame``): the
+    chain of ``op`` over the first-index ancestors of the monomials some
+    polynomial uses (``_used_block``) only, never over a whole basis.  The
+    result is over ``_basis_array(n, d)``, d the largest degree of those
+    monomials."""
+    _, monomials, used = _used_block(polys)
+    return used @ _chain_rows([(op, 1.0)], monomials)[0]
 
 
 def hermite_family(
@@ -596,7 +595,7 @@ def hermite_family(
     chain of the creation operators from the generator exp(-<z, Q z>)."""
     basis = _checked_basis(gen.n, max_total_degree)
     block = _chain_rows([(_in_frame(creation_ops(wd, gen), gen.Q), 1.0)], basis)[0]
-    return dict(zip(basis, _gauss_polys(block, gen.Q)))
+    return dict(zip(map(tuple, basis.tolist()), _gauss_polys(block, gen.Q)))
 
 
 def rodrigues(wd: WeightData, gen: GeneratorData, alpha) -> GaussPoly:
@@ -627,7 +626,7 @@ _HAMILTONIAN_SLICE = 1 << 18
 
 def _hamiltonian_block(gen: GeneratorData, ladder: tuple, block: np.ndarray) -> np.ndarray:
     """rho^2 + sum_i raise_i lower_i on every row of a block over
-    ``_basis(n, degree)``, added rho^2 term first, then i = 0..n-1.  With the
+    ``_basis_array(n, degree)``, added rho^2 term first, then i = 0..n-1.  With the
     ladder of ``_frame_ladder`` lower_i is a pure derivative (a zero row at
     degree 0), so the result stays on the block's own basis.  Two kernel
     calls per slice of rows: every lower_i on the slice (its gathers shared
@@ -651,21 +650,22 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
     The argument must carry the generator exponent Q.
     """
     mx.require_same_exponent(gp.M, gen.Q, "the argument and the generator Q")
-    out = _hamiltonian_block(gen, _frame_ladder(wd, gen), _block_of([gp.poly], gp.poly.degree()))
+    out = _hamiltonian_block(gen, _frame_ladder(wd, gen), _block_of([gp.poly]))
     return _gauss_polys(out, gp.M)[0]
 
 
 def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
-    two blocks over ``_basis(n, degree)``: four blocks of rows stacked in
-    that order over ``_basis(n, degree + 1)``, zero beyond their width.
+    two blocks over ``_basis_array(n, degree)``: four blocks of rows
+    stacked in that order over the basis of degree + 1, zero beyond their
+    width.
     lower_i f and raise_i g are one kernel call, one operator per row of
     [f; g]."""
     low, high = ladder
     n, degree = low.n, _degree_of(low.n, f.shape[1]) + 1
     comps = np.broadcast_to(comps, f.shape[:1])
     k, width = f.shape
-    out = np.zeros((4 * k, len(_basis(n, degree))), dtype=complex)
+    out = np.zeros((4 * k, math.comb(n + degree, n)), dtype=complex)
     out[:k, :width], out[k : 2 * k, :width] = f, g
     moved = _apply_block(np.concatenate([low.G[comps], high.G[comps]]),
                          np.concatenate([low.H[comps], high.H[comps]]),
@@ -701,6 +701,5 @@ def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:
     relative closeness claims should divide the first value by the second.
     """
     mx.require_same_exponent(a.M, b.M, "the two arguments")
-    d = max(a.poly.degree(), b.poly.degree())
-    block = _block_of([a.poly, b.poly], d)
+    block = _block_of([a.poly, b.poly])
     return float(_row_max_abs(block[:1] - block[1:])[0]), float(_row_max_abs(block).max())

@@ -27,7 +27,8 @@ argument's exponent (``make_moment_cache``, the only constructor), checks
 every argument against the weight and that exponent, and converts the
 monomial GaussPolys (``_wick_block``): z^a is the chain of the
 multiplication operators z_l over the ancestors of the monomials used, so
-z_1^12 costs 13 chain rows of dense Wick vectors.
+z_1^12 costs 13 chain rows of dense Wick vectors, and no dense block of
+the arguments over the whole basis is formed.
 
 Stage-wide callers work on one block: any set of pairs (l, r) is one
 weighted row sum (``_pair_inners``), a Gram matrix one product
@@ -52,13 +53,12 @@ from .gausspoly import (
     LinearDiffOp,
     _adjoint_block,
     _basis_array,
-    _block_of,
     _component,
     _degree_of,
     _frame_ladder,
-    _graded_lex,
     _in_frame,
     _monomial_chain,
+    _rank,
     multi_indices,
 )
 from .model import GeneratorData, WeightData
@@ -141,16 +141,16 @@ def make_moment_cache(wd: WeightData, M) -> MomentCache:
     )
 
 
-def _wick_block(mc: MomentCache, block: np.ndarray) -> np.ndarray:
-    """Wick coefficients, in the frame of ``mc``, of a block of monomial
-    coefficients with the cache's exponent.
+def _wick_block(mc: MomentCache, polys) -> np.ndarray:
+    """Wick coefficients, in the frame of ``mc``, of the polynomials
+    ``polys`` (with the cache's exponent), one row each.
 
     Row z^a of the conversion is the chain of the multiplication operators
     z_l, the operator (0, E) in the frame (``_monomial_chain``).
     """
     n = mc.exponent.shape[0]
     mult = _in_frame(LinearDiffOp(np.zeros((n, n)), np.eye(n)), mc.exponent, mc)
-    return _monomial_chain(mult, block)
+    return _monomial_chain(mult, polys)
 
 
 def _wick_rows(wd: WeightData, gps) -> tuple:
@@ -163,16 +163,15 @@ def _wick_rows(wd: WeightData, gps) -> tuple:
     cache = make_moment_cache(wd, gps[0].M)
     for gp in gps[1:]:
         mx.require_same_exponent(gp.M, cache.exponent, "the arguments")
-    d = max(gp.poly.degree() for gp in gps)
-    return cache, _wick_block(cache, _block_of([gp.poly for gp in gps], d))
+    return cache, _wick_block(cache, [gp.poly for gp in gps])
 
 
 @functools.lru_cache(maxsize=128)
 def _factorials(n: int, degree: int) -> np.ndarray:
-    """a! over ``_basis(n, degree)``, read-only: per multi-index the exact
-    product of its entries' factorials, rounded once to float.  The product
-    is at most |a|!, so int64 holds it up to degree 20; beyond that the
-    table holds Python integers."""
+    """a! over ``_basis_array(n, degree)``, read-only: per multi-index the
+    exact product of its entries' factorials, rounded once to float.  The
+    product is at most |a|!, so int64 holds it up to degree 20; beyond that
+    the table holds Python integers."""
     table = np.array([math.factorial(k) for k in range(degree + 1)],
                      dtype=np.int64 if degree <= 20 else object)
     return mx.frozen(table[_basis_array(n, degree)].prod(axis=1).astype(float))
@@ -260,11 +259,12 @@ def gram_matrix(
 
     Entry (a, b) is the inner product of members a and b, computed for all
     pairs at once by ``_gram_block`` on the Wick coefficients of the
-    family's block.
+    family's block.  The keys are ordered by their columns (``_rank``).
     """
-    keys = sorted(family.keys(), key=_graded_lex)
-    if not keys:
+    if not family:
         return [], np.zeros((0, 0), dtype=complex)
+    keys = list(family)
+    keys = [keys[k] for k in np.argsort(_rank(keys))]
     cache, rows = _wick_rows(wd, [family[k] for k in keys])
     return keys, _gram_block(cache, rows)
 

@@ -47,13 +47,16 @@ def max_abs(a) -> float:
 
 
 def agree(a, b, tol: float) -> bool:
-    """max |a - b| <= tol max(1, max |a|, max |b|): the one agreement test."""
-    return max_abs(a - b) <= tol * max(1.0, max_abs(a), max_abs(b))
+    """Equal shapes and max |a - b| <= tol max(1, max |a|, max |b|): the one agreement test."""
+    return np.shape(a) == np.shape(b) and max_abs(a - b) <= tol * max(1.0, max_abs(a), max_abs(b))
 
 
 def require_same_exponent(a, b, what: str) -> None:
-    """The one rule for when two Gaussian exponents agree: ``agree`` at
-    ``EXPONENT_TOL``, else MExponentMismatch naming ``what`` was compared."""
+    """The one rule for two Gaussian exponents: DimensionMismatch unless their
+    shapes are equal, MExponentMismatch naming ``what`` was compared unless
+    they ``agree`` at ``EXPONENT_TOL``."""
+    if np.shape(a) != np.shape(b):
+        raise DimensionMismatch(f"exponents of {what} have shapes {np.shape(a)} and {np.shape(b)}")
     if not agree(a, b, EXPONENT_TOL):
         raise MExponentMismatch(f"Gaussian exponents of {what} differ")
 

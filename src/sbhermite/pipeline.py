@@ -19,7 +19,8 @@ building either frame fails that stage.  The later stages use those blocks
 and frames, and no stage passes an exponent below that.  The eigen stage
 applies every lower_i, a pure derivative in the frame, to the block in one
 kernel call and raise_i to the i-th result in another, so the image stays
-on the block's ``_basis(n, d)``, where ``eigen_max`` is taken row by row.
+on the block's basis ``_basis_array(n, d)``, where ``eigen_max`` is taken
+row by row.
 The Rodrigues stage checks the closed form's exponent and compares its
 block with the family block row by row.  The adjoint stage draws its ten
 random (f, g, i) triples as Wick coefficients into two blocks
@@ -62,15 +63,15 @@ from .gausspoly import (
     GaussPoly,
     PolyC,
     _adjoint_block,
-    _basis,
+    _basis_array,
     _chain_rows,
     _frame_ladder,
-    _graded_lex,
     _hamiltonian_block,
     _in_frame,
     _multi_index,
     _real_scaled,
     _row_distances,
+    _used_block,
     xi_ops,
 )
 from .integrals import (
@@ -86,10 +87,8 @@ from .transform import _image_lane, _image_scaled, image_exponent
 
 def encode_gauss_poly(gp: GaussPoly) -> dict:
     """Report encoding: graded-lex (multi-index, [re, im]) pairs plus M."""
-    terms = [
-        [list(alpha), [float(c.real), float(c.imag)]]
-        for alpha, c in sorted(gp.poly.terms.items(), key=lambda kv: _graded_lex(kv[0]))
-    ]
+    _, alphas, values = _used_block([gp.poly])
+    terms = [[a, [c.real, c.imag]] for a, c in zip(alphas.tolist(), values[0].tolist())]
     return {"terms": terms, "M": encode_matrix(gp.M)}
 
 
@@ -192,12 +191,12 @@ def _adjoint_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Ten random (f, g, i) triples: f and g as rows of two coefficient
     blocks over every |alpha| <= 3, i as a component index per row.
 
-    Triple t reads its 4 m + 1 uniforms (m = len(_basis(n, 3))) from
+    Triple t reads its 4 m + 1 uniforms (m = C(n + 3, n)) from
     ``_uniforms(seed, ...)`` from (4 m + 1) t on: 2 m Box-Muller pairs
     (u, v), the m coefficients of f and then those of g, each
     sqrt(-2 log(1 - u)) (cos 2 pi v + i sin 2 pi v), a pair of independent
     standard normals; then u for i = floor(u n)."""
-    m = len(_basis(n, 3))
+    m = math.comb(n + 3, n)
     u = _uniforms(seed, 10 * (4 * m + 1)).reshape(10, 4 * m + 1)
     pairs = u[:, : 4 * m].reshape(10, 2, m, 2)
     radius = np.sqrt(-2.0 * np.log(1.0 - pairs[..., 0]))
@@ -298,9 +297,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
         # one moment cache at Q and one at the image exponent; every later
         # stage works in their Wick frames.  The family, its Rodrigues form
         # (Xi at S+Q, in the frame of Q) and the images T h_alpha are three
-        # lanes of one chain, one row per alpha in basis order over
-        # _basis(n, max_degree)
-        keys = _basis(n, config.max_degree)
+        # lanes of one chain, one row per alpha, the int rows of
+        # _basis_array(n, max_degree)
+        keys = _basis_array(n, config.max_degree)
         cache = make_moment_cache(wd, gen.Q)
         image_cache = make_moment_cache(wd, image_exponent(pt))
         ladder = _frame_ladder(wd, gen, cache)
@@ -319,7 +318,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         g = _gram_block(cache, block)
         diag = g.diagonal().real  # the imaginary parts are exactly zero
         # Python's float power: numpy's rounds some of these differently
-        powers = np.array([(2.0 * rho2) ** sum(k) for k in keys])
+        powers = np.array([(2.0 * rho2) ** d for d in keys.sum(axis=1).tolist()])
         predicted = powers * _factorials(n, config.max_degree) * diag[0]
         res["gram_diag_maxrel"] = float((np.abs(diag - predicted) / diag).max())
         # hypot, not np.abs: it rounds |g_ab| as the scalar abs() does
@@ -331,8 +330,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     def eigen():
         image = _hamiltonian_block(gen, ladder, block)
-        degrees = np.fromiter(map(sum, keys), dtype=float, count=len(keys))
-        levels = (2.0 * degrees + 1.0) * rho2
+        levels = (2.0 * keys.sum(axis=1) + 1.0) * rho2
         expected = _real_scaled(block, levels[:, None])
         res["eigen_max"] = float(_row_distances(image, expected).max())
 

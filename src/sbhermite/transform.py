@@ -36,8 +36,8 @@ from . import matrices as mx
 from .config import MAX_NODES
 from .errors import DimensionMismatch, NonIntegrableWeight
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, evaluate, mi_factorial
-from .gausspoly import _block_of, _chain_rows, _gauss_polys, _in_frame
-from .gausspoly import _monomial_chain, _multi_index, _real_scaled, _tabulated_sum
+from .gausspoly import _chain_rows, _gauss_polys, _in_frame, _monomial_chain
+from .gausspoly import _multi_index, _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, compute_weight_data
 
@@ -278,8 +278,7 @@ def _over_cn(P, beta, c, poly: PolyC) -> np.ndarray:
     cov = 0.5 * (cov + cov.T)
     b = beta @ t[n:]
     mean = b @ cov @ t[:n].T
-    heat = _monomial_chain(LinearDiffOp(t[:n] @ cov @ t[:n].T, np.eye(n)),
-                           _block_of([poly], poly.degree()))
+    heat = _monomial_chain(LinearDiffOp(t[:n] @ cov @ t[:n].T, np.eye(n)), [poly])
     mass = np.exp(c + 0.5 * np.einsum("ri,ij,rj->r", b, cov, b)) * (math.pi**n / root_det)
     return mass * _gauss_polys(heat, np.zeros((n, n)))[0].poly(mean)
 

@@ -1,7 +1,6 @@
 """Shared construction helpers for the test suite."""
 
 import importlib.util
-import itertools
 import json
 import math
 import os
@@ -345,10 +344,14 @@ def reference_moments(zcov, monos, cap: int) -> np.ndarray:
 
 
 def reference_basis(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Loop oracle for the graded lex basis |alpha| <= degree: the tensor
-    product of 0..degree, filtered and sorted by (degree, alpha)."""
-    grid = itertools.product(range(degree + 1), repeat=n)
-    return sorted((a for a in grid if sum(a) <= degree), key=lambda a: (sum(a), a))
+    """Loop oracle for the graded lex basis |alpha| <= degree: every tuple
+    of n entries with sum <= degree, grown entry by entry, sorted by
+    (degree, alpha).  Only the C(n + degree, n) members are built, not the
+    (degree + 1)^n tensor product, so n = 8 at degree 12 is in reach."""
+    rows = [()]
+    for _ in range(n):
+        rows = [a + (e,) for a in rows for e in range(degree + 1 - sum(a))]
+    return sorted(rows, key=lambda a: (sum(a), a))
 
 
 def reference_kernel_plan(n: int, degree: int, live_g, live_h) -> tuple:
@@ -366,6 +369,33 @@ def reference_kernel_plan(n: int, degree: int, live_g, live_h) -> tuple:
                       for a in out], dtype=int), None)
         for l, live in enumerate(live_h) if live)
     return len(out), len(inner), deriv, mult
+
+
+def reference_chain_plan(n: int, targets) -> tuple:
+    """Set and dict oracle for ``gausspoly._chain_plan``: the same steps and
+    places, from the ancestors of the targets (int tuples) walked one by
+    one down their first-index paths into a set, sorted into degree layers
+    and looked up in one dict of rows per layer."""
+    need = {(0,) * n}
+    for a in targets:
+        while a not in need:
+            need.add(a)
+            i = next(k for k, e in enumerate(a) if e)
+            a = a[:i] + (a[i] - 1,) + a[i + 1:]
+    top = max(map(sum, targets), default=0)
+    layers = [sorted(a for a in need if sum(a) == d) for d in range(top + 1)]
+    rows = [{a: r for r, a in enumerate(layer)} for layer in layers]
+    steps = []
+    for d in range(1, top + 1):
+        comps = [next(k for k, e in enumerate(a) if e) for a in layers[d]]
+        parents = [rows[d - 1][a[:i] + (a[i] - 1,) + a[i + 1:]]
+                   for a, i in zip(layers[d], comps)]
+        steps.append((np.array(comps, dtype=int), np.array(parents, dtype=int)))
+    degree = [sum(a) for a in targets]
+    place = [(np.array([t for t, e in enumerate(degree) if e == d], dtype=int),
+              np.array([rows[d][a] for a in targets if sum(a) == d], dtype=int))
+             for d in range(top + 1)]
+    return tuple(steps), tuple(place)
 
 
 def reference_factorials(n: int, degree: int) -> np.ndarray:

@@ -16,16 +16,21 @@ every verdict, of the reports (timings excluded) of
   command line (``sbhermite.cli.main`` with ``--out``), whose report file is
   parsed and hashed entry by entry (timings excluded), so the report writer
   is inside the recipe; each verify operation's config also goes through
-  ``validate`` and ``construct`` on the command line, their report files
-  hashed the same way;
+  ``validate``, ``construct`` and ``construct --family 3`` on the command
+  line, their report files hashed the same way (the family's keys and the
+  term order of ``encode_gauss_poly`` with them);
 
 and the values of ``transform_batch``, ``inverse_transform``,
 ``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both
 modes) on the golden ``em`` and ``ghs`` triples, and of ``hphi_inner``,
 ``hphi_norm``, ``gram_matrix``, ``expand_in_family``, ``adjoint_residual``
-(every component) and the frame (``L``, ``C``, normalizer) of
-``make_moment_cache`` on the golden ``em`` and ``ghs`` families (s = 0.5,
-degree 3) and on one random n = 3 triple.  A stage that raises is
+(every component), the frame (``L``, ``C``, normalizer) of
+``make_moment_cache``, the keys of ``hermite_family`` in their order, and
+``rodrigues`` (every member), ``coeff_distance`` (each member against its
+Rodrigues form), ``apply_op`` (both ladders, every component) and
+``hamiltonian_apply`` (terms in their order, a dense and a sparse
+argument) on the golden ``em`` and ``ghs`` families (s = 0.5, degree 3)
+and on one random n = 3 triple.  A stage that raises is
 hashed through its partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
@@ -137,6 +142,9 @@ def bench_lines() -> list[str]:
                         for command in ("validate", "construct"):
                             lines += _cli_lines(f"{label}-{command}",
                                                 [command, "--config", path], Path(tmp))
+                        lines += _cli_lines(f"{label}-construct-family",
+                                            ["construct", "--config", path, "--family", "3"],
+                                            Path(tmp))
                         argv = ["verify", "--config", path]
                     else:
                         lines += _report_lines(label, lambda: sb.run_example(
@@ -177,6 +185,12 @@ def quadrature_lines() -> list[str]:
     return lines
 
 
+def _poly_lines(label: str, key: str, gp) -> list[str]:
+    """One line per term of a GaussPoly, in the order of its dict."""
+    return [f"{label} {key}[{','.join(map(str, alpha))}] {_hex(c)}"
+            for alpha, c in gp.poly.terms.items()]
+
+
 def integral_lines() -> list[str]:
     cases = {"em": em_data(0.5)[1:], "ghs": ghs_data(0.5)[1:],
              "random3": sb.random_generator(3, np.random.default_rng(7))[1:]}
@@ -201,6 +215,25 @@ def integral_lines() -> list[str]:
         for key, value in values.items():
             for k, v in enumerate(np.ravel(value)):
                 lines.append(f"integrals-{name} {key}[{k}] {_hex(v)}")
+        label = f"algebra-{name}"
+        lines += [f"{label} family_key[{k}] {','.join(map(str, alpha))}"
+                  for k, alpha in enumerate(family)]
+        # every third term dropped, the rest inserted in reverse order
+        sparse = sb.GaussPoly(sb.PolyC(wd.n, dict(reversed(
+            [kv for k, kv in enumerate(f.poly.terms.items()) if k % 3]))), gen.Q)
+        for alpha, member in family.items():
+            closed = sb.rodrigues(wd, gen, alpha)
+            key = ",".join(map(str, alpha))
+            lines += _poly_lines(label, f"rodrigues-{key}", closed)
+            lines += [f"{label} coeff_distance-{key}[{k}] {_hex(v)}"
+                      for k, v in enumerate(sb.coeff_distance(closed, member))]
+        for ladder, op in (("lower", sb.annihilation_ops(gen.Q)),
+                           ("raise", sb.creation_ops(wd, gen))):
+            for i in range(wd.n):
+                lines += _poly_lines(label, f"apply_op-{ladder}-{i}", sb.apply_op(op, i, sparse))
+        lines += _poly_lines(label, "hamiltonian_apply-dense", sb.hamiltonian_apply(wd, gen, f))
+        lines += _poly_lines(label, "hamiltonian_apply-sparse",
+                             sb.hamiltonian_apply(wd, gen, sparse))
     return lines
 
 

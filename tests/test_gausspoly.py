@@ -5,20 +5,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite.errors import DimensionMismatch, MExponentMismatch
 from sbhermite.gausspoly import (
     _apply_block,
-    _basis,
+    _basis_array,
+    _chain_plan,
     _chain_rows,
     _degree_of,
     _frame_ladder,
     _hamiltonian_block,
     _in_frame,
     _kernel_plan,
+    _rank,
     _real_scaled,
     _row_distances,
 )
@@ -32,6 +34,8 @@ from helpers import (
     ghs_data,
     random_poly,
     reference_apply_op,
+    reference_basis,
+    reference_chain_plan,
     reference_coeff_distance,
     reference_kernel_plan,
 )
@@ -122,7 +126,7 @@ class TestBlockKernel:
     def random_block(rng, n, degree, rows):
         # magnitudes over 18 decades, about a fifth of the entries exactly 0,
         # so that tiny entries and exact zeros both reach the kernel
-        shape = (rows, len(_basis(n, degree)))
+        shape = (rows, len(sb.multi_indices(n, degree)))
         mag = 10.0 ** rng.uniform(-18.0, 0.0, shape)
         block = mag * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         block[rng.random(shape) < 0.2] = 0.0
@@ -155,8 +159,8 @@ class TestBlockKernel:
         out = _apply_block(folded.G[comps], folded.H[comps], block[:, None])[:, 0]
         # the lowering operators at Q are pure derivatives and lower the degree
         top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
-        assert out.shape == (rows, len(_basis(n, top)))
-        basis, out_basis = _basis(n, degree), _basis(n, top)
+        assert out.shape == (rows, len(sb.multi_indices(n, top)))
+        basis, out_basis = sb.multi_indices(n, degree), sb.multi_indices(n, top)
         for r in range(rows):
             terms = {a: c for a, c in zip(basis, block[r].tolist()) if c != 0}
             want = reference_apply_op(op, int(comps[r]), sb.GaussPoly(sb.PolyC(n, terms), M))
@@ -244,7 +248,8 @@ class TestBlockKernel:
             for op, M, step in cases:
                 folded = _in_frame(op, M)
                 out = _apply_block(folded.G[comps], folded.H[comps], block[:, None])
-                assert out.shape == (3, 1, len(_basis(n, max(degree + step, 0)))), (degree, step)
+                width = len(sb.multi_indices(n, max(degree + step, 0)))
+                assert out.shape == (3, 1, width), (degree, step)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_plan_matches_loop_oracle(self, n):
@@ -263,6 +268,57 @@ class TestBlockKernel:
                                                                        want[2] + want[3]):
                         assert k == k_want and np.array_equal(idx, idx_want)
                         assert (w is None and w_want is None) or np.array_equal(w, w_want)
+
+
+class TestRank:
+    """``_rank``, the one map from a multi-index to its column, against the
+    positions of the loop oracle's basis."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_positions(self, n):
+        # random rows of every degree <= 12; each basis is a prefix of the
+        # next, so a row's position in the degree-12 basis is its column
+        column = {a: k for k, a in enumerate(reference_basis(n, 12))}
+        rng = np.random.default_rng(70 + n)
+        degrees = rng.integers(0, 13, 300)
+        rows = np.array([rng.multinomial(d, np.full(n, 1.0 / n)) for d in degrees])
+        assert _rank(rows).tolist() == [column[tuple(a)] for a in rows.tolist()]
+        # a stack of rows keeps its leading axes
+        assert _rank(rows.reshape(3, 100, n)).tolist() == _rank(rows).reshape(3, 100).tolist()
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_basis_rows_are_ranked_in_order(self, n):
+        for degree in range(9):
+            basis = _basis_array(n, degree)
+            assert np.array_equal(_rank(basis), np.arange(len(basis))), degree
+            assert not basis.flags.writeable
+
+
+class TestChainPlan:
+    """``_chain_plan`` on arrays against the set and dict walk of
+    tests/helpers.py, array for array."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        degree=st.integers(0, 6),
+        picks=st.lists(st.integers(0, 10**6), max_size=10),
+        whole=st.booleans(),
+    )
+    @example(n=2, degree=3, picks=[], whole=False)
+    @example(n=3, degree=4, picks=[5, 5, 0, 33, 5], whole=False)
+    def test_matches_set_and_dict_walk(self, n, degree, picks, whole):
+        # targets in any order, with repeats, or none; or the whole basis
+        basis = sb.multi_indices(n, degree)
+        targets = basis if whole else [basis[k % len(basis)] for k in picks]
+        got = _chain_plan(n, np.array(targets, dtype=np.intp).reshape(-1, n).tobytes())
+        want = reference_chain_plan(n, targets)
+        assert [len(part) for part in got] == [len(part) for part in want]
+        for got_pairs, want_pairs in zip(got, want):
+            for pair, want_pair in zip(got_pairs, want_pairs):
+                for a, b in zip(pair, want_pair):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (targets, a, b)
+                    assert not a.flags.writeable
 
 
 class TestAncestorChain:
@@ -285,12 +341,12 @@ class TestAncestorChain:
             "intertwined": (_intertwined_raising(pt), gen.Q, 0.5 - 0.25j),
         }[kind]
         op = _in_frame(op, M)
-        basis = _basis(n, degree)
+        basis = sb.multi_indices(n, degree)
         picks = rng.choice(len(basis), size=int(rng.integers(1, 5)))
         targets = [basis[k] for k in picks]  # in any order, repeats allowed
         full = _chain_rows([(op, c0)], basis)[0]
         rows = _chain_rows([(op, c0)], targets)[0]
-        width = len(_basis(n, max(map(sum, targets))))
+        width = len(sb.multi_indices(n, max(map(sum, targets))))
         assert rows.shape == (len(targets), width)
         assert np.array_equal(rows, full[picks, :width])
         assert not full[picks, width:].any()
@@ -314,7 +370,7 @@ class TestAncestorChain:
         pool = [high, xi, _in_frame(_intertwined_raising(pt), gen.Q)]
         ops = [low] + [pool[k] for k in rng.choice(3, size=2, replace=False)]
         lanes = [(ops[k], complex(*rng.standard_normal(2))) for k in rng.permutation(3)]
-        basis = _basis(n, degree)
+        basis = sb.multi_indices(n, degree)
         targets = [basis[k] for k in rng.choice(len(basis), size=int(rng.integers(1, 6)))]
         together = _chain_rows(lanes, targets)
         assert together.shape[0] == 3
@@ -559,10 +615,10 @@ class TestHamiltonian:
         # has the block's width and row alpha is (2|alpha| + 1) rho^2 psi_alpha
         _, wd, gen = sb.random_generator(n, np.random.default_rng(5))
         ladder = _frame_ladder(wd, gen)
-        block = _chain_rows([(ladder[1], 1.0)], _basis(n, degree))[0]
+        block = _chain_rows([(ladder[1], 1.0)], sb.multi_indices(n, degree))[0]
         image = _hamiltonian_block(gen, ladder, block)
         assert image.shape == block.shape
-        levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in _basis(n, degree)]
+        levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in sb.multi_indices(n, degree)]
         assert np.max(_row_distances(image, np.array(levels)[:, None] * block)) <= 1e-9
 
 
@@ -811,7 +867,7 @@ class TestInputChecks:
 
     def test_block_degree_comes_from_its_width(self):
         for n in range(1, 6):
-            widths = [len(_basis(n, d)) for d in range(8)]
+            widths = [len(sb.multi_indices(n, d)) for d in range(8)]
             assert [_degree_of(n, w) for w in widths] == list(range(8))
             for w in set(range(widths[-1] + 1)) - set(widths):
                 with pytest.raises(DimensionMismatch, match="no graded basis"):
@@ -822,6 +878,25 @@ class TestInputChecks:
         with pytest.raises(DimensionMismatch, match="5 columns"):
             low = sb.annihilation_ops(gen.Q)
             _apply_block(low.G[:1], low.H[:1], np.ones((1, 1, 5)))
+
+
+class TestTwoDimensions:
+    """Arguments of two dimensions are rejected as such.  The exponent
+    [[0.5]] broadcast against the 2 x 2 exponent of all 0.5 and agreed, so
+    an n = 1 and an n = 2 argument passed the exponent check, and
+    ``coeff_distance`` of the two failed with a KeyError."""
+
+    @pytest.mark.parametrize("entry", ["coeff_distance", "add", "hamiltonian_apply"])
+    def test_rejected(self, entry):
+        _, wd, gen = em_data(0.5)
+        one = sb.GaussPoly(sb.PolyC(1, {(2,): 1.0}), [[0.5]])
+        two = sb.GaussPoly(sb.PolyC(2, {(1, 1): 1.0}), np.full((2, 2), 0.5))
+        assert np.array_equal(gen.Q, one.M)
+        call = {"coeff_distance": lambda: sb.coeff_distance(one, two),
+                "add": lambda: one + two,
+                "hamiltonian_apply": lambda: sb.hamiltonian_apply(wd, gen, two)}[entry]
+        with pytest.raises(DimensionMismatch, match="shapes"):
+            call()
 
 
 class TestCoeffDistance:
@@ -866,7 +941,7 @@ class TestMultiIndices:
 
     def test_matches_filtered_product(self):
         # the numpy-built basis equals the filtered tensor product, also at
-        # n = 0 (the quadrature's empty lead split)
+        # n = 0, where the one multi-index is ()
         for n in range(6):
             for d in range(9):
                 want = [

@@ -15,7 +15,7 @@ from sbhermite.errors import (
     MExponentMismatch,
     NonIntegrableWeight,
 )
-from sbhermite.gausspoly import _apply_block, _block_of, _in_frame
+from sbhermite.gausspoly import _apply_block, _gauss_polys, _in_frame
 from sbhermite.integrals import (
     _expansions,
     _factorials,
@@ -228,8 +228,13 @@ class TestHphiInner:
         assert sb.hphi_inner(f, g, wd).real == pytest.approx(want, rel=1e-12)
 
 
+def wick_rows(cache, block: np.ndarray) -> np.ndarray:
+    """``_wick_block`` of the rows of a block of monomial coefficients."""
+    return _wick_block(cache, [gp.poly for gp in _gauss_polys(block, cache.exponent)])
+
+
 def random_monomial_block(n: int, degree: int, rows: int, rng) -> np.ndarray:
-    """``rows`` random complex rows over ``_basis(n, degree)``, each on a
+    """``rows`` random complex rows over the graded basis of ``degree``, each on a
     random subset of the monomials (at least one)."""
     width = len(sb.multi_indices(n, degree))
     block = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
@@ -268,7 +273,7 @@ class TestFrameGram:
         _, wd, gen = sb.random_generator(n, rng, rho_fraction=rng.uniform(0.2, 0.9))
         cache = sb.make_moment_cache(wd, gen.Q)
         block = random_monomial_block(n, degree, rows, rng)
-        got = _gram_block(cache, _wick_block(cache, block))
+        got = _gram_block(cache, wick_rows(cache, block))
         want = isserlis_gram(cache, block, sb.multi_indices(n, degree))
         assert_gram_close(got, want, 1e-12)
 
@@ -287,8 +292,8 @@ class TestFrameGram:
         block = random_monomial_block(n, 3, 4, rng)
         comps = rng.integers(0, n, 4)
         mono, wick = _in_frame(op, M), _in_frame(op, M, cache)
-        want = _wick_block(cache, _apply_block(mono.G[comps], mono.H[comps], block[:, None])[:, 0])
-        got = _apply_block(wick.G[comps], wick.H[comps], _wick_block(cache, block)[:, None])[:, 0]
+        want = wick_rows(cache, _apply_block(mono.G[comps], mono.H[comps], block[:, None])[:, 0])
+        got = _apply_block(wick.G[comps], wick.H[comps], wick_rows(cache, block)[:, None])[:, 0]
         width = max(want.shape[1], got.shape[1])
         want = np.pad(want, ((0, 0), (0, width - want.shape[1])))
         got = np.pad(got, ((0, 0), (0, width - got.shape[1])))
@@ -313,7 +318,7 @@ class TestFrameGram:
         cache = sb.make_moment_cache(wd, gen.Q)
         monos = sb.multi_indices(n, degree)
         eye = np.eye(len(monos), dtype=complex)
-        got = _gram_block(cache, _wick_block(cache, eye))
+        got = _gram_block(cache, wick_rows(cache, eye))
         with mpmath.workdps(40):
             zcov = [[mpmath.mpc(complex(v)) for v in row] for row in cache.zcov]
             want = reference_moments(zcov, monos, 2 * degree)
@@ -548,8 +553,7 @@ class TestBatchedCore:
         rows += list(sb.hermite_family(wd, gen, 2).values())
         left, right = np.divmod(np.arange(len(rows) ** 2), len(rows))
         cache = sb.make_moment_cache(wd, gen.Q)
-        d = max(r.poly.degree() for r in rows)
-        block = _wick_block(cache, _block_of([r.poly for r in rows], d))
+        block = _wick_block(cache, [r.poly for r in rows])
         got = _pair_inners(cache, block, left, right)
         norms = [sb.hphi_norm(r, wd) for r in rows]
         for k, (a, b) in enumerate(zip(left, right)):
@@ -566,8 +570,7 @@ class TestBatchedCore:
             betas = [b for b in sb.multi_indices(n, d) if sum(b) == d]
             monos = [sb.GaussPoly(sb.PolyC.monomial(b), gen.Q) for b in betas]
             needed = sb.multi_indices(n, d)
-            block = _block_of([gp.poly for gp in monos + [fam[a] for a in needed]], d)
-            block = _wick_block(cache, block)
+            block = _wick_block(cache, [gp.poly for gp in monos + [fam[a] for a in needed]])
             coeffs, residuals, norms = _expansions(cache, block[: len(monos)], block[len(monos):])
             for k, f in enumerate(monos):
                 scale = sb.hphi_norm(f, wd)

@@ -44,6 +44,14 @@ class TestMatrixPredicates:
         assert sb.matrices.is_unitary(phase, 1e-12)
         assert not sb.matrices.is_unitary(np.diag([2.0, 1.0]), 1e-12)
 
+    def test_arrays_of_two_shapes_never_agree(self):
+        # [[0.5]] broadcast against the 2 x 2 matrix of all 0.5 and agreed,
+        # so exponents of two dimensions passed require_same_exponent
+        one, two = [[0.5]], np.full((2, 2), 0.5)
+        assert not sb.matrices.agree(one, two, 1e-12)
+        with pytest.raises(sb.DimensionMismatch, match=r"shapes \(1, 1\) and \(2, 2\)"):
+            sb.matrices.require_same_exponent(one, two, "one and two")
+
     def test_max_abs_of_an_empty_array_is_zero(self):
         for empty in ([], np.zeros(0), np.zeros((0, 3), dtype=complex)):
             value = sb.matrices.max_abs(empty)

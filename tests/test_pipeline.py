@@ -693,7 +693,7 @@ class TestPartialReport:
         def no_memory(n, degree):
             raise MemoryError("Unable to allocate the basis")
 
-        monkeypatch.setattr("sbhermite.pipeline._basis", no_memory)
+        monkeypatch.setattr("sbhermite.pipeline._basis_array", no_memory)
         out_path = tmp_path / "report.json"
         argv = ["example", "--name", "em", "--s", "0.5", "--max-degree", "2",
                 "--out", str(out_path)]

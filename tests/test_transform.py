@@ -247,7 +247,8 @@ class TestExactImageQuadrature:
         for plan, before in zip(plans, hits):
             assert plan.cache_info().hits > before
         assert not [v for v in vars(transform_module).values() if hasattr(v, "cache_clear")]
-        steps, place = gausspoly_module._chain_plan(2, tuple(sb.multi_indices(2, 3)))
+        basis = gausspoly_module._basis_array(2, 3)
+        steps, place = gausspoly_module._chain_plan(2, basis.tobytes())
         for a in [a for part in steps + place for a in part]:
             assert not a.flags.writeable
 
