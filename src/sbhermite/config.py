@@ -47,6 +47,10 @@ DEFAULT_TOLERANCES = {
 #: used has zero weights at 371 nodes, NaN beyond
 MAX_NODES = 370
 
+#: largest family degree accepted: the inner products weigh a Wick power
+#: u^a by a! as a float (``integrals._factorials``), and 171! overflows one
+MAX_DEGREE = 170
+
 
 def _require(cond: bool, path: str, msg: str):
     if not cond:
@@ -156,9 +160,9 @@ class RunConfig:
             x = _parse_matrix(xspec["matrix"], n, "X.matrix")
         max_degree = raw.get("max_degree", 3)
         _require(
-            _is_number(max_degree, int) and max_degree >= 0,
+            _is_number(max_degree, int) and 0 <= max_degree <= MAX_DEGREE,
             "max_degree",
-            "must be a nonnegative integer",
+            f"must be an integer in [0, {MAX_DEGREE}]",
         )
         seed = raw.get("seed", 0)
         _require(_is_number(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")

@@ -20,27 +20,22 @@ API's format, converted at that edge by ``_block_of`` and
 ``_gauss_polys``; keys, component indices, points and exponents from
 outside pass one rule each: ``_multi_index``, ``_component``,
 ``matrices.as_points`` and ``matrices.require_same_exponent``.  One kernel,
-``_apply_block(G, H, block)``, has one shape rule: the block carries a
-leading operator axis, (m, rows, width), and row i of the folded
-coefficients G and H (m, n) applies to slice i; a leading size of 1
-serves all m operators, its gathers shared by them.  One operator on a
-whole block is m = 1; one operator per function (the chains, the adjoint
-stage, callers passing ``op.G[comps], op.H[comps]``) is rows = 1; the
-eigen stage lowers a block by every component in one call and raises
-slice i by component i in another, per row slice of a large block.  The
-kernel adds the live terms one by one, derivative terms k = 0..n-1 then
-multiplication terms l = 0..n-1, each a gather through an index map
-cached per (n, d, live terms), into the smallest graded basis the live
-terms reach, that of degree d + 1 with a live multiplication term and of
-d - 1 without one.
-The folded lowering operators (``_frame_ladder``) are pure derivatives, so
-``_hamiltonian_block`` maps a block over the basis of degree d to one over
-the same basis.  The products are taken on real planes with the rounding of
-Python's scalar complex product; numpy's complex multiply uses fused
-multiply-adds where the CPU has them and rounds differently.  So a row's
-result depends neither on the rows nor on the operators around it, and
-the kernel reproduces term-by-term application bit for bit; ``apply_op``
-and ``hamiltonian_apply`` are its one-row cases.
+``_apply_block(G, H, block)``, has one shape rule: the block is (rows,
+width) and row i of the folded coefficients G and H (rows, n) applies to
+row i, in passes of at most about 2^13 result entries; the chains, the
+adjoint stage and ``apply_op`` put one operator on each row.  The kernel
+adds the live terms one by one, derivative terms k = 0..n-1 then multiplication terms
+l = 0..n-1, each a gather through an index map cached per (n, d, live
+terms), into the smallest graded basis the live terms reach, that of
+degree d + 1 with a live multiplication term and of d - 1 without one.
+The products are taken on real planes with the rounding of Python's
+scalar complex product; numpy's complex multiply uses fused multiply-adds
+where the CPU has them and rounds differently.  So a row's result depends
+on no other row, and the kernel reproduces term-by-term application bit
+for bit.
+The Hamiltonian is no kernel call: ``_hamiltonian_rows`` writes its rows
+for given monomials from a cached plan, and the eigen stage and
+``hamiltonian_apply`` multiply coefficients by them.
 ``_chain_rows(lanes, targets)`` builds op^alpha c0 for each lane (op, c0)
 and each target alpha over the targets' ancestors only, one kernel call per
 degree layer over the rows of every lane; the family, the Rodrigues form,
@@ -255,8 +250,8 @@ class GaussPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "M", mx.frozen(self.M))
-        if self.M.shape[0] != self.poly.n:
-            raise DimensionMismatch("polynomial and exponent dimensions differ")
+        if self.M.shape != (self.poly.n,) * 2:
+            raise DimensionMismatch(f"exponent {self.M.shape} is not {self.n} x {self.n}")
 
     @property
     def n(self) -> int:
@@ -336,31 +331,25 @@ def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
     return cols, inner, deriv, mult
 
 
-#: result entries (operators x rows x columns) per pass of ``_apply_block``'s
-#: term loop.  Operators are grouped into a pass only up to half of it: a
-#: grouped pass above 2^13 entries (128 KiB per buffer) made the C allocator
-#: fault fresh pages on every call at n=2/degree 10, while on large blocks
-#: the longer passes of one operator halve the Python work per entry
-_KERNEL_CHUNK = 1 << 14
+#: result entries (rows x columns) per pass of ``_apply_block``'s term loop:
+#: longer passes (above 128 KiB per buffer) made the C allocator fault fresh
+#: pages on every call at n=2/degree 10
+_KERNEL_CHUNK = 1 << 13
 
 
 def _add_terms(acc: np.ndarray, planes: np.ndarray, terms, coef: np.ndarray):
     """acc += c * s for each (i, idx, w) of ``terms`` in order, on stacked
-    (re, im) planes (2, operators, rows, columns): s the columns ``idx`` of
-    ``planes``, scaled by the weights ``w`` unless None, and c = coef[:, i],
-    one (re, im) pair per operator.  ``planes`` may hold one slice for
-    every operator; then each s is gathered and weighted once for all of
-    them.  Each product is rounded as Python's complex product
+    (re, im) planes (2, rows, columns): s the columns ``idx`` of ``planes``,
+    scaled by the weights ``w`` unless None, and c = coef[:, i], one (re,
+    im) pair per row.  Each product is rounded as Python's complex product
     (cr sr - ci si, cr si + ci sr), never as a fused multiply-add, before
     it is added; three buffers serve every term."""
     t, u, s = np.empty((3,) + acc.shape)
-    if planes.shape[1] != acc.shape[1]:  # one slice serves every operator
-        s = np.empty(planes.shape[:3] + acc.shape[3:])
     for i, idx, w in terms:
-        planes.take(idx, axis=3, out=s, mode="clip")  # in range; unbuffered
+        planes.take(idx, axis=2, out=s, mode="clip")  # in range; unbuffered
         if w is not None:
             s *= w
-        c = coef[:, i, :, None, None]
+        c = coef[:, i, :, None]
         np.multiply(s, c, out=t)  # (sr cr, si ci)
         np.multiply(s[::-1], c, out=u)  # (si cr, sr ci)
         np.subtract(t[0], t[1], out=t[0])
@@ -369,51 +358,36 @@ def _add_terms(acc: np.ndarray, planes: np.ndarray, terms, coef: np.ndarray):
 
 
 def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
-    """Slice i of a coefficient block under the operator whose coefficients
-    are row i of ``G`` and ``H`` (m, n): sum_k G[i, k] d/dz_k +
-    sum_l H[i, l] z_l, its exponent folded in (``_in_frame``).
-
-    ``block`` is (m, rows, width), or (1, rows, width) to serve all m
-    operators, with one function per row over ``_basis_array(n, degree)``;
-    the result is (m, rows, cols).  So one operator on a whole block is
-    m = 1, and one operator per function (the chains, the adjoint stage) is
-    rows = 1.  The result is over the smallest graded basis its live terms
-    reach: that of degree + 1 when a multiplication term is live in some
-    operator, else that of max(degree - 1, 0) (the folded
-    lowering operators are pure derivatives).  The terms are added one by
-    one in a fixed order, derivative terms g * (c * a_k) for k = 0..n-1,
-    then multiplication terms h * c for l = 0..n-1, on the real and
-    imaginary planes of the result, through index maps cached per (n,
-    degree, live terms) (``_kernel_plan``).  A term whose coefficient is
-    zero in every operator is skipped; in the other operators a live term
-    adds exact zeros to an accumulator that starts at +0.0, so a row's
-    result depends neither on the rows nor on the operators around it.
-    Operators and rows are taken in chunks of at most about
-    ``_KERNEL_CHUNK`` result entries, operators grouped up to half of it.
-    """
+    """Row i of a block (rows, width) over ``_basis_array(n, degree)`` under
+    sum_k G[i, k] d/dz_k + sum_l H[i, l] z_l, its exponent folded in
+    (``_in_frame``): (rows, cols), over the basis of degree + 1 when a
+    multiplication term is live in some row, else of max(degree - 1, 0).
+    The terms are added one by one, derivative terms g * (c * a_k) for
+    k = 0..n-1, then multiplication terms h * c for l = 0..n-1, on real and
+    imaginary planes, through index maps cached per (n, degree, live terms)
+    (``_kernel_plan``).  A term zero in every row is skipped; in the other
+    rows it adds exact zeros to an accumulator that starts at +0.0, so a
+    row's result depends on no other row.  Rows are taken in passes of at
+    most about ``_KERNEL_CHUNK`` result entries."""
     g = np.ascontiguousarray(G, dtype=complex)
     h = np.ascontiguousarray(H, dtype=complex)
-    m, n = g.shape
-    shared, rows, width = block.shape
+    rows, n = g.shape
+    width = block.shape[1]
     cols, inner, deriv, mult = _kernel_plan(n, _degree_of(n, width), _live(g), _live(h))
-    # the coefficients as (re, im) x n x m views
-    gt, ht = g.view(float).reshape(m, n, 2).T, h.view(float).reshape(m, n, 2).T
-    out = np.empty((m, rows, cols), dtype=complex)
-    span = min(m, max(1, _KERNEL_CHUNK // 2 // (cols if shared == 1 else rows * cols)))
-    step = max(1, _KERNEL_CHUNK // (span * cols))
-    for first in range(0, m, span):
-        ops = slice(first, first + span)
-        src = block[ops] if shared > 1 else block
-        for lo in range(0, rows, step):
-            part = slice(lo, lo + step)
-            sub = src[:, part]
-            planes = np.zeros((2,) + sub.shape[:2] + (width + 1,))
-            planes[0, :, :, :width] = sub.real
-            planes[1, :, :, :width] = sub.imag
-            acc = np.zeros((2, min(span, m - first), sub.shape[1], cols))
-            _add_terms(acc[..., :inner], planes, deriv, gt[..., ops])
-            _add_terms(acc, planes, mult, ht[..., ops])
-            out.real[ops, part], out.imag[ops, part] = acc
+    # the coefficients as (re, im) x n x rows views
+    gt, ht = g.view(float).reshape(rows, n, 2).T, h.view(float).reshape(rows, n, 2).T
+    out = np.empty((rows, cols), dtype=complex)
+    step = max(1, _KERNEL_CHUNK // cols)
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        sub = block[part]
+        planes = np.zeros((2, len(sub), width + 1))
+        planes[0, :, :width] = sub.real
+        planes[1, :, :width] = sub.imag
+        acc = np.zeros((2, len(sub), cols))
+        _add_terms(acc[..., :inner], planes, deriv, gt[..., part])
+        _add_terms(acc, planes, mult, ht[..., part])
+        out.real[part], out.imag[part] = acc
     return out
 
 
@@ -462,8 +436,8 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
     i, op = _component(i, op.n), _in_frame(op, gp.M)
-    out = _apply_block(op.G[i : i + 1], op.H[i : i + 1], _block_of([gp.poly])[None])
-    return _gauss_polys(out[0], gp.M)[0]
+    out = _apply_block(op.G[i : i + 1], op.H[i : i + 1], _block_of([gp.poly]))
+    return _gauss_polys(out, gp.M)[0]
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -567,9 +541,8 @@ def _chain_rows(lanes, targets) -> np.ndarray:
     layers = [np.array([c0 for _, c0 in lanes], dtype=complex).reshape(-1, 1, 1)]
     for comps, parents in steps:
         prev = layers[-1].take(parents, axis=1)
-        size = prev.shape[0] * prev.shape[1]
-        layer = _apply_block(G[:, comps].reshape(size, n), H[:, comps].reshape(size, n),
-                             prev.reshape(size, 1, -1))
+        layer = _apply_block(G[:, comps].reshape(-1, n), H[:, comps].reshape(-1, n),
+                             prev.reshape(-1, prev.shape[2]))
         layers.append(layer.reshape(len(lanes), len(comps), -1))
     out = np.zeros((len(lanes), len(targets), math.comb(n + len(steps), n)), dtype=complex)
     for layer, (dest, src) in zip(layers, place):
@@ -619,38 +592,58 @@ def _real_scaled(block: np.ndarray, factor) -> np.ndarray:
     return (block.view(float) * factor).view(complex)
 
 
-#: raised entries (components x rows x columns) that ``_hamiltonian_block``
-#: holds at once: a block of more rows is taken in row slices of this size
-_HAMILTONIAN_SLICE = 1 << 18
+@functools.lru_cache(maxsize=32)
+def _hamiltonian_plan(n: int, monomials: bytes) -> tuple:
+    """The terms of ``_hamiltonian_rows`` for the monomials, int rows of n
+    entries given by their bytes: the basis width, the distinct flat cells
+    (row, column) they hit, and per term its cell, the index of its
+    coefficient in [rho^2, P, R] (row-major) and its integer weight."""
+    a = np.frombuffer(monomials, dtype=np.intp).reshape(-1, n)
+    width = math.comb(n + int(a.sum(axis=1).max(initial=0)), n)
+    j, l = np.nonzero(a)  # every lowering a -> a - e_l with a_l > 0
+    e = np.eye(n, dtype=np.intp)
+    lowered, a_l = a[j] - e[l], a[j, l]
+    row, col = [np.arange(len(a))], [_rank(a)]
+    index, weight = [np.zeros(len(a), dtype=np.intp)], [np.ones(len(a), dtype=np.intp)]
+    for k in range(n):
+        live = lowered[:, k] > 0
+        row += [j, j[live]]
+        col += [_rank(lowered + e[k]), _rank(lowered[live] - e[k])]
+        index += [1 + k * n + l, 1 + n * n + k * n + l[live]]
+        weight += [a_l, a_l[live] * lowered[live, k]]
+    cells, cell = np.unique(np.concatenate(row) * width + np.concatenate(col), return_inverse=True)
+    index, weight = np.concatenate(index), np.concatenate(weight).astype(float)
+    return width, *(mx.frozen(v) for v in (cells, cell, index, weight))
 
 
-def _hamiltonian_block(gen: GeneratorData, ladder: tuple, block: np.ndarray) -> np.ndarray:
-    """rho^2 + sum_i raise_i lower_i on every row of a block over
-    ``_basis_array(n, degree)``, added rho^2 term first, then i = 0..n-1.  With the
-    ladder of ``_frame_ladder`` lower_i is a pure derivative (a zero row at
-    degree 0), so the result stays on the block's own basis.  Two kernel
-    calls per slice of rows: every lower_i on the slice (its gathers shared
-    by all i), then raise_i on part i of the result; a slice holds at most
-    about ``_HAMILTONIAN_SLICE`` raised entries."""
+def _hamiltonian_rows(rho2: float, ladder: tuple, monomials) -> np.ndarray:
+    """rho^2 + sum_i raise_i lower_i on each monomial u^a, a row of the int
+    array ``monomials``: one row each over ``_basis_array(n, max |a|)``.
+    With the ladder of ``_frame_ladder`` lower_i = sum_l A_il d/du_l is a
+    pure derivative and raise_i = sum_k G_ik d/du_k + H_ik u_k, so u^a goes
+    to rho^2 u^a, a_l P_kl u^(a - e_l + e_k) and a_l b_k R_kl u^(b - e_k),
+    b = a - e_l, P = H^T A, R = G^T A: cells and weights planned once per
+    monomials (``_hamiltonian_plan``), values by one bincount per plane."""
     low, high = ladder
-    acc = _real_scaled(block, gen.rho2)
-    rows, width = block.shape
-    step = max(1, _HAMILTONIAN_SLICE // (gen.n * width))
-    for lo in range(0, rows, step):
-        part = slice(lo, lo + step)
-        raised = _apply_block(high.G, high.H, _apply_block(low.G, low.H, block[None, part]))
-        for one in raised[:, :, :width]:
-            acc[part] += one
-    return acc
+    monomials = np.asarray(monomials, dtype=np.intp)
+    width, cells, cell, index, weight = _hamiltonian_plan(low.n, monomials.tobytes())
+    coef = np.concatenate([[rho2], (high.H.T @ low.G).ravel(), (high.G.T @ low.G).ravel()])
+    out = np.zeros((len(monomials), width), dtype=complex)
+    flat = out.reshape(-1)
+    for plane, part in ((flat.real, coef.real), (flat.imag, coef.imag)):
+        plane[cells] = np.bincount(cell, weight * part[index], minlength=len(cells))
+    return out
 
 
 def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> GaussPoly:
-    """Apply sum_i raise_i lower_i + rho^2 to a Gaussian polynomial.
+    """Apply sum_i raise_i lower_i + rho^2 to a Gaussian polynomial, through
+    the Hamiltonian's rows of the monomials it uses (``_hamiltonian_rows``).
 
     The argument must carry the generator exponent Q.
     """
     mx.require_same_exponent(gp.M, gen.Q, "the argument and the generator Q")
-    out = _hamiltonian_block(gen, _frame_ladder(wd, gen), _block_of([gp.poly]))
+    _, monomials, used = _used_block([gp.poly])
+    out = used @ _hamiltonian_rows(gen.rho2, _frame_ladder(wd, gen), monomials)
     return _gauss_polys(out, gp.M)[0]
 
 
@@ -658,9 +651,8 @@ def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.nda
     """Rows f, g, lower_i f and raise_i g, with i = comps[r] for row r, of
     two blocks over ``_basis_array(n, degree)``: four blocks of rows
     stacked in that order over the basis of degree + 1, zero beyond their
-    width.
-    lower_i f and raise_i g are one kernel call, one operator per row of
-    [f; g]."""
+    width; lower_i f and raise_i g are one kernel call, one operator per
+    row of [f; g]."""
     low, high = ladder
     n, degree = low.n, _degree_of(low.n, f.shape[1]) + 1
     comps = np.broadcast_to(comps, f.shape[:1])
@@ -669,8 +661,8 @@ def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.nda
     out[:k, :width], out[k : 2 * k, :width] = f, g
     moved = _apply_block(np.concatenate([low.G[comps], high.G[comps]]),
                          np.concatenate([low.H[comps], high.H[comps]]),
-                         out[: 2 * k, None, :width])
-    out[2 * k :, : moved.shape[2]] = moved[:, 0]
+                         out[: 2 * k, :width])
+    out[2 * k :, : moved.shape[1]] = moved
     return out
 
 

@@ -17,10 +17,10 @@ its Rodrigues form (Xi at S+Q in the frame of Q) and the images T h_alpha,
 family stage's timing counts the chain work of all three, and a failure
 building either frame fails that stage.  The later stages use those blocks
 and frames, and no stage passes an exponent below that.  The eigen stage
-applies every lower_i, a pure derivative in the frame, to the block in one
-kernel call and raise_i to the i-th result in another, so the image stays
-on the block's basis ``_basis_array(n, d)``, where ``eigen_max`` is taken
-row by row.
+is one product of the family block with the Hamiltonian's rows over its
+basis ``_basis_array(n, d)`` (``_hamiltonian_rows``; every lower_i is a
+pure derivative in the frame, so the image stays on that basis), where
+``eigen_max`` is taken row by row.
 The Rodrigues stage checks the closed form's exponent and compares its
 block with the family block row by row.  The adjoint stage draws its ten
 random (f, g, i) triples as Wick coefficients into two blocks
@@ -66,7 +66,7 @@ from .gausspoly import (
     _basis_array,
     _chain_rows,
     _frame_ladder,
-    _hamiltonian_block,
+    _hamiltonian_rows,
     _in_frame,
     _multi_index,
     _real_scaled,
@@ -329,7 +329,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
     timer.run("gram", gram)
 
     def eigen():
-        image = _hamiltonian_block(gen, ladder, block)
+        # the Hamiltonian's rows over the basis, freed once multiplied
+        image = block @ _hamiltonian_rows(rho2, ladder, keys)
         levels = (2.0 * keys.sum(axis=1) + 1.0) * rho2
         expected = _real_scaled(block, levels[:, None])
         res["eigen_max"] = float(_row_distances(image, expected).max())

@@ -30,7 +30,8 @@ modes) on the golden ``em`` and ``ghs`` triples, and of ``hphi_inner``,
 Rodrigues form), ``apply_op`` (both ladders, every component) and
 ``hamiltonian_apply`` (terms in their order, a dense and a sparse
 argument) on the golden ``em`` and ``ghs`` families (s = 0.5, degree 3)
-and on one random n = 3 triple.  A stage that raises is
+and on one random n = 3 triple, where ``hamiltonian_apply`` also takes the
+sparse high-degree argument (1.5 - 0.5i) z_1^6 z_3^2.  A stage that raises is
 hashed through its partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
@@ -234,6 +235,9 @@ def integral_lines() -> list[str]:
         lines += _poly_lines(label, "hamiltonian_apply-dense", sb.hamiltonian_apply(wd, gen, f))
         lines += _poly_lines(label, "hamiltonian_apply-sparse",
                              sb.hamiltonian_apply(wd, gen, sparse))
+        if wd.n == 3:
+            high = sb.GaussPoly(sb.PolyC(3, {(6, 0, 2): 1.5 - 0.5j}), gen.Q)
+            lines += _poly_lines(label, "hamiltonian_apply-high", sb.hamiltonian_apply(wd, gen, high))
     return lines
 
 

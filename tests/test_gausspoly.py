@@ -17,11 +17,10 @@ from sbhermite.gausspoly import (
     _chain_rows,
     _degree_of,
     _frame_ladder,
-    _hamiltonian_block,
+    _hamiltonian_rows,
     _in_frame,
     _kernel_plan,
     _rank,
-    _real_scaled,
     _row_distances,
 )
 from sbhermite.transform import _intertwined_raising
@@ -155,8 +154,8 @@ class TestBlockKernel:
         block = self.random_block(rng, n, degree, rows)
         comps = rng.integers(0, n, rows)  # a different component per row
         folded = _in_frame(op, M)
-        # one operator per row: each row is a block slice of one row
-        out = _apply_block(folded.G[comps], folded.H[comps], block[:, None])[:, 0]
+        # one operator per row
+        out = _apply_block(folded.G[comps], folded.H[comps], block)
         # the lowering operators at Q are pure derivatives and lower the degree
         top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
         assert out.shape == (rows, len(sb.multi_indices(n, top)))
@@ -170,8 +169,8 @@ class TestBlockKernel:
             assert all(abs(got[a] - c) <= 1e-15 * scale for a, c in want.poly.terms.items())
             # a row's result does not depend on the rows around it
             one = comps[r : r + 1]
-            alone = _apply_block(folded.G[one], folded.H[one], block[None, r : r + 1])
-            assert np.array_equal(alone[0, 0], out[r]), r
+            alone = _apply_block(folded.G[one], folded.H[one], block[r : r + 1])
+            assert np.array_equal(alone[0], out[r]), r
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -182,49 +181,26 @@ class TestBlockKernel:
     @pytest.mark.parametrize("chunk", [None, 16])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_operator_axis_equals_the_per_component_loop(self, n, chunk, monkeypatch):
-        # every call form of the one kernel against the kernel applied to
-        # one row with one operator at a time: one operator on a whole block
-        # (m = 1), every operator on one shared block and one block slice
-        # per operator (the eigen stage's two calls), one operator per row
-        # (rows = 1: the chains and the adjoint stage).  The frame lowering
-        # operators L^-T are triangular, so a term dead in one operator is
-        # live in another.  With ``chunk`` the kernel splits operators and
-        # rows into many passes, and the eigen stage takes one row at a time.
+        # one operator per row (the chains, the adjoint stage) against the
+        # kernel applied to one row with one operator at a time.  The frame
+        # lowering operators L^-T are triangular, so a term dead in one
+        # operator is live in another.  With ``chunk`` the kernel takes the
+        # rows in many passes.
         if chunk is not None:
             monkeypatch.setattr(sb.gausspoly, "_KERNEL_CHUNK", chunk)
-            monkeypatch.setattr(sb.gausspoly, "_HAMILTONIAN_SLICE", chunk)
         rng = np.random.default_rng(40 + n)
         _, wd, gen = sb.random_generator(n, rng)
         ladder = _frame_ladder(wd, gen, sb.make_moment_cache(wd, gen.Q))
         rows = 5
         for degree in range(7):
             block = self.random_block(rng, n, degree, rows)
-            slices = np.stack([self.random_block(rng, n, degree, rows) for _ in range(n)])
             comps = rng.integers(0, n, rows)
             for op in ladder:
-                def alone(i, row):
-                    return _apply_block(op.G[i : i + 1], op.H[i : i + 1], row[None, None])[0, 0]
-
-                whole = _apply_block(op.G[:1], op.H[:1], block[None])
-                shared = _apply_block(op.G, op.H, block[None])
-                sliced = _apply_block(op.G, op.H, slices)
-                per_row = _apply_block(op.G[comps], op.H[comps], block[:, None])
-                assert per_row.shape[1] == 1
+                per_row = _apply_block(op.G[comps], op.H[comps], block)
                 for r in range(rows):
-                    self.assert_same_bits(whole[0, r], alone(0, block[r]))
-                    self.assert_same_bits(per_row[r, 0], alone(comps[r], block[r]))
-                    for i in range(n):
-                        self.assert_same_bits(shared[i, r], alone(i, block[r]))
-                        self.assert_same_bits(sliced[i, r], alone(i, slices[i, r]))
-            # the eigen stage's two calls against its former loop, one
-            # lower_i and one raise_i call per component
-            low, high = ladder
-            loop = _real_scaled(block, gen.rho2)
-            for i in range(n):
-                lowered = _apply_block(low.G[i : i + 1], low.H[i : i + 1], block[None])
-                raised = _apply_block(high.G[i : i + 1], high.H[i : i + 1], lowered)
-                loop += raised[0, :, : block.shape[1]]
-            self.assert_same_bits(_hamiltonian_block(gen, ladder, block), loop)
+                    i = comps[r]
+                    alone = _apply_block(op.G[i : i + 1], op.H[i : i + 1], block[r : r + 1])
+                    self.assert_same_bits(per_row[r], alone[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_result_width_follows_live_terms(self, n):
@@ -247,9 +223,9 @@ class TestBlockKernel:
             comps = rng.integers(0, n, 3)
             for op, M, step in cases:
                 folded = _in_frame(op, M)
-                out = _apply_block(folded.G[comps], folded.H[comps], block[:, None])
+                out = _apply_block(folded.G[comps], folded.H[comps], block)
                 width = len(sb.multi_indices(n, max(degree + step, 0)))
-                assert out.shape == (3, 1, width), (degree, step)
+                assert out.shape == (3, width), (degree, step)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_plan_matches_loop_oracle(self, n):
@@ -615,11 +591,66 @@ class TestHamiltonian:
         # has the block's width and row alpha is (2|alpha| + 1) rho^2 psi_alpha
         _, wd, gen = sb.random_generator(n, np.random.default_rng(5))
         ladder = _frame_ladder(wd, gen)
-        block = _chain_rows([(ladder[1], 1.0)], sb.multi_indices(n, degree))[0]
-        image = _hamiltonian_block(gen, ladder, block)
+        keys = _basis_array(n, degree)
+        block = _chain_rows([(ladder[1], 1.0)], keys)[0]
+        image = block @ _hamiltonian_rows(gen.rho2, ladder, keys)
         assert image.shape == block.shape
         levels = [(2.0 * sum(a) + 1.0) * gen.rho2 for a in sb.multi_indices(n, degree)]
         assert np.max(_row_distances(image, np.array(levels)[:, None] * block)) <= 1e-9
+
+    @pytest.mark.parametrize("wick", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_the_term_by_term_oracle(self, n, wick):
+        # row a is rho^2 u^a + sum_i raise_i lower_i u^a, the folded ladder
+        # applied term by term (exponent 0: the ladder is already folded),
+        # for monomials in any order and with repeats, on the monomial and
+        # the Wick-frame ladder
+        rng = np.random.default_rng(60 + n)
+        for seed in range(2):
+            _, wd, gen = sb.random_generator(n, np.random.default_rng(1000 * n + seed))
+            ladder = _frame_ladder(wd, gen, sb.make_moment_cache(wd, gen.Q) if wick else None)
+            zero = np.zeros((n, n))
+            for degree in range(9):
+                basis = _basis_array(n, degree)
+                top = np.flatnonzero(basis.sum(axis=1) == degree)
+                picks = np.concatenate([rng.choice(top, 1), rng.choice(len(basis), 5)])
+                monomials = basis[picks]
+                rows = _hamiltonian_rows(gen.rho2, ladder, monomials)
+                assert rows.shape == (6, len(basis))
+                for a, row in zip(map(tuple, monomials.tolist()), rows):
+                    gp = sb.GaussPoly(sb.PolyC.monomial(a), zero)
+                    want = gp.scaled(gen.rho2)
+                    for i in range(n):
+                        lowered = reference_apply_op(ladder[0], i, gp)
+                        want = want + reference_apply_op(ladder[1], i, lowered)
+                    dense = np.zeros(len(basis), dtype=complex)
+                    for alpha, c in want.poly.terms.items():
+                        dense[_rank(alpha)] = c
+                    scale = np.abs(dense).max()
+                    assert np.abs(row - dense).max() <= 1e-14 * scale, (degree, a)
+
+    def test_sparse_argument_plans_its_monomials_only(self, monkeypatch):
+        # z_1^12 at n = 8: one Hamiltonian row over the 125,970 columns of
+        # basis(8, 12), never a square matrix over that basis
+        _, wd, gen = sb.random_generator(8, np.random.default_rng(3))
+        planned = []
+        rows = sb.gausspoly._hamiltonian_rows
+
+        def counted(rho2, ladder, monomials):
+            out = rows(rho2, ladder, monomials)
+            planned.append((np.asarray(monomials).shape, out.shape))
+            return out
+
+        monkeypatch.setattr(sb.gausspoly, "_hamiltonian_rows", counted)
+        gp = sb.GaussPoly(sb.PolyC.monomial((12,) + (0,) * 7, 2.0 - 1.0j), gen.Q)
+        got = sb.hamiltonian_apply(wd, gen, gp)
+        assert planned == [((1, 8), (1, 125_970))]
+        # the same image term by term, lowering and raising at Q
+        want = gp.scaled(gen.rho2)
+        low, high = sb.annihilation_ops(gen.Q), sb.creation_ops(wd, gen)
+        for i in range(8):
+            want = want + reference_apply_op(high, i, reference_apply_op(low, i, gp))
+        assert_gp_close(got, want, 1e-13, "H z_1^12")
 
 
 class TestEvaluate:
@@ -843,6 +874,18 @@ class TestInputChecks:
         with pytest.raises(error):
             call()
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,), (1, 2, 2), ()])
+    def test_exponent_must_be_n_by_n(self, shape):
+        # a 2 x 3 exponent constructed, and evaluate then failed with a bare
+        # numpy broadcast ValueError
+        with pytest.raises(DimensionMismatch, match="is not 2 x 2"):
+            sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0}), np.zeros(shape))
+
+    @pytest.mark.parametrize("dtype", [float, complex, int])
+    def test_exponent_keeps_its_dtype(self, dtype):
+        gp = sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0}), np.eye(2, dtype=dtype))
+        assert gp.M.dtype == dtype and not gp.M.flags.writeable
+
     @pytest.mark.parametrize("degree", [2.0, 1.5, True, -1, "2", None])
     def test_degree_is_a_nonnegative_integer(self, degree):
         # 2.0 and 1.5 raised a bare TypeError from range, True built the degree-1 family
@@ -877,7 +920,7 @@ class TestInputChecks:
         _, _, gen = ghs_data(0.45)
         with pytest.raises(DimensionMismatch, match="5 columns"):
             low = sb.annihilation_ops(gen.Q)
-            _apply_block(low.G[:1], low.H[:1], np.ones((1, 1, 5)))
+            _apply_block(low.G[:1], low.H[:1], np.ones((1, 5)))
 
 
 class TestTwoDimensions:

@@ -292,8 +292,8 @@ class TestFrameGram:
         block = random_monomial_block(n, 3, 4, rng)
         comps = rng.integers(0, n, 4)
         mono, wick = _in_frame(op, M), _in_frame(op, M, cache)
-        want = wick_rows(cache, _apply_block(mono.G[comps], mono.H[comps], block[:, None])[:, 0])
-        got = _apply_block(wick.G[comps], wick.H[comps], wick_rows(cache, block)[:, None])[:, 0]
+        want = wick_rows(cache, _apply_block(mono.G[comps], mono.H[comps], block))
+        got = _apply_block(wick.G[comps], wick.H[comps], wick_rows(cache, block))
         width = max(want.shape[1], got.shape[1])
         want = np.pad(want, ((0, 0), (0, width - want.shape[1])))
         got = np.pad(got, ((0, 0), (0, width - got.shape[1])))

@@ -67,6 +67,19 @@ class TestRunConfig:
         assert cfg.A[0, 0] == 2j
         assert cfg.X[0, 0] == 1.0
 
+    def test_max_degree_above_170_is_rejected(self, tmp_path, capsys):
+        # 171! overflows a float: the run stopped in the family stage with an
+        # unnamed OverflowError in a partial report
+        assert RunConfig.from_dict(em_config_dict(max_degree=170)).max_degree == 170
+        with pytest.raises(ConfigError, match=r"^max_degree: must be an integer in \[0, 170\]"):
+            RunConfig.from_dict(em_config_dict(max_degree=171))
+        with pytest.raises(ConfigError, match="^max_degree: "):
+            run_example("em", 0.5, 171)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(em_config_dict()))
+        assert cli_main(["verify", "--config", str(path), "--max-degree", "171"]) == 2
+        assert capsys.readouterr().err.startswith("config error: max_degree: must be an integer")
+
     def test_rho_fraction_bounds(self):
         with pytest.raises(ConfigError, match="0<rho<lambda0"):
             RunConfig.from_dict(em_config_dict(rho_fraction=1.0))
@@ -890,7 +903,7 @@ class TestStageWork:
         # the family, Rodrigues and image blocks are three lanes of one
         # chain, one kernel call per degree layer, all in the family stage;
         # the adjoint stage applies lower_i and raise_i in one call, and the
-        # eigen stage every lower_i in one call and every raise_i in another
+        # eigen stage makes none (one product with the Hamiltonian's rows)
         if name == "n2":
             cfg = self.n2_deg6_config()
         else:
@@ -902,11 +915,12 @@ class TestStageWork:
         assert "rodrigues" not in kernel and "isometry" not in kernel
         assert kernel.get("family", 0) == degree
         assert kernel["adjoint"] == 1
-        assert kernel["eigen"] == 2
+        assert "eigen" not in kernel
 
     def test_call_counts_per_stage(self, monkeypatch):
         cfg = self.n2_deg6_config()
-        names = ("apply_op", "_apply_block", "creation_ops", "hphi_inner", "_wick_block")
+        names = ("apply_op", "_apply_block", "_hamiltonian_rows", "creation_ops", "hphi_inner",
+                 "_wick_block")
         calls = self.count_stage_calls(monkeypatch, names)
         report = run_verify(cfg)
         assert report.failed_stage is None
@@ -920,7 +934,9 @@ class TestStageWork:
         assert calls["eigen", "creation_ops"] == calls["adjoint", "creation_ops"] == 0
         # whole coefficient blocks through the one kernel, never member by member
         assert calls["family", "_apply_block"] <= degree
-        assert calls["eigen", "_apply_block"] == 2
+        assert calls["eigen", "_apply_block"] == 0
+        assert calls["eigen", "_hamiltonian_rows"] == 1
+        assert sum(v for (_, name), v in calls.items() if name == "_hamiltonian_rows") == 1
         assert calls["rodrigues", "_apply_block"] <= n * degree
         assert calls["adjoint", "_apply_block"] <= 2 * n
         for name in ("family", "eigen", "rodrigues", "adjoint"):
