@@ -10,29 +10,21 @@ coefficients in the frame of a moment cache (see ``integrals``).  Each
 public function folds its exponent once, where it enters; no function
 below that takes one.
 
-Inside the engine the one format is the coefficient block: a set of
-Gaussian polynomials sharing one M is a complex matrix with one row per
-function and one column per multi-index of the graded basis |alpha| <= d
-(``_basis_array``, read-only int rows, the engine's one multi-index
-format; each basis is a prefix of the next; ``_rank`` maps a row to its
-column and ``_degree_of`` the width to d).  The dicts are the public
-API's format, converted at that edge by ``_block_of`` and
-``_gauss_polys``; keys, component indices, points and exponents from
-outside pass one rule each: ``_multi_index``, ``_component``,
-``matrices.as_points`` and ``matrices.require_same_exponent``.  One kernel,
-``_apply_block(G, H, block)``, has one shape rule: the block is (rows,
-width) and row i of the folded coefficients G and H (rows, n) applies to
-row i, in passes of at most about 2^13 result entries; the chains, the
-adjoint stage and ``apply_op`` put one operator on each row.  The kernel
-adds the live terms one by one, derivative terms k = 0..n-1 then multiplication terms
-l = 0..n-1, each a gather through an index map cached per (n, d, live
-terms), into the smallest graded basis the live terms reach, that of
-degree d + 1 with a live multiplication term and of d - 1 without one.
-The products are taken on real planes with the rounding of Python's
-scalar complex product; numpy's complex multiply uses fused multiply-adds
-where the CPU has them and rounds differently.  So a row's result depends
-on no other row, and the kernel reproduces term-by-term application bit
-for bit.
+The one format is the coefficient block: Gaussian polynomials sharing one
+M form a complex matrix, one row per function and one column per
+multi-index of the graded basis |alpha| <= d (``_basis_array``: read-only
+int rows, the engine's one multi-index format, each basis a prefix of the
+next; ``_rank`` maps a row to its column, ``_unrank`` back, ``_degree_of``
+a width to d).  A ``PolyC`` is one sparse row, its columns and nonzero
+coefficients; its dict ``terms`` is a view for the public API, the only
+place tuples appear.  Inputs from outside pass one rule each:
+``_dimension``, ``_multi_index``, ``_component``, ``matrices.as_points``
+and ``matrices.require_same_exponent``.  One kernel, ``_apply_block(G, H,
+block)``, applies row i of the folded G and H (rows, n) to row i of a
+(rows, width) block (the chains, the adjoint stage and ``apply_op`` put
+one operator on each row), with the rounding of Python's scalar complex
+product, so a row's result depends on no other row and equals term-by-term
+application bit for bit.
 The Hamiltonian is no kernel call: ``_hamiltonian_rows`` writes its rows
 for given monomials from a cached plan, and the eigen stage and
 ``hamiltonian_apply`` multiply coefficients by them.
@@ -46,7 +38,6 @@ the first three as the lanes of one.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -54,27 +45,18 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import matrices as mx
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SymmetryViolation
 from .model import GeneratorData, WeightData
 
 
 @functools.lru_cache(maxsize=128)
-def _basis_array(n: int, max_degree: int) -> np.ndarray:
-    """All |alpha| <= max_degree in graded lex order, one row each, as a
-    read-only int array (rows, n).  Coordinates are prepended one at a
-    time: for a = 0..max_degree, a followed by the multi-indices of the later
-    coordinates with degree <= max_degree - a (a prefix of their graded
-    basis), stably sorted by degree, keeps every degree layer in lex order."""
-    basis = np.zeros((1, 0), dtype=np.intp)
-    degree = np.zeros(1, dtype=np.intp)
-    for k in range(n):
-        sizes = [math.comb(k + max_degree - a, k) for a in range(max_degree + 1)]
-        lead = np.repeat(np.arange(max_degree + 1), sizes)
-        rest = np.arange(len(lead)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        degree = lead + degree[rest]
-        order = np.argsort(degree, kind="stable")
-        basis, degree = np.column_stack((lead, basis[rest]))[order], degree[order]
-    return mx.frozen(basis)
+def _binomials(n: int, top: int) -> np.ndarray:
+    """table[m, s + 1] = C(s + m, m) and table[m, 0] = C(m - 1, m) for m <= n, s <= top."""
+    table = np.zeros((n + 1, top + 2), dtype=np.intp)
+    table[0, 1:] = 1
+    for m in range(1, n + 1):
+        np.cumsum(table[m - 1], out=table[m])
+    return mx.frozen(table)
 
 
 def _rank(alphas) -> np.ndarray:
@@ -87,16 +69,38 @@ def _rank(alphas) -> np.ndarray:
     their entries from k on sum to less than r_k = alpha_k + .. +
     alpha_(n-1): C(r_k - 1 + n - k, n - k) of them for each k."""
     alphas = np.asarray(alphas, dtype=np.intp)
-    n = alphas.shape[-1]
-    r = [np.zeros(alphas.shape[:-1], dtype=np.intp)]  # r_n, then r_k prepended
-    for k in range(n - 1, -1, -1):
-        r.insert(0, r[0] + alphas[..., k])
-    # table[m, s + 1] = C(s + m, m), and table[m, 0] = C(m - 1, m) = 0 for m > 0
-    table = np.zeros((n + 1, int(r[0].max(initial=0)) + 2), dtype=np.intp)
-    table[0, 1:] = 1
-    for m in range(1, n + 1):
-        np.cumsum(table[m - 1], out=table[m])
-    return table[n, r[0] + 1] - 1 - sum(table[n - k, r[k]] for k in range(1, n))
+    n, degree = alphas.shape[-1], alphas.sum(axis=-1)
+    r = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]  # r[..., k] = r_k
+    table = _binomials(n, int(degree.max(initial=0)))
+    return table[n, degree + 1] - 1 - sum(table[n - k, r[..., k]] for k in range(1, n))
+
+
+def _unrank(n: int, cols) -> np.ndarray:
+    """The multi-index at each column of ``cols`` as int rows (..., n), the
+    inverse of ``_rank``: |alpha| = r_0 is the number of C(s + n, n) <= col,
+    and r_k is the largest r with C(r - 1 + n - k, n - k) <= what is left of
+    ``_rank``'s sum C(r_0 + n, n) - 1 - col, since the later terms add up to
+    less than the step to r_k + 1."""
+    cols = np.asarray(cols, dtype=np.intp)
+    last, top = int(cols.max(initial=0)), 0
+    while math.comb(n + top, n) <= last:
+        top += 1
+    table = _binomials(n, top)
+    r = np.searchsorted(table[n, 1:], cols, side="right")
+    rest = table[n, r + 1] - 1 - cols
+    out = np.empty(cols.shape + (n,), dtype=np.intp)
+    for k in range(1, n + 1):  # table[0] leaves r_n = 0
+        r_k = np.searchsorted(table[n - k], rest, side="right") - 1
+        rest -= table[n - k, r_k]
+        out[..., k - 1], r = r - r_k, r_k
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _basis_array(n: int, max_degree: int) -> np.ndarray:
+    """All |alpha| <= max_degree in graded lex order, one row each, as a
+    read-only int array (rows, n): ``_unrank`` of every column."""
+    return mx.frozen(_unrank(n, np.arange(math.comb(n + max_degree, n))))
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,6 +132,14 @@ def _multi_index(alpha, n: int) -> tuple[int, ...]:
     return tuple(int(a) for a in alpha)
 
 
+def _dimension(n) -> int:
+    """``n`` as a dimension, the one rule for it from outside the engine:
+    ValueError naming n unless an integer but no bool and at least 1."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"dimension n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def _component(i, n: int) -> int:
     """``i`` as a component index, the one rule for it from outside the engine:
     ValueError unless an integer but no bool, DimensionMismatch unless in 0..n-1."""
@@ -151,8 +163,8 @@ def _power_table(v: np.ndarray, degree: int) -> list:
     return out[: degree + 1]
 
 
-def _tabulated_sum(terms: dict, tables: list, q: int) -> np.ndarray:
-    """sum over alpha of c_alpha prod_i tables[i][alpha_i] on a batch of q.
+def _tabulated_sum(terms, tables: list, q: int) -> np.ndarray:
+    """sum over the pairs (alpha, c) of c prod_i tables[i][alpha_i] on a batch of q.
 
     ``tables[i][k]`` is the batch of values of the k-th factor of
     coordinate i (a power, or a scaled Hermite polynomial for test
@@ -160,7 +172,7 @@ def _tabulated_sum(terms: dict, tables: list, q: int) -> np.ndarray:
     """
     total = np.zeros(q, dtype=complex)
     term = np.empty(q, dtype=complex)
-    for alpha, c in terms.items():
+    for alpha, c in terms:
         factors = [tables[i][e] for i, e in enumerate(alpha) if e]
         if not factors:
             total += c
@@ -173,34 +185,41 @@ def _tabulated_sum(terms: dict, tables: list, q: int) -> np.ndarray:
 
 
 class PolyC:
-    """Sparse polynomial over C^n keyed by exponent multi-indices.
-
-    Zero coefficients are never stored, and keys pass ``_multi_index``.
-    Instances are treated as immutable; all arithmetic returns new objects.
+    """Sparse polynomial over C^n, a row of the graded basis: ``ranks``, the
+    strictly increasing columns (``_rank``) of its terms, and ``coeffs``,
+    their nonzero coefficients, both read-only.  ``terms`` is the dict view
+    {alpha: c}, built in graded lex order when read.  From a dict, n passes
+    ``_dimension`` and keys ``_multi_index``.  Arithmetic returns new objects.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "ranks", "coeffs")
 
     def __init__(self, n: int, terms=None):
-        self.n = int(n)
-        self.terms: dict[tuple[int, ...], complex] = {}
-        if terms:
-            for k, v in terms.items():
-                k, v = _multi_index(k, self.n), complex(v)
-                if v != 0:
-                    self.terms[k] = v
+        n, terms = _dimension(n), terms or {}
+        ranks = _rank(np.array([_multi_index(k, n) for k in terms], dtype=np.intp).reshape(-1, n))
+        order = np.argsort(ranks)
+        coeffs = np.array([complex(v) for v in terms.values()], dtype=complex)[order]
+        clean = PolyC._clean(n, ranks[order], coeffs)
+        self.n, self.ranks, self.coeffs = n, clean.ranks, clean.coeffs
 
     @classmethod
-    def _clean(cls, n: int, terms: dict) -> "PolyC":
-        """Wrap, unchecked, a dict of valid int-tuple keys and nonzero complex values."""
+    def _clean(cls, n: int, ranks: np.ndarray, coeffs: np.ndarray) -> "PolyC":
+        """Wrap, unchecked, strictly increasing ranks and their complex
+        coefficients, keeping the nonzero ones."""
+        keep = coeffs != 0
         out = cls.__new__(cls)
-        out.n = n
-        out.terms = terms
+        out.n, out.ranks, out.coeffs = n, ranks[keep], coeffs[keep]
+        out.ranks.setflags(write=False)
+        out.coeffs.setflags(write=False)
         return out
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], complex]:
+        return dict(zip(map(tuple, _unrank(self.n, self.ranks).tolist()), self.coeffs.tolist()))
 
     @classmethod
     def constant(cls, n: int, value: complex = 1.0) -> "PolyC":
-        return cls(n, {(0,) * n: value})
+        return cls._clean(_dimension(n), np.zeros(1, dtype=np.intp), np.array([complex(value)]))
 
     @classmethod
     def monomial(cls, alpha, coeff: complex = 1.0) -> "PolyC":
@@ -208,18 +227,17 @@ class PolyC:
         return cls(len(alpha), {alpha: coeff})
 
     def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return int(_unrank(self.n, self.ranks[-1:]).sum())
 
     def scaled(self, c: complex) -> "PolyC":
-        return PolyC(self.n, {k: c * v for k, v in self.terms.items()})
+        coeffs = np.array([c * v for v in self.coeffs.tolist()], dtype=complex)
+        return PolyC._clean(self.n, self.ranks, coeffs)
 
     def __add__(self, other: "PolyC") -> "PolyC":
         if self.n != other.n:
             raise DimensionMismatch("polynomials live in different dimensions")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return PolyC(self.n, out)
+        ranks, used = _used_block([self, other])
+        return PolyC._clean(self.n, ranks, used[0] + used[1])
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + other.scaled(-1.0)
@@ -231,13 +249,14 @@ class PolyC:
         repeated multiplication, shared by every term.
         """
         pts, one = mx.as_points(z, self.n, "z")
-        tops = np.max(list(self.terms), axis=0) if self.terms else [0] * self.n
+        alphas = _unrank(self.n, self.ranks)
+        tops = alphas.max(axis=0, initial=0)
         tables = [_power_table(pts[:, i], int(d)) for i, d in enumerate(tops)]
-        total = _tabulated_sum(self.terms, tables, pts.shape[0])
+        total = _tabulated_sum(zip(alphas.tolist(), self.coeffs.tolist()), tables, pts.shape[0])
         return complex(total[0]) if one else total
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        body = " + ".join(f"{v:.6g}*z^{k}" for k, v in sorted(self.terms.items()))
+        body = " + ".join(f"{v:.6g}*z^{k}" for k, v in self.terms.items())
         return f"PolyC({body or '0'})"
 
 
@@ -248,10 +267,20 @@ class GaussPoly:
     poly: PolyC
     M: np.ndarray
 
+    @classmethod
+    def _clean(cls, poly: PolyC, M: np.ndarray) -> "GaussPoly":
+        """Wrap, unchecked, a polynomial and the exponent of a GaussPoly of its dimension."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "poly", poly)
+        object.__setattr__(out, "M", M)
+        return out
+
     def __post_init__(self):
         object.__setattr__(self, "M", mx.frozen(self.M))
         if self.M.shape != (self.poly.n,) * 2:
             raise DimensionMismatch(f"exponent {self.M.shape} is not {self.n} x {self.n}")
+        if not mx.is_symmetric(self.M, mx.EXPONENT_TOL):
+            raise SymmetryViolation("exponent M is not symmetric")
 
     @property
     def n(self) -> int:
@@ -391,40 +420,26 @@ def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _used_block(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The monomials some polynomial of ``polys`` uses, in graded lex order:
-    their columns (``_rank``), their int rows, and the coefficients of
-    ``polys`` over them, one row per polynomial."""
-    count = [len(p.terms) for p in polys]
-    keys = np.fromiter(itertools.chain.from_iterable(a for p in polys for a in p.terms),
-                       dtype=np.intp).reshape(sum(count), polys[0].n)
-    owner = np.repeat(np.arange(len(polys)), count)
-    cols, first, column = np.unique(_rank(keys), return_index=True, return_inverse=True)
+def _used_block(polys) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (``_rank``) some polynomial of ``polys`` uses, in graded
+    lex order, and the coefficients of ``polys`` over them, one row per
+    polynomial; for one polynomial, views of its arrays."""
+    if len(polys) == 1:
+        return polys[0].ranks, polys[0].coeffs[None]
+    ranks = np.concatenate([p.ranks for p in polys])
+    cols = np.sort(ranks)  # np.unique takes four times as long here
+    cols = cols[np.diff(cols, prepend=-1) > 0]
+    owner = np.repeat(np.arange(len(polys)), [len(p.ranks) for p in polys])
     out = np.zeros((len(polys), len(cols)), dtype=complex)
-    out[owner, column] = [c for p in polys for c in p.terms.values()]
-    return cols, keys[first], out
-
-
-def _block_of(polys) -> np.ndarray:
-    """Coefficient block of ``polys`` over the basis of their largest degree."""
-    cols, monomials, used = _used_block(polys)
-    degree = int(monomials.sum(axis=1).max(initial=0))
-    out = np.zeros((len(polys), math.comb(polys[0].n + degree, degree)), dtype=complex)
-    out[:, cols] = used
-    return out
+    out[owner, np.searchsorted(cols, ranks)] = np.concatenate([p.coeffs for p in polys])
+    return cols, out
 
 
 def _gauss_polys(block: np.ndarray, M: np.ndarray) -> list[GaussPoly]:
-    """One GaussPoly with exponent M per row of a block, holding the nonzero
-    entries in column order."""
-    n = M.shape[0]
-    basis = _basis_array(n, _degree_of(n, block.shape[1]))
-    out = []
-    for row in block:
-        nz = np.flatnonzero(row)
-        poly = PolyC._clean(n, dict(zip(map(tuple, basis[nz].tolist()), row[nz].tolist())))
-        out.append(GaussPoly(poly, M))
-    return out
+    """One GaussPoly per row of a block, holding its nonzero entries and their
+    columns, with exponent M: checked once, shared by the rows."""
+    M, cols = GaussPoly(PolyC.constant(M.shape[0]), M).M, np.arange(block.shape[1])
+    return [GaussPoly._clean(PolyC._clean(M.shape[0], cols, row), M) for row in block]
 
 
 def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
@@ -436,8 +451,9 @@ def apply_op(op: LinearDiffOp, i: int, gp: GaussPoly) -> GaussPoly:
     if op.n != gp.n:
         raise DimensionMismatch("operator and argument dimensions differ")
     i, op = _component(i, op.n), _in_frame(op, gp.M)
-    out = _apply_block(op.G[i : i + 1], op.H[i : i + 1], _block_of([gp.poly]))
-    return _gauss_polys(out, gp.M)[0]
+    row = np.zeros((1, math.comb(gp.n + gp.poly.degree(), gp.n)), dtype=complex)
+    row[0, gp.poly.ranks] = gp.poly.coeffs
+    return _gauss_polys(_apply_block(op.G[i : i + 1], op.H[i : i + 1], row), gp.M)[0]
 
 
 def annihilation_ops(Q) -> LinearDiffOp:
@@ -478,8 +494,10 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
 
 
 def _checked_basis(n: int, max_degree) -> np.ndarray:
-    """``_basis_array(n, max_degree)`` for a degree from outside the engine, the
-    one rule every public degree passes: a nonnegative integer, else ValueError."""
+    """``_basis_array(n, max_degree)`` for a dimension and a degree from outside
+    the engine: n passes ``_dimension``, and the one rule every public degree
+    passes is a nonnegative integer, else ValueError."""
+    n = _dimension(n)
     if isinstance(max_degree, bool) or not isinstance(max_degree, Integral) or max_degree < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {max_degree!r}")
     return _basis_array(n, max_degree)
@@ -557,8 +575,8 @@ def _monomial_chain(op: LinearDiffOp, polys) -> np.ndarray:
     polynomial uses (``_used_block``) only, never over a whole basis.  The
     result is over ``_basis_array(n, d)``, d the largest degree of those
     monomials."""
-    _, monomials, used = _used_block(polys)
-    return used @ _chain_rows([(op, 1.0)], monomials)[0]
+    cols, used = _used_block(polys)
+    return used @ _chain_rows([(op, 1.0)], _unrank(op.n, cols))[0]
 
 
 def hermite_family(
@@ -642,8 +660,8 @@ def hamiltonian_apply(wd: WeightData, gen: GeneratorData, gp: GaussPoly) -> Gaus
     The argument must carry the generator exponent Q.
     """
     mx.require_same_exponent(gp.M, gen.Q, "the argument and the generator Q")
-    _, monomials, used = _used_block([gp.poly])
-    out = used @ _hamiltonian_rows(gen.rho2, _frame_ladder(wd, gen), monomials)
+    cols, used = _used_block([gp.poly])
+    out = used @ _hamiltonian_rows(gen.rho2, _frame_ladder(wd, gen), _unrank(gp.n, cols))
     return _gauss_polys(out, gp.M)[0]
 
 
@@ -668,7 +686,7 @@ def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.nda
 
 def _row_max_abs(block: np.ndarray) -> np.ndarray:
     """Largest |c| of each row, rounded as Python's abs() of a complex (hypot)."""
-    return np.hypot(block.real, block.imag).max(axis=1)
+    return np.hypot(block.real, block.imag).max(axis=1, initial=0.0)
 
 
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -693,5 +711,5 @@ def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:
     relative closeness claims should divide the first value by the second.
     """
     mx.require_same_exponent(a.M, b.M, "the two arguments")
-    block = _block_of([a.poly, b.poly])
-    return float(_row_max_abs(block[:1] - block[1:])[0]), float(_row_max_abs(block).max())
+    _, used = _used_block([a.poly, b.poly])
+    return float(_row_max_abs(used[:1] - used[1:])[0]), float(_row_max_abs(used).max())

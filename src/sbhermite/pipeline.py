@@ -71,7 +71,6 @@ from .gausspoly import (
     _multi_index,
     _real_scaled,
     _row_distances,
-    _used_block,
     xi_ops,
 )
 from .integrals import (
@@ -87,8 +86,7 @@ from .transform import _image_lane, _image_scaled, image_exponent
 
 def encode_gauss_poly(gp: GaussPoly) -> dict:
     """Report encoding: graded-lex (multi-index, [re, im]) pairs plus M."""
-    _, alphas, values = _used_block([gp.poly])
-    terms = [[a, [c.real, c.imag]] for a, c in zip(alphas.tolist(), values[0].tolist())]
+    terms = [[list(a), [c.real, c.imag]] for a, c in gp.poly.terms.items()]
     return {"terms": terms, "M": encode_matrix(gp.M)}
 
 
@@ -99,6 +97,7 @@ def decode_gauss_poly(raw: dict) -> GaussPoly:
     _require(isinstance(m_rows, list) and m_rows, "gausspoly.M", "must be a matrix")
     n = len(m_rows)
     m = _parse_matrix(m_rows, n, "gausspoly.M")
+    _require(mx.is_symmetric(m, mx.EXPONENT_TOL), "gausspoly.M", "must be symmetric")
     _require(isinstance(raw["terms"], list), "gausspoly.terms", "must be a list")
     terms = {}
     for k, entry in enumerate(raw["terms"]):

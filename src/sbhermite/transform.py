@@ -114,7 +114,7 @@ class TestFunction:
         coeffs = self.coefficients
         tops = np.max(list(coeffs), axis=0) if coeffs else [0] * self.n
         tables = [_hermite_table(pts[:, i], int(k)) for i, k in enumerate(tops)]
-        return math.pi ** (-self.n / 4.0) * _tabulated_sum(coeffs, tables, pts.shape[0])
+        return math.pi ** (-self.n / 4.0) * _tabulated_sum(coeffs.items(), tables, pts.shape[0])
 
 
 def _hermite_table(t: np.ndarray, degree: int) -> list:

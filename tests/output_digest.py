@@ -31,7 +31,12 @@ Rodrigues form), ``apply_op`` (both ladders, every component) and
 ``hamiltonian_apply`` (terms in their order, a dense and a sparse
 argument) on the golden ``em`` and ``ghs`` families (s = 0.5, degree 3)
 and on one random n = 3 triple, where ``hamiltonian_apply`` also takes the
-sparse high-degree argument (1.5 - 0.5i) z_1^6 z_3^2.  A stage that raises is
+sparse high-degree argument (1.5 - 0.5i) z_1^6 z_3^2; on the same cases,
+the terms of ``f + g``, ``f - f`` and ``f.scaled(0.75 - 1.25i)`` for the
+random arguments f and g, ``evaluate`` of the sparse argument (built from a
+dict in reverse order) at three fixed points, and that argument after an
+``encode_gauss_poly`` -> ``decode_gauss_poly`` round trip through JSON
+(terms and exponent).  A stage that raises is
 hashed through its partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
@@ -235,6 +240,15 @@ def integral_lines() -> list[str]:
         lines += _poly_lines(label, "hamiltonian_apply-dense", sb.hamiltonian_apply(wd, gen, f))
         lines += _poly_lines(label, "hamiltonian_apply-sparse",
                              sb.hamiltonian_apply(wd, gen, sparse))
+        lines += _poly_lines(label, "sum", f + g)
+        lines.append(f"{label} difference-terms {len((f - f).poly.terms)!r}")
+        lines += _poly_lines(label, "scaled", f.scaled(0.75 - 1.25j))
+        points = np.random.default_rng(17).standard_normal((3, 2 * wd.n)).view(complex)
+        lines += [f"{label} evaluate-sparse[{k}] {_hex(v)}"
+                  for k, v in enumerate(sb.evaluate(sparse, 0.5 * points))]
+        back = sb.decode_gauss_poly(json.loads(json.dumps(sb.encode_gauss_poly(sparse))))
+        lines += _poly_lines(label, "roundtrip", back)
+        lines += [f"{label} roundtrip-M[{k}] {_hex(v)}" for k, v in enumerate(back.M.ravel())]
         if wd.n == 3:
             high = sb.GaussPoly(sb.PolyC(3, {(6, 0, 2): 1.5 - 0.5j}), gen.Q)
             lines += _poly_lines(label, "hamiltonian_apply-high", sb.hamiltonian_apply(wd, gen, high))

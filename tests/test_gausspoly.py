@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sbhermite as sb
-from sbhermite.errors import DimensionMismatch, MExponentMismatch
+from sbhermite.errors import DimensionMismatch, MExponentMismatch, SymmetryViolation
 from sbhermite.gausspoly import (
     _apply_block,
     _basis_array,
@@ -22,6 +22,7 @@ from sbhermite.gausspoly import (
     _kernel_plan,
     _rank,
     _row_distances,
+    _unrank,
 )
 from sbhermite.transform import _intertwined_raising
 
@@ -268,6 +269,38 @@ class TestRank:
             basis = _basis_array(n, degree)
             assert np.array_equal(_rank(basis), np.arange(len(basis))), degree
             assert not basis.flags.writeable
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    @example(data=None, n=8)
+    def test_unrank_inverts_rank(self, data, n):
+        # columns of the degree-12 basis to rows and back, and rows of
+        # degree <= 12 to columns and back; the first and last columns,
+        # 0 and (12, 0, .., 0), always
+        width = math.comb(n + 12, n)
+        cols = [0, width - 1]
+        rows = [[0] * n, [12] + [0] * (n - 1)]
+        if data is not None:
+            cols += data.draw(st.lists(st.integers(0, width - 1), max_size=20))
+            for draw in data.draw(st.lists(st.lists(st.integers(0, 12), min_size=n,
+                                                    max_size=n), max_size=20)):
+                row, left = [], 12  # entries clipped so that the degree stays <= 12
+                for e in draw:
+                    row.append(min(e, left))
+                    left -= row[-1]
+                rows.append(row)
+        got = _unrank(n, cols)
+        assert got.shape == (len(cols), n) and got.dtype == np.intp
+        assert got.min() >= 0 and got.sum(axis=1).max() <= 12
+        assert _rank(got).tolist() == cols
+        assert _unrank(n, _rank(rows)).tolist() == rows
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_matches_the_sorted_oracle(self, n):
+        # every tuple with sum <= d, sorted by (|a|, a)
+        for degree in range(7):
+            want = reference_basis(n, degree)
+            assert _basis_array(n, degree).tolist() == [list(a) for a in want], degree
 
 
 class TestChainPlan:
@@ -652,6 +685,19 @@ class TestHamiltonian:
             want = want + reference_apply_op(high, i, reference_apply_op(low, i, gp))
         assert_gp_close(got, want, 1e-13, "H z_1^12")
 
+    def test_sparse_results_build_no_basis(self):
+        # the 9 terms of H z_1^12 at n = 8 were named through the cached
+        # 125,970 rows of basis(8, 12), and coeff_distance spread two such
+        # results over all those columns
+        _, wd, gen = sb.random_generator(8, np.random.default_rng(3))
+        gp = sb.GaussPoly(sb.PolyC.monomial((12,) + (0,) * 7, 2.0 - 1.0j), gen.Q)
+        _basis_array.cache_clear()
+        image = sb.hamiltonian_apply(wd, gen, gp)
+        other = sb.hamiltonian_apply(wd, gen, gp.scaled(1.0 + 1e-9))
+        diff, scale = sb.coeff_distance(image, other)
+        assert len(image.poly.ranks) == 9 and 0.0 < diff <= 1e-8 * scale
+        assert _basis_array.cache_info().currsize == 0
+
 
 class TestEvaluate:
     def test_ground_state_values(self):
@@ -795,6 +841,29 @@ class TestCommutationRelations:
 
 
 class TestPolyC:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        items=st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=4, max_size=4),
+                                 st.sampled_from([0.0, 1.0, -2.5j, 0.5 - 1e-300j, 3 + 4j])),
+                       max_size=30),
+    )
+    def test_sparse_row_invariants(self, n, items):
+        # keys in any order, with zero coefficients among them
+        terms = {tuple(a[:n]): c for a, c in items}
+        p = sb.PolyC(n, terms)
+        assert p.ranks.dtype == np.intp and p.coeffs.dtype == complex
+        assert np.all(np.diff(p.ranks) > 0) and np.all(p.coeffs != 0)
+        assert not p.ranks.flags.writeable and not p.coeffs.flags.writeable
+        assert p.terms == {a: complex(c) for a, c in terms.items() if c != 0}
+        assert list(p.terms) == sorted(p.terms, key=lambda a: (sum(a), a))
+        empty = p + p.scaled(-1)
+        assert len(empty.ranks) == 0 and empty.terms == {}
+        again = sb.PolyC(n, p.terms)
+        assert np.array_equal(again.ranks, p.ranks) and np.array_equal(again.coeffs, p.coeffs)
+        with pytest.raises(AttributeError):
+            p.terms = {}
+
     def test_zero_coefficients_never_stored(self):
         p = sb.PolyC(1, {(0,): 1.0, (1,): 0.0})
         assert (1,) not in p.terms
@@ -880,6 +949,31 @@ class TestInputChecks:
         # numpy broadcast ValueError
         with pytest.raises(DimensionMismatch, match="is not 2 x 2"):
             sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0}), np.zeros(shape))
+
+    def test_exponent_must_be_symmetric(self):
+        # d/dz_0 of 2 exp(-<z, M z>) read 2 M z as 2 G M z, not G (M + M^T) z:
+        # -0.0983-0.2859i at z against -0.1456-0.1790i by central differences
+        M = np.array([[0.3, 0.2], [0.0, 0.4]])
+        with pytest.raises(SymmetryViolation, match="not symmetric"):
+            sb.GaussPoly(sb.PolyC.constant(2, 2.0), M)
+        sym = 0.5 * (M + M.T)
+        sb.GaussPoly(sb.PolyC.constant(2, 2.0), sym + np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        z = np.array([0.3 + 0.1j, -0.2 + 0.5j])
+        gp = sb.GaussPoly(sb.PolyC.constant(2, 2.0), sym)
+        h = np.array([1e-6, 0.0])
+        numeric = (sb.evaluate(gp, z + h) - sb.evaluate(gp, z - h)) / 2e-6
+        exact = sb.evaluate(sb.apply_op(sb.LinearDiffOp(np.eye(2), np.zeros((2, 2))), 0, gp), z)
+        assert abs(exact - numeric) <= 1e-8 * abs(exact)
+
+    @pytest.mark.parametrize("n", [-1, 0, True, 2.5, 2.0, "2", None])
+    def test_dimension_is_a_positive_integer(self, n):
+        # multi_indices(-1, 2) was [()], multi_indices(True, 2) the n = 1
+        # basis and PolyC(2.5, {}) a polynomial with n = 2
+        for call in (lambda: sb.multi_indices(n, 2), lambda: sb.PolyC(n, {}),
+                     lambda: sb.PolyC(n)):
+            with pytest.raises(ValueError, match=r"^dimension n must be an integer >= 1"):
+                call()
+        assert sb.PolyC(np.int64(2)).n == 2 and sb.multi_indices(np.int32(1), 1) == [(0,), (1,)]
 
     @pytest.mark.parametrize("dtype", [float, complex, int])
     def test_exponent_keeps_its_dtype(self, dtype):
@@ -983,9 +1077,9 @@ class TestMultiIndices:
         assert out == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
     def test_matches_filtered_product(self):
-        # the numpy-built basis equals the filtered tensor product, also at
-        # n = 0, where the one multi-index is ()
-        for n in range(6):
+        # the numpy-built basis equals the filtered tensor product; n = 0
+        # fails the dimension rule (TestInputChecks)
+        for n in range(1, 6):
             for d in range(9):
                 want = [
                     t

@@ -615,6 +615,15 @@ class TestCli:
         assert back.poly.terms == gp.poly.terms
         assert np.allclose(back.M, gp.M)
 
+    def test_decode_gauss_poly_needs_a_symmetric_exponent(self):
+        # an asymmetric M decoded and gave wrong derivatives
+        raw = {"terms": [[[0, 0], [1.0, 0.0]]],
+               "M": [[[0.3, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.4, 0.0]]]}
+        with pytest.raises(ConfigError, match=r"^gausspoly\.M: must be symmetric"):
+            sb.decode_gauss_poly(raw)
+        raw["M"][1][0] = [0.2, 0.0]
+        assert sb.decode_gauss_poly(raw).M[1, 0] == 0.2
+
     @pytest.mark.parametrize("alpha", [[1.5], [-2], ["x"], [None], [0, 1], [], "1", [True]])
     def test_decode_gauss_poly_checks_multi_indices(self, alpha):
         # [1.5] was stored as key (1,), [-2] was accepted and ["x"] raised a
