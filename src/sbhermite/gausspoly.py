@@ -21,10 +21,11 @@ place tuples appear.  Inputs from outside pass one rule each:
 ``_dimension``, ``_multi_index``, ``_component``, ``matrices.as_points``
 and ``matrices.require_same_exponent``.  One kernel, ``_apply_block(G, H,
 block)``, applies row i of the folded G and H (rows, n) to row i of a
-(rows, width) block (the chains, the adjoint stage and ``apply_op`` put
-one operator on each row), with the rounding of Python's scalar complex
-product, so a row's result depends on no other row and equals term-by-term
-application bit for bit.
+(rows, width) block over the basis of degree d (the chains, the adjoint
+stage and ``apply_op`` put one operator on each row), with one result
+shape, the basis of degree d + 1, and every term added, a zero one too,
+with the rounding of Python's scalar complex product, so a row's result
+depends on no other row and equals term-by-term application bit for bit.
 The Hamiltonian is no kernel call: ``_hamiltonian_rows`` writes its rows
 for given monomials from a cached plan, and the eigen stage and
 ``hamiltonian_apply`` multiply coefficients by them.
@@ -331,17 +332,12 @@ def _in_frame(op: LinearDiffOp, M, frame=None) -> LinearDiffOp:
     return LinearDiffOp(np.linalg.solve(frame.L, op.G.T).T + h @ frame.C, h)
 
 
-def _live(coef: np.ndarray) -> tuple[bool, ...]:
-    """Per term (column) of a coefficient array, whether some row has it nonzero."""
-    return tuple(np.logical_or.reduce(coef, axis=0).tolist())
-
-
 @functools.lru_cache(maxsize=256)
-def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
-    """Gathers of ``_apply_block`` from a block over ``_basis_array(n, degree)``
-    with the live derivative terms ``live_g`` and multiplication terms
-    ``live_h``: the output width, the width its derivative terms reach,
-    and per live term its index map and, for a derivative, its weights.
+def _kernel_plan(n: int, degree: int) -> tuple:
+    """Gathers of ``_apply_block`` from a block over ``_basis_array(n, degree)``:
+    the output width, that of the basis of degree + 1, the width its
+    derivative terms reach, and per term its index map and, for a
+    derivative, its weights.
 
     Derivative term k gathers a + e_k -> a for |a| < degree, weighted by
     a_k + 1.  Multiplication term l gathers a - e_l -> a for every output
@@ -350,13 +346,13 @@ def _kernel_plan(n: int, degree: int, live_g: tuple, live_h: tuple) -> tuple:
     """
     width = math.comb(n + degree, n)
     inner = math.comb(n + degree - 1, n) if degree else 0
-    cols = math.comb(n + degree + 1, n) if any(live_h) else math.comb(n + max(degree - 1, 0), n)
+    cols = math.comb(n + degree + 1, n)
     basis, e = _basis_array(n, degree + 1), np.eye(n, dtype=np.intp)
     deriv = tuple((k, mx.frozen(_rank(basis[:inner] + e[k])), mx.frozen(basis[:inner, k] + 1.0))
-                  for k, live in enumerate(live_g) if live and inner)
+                  for k in range(n) if inner)
     # a column with a_l = 0 is clipped to a multi-index, then sent to the pad
     mult = tuple((l, mx.frozen(np.where(basis[:, l], _rank(np.maximum(basis - e[l], 0)), width)),
-                  None) for l, live in enumerate(live_h) if live)
+                  None) for l in range(n))
     return cols, inner, deriv, mult
 
 
@@ -389,20 +385,19 @@ def _add_terms(acc: np.ndarray, planes: np.ndarray, terms, coef: np.ndarray):
 def _apply_block(G, H, block: np.ndarray) -> np.ndarray:
     """Row i of a block (rows, width) over ``_basis_array(n, degree)`` under
     sum_k G[i, k] d/dz_k + sum_l H[i, l] z_l, its exponent folded in
-    (``_in_frame``): (rows, cols), over the basis of degree + 1 when a
-    multiplication term is live in some row, else of max(degree - 1, 0).
-    The terms are added one by one, derivative terms g * (c * a_k) for
-    k = 0..n-1, then multiplication terms h * c for l = 0..n-1, on real and
-    imaginary planes, through index maps cached per (n, degree, live terms)
-    (``_kernel_plan``).  A term zero in every row is skipped; in the other
-    rows it adds exact zeros to an accumulator that starts at +0.0, so a
-    row's result depends on no other row.  Rows are taken in passes of at
-    most about ``_KERNEL_CHUNK`` result entries."""
+    (``_in_frame``): (rows, C(n + degree + 1, n)), over the basis of
+    degree + 1.  The terms are added one by one, derivative terms
+    g * (c * a_k) for k = 0..n-1, then multiplication terms h * c for
+    l = 0..n-1, on real and imaginary planes, through index maps cached per
+    (n, degree) (``_kernel_plan``).  A term zero in a row adds exact zeros
+    to an accumulator that starts at +0.0, so a row's result depends on no
+    other row.  Rows are taken in passes of at most about ``_KERNEL_CHUNK``
+    result entries."""
     g = np.ascontiguousarray(G, dtype=complex)
     h = np.ascontiguousarray(H, dtype=complex)
     rows, n = g.shape
     width = block.shape[1]
-    cols, inner, deriv, mult = _kernel_plan(n, _degree_of(n, width), _live(g), _live(h))
+    cols, inner, deriv, mult = _kernel_plan(n, _degree_of(n, width))
     # the coefficients as (re, im) x n x rows views
     gt, ht = g.view(float).reshape(rows, n, 2).T, h.view(float).reshape(rows, n, 2).T
     out = np.empty((rows, cols), dtype=complex)
@@ -677,10 +672,9 @@ def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.nda
     k, width = f.shape
     out = np.zeros((4 * k, math.comb(n + degree, n)), dtype=complex)
     out[:k, :width], out[k : 2 * k, :width] = f, g
-    moved = _apply_block(np.concatenate([low.G[comps], high.G[comps]]),
-                         np.concatenate([low.H[comps], high.H[comps]]),
-                         out[: 2 * k, :width])
-    out[2 * k :, : moved.shape[1]] = moved
+    out[2 * k :] = _apply_block(np.concatenate([low.G[comps], high.G[comps]]),
+                                np.concatenate([low.H[comps], high.H[comps]]),
+                                out[: 2 * k, :width])
     return out
 
 

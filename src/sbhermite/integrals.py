@@ -169,11 +169,9 @@ def _wick_rows(wd: WeightData, gps) -> tuple:
 @functools.lru_cache(maxsize=128)
 def _factorials(n: int, degree: int) -> np.ndarray:
     """a! over ``_basis_array(n, degree)``, read-only: per multi-index the
-    exact product of its entries' factorials, rounded once to float.  The
-    product is at most |a|!, so int64 holds it up to degree 20; beyond that
-    the table holds Python integers."""
-    table = np.array([math.factorial(k) for k in range(degree + 1)],
-                     dtype=np.int64 if degree <= 20 else object)
+    exact product of its entries' factorials, as Python integers, rounded
+    once to float."""
+    table = np.array([math.factorial(k) for k in range(degree + 1)], dtype=object)
     return mx.frozen(table[_basis_array(n, degree)].prod(axis=1).astype(float))
 
 

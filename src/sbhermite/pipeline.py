@@ -3,7 +3,11 @@
 A run takes a parsed config (``config.RunConfig``), constructs the
 generator, then measures every verifiable identity as a named residual
 with a named tolerance.  Reports are deterministic for a fixed config and
-seed, timings aside.
+seed, timings aside.  Each stage of ``run_verify`` is straight-line code
+under one guard, ``with stage(name):`` (``_stage``): it records the stage's
+wall time, also when the stage raises, and turns an Exception into a
+StageFailure carrying the finalized partial report.  A residual that is not
+finite is named in the report's warnings.
 
 Stages work on whole families, not pair by pair or member by member, and
 on one format: coefficient blocks (see ``gausspoly``) of Wick coefficients
@@ -42,9 +46,11 @@ They describe the run and never enter a verdict.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,26 +212,21 @@ def _adjoint_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return coeffs[:, 0], coeffs[:, 1], np.floor(u[:, -1] * n).astype(int)
 
 
-class _StageTimer:
-    """Runs the stages of one report and records each stage's wall time,
-    also of a stage that raises; that stage's error finalizes the report
-    as a partial one and travels with the StageFailure."""
-
-    def __init__(self, report: "VerificationReport", tols: dict):
-        self.report = report
-        self.tols = tols
-
-    def run(self, name: str, fn):
-        start = time.perf_counter()
-        try:
-            return fn()
-        except Exception as exc:
-            self.report.failed_stage = name
-            self.report.error_type = type(exc).__name__
-            _finalize(self.report, self.tols)
-            raise StageFailure(name, exc, self.report) from exc
-        finally:
-            self.report.timings[name] = time.perf_counter() - start
+@contextmanager
+def _stage(report: "VerificationReport", tols: dict, name: str):
+    """Guard of one stage of a report: records the stage's wall time, also
+    of a stage that raises; an Exception finalizes the report as a partial
+    one and travels with the StageFailure, any other exception passes."""
+    start = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        report.failed_stage = name
+        report.error_type = type(exc).__name__
+        _finalize(report, tols)
+        raise StageFailure(name, exc, report) from exc
+    finally:
+        report.timings[name] = time.perf_counter() - start
 
 
 def _tolerance_for(name: str, tols: dict) -> float:
@@ -238,9 +239,14 @@ def _tolerance_for(name: str, tols: dict) -> float:
 
 
 def _finalize(report: VerificationReport, tols: dict):
-    """Fill per-residual verdicts and the overall pass flag."""
+    """Fill per-residual verdicts and the overall pass flag, and name each
+    non-finite residual in the warnings, once however often it runs."""
     checks = {}
     for name, value in report.residuals.items():
+        if not math.isfinite(value):
+            note = f"non-finite residual {name}: {value}"
+            if note not in report.warnings:
+                report.warnings.append(note)
         if name == "condition1_margin":
             threshold = report.rho2 / 2.0 - tols["condition1_slack"]
             checks[name] = bool(value >= threshold)
@@ -264,11 +270,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
     stage name and the partial report attached.
     """
     report = VerificationReport(n=config.n)
-    timer = _StageTimer(report, config.tolerances)
-    pt = timer.run("validate", lambda: validate_phase_triple(config.A, config.B, config.C))
-    wd = timer.run("weight", lambda: compute_weight_data(pt))
+    stage = functools.partial(_stage, report, config.tolerances)
+    with stage("validate"):
+        pt = validate_phase_triple(config.A, config.B, config.C)
+    with stage("weight"):
+        wd = compute_weight_data(pt)
     rho = config.rho_fraction * wd.lam0
-    gen = timer.run("generator", lambda: build_generator(wd, rho, config.X))
+    with stage("generator"):
+        gen = build_generator(wd, rho, config.X)
     report.rho2 = gen.rho2
     report.lam = [float(v) for v in wd.lam]
     report.mu2 = [float(v * v) for v in gen.mu]
@@ -282,17 +291,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
     metrics["min_mu_over_lam0"] = mu_min / wd.lam0
     n, rho2 = wd.n, gen.rho2
 
-    def algebra():
+    with stage("algebra"):
         # ccr and eq2202 from build_generator's product; one spectrum of the
         # combined real form (M_R / 2) gives the margin and cond(M_R)
         residuals, spectrum = _identity_residuals(wd, gen)
         res.update(residuals)
         metrics["condition1_margin_over_rho2"] = res["condition1_margin"] / rho2
-        return spectrum
 
-    spectrum = timer.run("algebra", algebra)
-
-    def family():
+    with stage("family"):
         # one moment cache at Q and one at the image exponent; every later
         # stage works in their Wick frames.  The family, its Rodrigues form
         # (Xi at S+Q, in the frame of Q) and the images T h_alpha are three
@@ -305,15 +311,12 @@ def run_verify(config: RunConfig) -> VerificationReport:
         xi = _in_frame(xi_ops(gen), gen.SQ, cache)
         image_lane, _ = _image_lane(pt, image_cache)
         block, closed, images = _chain_rows([(ladder[1], 1.0), (xi, 1.0), image_lane], keys)
-        scaled = _image_scaled(images, _factorials(n, config.max_degree))
-        return keys, cache, image_cache, ladder, block, closed, scaled
-
-    keys, cache, image_cache, ladder, block, closed, images = timer.run("family", family)
+        images = _image_scaled(images, _factorials(n, config.max_degree))
     metrics["family_members"] = block.shape[0]
     metrics["family_terms"] = int(np.count_nonzero(block))
     metrics["cond_M_R"] = float(spectrum[-1] / spectrum[0])
 
-    def gram():
+    with stage("gram"):
         g = _gram_block(cache, block)
         diag = g.diagonal().real  # the imaginary parts are exactly zero
         # Python's float power: numpy's rounds some of these differently
@@ -324,27 +327,23 @@ def run_verify(config: RunConfig) -> VerificationReport:
         offdiag = np.hypot(g.real, g.imag) / diag[:, None]
         np.fill_diagonal(offdiag, 0.0)
         res["gram_max_offdiag"] = float(offdiag.max())
+        del g, offdiag  # N x N each, not kept for the later stages
 
-    timer.run("gram", gram)
-
-    def eigen():
+    with stage("eigen"):
         # the Hamiltonian's rows over the basis, freed once multiplied
         image = block @ _hamiltonian_rows(rho2, ladder, keys)
         levels = (2.0 * keys.sum(axis=1) + 1.0) * rho2
         expected = _real_scaled(block, levels[:, None])
         res["eigen_max"] = float(_row_distances(image, expected).max())
+        del image, expected  # N x N each, not kept for the later stages
 
-    timer.run("eigen", eigen)
-
-    def rodrig():
+    with stage("rodrigues"):
         # the closed form's lane of the family chain, compared row by row;
         # its exponent (S+Q) - S must be the family's Q
         mx.require_same_exponent(gen.SQ - gen.S, gen.Q, "(S+Q) - S and Q")
         res["rodrigues_max"] = float(_row_distances(closed, block).max())
 
-    timer.run("rodrigues", rodrig)
-
-    def adjoint():
+    with stage("adjoint"):
         # one block of f, g, lower_i f and raise_i g for ten random triples
         f, g, comps = _adjoint_draws(n, config.seed)
         rows = _adjoint_block(ladder, comps, f, g)
@@ -358,26 +357,20 @@ def run_verify(config: RunConfig) -> VerificationReport:
         scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
         res["adjoint_max"] = float((np.abs(lhs - rhs) / scale).max())
 
-    timer.run("adjoint", adjoint)
-
-    def completeness():
+    with stage("completeness"):
         # every Wick power :u^beta: with |beta| <= max_degree, one unit row
         # each (never formed), against the whole family; they span the same
         # spaces as the monomials, degree by degree
-        _, residuals, norms = _expansions(cache, None, block)
+        residuals, norms = _expansions(cache, None, block)[1:]  # not the N x N coefficients
         res["completeness_residual"] = float((residuals / norms).max())
 
-    timer.run("completeness", completeness)
-
-    def isometry():
+    with stage("isometry"):
         # the transform keeps the Hermite functions h_alpha, |alpha| <=
         # max_degree, orthonormal: the Gram of their exact images, the
         # image lane of the family chain in the Wick frame of the image
         # exponent
         g = _gram_block(image_cache, images)
         res["isometry"] = mx.max_abs(g - np.eye(len(keys)))
-
-    timer.run("isometry", isometry)
 
     if mu_min < 1e-3 * wd.lam0:
         report.warnings.append(

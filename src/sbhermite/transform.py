@@ -37,7 +37,7 @@ from .config import MAX_NODES
 from .errors import DimensionMismatch, NonIntegrableWeight
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, evaluate, mi_factorial
 from .gausspoly import _chain_rows, _gauss_polys, _in_frame, _monomial_chain
-from .gausspoly import _multi_index, _real_scaled, _tabulated_sum
+from .gausspoly import _dimension, _multi_index, _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, compute_weight_data
 
@@ -75,15 +75,18 @@ class TestFunction:
     """Finite expansion in the orthonormal Gaussian-Hermite basis on R^n.
 
     ``coefficients`` maps multi-indices to complex weights; the squared L2
-    norm is the coefficient square sum, exactly.  Multi-indices pass the
-    rule of ``gausspoly._multi_index`` and are stored as int tuples.
+    norm is the coefficient square sum, exactly.  n passes the rule of
+    ``gausspoly._dimension`` and is stored as an int; multi-indices pass
+    that of ``gausspoly._multi_index`` and are stored as int tuples.
     """
 
     n: int
     coefficients: dict
 
     def __post_init__(self):
-        coeffs = {_multi_index(k, self.n): c for k, c in self.coefficients.items()}
+        n = _dimension(self.n)
+        coeffs = {_multi_index(k, n): c for k, c in self.coefficients.items()}
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod

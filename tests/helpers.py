@@ -354,20 +354,20 @@ def reference_basis(n: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(rows, key=lambda a: (sum(a), a))
 
 
-def reference_kernel_plan(n: int, degree: int, live_g, live_h) -> tuple:
+def reference_kernel_plan(n: int, degree: int) -> tuple:
     """Loop oracle for ``gausspoly._kernel_plan``: the same tuple, built by
     looking every shifted multi-index up in a dict of columns."""
     col = {a: k for k, a in enumerate(reference_basis(n, degree))}
     inner = reference_basis(n, degree - 1) if degree else []
-    out = reference_basis(n, degree + 1 if any(live_h) else max(degree - 1, 0))
+    out = reference_basis(n, degree + 1)
     deriv = tuple(
         (k, np.array([col[a[:k] + (a[k] + 1,) + a[k + 1:]] for a in inner], dtype=int),
          np.array([a[k] + 1.0 for a in inner]))
-        for k, live in enumerate(live_g) if live and inner)
+        for k in range(n) if inner)
     mult = tuple(
         (l, np.array([col[a[:l] + (a[l] - 1,) + a[l + 1:]] if a[l] else len(col)
                       for a in out], dtype=int), None)
-        for l, live in enumerate(live_h) if live)
+        for l in range(n))
     return len(out), len(inner), deriv, mult
 
 

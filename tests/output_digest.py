@@ -19,6 +19,10 @@ every verdict, of the reports (timings excluded) of
   ``validate``, ``construct`` and ``construct --family 3`` on the command
   line, their report files hashed the same way (the family's keys and the
   term order of ``encode_gauss_poly`` with them);
+- the command line's ``example --name em --s 0.9 --max-degree 170``, its
+  report file hashed the same way, warnings included (its Gram,
+  completeness and isometry residuals are NaN; overflow and invalid
+  floating-point warnings are silenced for it);
 
 and the values of ``transform_batch``, ``inverse_transform``,
 ``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both
@@ -161,6 +165,12 @@ def bench_lines() -> list[str]:
                                 "--nodes", str(op["nodes"])]
                     lines += _cli_lines(label, argv, Path(tmp))
     return lines
+
+
+def overflow_lines() -> list[str]:
+    argv = ["example", "--name", "em", "--s", "0.9", "--max-degree", "170"]
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+        return _cli_lines("example-em-0.9-170", argv, Path(tmp))
 
 
 def quadrature_lines() -> list[str]:
@@ -311,8 +321,8 @@ def compare(lines: list[str], other: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    lines = (acceptance_lines() + golden_lines() + bench_lines() + quadrature_lines()
-             + integral_lines())
+    lines = (acceptance_lines() + golden_lines() + bench_lines() + overflow_lines()
+             + quadrature_lines() + integral_lines())
     if "--lines" in argv:
         print("\n".join(lines))
     if "--against" in argv:

@@ -157,8 +157,9 @@ class TestBlockKernel:
         folded = _in_frame(op, M)
         # one operator per row
         out = _apply_block(folded.G[comps], folded.H[comps], block)
-        # the lowering operators at Q are pure derivatives and lower the degree
-        top = max(degree - 1, 0) if kind == "lowering" and not random_m else degree + 1
+        # one result shape, the basis of degree + 1, also for the lowering
+        # operators at Q, which are pure derivatives
+        top = degree + 1
         assert out.shape == (rows, len(sb.multi_indices(n, top)))
         basis, out_basis = sb.multi_indices(n, degree), sb.multi_indices(n, top)
         for r in range(rows):
@@ -205,46 +206,46 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_result_width_follows_live_terms(self, n):
-        # over basis(n, d + 1) when a multiplication term is live, else over
-        # basis(n, d - 1); a block has one column at least
+        # over basis(n, d + 1) whichever terms are live: pure derivatives
+        # (the first three cases) and zero operators too, whose result's
+        # extra columns are exact zeros
         rng = np.random.default_rng(n)
         _, wd, gen = sb.random_generator(n, rng)
         zero = np.zeros((n, n))
         cases = [
-            (sb.annihilation_ops(gen.Q), gen.Q, -1),
-            (sb.xi_ops(gen), zero, -1),
-            (sb.LinearDiffOp(zero, zero), gen.Q, -1),
-            (sb.annihilation_ops(gen.Q), gen.SQ, 1),
-            (sb.xi_ops(gen), gen.SQ, 1),
-            (sb.creation_ops(wd, gen), gen.Q, 1),
-            (sb.LinearDiffOp(zero, np.eye(n)), gen.Q, 1),
+            (sb.annihilation_ops(gen.Q), gen.Q),
+            (sb.xi_ops(gen), zero),
+            (sb.LinearDiffOp(zero, zero), gen.Q),
+            (sb.annihilation_ops(gen.Q), gen.SQ),
+            (sb.xi_ops(gen), gen.SQ),
+            (sb.creation_ops(wd, gen), gen.Q),
+            (sb.LinearDiffOp(zero, np.eye(n)), gen.Q),
         ]
         for degree in range(5):
             block = self.random_block(rng, n, degree, 3)
             comps = rng.integers(0, n, 3)
-            for op, M, step in cases:
+            for k, (op, M) in enumerate(cases):
                 folded = _in_frame(op, M)
                 out = _apply_block(folded.G[comps], folded.H[comps], block)
-                width = len(sb.multi_indices(n, max(degree + step, 0)))
-                assert out.shape == (3, width), (degree, step)
+                assert out.shape == (3, len(sb.multi_indices(n, degree + 1))), (degree, k)
+                if k < 3:  # no multiplication term: nothing past the lowered degree
+                    assert not out[:, math.comb(n + degree - 1, n) if degree else 0:].any()
+                if k == 2:
+                    assert not out.any() and not np.signbit(out.view(float)).any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_plan_matches_loop_oracle(self, n):
         # the index maps and weights built by numpy equal the dict lookups
-        # of every shifted multi-index, for every degree and live mask
-        masks = {(True,) * n, (False,) * n, tuple(i % 2 == 0 for i in range(n)),
-                 tuple(i == n - 1 for i in range(n))}
+        # of every shifted multi-index, for every degree
         for degree in range(7):
-            for live_g in masks:
-                for live_h in masks:
-                    got = _kernel_plan(n, degree, live_g, live_h)
-                    want = reference_kernel_plan(n, degree, live_g, live_h)
-                    assert got[:2] == want[:2], (degree, live_g, live_h)
-                    assert len(got[2]) == len(want[2]) and len(got[3]) == len(want[3])
-                    for (k, idx, w), (k_want, idx_want, w_want) in zip(got[2] + got[3],
-                                                                       want[2] + want[3]):
-                        assert k == k_want and np.array_equal(idx, idx_want)
-                        assert (w is None and w_want is None) or np.array_equal(w, w_want)
+            got = _kernel_plan(n, degree)
+            want = reference_kernel_plan(n, degree)
+            assert got[:2] == want[:2], degree
+            assert len(got[2]) == len(want[2]) and len(got[3]) == len(want[3])
+            for (k, idx, w), (k_want, idx_want, w_want) in zip(got[2] + got[3],
+                                                               want[2] + want[3]):
+                assert k == k_want and np.array_equal(idx, idx_want)
+                assert (w is None and w_want is None) or np.array_equal(w, w_want)
 
 
 class TestRank:

@@ -1,5 +1,6 @@
 """Config parsing, verification pipeline, report contracts, and the CLI."""
 
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -313,6 +314,19 @@ class TestRunExample:
         assert report.failed_stage is None and report.overall_pass
         assert report.residuals["gram_max_offdiag"] <= 1e-14
         assert report.residuals["isometry"] <= 1e-14
+
+    def test_non_finite_residuals_are_named(self):
+        # at s = 0.9 and degree 170 the Gram and isometry stages leave NaN
+        # residuals; each is named in the warnings once, though run_example
+        # finalizes the report twice
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_example("em", 0.9, max_degree=170)
+        assert report.failed_stage is None and not report.overall_pass
+        bad = sorted(k for k, v in report.residuals.items() if not math.isfinite(v))
+        assert bad == sorted(["gram_diag_maxrel", "gram_max_offdiag",
+                              "completeness_residual", "isometry"])
+        named = [w for w in report.warnings if w.startswith("non-finite residual")]
+        assert sorted(named) == [f"non-finite residual {k}: nan" for k in bad]
 
     def test_out_of_range_s(self):
         with pytest.raises(ConfigError):
@@ -741,6 +755,28 @@ class TestPartialReport:
         assert report["Q"] is None and report["residuals"] == {}
         assert report["overall_pass"] is False
 
+    def test_interrupt_passes_through_with_its_timing(self, monkeypatch):
+        # a BaseException that is no Exception is not a stage failure: it
+        # propagates as itself, the stage's timing recorded, no stage named
+        report_type, reports, interrupt = sb.pipeline.VerificationReport, [], KeyboardInterrupt()
+
+        def recorded(n):
+            reports.append(report_type(n=n))
+            return reports[-1]
+
+        def interrupted(cache, block):
+            raise interrupt
+
+        monkeypatch.setattr(sb.pipeline, "VerificationReport", recorded)
+        monkeypatch.setattr(sb.pipeline, "_gram_block", interrupted)
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_example("em", 0.5, max_degree=2)
+        assert info.value is interrupt
+        (report,) = reports
+        assert tuple(report.timings) == ("validate", "weight", "generator", "algebra",
+                                         "family", "gram")
+        assert report.failed_stage is None and report.error_type is None
+
     def test_passing_report_names_no_failure(self):
         report = run_verify(RunConfig.from_dict(em_config_dict(max_degree=2)))
         out = report.to_dict()
@@ -895,16 +931,18 @@ class TestStageWork:
             for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        run_stage = sb.pipeline._StageTimer.run
+        guard = sb.pipeline._stage
 
-        def staged(self, name, fn):
+        @contextlib.contextmanager
+        def staged(report, tols, name):
             stage[0] = name
             try:
-                return run_stage(self, name, fn)
+                with guard(report, tols, name):
+                    yield
             finally:
                 stage[0] = None
 
-        monkeypatch.setattr(sb.pipeline._StageTimer, "run", staged)
+        monkeypatch.setattr(sb.pipeline, "_stage", staged)
         return calls
 
     @pytest.mark.parametrize("name, degree", [("em", 0), ("em", 5), ("ghs", 3), ("n2", 6)])

@@ -738,6 +738,17 @@ class TestQuadratureInputs:
         assert list(u.coefficients) == [(1, 0)]
         np.testing.assert_equal(calls[entry](u), calls[entry](sb.TestFunction(2, {(1, 0): 1.0})))
 
+    def test_test_function_dimension_checked(self):
+        # n passes the one dimension rule: no empty or fractional dimension
+        # constructs, and a bool is no 1
+        for n in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="dimension n"):
+                sb.TestFunction(n, {})
+        u = sb.TestFunction(np.int64(1), {(1,): 1.0})
+        assert type(u.n) is int and u.n == 1
+        with pytest.raises(ValueError, match="dimension n"):
+            sb.TestFunction.hermite_basis(())
+
 
 class TestHermiteEvaluation:
     """polynomial_part against a term-wise hermval reference."""
