@@ -2,8 +2,8 @@
 
 A config file names the defining triple (A, B, C), rho as a fraction of
 lambda_0, the intertwiner X, the family degree, the adjoint stage's seed,
-the quadrature nodes and tolerance overrides.  The nodes are validated
-but change no value: every transform is exact.  ``RunConfig.from_dict``
+the quadrature nodes and tolerance overrides.  The nodes pass
+``_valid_nodes``, as ``QuadSpec``'s do, but change no value.  ``RunConfig.from_dict``
 checks every field and raises a ``ConfigError`` naming the first one that
 violates the schema.  This module needs only numpy and ``errors``, so a
 command that only reads a config (``sbhermite validate``) loads none of the
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,7 @@ DEFAULT_TOLERANCES = {
 #: largest node count accepted: the Gauss-Hermite rule the transforms once
 #: used has zero weights at 371 nodes, NaN beyond
 MAX_NODES = 370
+_NODES_RULE = f"must be an integer in [4, {MAX_NODES}]"
 
 #: largest family degree accepted: the inner products weigh a Wick power
 #: u^a by a! as a float (``integrals._factorials``), and 171! overflows one
@@ -69,6 +71,12 @@ def _is_number(value, kinds=(int, float)) -> bool:
     NaN and Infinity parse as floats."""
     return (isinstance(value, kinds) and not isinstance(value, bool)
             and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _valid_nodes(nodes) -> bool:
+    """The one node-count rule (``quadrature.nodes``, ``--nodes``, ``QuadSpec``):
+    an integer of any integral type but bool, in [4, ``MAX_NODES``]."""
+    return _is_number(nodes, Integral) and 4 <= nodes <= MAX_NODES
 
 
 def _parse_complex(value, path: str) -> complex:
@@ -170,11 +178,7 @@ class RunConfig:
         _require(isinstance(quadrature, dict), "quadrature", "must be an object")
         _known_keys(quadrature, "quadrature.", ("nodes",))
         nodes = quadrature.get("nodes", 64)
-        _require(
-            _is_number(nodes, int) and 4 <= nodes <= MAX_NODES,
-            "quadrature.nodes",
-            f"must be an integer in [4, {MAX_NODES}]",
-        )
+        _require(_valid_nodes(nodes), "quadrature.nodes", _NODES_RULE)
         tols = dict(DEFAULT_TOLERANCES)
         overrides = raw.get("tolerances", {})
         _require(isinstance(overrides, dict), "tolerances", "must be an object")
@@ -195,7 +199,7 @@ class RunConfig:
             X=x,
             max_degree=max_degree,
             seed=seed,
-            nodes=nodes,
+            nodes=int(nodes),
             tolerances=tols,
         )
 

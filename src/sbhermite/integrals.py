@@ -33,9 +33,10 @@ the arguments over the whole basis is formed.
 Stage-wide callers work on one block: any set of pairs (l, r) is one
 weighted row sum (``_pair_inners``), a Gram matrix one product
 normalizer * P diag(a!) P^H (``_gram_block``), and many expansions in a
-family one block too (``_expansions``).  ``hphi_inner``, ``gram_matrix``,
-``expand_in_family`` and ``adjoint_residual`` are cases of these, so no
-inner product is implemented twice.
+family one block too (``_expansions``), as are k adjoint triples
+(``_adjoint_inners``).  ``hphi_inner``, ``gram_matrix``, ``expand_in_family``
+and ``adjoint_residual`` are cases of these, so no inner product is
+implemented twice.
 """
 
 from __future__ import annotations
@@ -267,6 +268,14 @@ def gram_matrix(
     return keys, _gram_block(cache, rows)
 
 
+def _adjoint_inners(mc: MomentCache, ladder: tuple, comps, f: np.ndarray, g: np.ndarray):
+    """(lower_i f, g), (f, raise_i g), (f, f) and (g, g) as rows of a (4, k)
+    array, one column per triple (f, g, i) of ``_adjoint_block``'s rows."""
+    idx = np.arange(4 * len(f)).reshape(4, -1)  # the rows f, g, lower_i f, raise_i g
+    left, right = idx[[2, 0, 0, 1]].ravel(), idx[[1, 3, 0, 1]].ravel()
+    return _pair_inners(mc, _adjoint_block(ladder, comps, f, g), left, right).reshape(4, -1)
+
+
 def adjoint_residual(
     wd: WeightData, gen: GeneratorData, F: GaussPoly, G: GaussPoly, i: int
 ) -> float:
@@ -280,8 +289,7 @@ def adjoint_residual(
     """
     i = _component(i, wd.n)
     cache, fg = _wick_rows(wd, (F, G))
-    rows = _adjoint_block(_frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])
-    lhs, rhs = _pair_inners(cache, rows, [2, 0], [1, 3])
+    lhs, rhs = _adjoint_inners(cache, _frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])[:2, 0]
     return abs(lhs - rhs)
 
 

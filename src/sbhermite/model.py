@@ -177,6 +177,16 @@ def compute_weight_data(pt: PhaseTriple) -> WeightData:
     )
 
 
+def _own_weight_data(wd: WeightData | None, n: int, pt: PhaseTriple | None = None) -> WeightData:
+    """The one rule for weight data beside a triple or a kernel of dimension
+    n: ``compute_weight_data(pt)`` if None, else DimensionMismatch unless n."""
+    if wd is None:
+        return compute_weight_data(pt)
+    if wd.n != n:
+        raise DimensionMismatch(f"wd has dimension {wd.n}, expected {n}")
+    return wd
+
+
 def with_unitary(wd: WeightData, U) -> WeightData:
     """Replace the eigenbasis by another unitary diagonalizing the same block.
 

@@ -31,7 +31,7 @@ random (f, g, i) triples as Wick coefficients into two blocks
 (``_adjoint_draws``: a counter-based splitmix64 stream from the config's
 seed in plain numpy, Box-Muller for the normals, so no run imports
 ``numpy.random``) and takes every inner product and norm from one block of
-f, g, lower_i f and raise_i g, the last two from one kernel call;
+f, g, lower_i f and raise_i g (``_adjoint_inners``), the last two from one kernel call;
 completeness expands every Wick power :u^beta:, |beta| <= max_degree, a
 unit row that is never formed, against the whole family in one call.  The
 isometry stage compares the Gram of the images with the identity.
@@ -68,7 +68,6 @@ from .errors import ConfigError, StageFailure
 from .gausspoly import (
     GaussPoly,
     PolyC,
-    _adjoint_block,
     _basis_array,
     _chain_rows,
     _frame_ladder,
@@ -82,8 +81,8 @@ from .gausspoly import (
 from .integrals import (
     _expansions,
     _factorials,
+    _adjoint_inners,
     _gram_block,
-    _pair_inners,
     make_moment_cache,
 )
 from .model import _identity_residuals, build_generator, compute_weight_data, validate_phase_triple
@@ -229,18 +228,10 @@ def _stage(report: "VerificationReport", tols: dict, name: str):
         report.timings[name] = time.perf_counter() - start
 
 
-def _tolerance_for(name: str, tols: dict) -> float:
-    if name in tols:
-        return tols[name]
-    for prefix in ("gram", "eigen", "rodrigues", "adjoint", "completeness", "golden"):
-        if name.startswith(prefix):
-            return tols[prefix]
-    raise KeyError(f"no tolerance defined for residual {name!r}")
-
-
 def _finalize(report: VerificationReport, tols: dict):
     """Fill per-residual verdicts and the overall pass flag, and name each
-    non-finite residual in the warnings, once however often it runs."""
+    non-finite residual in the warnings, once however often it runs.  The
+    tolerance of a residual is ``tols`` at its name, else at its name up to the first ``_``."""
     checks = {}
     for name, value in report.residuals.items():
         if not math.isfinite(value):
@@ -252,7 +243,7 @@ def _finalize(report: VerificationReport, tols: dict):
             checks[name] = bool(value >= threshold)
             report.tolerances[name] = threshold
         else:
-            tol = _tolerance_for(name, tols)
+            tol = tols[name if name in tols else name.split("_")[0]]
             checks[name] = bool(value <= tol)
             report.tolerances[name] = tol
     report.checks = checks
@@ -344,16 +335,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
         res["rodrigues_max"] = float(_row_distances(closed, block).max())
 
     with stage("adjoint"):
-        # one block of f, g, lower_i f and raise_i g for ten random triples
+        # (lower f, g), (f, raise g), (f, f), (g, g) for ten random triples
         f, g, comps = _adjoint_draws(n, config.seed)
-        rows = _adjoint_block(ladder, comps, f, g)
-        k = len(comps)
-        t = np.arange(k)
-        # (lower f, g), (f, raise g), (f, f), (g, g) for every triple
-        left = np.concatenate([t + 2 * k, t, t, t + k])
-        right = np.concatenate([t + k, t + 3 * k, t, t + k])
-        inners = _pair_inners(cache, rows, left, right)
-        lhs, rhs, ff, gg = inners.reshape(4, k)
+        lhs, rhs, ff, gg = _adjoint_inners(cache, ladder, comps, f, g)
         scale = np.sqrt(np.maximum(ff.real, 0.0)) * np.sqrt(np.maximum(gg.real, 0.0))
         res["adjoint_max"] = float((np.abs(lhs - rhs) / scale).max())
 

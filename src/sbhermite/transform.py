@@ -22,24 +22,25 @@ determinant's root and T h_0's are ``_root_det``'s.  The quadrature
 isometry takes the norm of the monomial image through the public inner
 product.  No function here integrates numerically: ``QuadSpec`` and
 the ``quad`` parameters are accepted and validated, and change no value.
+Points pass ``matrices.as_points`` (real points stay real), weight data
+``model._own_weight_data`` and node counts ``config._valid_nodes``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import matrices as mx
-from .config import MAX_NODES
+from .config import _NODES_RULE, _valid_nodes
 from .errors import DimensionMismatch, NonIntegrableWeight
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, evaluate, mi_factorial
 from .gausspoly import _chain_rows, _gauss_polys, _in_frame, _monomial_chain
 from .gausspoly import _dimension, _multi_index, _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, hphi_inner, make_moment_cache
-from .model import PhaseTriple, WeightData, compute_weight_data
+from .model import PhaseTriple, WeightData, _own_weight_data
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,16 @@ class KernelParams:
 @dataclass(frozen=True)
 class QuadSpec:
     """Quadrature controls, kept for the callers that pass them: every
-    transform is exact, so ``nodes`` changes no value.
-
-    The one rule for ``nodes``: an integer (numpy integers too, bool not)
-    in [1, ``MAX_NODES``], stored as an int; anything else is a ValueError
-    naming ``nodes``."""
+    transform is exact, so ``nodes`` changes no value.  ``nodes`` passes
+    the config's node-count rule (``config._valid_nodes``), else a
+    ValueError naming it, and is stored as an int."""
 
     nodes: int = 64
 
     def __post_init__(self):
-        nodes = self.nodes
-        if not (isinstance(nodes, Integral) and not isinstance(nodes, bool)
-                and 1 <= nodes <= MAX_NODES):
-            raise ValueError(f"nodes must be an integer in [1, {MAX_NODES}], got {nodes!r}")
-        object.__setattr__(self, "nodes", int(nodes))
+        if not _valid_nodes(self.nodes):
+            raise ValueError(f"nodes {_NODES_RULE}, got {self.nodes!r}")
+        object.__setattr__(self, "nodes", int(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,7 @@ def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:
     """C_Phi = (2 pi)^(-n) |det B|^2 / det C_I from the triple's own data."""
-    wd = wd or compute_weight_data(pt)
+    wd = _own_weight_data(wd, pt.n, pt)
     c_phi_norm = (2.0 * math.pi) ** (-pt.n) * pt.det_B_abs**2 / float(pt.C_I_eigenvalues.prod())
     return KernelParams(psi_zzbar=wd.phi_zzbar, psi_zz=wd.phi_zz, c_Phi=float(c_phi_norm))
 
@@ -315,7 +312,7 @@ def inverse_transform(
     """
     if not isinstance(F, GaussPoly):
         raise TypeError(f"inverse_transform needs a GaussPoly, got {type(F).__name__}")
-    wd = wd or compute_weight_data(pt)
+    wd = _own_weight_data(wd, pt.n, pt)
     x, one = mx.as_points(x, pt.n, "x", float)
     if F.n != pt.n:
         raise DimensionMismatch("F must share the triple's dimension")
@@ -337,6 +334,7 @@ def kernel_reproduce(
     all exact (``_over_cn``) at once.  ``quad`` changes no value."""
     n = kp.psi_zzbar.shape[0]
     z, one = mx.as_points(z, n, "z")
+    wd = _own_weight_data(wd, n)
     if F.n != n:
         raise DimensionMismatch("F must share the kernel's dimension")
     mx.require_finite(z, "z")
@@ -365,7 +363,7 @@ def isometry_residual(
     image ``transform_image`` and takes its norm by ``hphi_inner``, which
     converts it to the Wick frame at the public edge.
     """
-    wd = wd or compute_weight_data(pt)
+    wd = _own_weight_data(wd, pt.n, pt)
     norm_u = u.norm_sq()
     if norm_u == 0.0:
         raise ValueError("test function must be nonzero")
@@ -389,12 +387,10 @@ def round_trip_error(
     wd: WeightData | None = None,
 ) -> float:
     """Max pointwise defect of ``inverse_transform`` of the exact image
-    ``transform_image(pt, u)`` against the original test function; all
-    points of ``xs`` are inverted by one exact integral call, one row each.
-    ``quad`` changes no value."""
+    ``transform_image(pt, u)`` against the original test function, 0.0 at
+    no points; all points of ``xs`` are inverted by one exact integral
+    call, one row each.  ``quad`` changes no value."""
     image = transform_image(pt, u)
     xs, _ = mx.as_points(xs, pt.n, "xs", float)
-    if xs.shape[0] == 0:
-        return 0.0
     mx.require_finite(xs, "xs")
-    return float(np.max(np.abs(inverse_transform(pt, image, xs, quad, wd) - u(xs))))
+    return float(np.max(np.abs(inverse_transform(pt, image, xs, quad, wd) - u(xs)), initial=0.0))

@@ -40,8 +40,15 @@ the terms of ``f + g``, ``f - f`` and ``f.scaled(0.75 - 1.25i)`` for the
 random arguments f and g, ``evaluate`` of the sparse argument (built from a
 dict in reverse order) at three fixed points, and that argument after an
 ``encode_gauss_poly`` -> ``decode_gauss_poly`` round trip through JSON
-(terms and exponent).  A stage that raises is
-hashed through its partial report and the stage name.  Two checkouts that
+(terms and exponent); and the rejected arguments: complex "real" points
+(``TestFunction`` and its ``polynomial_part``, ``inverse_transform``,
+``round_trip_error``; as lists, and as complex arrays for ``TestFunction``
+and ``round_trip_error``), n = 3 weight data beside an n = 2 triple or kernel
+(``inverse_transform``, ``round_trip_error``, ``isometry_residual``,
+``make_kernel_params``, ``kernel_reproduce``) and node counts below 4
+(``QuadSpec`` and ``quadrature.nodes``), each hashed as its error class and
+message, or ``no error``.  A stage that raises is hashed through its
+partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
 ``--lines`` output of another checkout and prints, per quantity (a line's
@@ -61,6 +68,7 @@ import json
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +273,43 @@ def integral_lines() -> list[str]:
     return lines
 
 
+def rejection_lines() -> list[str]:
+    pt, wd, gen = sb.random_generator(2, np.random.default_rng(5))
+    wd3 = sb.random_generator(3, np.random.default_rng(6))[1]
+    u = sb.TestFunction(2, {(0, 0): 1.0, (1, 0): 0.5})
+    image = sb.transform_image(pt, u)
+    point = [[0.3 + 2j, 0.1]]
+    cases = {
+        "complex-u": lambda: sb.TestFunction(1, {(0,): 1.0})([0.5 + 0.7j]),
+        "complex-polynomial_part": lambda: u.polynomial_part(point),
+        "complex-inverse_transform": lambda: sb.inverse_transform(pt, image, point, None, wd),
+        "complex-round_trip_error": lambda: sb.round_trip_error(pt, u, point, None, wd),
+        "complex-array-u": lambda: u(np.array(point)),
+        "complex-array-round_trip_error": lambda: sb.round_trip_error(
+            pt, u, np.array(point), None, wd),
+        "wd-inverse_transform": lambda: sb.inverse_transform(pt, image, [0.1, 0.2], None, wd3),
+        "wd-round_trip_error": lambda: sb.round_trip_error(pt, u, [[0.1, 0.2]], None, wd3),
+        "wd-isometry_residual": lambda: sb.isometry_residual(pt, u, wd3),
+        "wd-make_kernel_params": lambda: sb.make_kernel_params(pt, wd3),
+        "wd-kernel_reproduce": lambda: sb.kernel_reproduce(
+            sb.make_kernel_params(pt, wd), wd3, image, [0.1, 0.2]),
+        "nodes-QuadSpec-2": lambda: sb.QuadSpec(nodes=2),
+        "nodes-QuadSpec-3": lambda: sb.QuadSpec(nodes=3),
+        "nodes-config-2": lambda: sb.RunConfig.from_dict(sb.example_config("em", 0.5, nodes=2)),
+    }
+    lines = []
+    for case, call in cases.items():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                call()
+            outcome = "no error"
+        except Exception as exc:  # noqa: BLE001 - the error is the hashed value
+            outcome = f"{type(exc).__name__}: {exc}"
+        lines.append(f"rejected {case} {outcome}")
+    return lines
+
+
 #: value lines that are residuals, compared absolutely
 VALUE_RESIDUALS = ("round_trip_error", "isometry_quad", "isometry_fit",
                    "adjoint_residual", "expand_residual")
@@ -322,7 +367,7 @@ def compare(lines: list[str], other: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     lines = (acceptance_lines() + golden_lines() + bench_lines() + overflow_lines()
-             + quadrature_lines() + integral_lines())
+             + quadrature_lines() + integral_lines() + rejection_lines())
     if "--lines" in argv:
         print("\n".join(lines))
     if "--against" in argv:

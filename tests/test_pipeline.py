@@ -273,6 +273,37 @@ class TestRunVerify:
         # descriptive only: no metric is a residual or carries a verdict
         assert not set(metrics) & (set(report.residuals) | set(report.checks))
 
+    def test_every_residual_keeps_its_tolerance(self):
+        # the tolerance key of every reported residual, as the name list of
+        # the pipeline gave it before tolerance keys were derived from the
+        # names; each key gets its own value here, so a wrong key shows
+        tols = {key: (k + 1) * 1e-9 for k, key in enumerate(DEFAULT_TOLERANCES)}
+        report = run_verify(RunConfig.from_dict(em_config_dict(tolerances=tols)))
+        assert set(report.tolerances) == set(RESIDUAL_TOLERANCE_KEYS) | {"condition1_margin"}
+        for residual, key in RESIDUAL_TOLERANCE_KEYS.items():
+            assert report.tolerances[residual] == tols[key], residual
+        golden = ("golden_Q", "golden_S", "golden_mu2", "golden_rho2")
+        base = DEFAULT_TOLERANCES["golden"]
+        for name, s in (("em", 0.5), ("ghs", 0.3), ("em", 0.95)):
+            got = run_example(name, s).tolerances
+            assert set(got) == set(RESIDUAL_TOLERANCE_KEYS) | {"condition1_margin", *golden}
+            for residual, key in RESIDUAL_TOLERANCE_KEYS.items():
+                assert got[residual] == DEFAULT_TOLERANCES[key], residual
+            assert got["golden_mu2"] == got["golden_rho2"] == base
+            assert min(got["golden_Q"], got["golden_S"]) >= base
+        # at s = 0.95 the closed-form gate of S widens past the base tolerance
+        assert got["golden_S"] > base
+
+
+#: residual name -> its key of the tolerances, for every residual of a run
+RESIDUAL_TOLERANCE_KEYS = {
+    "ccr": "ccr", "eq2202": "eq2202", "symmetry_Q": "symmetry_Q",
+    "symmetry_S": "symmetry_S", "sq_closed_form": "sq_closed_form",
+    "gram_diag_maxrel": "gram", "gram_max_offdiag": "gram", "eigen_max": "eigen",
+    "rodrigues_max": "rodrigues", "adjoint_max": "adjoint",
+    "completeness_residual": "completeness", "isometry": "isometry",
+}
+
 
 class TestRunExample:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])

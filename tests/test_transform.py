@@ -6,11 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbhermite as sb
 from sbhermite import gausspoly as gausspoly_module
-from sbhermite.errors import NonIntegrableWeight
-from sbhermite.matrices import complex_coords
+from sbhermite.errors import ConfigError, NonIntegrableWeight
+from sbhermite.matrices import as_points, complex_coords
 
 from helpers import (
     bargmann_data,
@@ -66,6 +68,20 @@ class TestForwardTransform:
         u0 = sb.TestFunction.hermite_basis((0,))
         with pytest.raises(ValueError, match="nodes"):
             sb.transform(pt, u0, [0.0], sb.QuadSpec(nodes=nodes))
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, np.int64(3), 4, np.int32(4), sb.MAX_NODES,
+                                       sb.MAX_NODES + 1, True, 16.0])
+    def test_node_rule_is_the_config_rule(self, nodes):
+        # QuadSpec accepted 1-3 nodes, which quadrature.nodes rejects, and
+        # the config rejected numpy integers, which QuadSpec accepts
+        config = sb.example_config("em", 0.5, nodes=nodes)
+        if nodes in (4, sb.MAX_NODES):  # the valid ones among the cases
+            assert sb.QuadSpec(nodes=nodes).nodes == sb.RunConfig.from_dict(config).nodes == nodes
+            return
+        with pytest.raises(ValueError, match=r"^nodes must be an integer in \[4, 370\]"):
+            sb.QuadSpec(nodes=nodes)
+        with pytest.raises(ConfigError, match=r"^quadrature.nodes: must be an integer in \[4, 370\]"):
+            sb.RunConfig.from_dict(config)
 
     def test_numpy_integer_node_count(self):
         quad = sb.QuadSpec(nodes=np.int64(32))
@@ -683,6 +699,61 @@ class TestQuadratureInputs:
         with pytest.raises(sb.DimensionMismatch, match=rf"^{name} must have shape \(2,\)"):
             call()
 
+    @pytest.mark.parametrize("entry", ["u", "polynomial_part", "inverse_transform",
+                                       "round_trip_error"])
+    def test_real_points_stay_real(self, entry):
+        # a complex array was cast to its real part with only numpy's
+        # ComplexWarning (the round trip reported its defect at (0.3, 0.1)),
+        # and a list of Python complex numbers met a bare TypeError
+        pt, wd, gen = ghs_data(0.45)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j})
+        calls = {
+            "u": ("x", lambda x: u(x)),
+            "polynomial_part": ("x", lambda x: u.polynomial_part(x)),
+            "inverse_transform": ("x", lambda x: sb.inverse_transform(
+                pt, sb.ground_state(gen), x, None, wd)),
+            "round_trip_error": ("xs", lambda x: sb.round_trip_error(pt, u, x, None, wd)),
+        }
+        name, call = calls[entry]
+        for bad in ([0.3 + 2j, 0.1], np.array([[0.3 + 2j, 0.1]]),
+                    np.array([[0.3, 0.1], [0.2, 0.5 - 1e-300j]])):
+            with pytest.raises(ValueError, match=rf"^{name} must be real points"):
+                call(bad)
+        # a zero imaginary part is a real point, with the real point's bits
+        x = np.array([[0.3, 0.1], [-0.2, 0.5]])
+        np.testing.assert_array_equal(call(x + 0j), call(x))
+
+    def test_real_point_repro_cases(self):
+        pt, wd, _ = sb.random_generator(2, np.random.default_rng(5))
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 0): 0.5})
+        for xs in ([[0.3 + 2j, 0.1]], np.array([[0.3 + 2j, 0.1]])):
+            with pytest.raises(ValueError, match="^xs must be real points"):
+                sb.round_trip_error(pt, u, xs, None, wd)
+        with pytest.raises(ValueError, match="^x must be real points"):
+            sb.TestFunction(1, {(0,): 1.0})([0.5 + 0.7j])
+
+    @pytest.mark.parametrize("entry", ["inverse_transform", "round_trip_error",
+                                       "isometry_residual", "make_kernel_params",
+                                       "kernel_reproduce"])
+    def test_weight_data_must_be_the_triples(self, entry):
+        # n = 3 weight data with an n = 2 triple was mixed in silently
+        # (make_kernel_params) or met a bare numpy broadcasting error
+        pt, wd, gen = sb.random_generator(2, np.random.default_rng(5))
+        wd3 = sb.random_generator(3, np.random.default_rng(6))[1]
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 0): 0.5})
+        image = sb.transform_image(pt, u)
+        calls = {
+            "inverse_transform": lambda w: sb.inverse_transform(pt, image, [0.1, 0.2], None, w),
+            "round_trip_error": lambda w: sb.round_trip_error(pt, u, np.zeros((0, 2)), None, w),
+            "isometry_residual": lambda w: sb.isometry_residual(pt, u, w),
+            "make_kernel_params": lambda w: sb.make_kernel_params(pt, w),
+            "kernel_reproduce": lambda w: sb.kernel_reproduce(
+                sb.make_kernel_params(pt, wd), w, image, [0.1, 0.2]),
+        }
+        with pytest.raises(sb.DimensionMismatch, match=r"^wd has dimension 3, expected 2"):
+            calls[entry](wd3)
+        calls[entry](wd)
+
     def test_batches_give_one_value_per_point(self):
         pt, wd, gen = ghs_data(0.45)
         kp = sb.make_kernel_params(pt, wd)
@@ -790,3 +861,38 @@ class TestHermiteEvaluation:
         assert np.all(np.abs(u.polynomial_part(pts) - want) <= 1e-12 * size)
         zero = sb.TestFunction(2, {})
         assert np.all(zero.polynomial_part(pts) == 0.0)
+
+
+#: the entries of a point batch: ints, floats, and complex numbers with a
+#: zero or a nonzero imaginary part
+POINT_ENTRIES = {
+    "int": st.integers(-5, 5),
+    "float": st.floats(-1e3, 1e3),
+    "complex_real": st.floats(-1e3, 1e3).map(complex),
+    "complex": st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3).filter(bool)).map(
+        lambda p: complex(*p)),
+}
+
+
+class TestPointRule:
+    """``matrices.as_points``, the one rule for points."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(POINT_ENTRIES)),
+           n=st.integers(1, 3), one=st.booleans(), real=st.booleans())
+    def test_shapes_and_dtypes(self, data, kind, n, one, real):
+        shape = (n,) if one else (data.draw(st.integers(0, 3)), n)
+        rows = 1 if one else shape[0]
+        entries = data.draw(st.lists(POINT_ENTRIES[kind], min_size=rows * n, max_size=rows * n))
+        x = np.array(entries, dtype={"int": int, "float": float}.get(kind, complex)).reshape(shape)
+        dtype = float if real else complex
+        if real and kind == "complex" and x.size:
+            with pytest.raises(ValueError, match="^pts must be real points"):
+                as_points(x, n, "pts", dtype)
+            return
+        pts, single = as_points(x, n, "pts", dtype)
+        assert single == one and pts.dtype == dtype and pts.shape == (rows, n)
+        np.testing.assert_array_equal(pts.ravel(), (x.real if real else x).ravel())
+        # another dimension is a DimensionMismatch naming the argument
+        with pytest.raises(sb.DimensionMismatch, match=rf"^pts must have shape \({n + 1},\)"):
+            as_points(x, n + 1, "pts", dtype)
