@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, encode_matrix, read_config
+from .config import RunConfig, _is_integer, encode_matrix, read_config
 from .errors import ConfigError, StageFailure
 from .model import build_generator, compute_weight_data, validate_phase_triple
 
@@ -95,7 +95,7 @@ def _cmd_construct(args) -> int:
         "xi_coeff": encode_matrix(gen.xi_coeff),
     }
     if args.family is not None:
-        if args.family < 0:
+        if not _is_integer(args.family, 0):
             raise ConfigError("--family: must be a nonnegative degree")
         from .gausspoly import hermite_family
         from .pipeline import encode_gauss_poly

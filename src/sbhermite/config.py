@@ -2,12 +2,12 @@
 
 A config file names the defining triple (A, B, C), rho as a fraction of
 lambda_0, the intertwiner X, the family degree, the adjoint stage's seed,
-the quadrature nodes and tolerance overrides.  The nodes pass
-``_valid_nodes``, as ``QuadSpec``'s do, but change no value.  ``RunConfig.from_dict``
-checks every field and raises a ``ConfigError`` naming the first one that
-violates the schema.  This module needs only numpy and ``errors``, so a
-command that only reads a config (``sbhermite validate``) loads none of the
-verification engine.
+the quadrature nodes and tolerance overrides.  Every integer field passes
+``_is_integer``, the package's one integer rule, and is stored as an int;
+the nodes change no value.  ``RunConfig.from_dict`` checks every field and
+raises a ``ConfigError`` naming the first that violates the schema.  This
+module needs only numpy and ``errors``, so a command that only reads a
+config (``sbhermite validate``) loads none of the verification engine.
 """
 
 from __future__ import annotations
@@ -65,32 +65,31 @@ def _known_keys(obj: dict, prefix: str, keys) -> None:
         _require(key in keys, f"{prefix}{key}", "unknown key")
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """Whether a parsed JSON value is a finite number of the given types;
-    JSON true and false parse as bool, which Python counts as an int, and
-    NaN and Infinity parse as floats."""
-    return (isinstance(value, kinds) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a finite int or float; JSON true and
+    false parse as bool, which Python counts as an int, and NaN and
+    Infinity parse as floats."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _is_integer(value, lo=-math.inf, hi=math.inf) -> bool:
+    """The one integer rule for a value from outside: an integer of any
+    integral type but bool (a numpy integer too), in [lo, hi]."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and lo <= value <= hi
 
 
 def _valid_nodes(nodes) -> bool:
     """The one node-count rule (``quadrature.nodes``, ``--nodes``, ``QuadSpec``):
-    an integer of any integral type but bool, in [4, ``MAX_NODES``]."""
-    return _is_number(nodes, Integral) and 4 <= nodes <= MAX_NODES
+    ``_is_integer`` in [4, ``MAX_NODES``]."""
+    return _is_integer(nodes, 4, MAX_NODES)
 
 
 def _parse_complex(value, path: str) -> complex:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        path,
-        "complex entries must be [re, im] pairs",
-    )
+    _require(isinstance(value, (list, tuple)) and len(value) == 2, path,
+             "complex entries must be [re, im] pairs")
     re_, im_ = value
-    _require(
-        _is_number(re_) and _is_number(im_),
-        path,
-        "re and im must be finite numbers",
-    )
+    _require(_is_number(re_) and _is_number(im_), path, "re and im must be finite numbers")
     return complex(re_, im_)
 
 
@@ -135,17 +134,14 @@ class RunConfig:
         version = raw.get("version", SCHEMA_VERSION)
         _require(version == SCHEMA_VERSION, "version", f"expected {SCHEMA_VERSION!r}")
         n = raw.get("n")
-        _require(_is_number(n, int) and n >= 1, "n", "must be a positive integer")
+        _require(_is_integer(n, 1), "n", "must be a positive integer")
         mats = {}
         for name in ("A", "B", "C"):
             _require(name in raw, name, "missing matrix")
             mats[name] = _parse_matrix(raw[name], n, name)
         frac = raw.get("rho_fraction")
-        _require(
-            _is_number(frac) and 0.0 < frac < 1.0,
-            "rho_fraction",
-            "must lie strictly inside (0,1) so that 0<rho<lambda0",
-        )
+        _require(_is_number(frac) and 0.0 < frac < 1.0, "rho_fraction",
+                 "must lie strictly inside (0,1) so that 0<rho<lambda0")
         xspec = raw.get("X", {"phases": [0.0] * n})
         _require(isinstance(xspec, dict), "X", "must be an object")
         _require(("phases" in xspec) != ("matrix" in xspec), "X",
@@ -153,27 +149,18 @@ class RunConfig:
         _known_keys(xspec, "X.", ("phases", "matrix"))
         if "phases" in xspec:
             phases = xspec["phases"]
-            _require(
-                isinstance(phases, list) and len(phases) == n,
-                "X.phases",
-                f"expected {n} angles",
-            )
-            _require(
-                all(_is_number(p) for p in phases),
-                "X.phases",
-                "angles must be finite numbers",
-            )
+            _require(isinstance(phases, list) and len(phases) == n, "X.phases",
+                     f"expected {n} angles")
+            _require(all(_is_number(p) for p in phases), "X.phases",
+                     "angles must be finite numbers")
             x = np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
         else:
             x = _parse_matrix(xspec["matrix"], n, "X.matrix")
         max_degree = raw.get("max_degree", 3)
-        _require(
-            _is_number(max_degree, int) and 0 <= max_degree <= MAX_DEGREE,
-            "max_degree",
-            f"must be an integer in [0, {MAX_DEGREE}]",
-        )
+        _require(_is_integer(max_degree, 0, MAX_DEGREE), "max_degree",
+                 f"must be an integer in [0, {MAX_DEGREE}]")
         seed = raw.get("seed", 0)
-        _require(_is_number(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
+        _require(_is_integer(seed, 0), "seed", "must be a nonnegative integer")
         quadrature = raw.get("quadrature", {})
         _require(isinstance(quadrature, dict), "quadrature", "must be an object")
         _known_keys(quadrature, "quadrature.", ("nodes",))
@@ -184,21 +171,18 @@ class RunConfig:
         _require(isinstance(overrides, dict), "tolerances", "must be an object")
         for key, val in overrides.items():
             _require(key in tols, f"tolerances.{key}", "unknown tolerance name")
-            _require(
-                _is_number(val) and val > 0,
-                f"tolerances.{key}",
-                "must be a positive finite number",
-            )
+            _require(_is_number(val) and val > 0, f"tolerances.{key}",
+                     "must be a positive finite number")
             tols[key] = float(val)
         return cls(
-            n=n,
+            n=int(n),
             A=mats["A"],
             B=mats["B"],
             C=mats["C"],
             rho_fraction=float(frac),
             X=x,
-            max_degree=max_degree,
-            seed=seed,
+            max_degree=int(max_degree),
+            seed=int(seed),
             nodes=int(nodes),
             tolerances=tols,
         )

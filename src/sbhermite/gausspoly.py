@@ -41,11 +41,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from . import matrices as mx
+from .config import _is_integer
 from .errors import DimensionMismatch, SymmetryViolation
 from .model import GeneratorData, WeightData
 
@@ -135,16 +136,16 @@ def _multi_index(alpha, n: int) -> tuple[int, ...]:
 
 def _dimension(n) -> int:
     """``n`` as a dimension, the one rule for it from outside the engine:
-    ValueError naming n unless an integer but no bool and at least 1."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+    ValueError naming n unless ``config._is_integer`` and at least 1."""
+    if not _is_integer(n, 1):
         raise ValueError(f"dimension n must be an integer >= 1, got {n!r}")
     return int(n)
 
 
 def _component(i, n: int) -> int:
     """``i`` as a component index, the one rule for it from outside the engine:
-    ValueError unless an integer but no bool, DimensionMismatch unless in 0..n-1."""
-    if isinstance(i, bool) or not isinstance(i, Integral):
+    ValueError unless ``config._is_integer``, DimensionMismatch unless in 0..n-1."""
+    if not _is_integer(i):
         raise ValueError(f"component index must be an integer, got {i!r}")
     if not 0 <= i < n:
         raise DimensionMismatch(f"component index {i} is outside 0..{n - 1}")
@@ -250,11 +251,15 @@ class PolyC:
         repeated multiplication, shared by every term.
         """
         pts, one = mx.as_points(z, self.n, "z")
+        total = self._at(pts)
+        return complex(total[0]) if one else total
+
+    def _at(self, pts: np.ndarray) -> np.ndarray:
+        """``__call__`` at a batch of checked points (q, n)."""
         alphas = _unrank(self.n, self.ranks)
         tops = alphas.max(axis=0, initial=0)
         tables = [_power_table(pts[:, i], int(d)) for i, d in enumerate(tops)]
-        total = _tabulated_sum(zip(alphas.tolist(), self.coeffs.tolist()), tables, pts.shape[0])
-        return complex(total[0]) if one else total
+        return _tabulated_sum(zip(alphas.tolist(), self.coeffs.tolist()), tables, pts.shape[0])
 
     def __repr__(self):  # pragma: no cover - debugging aid
         body = " + ".join(f"{v:.6g}*z^{k}" for k, v in self.terms.items())
@@ -356,9 +361,9 @@ def _kernel_plan(n: int, degree: int) -> tuple:
     return cols, inner, deriv, mult
 
 
-#: result entries (rows x columns) per pass of ``_apply_block``'s term loop:
-#: longer passes (above 128 KiB per buffer) made the C allocator fault fresh
-#: pages on every call at n=2/degree 10
+#: result entries (rows x columns) per pass of ``_apply_block``: its four working
+#: buffers stay within 128 KiB each; the top layers at n=3/degree 8 (22,275
+#: entries) and n=4/degree 6 (52,920) split, no benchmark call (<= 2,178) does
 _KERNEL_CHUNK = 1 << 13
 
 
@@ -491,9 +496,9 @@ def ground_state(gen: GeneratorData) -> GaussPoly:
 def _checked_basis(n: int, max_degree) -> np.ndarray:
     """``_basis_array(n, max_degree)`` for a dimension and a degree from outside
     the engine: n passes ``_dimension``, and the one rule every public degree
-    passes is a nonnegative integer, else ValueError."""
+    passes is ``config._is_integer`` at least 0, else ValueError."""
     n = _dimension(n)
-    if isinstance(max_degree, bool) or not isinstance(max_degree, Integral) or max_degree < 0:
+    if not _is_integer(max_degree, 0):
         raise ValueError(f"degree must be a nonnegative integer, got {max_degree!r}")
     return _basis_array(n, max_degree)
 
@@ -694,8 +699,13 @@ def evaluate(gp: GaussPoly, z) -> complex | np.ndarray:
     """Pointwise value P(z) exp(-<z, M z>), one per point of a batch, all
     points at once."""
     pts, one = mx.as_points(z, gp.n, "z")
-    vals = gp.poly(pts) * np.exp(-np.einsum("ri,ij,rj->r", pts, gp.M, pts))
+    vals = _evaluate(gp, pts)
     return complex(vals[0]) if one else vals
+
+
+def _evaluate(gp: GaussPoly, pts: np.ndarray) -> np.ndarray:
+    """``evaluate`` at a batch of checked points (q, n)."""
+    return gp.poly._at(pts) * np.exp(-np.einsum("ri,ij,rj->r", pts, gp.M, pts))
 
 
 def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:

@@ -3,7 +3,8 @@
 The pipeline is: validate the defining matrices (A, B, C), derive the
 weight's mixed Hermitian block and holomorphic symmetric block, then build
 the annihilation/creation coefficient matrices from the spectral
-factorization of the Hermitian block and a unitary intertwiner X.
+factorization of the Hermitian block and a unitary intertwiner X.  Weight
+data records its triple, and ``_own_weight_data`` refuses that of another.
 
 All record types are frozen dataclasses whose array fields are marked
 read-only, so instances can be shared freely between threads.
@@ -12,7 +13,7 @@ read-only, so instances can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class WeightData:
     symmetric, ``beta`` the inverse of ``phi_zzbar``.  Eigenvalues ``lam``
     are the positive square roots of the eigenvalues of ``phi_zzbar``,
     sorted ascending, with ``U`` column-ordered to match; ``lam0`` is the
-    smallest.
+    smallest.  ``triple`` is the triple they were derived from.
     """
 
     n: int
@@ -73,6 +74,7 @@ class WeightData:
     lam: np.ndarray
     lam0: float
     U: np.ndarray
+    triple: PhaseTriple
 
 
 @dataclass(frozen=True)
@@ -174,16 +176,21 @@ def compute_weight_data(pt: PhaseTriple) -> WeightData:
         lam=mx.frozen(lam, dtype=float),
         lam0=float(lam[0]),
         U=mx.frozen(u),
+        triple=pt,
     )
 
 
-def _own_weight_data(wd: WeightData | None, n: int, pt: PhaseTriple | None = None) -> WeightData:
-    """The one rule for weight data beside a triple or a kernel of dimension
-    n: ``compute_weight_data(pt)`` if None, else DimensionMismatch unless n."""
+def _own_weight_data(wd: WeightData | None, pt: PhaseTriple) -> WeightData:
+    """The one rule for weight data beside pt: ``compute_weight_data(pt)`` if
+    None, else DimensionMismatch unless of pt's n, ValueError unless its
+    triple is pt or has pt's A, B and C (held arrays compared, none computed)."""
     if wd is None:
         return compute_weight_data(pt)
-    if wd.n != n:
-        raise DimensionMismatch(f"wd has dimension {wd.n}, expected {n}")
+    if wd.n != pt.n:
+        raise DimensionMismatch(f"wd has dimension {wd.n}, expected {pt.n}")
+    own = wd.triple
+    if own is not pt and not all(map(np.array_equal, (own.A, own.B, own.C), (pt.A, pt.B, pt.C))):
+        raise ValueError("wd is the weight data of another triple")
     return wd
 
 
@@ -191,7 +198,8 @@ def with_unitary(wd: WeightData, U) -> WeightData:
     """Replace the eigenbasis by another unitary diagonalizing the same block.
 
     Eigenbases are unique only up to per-eigenvalue unitary mixing, so a
-    caller may supply its preferred U (for instance a pure-phase multiple).
+    caller may supply its preferred U (for instance a pure-phase multiple);
+    the triple stays that of ``wd``.
     """
     U = mx.as_square(U, "U")
     if U.shape[0] != wd.n:
@@ -203,15 +211,7 @@ def with_unitary(wd: WeightData, U) -> WeightData:
         raise IntertwinerInvalid(
             "replacement U does not diagonalize the Hermitian block to diag(lam^2)"
         )
-    return WeightData(
-        n=wd.n,
-        phi_zzbar=wd.phi_zzbar,
-        phi_zz=wd.phi_zz,
-        beta=wd.beta,
-        lam=wd.lam,
-        lam0=wd.lam0,
-        U=mx.frozen(U),
-    )
+    return replace(wd, U=mx.frozen(U))
 
 
 def validate_intertwiner(X, wd: WeightData, rho: float) -> bool:

@@ -22,8 +22,9 @@ determinant's root and T h_0's are ``_root_det``'s.  The quadrature
 isometry takes the norm of the monomial image through the public inner
 product.  No function here integrates numerically: ``QuadSpec`` and
 the ``quad`` parameters are accepted and validated, and change no value.
-Points pass ``matrices.as_points`` (real points stay real), weight data
-``model._own_weight_data`` and node counts ``config._valid_nodes``.
+Points pass ``matrices.as_points`` once per call (real points stay real),
+weight data ``model._own_weight_data``, which holds it to the triple, and
+node counts ``config._valid_nodes``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from . import matrices as mx
 from .config import _NODES_RULE, _valid_nodes
 from .errors import DimensionMismatch, NonIntegrableWeight
-from .gausspoly import GaussPoly, LinearDiffOp, PolyC, evaluate, mi_factorial
-from .gausspoly import _chain_rows, _gauss_polys, _in_frame, _monomial_chain
+from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial
+from .gausspoly import _chain_rows, _evaluate, _gauss_polys, _in_frame, _monomial_chain
 from .gausspoly import _dimension, _multi_index, _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, _own_weight_data
@@ -45,11 +46,13 @@ from .model import PhaseTriple, WeightData, _own_weight_data
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Data of the reproducing kernel C_Phi exp(2 Psi(z, zetabar))."""
+    """Data of the reproducing kernel C_Phi exp(2 Psi(z, zetabar)) of
+    ``triple``, whose weight data ``make_kernel_params`` took Psi from."""
 
     psi_zzbar: np.ndarray
     psi_zz: np.ndarray
     c_Phi: float
+    triple: PhaseTriple
 
 
 @dataclass(frozen=True)
@@ -100,21 +103,22 @@ class TestFunction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         pts, one = mx.as_points(x, self.n, "x", float)
-        envelope = np.exp(-0.5 * np.sum(pts * pts, axis=1))
-        out = self.polynomial_part(pts) * envelope
+        out = self._at(pts)
         return out[0] if one else out
 
     def polynomial_part(self, x: np.ndarray) -> np.ndarray:
         """Value with the common Gaussian envelope exp(-|x|^2/2) removed,
-        so callers can fold that envelope into larger exponents safely.
+        so callers can fold that envelope into larger exponents safely."""
+        return self._at(mx.as_points(x, self.n, "x", float)[0], envelope=False)
 
-        Each coordinate gets one table of Hermite polynomials, shared by
-        every term."""
-        pts, _ = mx.as_points(x, self.n, "x", float)
+    def _at(self, pts: np.ndarray, envelope: bool = True) -> np.ndarray:
+        """``__call__`` (or without the envelope ``polynomial_part``) at checked
+        points (q, n); one table of Hermite polynomials per coordinate."""
         coeffs = self.coefficients
         tops = np.max(list(coeffs), axis=0) if coeffs else [0] * self.n
         tables = [_hermite_table(pts[:, i], int(k)) for i, k in enumerate(tops)]
-        return math.pi ** (-self.n / 4.0) * _tabulated_sum(coeffs.items(), tables, pts.shape[0])
+        part = math.pi ** (-self.n / 4.0) * _tabulated_sum(coeffs.items(), tables, pts.shape[0])
+        return part * np.exp(-0.5 * np.sum(pts * pts, axis=1)) if envelope else part
 
 
 def _hermite_table(t: np.ndarray, degree: int) -> list:
@@ -136,7 +140,7 @@ def transform_batch(
     changes no value."""
     Z, _ = mx.as_points(Z, pt.n, "Z")
     mx.require_finite(Z, "Z")
-    return evaluate(transform_image(pt, u), Z)
+    return _evaluate(transform_image(pt, u), Z)
 
 
 def transform(
@@ -145,7 +149,7 @@ def transform(
     """Transform of a test function at one point of C^n, or at each of a batch."""
     z, one = mx.as_points(z, pt.n, "z")
     mx.require_finite(z, "z")
-    values = transform_batch(pt, u, z, quad)
+    values = _evaluate(transform_image(pt, u), z)
     return complex(values[0]) if one else values
 
 
@@ -220,10 +224,10 @@ def transform_image(pt: PhaseTriple, u: TestFunction) -> GaussPoly:
 
 
 def make_kernel_params(pt: PhaseTriple, wd: WeightData | None = None) -> KernelParams:
-    """C_Phi = (2 pi)^(-n) |det B|^2 / det C_I from the triple's own data."""
-    wd = _own_weight_data(wd, pt.n, pt)
+    """C_Phi = (2 pi)^(-n) |det B|^2 / det C_I and Psi from the triple's own data."""
+    wd = _own_weight_data(wd, pt)
     c_phi_norm = (2.0 * math.pi) ** (-pt.n) * pt.det_B_abs**2 / float(pt.C_I_eigenvalues.prod())
-    return KernelParams(psi_zzbar=wd.phi_zzbar, psi_zz=wd.phi_zz, c_Phi=float(c_phi_norm))
+    return KernelParams(wd.phi_zzbar, wd.phi_zz, float(c_phi_norm), pt)
 
 
 def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
@@ -280,19 +284,19 @@ def _over_cn(P, beta, c, poly: PolyC) -> np.ndarray:
     mean = b @ cov @ t[:n].T
     heat = _monomial_chain(LinearDiffOp(t[:n] @ cov @ t[:n].T, np.eye(n)), [poly])
     mass = np.exp(c + 0.5 * np.einsum("ri,ij,rj->r", b, cov, b)) * (math.pi**n / root_det)
-    return mass * _gauss_polys(heat, np.zeros((n, n)))[0].poly(mean)
+    return mass * _gauss_polys(heat, np.zeros((n, n)))[0].poly._at(mean)
 
 
-def _inverse_exponent(pt: PhaseTriple, F: GaussPoly, xs: np.ndarray, wd: WeightData):
-    """(P, beta, c) of the adjoint-transform integrand at the real points xs
-    (rows, n): -i conj(phi(z, x)) - 2 Phi(z) - <z, M z> with
-    Phi(z) = <z, phi_zzbar zbar> + Re <z, phi_zz z>."""
+def _inverse_values(pt: PhaseTriple, F: GaussPoly, xs: np.ndarray, wd: WeightData):
+    """``inverse_transform`` at checked real points xs (rows, n): the integrand
+    -i conj(phi(z, x)) - 2 Phi(z) - <z, M z> with
+    Phi(z) = <z, phi_zzbar zbar> + Re <z, phi_zz z>, by ``_over_cn``."""
     P = mx.lift(
         wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, wd.phi_zz.conj() + 0.5j * pt.A.conj()
     )
     beta = -1j * (xs @ pt.B.conj().T)
     c = -0.5j * np.einsum("ri,ij,rj->r", xs, pt.C.conj(), xs)
-    return P, beta, c
+    return pt.c_phi * _over_cn(P, beta, c, F.poly)
 
 
 def inverse_transform(
@@ -312,13 +316,12 @@ def inverse_transform(
     """
     if not isinstance(F, GaussPoly):
         raise TypeError(f"inverse_transform needs a GaussPoly, got {type(F).__name__}")
-    wd = _own_weight_data(wd, pt.n, pt)
+    wd = _own_weight_data(wd, pt)
     x, one = mx.as_points(x, pt.n, "x", float)
     if F.n != pt.n:
         raise DimensionMismatch("F must share the triple's dimension")
     mx.require_finite(x, "x")
-    P, beta, c = _inverse_exponent(pt, F, x, wd)
-    values = pt.c_phi * _over_cn(P, beta, c, F.poly)
+    values = _inverse_values(pt, F, x, wd)
     return complex(values[0]) if one else values
 
 
@@ -331,10 +334,11 @@ def kernel_reproduce(
 ) -> complex | np.ndarray:
     """Integral of K(z, .) F(.) exp(-2 Phi) over C^n; equals F(z) for
     members of the weighted space of entire functions; one per point z,
-    all exact (``_over_cn``) at once.  ``quad`` changes no value."""
-    n = kp.psi_zzbar.shape[0]
+    all exact (``_over_cn``) at once.  ``wd`` passes the weight-data rule
+    against the kernel's triple.  ``quad`` changes no value."""
+    n = kp.triple.n
     z, one = mx.as_points(z, n, "z")
-    wd = _own_weight_data(wd, n)
+    wd = _own_weight_data(wd, kp.triple)
     if F.n != n:
         raise DimensionMismatch("F must share the kernel's dimension")
     mx.require_finite(z, "z")
@@ -363,7 +367,7 @@ def isometry_residual(
     image ``transform_image`` and takes its norm by ``hphi_inner``, which
     converts it to the Wick frame at the public edge.
     """
-    wd = _own_weight_data(wd, pt.n, pt)
+    wd = _own_weight_data(wd, pt)
     norm_u = u.norm_sq()
     if norm_u == 0.0:
         raise ValueError("test function must be nonzero")
@@ -393,4 +397,5 @@ def round_trip_error(
     image = transform_image(pt, u)
     xs, _ = mx.as_points(xs, pt.n, "xs", float)
     mx.require_finite(xs, "xs")
-    return float(np.max(np.abs(inverse_transform(pt, image, xs, quad, wd) - u(xs)), initial=0.0))
+    values = _inverse_values(pt, image, xs, _own_weight_data(wd, pt))
+    return float(np.max(np.abs(values - u._at(xs)), initial=0.0))

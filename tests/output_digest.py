@@ -43,11 +43,14 @@ dict in reverse order) at three fixed points, and that argument after an
 (terms and exponent); and the rejected arguments: complex "real" points
 (``TestFunction`` and its ``polynomial_part``, ``inverse_transform``,
 ``round_trip_error``; as lists, and as complex arrays for ``TestFunction``
-and ``round_trip_error``), n = 3 weight data beside an n = 2 triple or kernel
-(``inverse_transform``, ``round_trip_error``, ``isometry_residual``,
-``make_kernel_params``, ``kernel_reproduce``) and node counts below 4
-(``QuadSpec`` and ``quadrature.nodes``), each hashed as its error class and
-message, or ``no error``.  A stage that raises is hashed through its
+and ``round_trip_error``), n = 3 weight data beside an n = 2 triple or kernel,
+and the weight data of another n = 2 triple (``random_generator(2,
+default_rng(6))`` beside that of seed 5), each in ``inverse_transform``,
+``round_trip_error``, ``isometry_residual``, ``make_kernel_params`` and
+``kernel_reproduce`` (the last also with a kernel built from the other
+weight data), node counts below 4 (``QuadSpec`` and ``quadrature.nodes``),
+and a numpy ``int64`` and ``True`` in the config's ``n``, ``max_degree``
+and ``seed``, each hashed as its error class and message, or ``no error``.  A stage that raises is hashed through its
 partial report and the stage name.  Two checkouts that
 print the same digest computed the same bits; ``--lines`` prints the hashed
 lines too, to find where two checkouts part.  ``--against FILE`` reads the
@@ -63,6 +66,7 @@ This is a script, not a test module: pytest does not collect it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -276,6 +280,9 @@ def integral_lines() -> list[str]:
 def rejection_lines() -> list[str]:
     pt, wd, gen = sb.random_generator(2, np.random.default_rng(5))
     wd3 = sb.random_generator(3, np.random.default_rng(6))[1]
+    _, wd_b, gen_b = sb.random_generator(2, np.random.default_rng(6))
+    f_b = sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0, (0, 2): 0.5j}), gen_b.Q)
+    em = sb.example_config("em", 0.5)
     u = sb.TestFunction(2, {(0, 0): 1.0, (1, 0): 0.5})
     image = sb.transform_image(pt, u)
     point = [[0.3 + 2j, 0.1]]
@@ -296,7 +303,19 @@ def rejection_lines() -> list[str]:
         "nodes-QuadSpec-2": lambda: sb.QuadSpec(nodes=2),
         "nodes-QuadSpec-3": lambda: sb.QuadSpec(nodes=3),
         "nodes-config-2": lambda: sb.RunConfig.from_dict(sb.example_config("em", 0.5, nodes=2)),
+        "wdb-inverse_transform": lambda: sb.inverse_transform(pt, image, [0.1, 0.2], None, wd_b),
+        "wdb-round_trip_error": lambda: sb.round_trip_error(pt, u, [[0.1, 0.2]], None, wd_b),
+        "wdb-isometry_residual": lambda: sb.isometry_residual(pt, u, wd_b),
+        "wdb-make_kernel_params": lambda: sb.make_kernel_params(pt, wd_b),
+        "wdb-kernel_reproduce": lambda: sb.kernel_reproduce(
+            sb.make_kernel_params(pt, wd), wd_b, image, [0.1, 0.2]),
+        "wdb-kernel_reproduce-kernel": lambda: sb.kernel_reproduce(
+            sb.make_kernel_params(pt, wd_b), wd_b, f_b, [0.3 + 0.1j, -0.2 + 0.4j]),
     }
+    for field in ("n", "max_degree", "seed"):
+        for label, value in (("int64", np.int64(em.get(field, 0))), ("bool", True)):
+            cases[f"{label}-config-{field}"] = functools.partial(
+                sb.RunConfig.from_dict, {**em, field: value})
     lines = []
     for case, call in cases.items():
         try:

@@ -166,6 +166,24 @@ class TestRunConfig:
         assert cli_main(["verify", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
+    @pytest.mark.parametrize("field", ["n", "max_degree", "seed"])
+    def test_numpy_integers_pass_the_integer_rule(self, field):
+        # np.int64 was a ConfigError in n, max_degree and seed while
+        # quadrature.nodes took one; stored as it came, a seed would
+        # overflow in the adjoint stage's seed % 2**64
+        base = em_config_dict(max_degree=2, seed=2**63 - 1)
+        config = RunConfig.from_dict({**base, field: np.int64(base[field])})
+        assert type(getattr(config, field)) is int
+        assert getattr(config, field) == base[field]
+
+        def report(cfg):
+            return json.dumps({k: v for k, v in run_verify(cfg).to_dict().items()
+                               if k != "timings"}, sort_keys=True)
+
+        assert report(config) == report(RunConfig.from_dict(base))
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            RunConfig.from_dict({**base, field: True})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", list(NON_FINITE_CASES))
     def test_numbers_must_be_finite(self, field, value):
@@ -592,13 +610,14 @@ class TestCli:
         quad = sb.QuadSpec(nodes=config.nodes)
         want = np.array([sb.transform(pt, u, z, quad) for z in Z])
         rows = []
-        exact = transform_module.evaluate
+        exact = transform_module._evaluate
 
         def counting(gp, z):
             rows.append(len(z))
             return exact(gp, z)
 
-        monkeypatch.setattr(transform_module, "evaluate", counting)
+        # the evaluation core, which the points reach once checked
+        monkeypatch.setattr(transform_module, "_evaluate", counting)
         text = "; ".join(" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in z) for z in Z)
         argv = ["transform", "--config", path, "--hermite", hermite, "--z", text]
         assert cli_main(argv) == 0

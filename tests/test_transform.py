@@ -754,6 +754,62 @@ class TestQuadratureInputs:
             calls[entry](wd3)
         calls[entry](wd)
 
+    @staticmethod
+    def _weight_entries(pt, wd, gen):
+        """The five entries that take weight data beside a triple, as
+        functions of (triple, weight data) returning their values; the
+        kernel of ``kernel_reproduce`` is built from pt's own data."""
+        f = sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0, (0, 2): 0.5j}), gen.Q)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 0): 0.5, (0, 2): -0.25j})
+        z = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [0.1, 0.5j]])
+        xs = np.array([[0.3, -0.2], [0.7, 0.1]])
+
+        def kernel(p, w):
+            kp = sb.make_kernel_params(p, w)
+            return np.concatenate([kp.psi_zzbar.ravel(), kp.psi_zz.ravel(), [kp.c_Phi]])
+
+        return {
+            "inverse_transform": lambda p, w: sb.inverse_transform(p, f, xs, None, w),
+            "round_trip_error": lambda p, w: sb.round_trip_error(p, u, xs, None, w),
+            "isometry_residual": lambda p, w: sb.isometry_residual(p, u, w),
+            "make_kernel_params": kernel,
+            "kernel_reproduce": lambda p, w: sb.kernel_reproduce(
+                sb.make_kernel_params(p, wd), w, f, z),
+        }
+
+    @pytest.mark.parametrize("entry", ["inverse_transform", "round_trip_error",
+                                       "isometry_residual", "make_kernel_params",
+                                       "kernel_reproduce"])
+    def test_weight_data_of_another_triple_is_refused(self, entry):
+        # weight data of another n = 2 triple passed the dimension rule:
+        # kernel_reproduce(make_kernel_params(pt, wd_b), wd_b, F, z) returned
+        # F(z) times the ratio of the two kernel constants (18.8 here), and
+        # with F on pt's generator the other entries raised
+        # NonIntegrableWeight, which names the wrong cause
+        pt, wd, gen = sb.random_generator(2, np.random.default_rng(5))
+        wd_b = sb.random_generator(2, np.random.default_rng(6))[1]
+        call = self._weight_entries(pt, wd, gen)[entry]
+        with pytest.raises(ValueError, match="^wd is the weight data of another triple$"):
+            call(pt, wd_b)
+        if entry == "kernel_reproduce":
+            f = sb.GaussPoly(sb.PolyC(2, {(1, 0): 1.0}), gen.Q)
+            with pytest.raises(ValueError, match="^wd is the weight data of another triple$"):
+                sb.kernel_reproduce(sb.make_kernel_params(pt, wd_b), wd_b, f, [0.3, 0.1j])
+
+    @pytest.mark.parametrize("entry", ["inverse_transform", "round_trip_error",
+                                       "isometry_residual", "make_kernel_params",
+                                       "kernel_reproduce"])
+    def test_weight_data_of_the_same_triple_keeps_its_bits(self, entry):
+        # a rephased eigenbasis (with_unitary) and a triple validated again
+        # from the same A, B and C are the same triple's data
+        pt, wd, gen = sb.random_generator(2, np.random.default_rng(5))
+        call = self._weight_entries(pt, wd, gen)[entry]
+        want = call(pt, wd)
+        rephased = sb.with_unitary(wd, wd.U * np.exp(1j * np.array([0.4, -1.1])))
+        assert rephased.triple is pt and wd.triple is pt
+        np.testing.assert_array_equal(call(pt, rephased), want)
+        np.testing.assert_array_equal(call(sb.validate_phase_triple(pt.A, pt.B, pt.C), wd), want)
+
     def test_batches_give_one_value_per_point(self):
         pt, wd, gen = ghs_data(0.45)
         kp = sb.make_kernel_params(pt, wd)
@@ -896,3 +952,34 @@ class TestPointRule:
         # another dimension is a DimensionMismatch naming the argument
         with pytest.raises(sb.DimensionMismatch, match=rf"^pts must have shape \({n + 1},\)"):
             as_points(x, n + 1, "pts", dtype)
+
+    @pytest.mark.parametrize("entry", ["transform", "transform_batch", "round_trip_error",
+                                       "inverse_transform", "evaluate", "u"])
+    def test_each_point_is_checked_once(self, entry, monkeypatch):
+        # transform checked its points, then transform_batch and evaluate
+        # (and PolyC.__call__) checked them again; round_trip_error checked
+        # xs, then inverse_transform and the test function did
+        pt, wd, gen = ghs_data(0.45)
+        u = sb.TestFunction(2, {(0, 0): 1.0, (1, 2): 0.5j})
+        f = sb.GaussPoly(sb.PolyC(2, {(0, 0): 1.0, (1, 0): 0.5}), gen.Q)
+        Z = np.array([[0.3 + 0.1j, -0.2], [0.1j, 0.4]])
+        xs = Z.real
+        calls = {
+            "transform": lambda: sb.transform(pt, u, Z),
+            "transform_batch": lambda: sb.transform_batch(pt, u, Z),
+            "round_trip_error": lambda: sb.round_trip_error(pt, u, xs, None, wd),
+            "inverse_transform": lambda: sb.inverse_transform(pt, f, xs, None, wd),
+            "evaluate": lambda: sb.evaluate(f, Z),
+            "u": lambda: u(xs),
+        }
+        want = calls[entry]()
+        names = []
+        exact = sb.matrices.as_points
+
+        def counting(x, n, name, *args):
+            names.append(name)
+            return exact(x, n, name, *args)
+
+        monkeypatch.setattr(sb.matrices, "as_points", counting)
+        np.testing.assert_array_equal(calls[entry](), want)
+        assert len(names) == 1
