@@ -69,9 +69,7 @@ _EXPORTS = {
     ),
     "integrals": (
         "MomentCache",
-        "RealQuadraticForm",
         "adjoint_residual",
-        "combined_form",
         "expand_in_family",
         "gram_matrix",
         "hphi_inner",

@@ -2,9 +2,12 @@
 
 Every integrand of the verification suite is a polynomial times a centered
 Gaussian on R^(2n), so an inner product is a finite sum of Gaussian
-moments.  A moment cache for a combined exponent M holds the real
-covariance Sigma = (2 M_R)^(-1) of w = (Re z, Im z), the bilinear
-covariance K of (z, zbar), and the frame of M from two blocks of K:
+moments.  The weight of a combined exponent M is exp(-w^T M_R w) in
+w = (Re z, Im z), and one factorization of M_R (``_root_and_inverse``,
+which also serves the closed-form integrals of ``transform``) gives its
+mass pi^n det(M_R)^(-1/2), the moment cache's normalizer, and M_R^-1.  The
+cache holds the bilinear covariance K = T M_R^-1 T^T / 2 of (z, zbar), T
+of ``matrices.complex_coords``, and the frame of M from two blocks of K:
 L = chol(E[z zbar^T]) and C = L^(-1) E[z z^T] L^(-T).  The whitened
 coordinates u = L^(-1) z have E[u ubar^T] = 1 and E[u u^T] = C, and the
 Wick powers :u^a: with respect to C satisfy
@@ -66,26 +69,12 @@ from .model import GeneratorData, WeightData
 
 
 @dataclass(frozen=True)
-class RealQuadraticForm:
-    """Real positive definite form -w^T M_R w of a combined Gaussian exponent.
-
-    ``factor`` is the lower Cholesky factor of M_R and ``normalizer`` the
-    plain Gaussian mass pi^n (det M_R)^(-1/2) over R^(2n) coordinates
-    w = (Re z, Im z), taken from the factor's diagonal.
-    """
-
-    M_R: np.ndarray
-    normalizer: float
-    factor: np.ndarray
-
-
-@dataclass(frozen=True)
 class MomentCache:
     """Gaussian moment data and the Wick frame of one exponent's weight.
 
-    ``covariance`` is the real covariance Sigma = (2 M_R)^(-1) of w and
-    ``zcov`` the bilinear covariance K of (z, zbar).  ``L`` and ``C`` are
-    the frame of ``exponent``: L = chol(E[z zbar^T]) and
+    ``normalizer`` is the Gaussian mass pi^n det(M_R)^(-1/2) over
+    w = (Re z, Im z) and ``zcov`` the bilinear covariance K of (z, zbar).
+    ``L`` and ``C`` are the frame of ``exponent``: L = chol(E[z zbar^T]) and
     C = L^(-1) E[z z^T] L^(-T), the covariance of the whitened coordinates
     u = L^(-1) z (see the module notes).  No code of the package reads or
     writes ``memo``: it stays only because the benchmark tracer
@@ -93,8 +82,7 @@ class MomentCache:
     oracle fills with real moments E[w^beta].
     """
 
-    form: RealQuadraticForm
-    covariance: np.ndarray
+    normalizer: float
     zcov: np.ndarray
     exponent: np.ndarray
     L: np.ndarray
@@ -102,39 +90,41 @@ class MomentCache:
     memo: dict = field(default_factory=dict)
 
 
-def combined_form(wd: WeightData, M) -> RealQuadraticForm:
-    """Real form of |exp(-<z, M z>)|^2 x weight for one Gaussian exponent M.
-
-    Positive definiteness is required; a failure flags an invalid generator
-    or an exponent that is not integrable against the weight.
-    """
-    M = mx.as_square(M, "M")
-    m_r = 2.0 * mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + M)
+def _root_and_inverse(P) -> tuple[complex, np.ndarray]:
+    """det(P)^(1/2) and P^-1 of a complex symmetric P with positive definite
+    real part, from one factorization P = L (E + iS) L^T: L = chol(Re P)
+    and S = L^-1 Im P L^-T = V diag(s) V^T.  The root det(L) prod
+    sqrt(1 + i s_k) is continued from Im P = 0 along Re P + i t Im P (no
+    1 + i t s_k meets the principal root's cut), and
+    P^-1 = L^-T V diag(1 / (1 + i s)) V^T L^-1, made exactly symmetric.
+    A real P has S = 0 and V = E.  NonIntegrableWeight unless Re P is
+    positive definite."""
     try:
-        factor = np.linalg.cholesky(m_r)
+        chol = np.linalg.cholesky(P.real)
     except np.linalg.LinAlgError as exc:
         raise NonIntegrableWeight("combined exponent is not positive definite") from exc
-    normalizer = math.pi**wd.n / math.prod(np.diag(factor).tolist())
-    return RealQuadraticForm(M_R=mx.frozen(m_r, dtype=float), normalizer=normalizer,
-                             factor=mx.frozen(factor, dtype=float))
+    li = np.linalg.inv(chol)
+    s, v = np.linalg.eigh(li @ P.imag @ li.T)
+    w, z = li.T @ v, 1.0 + 1j * s
+    inv = (w / z) @ w.T
+    root = math.prod(np.diag(chol).tolist()) * math.prod(np.sqrt(z).tolist())
+    return root, 0.5 * (inv + inv.T)
 
 
 def make_moment_cache(wd: WeightData, M) -> MomentCache:
-    """Moment cache for inner products of Gaussian polynomials sharing M."""
-    form = combined_form(wd, M)
-    inv = np.linalg.inv(form.factor)
-    cov = 0.5 * (inv.T @ inv)  # (2 M_R)^-1 from M_R = F F^T
-    cov = 0.5 * (cov + cov.T)
-    n = cov.shape[0] // 2
+    """Moment cache for inner products of Gaussian polynomials sharing M,
+    from one ``_root_and_inverse`` of M_R (see the module notes)."""
+    M = mx.as_square(M, "M")
+    n = wd.n
+    root, inv = _root_and_inverse(2.0 * mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + M))
     t = mx.complex_coords(n)
-    zcov = t @ cov @ t.T
+    zcov = t @ (0.5 * inv) @ t.T
     herm = zcov[:n, n:]
     chol = np.linalg.cholesky(0.5 * (herm + herm.conj().T))
     p = np.linalg.inv(chol)
     c = p @ zcov[:n, :n] @ p.T
     return MomentCache(
-        form=form,
-        covariance=mx.frozen(cov, dtype=float),
+        normalizer=math.pi**n / root.real,
         zcov=mx.frozen(zcov),
         exponent=mx.frozen(M),
         L=mx.frozen(chol),
@@ -180,7 +170,7 @@ def _weights(mc: MomentCache, width: int) -> np.ndarray:
     """normalizer * a! over the graded basis of a block of ``width``
     columns: the diagonal of the inner product on Wick coefficients."""
     n = mc.exponent.shape[0]
-    return mc.form.normalizer * _factorials(n, _degree_of(n, width))
+    return mc.normalizer * _factorials(n, _degree_of(n, width))
 
 
 def _row_inners(w: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Matrices are plain ``numpy.ndarray`` values of shape ``(n, n)``.  Every
 predicate takes an explicit tolerance, and every ``require_*`` rule holds one
-fixed for all callers, ``as_points`` that of points (real points stay real);
+fixed for all callers, ``as_points`` that of points (finite, real points stay real);
 nothing here mutates its arguments.
 """
 
@@ -28,7 +28,8 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 def as_points(x, n: int, name: str, dtype=complex) -> tuple[np.ndarray, bool]:
     """The one rule for points: ``x`` is one point (n,) or a batch (q, n),
     returned as a batch with whether it was one point; DimensionMismatch if not.
-    A nonzero imaginary part in real points (``dtype=float``) is a ValueError."""
+    A nonzero imaginary part in real points (``dtype=float``) is a ValueError,
+    and so is a NaN or infinite entry (``require_finite``)."""
     arr = np.asarray(x)
     if dtype is float and np.iscomplexobj(arr):
         if np.any(arr.imag):
@@ -37,6 +38,7 @@ def as_points(x, n: int, name: str, dtype=complex) -> tuple[np.ndarray, bool]:
     arr = np.asarray(arr, dtype=dtype)
     if arr.ndim not in (1, 2) or arr.shape[-1] != n:
         raise DimensionMismatch(f"{name} must have shape ({n},) or (q, {n}), got {arr.shape}")
+    require_finite(arr, name)
     return arr.reshape(-1, n), arr.ndim == 1
 
 

@@ -305,7 +305,7 @@ def _ccr(wd: WeightData, product: np.ndarray) -> np.ndarray:
 def _combined_spectrum(wd: WeightData, Q) -> np.ndarray:
     """Eigenvalues, ascending, of the real form of the combined weight
     exponent: q(z) = <z, phi_zzbar zbar> + Re <z, (phi_zz+Q) z> in the
-    coordinates (Re z, Im z), half the M_R of ``integrals.combined_form``."""
+    coordinates (Re z, Im z), half the M_R of ``integrals.make_moment_cache``."""
     Q = mx.as_square(Q, "Q")
     return np.linalg.eigvalsh(mx.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + Q))
 

@@ -18,13 +18,14 @@ closed form, ``_over_cn``: completing the square gives the Gaussian's mass
 and a mean affine in the evaluation point, and the polynomial's mean is
 its heat polynomial at that mean, built by the chain kernel of
 ``gausspoly`` (``_monomial_chain``) once per call for all points; its
-determinant's root and T h_0's are ``_root_det``'s.  The quadrature
+root and inverse, and T h_0's root, come from the factorization that
+builds the moment frames, ``integrals._root_and_inverse``.  The quadrature
 isometry takes the norm of the monomial image through the public inner
 product.  No function here integrates numerically: ``QuadSpec`` and
 the ``quad`` parameters are accepted and validated, and change no value.
-Points pass ``matrices.as_points`` once per call (real points stay real),
-weight data ``model._own_weight_data``, which holds it to the triple, and
-node counts ``config._valid_nodes``.
+Points pass ``matrices.as_points`` once per call (finite, real points stay
+real), weight data ``model._own_weight_data``, which holds it to the triple,
+and node counts ``config._valid_nodes``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import numpy as np
 
 from . import matrices as mx
 from .config import _NODES_RULE, _valid_nodes
-from .errors import DimensionMismatch, NonIntegrableWeight
+from .errors import DimensionMismatch
 from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial
 from .gausspoly import _chain_rows, _evaluate, _gauss_polys, _in_frame, _monomial_chain
 from .gausspoly import _dimension, _multi_index, _real_scaled, _tabulated_sum
-from .integrals import MomentCache, _pair_inners, hphi_inner, make_moment_cache
+from .integrals import MomentCache, _pair_inners, _root_and_inverse, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, _own_weight_data
 
 
@@ -139,7 +140,6 @@ def transform_batch(
     ``transform_image(pt, u)`` evaluated at every point at once.  ``quad``
     changes no value."""
     Z, _ = mx.as_points(Z, pt.n, "Z")
-    mx.require_finite(Z, "Z")
     return _evaluate(transform_image(pt, u), Z)
 
 
@@ -148,7 +148,6 @@ def transform(
 ) -> complex | np.ndarray:
     """Transform of a test function at one point of C^n, or at each of a batch."""
     z, one = mx.as_points(z, pt.n, "z")
-    mx.require_finite(z, "z")
     values = _evaluate(transform_image(pt, u), z)
     return complex(values[0]) if one else values
 
@@ -183,9 +182,10 @@ def _image_lane(pt: PhaseTriple, cache: MomentCache | None = None) -> tuple:
     T h_0 = c0 exp(-<z, M z>),
     c0 = c_phi pi^(-n/4) (2 pi)^(n/2) det(W)^(-1/2) with W = E - iC, and
     T h_alpha = (T a+)^alpha T h_0 / sqrt(alpha!) (``_image_scaled``).  The
-    root of det(W) is ``_root_det``'s: W's real part E + Im C is > 0."""
+    root of det(W) is ``integrals._root_and_inverse``'s: W's real part
+    E + Im C is > 0."""
     n = pt.n
-    root_det = _root_det(np.eye(n) - 1j * pt.C)
+    root_det, _ = _root_and_inverse(np.eye(n) - 1j * pt.C)
     c0 = pt.c_phi * math.pi ** (-n / 4.0) * (2.0 * math.pi) ** (n / 2.0) / root_det
     M = image_exponent(pt) if cache is None else cache.exponent
     return (_in_frame(_intertwined_raising(pt), M, cache), c0), M
@@ -246,45 +246,31 @@ def kernel_eval(kp: KernelParams, z, zeta) -> complex | np.ndarray:
     return complex(values[0]) if one and one_zeta else values
 
 
-def _root_det(P) -> complex:
-    """det(P)^(1/2) of a complex symmetric P, continued from Im P = 0 along
-    Re P + i t Im P: det(L) prod sqrt(1 + i s_k), L L^T = Re P and s_k the
-    eigenvalues of L^-1 Im P L^-T (no 1 + i t s_k meets the principal
-    root's cut).  NonIntegrableWeight unless Re P is positive definite."""
-    try:
-        chol = np.linalg.cholesky(P.real)
-    except np.linalg.LinAlgError as exc:
-        raise NonIntegrableWeight("decay form of the integrand not positive definite") from exc
-    li = np.linalg.inv(chol)
-    s = np.linalg.eigvalsh(li @ P.imag @ li.T)
-    return math.prod(np.diag(chol).tolist()) * np.prod(np.sqrt(1.0 + 1j * s))
-
-
 def _over_cn(P, beta, c, poly: PolyC) -> np.ndarray:
     """Integrals over C^n of poly(z) exp(-w^T P w + <zbar, beta_r> + c_r) in
     the real coordinates w = (Re z, Im z), one per row of ``beta`` (rows, n),
     in closed form; ``P`` is complex symmetric with positive definite real
     part, else NonIntegrableWeight.
 
-    With b_r the linear form of row r in w, the Gaussian is pi^n
-    det(P)^(-1/2) exp(c_r + b_r P^-1 b_r / 4) times the law of w with mean
-    P^-1 b_r / 2 and covariance P^-1 / 2, so z = T w, T the z rows of
-    ``matrices.complex_coords``, has mean m_r = T P^-1 b_r / 2 and
-    bilinear covariance K = T P^-1 T^T / 2.  The mean of a holomorphic
-    polynomial is its heat polynomial exp(d^T K d / 2) poly at m_r; on
-    z^a that is (z + K d/dz)^a 1, the chain of the commuting operators
-    (K, E) (``_monomial_chain``), built once for all rows.  det(P)^(1/2),
-    continued from Im P = 0, is ``_root_det``'s."""
+    With b_r = beta_r T[n:] the linear form of row r in w, T of
+    ``matrices.complex_coords`` ((z, zbar) = T w), the Gaussian is pi^n
+    det(P)^(-1/2) exp(c_r + b_r P^-1 b_r^T / 4) times the law of w with
+    mean P^-1 b_r^T / 2 and covariance P^-1 / 2; det(P)^(1/2) and P^-1 are
+    ``integrals._root_and_inverse``'s.  So with K = T P^-1 T^T / 2, the
+    bilinear covariance of (z, zbar), z has mean m_r = beta_r K[n:, :n] and
+    the exponent is c_r + beta_r K[n:, n:] beta_r^T / 2.  The mean of a
+    holomorphic polynomial is its heat polynomial exp(d^T K[:n, :n] d / 2)
+    poly at m_r; on z^a that is (z + K[:n, :n] d/dz)^a 1, the chain of the
+    commuting operators (K[:n, :n], E) (``_monomial_chain``), built once for
+    all rows."""
     n = beta.shape[1]
     t = mx.complex_coords(n)
-    root_det = _root_det(P)
-    cov = np.linalg.inv(2.0 * P)
-    cov = 0.5 * (cov + cov.T)
-    b = beta @ t[n:]
-    mean = b @ cov @ t[:n].T
-    heat = _monomial_chain(LinearDiffOp(t[:n] @ cov @ t[:n].T, np.eye(n)), [poly])
-    mass = np.exp(c + 0.5 * np.einsum("ri,ij,rj->r", b, cov, b)) * (math.pi**n / root_det)
-    return mass * _gauss_polys(heat, np.zeros((n, n)))[0].poly._at(mean)
+    root_det, inv = _root_and_inverse(P)
+    k = t @ (0.5 * inv) @ t.T
+    heat = _monomial_chain(LinearDiffOp(k[:n, :n], np.eye(n)), [poly])
+    mass = np.exp(c + 0.5 * np.einsum("ri,ij,rj->r", beta, k[n:, n:], beta))
+    mass *= math.pi**n / root_det
+    return mass * _gauss_polys(heat, np.zeros((n, n)))[0].poly._at(beta @ k[n:, :n])
 
 
 def _inverse_values(pt: PhaseTriple, F: GaussPoly, xs: np.ndarray, wd: WeightData):
@@ -320,7 +306,6 @@ def inverse_transform(
     x, one = mx.as_points(x, pt.n, "x", float)
     if F.n != pt.n:
         raise DimensionMismatch("F must share the triple's dimension")
-    mx.require_finite(x, "x")
     values = _inverse_values(pt, F, x, wd)
     return complex(values[0]) if one else values
 
@@ -341,7 +326,6 @@ def kernel_reproduce(
     wd = _own_weight_data(wd, kp.triple)
     if F.n != n:
         raise DimensionMismatch("F must share the kernel's dimension")
-    mx.require_finite(z, "z")
     # 2 Psi(z, zetabar) - <zeta, M zeta> - 2 Phi(zeta); the zetabar-zetabar
     # blocks of Psi and Phi cancel, since psi_zz = phi_zz
     P = mx.lift(wd.phi_zz + F.M, 2.0 * wd.phi_zzbar, np.zeros((n, n)))
@@ -396,6 +380,5 @@ def round_trip_error(
     call, one row each.  ``quad`` changes no value."""
     image = transform_image(pt, u)
     xs, _ = mx.as_points(xs, pt.n, "xs", float)
-    mx.require_finite(xs, "xs")
     values = _inverse_values(pt, image, xs, _own_weight_data(wd, pt))
     return float(np.max(np.abs(values - u._at(xs)), initial=0.0))

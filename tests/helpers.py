@@ -93,7 +93,8 @@ def eigenvalue_root_det(w) -> complex:
 
 
 def continued_root_det(P, dps: int = 40) -> complex:
-    """Oracle for ``transform._root_det``: det(Re P + i t Im P)^(1/2) at
+    """Oracle for the root of ``integrals._root_and_inverse``:
+    det(Re P + i t Im P)^(1/2) at
     t = 1, continued from the positive root at t = 0 through mpmath
     determinants at ``dps`` digits.  Of the two roots at each step the one
     nearer the last is kept, and a step is halved until the root moves by
@@ -113,6 +114,16 @@ def continued_root_det(P, dps: int = 40) -> complex:
                 continue
             t, root, step = t + step, new, 2 * step
         return complex(root)
+
+
+def mp_inverse(P, dps: int = 40) -> np.ndarray:
+    """Oracle for the P^-1 of ``integrals._root_and_inverse``: the mpmath
+    inverse of the float P at ``dps`` digits, rounded to complex."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return np.array(mpmath.inverse(mpmath.matrix(np.asarray(P).tolist())).tolist(),
+                        dtype=complex)
 
 
 def mp_generator(wd: sb.WeightData, rho: float, X, dps: int = 50) -> dict:
@@ -282,12 +293,22 @@ def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.Gaus
     return sb.GaussPoly(sb.PolyC(gp.n, out), gp.M)
 
 
-def wick_moment(mc: sb.MomentCache, beta) -> float:
+def real_covariance(wd: sb.WeightData, M) -> np.ndarray:
+    """The real covariance Sigma = (2 M_R)^-1 of w = (Re z, Im z) under the
+    weight |exp(-<z, M z>)|^2 exp(-2 Phi) = exp(-w^T M_R w), built apart
+    from the moment cache: M_R from ``matrices.real_quadratic_form`` and an
+    LU inverse."""
+    m_r = 2.0 * sb.matrices.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + M)
+    return np.linalg.inv(2.0 * m_r)
+
+
+def wick_moment(wd: sb.WeightData, mc: sb.MomentCache, beta) -> float:
     """Oracle: the centered Gaussian moment E[w^beta] under the real
-    covariance of a moment cache, w = (Re z, Im z), from the Isserlis
-    recursion memoized in the cache's ``memo`` (the benchmark tracer counts
-    its entries)."""
-    return _isserlis(mc.covariance.tolist(), mc.memo, tuple(int(b) for b in beta))
+    covariance (``real_covariance``) of the exponent of a moment cache,
+    w = (Re z, Im z), from the Isserlis recursion memoized in the cache's
+    ``memo`` (the benchmark tracer counts its entries)."""
+    cov = real_covariance(wd, mc.exponent).tolist()
+    return _isserlis(cov, mc.memo, tuple(int(b) for b in beta))
 
 
 def _isserlis(cov: list, memo: dict, beta: tuple[int, ...]):

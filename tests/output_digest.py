@@ -59,7 +59,9 @@ label and key without its index), the lines that differ and the largest
 difference: absolute for residuals (``residuals.*`` and their
 ``cli.residuals.*`` copies, ``round_trip_error``, ``isometry_*``,
 ``adjoint_residual``, ``expand_residual``), relative to the other
-checkout's value for every other number.
+checkout's value for every other number; it exits with status 1 if any
+line differs or is missing on either side, so a script can gate on bit
+identity.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -232,7 +234,7 @@ def integral_lines() -> list[str]:
         values = {
             "frame_L": frame.L,
             "frame_C": frame.C,
-            "frame_normalizer": frame.form.normalizer,
+            "frame_normalizer": frame.normalizer,
             "hphi_inner": sb.hphi_inner(f, g, wd),
             "hphi_norm": sb.hphi_norm(f, wd),
             "gram_matrix": sb.gram_matrix(family, wd)[1],
@@ -383,18 +385,28 @@ def compare(lines: list[str], other: list[str]) -> list[str]:
     return report
 
 
+def recipe() -> list[str]:
+    """Every hashed line, in order."""
+    return (acceptance_lines() + golden_lines() + bench_lines() + overflow_lines()
+            + quadrature_lines() + integral_lines() + rejection_lines())
+
+
 def main(argv=None) -> int:
+    """Print the digest; with ``--against FILE``, exit status 1 if any
+    line differs from FILE's or is missing on either side."""
     argv = sys.argv[1:] if argv is None else argv
-    lines = (acceptance_lines() + golden_lines() + bench_lines() + overflow_lines()
-             + quadrature_lines() + integral_lines() + rejection_lines())
+    lines = recipe()
+    status = 0
     if "--lines" in argv:
         print("\n".join(lines))
     if "--against" in argv:
         with open(argv[argv.index("--against") + 1], encoding="utf-8") as fh:
-            print("\n".join(compare(lines, fh.readlines())))
+            other = fh.readlines()
+        print("\n".join(compare(lines, other)))
+        status = int(_keyed(lines) != _keyed(other))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"{digest}  ({len(lines)} lines)")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

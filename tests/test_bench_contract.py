@@ -47,7 +47,7 @@ def test_tracer_counts_moment_and_family_work():
         gen = sb.build_generator(wd, cfg.rho_fraction * wd.lam0, cfg.X)
         family = sb.hermite_family(wd, gen, 2)
         cache = sb.make_moment_cache(wd, gen.Q)
-        wick_moment(cache, (2, 0, 0, 2))
+        wick_moment(wd, cache, (2, 0, 0, 2))
         counts = tracer.summary()["counts"]
     finally:
         tracer.uninstall()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,14 @@ from sbhermite.integrals import (
 )
 
 from helpers import (
+    _isserlis,
     bargmann_data,
     bench_module,
     em_data,
     ghs_data,
     mp_frame,
     random_poly,
+    real_covariance,
     reference_factorials,
     reference_moments,
     wick_moment,
@@ -82,8 +85,7 @@ def real_expansion(poly: sb.PolyC, conjugate: bool) -> dict:
 
 def oracle_inner(F: sb.GaussPoly, G: sb.GaussPoly, wd) -> complex:
     """(F, G) from real-coordinate monomials and brute-force pairing moments."""
-    form = sb.combined_form(wd, F.M)
-    cov = np.linalg.inv(2.0 * form.M_R)
+    cov = real_covariance(wd, F.M)
     moments: dict = {}
     total = 0.0 + 0.0j
     for ef, cf in real_expansion(F.poly, False).items():
@@ -92,7 +94,8 @@ def oracle_inner(F: sb.GaussPoly, G: sb.GaussPoly, wd) -> complex:
             if beta not in moments:
                 moments[beta] = pairing_moment(cov, beta_to_idx(beta))
             total += cf * cg * moments[beta]
-    return form.normalizer * total
+    # pi^n det(M_R)^(-1/2), with M_R^-1 = 2 Sigma
+    return math.pi**wd.n * math.sqrt(np.linalg.det(2.0 * cov)) * total
 
 
 class TestWickMoment:
@@ -106,23 +109,23 @@ class TestWickMoment:
                 beta = tuple(int(b) for b in rng.integers(0, 3, dim))
                 if sum(beta) > 8:
                     continue
-                got = wick_moment(mc, beta)
-                want = pairing_moment(mc.covariance, beta_to_idx(beta))
+                got = wick_moment(wd, mc, beta)
+                want = pairing_moment(real_covariance(wd, gen.Q), beta_to_idx(beta))
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_odd_degree_vanishes(self):
         _, wd, gen = em_data(0.5)
         mc = sb.make_moment_cache(wd, gen.Q)
-        assert wick_moment(mc, (1, 0)) == 0.0
-        assert wick_moment(mc, (2, 1)) == 0.0
+        assert wick_moment(wd, mc, (1, 0)) == 0.0
+        assert wick_moment(wd, mc, (2, 1)) == 0.0
 
     def test_second_and_fourth_moments(self):
         _, wd, gen = ghs_data(0.5)
         mc = sb.make_moment_cache(wd, gen.Q)
-        cov = mc.covariance
-        assert wick_moment(mc, (2, 0, 0, 0)) == pytest.approx(cov[0, 0])
+        cov = real_covariance(wd, gen.Q)
+        assert wick_moment(wd, mc, (2, 0, 0, 0)) == pytest.approx(cov[0, 0])
         want = cov[0, 0] * cov[1, 1] + 2.0 * cov[0, 1] ** 2
-        assert wick_moment(mc, (2, 2, 0, 0)) == pytest.approx(want)
+        assert wick_moment(wd, mc, (2, 2, 0, 0)) == pytest.approx(want)
 
 
 class TestHphiInner:
@@ -193,13 +196,19 @@ class TestHphiInner:
         # monomials of the graded basis through degree 12
         _, wd, gen = sb.random_generator(4, np.random.default_rng(7))
         f = sb.GaussPoly(sb.PolyC.monomial((12, 0, 0, 0)), gen.Q)
-        # real-coordinate expansion against the real-covariance recursion
-        mc = sb.make_moment_cache(wd, gen.Q)
-        want = mc.form.normalizer * sum(
-            cf * cg * wick_moment(mc, tuple(a + b for a, b in zip(ef, eg)))
-            for ef, cf in real_expansion(f.poly, False).items()
-            for eg, cg in real_expansion(f.poly, True).items()
-        )
+        # real-coordinate expansion against the Isserlis recursion on the
+        # real covariance and mass of M_R at 40 digits: a float inverse of
+        # M_R (cond 2.1e4) puts 4.0e-13 into this degree-24 moment sum and
+        # the frame 8.2e-13, so a float oracle reads their sum
+        m_r = 2.0 * sb.matrices.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + gen.Q)
+        with mpmath.workdps(40):
+            m_r = mpmath.matrix(m_r.tolist())
+            cov, memo = mpmath.inverse(2 * m_r).tolist(), {}
+            want = mpmath.pi**4 / mpmath.sqrt(mpmath.det(m_r)) * mpmath.fsum(
+                cf * cg * _isserlis(cov, memo, tuple(a + b for a, b in zip(ef, eg)))
+                for ef, cf in real_expansion(f.poly, False).items()
+                for eg, cg in real_expansion(f.poly, True).items())
+        want = complex(want)
         rows = []
         kernel = sb.gausspoly._apply_block
 
@@ -247,7 +256,7 @@ def isserlis_gram(cache, block: np.ndarray, monos) -> np.ndarray:
     """normalizer * P Mom P^H with Mom the per-entry Isserlis moments
     E[z^a zbar^b] of ``tests/helpers.reference_moments``."""
     mom = reference_moments(cache.zcov, monos, 2 * max(map(sum, monos))).astype(complex)
-    return cache.form.normalizer * (block @ mom @ block.conj().T)
+    return cache.normalizer * (block @ mom @ block.conj().T)
 
 
 def assert_gram_close(got: np.ndarray, want: np.ndarray, rel: float):
@@ -323,7 +332,7 @@ class TestFrameGram:
             zcov = [[mpmath.mpc(complex(v)) for v in row] for row in cache.zcov]
             want = reference_moments(zcov, monos, 2 * degree)
             want = np.array([[complex(v) for v in row] for row in want])
-        assert_gram_close(got, cache.form.normalizer * want, 1e-12)
+        assert_gram_close(got, cache.normalizer * want, 1e-12)
 
 
 class TestFrameAgainst50Digits:
@@ -356,7 +365,7 @@ class TestFrameAgainst50Digits:
             for frame, M in (("Q", gen.Q), ("image", sb.image_exponent(pt))):
                 cache = sb.make_moment_cache(wd, M)
                 want = mp_frame(wd, M)
-                got = {"L": cache.L, "C": cache.C, "normalizer": cache.form.normalizer}
+                got = {"L": cache.L, "C": cache.C, "normalizer": cache.normalizer}
                 for name, bound in self.BOUNDS[n, frame].items():
                     err = np.max(np.abs(got[name] - want[name])) / np.max(np.abs(want[name]))
                     assert err <= bound, (seed, frame, name, err)

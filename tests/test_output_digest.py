@@ -39,3 +39,21 @@ def test_compare_reports_each_quantity_with_its_largest_difference():
     assert "absolute" in cli and abs(float(cli.rsplit(" ", 1)[1]) - 1e-16) < 1e-30
     assert not any("eigen_max:" in r for r in report)
     assert report[-1] == "5 line(s) differ in 4 quantities; 1 identical"
+
+
+def test_against_exits_nonzero_on_any_difference(monkeypatch, tmp_path, capsys):
+    # the recipe cut down to three lines; --against gates on bit identity
+    lines = [_line("quadrature-em", "kernel_reproduce[0]", 1.0),
+             _line("quadrature-em", "kernel_reproduce[1]", 2.0),
+             "golden-em-0.5 stage None pass True"]
+    monkeypatch.setattr(output_digest, "recipe", lambda: list(lines))
+    other = tmp_path / "other.txt"
+    assert output_digest.main(["--lines"]) == 0
+    other.write_text(capsys.readouterr().out)
+    assert output_digest.main(["--against", str(other)]) == 0
+    assert "0 line(s) differ in 0 quantities; 3 identical" in capsys.readouterr().out
+    changed = lines[:1] + [_line("quadrature-em", "kernel_reproduce[1]", 2.0 + 4e-16)] + lines[2:]
+    for theirs in (changed, lines[:2], lines + [_line("quadrature-em", "extra[0]", 0.0)]):
+        other.write_text("\n".join(theirs) + "\n")
+        assert output_digest.main(["--against", str(other)]) == 1
+        capsys.readouterr()

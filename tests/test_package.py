@@ -26,9 +26,8 @@ EXPORTS = {
                   "coeff_distance", "creation_ops", "evaluate", "ground_state",
                   "hamiltonian_apply", "hermite_family", "mi_factorial", "multi_indices",
                   "rodrigues", "xi_ops"],
-    "integrals": ["MomentCache", "RealQuadraticForm", "adjoint_residual", "combined_form",
-                  "expand_in_family", "gram_matrix", "hphi_inner", "hphi_norm",
-                  "make_moment_cache"],
+    "integrals": ["MomentCache", "adjoint_residual", "expand_in_family", "gram_matrix",
+                  "hphi_inner", "hphi_norm", "make_moment_cache"],
     "pipeline": ["VerificationReport", "decode_gauss_poly", "encode_gauss_poly",
                  "example_config", "example_expected", "example_triple", "run_example",
                  "run_verify"],

@@ -281,7 +281,7 @@ class TestRunVerify:
         assert metrics["cond_M_R"] >= 1.0
         # lambda_max / lambda_min of the margin's spectrum is cond(M_R)
         wd = sb.compute_weight_data(sb.validate_phase_triple(cfg.A, cfg.B, cfg.C))
-        m_r = sb.integrals.combined_form(wd, report.Q).M_R
+        m_r = 2.0 * sb.matrices.real_quadratic_form(wd.phi_zzbar, wd.phi_zz + report.Q)
         assert metrics["cond_M_R"] == pytest.approx(np.linalg.cond(m_r), rel=1e-12)
         assert metrics["rho_over_lam0"] == pytest.approx(cfg.rho_fraction, rel=1e-15)
         assert metrics["lam_max_over_lam0"] >= 1.0

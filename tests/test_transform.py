@@ -25,11 +25,19 @@ from helpers import (
     ground_image,
     ground_state,
     hermite_images,
+    mp_inverse,
     random_poly,
 )
 
 # the package re-exports the function ``transform`` under the module's name
 transform_module = importlib.import_module("sbhermite.transform")
+root_and_inverse = sb.integrals._root_and_inverse
+
+#: P^-1 of ``_root_and_inverse`` against mpmath, over max |P^-1|: on the
+#: synthetic forms (|Im P| up to 10 |Re P|; worst 6.0e-15, LU inverse
+#: 7.0e-16) and on the transforms' own forms (worst 1.8e-13, LU 1.1e-13)
+INVERSE_TOL = 2e-14
+TRANSFORM_INVERSE_TOL = 1e-12
 
 
 QUAD = sb.QuadSpec(nodes=64)
@@ -175,14 +183,16 @@ class TestInverseTransform:
 
 
 class TestRootDet:
-    """``_root_det``, the one square root of a Gaussian determinant: the
-    inverse, the kernel identity and T h_0 all take theirs from it."""
+    """``integrals._root_and_inverse``, the one factorization of a Gaussian
+    form: the inverse, the kernel identity, T h_0 and the moment frames all
+    take det(P)^(1/2) and P^-1 from it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_mpmath_continuation(self, n):
         # |Im P| up to 10 |Re P|, Im P indefinite or definite.  A definite
         # Im P turns det P past the cut at n >= 3, where the principal root
-        # of det P has the wrong sign: the sample must hit that case
+        # of det P has the wrong sign: the sample must hit that case.  P^-1
+        # against a 40-digit mpmath inverse, relative to max |P^-1|
         rng = np.random.default_rng(90 + n)
         flips = 0
         for ratio in (0.0, 0.3, 1.0, 3.0, 10.0):
@@ -193,10 +203,38 @@ class TestRootDet:
                 im *= ratio * np.linalg.norm(re, 2) / np.linalg.norm(im, 2)
                 P = re + 1j * im
                 want = continued_root_det(P)
-                got = transform_module._root_det(P)
+                got, inv = root_and_inverse(P)
                 assert abs(got - want) <= 5e-15 * abs(want), (ratio, definite)
                 flips += abs(np.sqrt(np.linalg.det(P)) + want) < abs(want)
+                want_inv = mp_inverse(P)
+                assert np.abs(inv - want_inv).max() <= INVERSE_TOL * np.abs(want_inv).max()
         assert flips > 0 or n < 3
+
+    def test_transform_forms_against_mpmath_inverse(self):
+        # the forms _over_cn receives from inverse_transform and
+        # kernel_reproduce at the image exponent, on 40 random triples
+        rng = np.random.default_rng(0)
+        for k in range(40):
+            n = 1 + k % 4
+            pt, wd, _ = sb.random_generator(n, rng)
+            K = wd.phi_zz + sb.image_exponent(pt)
+            for zbzb in (wd.phi_zz.conj() + 0.5j * pt.A.conj(), np.zeros((n, n))):
+                P = sb.matrices.lift(K, 2.0 * wd.phi_zzbar, zbzb)
+                want = mp_inverse(P)
+                err = np.abs(root_and_inverse(P)[1] - want).max()
+                assert err <= TRANSFORM_INVERSE_TOL * np.abs(want).max(), (k, n)
+
+    def test_real_form(self):
+        # Im P = 0, the moment frames' M_R: S = 0, so the root is det(L)
+        # exactly and P^-1 = L^-T L^-1 is real
+        rng = np.random.default_rng(97)
+        for n in (1, 2, 4, 6):
+            g = rng.standard_normal((n, n))
+            P = g @ g.T + 0.5 * np.eye(n)
+            root, inv = root_and_inverse(P)
+            assert root == math.prod(np.diag(np.linalg.cholesky(P)).tolist())
+            assert not inv.imag.any()
+            assert np.abs(inv - np.linalg.inv(P)).max() <= 1e-14 * np.abs(inv).max()
 
     def test_transform_constant_against_eigenvalue_roots(self):
         # W = E - iC of T h_0: the product of the eigenvalues' principal roots
@@ -205,7 +243,11 @@ class TestRootDet:
             for _ in range(10):
                 w = np.eye(n) - 1j * sb.random_phase_triple(n, rng).C
                 want = eigenvalue_root_det(w)
-                assert abs(transform_module._root_det(w) - want) <= 1e-14 * abs(want)
+                assert abs(root_and_inverse(w)[0] - want) <= 1e-14 * abs(want)
+
+    def test_indefinite_real_part(self):
+        with pytest.raises(NonIntegrableWeight, match="not positive definite"):
+            root_and_inverse(np.diag([1.0, -1.0]) + 0.5j * np.eye(2))
 
 
 class TestExactImageQuadrature:
@@ -655,21 +697,37 @@ class TestQuadratureInputs:
         assert one.shape == (2,)
         assert one.tolist() == sb.kernel_eval(kp, z[:2], zeta).tolist()
 
-    @pytest.mark.parametrize("name", ["z", "x", "Z", "xs"])
-    def test_non_finite_point(self, name):
+    @pytest.mark.parametrize("entry", ["z", "x", "Z", "xs", "transform", "kernel_eval",
+                                       "kernel_eval_zeta", "evaluate", "PolyC", "u",
+                                       "polynomial_part"])
+    def test_non_finite_point(self, entry):
+        # every entry that takes points holds them finite by the point rule;
+        # kernel_eval, evaluate, PolyC and u returned NaN for these points.
+        # The first four entries are named by the argument of
+        # kernel_reproduce, inverse_transform, transform_batch and
+        # round_trip_error
         pt, wd, gen = ghs_data(0.45)
         kp = sb.make_kernel_params(pt, wd)
         quad = sb.QuadSpec(nodes=8)
         u0 = sb.TestFunction.hermite_basis((0, 0))
-        bad = [0.1, np.nan]
+        psi0 = sb.ground_state(gen)
+        bad, worse, good = [0.1, np.nan], [np.inf, 0.0], [0.0, 0.0]
         calls = {
-            "z": lambda: sb.kernel_reproduce(kp, wd, sb.ground_state(gen), bad, quad),
-            "x": lambda: sb.inverse_transform(pt, sb.ground_state(gen), bad, quad, wd),
-            "Z": lambda: sb.transform_batch(pt, u0, [bad], quad),
-            "xs": lambda: sb.round_trip_error(pt, u0, [bad], quad, wd),
+            "z": ("z", lambda: sb.kernel_reproduce(kp, wd, psi0, bad, quad)),
+            "x": ("x", lambda: sb.inverse_transform(pt, psi0, bad, quad, wd)),
+            "Z": ("Z", lambda: sb.transform_batch(pt, u0, [bad], quad)),
+            "xs": ("xs", lambda: sb.round_trip_error(pt, u0, [bad], quad, wd)),
+            "transform": ("z", lambda: sb.transform(pt, u0, worse, quad)),
+            "kernel_eval": ("z", lambda: sb.kernel_eval(kp, bad, good)),
+            "kernel_eval_zeta": ("zeta", lambda: sb.kernel_eval(kp, good, [good, worse])),
+            "evaluate": ("z", lambda: sb.evaluate(psi0, [good, bad])),
+            "PolyC": ("z", lambda: psi0.poly(worse)),
+            "u": ("x", lambda: u0(bad)),
+            "polynomial_part": ("x", lambda: u0.polynomial_part([worse])),
         }
+        name, call = calls[entry]
         with pytest.raises(ValueError, match=f"^{name} has non-finite"):
-            calls[name]()
+            call()
 
     @pytest.mark.parametrize("entry", ["u", "polynomial_part", "transform", "transform_batch",
                                        "kernel_eval", "kernel_eval_zeta", "kernel_reproduce",
