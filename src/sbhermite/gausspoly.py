@@ -683,16 +683,12 @@ def _adjoint_block(ladder: tuple, comps, f: np.ndarray, g: np.ndarray) -> np.nda
     return out
 
 
-def _row_max_abs(block: np.ndarray) -> np.ndarray:
-    """Largest |c| of each row, rounded as Python's abs() of a complex (hypot)."""
-    return np.hypot(block.real, block.imag).max(axis=1, initial=0.0)
-
-
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`coeff_distance` row by row on two blocks over the same
-    columns: max |a - b| over the larger of the two row maxima."""
-    top = np.maximum(_row_max_abs(a), _row_max_abs(b))
-    return _row_max_abs(a - b) / np.maximum(top, 1e-300)
+    columns: max |a - b| over the larger of the two row maxima, each
+    ``matrices.max_abs`` of the row, so a row's value depends on no other."""
+    top = np.maximum(mx.max_abs(a, axis=1), mx.max_abs(b, axis=1))
+    return mx.max_abs(a - b, axis=1) / np.maximum(top, 1e-300)
 
 
 def evaluate(gp: GaussPoly, z) -> complex | np.ndarray:
@@ -709,11 +705,12 @@ def _evaluate(gp: GaussPoly, pts: np.ndarray) -> np.ndarray:
 
 
 def coeff_distance(a: GaussPoly, b: GaussPoly) -> tuple[float, float]:
-    """Max coefficient difference and the larger of the two magnitudes.
+    """Max coefficient difference and the larger of the two magnitudes,
+    each |c| rounded by ``matrices.max_abs`` (numpy's abs).
 
     The exponent matrices must agree (``matrices.require_same_exponent``);
     relative closeness claims should divide the first value by the second.
     """
     mx.require_same_exponent(a.M, b.M, "the two arguments")
     _, used = _used_block([a.poly, b.poly])
-    return float(_row_max_abs(used[:1] - used[1:])[0]), float(_row_max_abs(used).max())
+    return mx.max_abs(used[:1] - used[1:]), mx.max_abs(used)

@@ -279,8 +279,8 @@ def adjoint_residual(
     """
     i = _component(i, wd.n)
     cache, fg = _wick_rows(wd, (F, G))
-    lhs, rhs = _adjoint_inners(cache, _frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])[:2, 0]
-    return abs(lhs - rhs)
+    lhs, rhs = _adjoint_inners(cache, _frame_ladder(wd, gen, cache), i, fg[:1], fg[1:])[:2]
+    return mx.max_abs(lhs - rhs)
 
 
 def expand_in_family(

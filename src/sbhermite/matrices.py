@@ -49,10 +49,11 @@ def require_finite(a, name: str) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def max_abs(a) -> float:
-    """Largest |entry| of ``a`` as a float, 0.0 for an empty array."""
-    arr = np.asarray(a)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+def max_abs(a, axis=None):
+    """Largest |entry| of ``a`` as a float, or of each row with ``axis=1``,
+    0.0 where there is none: numpy's abs, the engine's one rule for |c|."""
+    m = np.abs(a).max(axis=axis, initial=0.0)
+    return float(m) if axis is None else m
 
 
 def agree(a, b, tol: float) -> bool:

@@ -381,4 +381,4 @@ def round_trip_error(
     image = transform_image(pt, u)
     xs, _ = mx.as_points(xs, pt.n, "xs", float)
     values = _inverse_values(pt, image, xs, _own_weight_data(wd, pt))
-    return float(np.max(np.abs(values - u._at(xs)), initial=0.0))
+    return mx.max_abs(values - u._at(xs))

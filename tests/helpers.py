@@ -260,11 +260,16 @@ def assert_gp_close(a: sb.GaussPoly, b: sb.GaussPoly, rtol: float, msg: str = ""
 
 def reference_coeff_distance(a: sb.GaussPoly, b: sb.GaussPoly) -> tuple[float, float]:
     """Dict oracle for ``coeff_distance``: the largest |a_k - b_k| over the
-    union of the two supports, and the larger of the two largest |c|."""
+    union of the two supports, and the larger of the two largest |c|, each
+    |c| numpy's abs of an array (the engine's one rule, not the scalar
+    ``abs``, which rounds as libm ``hypot``)."""
     ta, tb = a.poly.terms, b.poly.terms
-    diff = max((abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in {*ta, *tb}), default=0.0)
-    top = max((abs(c) for c in [*ta.values(), *tb.values()]), default=0.0)
-    return diff, top
+
+    def largest(values):
+        return float(np.abs(np.array(values, dtype=complex)).max(initial=0.0))
+
+    diff = largest([ta.get(k, 0.0) - tb.get(k, 0.0) for k in {*ta, *tb}])
+    return diff, largest([*ta.values(), *tb.values()])
 
 
 def reference_apply_op(op: sb.LinearDiffOp, i: int, gp: sb.GaussPoly) -> sb.GaussPoly:

@@ -21,8 +21,9 @@ every verdict, of the reports (timings excluded) of
   term order of ``encode_gauss_poly`` with them);
 - the command line's ``example --name em --s 0.9 --max-degree 170``, its
   report file hashed the same way, warnings included (its Gram,
-  completeness and isometry residuals are NaN; overflow and invalid
-  floating-point warnings are silenced for it);
+  completeness and isometry residuals are NaN, and its warnings name the
+  Wick weights that overflow at degree 170 in both frames; overflow and
+  invalid floating-point warnings are silenced for it);
 
 and the values of ``transform_batch``, ``inverse_transform``,
 ``kernel_reproduce``, ``round_trip_error`` and ``isometry_residual`` (both

@@ -1037,6 +1037,44 @@ class TestTwoDimensions:
             call()
 
 
+class TestRowDistances:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(0, 6),
+        cols=st.integers(0, 40),
+        zero_rows=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_independent_and_take_numpy_abs(self, rows, cols, zero_rows, seed):
+        # magnitudes over 30 decades, some rows zero in a, in b or in both;
+        # a row's distance is that of the row alone, of the row at a shifted
+        # address and of numpy's abs row maxima, bit for bit
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            z *= 10.0 ** rng.uniform(-15, 15, (rows, cols))
+            z[rng.random(rows) < zero_rows] = 0.0
+            return z
+
+        a, b = draw(), draw()
+        got = _row_distances(a, b)
+
+        def row_max(x):
+            return np.abs(x).max(axis=-1, initial=0.0)
+
+        top = np.maximum(row_max(a), row_max(b))
+        want = row_max(a - b) / np.maximum(top, 1e-300)
+        assert got.shape == (rows,) and got.tobytes() == want.tobytes()
+        for i in range(rows):
+            shifted = np.zeros((2, cols + 1), dtype=complex)
+            shifted[0, 1:], shifted[1, 1:] = a[i], b[i]
+            for alone in (_row_distances(a[i:i + 1], b[i:i + 1]),
+                          _row_distances(shifted[:1, 1:], shifted[1:, 1:])):
+                assert alone[0].hex() == got[i].hex()
+            assert (row_max(a[i] - b[i]) / np.maximum(top[i], 1e-300)).hex() == got[i].hex()
+
+
 class TestCoeffDistance:
     @settings(max_examples=80, deadline=None)
     @given(

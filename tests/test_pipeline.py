@@ -367,7 +367,9 @@ class TestRunExample:
     def test_non_finite_residuals_are_named(self):
         # at s = 0.9 and degree 170 the Gram and isometry stages leave NaN
         # residuals; each is named in the warnings once, though run_example
-        # finalizes the report twice
+        # finalizes the report twice, and so is their cause: the Wick
+        # weight normalizer * a! (normalizer 29.8) of both frames overflows
+        # at degree 170; one degree lower no weight does
         with np.errstate(over="ignore", invalid="ignore"):
             report = run_example("em", 0.9, max_degree=170)
         assert report.failed_stage is None and not report.overall_pass
@@ -376,6 +378,11 @@ class TestRunExample:
                               "completeness_residual", "isometry"])
         named = [w for w in report.warnings if w.startswith("non-finite residual")]
         assert sorted(named) == [f"non-finite residual {k}: nan" for k in bad]
+        causes = [w for w in report.warnings if w.startswith("Wick weights")]
+        assert causes == [f"Wick weights of the frame of {frame} overflow from degree 170: "
+                          "normalizer 29.8 times a!" for frame in ("Q", "the image exponent")]
+        report = run_example("em", 0.9, max_degree=169)
+        assert report.warnings == [] and report.overall_pass
 
     def test_out_of_range_s(self):
         with pytest.raises(ConfigError):
@@ -700,6 +707,19 @@ class TestCli:
         raw["terms"] = 5  # was a bare TypeError
         with pytest.raises(ConfigError, match=r"^gausspoly\.terms: must be a list"):
             sb.decode_gauss_poly(raw)
+
+    def test_decode_gauss_poly_rejects_a_repeated_multi_index(self):
+        # the second [1, 0] silently replaced the first: {(1, 0): 2}
+        raw = {"terms": [[[1, 0], [1.0, 0.0]], [[1, 0], [2.0, 0.0]]],
+               "M": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+        with pytest.raises(ConfigError, match=r"^gausspoly\.terms\[1\]: repeats the "
+                                              r"multi-index \[1, 0\] of gausspoly\.terms\[0\]$"):
+            sb.decode_gauss_poly(raw)
+        raw["terms"][1][0] = [1.0, 0.0]  # the same index, written as floats
+        with pytest.raises(ConfigError, match=r"^gausspoly\.terms\[1\]: repeats"):
+            sb.decode_gauss_poly(raw)
+        raw["terms"][1][0] = [0, 1]
+        assert sb.decode_gauss_poly(raw).poly.terms == {(1, 0): 1.0, (0, 1): 2.0}
 
     def test_bad_hermite_index_config_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
