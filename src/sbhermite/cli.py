@@ -100,7 +100,11 @@ def _cmd_construct(args) -> int:
         from .gausspoly import hermite_family
         from .pipeline import encode_gauss_poly
 
-        fam = hermite_family(wd, gen, args.family)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
+            fam = hermite_family(wd, gen, args.family)
+        bad = next((a for a, m in fam.items() if not np.isfinite(m.poly.coeffs).all()), None)
+        if bad is not None:
+            raise ValueError(f"--family: member {bad} has coefficients that are not finite")
         payload["family"] = {
             ",".join(map(str, alpha)): encode_gauss_poly(member)
             for alpha, member in fam.items()
@@ -156,7 +160,7 @@ def _parse_points(text: str, n: int) -> np.ndarray:
 
 
 def _cmd_transform(args) -> int:
-    from .gausspoly import _multi_index
+    from .gausspoly import _multi_index, mi_factorial
     from .transform import QuadSpec, TestFunction, transform
 
     config = _load_config(args.config, nodes=args.nodes)
@@ -165,6 +169,10 @@ def _cmd_transform(args) -> int:
         alpha = _multi_index([int(v) for v in args.hermite.split(",")], pt.n)
     except ValueError as exc:  # DimensionMismatch is a ValueError too
         raise ConfigError(f"--hermite: expected {pt.n} nonnegative integers") from exc
+    try:
+        mi_factorial(alpha)  # T h_alpha is scaled by 1 / sqrt(alpha!)
+    except ValueError as exc:
+        raise ConfigError(f"--hermite: {exc}") from exc
     u = TestFunction.hermite_basis(alpha)
     points = _parse_points(args.z, pt.n)
     values = transform(pt, u, points, QuadSpec(nodes=config.nodes))

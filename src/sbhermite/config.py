@@ -50,7 +50,7 @@ MAX_NODES = 370
 _NODES_RULE = f"must be an integer in [4, {MAX_NODES}]"
 
 #: largest family degree accepted: the inner products weigh a Wick power
-#: u^a by a! as a float (``integrals._factorials``), and 171! overflows one
+#: u^a by a! as a float (``gausspoly._factorial_rows``), and 171! overflows one
 MAX_DEGREE = 170
 
 

@@ -40,20 +40,26 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from . import matrices as mx
-from .config import _is_integer
+from .config import MAX_DEGREE, _is_integer
 from .errors import DimensionMismatch, SymmetryViolation
 from .model import GeneratorData, WeightData
 
 
 @functools.lru_cache(maxsize=128)
 def _binomials(n: int, top: int) -> np.ndarray:
-    """table[m, s + 1] = C(s + m, m) and table[m, 0] = C(m - 1, m) for m <= n, s <= top."""
+    """table[m, s + 1] = C(s + m, m) and table[m, 0] = C(m - 1, m) for m <= n, s <= top;
+    ValueError naming n and top if its largest entry, C(top + n, n), the
+    number of columns of the basis of degree top, is beyond the int range."""
+    if math.comb(n + top, n) > np.iinfo(np.intp).max:
+        raise ValueError(f"the graded basis at n = {n} and degree {top} has more columns "
+                         f"than an int counts ({np.iinfo(np.intp).max})")
     table = np.zeros((n + 1, top + 2), dtype=np.intp)
     table[0, 1:] = 1
     for m in range(1, n + 1):
@@ -152,9 +158,30 @@ def _component(i, n: int) -> int:
     return int(i)
 
 
+#: k! for k = 0 .. MAX_DEGREE + 1 as exact integers: MAX_DEGREE! = 170! is the
+#: largest factorial in the float range, so the last entry stands for any larger one
+_FACTORIALS = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=object)
+
+
+def _factorial_rows(alphas) -> np.ndarray:
+    """alpha! for each int row of ``alphas`` (rows, n), the one formula for
+    it: the exact integer product of the entries' factorials, rounded once
+    to float.  ValueError naming the first alpha whose alpha! is beyond the
+    float range (an entry above MAX_DEGREE always is)."""
+    alphas = np.asarray(alphas, dtype=np.intp)
+    exact = _FACTORIALS[np.minimum(alphas, MAX_DEGREE + 1)].prod(axis=1)
+    try:
+        return exact.astype(float)
+    except OverflowError:
+        alpha = tuple(alphas[np.flatnonzero(exact > sys.float_info.max)[0]].tolist())
+        raise ValueError(f"multi-index {alpha}: alpha! is beyond the float range") from None
+
+
 def mi_factorial(alpha) -> float:
-    """alpha! as a float (exact integer arithmetic underneath)."""
-    return float(math.prod(math.factorial(int(a)) for a in alpha))
+    """alpha! as a float, ``_factorial_rows`` of one multi-index; ``alpha``
+    passes the rule of ``_multi_index``."""
+    alpha = tuple(alpha)
+    return float(_factorial_rows([_multi_index(alpha, len(alpha))])[0])
 
 
 def _power_table(v: np.ndarray, degree: int) -> list:

@@ -59,6 +59,7 @@ from .gausspoly import (
     _basis_array,
     _component,
     _degree_of,
+    _factorial_rows,
     _frame_ladder,
     _in_frame,
     _monomial_chain,
@@ -159,11 +160,9 @@ def _wick_rows(wd: WeightData, gps) -> tuple:
 
 @functools.lru_cache(maxsize=128)
 def _factorials(n: int, degree: int) -> np.ndarray:
-    """a! over ``_basis_array(n, degree)``, read-only: per multi-index the
-    exact product of its entries' factorials, as Python integers, rounded
-    once to float."""
-    table = np.array([math.factorial(k) for k in range(degree + 1)], dtype=object)
-    return mx.frozen(table[_basis_array(n, degree)].prod(axis=1).astype(float))
+    """a! over ``_basis_array(n, degree)``, read-only: ``_factorial_rows``
+    of the basis, so a degree above 170 is a ValueError naming a!'s index."""
+    return mx.frozen(_factorial_rows(_basis_array(n, degree)))
 
 
 def _weights(mc: MomentCache, width: int) -> np.ndarray:

@@ -162,7 +162,7 @@ def compute_weight_data(pt: PhaseTriple) -> WeightData:
         raise SymmetryViolation("derived holomorphic block is not symmetric")
     try:
         lam2, u = np.linalg.eigh(phi_zzbar)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+    except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     if lam2[0] <= 0.0:
         raise EigFailure(f"Hermitian block has nonpositive eigenvalue {lam2[0]:.3e}")

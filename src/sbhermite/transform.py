@@ -38,8 +38,9 @@ import numpy as np
 from . import matrices as mx
 from .config import _NODES_RULE, _valid_nodes
 from .errors import DimensionMismatch
-from .gausspoly import GaussPoly, LinearDiffOp, PolyC, mi_factorial
-from .gausspoly import _chain_rows, _evaluate, _gauss_polys, _in_frame, _monomial_chain
+from .gausspoly import GaussPoly, LinearDiffOp, PolyC
+from .gausspoly import _chain_rows, _evaluate, _factorial_rows, _gauss_polys, _in_frame
+from .gausspoly import _monomial_chain
 from .gausspoly import _dimension, _multi_index, _real_scaled, _tabulated_sum
 from .integrals import MomentCache, _pair_inners, _root_and_inverse, hphi_inner, make_moment_cache
 from .model import PhaseTriple, WeightData, _own_weight_data
@@ -76,9 +77,10 @@ class TestFunction:
     """Finite expansion in the orthonormal Gaussian-Hermite basis on R^n.
 
     ``coefficients`` maps multi-indices to complex weights; the squared L2
-    norm is the coefficient square sum, exactly.  n passes the rule of
-    ``gausspoly._dimension`` and is stored as an int; multi-indices pass
-    that of ``gausspoly._multi_index`` and are stored as int tuples.
+    norm is the sum of re^2 + im^2 over the coefficients, exactly.  n
+    passes the rule of ``gausspoly._dimension`` and is stored as an int;
+    multi-indices pass that of ``gausspoly._multi_index`` and are stored as
+    int tuples.
     """
 
     n: int
@@ -96,7 +98,7 @@ class TestFunction:
         return cls(n=len(alpha), coefficients={alpha: 1.0 + 0.0j})
 
     def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coefficients.values()))
+        return float(sum(c.real * c.real + c.imag * c.imag for c in self.coefficients.values()))
 
     def degree(self) -> int:
         """Largest total degree |alpha| among the coefficients (0 if none)."""
@@ -193,17 +195,20 @@ def _image_lane(pt: PhaseTriple, cache: MomentCache | None = None) -> tuple:
 
 def _image_scaled(rows: np.ndarray, factorials) -> np.ndarray:
     """Chain rows (T a+)^alpha T h_0 of the image lane, one per alpha, scaled
-    to T h_alpha by 1 / sqrt(alpha!), given alpha! per row in ``factorials``."""
-    return _real_scaled(rows, (1.0 / np.sqrt(np.asarray(factorials, dtype=float)))[:, None])
+    to T h_alpha by 1 / sqrt(alpha!), given alpha! per row in ``factorials``
+    (``gausspoly._factorial_rows``)."""
+    return _real_scaled(rows, (1.0 / np.sqrt(factorials))[:, None])
 
 
 def _image_block(pt: PhaseTriple, alphas, cache: MomentCache | None = None) -> tuple:
     """Exact transforms T h_alpha of the orthonormal Hermite functions, one
     row per alpha of ``alphas``, and their exponent M: the image lane
-    (``_image_lane``) chained alone and scaled."""
+    (``_image_lane``) chained alone and scaled; ValueError naming the first
+    alpha whose alpha! is beyond the float range."""
+    alphas = np.asarray(alphas, dtype=np.intp).reshape(-1, pt.n)
+    factorials = _factorial_rows(alphas)
     lane, M = _image_lane(pt, cache)
-    rows = _chain_rows([lane], alphas)[0]
-    return _image_scaled(rows, [mi_factorial(a) for a in alphas]), M
+    return _image_scaled(_chain_rows([lane], alphas)[0], factorials), M
 
 
 def _image_coefficients(pt: PhaseTriple, u: TestFunction, cache=None) -> tuple:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sbhermite.gausspoly import (
     _chain_plan,
     _chain_rows,
     _degree_of,
+    _factorial_rows,
     _frame_ladder,
     _hamiltonian_rows,
     _in_frame,
@@ -24,6 +26,7 @@ from sbhermite.gausspoly import (
     _row_distances,
     _unrank,
 )
+from sbhermite.integrals import _factorials
 from sbhermite.transform import _intertwined_raising
 
 from helpers import (
@@ -295,6 +298,36 @@ class TestRank:
         assert got.min() >= 0 and got.sum(axis=1).max() <= 12
         assert _rank(got).tolist() == cols
         assert _unrank(n, _rank(rows)).tolist() == rows
+
+    @pytest.mark.parametrize("n, top, wrapped", [(8, 879, 1000), (20, 63, 100), (30, 36, 40)])
+    def test_rank_table_stops_before_the_int_range(self, n, top, wrapped):
+        # the largest degree whose C(n + degree, n) columns an intp counts
+        # round-trips; beyond it a ValueError names n and the degree.  The
+        # table wrapped silently: (1000, 0, .., 0) at n = 8 came back as
+        # (22, 8, 159, 304, 30, 43, 105, 183)
+        last = (top,) + (0,) * (n - 1)
+        assert sb.PolyC(n, {last: 1.0}).terms == {last: 1.0}
+        for degree in (top + 1, wrapped):
+            alpha = (degree,) + (0,) * (n - 1)
+            message = rf"^the graded basis at n = {n} and degree {degree} has more columns"
+            with pytest.raises(ValueError, match=message):
+                sb.PolyC(n, {alpha: 1.0})
+            with pytest.raises(ValueError, match=message):
+                _rank(np.array([alpha]))
+
+    def test_rank_table_limit_reaches_every_caller(self):
+        # the chain plan, and through it rodrigues and transform_image
+        n, alpha = 20, (64,) + (0,) * 19
+        message = r"^the graded basis at n = 20 and degree 64 has more columns"
+        with pytest.raises(ValueError, match=message):
+            _chain_rows([(sb.LinearDiffOp(np.zeros((n, n)), np.eye(n)), 1.0)], [alpha])
+        pt = sb.validate_phase_triple(np.zeros((n, n)), np.eye(n), 1j * np.eye(n))
+        with pytest.raises(ValueError, match=message):
+            sb.transform_image(pt, sb.TestFunction.hermite_basis(alpha))
+        wd = sb.compute_weight_data(pt)
+        gen = sb.build_generator(wd, 0.5 * wd.lam0, np.eye(n))
+        with pytest.raises(ValueError, match=message):
+            sb.rodrigues(wd, gen, alpha)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_basis_matches_the_sorted_oracle(self, n):
@@ -1131,3 +1164,22 @@ class TestMultiIndices:
     def test_factorial(self):
         assert sb.mi_factorial((3, 2, 0)) == 12.0
         assert sb.mi_factorial((20,)) == float(math.factorial(20))
+
+    def test_factorial_beyond_the_float_range_is_named(self):
+        # the limit is the float range of alpha!, not |alpha| > 170: (86, 85)
+        # is a float, (100, 100) is not.  Each was an OverflowError, "int too
+        # large to convert to float", naming nothing
+        assert sb.mi_factorial((86, 85)) == 6.825025008483449e+258
+        for alpha in ((171,), (0, 171), (100, 100), (10**9, 2)):
+            message = rf"^multi-index {re.escape(str(alpha))}: alpha! is beyond the float range$"
+            with pytest.raises(ValueError, match=message) as info:
+                sb.mi_factorial(alpha)
+            assert type(info.value) is ValueError
+
+    def test_one_formula_for_every_factorial(self):
+        # mi_factorial, the basis table of the inner products and the image
+        # scaling all read _factorial_rows, bit for bit
+        basis = _basis_array(3, 12)
+        want = [sb.mi_factorial(a) for a in basis.tolist()]
+        assert _factorial_rows(basis).tolist() == want
+        assert _factorials(3, 12).tolist() == want

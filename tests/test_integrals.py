@@ -228,6 +228,18 @@ class TestHphiInner:
         want = 2.0 * math.pi * 2.0**k * math.factorial(k)
         assert sb.hphi_inner(fk, fk, wd).real == pytest.approx(want, rel=1e-10)
 
+    def test_wick_weight_beyond_the_float_range_is_named(self):
+        # z^171 needs the weight 171!, beyond the float range: a ValueError
+        # naming its index, where an OverflowError named nothing
+        _, wd, _ = bargmann_data()
+        f = sb.GaussPoly(sb.PolyC.monomial((171,)), np.zeros((1, 1)))
+        message = r"^multi-index \(171,\): alpha! is beyond the float range$"
+        with pytest.raises(ValueError, match=message) as info:
+            sb.hphi_inner(f, f, wd)
+        assert type(info.value) is ValueError
+        with pytest.raises(ValueError, match=message):
+            _factorials(1, 171)
+
     def test_lopsided_degrees(self):
         # degrees 20 and 4: only z^4 pairs, so the product is that of z^4
         _, wd, _ = bargmann_data()

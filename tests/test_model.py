@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sbhermite as sb
 from sbhermite import model, pipeline
 from sbhermite.errors import (
+    EigFailure,
     IntertwinerInvalid,
     MExponentMismatch,
     NonPositiveCI,
@@ -19,6 +20,7 @@ from sbhermite.errors import (
     RhoOutOfRange,
     SingularB,
     StageFailure,
+    SymmetryViolation,
 )
 
 from helpers import (
@@ -250,6 +252,47 @@ class TestComputeWeightData:
             rot = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
             with pytest.raises(IntertwinerInvalid):
                 sb.with_unitary(wd2, rot)
+
+
+class TestConstructionGates:
+    """The gates of ``compute_weight_data`` and ``build_generator`` that no
+    validated input reaches: a triple is changed past its validation, or
+    ``np.linalg.eigh`` or ``validate_intertwiner`` is patched."""
+
+    def test_weight_data_needs_a_symmetric_holomorphic_block(self):
+        pt = sb.validate_phase_triple(*sb.example_triple("ghs", 0.5))
+        bad = dataclasses.replace(pt, A=pt.A + np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(SymmetryViolation, match="^derived holomorphic block is not symmetric$"):
+            sb.compute_weight_data(bad)
+
+    def test_weight_data_needs_a_positive_hermitian_block(self):
+        pt = sb.validate_phase_triple(*sb.example_triple("em", 0.5))
+        bad = dataclasses.replace(pt, C_I=-pt.C_I)
+        with pytest.raises(EigFailure, match=r"^Hermitian block has nonpositive eigenvalue -3\.750e-01$"):
+            sb.compute_weight_data(bad)
+
+    def test_weight_data_names_a_failed_eigendecomposition(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        pt = sb.validate_phase_triple(*sb.example_triple("em", 0.5))
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigFailure, match="^Eigenvalues did not converge$") as info:
+            sb.compute_weight_data(pt)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("matrix", ["Q", "S"])
+    def test_generator_gates_each_symmetric_matrix(self, monkeypatch, matrix):
+        # distinct lam: the swap breaks the symmetry of Q; with X_01 / X_10 =
+        # mu_1 lam_0 / (mu_0 lam_1) Q stays symmetric and S does not
+        wd = sb.compute_weight_data(sb.random_phase_triple(2, np.random.default_rng(6)))
+        rho = 0.5 * wd.lam0
+        mu = np.sqrt(wd.lam**2 - rho * rho)
+        x = SWAP2 if matrix == "Q" else np.array(
+            [[0.0, mu[1] * wd.lam[0] / (mu[0] * wd.lam[1])], [1.0, 0.0]])
+        monkeypatch.setattr(model, "validate_intertwiner", lambda X, wd, rho: True)
+        with pytest.raises(SymmetryViolation, match=f"^constructed {matrix} is not complex symmetric$"):
+            sb.build_generator(wd, rho, x)
 
 
 class TestValidateIntertwiner:

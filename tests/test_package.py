@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+import sbhermite
+
 from helpers import fresh_python
 
 #: defining module -> the names the package exports from it
@@ -78,3 +80,20 @@ def test_namespace(first, check):
         "print(json.dumps(wrong))\n"
     )
     assert fresh_python(script, json.dumps(EXPORTS)) == []
+
+
+def test_dir_lists_the_engine_before_it_loads():
+    # dir() names every export and the engine's modules, and loads none of
+    # them: in a fresh interpreter, and in this one through the same method
+    engine = ["gausspoly", "integrals", "pipeline", "transform"]
+    script = (
+        "import json, sys\n"
+        "import sbhermite as sb\n"
+        "listed = dir(sb)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('sbhermite.'))\n"
+        "print(json.dumps([listed, loaded]))\n"
+    )
+    listed, loaded = fresh_python(script)
+    assert set(NAMES + engine) <= set(listed) and listed == sorted(listed)
+    assert not {f"sbhermite.{module}" for module in engine} & set(loaded)
+    assert dir(sbhermite) == sorted({*vars(sbhermite), *NAMES, *engine})

@@ -728,6 +728,38 @@ class TestCli:
             assert cli_main(argv) == 2
             assert capsys.readouterr().err.startswith("config error: --hermite:")
 
+    def test_hermite_index_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        # T h_alpha is scaled by 1 / sqrt(alpha!): 171! is beyond the float
+        # range, which was "error: OverflowError" and exit 1
+        path = self.write_config(tmp_path, em_config_dict())
+        argv = ["transform", "--config", path, "--hermite", "171", "--z", "0.3,0.1"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --hermite: multi-index (171,): "
+                                "alpha! is beyond the float range\n")
+        assert cli_main([*argv[:4], "170", *argv[5:]]) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 1
+
+    @pytest.mark.parametrize("t, degree, first", [(1.0, 600, 394), (10.0, 170, 161)])
+    def test_construct_refuses_a_family_that_is_not_finite(self, tmp_path, capsys,
+                                                           t, degree, first):
+        # the em family at s = 0.5 overflows from degree 394, and in units
+        # t = 10 (the triple (t^2 A, t B, C)) from 161, inside MAX_DEGREE;
+        # each run exited 0 and wrote NaN and Infinity, which are not JSON
+        s = 0.5
+        cfg = em_config_dict(s, A=[[[0.0, t * t / s]]], B=[[[0.0, t * math.sqrt(1 - s * s)]]])
+        path = self.write_config(tmp_path, cfg)
+        out_path = tmp_path / "family.json"
+        argv = ["construct", "--config", path, "--family", str(degree), "--out", str(out_path)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: --family: member ({first},) "
+                                           "has coefficients that are not finite\n")
+        assert not out_path.exists()
+        assert cli_main([*argv[:4], str(first - 1), *argv[5:]]) == 0
+        family = json.loads(out_path.read_text(), parse_constant=pytest.fail)["family"]
+        assert len(family) == first
+
     def test_rho_fraction_flag(self, tmp_path, capsys):
         path = self.write_config(tmp_path, em_config_dict())
         assert cli_main(["construct", "--config", path, "--rho-fraction", "0.5"]) == 0

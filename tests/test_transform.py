@@ -414,6 +414,13 @@ class TestIsometry:
         with pytest.raises(ValueError):
             sb.isometry_residual(pt, sb.TestFunction(n=1, coefficients={}), wd, QUAD)
 
+    def test_norm_is_the_sum_of_squared_parts(self):
+        # re^2 + im^2 per coefficient, no square root: Python's abs(c) ** 2
+        # (libm hypot, then a square) read 0.7361976885952999 here
+        c = 0.13436424411240122 + 0.8474337369372327j
+        u = sb.TestFunction(n=2, coefficients={(0, 0): c, (1, 0): -2.0, (0, 1): 0.5j})
+        assert u.norm_sq() == 0.7361976885952998 + 4.0 + 0.25
+
 
 def random_test_function(n, degree, rng):
     return sb.TestFunction(
@@ -423,6 +430,21 @@ def random_test_function(n, degree, rng):
 
 class TestTransformImage:
     """Exact images T u as GaussPolys, with no quadrature."""
+
+    def test_normalization_beyond_the_float_range_is_named(self):
+        # T h_alpha is scaled by 1 / sqrt(alpha!), and 171! is beyond the
+        # float range: a ValueError naming alpha, where an OverflowError
+        # named nothing; alpha! of (86, 85) is 6.8e258 and in range
+        pt, wd, _ = bargmann_data()
+        message = r"^multi-index \(171,\): alpha! is beyond the float range$"
+        for call in (lambda u: sb.transform_image(pt, u),
+                     lambda u: sb.isometry_residual(pt, u, wd)):
+            with pytest.raises(ValueError, match=message) as info:
+                call(sb.TestFunction(1, {(3,): 1.0, (171,): 1.0}))
+            assert type(info.value) is ValueError
+        pt2 = sb.validate_phase_triple(np.zeros((2, 2)), np.eye(2), 1j * np.eye(2))
+        image = sb.transform_image(pt2, sb.TestFunction.hermite_basis((86, 85)))
+        assert np.isfinite(image.poly.coeffs).all()
 
     def test_ground_image_closed_form(self):
         rng = np.random.default_rng(40)
